@@ -4,8 +4,7 @@ Two questions the shard layer (PR 9) must answer honestly:
 
 1. **Throughput** — how many host-seconds of simulated mobility does
    each configuration serve per wall-clock second, and how does that
-   move with the shard count?  This is the number BENCH_PR9.json
-   commits to and the perf smoke gates on.
+   move with the shard count?
 
 2. **Edge effects** — the repo runs most experiments on area-scaled
    worlds (densities preserved, absolute geometry preserved).  With

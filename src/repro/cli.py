@@ -9,12 +9,8 @@ Usage::
     python -m repro.cli bench-quick --trace trace.jsonl
     python -m repro.cli trace-summary trace.jsonl
     python -m repro.cli check --seed 0 --queries 10000
-    python -m repro.cli profile --queries 500 --top 15
-    python -m repro.cli profile --baseline BENCH_PR6.json --max-regression 0.25
-    python -m repro.cli profile --kind churn --queries 4000
     python -m repro.cli serve --region suburbia --scale 0.02 --port 7007
-    python -m repro.cli load --spawn --count 200 --connections 4 \
-        --out BENCH_PR8.json
+    python -m repro.cli load --spawn --count 200 --connections 4 --json
 
 The CSV written by ``figure`` has one row per (region, x, series) —
 see :mod:`repro.experiments.export`.  ``--trace PATH`` (on ``figure``,
@@ -23,16 +19,12 @@ JSON-lines spans plus a metrics snapshot; ``trace-summary`` renders
 the per-phase latency breakdown.  ``check`` runs the seeded
 differential-oracle campaigns of :mod:`repro.check` (README
 "Checking correctness"), exiting non-zero on any disagreement.
-``profile`` cProfiles a configurable workload and prints the top-N
-hotspots; with ``--baseline`` it doubles as the perf-smoke gate,
-exiting non-zero when the profiled wall time regresses past the
-allowance (DESIGN.md "Performance architecture").  ``serve`` runs the
-asyncio base-station server of :mod:`repro.serve` until interrupted;
-``load`` replays a seeded workload against it (``--spawn`` starts an
-in-process server on an ephemeral port first) and reports achieved
-QPS, latency percentiles, and shed counts — with ``--baseline`` it is
-the serving-layer perf gate, exiting non-zero when achieved QPS drops
-past the allowance.
+``serve`` runs the asyncio base-station server of :mod:`repro.serve`
+until interrupted; ``load`` replays a seeded workload against it
+(``--spawn`` starts an in-process server on an ephemeral port first)
+and reports achieved QPS, latency percentiles, and shed counts.
+Speed is measured by ``bench/run.py`` alone (README "Measuring
+performance"); no command here times itself against a baseline.
 """
 
 from __future__ import annotations
@@ -293,90 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the summary as one JSON document instead of a table",
     )
 
-    prof = sub.add_parser(
-        "profile",
-        help="cProfile a workload and report the top-N hotspots",
-    )
-    prof.add_argument("--region", choices=sorted(REGIONS), default="la")
-    prof.add_argument("--scale", type=float, default=0.1)
-    prof.add_argument(
-        "--kind", choices=("knn", "window", "churn", "continuous", "sharded"),
-        default="knn",
-        help="profiled workload: a query kind, 'churn' for the"
-        " synthetic cache insert/evict microbenchmark (--queries"
-        " becomes the op count; --region/--scale are ignored),"
-        " 'continuous' for the standing-query A/B (--queries becomes"
-        " the standing-query count), or 'sharded' for a kNN workload"
-        " on the sharded simulator (reports hosts/sec)",
-    )
-    prof.add_argument("--queries", type=int, default=500)
-    prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="shard count for --kind sharded",
-    )
-    prof.add_argument(
-        "--exchange",
-        choices=("event", "cycle"),
-        default="cycle",
-        help="halo exchange cadence for --kind sharded",
-    )
-    prof.add_argument(
-        "--shard-backend",
-        choices=("auto", "process", "inprocess"),
-        default="auto",
-        help="where shard workers run for --kind sharded",
-    )
-    prof.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="profile the workload N times, keep the fastest run",
-    )
-    prof.add_argument(
-        "--top", type=int, default=20, help="hotspot rows to report"
-    )
-    prof.add_argument(
-        "--sort",
-        choices=("tottime", "cumtime", "calls"),
-        default="tottime",
-        help="hotspot ranking key",
-    )
-    prof.add_argument(
-        "--json",
-        action="store_true",
-        help="print one JSON document instead of an ASCII table",
-    )
-    prof.add_argument("--out", default=None, help="optional JSON output path")
-    prof.add_argument(
-        "--out-section",
-        default=None,
-        metavar="KEY",
-        help="write the report under this key of a combined JSON"
-        " document at --out (read-modify-write; other sections kept)",
-    )
-    prof.add_argument(
-        "--worker-profile",
-        action="store_true",
-        help="for --kind sharded on the process backend: run one extra"
-        " (unscored) pass with cProfile inside every shard worker and"
-        " report their merged hotspots alongside the coordinator's",
-    )
-    prof.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="committed profile JSON to compare against (perf smoke)",
-    )
-    prof.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed fractional wall-time increase over the baseline",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the asyncio base-station server until interrupted",
@@ -473,25 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the report as one JSON document",
     )
     load.add_argument("--out", default=None, help="optional JSON output path")
-    load.add_argument(
-        "--out-section",
-        default=None,
-        metavar="KEY",
-        help="write the report under this key of a combined JSON"
-        " document at --out (read-modify-write; other sections kept)",
-    )
-    load.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="committed load report to compare achieved QPS against",
-    )
-    load.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.5,
-        help="allowed fractional achieved-QPS drop below the baseline",
-    )
 
     check = sub.add_parser(
         "check",
@@ -693,386 +582,6 @@ def cmd_bench_quick(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hotspot_label(filename: str, lineno: int, name: str) -> str:
-    """Compact ``file:line(func)`` label with noise prefixes stripped."""
-    if filename == "~":  # pstats' marker for C-level builtins
-        return name
-    for anchor in ("/src/", "/site-packages/", "/lib/"):
-        idx = filename.rfind(anchor)
-        if idx >= 0:
-            filename = filename[idx + len(anchor):]
-            break
-    return f"{filename}:{lineno}({name})"
-
-
-def _profile_shard_workers(params, args: argparse.Namespace) -> dict:
-    """One sharded run with cProfile inside each worker process.
-
-    Returns the merged worker-side hotspot rows (pipe waits split out
-    as ``pipe_wait_s``), or a stub explaining why profiling was
-    skipped (only the process backend can host worker profilers).
-    """
-    from .shard import ShardedSimulation
-
-    with ShardedSimulation(
-        params,
-        seed=args.seed,
-        shards=args.shards,
-        exchange=args.exchange,
-        backend=args.shard_backend,
-    ) as sim:
-        if not sim.start_worker_profiles():
-            return {
-                "profiled_separately": False,
-                "reason": f"backend {sim.backend!r} has no worker"
-                " processes to profile",
-            }
-        sim.run_workload(QueryKind.KNN, 0, args.queries)
-        merged = sim.collect_worker_profiles()
-    # Workers block in posix.read between requests; that wait is the
-    # coordinator's problem, not a worker hotspot — split it out so
-    # the rows below are actual worker CPU.
-    pipe_wait = sum(
-        stats[2]
-        for site, stats in merged.items()
-        if "posix.read" in site
-    )
-    rows = sorted(
-        (
-            (site, stats)
-            for site, stats in merged.items()
-            if "posix.read" not in site
-        ),
-        key=lambda kv: kv[1][2],
-        reverse=True,
-    )
-    return {
-        "profiled_separately": True,
-        "worker_count": args.shards,
-        "pipe_wait_s": pipe_wait,
-        "worker_cpu_s": sum(stats[2] for _, stats in rows),
-        "hotspots": [
-            {
-                "function": site,
-                "ncalls": nc,
-                "primitive_calls": cc,
-                "tottime_s": tt,
-                "cumtime_s": ct,
-            }
-            for site, (cc, nc, tt, ct) in rows[: max(0, args.top)]
-        ],
-    }
-
-
-def _load_baseline(path: str, section: str | None) -> dict:
-    """A committed benchmark document, descending into ``section``.
-
-    A combined document (e.g. BENCH_PR10.json holding both the sharded
-    profile and the serve load report) has no top-level "parameters";
-    single-report baselines from earlier PRs do, and load unchanged.
-    """
-    with open(path) as fh:
-        baseline = json.load(fh)
-    if section and "parameters" not in baseline:
-        found = baseline.get(section)
-        if not isinstance(found, dict):
-            raise SystemExit(
-                f"baseline {path} has no {section!r} section"
-            )
-        baseline = found
-    return baseline
-
-
-def _write_report(path: str, section: str | None, report: dict) -> None:
-    """Write ``report`` to ``path``, merging into a section if asked."""
-    if section:
-        try:
-            with open(path) as fh:
-                existing = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            existing = {}
-        # A legacy single-report file is replaced, not nested into.
-        if not isinstance(existing, dict) or "parameters" in existing:
-            existing = {}
-        existing[section] = report
-        text = json.dumps(existing, indent=2)
-    else:
-        text = json.dumps(report, indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    best_wall = math.inf
-    best_profiler: cProfile.Profile | None = None
-    continuous_report: dict | None = None
-    sharded_stats: dict | None = None
-    if args.kind == "churn":
-        from .experiments.bench import bench_cache_churn
-
-        for _ in range(max(1, args.repeat)):
-            profiler = cProfile.Profile()
-            start = time.perf_counter()
-            profiler.runcall(bench_cache_churn, args.queries, args.seed)
-            wall = time.perf_counter() - start
-            if wall < best_wall:
-                best_wall = wall
-                best_profiler = profiler
-    elif args.kind == "continuous":
-        from .experiments.bench import bench_continuous
-
-        params = scaled_parameters(REGIONS[args.region], area_scale=args.scale)
-        for _ in range(max(1, args.repeat)):
-            profiler = cProfile.Profile()
-            start = time.perf_counter()
-            result = profiler.runcall(
-                bench_continuous, params, args.queries, args.seed
-            )
-            wall = time.perf_counter() - start
-            if wall < best_wall:
-                best_wall = wall
-                best_profiler = profiler
-                continuous_report = result
-    elif args.kind == "sharded":
-        from .shard import ShardedSimulation
-
-        params = scaled_parameters(REGIONS[args.region], area_scale=args.scale)
-        for _ in range(max(1, args.repeat)):
-            # A fresh world per repeat, same as the single-process
-            # kinds.  With the process backend only the coordinator is
-            # under the profiler; shard workers run at full speed, so
-            # hosts/sec stays an honest throughput number.
-            with ShardedSimulation(
-                params,
-                seed=args.seed,
-                shards=args.shards,
-                exchange=args.exchange,
-                backend=args.shard_backend,
-            ) as sim:
-                profiler = cProfile.Profile()
-                start = time.perf_counter()
-                profiler.runcall(
-                    sim.run_workload, QueryKind.KNN, 0, args.queries
-                )
-                wall = time.perf_counter() - start
-                if wall < best_wall:
-                    best_wall = wall
-                    best_profiler = profiler
-                    sharded_stats = {
-                        "mh_number": params.mh_number,
-                        "sim_seconds": sim._now,
-                        "shards": args.shards,
-                        "exchange": args.exchange,
-                        "backend": sim.backend,
-                        # Host-seconds of simulated mobility served per
-                        # wall-clock second: population x simulated
-                        # span / wall.
-                        "hosts_per_sec": params.mh_number * sim._now / wall,
-                    }
-        if args.worker_profile and sharded_stats is not None:
-            # One extra, *unscored* pass with cProfile running inside
-            # every worker process.  The gated wall/hosts_per_sec come
-            # from the unprofiled runs above — profiler overhead must
-            # not leak into the regression gate.
-            sharded_stats["workers"] = _profile_shard_workers(
-                params, args
-            )
-    else:
-        params = scaled_parameters(REGIONS[args.region], area_scale=args.scale)
-        kind = QueryKind.KNN if args.kind == "knn" else QueryKind.WINDOW
-        for _ in range(max(1, args.repeat)):
-            # A fresh world per repeat: the workload must see identical
-            # cold caches each time for the runs to be comparable.
-            sim = Simulation(params, seed=args.seed)
-            profiler = cProfile.Profile()
-            start = time.perf_counter()
-            profiler.runcall(sim.run_workload, kind, 0, args.queries)
-            wall = time.perf_counter() - start
-            if wall < best_wall:
-                best_wall = wall
-                best_profiler = profiler
-    stats = pstats.Stats(best_profiler)
-    sort_field = {"tottime": 2, "cumtime": 3, "calls": 1}[args.sort]
-    rows = [
-        {
-            "function": _hotspot_label(filename, lineno, name),
-            "ncalls": nc,
-            "primitive_calls": cc,
-            "tottime_s": tt,
-            "cumtime_s": ct,
-            "_key": (cc, nc, tt, ct)[sort_field],
-        }
-        for (filename, lineno, name), (cc, nc, tt, ct, _callers)
-        in stats.stats.items()
-    ]
-    rows.sort(key=lambda row: row["_key"], reverse=True)
-    hotspots = [
-        {k: v for k, v in row.items() if k != "_key"}
-        for row in rows[: max(0, args.top)]
-    ]
-    report: dict = {
-        "parameters": {
-            "region": args.region,
-            "area_scale": args.scale,
-            "kind": args.kind,
-            "queries": args.queries,
-            "seed": args.seed,
-            "repeat": max(1, args.repeat),
-        },
-        "profiled_wall_s": best_wall,
-        "total_calls": stats.total_calls,
-        "sort": args.sort,
-        "hotspots": hotspots,
-    }
-    if continuous_report is not None:
-        report["continuous"] = continuous_report
-    if sharded_stats is not None:
-        report["parameters"]["shards"] = sharded_stats["shards"]
-        report["parameters"]["exchange"] = sharded_stats["exchange"]
-        # How much of the coordinator's profiled wall was spent blocked
-        # on worker pipes — the number worker-side profiling unmasks.
-        sharded_stats["coordinator_wait_s"] = sum(
-            row["tottime_s"]
-            for row in rows
-            if "posix.read" in row["function"]
-        )
-        report["sharded"] = sharded_stats
-
-    status = 0
-    if args.baseline:
-        baseline = _load_baseline(
-            args.baseline,
-            args.out_section
-            or ("sharded" if args.kind == "sharded" else None),
-        )
-        workload_keys = ["region", "area_scale", "kind", "queries", "seed"]
-        if args.kind == "sharded":
-            workload_keys += ["shards", "exchange"]
-        mismatched = {
-            key: (baseline["parameters"].get(key), report["parameters"][key])
-            for key in workload_keys
-            if baseline["parameters"].get(key) != report["parameters"][key]
-        }
-        if mismatched:
-            print(
-                f"baseline {args.baseline} profiles a different workload:"
-                f" {mismatched}",
-                file=sys.stderr,
-            )
-            return 2
-        base_wall = baseline["profiled_wall_s"]
-        limit = base_wall * (1.0 + args.max_regression)
-        report["baseline"] = {
-            "path": args.baseline,
-            "profiled_wall_s": base_wall,
-            "limit_s": limit,
-        }
-        status = 1 if best_wall > limit else 0
-        if sharded_stats is not None and "sharded" in baseline:
-            # Throughput floor: the sharded profile must keep serving
-            # at least (1 - max_regression) of the committed hosts/sec.
-            base_rate = baseline["sharded"]["hosts_per_sec"]
-            floor = base_rate * (1.0 - args.max_regression)
-            report["baseline"]["hosts_per_sec"] = base_rate
-            report["baseline"]["hosts_per_sec_floor"] = floor
-            if sharded_stats["hosts_per_sec"] < floor:
-                status = 1
-
-    document = json.dumps(report, indent=2)
-    if args.json:
-        print(document)
-    else:
-        p = report["parameters"]
-        if p["kind"] == "churn":
-            workload = f"{p['queries']} cache-churn ops per capacity"
-        elif p["kind"] == "continuous":
-            workload = (
-                f"{p['queries']} standing queries (A/B) on {p['region']}"
-                f" (scale {p['area_scale']:g})"
-            )
-        elif p["kind"] == "sharded":
-            workload = (
-                f"{p['queries']} knn queries on {p['region']}"
-                f" (scale {p['area_scale']:g}, {p['shards']} shards,"
-                f" {p['exchange']} exchange)"
-            )
-        else:
-            workload = (
-                f"{p['queries']} {p['kind']} queries on {p['region']}"
-                f" (scale {p['area_scale']:g})"
-            )
-        print(
-            f"{workload} (seed {p['seed']}, best of {p['repeat']}):"
-            f" {best_wall:.3f} s profiled wall,"
-            f" {report['total_calls']:,} calls"
-        )
-        if sharded_stats is not None:
-            print(
-                f"  {sharded_stats['hosts_per_sec']:,.0f} host-seconds/s"
-                f" ({sharded_stats['mh_number']:,} hosts x"
-                f" {sharded_stats['sim_seconds']:.1f} sim-s /"
-                f" {best_wall:.3f} s wall, backend"
-                f" {sharded_stats['backend']})"
-            )
-        if continuous_report is not None:
-            print(
-                f"  broadcast access ratio"
-                f" {continuous_report['broadcast_access_ratio']:.2f}x"
-                f" (naive {continuous_report['naive']['tuning_packets']}"
-                f" vs monitored"
-                f" {continuous_report['monitored']['tuning_packets']}"
-                f" tuning packets, safe-hit rate"
-                f" {continuous_report['monitored']['safe_hit_rate']:.0%})"
-            )
-        print(f"top {len(hotspots)} by {args.sort}:")
-        print(f"{'ncalls':>10s} {'tottime':>9s} {'cumtime':>9s}  function")
-        for row in hotspots:
-            print(
-                f"{row['ncalls']:>10d} {row['tottime_s']:>9.3f}"
-                f" {row['cumtime_s']:>9.3f}  {row['function']}"
-            )
-        workers = (sharded_stats or {}).get("workers")
-        if workers is not None:
-            if not workers["profiled_separately"]:
-                print(f"worker profile skipped: {workers['reason']}")
-            else:
-                print(
-                    f"worker hotspots ({workers['worker_count']} workers,"
-                    f" {workers['worker_cpu_s']:.3f} s worker CPU,"
-                    f" {workers['pipe_wait_s']:.3f} s pipe wait,"
-                    " separate unscored run):"
-                )
-                for row in workers["hotspots"][:10]:
-                    print(
-                        f"{row['ncalls']:>10d} {row['tottime_s']:>9.3f}"
-                        f" {row['cumtime_s']:>9.3f}  {row['function']}"
-                    )
-    if args.out:
-        _write_report(args.out, args.out_section, report)
-        if not args.json:
-            print(f"wrote {args.out}")
-    if args.baseline:
-        verdict = report["baseline"]
-        if status:
-            print(
-                f"PERF REGRESSION: {best_wall:.3f} s >"
-                f" {verdict['limit_s']:.3f} s allowance"
-                f" ({verdict['profiled_wall_s']:.3f} s baseline"
-                f" + {args.max_regression:.0%})"
-            )
-        else:
-            print(
-                f"perf ok: {best_wall:.3f} s within"
-                f" {verdict['limit_s']:.3f} s allowance"
-                f" ({verdict['profiled_wall_s']:.3f} s baseline"
-                f" + {args.max_regression:.0%})"
-            )
-    return status
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     from .check import DEFAULT_FAULTS, run_campaign, run_continuous_campaign
 
@@ -1268,39 +777,6 @@ def cmd_load(args: argparse.Namespace) -> int:
     }
     document.update(report.to_dict())
 
-    status = 0
-    if args.baseline:
-        baseline = _load_baseline(
-            args.baseline, args.out_section or "serve"
-        )
-        # Baselines recorded before the binary wire mode are JSON runs.
-        baseline["parameters"].setdefault("encoding", "json")
-        workload_keys = (
-            "region", "area_scale", "kind", "seed", "count", "connections",
-            "encoding",
-        )
-        mismatched = {
-            key: (baseline["parameters"].get(key), document["parameters"][key])
-            for key in workload_keys
-            if baseline["parameters"].get(key) != document["parameters"][key]
-        }
-        if mismatched:
-            print(
-                f"baseline {args.baseline} measures a different workload:"
-                f" {mismatched}",
-                file=sys.stderr,
-            )
-            return 2
-        base_qps = baseline["achieved_qps"]
-        floor = base_qps * (1.0 - args.max_regression)
-        document["baseline"] = {
-            "path": args.baseline,
-            "achieved_qps": base_qps,
-            "floor_qps": floor,
-        }
-        if report.achieved_qps < floor:
-            status = 1
-
     text = json.dumps(document, indent=2)
     if args.json:
         print(text)
@@ -1323,25 +799,10 @@ def cmd_load(args: argparse.Namespace) -> int:
         if report.shed_reasons:
             print(f"  shed reasons: {report.shed_reasons}")
     if args.out:
-        _write_report(args.out, args.out_section, document)
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
         if not args.json:
             print(f"wrote {args.out}")
-    if args.baseline:
-        verdict = document["baseline"]
-        if status:
-            print(
-                f"PERF REGRESSION: {report.achieved_qps:.0f} q/s <"
-                f" {verdict['floor_qps']:.0f} q/s floor"
-                f" ({verdict['achieved_qps']:.0f} q/s baseline"
-                f" - {args.max_regression:.0%})"
-            )
-        else:
-            print(
-                f"perf ok: {report.achieved_qps:.0f} q/s within"
-                f" {verdict['floor_qps']:.0f} q/s floor"
-                f" ({verdict['achieved_qps']:.0f} q/s baseline"
-                f" - {args.max_regression:.0%})"
-            )
     if args.expect_clean and not report.clean:
         print(
             f"NOT CLEAN: {report.shed} shed, {report.errors} errors"
@@ -1349,7 +810,7 @@ def cmd_load(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return status
+    return 0
 
 
 def cmd_trace_summary(args: argparse.Namespace) -> int:
@@ -1381,7 +842,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench-quick": cmd_bench_quick,
         "trace-summary": cmd_trace_summary,
         "check": cmd_check,
-        "profile": cmd_profile,
         "serve": cmd_serve,
         "load": cmd_load,
     }

@@ -269,7 +269,7 @@ class ContinuousMonitor:
                 min_correctness=sim.min_correctness,
             )
             if outcome.resolution is not Resolution.BROADCAST:
-                entries = host.settle_knn_peer(
+                entries, _ = host.settle_knn_peer(
                     position,
                     heading,
                     query.template.k,

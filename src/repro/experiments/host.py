@@ -269,13 +269,9 @@ class MobileHost:
         )
         if outcome.resolution is not Resolution.BROADCAST:
             latency = (p2p_latency if peer_count else 0.0) + faults.extra_latency
-            shared: SharedRegion | None = None
-            if cache_gossip:
-                shared = self._gossip_cache(
-                    position, heading, outcome.mvr, responses, now
-                )
-            entries = tuple(outcome.heap.results()[:k])
-            self.cache.touch((e.poi.poi_id for e in entries), now)
+            entries, shared = self.settle_knn_peer(
+                position, heading, k, outcome, responses, now, cache_gossip
+            )
             return HostQueryResult(
                 record=QueryRecord(
                     time=now,
@@ -305,31 +301,15 @@ class MobileHost:
             lower_bound=outcome.bounds.lower,
             known_pois=outcome.verified_pois,
         )
-        covered = onair_result.covered
-        complete = {poi.poi_id: poi for poi in onair_result.downloaded}
-        complete.update(
-            _pois_from_responses(responses, covered, outcome.mvr)
+        shared_regions = self.adopt_knn_download(
+            position,
+            heading,
+            outcome,
+            onair_result.plan,
+            onair_result.downloaded,
+            responses,
+            now,
         )
-        cx1, cy1, cx2, cy2 = covered.x1, covered.y1, covered.x2, covered.y2
-        cached_pois = tuple(
-            [
-                poi
-                for poi in complete.values()
-                if cx1 <= poi.location.x <= cx2
-                and cy1 <= poi.location.y <= cy2
-            ]
-        )
-        shared_regions: list[SharedRegion] = [(covered, cached_pois)]
-        # Everything the segment download certifies beyond the search
-        # MBR is cacheable too ("store as many received POIs as the
-        # cache capacity allows").
-        shared_regions.extend(
-            _pois_per_region(
-                onair_result.plan.bonus_regions, onair_result.downloaded
-            )
-        )
-        for region, pois in shared_regions:
-            self.cache.insert_result(region, list(pois), now, position, heading)
         latency = (
             (p2p_latency if peer_count else 0.0)
             + faults.extra_latency
@@ -354,7 +334,7 @@ class MobileHost:
                 buckets_lost=onair_result.cost.buckets_lost,
             ),
             answers=tuple(e.poi for e in onair_result.results),
-            shared=tuple(shared_regions),
+            shared=shared_regions,
         )
 
     def _gossip_cache(
@@ -382,15 +362,13 @@ class MobileHost:
         self.cache.insert_result(region, list(pois), now, position, heading)
         return region, pois
 
-    # -- continuous monitoring hooks -----------------------------------
-    # The standing-query engine (:mod:`repro.continuous`) drives the
-    # same pipeline as execute_knn / execute_window, but needs the
+    # -- resolution and cache-settlement steps --------------------------
+    # The standing-query engine (:mod:`repro.continuous`) needs the
     # resolution step, the broadcast scan, and the cache settlement
-    # decoupled so concurrent re-evaluations can share one scan.  Each
-    # hook below replays the corresponding branch of the one-shot path
-    # verbatim (same call order, same filters), so a standing query
-    # settled through them leaves the cache bit-identical to a one-shot
-    # query at the same place and time.
+    # decoupled so concurrent re-evaluations can share one scan.  The
+    # one-shot execute_knn / execute_window settle through the same
+    # four methods, so a standing query leaves the cache bit-identical
+    # to a one-shot query at the same place and time.
 
     def resolve_knn(
         self,
@@ -425,17 +403,20 @@ class MobileHost:
         responses: Sequence[ShareResponse],
         now: float,
         cache_gossip: bool = True,
-    ) -> tuple[HeapEntry, ...]:
+    ) -> tuple[tuple[HeapEntry, ...], SharedRegion | None]:
         """Cache settlement of a peer-resolved kNN (non-BROADCAST).
 
-        Mirrors the order of the peer branch of :meth:`execute_knn`:
-        gossip the verified disc first, then touch the answers.
+        Gossips the verified disc first, then touches the answers.
+        Returns the answer entries and the gossiped region (if any).
         """
+        shared = None
         if cache_gossip:
-            self._gossip_cache(position, heading, outcome.mvr, responses, now)
+            shared = self._gossip_cache(
+                position, heading, outcome.mvr, responses, now
+            )
         entries = tuple(outcome.heap.results()[:k])
         self.cache.touch((e.poi.poi_id for e in entries), now)
-        return entries
+        return entries, shared
 
     def settle_window_peer(
         self,
@@ -480,6 +461,9 @@ class MobileHost:
             ]
         )
         shared_regions: list[SharedRegion] = [(covered, cached_pois)]
+        # Everything the segment download certifies beyond the search
+        # MBR is cacheable too ("store as many received POIs as the
+        # cache capacity allows").
         shared_regions.extend(_pois_per_region(plan.bonus_regions, downloaded))
         for region, pois in shared_regions:
             self.cache.insert_result(region, list(pois), now, position, heading)
@@ -495,7 +479,12 @@ class MobileHost:
         downloaded: Sequence[POI],
         now: float,
     ) -> tuple[SharedRegion, ...]:
-        """Cache settlement of a broadcast-resolved window query."""
+        """Cache settlement of a broadcast-resolved window query.
+
+        Verified peers cover w ∩ MVR, the channel covered w − MVR:
+        together the whole window is certified.  The segment download
+        certifies the aligned blocks beyond the window as well.
+        """
         shared_regions: list[SharedRegion] = [
             (window, tuple(sorted(answers.values(), key=lambda p: p.poi_id)))
         ]
@@ -534,10 +523,7 @@ class MobileHost:
             1 for r in responses if r.peer_id != self.host_id
         )
         if outcome.resolution is Resolution.VERIFIED:
-            self.cache.touch((p.poi_id for p in outcome.verified_pois), now)
-            self.cache.insert_result(
-                window, list(outcome.verified_pois), now, position, heading
-            )
+            self.settle_window_peer(position, heading, window, outcome, now)
             return HostQueryResult(
                 record=QueryRecord(
                     time=now,
@@ -565,17 +551,15 @@ class MobileHost:
             poi.poi_id: poi for poi in outcome.verified_pois
         }
         answers.update({poi.poi_id: poi for poi in onair_result.pois})
-        # Verified peers cover w ∩ MVR, the channel covered w − MVR:
-        # together the whole window is certified.  The segment download
-        # certifies the aligned blocks beyond the window as well.
-        shared_regions: list[SharedRegion] = [
-            (window, tuple(sorted(answers.values(), key=lambda p: p.poi_id)))
-        ]
-        shared_regions.extend(
-            _pois_per_region(onair_result.bonus_regions, onair_result.downloaded)
+        shared_regions = self.adopt_window_download(
+            position,
+            heading,
+            window,
+            answers,
+            onair_result.bonus_regions,
+            onair_result.downloaded,
+            now,
         )
-        for region, pois in shared_regions:
-            self.cache.insert_result(region, list(pois), now, position, heading)
         latency = (
             (p2p_latency if peer_count else 0.0)
             + faults.extra_latency
@@ -602,5 +586,5 @@ class MobileHost:
                 buckets_lost=onair_result.cost.buckets_lost,
             ),
             answers=ordered,
-            shared=tuple(shared_regions),
+            shared=shared_regions,
         )

@@ -1,5 +1,5 @@
 """Geometry substrate: points, rectangles, discs, rectilinear regions,
-simple polygons, and the Hilbert space-filling curve.
+and the Hilbert space-filling curve.
 
 This package replaces the computational-geometry dependencies of the
 original system (a MapOverlay implementation and ad-hoc disc/area
@@ -16,7 +16,6 @@ from .hilbert import (
     hilbert_xy_to_d_batch,
 )
 from .point import Point, centroid
-from .polygon import Polygon
 from .rect import Rect
 from .region import (
     RectUnion,
@@ -33,7 +32,6 @@ __all__ = [
     "Circle",
     "HilbertGrid",
     "Point",
-    "Polygon",
     "Rect",
     "RectUnion",
     "Segment",

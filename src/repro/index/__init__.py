@@ -7,12 +7,10 @@ from .brute import (
     collective_mbr,
 )
 from .grid import UniformGrid
-from .quadtree import QuadTree
 from .rtree import CountingRTreeView, RTree
 
 __all__ = [
     "CountingRTreeView",
-    "QuadTree",
     "RTree",
     "UniformGrid",
     "brute_force_knn",

@@ -17,7 +17,7 @@ package is the process you can point traffic at:
   idle-session reaping, and per-connection JSONL span export;
 * **loadgen** — the traffic side: replays seeded Table 3 workloads at
   a configurable QPS over N connections and reports achieved QPS,
-  latency percentiles, and shed counts (``BENCH_PR8.json``).
+  latency percentiles, and shed counts.
 """
 
 from .loadgen import LoadReport, ServeClient, run_load

@@ -10,7 +10,7 @@ Two pieces:
   Table 3 workload over ``connections`` clients, optionally paced to a
   target QPS, and folds the replies into a :class:`LoadReport` —
   achieved QPS, client-side latency percentiles, answered/shed/error
-  counts — the document ``repro.cli load`` writes as BENCH_PR8.json.
+  counts — the document ``repro.cli load`` prints.
 
 The workload is materialised *before* any traffic is sent, from the
 dedicated ``seeded_events`` RNG stream: the same ``(params, kind,

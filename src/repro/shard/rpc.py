@@ -20,7 +20,7 @@ shard, decoded once by each consumer shard — instead of being pickled
 up and re-pickled down.
 
 Cold methods with no hot-path cost (``traffic_totals``,
-``share_states``, ``profile_collect``, ...) fall back to a generic
+``share_states``, ``owned_count``, ...) fall back to a generic
 pickled call (``OP_CALL_PICKLE``) so the worker surface stays open
 without per-method wire schemas.
 

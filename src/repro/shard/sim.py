@@ -92,7 +92,11 @@ class _ProcessShard:
         self._proc.start()
         child.close()
         self._pending: deque[str] = deque()
-        rpc.read_ack(self._conn.recv_bytes())  # construction ack
+        try:
+            rpc.read_ack(self._conn.recv_bytes())  # construction ack
+        except BaseException:
+            self.close()
+            raise
 
     def call(self, method: str, *args):
         self.send(method, *args)
@@ -236,7 +240,6 @@ class ShardedSimulation:
             policy_factory=policy_factory,
         )
         self.backend = self._resolve_backend(backend)
-        self._workers = self._spawn_workers(worker_config)
 
         # Coordinator-side exchange bookkeeping.
         self._owner: np.ndarray | None = None
@@ -249,7 +252,16 @@ class ShardedSimulation:
         self._traffic_mirrored = (0, 0, 0)
         self._now = 0.0
         self._last_refresh = -math.inf
-        self._refresh_epoch(0.0)
+
+        # A caller cannot close() an object whose constructor raised,
+        # so any failure from here on reaps the workers already started.
+        self._workers: list = []
+        try:
+            self._spawn_workers(worker_config)
+            self._refresh_epoch(0.0)
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Backend plumbing
@@ -266,27 +278,27 @@ class ShardedSimulation:
             return "process" if self.shards > 1 else "inprocess"
         return backend
 
-    def _spawn_workers(self, config: dict) -> list:
-        workers: list = []
+    def _spawn_workers(self, config: dict) -> None:
+        """Fill ``self._workers`` in place (a partial list stays closable)."""
         if self.backend == "process":
             try:
                 ctx = multiprocessing.get_context()
                 for shard_id in range(self.grid.n):
-                    workers.append(
+                    self._workers.append(
                         _ProcessShard(dict(config, shard_id=shard_id), ctx)
                     )
-                return workers
+                return
             except OSError:
                 # Sandboxes that cannot spawn processes degrade to the
                 # in-process backend; cycle-mode results are identical
                 # by construction (same messages, same order).
-                for worker in workers:
-                    worker.close()
-                workers = []
+                self.close()
+                self._workers.clear()
                 self.backend = "inprocess"
         for shard_id in range(self.grid.n):
-            workers.append(_InprocessShard(dict(config, shard_id=shard_id)))
-        return workers
+            self._workers.append(
+                _InprocessShard(dict(config, shard_id=shard_id))
+            )
 
     def close(self) -> None:
         """Shut down worker processes (idempotent)."""
@@ -536,36 +548,3 @@ class ShardedSimulation:
     def owned_counts(self) -> list[int]:
         """Hosts per shard (diagnostics for balance checks)."""
         return [worker.call("owned_count") for worker in self._workers]
-
-    # ------------------------------------------------------------------
-    # Worker-side profiling
-    # ------------------------------------------------------------------
-    def start_worker_profiles(self) -> bool:
-        """Start cProfile inside every worker *process*.
-
-        Returns ``False`` without starting anything on the in-process
-        backend — there the coordinator's own profiler already sees
-        shard execution, and nesting a second active profiler in one
-        interpreter raises.
-        """
-        if self.backend != "process":
-            return False
-        for worker in self._workers:
-            worker.call("profile_start")
-        return True
-
-    def collect_worker_profiles(self) -> dict[str, tuple[int, int, float, float]]:
-        """Merged ``{site: (cc, nc, tottime, cumtime)}`` across workers."""
-        merged: dict[str, tuple[int, int, float, float]] = {}
-        for worker in self._workers:
-            for site, (cc, nc, tt, ct) in worker.call(
-                "profile_collect"
-            ).items():
-                if site in merged:
-                    acc = merged[site]
-                    merged[site] = (
-                        acc[0] + cc, acc[1] + nc, acc[2] + tt, acc[3] + ct
-                    )
-                else:
-                    merged[site] = (cc, nc, tt, ct)
-        return merged

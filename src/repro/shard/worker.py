@@ -93,7 +93,6 @@ class ShardWorld:
         self.mirrors: dict[int, HaloHost] = {}
         self.soa: ShardFleetSoA | None = None
         self._epoch = -1
-        self._profiler = None
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
@@ -412,39 +411,6 @@ class ShardWorld:
 
     def owned_count(self) -> int:
         return len(self.hosts)
-
-    # ------------------------------------------------------------------
-    # Worker-side profiling (profile --kind sharded --worker-profile)
-    # ------------------------------------------------------------------
-    def profile_start(self) -> None:
-        """Start a cProfile capture of this worker's own CPU time."""
-        import cProfile
-
-        if self._profiler is not None:
-            raise ExperimentError(
-                f"shard {self.shard_id} worker profiler already running"
-            )
-        self._profiler = cProfile.Profile()
-        self._profiler.enable()
-
-    def profile_collect(self) -> dict[str, tuple[int, int, float, float]]:
-        """Stop profiling; return ``{site: (cc, nc, tottime, cumtime)}``.
-
-        Sites are ``path:line(func)`` strings so per-shard stats can be
-        summed on the coordinator without shipping pstats objects.
-        """
-        if self._profiler is None:
-            raise ExperimentError(
-                f"shard {self.shard_id} worker profiler not running"
-            )
-        profiler, self._profiler = self._profiler, None
-        profiler.disable()
-        profiler.create_stats()
-        return {
-            f"{path}:{line}({name})": (cc, nc, tt, ct)
-            for (path, line, name), (cc, nc, tt, ct, _callers)
-            in profiler.stats.items()
-        }
 
 
 def shard_worker_main(conn, config: dict) -> None:

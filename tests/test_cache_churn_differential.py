@@ -19,7 +19,6 @@ import random
 import pytest
 
 from repro.cache import POICache
-from repro.experiments.bench import bench_cache_churn
 from repro.geometry import Point, Rect
 from repro.model import POI
 
@@ -113,6 +112,67 @@ def test_mirror_stays_sound_superset_during_churn(seed):
                 rng.uniform(rect.x1, rect.x2), rng.uniform(rect.y1, rect.y2)
             )
             assert mirror.contains_point(p)
+
+
+def bench_cache_churn(ops, seed, capacities, incremental=True):
+    """Seeded insert/evict churn at Table-3-style capacity pressure.
+
+    One fresh cache per capacity on a 10 km square: a random-walking
+    host verifies a small region per op, each insert offers 3-8 new
+    POIs, so a warm cache evicts (shrinking regions, repairing the slab
+    mirror) on nearly every step.  Returns the per-capacity counts the
+    two cache modes must agree on.
+    """
+    rng = random.Random(seed)
+    side = 10_000.0
+    report = {"ops": ops, "per_capacity": []}
+    next_poi_id = 1
+    for capacity in capacities:
+        cache = POICache(capacity, incremental=incremental)
+        x = rng.uniform(0.2 * side, 0.8 * side)
+        y = rng.uniform(0.2 * side, 0.8 * side)
+        offered = 0
+        for op in range(ops):
+            # Random-walk the host; headings churn the policy scores.
+            x = min(max(x + rng.uniform(-150.0, 150.0), 0.0), side)
+            y = min(max(y + rng.uniform(-150.0, 150.0), 0.0), side)
+            heading = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            half_w = rng.uniform(150.0, 450.0)
+            half_h = rng.uniform(150.0, 450.0)
+            region = Rect(
+                max(0.0, x - half_w),
+                max(0.0, y - half_h),
+                min(side, x + half_w),
+                min(side, y + half_h),
+            )
+            count = rng.randint(3, 8)
+            pois = []
+            for _ in range(count):
+                pois.append(
+                    POI(
+                        next_poi_id,
+                        Point(
+                            rng.uniform(region.x1, region.x2),
+                            rng.uniform(region.y1, region.y2),
+                        ),
+                    )
+                )
+                next_poi_id += 1
+            offered += count
+            cache.insert_result(region, pois, float(op), Point(x, y), heading)
+            # Exercise the generation-keyed memos the way peers do.
+            if op % 16 == 0:
+                cache.share()
+        report["per_capacity"].append(
+            {
+                "capacity": capacity,
+                "pois_offered": offered,
+                "pois_retained": len(cache),
+                "evictions": offered - len(cache),
+                "regions": len(cache.regions),
+            }
+        )
+    return report
 
 
 def test_bench_churn_reports_match_across_modes():

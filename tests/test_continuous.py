@@ -394,6 +394,29 @@ class TestEngineAB:
         assert stats.evaluations == 18
         assert all(q.answer for q in monitor.queries)
 
+    def test_committed_operating_point_tuning_packets(self):
+        # LA x0.05, 100 standing kNN, 20 ticks of 5 s, seed 0: the
+        # channel cost of both engines repeats exactly, so the ~10.5x
+        # broadcast-access reduction is pinned as two integers.
+        params = scaled_parameters(LA_CITY, area_scale=0.05)
+        packets = {}
+        for flags in (True, False):
+            sim = Simulation(
+                params, seed=0, accept_approximate=False, overhear=False
+            )
+            monitor = sim.run_continuous(
+                QueryKind.KNN,
+                standing=100,
+                ticks=20,
+                tick_interval=5.0,
+                use_safe_regions=flags,
+                batch_scans=flags,
+                warmup_queries=150,
+            )
+            assert monitor.stats.evaluations == 2000
+            packets[flags] = monitor.stats.tuning_packets
+        assert packets == {True: 763, False: 8029}
+
     def test_run_continuous_validates_arguments(self):
         params = scaled_parameters(LA_CITY, area_scale=0.02)
         sim = Simulation(params, seed=0)

@@ -1,5 +1,7 @@
 """Tests for CSV export and the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,49 @@ class TestCLI:
         }
         out = capsys.readouterr().out
         assert "Transmission Range" in out
+
+    def test_every_subcommand_answers_help(self, capsys):
+        commands = next(
+            action.choices
+            for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        assert {"figure", "check", "serve", "load"} <= set(commands)
+        for name in commands:
+            with pytest.raises(SystemExit) as exit_info:
+                main([name, "--help"])
+            assert exit_info.value.code == 0, name
+            assert name in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile"],
+            ["load", "--spawn", "--baseline", "X"],
+            ["load", "--spawn", "--max-regression", "0.5"],
+            ["load", "--spawn", "--out-section", "serve"],
+        ],
+    )
+    def test_retired_perf_gate_surface_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+    def test_load_spawn_prints_parseable_report(self, capsys):
+        code = main(
+            [
+                "load",
+                "--spawn",
+                "--count",
+                "20",
+                "--lockstep",
+                "--expect-clean",
+                "--json",
+            ]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["parameters"]["count"] == 20
+        assert report["answered"] == 20
+        assert report["shed"] == report["errors"] == 0
+        assert "baseline" not in report

@@ -14,6 +14,7 @@ backends and repeats, but is allowed to drift from the single-process
 run (halo cache mirrors are one refresh epoch stale).
 """
 
+import multiprocessing
 import warnings
 
 import pytest
@@ -124,3 +125,24 @@ def test_sharded_mode_rejects_unshardable_features():
         ShardedSimulation(params, exchange="nightly")
     with pytest.raises(ExperimentError, match="shard count"):
         ShardedSimulation(params, shards=0)
+
+
+def _failing_policy_factory():
+    raise RuntimeError("policy factory exploded inside the worker")
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        {"m": 0},  # ShardWorld construction raises (bad station knob)
+        {"policy_factory": _failing_policy_factory},  # first epoch raises
+    ],
+    ids=["construction", "first-epoch"],
+)
+def test_failed_construction_leaves_no_worker_processes(broken):
+    with pytest.raises(ExperimentError):
+        ShardedSimulation(
+            tenth_scale_params(), seed=0, shards=4, exchange="cycle",
+            backend="process", **broken,
+        )
+    assert multiprocessing.active_children() == []

@@ -11,9 +11,11 @@
 # machine cannot resolve one.  Speed claims are A/B'd with the bench/
 # harness (README "Measuring performance"):
 #
-#   python3 bench/spread.py --out parent.json   # at the parent commit
-#   python3 bench/spread.py --out change.json   # at the change
-#   python3 bench/compare.py parent.json change.json
+#   make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+#
+# which runs the workload from BASE and from this tree in interleaved
+# pairs and writes both sides as bench/spread.py sets for
+# bench/compare.py.
 #
 # ruff and mypy are optional (the CI image may not ship them); their
 # targets detect absence and skip with a notice instead of failing, so
@@ -23,7 +25,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test smoke oracle-smoke serve-smoke shard-smoke \
-	bench-smoke
+	bench-smoke bench-ab
 
 check: lint test smoke oracle-smoke serve-smoke shard-smoke bench-smoke
 
@@ -81,3 +83,8 @@ shard-smoke:
 bench-smoke:
 	@echo ">> benchmark smoke (bench/ workloads at 1/20 scale)"
 	$(PYTHON) -m pytest bench -q
+
+bench-ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+	$(PYTHON) tools/bench_ab.py $(BASE) $(WORKLOAD) $(or $(PAIRS),10)

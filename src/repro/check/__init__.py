@@ -11,7 +11,7 @@ brute-force ground truth:
   pipeline seams, enabled with ``REPRO_CHECK=1``;
 * :mod:`repro.check.metamorphic` — relations that must hold between
   *pairs* of runs (translation invariance, k-monotonicity, union
-  monotonicity, window-shrink duality);
+  monotonicity, window-shrink duality, grid-vs-sweep union builds);
 * :mod:`repro.check.differential` — the seeded fuzz campaign behind
   ``python -m repro.cli check``: random worlds from the Table 3
   parameter sets, query streams with faults off and on, disagreement
@@ -35,6 +35,7 @@ from .invariants import (
     check_record,
     check_retrieval_cost,
     check_traffic,
+    check_union,
     set_check_enabled,
 )
 
@@ -49,6 +50,8 @@ _LAZY = {
     "run_campaign": "differential",
     "shrink_disagreement": "differential",
     "write_artifact": "differential",
+    "grid_vs_sweep": "metamorphic",
+    "grid_vs_sweep_campaign": "metamorphic",
     "knn_radius_monotone": "metamorphic",
     "region_mirror_consistency": "metamorphic",
     "safe_region_contract": "metamorphic",
@@ -73,6 +76,7 @@ __all__ = sorted(
         "check_record",
         "check_retrieval_cost",
         "check_traffic",
+        "check_union",
         "set_check_enabled",
         *_LAZY,
     ]

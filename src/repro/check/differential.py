@@ -54,6 +54,7 @@ from ..workloads import (
 from . import invariants
 from .invariants import InvariantViolation
 from .metamorphic import (
+    grid_vs_sweep,
     knn_radius_monotone,
     region_mirror_consistency,
     window_shrink_duality,
@@ -583,6 +584,7 @@ def run_campaign(
                     eager = RectUnion(regions)
                     spot += window_shrink_duality(eager, sim.params.bounds)
                     spot += region_mirror_consistency(cache, eager)
+                    spot += grid_vs_sweep(regions)
                 if spot:
                     disagreements.append(
                         Disagreement(

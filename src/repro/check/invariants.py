@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..broadcast.schedule import RetrievalCost
     from ..core.heap import ResultHeap
     from ..experiments.metrics import QueryRecord
+    from ..geometry import Point
     from ..p2p.network import PeerNetwork
 
 
@@ -203,3 +204,47 @@ def check_cache(cache) -> None:
                 raise InvariantViolation(
                     f"region mirror does not cover region {rect!r}"
                 )
+
+
+def check_union(union, point: "Point") -> None:
+    """A merged region's fast reads against the pure-Python slab sweep.
+
+    A bulk-built :class:`~repro.geometry.SlabUnion` answers
+    ``contains_point`` and ``distance_to_boundary`` from its members
+    and the coverage grid without building slabs; both must equal what
+    the sweep-built slab structure of the same members says, bit for
+    bit (Lemma 3.1 turns on ``distance <= boundary distance``).
+    Unions past their first subtraction have no member list and no
+    lazy state, and are skipped.
+    """
+    from ..errors import GeometryError
+    from ..geometry.region import (
+        boundary_min_distance,
+        slabs_boundary_coord_arrays,
+        slabs_contains_point,
+        sweep_slabs,
+    )
+
+    try:
+        members = union.rects
+    except GeometryError:
+        return
+    inside = union.contains_point(point)
+    xs, slabs = sweep_slabs(members)
+    expected = slabs_contains_point(xs, slabs, point.x, point.y)
+    if inside != expected:
+        raise InvariantViolation(
+            f"union contains_point({point.x!r}, {point.y!r}) is {inside},"
+            f" the slab sweep says {expected}"
+        )
+    if not members:
+        return
+    distance = union.distance_to_boundary(point)
+    expected = boundary_min_distance(
+        slabs_boundary_coord_arrays(xs, slabs), point.x, point.y
+    )
+    if distance != expected:
+        raise InvariantViolation(
+            f"union distance_to_boundary({point.x!r}, {point.y!r}) is"
+            f" {distance!r}, the slab sweep says {expected!r}"
+        )

@@ -2,7 +2,7 @@
 
 A differential oracle says "this answer matches brute force"; a
 metamorphic property says "these two answers must relate in a known
-way even when neither is independently checkable".  Four families:
+way even when neither is independently checkable".  Five families:
 
 * **Translation invariance** — shifting the whole world (POIs, bounds,
   query point) by a constant offset must not change a kNN answer,
@@ -15,6 +15,9 @@ way even when neither is independently checkable".  Four families:
   of areas, and re-adding a covered rectangle is a no-op.
 * **Window-shrink duality** — ``w' = w − MVR`` (Section 3.4.2): the
   remainder rectangles and the covered part partition the window.
+* **Grid vs sweep** — the vectorised coverage-grid union kernel and
+  the pure-Python slab sweep are two routes to one canonical
+  structure: same slabs, same boundary segments, same lazy reads.
 
 Every function returns a list of human-readable violation strings
 (empty = property holds) so the fuzz campaign and the hypothesis
@@ -24,11 +27,19 @@ tests share one implementation.
 from __future__ import annotations
 
 import math
+import random
 from typing import Sequence
 
 from ..broadcast import OnAirClient
-from ..geometry import Point, Rect, RectUnion
+from ..geometry import Point, Rect, RectUnion, SlabUnion
+from ..geometry.region import (
+    grid_boundary_coord_arrays,
+    grid_slabs,
+    slabs_boundary_coord_arrays,
+    sweep_slabs,
+)
 from ..model import POI
+from .invariants import InvariantViolation, check_union
 from .oracles import oracle_union_area
 
 AREA_TOL = 1e-9
@@ -311,3 +322,88 @@ def region_mirror_consistency(cache, union: RectUnion) -> list[str]:
                     " region mirror does not"
                 )
     return violations
+
+
+def grid_vs_sweep(rects: Sequence[Rect]) -> list[str]:
+    """The coverage-grid kernel against the sweep on one rectangle set.
+
+    * ``grid_slabs`` equals ``sweep_slabs`` (canonical structure);
+    * the grid's boundary arrays hold the same segment multiset as the
+      slab boundary pass over the sweep's structure;
+    * a lazily built :class:`~repro.geometry.SlabUnion` answers
+      containment and boundary distance like the sweep's slabs
+      (:func:`~repro.check.invariants.check_union`), probed at member
+      corners and centres — the cut lines are the sharpest spots.
+    """
+    members = [r for r in rects if not r.is_degenerate()]
+    violations: list[str] = []
+    expected = sweep_slabs(members)
+    if grid_slabs(members) != expected:
+        violations.append(
+            f"grid slabs differ from the sweep on {len(members)} rects"
+        )
+
+    def segments(arrays):
+        return sorted(zip(*(a.tolist() for a in arrays)))
+
+    if segments(grid_boundary_coord_arrays(members)) != segments(
+        slabs_boundary_coord_arrays(*expected)
+    ):
+        violations.append(
+            f"grid boundary segments differ from the slab boundary on"
+            f" {len(members)} rects"
+        )
+    for rect in members[:8]:
+        for p in (
+            Point(rect.x1, rect.y1),
+            Point((rect.x1 + rect.x2) / 2.0, (rect.y1 + rect.y2) / 2.0),
+        ):
+            try:
+                # A fresh union per probe: the first read decides
+                # which route (grid or slabs) answers.
+                check_union(SlabUnion.from_rects(members), p)
+            except InvariantViolation as exc:
+                violations.append(str(exc))
+    return violations
+
+
+def random_rect_set(rng: random.Random) -> list[Rect]:
+    """1-200 rectangles, float or integer-lattice, seeded.
+
+    Lattice sets touch, abut, nest and repeat constantly (shared cuts,
+    interval merging); float sets get the same contacts on purpose by
+    repeating a member or growing one from another's corner.
+    """
+    count = rng.choice((1, 3, 8, 20, 60, 200))
+    if rng.random() < 0.5:
+        return [
+            Rect(x, y, x + rng.randint(1, 6), y + rng.randint(1, 6))
+            for x, y in (
+                (rng.randint(0, 24), rng.randint(0, 24)) for _ in range(count)
+            )
+        ]
+    rects: list[Rect] = []
+    for _ in range(count):
+        roll = rng.random()
+        if rects and roll < 0.1:
+            rects.append(rng.choice(rects))
+            continue
+        if rects and roll < 0.3:
+            anchor = rng.choice(rects)
+            x, y = anchor.x2, rng.choice((anchor.y1, anchor.y2))
+        else:
+            x, y = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+        rects.append(
+            Rect(x, y, x + rng.uniform(0.0, 30.0), y + rng.uniform(0.0, 30.0))
+        )
+    return rects
+
+
+def grid_vs_sweep_campaign(seed: int, rounds: int) -> list[str]:
+    """``rounds`` seeded rectangle sets through :func:`grid_vs_sweep`."""
+    rng = random.Random(seed)
+    return [
+        f"round {round_index} seed {seed}: {violation}"
+        for round_index in range(rounds)
+        for violation in grid_vs_sweep(random_rect_set(rng))
+    ]

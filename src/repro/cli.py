@@ -665,6 +665,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     for mismatch in fuzz.mismatches:
         print(f"    {mismatch}")
     total_disagreements += len(fuzz.mismatches)
+    # Union-kernel leg: seeded float and integer-lattice rectangle sets
+    # through the coverage grid and the pure-Python sweep.
+    from .check import grid_vs_sweep_campaign
+
+    rounds = max(10, per_leg // 4)
+    started = time.perf_counter()
+    mismatches = grid_vs_sweep_campaign(args.seed, rounds)
+    status = "ok" if not mismatches else f"{len(mismatches)} DISAGREE"
+    print(
+        f"{'union':>10s} grid_vs_sweep {rounds:>6d} rect sets"
+        f" in {time.perf_counter() - started:6.1f}s: {status}"
+    )
+    for mismatch in mismatches:
+        print(f"    {mismatch}")
+    total_disagreements += len(mismatches)
     if total_disagreements:
         where = f" (artifacts in {args.out})" if args.out else ""
         print(f"FAIL: {total_disagreements} disagreement(s){where}")

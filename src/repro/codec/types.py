@@ -210,6 +210,7 @@ def read_slab_union(r: Reader) -> SlabUnion:
     union._xs = xs
     union._slabs = slabs
     union._members = list(read_rects(r)) if flags & _FLAG_MEMBERS else None
+    union._lazy = False
     union.generation = generation
     union._frozen = bool(flags & _FLAG_FROZEN)
     union._memo_gen = -1

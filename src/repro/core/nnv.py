@@ -31,6 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ..check import invariants
 from ..geometry import Point, RectUnion, SlabUnion
 from ..model import POI
 from ..p2p import ShareResponse
@@ -57,8 +58,8 @@ class MVRMemo:
 
     A set of share responses whose ``(peer_id, generation)`` stamps all
     match a previous merge is guaranteed to carry the same regions, so
-    the previously built union (slab decomposition, cached boundary)
-    is returned as-is.  Responses without a stamp (``generation < 0``)
+    the previously built union (a lazy ``SlabUnion`` with whatever it
+    has derived so far: boundary arrays, slabs) is returned as-is.  Responses without a stamp (``generation < 0``)
     bypass the memo.  Own one memo per querying host — generations are
     only unique per cache, not globally.
 
@@ -167,6 +168,8 @@ def nnv(
     """
     if mvr is None:
         mvr = merge_verified_regions(responses)
+    if invariants.check_enabled():
+        invariants.check_union(mvr, query)
     heap = ResultHeap(k)
     pieces = [r for r in responses if r.pois]
     if not pieces:

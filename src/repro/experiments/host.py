@@ -22,6 +22,7 @@ import numpy as np
 
 from ..broadcast import OnAirClient
 from ..cache import POICache
+from ..check import invariants
 from ..core import MVRMemo, Resolution, sbnn, sbwq
 from ..core.heap import HeapEntry
 from ..faults import P2PFaultStats
@@ -352,6 +353,8 @@ class MobileHost:
         are collectively complete, so it is a sound verified region.
         Returns what was cached so neighbours can adopt it.
         """
+        if invariants.check_enabled():
+            invariants.check_union(mvr, position)
         if mvr.is_empty or not mvr.contains_point(position):
             return None
         radius = mvr.distance_to_boundary(position)

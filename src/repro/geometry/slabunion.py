@@ -32,6 +32,14 @@ unavailable.
 Slab interval tuples are immutable and structurally shared:
 :meth:`clone` is O(slabs) and copies no interval data, which is what
 makes the MVR memo's copy-on-write delta merges cheap.
+
+**Lazy bulk builds.**  :meth:`from_rects` over a large rectangle set
+(the merged-MVR case) records the members and builds nothing.  The
+reads NNV makes — emptiness, MBR, containment, distance to the
+boundary — are answered from the members and the coverage grid
+(:func:`~repro.geometry.region.grid_boundary_coord_arrays`); the slab
+structure is built, from the same grid, by the first read or mutation
+that needs it.  Both routes give the floats the eager build gives.
 """
 
 from __future__ import annotations
@@ -46,9 +54,11 @@ from .circle import Circle, circle_rect_intersection_area
 from .point import Point
 from .rect import Rect
 from .region import (
+    GRID_MIN_RECTS,
     Interval,
     boundary_min_distance,
     build_slabs,
+    grid_boundary_coord_arrays,
     intervals_cover,
     intervals_difference,
     merge_intervals,
@@ -82,6 +92,7 @@ class SlabUnion:
         "_xs",
         "_slabs",
         "_members",
+        "_lazy",
         "generation",
         "_frozen",
         "_memo_gen",
@@ -94,6 +105,9 @@ class SlabUnion:
         # Member rectangles, tracked only while the history is
         # insert-only (None after the first subtraction).
         self._members: list[Rect] | None = []
+        # True while a bulk build is pending: the _xs/_slabs slots are
+        # unset and __getattr__ fills them on first access.
+        self._lazy = False
         self.generation = 0
         self._frozen = False
         self._memo_gen = -1
@@ -108,8 +122,23 @@ class SlabUnion:
         union = cls()
         members = [r for r in rects if r.x2 != r.x1 and r.y2 != r.y1]
         union._members = members
-        union._xs, union._slabs = build_slabs(members)
+        if len(members) >= GRID_MIN_RECTS:
+            union._lazy = True
+            del union._xs, union._slabs
+        else:
+            union._xs, union._slabs = build_slabs(members)
         return union
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot, i.e. the slab structure of a
+        # lazy bulk build.  Every structural read and every mutation
+        # goes through self._xs / self._slabs, so building here is the
+        # one place laziness ends.
+        if name in ("_xs", "_slabs") and self._lazy:
+            self._xs, self._slabs = build_slabs(self._members)
+            self._lazy = False
+            return getattr(self, name)
+        raise AttributeError(name)
 
     @classmethod
     def empty(cls) -> "SlabUnion":
@@ -182,9 +211,10 @@ class SlabUnion:
         if rect.x2 == rect.x1 or rect.y2 == rect.y1:
             return self
         self._touch()
+        xs = self._xs  # builds a lazy structure before the members grow
         if self._members is not None:
             self._members.append(rect)
-        if not self._xs:
+        if not xs:
             self._xs = [rect.x1, rect.x2]
             self._slabs = [((rect.y1, rect.y2),)]
             return self
@@ -361,7 +391,9 @@ class SlabUnion:
 
     @property
     def is_empty(self) -> bool:
-        return self.area == 0.0
+        if self._members is not None:
+            return not self._members
+        return not any(self._slabs)
 
     def mbr(self) -> Rect:
         return self._memo_get("mbr", self._compute_mbr)
@@ -383,6 +415,13 @@ class SlabUnion:
         )
 
     def contains_point(self, p: Point) -> bool:
+        if self._lazy:
+            # The closed union of the closed members is the region.
+            px, py = p.x, p.y
+            for r in self._members:
+                if r.x1 <= px <= r.x2 and r.y1 <= py <= r.y2:
+                    return True
+            return False
         return slabs_contains_point(self._xs, self._slabs, p.x, p.y)
 
     def _cover_coord_arrays(self) -> tuple[np.ndarray, ...]:
@@ -410,7 +449,7 @@ class SlabUnion:
         """
         pxs = np.asarray(pxs, dtype=np.float64)
         pys = np.asarray(pys, dtype=np.float64)
-        if not self._slabs:
+        if self.is_empty:
             return np.zeros(pxs.shape, dtype=bool)
         return rects_contain_points(self._cover_coord_arrays(), pxs, pys)
 
@@ -439,10 +478,12 @@ class SlabUnion:
         )
 
     def _boundary_coord_arrays(self) -> tuple[np.ndarray, ...]:
-        return self._memo_get(
-            "boundary_arrays",
-            lambda: slabs_boundary_coord_arrays(self._xs, self._slabs),
-        )
+        def compute():
+            if self._lazy:
+                return grid_boundary_coord_arrays(self._members)
+            return slabs_boundary_coord_arrays(self._xs, self._slabs)
+
+        return self._memo_get("boundary_arrays", compute)
 
     def distance_to_boundary(self, p: Point) -> float:
         if self.is_empty:

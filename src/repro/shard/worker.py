@@ -260,6 +260,9 @@ class ShardWorld:
         if peer_ids.size == 0:
             return remote_ops, touched
         hosts = self.hosts
+        # One POI-list materialisation per region, not one per (peer,
+        # region): insert_result never mutates its input.
+        adopted = [(region, list(pois)) for region, pois in shared]
         for pid in peer_ids.tolist():
             local = soa.local_of(pid)
             x = float(soa.xs[local])
@@ -269,9 +272,9 @@ class ShardWorld:
             if host is not None:
                 peer_position = Point(x, y)
                 cache = host.cache
-                for region, pois in shared:
+                for region, pois in adopted:
                     cache.insert_result(
-                        region, list(pois), now, peer_position, heading
+                        region, pois, now, peer_position, heading
                     )
                 touched.append(pid)
             else:

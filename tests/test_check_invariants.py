@@ -15,12 +15,13 @@ from repro.check.invariants import (
     check_record,
     check_retrieval_cost,
     check_traffic,
+    check_union,
     set_check_enabled,
 )
 from repro.core import Resolution
 from repro.core.heap import HeapEntry, ResultHeap
 from repro.experiments.metrics import QueryRecord
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, RectUnion, SlabUnion
 from repro.model import POI
 from repro.workloads import QueryKind
 
@@ -201,6 +202,45 @@ class TestCheckCache:
         cache._items[2] = object()
         with pytest.raises(InvariantViolation, match="capacity"):
             check_cache(cache)
+
+
+class TestCheckUnion:
+    RECTS = [Rect(i, 0, i + 2, 1 + i % 3) for i in range(24)]
+
+    def test_lazy_eager_and_subtracted_unions_pass(self, checks_on):
+        inside, outside = Point(1.0, 0.5), Point(-3.0, 0.5)
+        for union in (
+            SlabUnion.from_rects(self.RECTS),
+            SlabUnion.from_rects(self.RECTS[:3]),
+            RectUnion(self.RECTS),
+            SlabUnion.from_rects([]),
+            # no member list after a subtraction: nothing to compare
+            SlabUnion.from_rects(self.RECTS).subtract_point_cut(inside),
+        ):
+            check_union(union, inside)
+            check_union(union, outside)
+
+    def test_wrong_boundary_distance_detected(self, checks_on):
+        union = SlabUnion.from_rects(self.RECTS)
+        ax, ay, dx, dy, len_sq = union._boundary_coord_arrays()
+        # drop the nearest edge, as a kernel that lost a segment would
+        union._memo["boundary_arrays"] = (
+            ax[2:], ay[2:], dx[2:], dy[2:], len_sq[2:]
+        )
+        with pytest.raises(InvariantViolation, match="distance_to_boundary"):
+            check_union(union, Point(0.25, 0.125))
+
+    def test_nnv_seam_fires(self, checks_on, monkeypatch):
+        from repro.core import nnv
+        from repro.p2p import ShareResponse
+
+        monkeypatch.setattr(
+            SlabUnion, "contains_point", lambda self, p: False
+        )
+        mvr = SlabUnion.from_rects(self.RECTS)
+        response = ShareResponse(0, tuple(self.RECTS), (), generation=1)
+        with pytest.raises(InvariantViolation, match="contains_point"):
+            nnv(Point(1.0, 0.5), [response], 1, mvr=mvr)
 
 
 class TestSeamIntegration:

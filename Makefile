@@ -11,11 +11,12 @@
 # machine cannot resolve one.  Speed claims are A/B'd with the bench/
 # harness (README "Measuring performance"):
 #
-#   make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10]
+#   make bench-ab BASE=<rev> WORKLOAD=<name>|all [PAIRS=10]
 #
 # which runs the workload from BASE and from this tree in interleaved
 # pairs and writes both sides as bench/spread.py sets for
-# bench/compare.py.
+# bench/compare.py; WORKLOAD=all runs the four in turn and ends with
+# bench/compare.py's verdict rows for each.
 #
 # ruff and mypy are optional (the CI image may not ship them); their
 # targets detect absence and skip with a notice instead of failing, so
@@ -86,5 +87,5 @@ bench-smoke:
 
 bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || \
-		{ echo "usage: make bench-ab BASE=<rev> WORKLOAD=<name> [PAIRS=10]"; exit 2; }
+		{ echo "usage: make bench-ab BASE=<rev> WORKLOAD=<name>|all [PAIRS=10]"; exit 2; }
 	$(PYTHON) tools/bench_ab.py $(BASE) $(WORKLOAD) $(or $(PAIRS),10)

@@ -68,7 +68,7 @@ def main() -> None:
             )
             latency = onair.cost.access_latency
             source = "broadcast"
-            covered = onair.covered
+            covered = onair.plan.search_mbr
             cache.insert_result(
                 covered,
                 [p for p in onair.downloaded if covered.contains_point(p.location)],

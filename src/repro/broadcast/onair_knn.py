@@ -66,7 +66,6 @@ class OnAirKnnResult:
     cost: RetrievalCost
     plan: KnnPlan
     downloaded: tuple[POI, ...]
-    covered: Rect
 
 
 def estimate_search_radius(server: BroadcastServer, query: Point, k: int) -> float:
@@ -223,5 +222,4 @@ def onair_knn(
         cost=cost,
         plan=plan,
         downloaded=tuple(downloaded),
-        covered=plan.search_mbr,
     )

@@ -38,7 +38,6 @@ class OnAirWindowResult:
     cost: RetrievalCost
     bucket_ids: tuple[int, ...]
     downloaded: tuple[POI, ...]
-    covered: tuple[Rect, ...]
     bonus_regions: tuple[Rect, ...] = ()
 
 
@@ -131,6 +130,5 @@ def onair_window(
         cost=cost,
         bucket_ids=bucket_ids,
         downloaded=tuple(downloaded),
-        covered=tuple(windows),
         bonus_regions=bonus_regions,
     )

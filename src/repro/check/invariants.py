@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..broadcast.schedule import RetrievalCost
     from ..core.heap import ResultHeap
     from ..experiments.metrics import QueryRecord
-    from ..geometry import Point
+    from ..geometry import Point, Rect
     from ..p2p.network import PeerNetwork
 
 
@@ -206,14 +206,19 @@ def check_cache(cache) -> None:
                 )
 
 
-def check_union(union, point: "Point") -> None:
+def check_union(
+    union, point: "Point", window: "Rect | None" = None
+) -> None:
     """A merged region's fast reads against the pure-Python slab sweep.
 
     A bulk-built :class:`~repro.geometry.SlabUnion` answers
     ``contains_point`` and ``distance_to_boundary`` from its members
-    and the coverage grid without building slabs; both must equal what
-    the sweep-built slab structure of the same members says, bit for
-    bit (Lemma 3.1 turns on ``distance <= boundary distance``).
+    and the coverage grid without building slabs, and — given a
+    ``window`` — ``covers_rect`` and ``subtract_from_rect`` from the
+    members the window meets; all four must equal what the sweep-built
+    slab structure of the same members says, bit for bit (Lemma 3.1
+    turns on ``distance <= boundary distance``; the remainder
+    rectangles pick the broadcast buckets).
     Unions past their first subtraction have no member list and no
     lazy state, and are skipped.
     """
@@ -222,6 +227,8 @@ def check_union(union, point: "Point") -> None:
         boundary_min_distance,
         slabs_boundary_coord_arrays,
         slabs_contains_point,
+        slabs_covers_rect,
+        slabs_subtract_from_rect,
         sweep_slabs,
     )
 
@@ -237,6 +244,21 @@ def check_union(union, point: "Point") -> None:
             f"union contains_point({point.x!r}, {point.y!r}) is {inside},"
             f" the slab sweep says {expected}"
         )
+    if window is not None:
+        covered = union.covers_rect(window)
+        expected = slabs_covers_rect(xs, slabs, window)
+        if covered != expected:
+            raise InvariantViolation(
+                f"union covers_rect({window!r}) is {covered},"
+                f" the slab sweep says {expected}"
+            )
+        remainder = union.subtract_from_rect(window)
+        expected = slabs_subtract_from_rect(xs, slabs, window)
+        if remainder != expected:
+            raise InvariantViolation(
+                f"union subtract_from_rect({window!r}) is {remainder!r},"
+                f" the slab sweep says {expected!r}"
+            )
     if not members:
         return
     distance = union.distance_to_boundary(point)

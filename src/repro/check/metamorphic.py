@@ -331,9 +331,13 @@ def grid_vs_sweep(rects: Sequence[Rect]) -> list[str]:
     * the grid's boundary arrays hold the same segment multiset as the
       slab boundary pass over the sweep's structure;
     * a lazily built :class:`~repro.geometry.SlabUnion` answers
-      containment and boundary distance like the sweep's slabs
+      containment, boundary distance, window coverage and window
+      subtraction like the sweep's slabs
       (:func:`~repro.check.invariants.check_union`), probed at member
-      corners and centres — the cut lines are the sharpest spots.
+      corners and centres — the cut lines are the sharpest spots.  The
+      corner's window runs to the member's own centre (covered, two
+      edges on cuts), the centre's to the far corner of the next
+      member (straddling, often past the extent).
     """
     members = [r for r in rects if not r.is_degenerate()]
     violations: list[str] = []
@@ -353,15 +357,26 @@ def grid_vs_sweep(rects: Sequence[Rect]) -> list[str]:
             f"grid boundary segments differ from the slab boundary on"
             f" {len(members)} rects"
         )
-    for rect in members[:8]:
-        for p in (
-            Point(rect.x1, rect.y1),
-            Point((rect.x1 + rect.x2) / 2.0, (rect.y1 + rect.y2) / 2.0),
+    for index, rect in enumerate(members[:8]):
+        corner = Point(rect.x1, rect.y1)
+        centre = Point((rect.x1 + rect.x2) / 2.0, (rect.y1 + rect.y2) / 2.0)
+        far = members[(index + 1) % len(members)]
+        for p, window in (
+            (corner, Rect(corner.x, corner.y, centre.x, centre.y)),
+            (
+                centre,
+                Rect(
+                    min(centre.x, far.x2),
+                    min(centre.y, far.y2),
+                    max(centre.x, far.x2),
+                    max(centre.y, far.y2),
+                ),
+            ),
         ):
             try:
                 # A fresh union per probe: the first read decides
-                # which route (grid or slabs) answers.
-                check_union(SlabUnion.from_rects(members), p)
+                # which route (grid, window-local or slabs) answers.
+                check_union(SlabUnion.from_rects(members), p, window)
             except InvariantViolation as exc:
                 violations.append(str(exc))
     return violations

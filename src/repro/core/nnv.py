@@ -26,13 +26,15 @@ Two performance layers sit under the algorithm:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
 
 from ..check import invariants
-from ..geometry import Point, RectUnion, SlabUnion
+from ..geometry import Point, Rect, RectUnion, SlabUnion
 from ..model import POI
 from ..p2p import ShareResponse
 from .heap import HeapEntry, ResultHeap
@@ -146,6 +148,59 @@ def collect_candidates(
     return list(by_id.values())
 
 
+def first_contained(
+    responses: Sequence[ShareResponse],
+    mvr: RegionUnion,
+    within: Rect | None = None,
+) -> tuple[list[ShareResponse], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The batch form of :func:`collect_candidates`.
+
+    Returns ``(pieces, ids, xs, ys, sel)``: the responses that carry
+    POIs, their coordinate arrays concatenated, and the ascending flat
+    indices of the candidate set — per id, the first copy inside the
+    MVR (and inside the closed rectangle ``within``, tested first:
+    it is the cheaper mask and usually the smaller set).
+    """
+    pieces = [r for r in responses if r.pois]
+    if not pieces:
+        nothing = np.empty(0)
+        return pieces, nothing, nothing, nothing, np.empty(0, np.int64)
+    arrays = [r.poi_arrays() for r in pieces]
+    ids = np.concatenate([a[0] for a in arrays])
+    xs = np.concatenate([a[1] for a in arrays])
+    ys = np.concatenate([a[2] for a in arrays])
+    if within is None:
+        kept = mvr.contains_points(xs, ys).nonzero()[0]
+    else:
+        kept = (
+            (within.x1 <= xs)
+            & (xs <= within.x2)
+            & (within.y1 <= ys)
+            & (ys <= within.y2)
+        ).nonzero()[0]
+        if kept.size:
+            kept = kept[mvr.contains_points(xs[kept], ys[kept])]
+    if kept.size > 1:
+        # np.unique keeps the first occurrence of each id in array
+        # order — the same copy the scalar dict insertion keeps.
+        _, first = np.unique(ids[kept], return_index=True)
+        first.sort()
+        kept = kept[first]
+    return pieces, ids, xs, ys, kept
+
+
+def pois_at(
+    pieces: Sequence[ShareResponse], flat: np.ndarray
+) -> list[POI]:
+    """The POI objects at flat indices of the concatenated arrays."""
+    offsets = list(accumulate([len(r.pois) for r in pieces], initial=0))
+    found = []
+    for index in flat.tolist():
+        piece = bisect_right(offsets, index) - 1
+        found.append(pieces[piece].pois[index - offsets[piece]])
+    return found
+
+
 def nnv(
     query: Point,
     responses: Sequence[ShareResponse],
@@ -162,7 +217,7 @@ def nnv(
 
     The candidate pipeline is one batch computation: concatenate the
     per-response coordinate arrays, mask to the MVR, deduplicate ids by
-    first contained occurrence (the scalar dict semantics), one
+    first contained occurrence (:func:`first_contained`), one
     ``np.hypot`` over the survivors, one lexsort — only the top ``k``
     POI objects are ever touched in Python.
     """
@@ -171,32 +226,16 @@ def nnv(
     if invariants.check_enabled():
         invariants.check_union(mvr, query)
     heap = ResultHeap(k)
-    pieces = [r for r in responses if r.pois]
-    if not pieces:
+    pieces, ids, xs, ys, sel = first_contained(responses, mvr)
+    if not sel.size:
         return heap, mvr
-    arrays = [r.poi_arrays() for r in pieces]
-    ids = np.concatenate([a[0] for a in arrays])
-    xs = np.concatenate([a[1] for a in arrays])
-    ys = np.concatenate([a[2] for a in arrays])
-    kept = np.flatnonzero(mvr.contains_points(xs, ys))
-    if not kept.size:
-        return heap, mvr
-    # np.unique keeps the first occurrence of each id in array order —
-    # the same copy the scalar dict insertion keeps.
-    _, first = np.unique(ids[kept], return_index=True)
-    first.sort()
-    sel = kept[first]
     distances = np.hypot(xs[sel] - query.x, ys[sel] - query.y)
     order = np.lexsort((ids[sel], distances))[: min(k, sel.size)]
     if mvr.is_empty or not mvr.contains_point(query):
         boundary_distance = -np.inf
     else:
         boundary_distance = mvr.distance_to_boundary(query)
-    offsets = np.cumsum([0] + [len(r.pois) for r in pieces])
-    for position in order:
-        flat = int(sel[position])
-        piece = int(np.searchsorted(offsets, flat, side="right")) - 1
-        poi = pieces[piece].pois[flat - int(offsets[piece])]
+    for position, poi in zip(order, pois_at(pieces, sel[order])):
         distance = float(distances[position])
         heap.add(HeapEntry(poi, distance, distance <= boundary_distance))
     return heap, mvr

@@ -25,6 +25,7 @@ from ..cache import POICache
 from ..check import invariants
 from ..core import MVRMemo, Resolution, sbnn, sbwq
 from ..core.heap import HeapEntry
+from ..core.nnv import first_contained, pois_at
 from ..faults import P2PFaultStats
 from ..geometry import Circle, Point, Rect, RectUnion
 from ..model import DEFAULT_CATEGORY, POI
@@ -59,30 +60,13 @@ def _pois_from_responses(
 ) -> dict[int, POI]:
     """Peer POIs inside both ``within`` and the MVR (hence complete).
 
-    First occurrence wins on duplicate ids, and insertion order (the
-    response order, POI order within a response) is preserved — the
-    dict's ordering flows into cached-region POI tuples downstream.
-    The containment tests run as one mask per response over the
-    response's memoised coordinate arrays; both predicates are closed
-    comparisons, so the mask agrees with the scalar test point-for-
-    point.
+    First contained copy wins on duplicate ids, and insertion order
+    (the response order, POI order within a response) is preserved —
+    the dict's ordering flows into cached-region POI tuples downstream.
+    One batch over all responses, as in :func:`~repro.core.nnv.nnv`.
     """
-    found: dict[int, POI] = {}
-    wx1, wy1, wx2, wy2 = within.x1, within.y1, within.x2, within.y2
-    for response in responses:
-        pois = response.pois
-        if not pois:
-            continue
-        _, xs, ys = response.poi_arrays()
-        inside = (wx1 <= xs) & (xs <= wx2) & (wy1 <= ys) & (ys <= wy2)
-        idx = np.nonzero(inside)[0]
-        if idx.size:
-            hits = idx[mvr.contains_points(xs[idx], ys[idx])]
-            for i in hits.tolist():
-                poi = pois[i]
-                if poi.poi_id not in found:
-                    found[poi.poi_id] = poi
-    return found
+    pieces, _, _, _, sel = first_contained(responses, mvr, within)
+    return {poi.poi_id: poi for poi in pois_at(pieces, sel)}
 
 
 def _pois_per_region(
@@ -394,8 +378,11 @@ class MobileHost:
         )
 
     def resolve_window(self, window: Rect, responses: Sequence[ShareResponse]):
-        """Run SBWQ for a standing window re-evaluation."""
-        return sbwq(window, responses, mvr=self._mvr_memo.merged(responses))
+        """Run SBWQ (one-shot queries and standing re-evaluations)."""
+        mvr = self._mvr_memo.merged(responses)
+        if invariants.check_enabled():
+            invariants.check_union(mvr, window.center, window)
+        return sbwq(window, responses, mvr=mvr)
 
     def settle_knn_peer(
         self,
@@ -513,9 +500,7 @@ class MobileHost:
         faults = fault_stats if fault_stats is not None else NO_FAULTS
         span_tracer = tracer if tracer is not None else NO_TRACER
         with span_tracer.span("core.sbwq") as span:
-            outcome = sbwq(
-                window, responses, mvr=self._mvr_memo.merged(responses)
-            )
+            outcome = self.resolve_window(window, responses)
             span.set(
                 responses=len(responses),
                 verified_pois=len(outcome.verified_pois),

@@ -448,21 +448,20 @@ class Simulation:
         if peer_ids.size == 0:
             return
         # One gather against the fleet snapshot for the whole
-        # neighbourhood (instead of a per-peer Point/heading lookup),
-        # and one POI-list materialisation per region (instead of one
-        # per (peer, region) — insert_result never mutates its input).
+        # neighbourhood (instead of a per-peer Point/heading lookup);
+        # every peer is handed the same shared POI tuples
+        # (insert_result never mutates its input).
         ids = peer_ids.tolist()
         xs = self._xs[peer_ids].tolist()
         ys = self._ys[peer_ids].tolist()
         hxs = self._hx[peer_ids].tolist()
         hys = self._hy[peer_ids].tolist()
-        shared = [(region, list(pois)) for region, pois in result.shared]
         hosts = self.hosts
         for pid, x, y, hx, hy in zip(ids, xs, ys, hxs, hys):
             cache = hosts[pid].cache
             peer_position = Point(x, y)
             peer_heading = (hx, hy)
-            for region, pois in shared:
+            for region, pois in result.shared:
                 cache.insert_result(
                     region, pois, now, peer_position, peer_heading
                 )

@@ -130,9 +130,16 @@ class HilbertGrid:
 
     Continuous coordinates are binned into ``2^order x 2^order`` cells;
     each cell has a curve index in ``[0, 4^order)``.
+
+    The curve over a grid never changes, so the window reads
+    (:meth:`values_intersecting`, :meth:`aligned_blocks`) go through
+    two tables built on first use: ``table[cy, cx]`` is the value of
+    cell ``(cx, cy)`` and ``inverse[d]`` is the flat index
+    ``cy * side + cx`` of the cell with value ``d`` — ``8 * 4^order``
+    bytes each (512 KB at order 8, the largest order the repo builds).
     """
 
-    __slots__ = ("order", "bounds", "side", "_cell_w", "_cell_h")
+    __slots__ = ("order", "bounds", "side", "_cell_w", "_cell_h", "_tables")
 
     def __init__(self, order: int, bounds: Rect) -> None:
         if order < 1:
@@ -144,6 +151,19 @@ class HilbertGrid:
         self.side = 1 << order
         self._cell_w = bounds.width / self.side
         self._cell_h = bounds.height / self.side
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _curve_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(table, inverse)``, encoded once per grid."""
+        if self._tables is None:
+            cells = np.arange(self.side, dtype=np.int64)
+            gx, gy = np.meshgrid(cells, cells)
+            table = hilbert_xy_to_d_batch(self.order, gx.ravel(), gy.ravel())
+            self._tables = (
+                table.reshape(self.side, self.side),
+                np.argsort(table),
+            )
+        return self._tables
 
     @property
     def cell_count(self) -> int:
@@ -226,6 +246,7 @@ class HilbertGrid:
         if not (0 <= lo <= hi < self.cell_count):
             raise GeometryError(f"invalid Hilbert range [{lo}, {hi}]")
         blocks: list[Rect] = []
+        inverse = self._curve_tables()[1]
         cur = lo
         while cur <= hi:
             size = 1
@@ -233,7 +254,7 @@ class HilbertGrid:
                 size *= 4
             if size >= min_cells:
                 side = int(round(size**0.5))
-                cx, cy = hilbert_d_to_xy(self.order, cur)
+                cy, cx = divmod(int(inverse[cur]), self.side)
                 bx = (cx // side) * side
                 by = (cy // side) * side
                 low = self.cell_rect(bx, by)
@@ -254,10 +275,9 @@ class HilbertGrid:
             return []
         cx1, cy1 = self.cell_of_point(Point(clipped.x1, clipped.y1))
         cx2, cy2 = self.cell_of_point(Point(clipped.x2, clipped.y2))
-        gx, gy = np.meshgrid(
-            np.arange(cx1, cx2 + 1, dtype=np.int64),
-            np.arange(cy1, cy2 + 1, dtype=np.int64),
-        )
-        values = hilbert_xy_to_d_batch(self.order, gx.ravel(), gy.ravel())
+        table = self._curve_tables()[0]
+        # flatten() copies; ravel() of a full-width slice is a view,
+        # and sorting that in place would scramble the table.
+        values = table[cy1 : cy2 + 1, cx1 : cx2 + 1].flatten()
         values.sort()
         return values.tolist()

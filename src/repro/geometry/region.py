@@ -24,7 +24,7 @@ so the eager union (rebuilt per construction) and the persistent union
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,6 +145,11 @@ def build_slabs(
     return sweep_slabs(rects)
 
 
+def x_cuts(rects: Sequence[Rect]) -> list[float]:
+    """The canonical x cuts: every distinct member edge, sorted."""
+    return sorted({x for r in rects for x in (r.x1, r.x2)})
+
+
 def sweep_slabs(
     rects: Sequence[Rect],
 ) -> tuple[list[float], list[tuple[Interval, ...]]]:
@@ -153,11 +158,56 @@ def sweep_slabs(
     The small-union build, and the reference the grid kernel is tested
     against at every size.
     """
-    xs = sorted({x for r in rects for x in (r.x1, r.x2)})
+    xs = x_cuts(rects)
     slabs: list[tuple[Interval, ...]] = []
     for xa, xb in zip(xs, xs[1:]):
         covering = [(r.y1, r.y2) for r in rects if r.x1 <= xa and r.x2 >= xb]
         slabs.append(tuple(merge_intervals(covering)))
+    return xs, slabs
+
+
+def window_slabs(
+    cuts: Sequence[float], rects: Sequence[Rect], window: Rect
+) -> tuple[Sequence[float], list[tuple[Interval, ...]]]:
+    """The part of the canonical slab structure a window read can see.
+
+    ``cuts`` is :func:`x_cuts` of ``rects`` and ``window`` is not
+    degenerate.  :func:`slabs_covers_rect` and
+    :func:`slabs_subtract_from_rect` over the result return what they
+    return over ``build_slabs(rects)`` — same floats, same order:
+
+    * the cuts kept run from the last one at or left of ``window.x1``
+      to the first one at or right of ``window.x2``.  *Every* member's
+      edges in that range stay, whether or not the member reaches the
+      window in y: each cut splits the remainder rectangles, so
+      clipping the members to the window first gives the same region
+      in different pieces;
+    * the intervals of a kept slab are merged over the members that
+      meet the window (x open, y closed) only.  A member covering a
+      slab that overlaps the window meets it in x; one that misses it
+      in y lies in an interval, or a part of one, that neither read
+      looks at — they take the intervals' ends only inside
+      ``window.y1..window.y2``.
+    """
+    first = max(bisect_right(cuts, window.x1) - 1, 0)
+    last = min(bisect_left(cuts, window.x2), len(cuts) - 1)
+    xs = cuts[first : last + 1]
+    meeting = [
+        r
+        for r in rects
+        if r.x1 < window.x2
+        and r.x2 > window.x1
+        and r.y1 <= window.y2
+        and r.y2 >= window.y1
+    ]
+    slabs = [
+        tuple(
+            merge_intervals(
+                [(r.y1, r.y2) for r in meeting if r.x1 <= xa and r.x2 >= xb]
+            )
+        )
+        for xa, xb in zip(xs, xs[1:])
+    ]
     return xs, slabs
 
 
@@ -260,7 +310,7 @@ def grid_slabs(
     instead of holding two fresh ones per interval.
     """
     _, _, blocks = _grid_blocks(rects)
-    xs = sorted({x for r in rects for x in (r.x1, r.x2)})
+    xs = x_cuts(rects)
     ys = sorted({y for r in rects for y in (r.y1, r.y2)})
     slabs: list[tuple[Interval, ...]] = []
     for _, cover in blocks:

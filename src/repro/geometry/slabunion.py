@@ -37,9 +37,12 @@ makes the MVR memo's copy-on-write delta merges cheap.
 (the merged-MVR case) records the members and builds nothing.  The
 reads NNV makes — emptiness, MBR, containment, distance to the
 boundary — are answered from the members and the coverage grid
-(:func:`~repro.geometry.region.grid_boundary_coord_arrays`); the slab
-structure is built, from the same grid, by the first read or mutation
-that needs it.  Both routes give the floats the eager build gives.
+(:func:`~repro.geometry.region.grid_boundary_coord_arrays`), and the
+reads SBWQ makes — window coverage and the remainder ``w'`` — from
+the members the window meets
+(:func:`~repro.geometry.region.window_slabs`); the slab structure is
+built, from the same grid, by the first read or mutation that needs
+all of it.  Every route gives the floats the eager build gives.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ from .region import (
     slabs_disjoint_rects,
     slabs_intersects_rect,
     slabs_subtract_from_rect,
+    window_slabs,
+    x_cuts,
 )
 from .segment import Segment
 
@@ -453,8 +458,21 @@ class SlabUnion:
             return np.zeros(pxs.shape, dtype=bool)
         return rects_contain_points(self._cover_coord_arrays(), pxs, pys)
 
+    def _window_slabs(self, window: Rect):
+        """The slab structure a window read runs over.
+
+        While the bulk build is pending that is the window-local one
+        (:func:`~repro.geometry.region.window_slabs`) and the union
+        stays lazy; degenerate windows, whose closed coverage reads
+        the slabs on both sides of a cut, take the full structure.
+        """
+        if self._lazy and not window.is_degenerate():
+            cuts = self._memo_get("x_cuts", lambda: x_cuts(self._members))
+            return window_slabs(cuts, self._members, window)
+        return self._xs, self._slabs
+
     def covers_rect(self, window: Rect) -> bool:
-        return slabs_covers_rect(self._xs, self._slabs, window)
+        return slabs_covers_rect(*self._window_slabs(window), window)
 
     def intersects_rect(self, window: Rect) -> bool:
         return slabs_intersects_rect(self._xs, self._slabs, window)
@@ -466,7 +484,7 @@ class SlabUnion:
         return slabs_disjoint_rects(self._xs, self._slabs)
 
     def subtract_from_rect(self, window: Rect) -> list[Rect]:
-        return slabs_subtract_from_rect(self._xs, self._slabs, window)
+        return slabs_subtract_from_rect(*self._window_slabs(window), window)
 
     # ------------------------------------------------------------------
     # Boundary

@@ -260,9 +260,8 @@ class ShardWorld:
         if peer_ids.size == 0:
             return remote_ops, touched
         hosts = self.hosts
-        # One POI-list materialisation per region, not one per (peer,
-        # region): insert_result never mutates its input.
-        adopted = [(region, list(pois)) for region, pois in shared]
+        # Every peer is handed the same shared POI tuples:
+        # insert_result never mutates its input.
         for pid in peer_ids.tolist():
             local = soa.local_of(pid)
             x = float(soa.xs[local])
@@ -272,7 +271,7 @@ class ShardWorld:
             if host is not None:
                 peer_position = Point(x, y)
                 cache = host.cache
-                for region, pois in adopted:
+                for region, pois in shared:
                     cache.insert_result(
                         region, pois, now, peer_position, heading
                     )

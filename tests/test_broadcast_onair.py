@@ -111,13 +111,13 @@ class TestOnAirKnn:
         ]
 
     def test_covered_region_is_sound_for_caching(self):
-        # Every POI inside the covered rect must be in the download.
+        # Every POI inside the search MBR must be in the download.
         client, pois = make_world(250, seed=9)
         q = Point(7, 13)
         result = client.knn(q, 5)
         downloaded = {p.poi_id for p in result.downloaded}
         for poi in pois:
-            if result.covered.contains_point(poi.location):
+            if result.plan.search_mbr.contains_point(poi.location):
                 assert poi.poi_id in downloaded
 
     def test_cost_accounting(self):

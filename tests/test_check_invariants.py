@@ -230,6 +230,65 @@ class TestCheckUnion:
         with pytest.raises(InvariantViolation, match="distance_to_boundary"):
             check_union(union, Point(0.25, 0.125))
 
+    WINDOWS = [
+        Rect(3.0, 0.25, 9.0, 0.75),   # covered
+        Rect(3.5, 0.5, 30.0, 2.5),    # straddles the extent
+        Rect(4.0, 0.0, 10.0, 1.0),    # every edge on a member cut
+        Rect(26.0, 3.0, 28.0, 4.0),   # touches a corner only
+        Rect(5.0, 0.5, 5.0, 2.0),     # degenerate
+    ]
+
+    def test_window_reads_pass(self, checks_on):
+        for window in self.WINDOWS:
+            for union in (
+                SlabUnion.from_rects(self.RECTS),
+                SlabUnion.from_rects(self.RECTS[:3]),
+                RectUnion(self.RECTS),
+                SlabUnion.from_rects([]),
+                SlabUnion.from_rects(self.RECTS).subtract_point_cut(
+                    Point(1.0, 0.5)
+                ),
+            ):
+                check_union(union, window.center, window)
+
+    def test_wrong_cover_and_remainder_detected(self, checks_on, monkeypatch):
+        union = SlabUnion.from_rects(self.RECTS)
+        window = self.WINDOWS[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(SlabUnion, "covers_rect", lambda self, w: True)
+            with pytest.raises(InvariantViolation, match="covers_rect"):
+                check_union(union, window.center, window)
+        # one fragment short, as a kernel that dropped a slab would be
+        real = SlabUnion.subtract_from_rect
+        monkeypatch.setattr(
+            SlabUnion, "subtract_from_rect", lambda self, w: real(self, w)[1:]
+        )
+        with pytest.raises(InvariantViolation, match="subtract_from_rect"):
+            check_union(union, window.center, window)
+
+    def test_window_seam_fires_on_corrupted_cuts(self, checks_on):
+        from repro.experiments.host import MobileHost
+        from repro.p2p import ShareResponse
+
+        host = MobileHost(0, POICache(8))
+        responses = [
+            ShareResponse(i, (rect,), (), generation=1)
+            for i, rect in enumerate(self.RECTS)
+        ]
+        window = Rect(3.5, 0.25, 9.5, 0.75)
+        outcome = host.resolve_window(window, responses)
+        assert outcome.fully_resolved and outcome.mvr._lazy
+        # the memoised cuts lose x=5 and x=6: no member is as wide as
+        # the slab 4..7, and the window looks uncovered there
+        cuts = outcome.mvr._memo["x_cuts"]
+        outcome.mvr._memo["x_cuts"] = [x for x in cuts if x not in (5, 6)]
+        with pytest.raises(InvariantViolation, match="covers_rect"):
+            host.resolve_window(window, responses)
+        with pytest.raises(InvariantViolation, match="covers_rect"):
+            host.execute_window(
+                window.center, (1.0, 0.0), window, responses, None, now=0.0
+            )
+
     def test_nnv_seam_fires(self, checks_on, monkeypatch):
         from repro.core import nnv
         from repro.p2p import ShareResponse

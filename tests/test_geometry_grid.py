@@ -10,6 +10,7 @@ read comes first, and after every way of leaving the lazy state.
 
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from repro.geometry.region import (
     grid_boundary_coord_arrays,
     grid_slabs,
     slabs_boundary_coord_arrays,
+    slabs_covers_rect,
+    slabs_subtract_from_rect,
     sweep_slabs,
 )
 
@@ -272,6 +275,187 @@ class TestLazyUnion:
                     ), label
                 assert got.contains_point(p) == want.contains_point(p)
                 assert got.area == want.area
+
+
+# ----------------------------------------------------------------------
+# Window reads on a lazy union: window-local, and the union stays lazy
+# ----------------------------------------------------------------------
+def span(a, b, c, d):
+    return Rect(min(a, c), min(b, d), max(a, c), max(b, d))
+
+
+@st.composite
+def sets_and_windows(draw):
+    """16-200 members plus windows aimed at every kind of contact."""
+    rects = draw(
+        st.one_of(
+            st.lists(float_rect, min_size=GRID_MIN_RECTS + 4, max_size=200),
+            st.lists(lattice_rect, min_size=GRID_MIN_RECTS + 4, max_size=200),
+        )
+    )
+    live = members(rects)
+    if len(live) < GRID_MIN_RECTS:
+        live = live + [Rect(i, i, i + 2.5, i + 1.5) for i in range(GRID_MIN_RECTS)]
+    member = st.sampled_from(live)
+    share = st.floats(0.0, 1.0)
+    reach = st.floats(0.0, 40.0)
+
+    def inside(r, a, b, c, d):
+        return span(
+            r.x1 + a * r.width, r.y1 + b * r.height,
+            r.x1 + c * r.width, r.y1 + d * r.height,
+        )
+
+    box = Rect.bounding(live)
+    window = st.one_of(
+        # inside one member
+        st.builds(inside, member, share, share, share, share),
+        # from inside the extent to beyond it, and all around it
+        st.builds(
+            lambda a, b, dx, dy: span(
+                box.x1 + a * box.width, box.y1 + b * box.height,
+                box.x2 + dx - 20.0, box.y2 + dy - 20.0,
+            ),
+            share, share, reach, reach,
+        ),
+        st.builds(
+            lambda dx, dy: Rect(box.x1 - dx, box.y1 - dy, box.x2 + dx, box.y2 + dy),
+            reach, reach,
+        ),
+        # every edge on a member cut
+        st.builds(
+            lambda p, q: span(p.x1, q.y1, q.x2, p.y2), member, member
+        ),
+        # touching a member in a corner point / along an edge only
+        st.builds(
+            lambda r, w, h: Rect(r.x2, r.y2, r.x2 + w, r.y2 + h),
+            member, reach, reach,
+        ),
+        st.builds(
+            lambda r, w: Rect(r.x2, r.y1, r.x2 + w, r.y2), member, reach
+        ),
+        st.builds(
+            lambda r, h: Rect(r.x1, r.y1 - h, r.x2, r.y1), member, reach
+        ),
+        # degenerate: a point, a vertical and a horizontal segment
+        st.builds(lambda r: Rect(r.x1, r.y2, r.x1, r.y2), member),
+        st.builds(lambda r, h: Rect(r.x2, r.y1, r.x2, r.y1 + h), member, reach),
+        st.builds(lambda r, w: Rect(r.x1, r.y2, r.x1 + w, r.y2), member, reach),
+        # anything on the lattice
+        lattice_rect,
+    )
+    return live, draw(st.lists(window, min_size=1, max_size=8))
+
+
+def window_reads(union, window):
+    return union.covers_rect(window), union.subtract_from_rect(window)
+
+
+class TestWindowLocalReads:
+    @given(sets_and_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_the_sweep_and_stay_lazy(self, drawn):
+        rects, windows = drawn
+        xs, slabs = sweep_slabs(rects)
+        for window in windows:
+            union = SlabUnion.from_rects(rects)
+            with mock.patch(
+                "repro.geometry.slabunion.build_slabs",
+                side_effect=AssertionError("window read built the slabs"),
+            ) as build:
+                if window.is_degenerate():
+                    # closed coverage reads the slabs on both sides of
+                    # a cut: the full structure, built now
+                    build.side_effect = None
+                    build.return_value = (xs, slabs)
+                covered, remainder = window_reads(union, window)
+            assert covered == slabs_covers_rect(xs, slabs, window)
+            # list equality: the same fragments in the same order
+            # (they pick plan_window's buckets one by one)
+            assert remainder == slabs_subtract_from_rect(xs, slabs, window)
+            assert union._lazy != window.is_degenerate()
+
+    @given(sets_and_windows())
+    @settings(max_examples=60, deadline=None)
+    def test_primed_union_reads_the_same(self, drawn):
+        # One union across all windows (the MVR memo's case): the
+        # memoised cuts serve every later window.
+        rects, windows = drawn
+        xs, slabs = sweep_slabs(rects)
+        union = SlabUnion.from_rects(rects).freeze()
+        for window in windows:
+            assert window_reads(union, window) == (
+                slabs_covers_rect(xs, slabs, window),
+                slabs_subtract_from_rect(xs, slabs, window),
+            )
+
+    @given(sets_and_windows(), lattice_rect, points)
+    @settings(max_examples=40, deadline=None)
+    def test_after_leaving_the_lazy_state(self, drawn, extra, pts):
+        rects, windows = drawn
+        p = Point(*pts[0])
+        exits = {
+            "clone+insert": lambda u: u.clone().insert_rect(extra),
+            "point cut": lambda u: u.subtract_point_cut(p),
+            "freeze": lambda u: u.freeze(),
+            "codec": lambda u: decode(encode(u)),
+            "pickle": lambda u: pickle.loads(pickle.dumps(u)),
+        }
+        for label, leave in exits.items():
+            lazy = SlabUnion.from_rects(rects)
+            # the cuts are memoised before the exit
+            window_reads(lazy, Rect(-1.0, -1.0, 7.0, 7.0))
+            got = leave(lazy)
+            want = leave(eager_twin(rects))
+            # freezing is not an exit: the memoised MVR is a frozen
+            # lazy union, and its window reads are the local ones
+            assert got._lazy == (label == "freeze"), label
+            for window in windows:
+                assert window_reads(got, window) == window_reads(
+                    want, window
+                ), label
+            assert same_state(got, want), label
+
+    def test_clipping_members_to_the_window_is_not_the_same(self):
+        # The member on the right misses the window in y, yet its left
+        # edge x=3 is a cut of the full structure and splits w'.
+        rects = [Rect(0, 0, 6, 1), Rect(3, 5, 4, 6)] + [
+            Rect(10 + i, 10, 11 + i, 11) for i in range(GRID_MIN_RECTS)
+        ]
+        window = Rect(1, 0, 5, 2)
+        union = SlabUnion.from_rects(rects)
+        assert union.subtract_from_rect(window) == [
+            Rect(1, 1, 3, 2), Rect(3, 1, 4, 2), Rect(4, 1, 5, 2)
+        ]
+        assert union._lazy
+        clipped = SlabUnion.from_rects([Rect(1, 0, 5, 1)])
+        assert clipped.subtract_from_rect(window) == [Rect(1, 1, 5, 2)]
+
+    def test_sbwq_leaves_a_memoised_mvr_lazy(self):
+        from repro.core import MVRMemo, Resolution, sbwq
+        from repro.model import POI
+        from repro.p2p import ShareResponse
+
+        rects = [Rect(i, 0, i + 2, 3 + i % 3) for i in range(GRID_MIN_RECTS + 8)]
+        responses = [
+            ShareResponse(
+                i, (rect,), (POI(i, Point(rect.x1 + 0.5, 1.0)),), generation=1
+            )
+            for i, rect in enumerate(rects)
+        ]
+        memo = MVRMemo()
+        with mock.patch(
+            "repro.geometry.slabunion.build_slabs",
+            side_effect=AssertionError("sbwq built the slabs"),
+        ):
+            mvr = memo.merged(responses)
+            inside = sbwq(Rect(2, 0.5, 9, 2.5), responses, mvr=mvr)
+            across = sbwq(Rect(2, 0.5, 40, 2.5), responses, mvr=mvr)
+        assert inside.resolution is Resolution.VERIFIED
+        assert [p.poi_id for p in inside.verified_pois] == list(range(2, 9))
+        assert across.resolution is Resolution.BROADCAST
+        assert across.remainder_windows == (Rect(25, 0.5, 40, 2.5),)
+        assert mvr._lazy and memo.merged(responses) is mvr
 
 
 class TestIsEmptyIsStructural:

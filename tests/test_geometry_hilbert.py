@@ -146,3 +146,100 @@ class TestHilbertGrid:
                     scan_runs += run_count(y * side + x for x, y in cells)
                     windows += 1
             assert hilbert_runs / windows < scan_runs / windows
+
+
+def encode_window(grid, window):
+    """values_intersecting by encoding every touched cell, per call."""
+    clipped = window.intersection(grid.bounds)
+    if clipped is None:
+        return []
+    cx1, cy1 = grid.cell_of_point(Point(clipped.x1, clipped.y1))
+    cx2, cy2 = grid.cell_of_point(Point(clipped.x2, clipped.y2))
+    return sorted(
+        hilbert_xy_to_d(grid.order, cx, cy)
+        for cx in range(cx1, cx2 + 1)
+        for cy in range(cy1, cy2 + 1)
+    )
+
+
+def scalar_blocks(grid, lo, hi, min_cells):
+    """aligned_blocks with the scalar curve decode per block."""
+    blocks = []
+    cur = lo
+    while cur <= hi:
+        size = 1
+        while cur % (size * 4) == 0 and cur + size * 4 - 1 <= hi:
+            size *= 4
+        if size >= min_cells:
+            side = int(round(size**0.5))
+            cx, cy = hilbert_d_to_xy(grid.order, cur)
+            bx, by = (cx // side) * side, (cy // side) * side
+            blocks.append(
+                grid.cell_rect(bx, by).union_mbr(
+                    grid.cell_rect(bx + side - 1, by + side - 1)
+                )
+            )
+        cur += size
+    return blocks
+
+
+class TestCurveTables:
+    """The window reads go through tables encoded once per grid."""
+
+    BOUNDS = Rect(-3.0, 2.0, 29.0, 18.0)
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_values_intersecting_equals_the_per_call_encoding(self, order, data):
+        grid = HilbertGrid(order, self.BOUNDS)
+        x = st.floats(-10.0, 35.0)
+        y = st.floats(-5.0, 25.0)
+        for _ in range(3):
+            x1, x2 = sorted((data.draw(x), data.draw(x)))
+            y1, y2 = sorted((data.draw(y), data.draw(y)))
+            window = Rect(x1, y1, x2, y2)
+            assert grid.values_intersecting(window) == encode_window(
+                grid, window
+            )
+
+    @pytest.mark.parametrize("order", [1, 3, 8])
+    def test_full_width_window_leaves_the_table_alone(self, order):
+        # A slice of whole rows ravels to a *view* of the table; an
+        # in-place sort of it would scramble the rows for good.
+        grid = HilbertGrid(order, self.BOUNDS)
+        band = Rect(-3.0, 6.0, 29.0, 14.0)
+        first = grid.values_intersecting(band)
+        table = grid._curve_tables()[0].copy()
+        assert grid.values_intersecting(band) == first == encode_window(grid, band)
+        assert (grid._curve_tables()[0] == table).all()
+        whole = grid.values_intersecting(self.BOUNDS)
+        assert whole == list(range(grid.cell_count))
+        assert (grid._curve_tables()[0] == table).all()
+
+    def test_the_curve_is_encoded_once_per_grid(self, monkeypatch):
+        import repro.geometry.hilbert as module
+
+        encoded = []
+        real = module.hilbert_xy_to_d_batch
+
+        def counting(order, xs, ys):
+            encoded.append(len(xs))
+            return real(order, xs, ys)
+
+        monkeypatch.setattr(module, "hilbert_xy_to_d_batch", counting)
+        grid = HilbertGrid(5, self.BOUNDS)
+        for i in range(20):
+            grid.values_intersecting(Rect(i, 3.0, i + 4.0, 9.0))
+            grid.aligned_blocks(i, 40 * i + 3, min_cells=4)
+        # one batch encode, of all 32 x 32 cells
+        assert encoded == [1024]
+
+    @given(st.integers(1, 8), st.sampled_from([1, 4, 16]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_aligned_blocks_equal_the_scalar_decode(self, order, min_cells, data):
+        grid = HilbertGrid(order, self.BOUNDS)
+        lo = data.draw(st.integers(0, grid.cell_count - 1))
+        hi = data.draw(st.integers(lo, min(grid.cell_count - 1, lo + 600)))
+        assert grid.aligned_blocks(lo, hi, min_cells) == scalar_blocks(
+            grid, lo, hi, min_cells
+        )

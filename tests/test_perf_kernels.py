@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import POICache
-from repro.core import MVRMemo, merge_verified_regions, nnv, nnv_scalar
+from repro.core import MVRMemo, merge_verified_regions, nnv, nnv_scalar, sbwq
+from repro.experiments.host import _pois_from_responses
 from repro.geometry import (
     Point,
     Rect,
@@ -93,6 +94,77 @@ class TestNNVEquivalence:
         assert [
             (e.poi, e.distance, e.verified) for e in heap_memo.results()
         ] == [(e.poi, e.distance, e.verified) for e in heap_ref.results()]
+
+
+def scalar_peer_pois(responses, within, mvr):
+    """SBWQ's per-POI loop: the reference for the host's batch filter."""
+    seen = {}
+    for response in responses:
+        for poi in response.pois:
+            if (
+                poi.poi_id not in seen
+                and within.contains_point(poi.location)
+                and mvr.contains_point(poi.location)
+            ):
+                seen[poi.poi_id] = poi
+    return list(seen.values())
+
+
+def batch_peer_pois(responses, within, mvr):
+    return list(_pois_from_responses(responses, within, mvr).values())
+
+
+class TestPeerPoisBatchEquivalence:
+    """`_pois_from_responses` (one batch over all responses) and SBWQ's
+    scalar loop keep the same copy of every id, in the same order."""
+
+    @given(responses_strategy(), rect_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_scalar(self, responses, window):
+        mvr = merge_verified_regions(responses)
+        expected = scalar_peer_pois(responses, window, mvr)
+        got = batch_peer_pois(responses, window, mvr)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+        outcome = sbwq(window, responses, mvr=mvr)
+        assert outcome.verified_pois == tuple(
+            sorted(expected, key=lambda p: p.poi_id)
+        )
+
+    def test_first_contained_copy_wins(self):
+        # Four copies of id 7: outside the window, outside the MVR,
+        # then two good ones — the third is kept, whatever its peer.
+        vr = Rect(0, 0, 10, 10)
+        window = Rect(2, 2, 8, 8)
+        copies = [
+            POI(7, Point(1.0, 5.0)),
+            POI(7, Point(5.0, 5.0)),
+            POI(7, Point(6.0, 6.0)),
+            POI(7, Point(7.0, 7.0)),
+        ]
+        other = POI(3, Point(2.0, 8.0))  # on the window's corner: inside
+        responses = [
+            ShareResponse(0, (vr,), (copies[0],)),
+            ShareResponse(1, (), ()),
+            ShareResponse(2, (), (copies[1], other, copies[2])),
+            ShareResponse(3, (), (copies[3], other)),
+        ]
+        mvr = RectUnion([Rect(0, 0, 10, 4.5), Rect(0, 5.5, 10, 10)])
+        got = batch_peer_pois(responses, window, mvr)
+        assert [id(p) for p in got] == [id(other), id(copies[2])]
+        assert got == scalar_peer_pois(responses, window, mvr)
+        assert sbwq(window, responses, mvr=mvr).verified_pois == (
+            other, copies[2],
+        )
+
+    def test_nothing_to_offer(self):
+        mvr = RectUnion([Rect(0, 0, 1, 1)])
+        empty = [ShareResponse(0, (Rect(0, 0, 1, 1),), ())]
+        assert _pois_from_responses([], Rect(0, 0, 1, 1), mvr) == {}
+        assert _pois_from_responses(empty, Rect(0, 0, 1, 1), mvr) == {}
+        away = [ShareResponse(0, (), (POI(1, Point(5.0, 5.0)),))]
+        assert _pois_from_responses(away, Rect(0, 0, 1, 1), mvr) == {}
+        assert _pois_from_responses(away, Rect(4, 4, 6, 6), mvr) == {}
 
 
 class TestMVRMemo:

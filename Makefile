@@ -26,7 +26,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test smoke oracle-smoke serve-smoke shard-smoke \
-	bench-smoke bench-ab
+	bench-smoke bench-ab loc
 
 check: lint test smoke oracle-smoke serve-smoke shard-smoke bench-smoke
 
@@ -45,6 +45,10 @@ lint:
 	@# (bracket expressions keep this line from matching itself)
 	@! grep -rIn 'BENCH_PR[0-9]\|cli[ ]profile\|--worker[-]profile' \
 		README.md Makefile src tests benchmarks examples
+	@echo ">> the halo payload stays a ShareResponse, the shard seam stays pickle-free"
+	@! grep -rIn '\<Share[P]ayload\>\|share[_]payload\|region[_]union=' src
+	@! grep -rIn 'OP_CALL[_]PICKLE\|[_]PICKLE\|import[ ]pickle' \
+		src/repro/shard src/repro/codec/types.py
 
 test:
 	@echo ">> tier-1 tests"
@@ -89,3 +93,7 @@ bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || \
 		{ echo "usage: make bench-ab BASE=<rev> WORKLOAD=<name>|all [PAIRS=10]"; exit 2; }
 	$(PYTHON) tools/bench_ab.py $(BASE) $(WORKLOAD) $(or $(PAIRS),10)
+
+loc:
+	@test -n "$(BASE)" || { echo "usage: make loc BASE=<rev>"; exit 2; }
+	$(PYTHON) tools/loc_table.py $(BASE)

@@ -159,16 +159,12 @@ class POICache:
         self.tracer = None
         # True while no region has been shrunk (or dropped) by an
         # eviction since the last full coalesce — the precondition for
-        # the coalesce fast path (no containments can lurk among the
-        # kept regions).
+        # the fused insert in :meth:`_insert_result` (no containments
+        # can lurk among the kept regions).
         self._regions_coalesced = True
         # (generation, payload) memos for the share/pois accessors.
         self._pois_memo: tuple[int, tuple[POI, ...]] | None = None
         self._share_memo: tuple[int, tuple[Rect, ...], tuple[POI, ...]] | None = None
-        # Memoised frozen export (see :meth:`frozen_snapshot`).
-        self._snapshot_memo: (
-            tuple[int, tuple[Rect, ...], tuple[POI, ...], SlabUnion] | None
-        ) = None
 
     # ------------------------------------------------------------------
     def _drop_slot_of(self, poi_id: int) -> None:
@@ -334,19 +330,20 @@ class POICache:
         if region.x2 != region.x1 and region.y2 != region.y1:
             regions = self._regions
             if self.incremental and self._regions_coalesced and regions:
-                # Fused covered-check + fast coalesce: while the
-                # incumbents are containment-free, one pass over them
-                # settles the newcomer (the same loop
-                # :meth:`_coalesce_regions` would run after an
-                # append).  A newcomer inside an incumbent changes
-                # neither the region list nor the union — skip the
-                # append *and* the generation bump (nothing
-                # observable moved, so share payloads and merged-MVR
-                # memos stay valid, which is exactly what the memo
-                # keys exist to exploit).  Otherwise drop any
-                # incumbents the newcomer covers and binary-insert it
-                # into the area-descending order, as the fast
-                # coalesce path does.
+                # Fused covered-check + coalesce: while the
+                # incumbents are containment-free and area-sorted, the
+                # only possible containments involve the newcomer, so
+                # one pass settles what the append + full scan of
+                # :meth:`_coalesce_regions` would.  A newcomer inside
+                # an incumbent changes neither the region list nor
+                # the union — skip the append *and* the generation
+                # bump (nothing observable moved, so share responses
+                # and merged-MVR memos stay valid, which is exactly
+                # what the memo keys exist to exploit).  Otherwise
+                # drop any incumbents the newcomer covers and
+                # binary-insert it into the area-descending order,
+                # ties landing behind, where the stable full-scan
+                # sort would put it.
                 rx1, ry1 = region.x1, region.y1
                 rx2, ry2 = region.x2, region.y2
                 covered: list[int] | None = None
@@ -468,46 +465,26 @@ class POICache:
         the LRU clock alone (callers record genuine uses via
         :meth:`touch`) and needs no clock at all — the content depends
         only on the cache state, never on when the request arrives.
+        Fresh list copies of :meth:`frozen_snapshot` are returned so
+        callers may mutate them.
+        """
+        _, regions, pois = self.frozen_snapshot()
+        return list(regions), list(pois)
 
-        The payload is memoised on the content generation: the stamp
+    def frozen_snapshot(
+        self,
+    ) -> tuple[int, tuple[Rect, ...], tuple[POI, ...]]:
+        """``(generation, region_rects, pois)``: the shareable state.
+
+        Immutable, and memoised on the content generation: the stamp
         moves exactly when the POI set or the regions change, so the
         memo is rebuilt precisely as often as the content differs.
-        Fresh list copies are returned so callers may mutate them.
         """
         memo = self._share_memo
         generation = self.generation
         if memo is None or memo[0] != generation:
             memo = (generation, tuple(self.region_rects), tuple(self.pois))
             self._share_memo = memo
-        return list(memo[1]), list(memo[2])
-
-    def frozen_snapshot(
-        self,
-    ) -> tuple[int, tuple[Rect, ...], tuple[POI, ...], SlabUnion]:
-        """An immutable export of the shareable cache state.
-
-        Returns ``(generation, region_rects, pois, frozen_union)``
-        where ``frozen_union`` is a frozen copy-on-write clone of the
-        slab mirror (:attr:`region_union`): the clone shares every
-        interval tuple with the live mirror, so exporting costs
-        O(slabs) — and nothing at all while the generation is
-        unchanged, since the whole snapshot is memoised per content
-        generation.  The frozen clone stays valid forever (the live
-        mirror mutates *its own* structure, never the shared tuples),
-        which is what lets shard halos mirror a peer's verified area
-        without re-merging rectangle lists per broadcast cycle.
-        """
-        memo = self._snapshot_memo
-        generation = self.generation
-        if memo is None or memo[0] != generation:
-            regions, pois = self.share()
-            memo = (
-                generation,
-                tuple(regions),
-                tuple(pois),
-                self.region_union.clone().freeze(),
-            )
-            self._snapshot_memo = memo
         return memo
 
     # ------------------------------------------------------------------
@@ -595,7 +572,6 @@ class POICache:
         cache._regions_coalesced = regions_coalesced
         cache._pois_memo = None
         cache._share_memo = None
-        cache._snapshot_memo = None
         return cache
 
     def pois_in(self, rect: Rect) -> list[POI]:
@@ -612,61 +588,13 @@ class POICache:
     def _coalesce_regions(self) -> None:
         """Drop regions fully covered by another (newer wins ties).
 
-        Fast path: while ``_regions_coalesced`` holds (no eviction has
-        shrunk a region since the last coalesce) the incumbents are
-        mutually containment-free and area-sorted, so the only
-        possible containments involve the newcomer (always the last
-        appended).  One pass over the incumbents settles everything:
-        an incumbent covering the newcomer means nothing changes (the
-        full scan, processing larger areas first, would drop the
-        newcomer — ties too, since the stable sort keeps the
-        incumbent ahead); otherwise any incumbents the newcomer
-        covers are dropped and the newcomer binary-inserts into the
-        sorted survivors, ties landing behind, exactly where the
-        stable full-scan sort would put it.  The two containment
-        directions are mutually exclusive across the pass — newcomer
-        inside one incumbent and around another would nest the two
-        incumbents, contradicting containment-freeness.
-
-        The flag matters: shrinking can push a kept region inside a
-        sibling, and those stale containments are only cleaned up by
-        the full scan below.
+        The plain full scan: shrinking can push a kept region inside a
+        sibling, and those stale containments are only cleaned up
+        here.  (The common insert never comes this way — it is fused
+        into :meth:`_insert_result`.)
         """
         regions = self._regions
         if len(regions) > 1:
-            if self._regions_coalesced:
-                new_vr = regions[-1]
-                new = new_vr.rect
-                nx1, ny1, nx2, ny2 = new.x1, new.y1, new.x2, new.y2
-                covered: list[int] | None = None
-                for idx in range(len(regions) - 1):
-                    o = regions[idx].rect
-                    ox1, oy1, ox2, oy2 = o.x1, o.y1, o.x2, o.y2
-                    if ox1 <= nx1 and oy1 <= ny1 and nx2 <= ox2 and ny2 <= oy2:
-                        regions.pop()
-                        return
-                    if nx1 <= ox1 and ny1 <= oy1 and ox2 <= nx2 and oy2 <= ny2:
-                        if covered is None:
-                            covered = [idx]
-                        else:
-                            covered.append(idx)
-                regions.pop()
-                if covered is not None:
-                    for idx in reversed(covered):
-                        del regions[idx]
-                area = new_vr.area
-                if regions and regions[-1].area >= area:
-                    regions.append(new_vr)
-                else:
-                    lo, hi = 0, len(regions)
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if regions[mid].area >= area:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    regions.insert(lo, new_vr)
-                return
             kept: list[VerifiedRegion] = []
             for vr in sorted(regions, key=_descending_area):
                 rect = vr.rect

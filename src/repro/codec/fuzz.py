@@ -32,7 +32,7 @@ from ..experiments.metrics import QueryRecord
 from ..geometry import Point, Rect
 from ..geometry.slabunion import SlabUnion
 from ..model import POI
-from ..p2p.protocol import SharePayload
+from ..p2p.protocol import ShareResponse
 from ..shard.messages import EventOutcome, OverhearOp
 from ..workloads.queries import QueryEvent, QueryKind
 from .core import Reader, Writer, decode, encode
@@ -92,16 +92,16 @@ def _slab_union(rng: random.Random) -> SlabUnion:
     return union
 
 
-def _payload(rng: random.Random) -> SharePayload:
-    roll = rng.random()
-    union = None if roll < 0.25 else _slab_union(rng)
-    return SharePayload(
-        host_id=rng.randrange(0, 1000),
+def _payload(rng: random.Random) -> ShareResponse:
+    # The cache never stores a degenerate verified region, and a
+    # response refuses to carry one.
+    regions = (_rect(rng) for _ in range(rng.randrange(0, 6)))
+    return ShareResponse(
+        peer_id=rng.randrange(0, 1000),
+        regions=tuple(r for r in regions if not r.is_degenerate()),
+        pois=_pois(rng, rng.randrange(0, 8)),
         # Generation-0 payloads (a host that never shared) are legal.
         generation=0 if rng.random() < 0.2 else rng.randrange(0, 1 << 30),
-        regions=tuple(_rect(rng) for _ in range(rng.randrange(0, 6))),
-        pois=_pois(rng, rng.randrange(0, 8)),
-        region_union=union,
     )
 
 

@@ -6,15 +6,18 @@ One registration per versioned type tag (see :mod:`repro.codec.core`):
   buffers, category strings elided when every POI carries the default;
 * ``SlabUnion`` — generation + flags + x-cut array + per-slab interval
   counts + one flat interval buffer (+ member rects while insert-only);
-* ``SharePayload`` / ``OverhearOp`` / ``EventOutcome`` — the cross-
-  shard exchange messages, composed from the above;
+* ``ShareResponse`` / ``OverhearOp`` / ``EventOutcome`` — the cross-
+  shard exchange messages, composed from the above (a halo payload is
+  just the owner's share response: peer id, generation, rects, POIs);
 * ``QueryRecord`` / ``QueryEvent`` — single ``struct`` packs with
   enum ordinals for :class:`QueryKind` / :class:`Resolution`;
 * ``MobileHost`` — the host-migration record: the full
-  :meth:`POICache.codec_state` plus the eviction policy (struct-packed
-  for the stock :class:`DirectionDistancePolicy`, pickled otherwise —
-  hosts with standing queries or tracers fall back to whole-object
-  pickle, which the sharded simulator never produces).
+  :meth:`POICache.codec_state` plus one tag byte for the eviction
+  policy (the stock policies only; anything else, and any host
+  carrying standing queries or a tracer, has no wire form and raises
+  :class:`~repro.errors.CodecError` on encode).
+
+Nothing here pickles: every decoder is strict over flat buffers.
 
 Floats round-trip bit-exactly (``<d`` both ways) and every decoded
 coordinate is a Python ``float`` (numpy views are ``.tolist()``-ed),
@@ -27,11 +30,10 @@ else (and what the codec fuzz leg cross-checks).
 
 from __future__ import annotations
 
-import pickle
 import struct
 
 from ..cache.entry import CacheItem, VerifiedRegion
-from ..cache.policy import DirectionDistancePolicy
+from ..cache.policy import DirectionDistancePolicy, FIFOPolicy, LRUPolicy
 from ..cache.store import POICache
 from ..core import MVRMemo, Resolution
 from ..errors import CodecError
@@ -40,7 +42,7 @@ from ..experiments.metrics import QueryRecord
 from ..geometry import Point, Rect
 from ..geometry.slabunion import SlabUnion
 from ..model import DEFAULT_CATEGORY, POI
-from ..p2p.protocol import SharePayload
+from ..p2p.protocol import ShareResponse
 from ..shard.messages import EventOutcome, OverhearOp
 from ..workloads.queries import QueryEvent, QueryKind
 from .core import (
@@ -219,50 +221,21 @@ def read_slab_union(r: Reader) -> SlabUnion:
 
 
 # ----------------------------------------------------------------------
-# SharePayload / OverhearOp / EventOutcome
+# ShareResponse / OverhearOp / EventOutcome
 # ----------------------------------------------------------------------
-_UNION_NONE = 0
-_UNION_SLAB = 1
-_UNION_PICKLE = 2
+def write_share_response(w: Writer, response: ShareResponse) -> None:
+    w.i64(response.peer_id)
+    w.i64(response.generation)
+    write_rects(w, response.regions)
+    write_pois(w, response.pois)
 
 
-def write_share_payload(w: Writer, payload: SharePayload) -> None:
-    w.i64(payload.host_id)
-    w.i64(payload.generation)
-    write_rects(w, payload.regions)
-    write_pois(w, payload.pois)
-    union = payload.region_union
-    if union is None:
-        w.u8(_UNION_NONE)
-    elif type(union) is SlabUnion:
-        w.u8(_UNION_SLAB)
-        write_slab_union(w, union)
-    else:
-        w.u8(_UNION_PICKLE)
-        w.bytes_(pickle.dumps(union, pickle.HIGHEST_PROTOCOL))
-
-
-def read_share_payload(r: Reader) -> SharePayload:
-    host_id = r.i64()
+def read_share_response(r: Reader) -> ShareResponse:
+    # A degenerate region fails ShareResponse's own validation;
+    # ``decode`` turns that into CodecError like any malformed field.
+    peer_id = r.i64()
     generation = r.i64()
-    regions = read_rects(r)
-    pois = read_pois(r)
-    mode = r.u8()
-    if mode == _UNION_NONE:
-        union = None
-    elif mode == _UNION_SLAB:
-        union = read_slab_union(r)
-    elif mode == _UNION_PICKLE:
-        union = pickle.loads(r.bytes_())
-    else:
-        raise CodecError(f"unknown region-union mode {mode}")
-    return SharePayload(
-        host_id=host_id,
-        generation=generation,
-        regions=regions,
-        pois=pois,
-        region_union=union,
-    )
+    return ShareResponse(peer_id, read_rects(r), read_pois(r), generation)
 
 
 def write_overhear_op(w: Writer, op: OverhearOp) -> None:
@@ -394,23 +367,21 @@ def read_record_batch(r: Reader) -> tuple[QueryRecord, ...]:
 # ----------------------------------------------------------------------
 # MobileHost migration records
 # ----------------------------------------------------------------------
-_HOST_STRUCTURED = 0
-_HOST_PICKLED = 1
 _POLICY_DIRECTION = 1
-_POLICY_PICKLE = 2
+# The stateless stock policies are one tag byte each.
+_POLICY_TAG = {LRUPolicy: 2, FIFOPolicy: 3}
+_TAG_POLICY = {tag: cls for cls, tag in _POLICY_TAG.items()}
 
 
 def write_host(w: Writer, host: MobileHost) -> None:
     cache = host.cache
-    if host.standing or cache.tracer is not None:
-        # Standing queries hold monitor-engine objects and tracers
-        # hold open files: both are outside the flat layout.  The
-        # sharded simulator rejects these configurations up front, so
-        # this branch only serves ad-hoc pickling of exotic hosts.
-        w.u8(_HOST_PICKLED)
-        w.bytes_(pickle.dumps(host, pickle.HIGHEST_PROTOCOL))
-        return
-    w.u8(_HOST_STRUCTURED)
+    # Standing queries hold monitor-engine objects and tracers hold
+    # open files: neither has a flat layout, and the sharded simulator
+    # rejects both configurations up front.
+    if host.standing:
+        raise CodecError("a host carrying standing queries has no wire form")
+    if cache.tracer is not None:
+        raise CodecError("a host whose cache is traced has no wire form")
     w.i64(host.host_id)
     (
         capacity,
@@ -425,12 +396,17 @@ def write_host(w: Writer, host: MobileHost) -> None:
         slot_ys,
         mirror,
     ) = cache.codec_state()
-    if type(cache.policy) is DirectionDistancePolicy:
+    policy = cache.policy
+    if type(policy) is DirectionDistancePolicy:
         w.u8(_POLICY_DIRECTION)
-        w.f64(cache.policy.behind_penalty)
+        w.f64(policy.behind_penalty)
+    elif type(policy) in _POLICY_TAG:
+        w.u8(_POLICY_TAG[type(policy)])
     else:
-        w.u8(_POLICY_PICKLE)
-        w.bytes_(pickle.dumps(cache.policy, pickle.HIGHEST_PROTOCOL))
+        raise CodecError(
+            f"replacement policy {type(policy).__name__} has no wire form"
+            " (only the stock policies cross a process boundary)"
+        )
     w.i64(capacity)
     w.i64(max_regions)
     w.u8(1 if incremental else 0)
@@ -452,22 +428,14 @@ def write_host(w: Writer, host: MobileHost) -> None:
 
 
 def read_host(r: Reader) -> MobileHost:
-    mode = r.u8()
-    if mode == _HOST_PICKLED:
-        host = pickle.loads(r.bytes_())
-        if not isinstance(host, MobileHost):
-            raise CodecError("pickled host record is not a MobileHost")
-        return host
-    if mode != _HOST_STRUCTURED:
-        raise CodecError(f"unknown host record mode {mode}")
     host_id = r.i64()
-    policy_mode = r.u8()
-    if policy_mode == _POLICY_DIRECTION:
+    policy_tag = r.u8()
+    if policy_tag == _POLICY_DIRECTION:
         policy = DirectionDistancePolicy(r.f64())
-    elif policy_mode == _POLICY_PICKLE:
-        policy = pickle.loads(r.bytes_())
+    elif policy_tag in _TAG_POLICY:
+        policy = _TAG_POLICY[policy_tag]()
     else:
-        raise CodecError(f"unknown policy mode {policy_mode}")
+        raise CodecError(f"unknown policy tag {policy_tag}")
     capacity = r.i64()
     max_regions = r.i64()
     incremental = bool(r.u8())
@@ -528,7 +496,7 @@ def read_host(r: Reader) -> MobileHost:
 # ----------------------------------------------------------------------
 register(TAG_SLAB_UNION, SlabUnion, write_slab_union, read_slab_union)
 register(
-    TAG_SHARE_PAYLOAD, SharePayload, write_share_payload, read_share_payload
+    TAG_SHARE_PAYLOAD, ShareResponse, write_share_response, read_share_response
 )
 register(TAG_OVERHEAR_OP, OverhearOp, write_overhear_op, read_overhear_op)
 register(TAG_QUERY_RECORD, QueryRecord, write_record, read_record)

@@ -30,7 +30,7 @@ from ..faults import P2PFaultStats
 from ..geometry import Circle, Point, Rect, RectUnion
 from ..model import DEFAULT_CATEGORY, POI
 from ..obs import NO_TRACER
-from ..p2p import SharePayload, ShareRequest, ShareResponse
+from ..p2p import ShareRequest, ShareResponse
 from ..workloads import QueryKind
 from .metrics import QueryRecord
 
@@ -101,52 +101,23 @@ def _pois_per_region(
 class HaloHost:
     """A read-only mirror of a host owned by a neighbouring shard.
 
-    Presents the :meth:`MobileHost.share_response` surface, built from
-    the owner's exported :class:`~repro.p2p.SharePayload` so a query on
-    this shard collects the mirrored host's contribution exactly as the
-    single-process simulator would collect the real host's.  The
-    response is rebuilt only when a payload with a new content
-    generation arrives; the payload's frozen slab union rides along
-    untouched (mirrors never mutate — overheard results destined for
-    the real host are routed to its owner shard instead).
+    Holds the owner's exported :class:`~repro.p2p.ShareResponse` — the
+    very thing the owner would answer a share request with — so a
+    query on this shard collects the mirrored host's contribution
+    exactly as the single-process simulator would collect the real
+    host's.  Mirrors never mutate: overheard results destined for the
+    real host are routed to its owner shard instead.
     """
 
-    __slots__ = ("host_id", "payload", "_response", "_response_generation")
+    __slots__ = ("response",)
 
-    def __init__(self, payload: SharePayload):
-        self.host_id = payload.host_id
-        self.payload = payload
-        self._response: ShareResponse | None = None
-        self._response_generation: int | None = None
+    def __init__(self, response: ShareResponse):
+        self.response = response
 
-    def update(self, payload: SharePayload) -> None:
-        if payload.host_id != self.host_id:
-            raise ValueError(
-                f"payload for host {payload.host_id} applied to mirror"
-                f" of host {self.host_id}"
-            )
-        self.payload = payload
-
-    def share_response(
-        self, request: ShareRequest | None = None
-    ) -> ShareResponse | None:
+    def share_response(self) -> ShareResponse | None:
         """Answer exactly as the mirrored host would (``None`` if empty)."""
-        if request is not None and request.category != DEFAULT_CATEGORY:
-            return None
-        payload = self.payload
-        if payload.generation != self._response_generation:
-            self._response = (
-                None
-                if payload.is_empty
-                else ShareResponse(
-                    self.host_id,
-                    payload.regions,
-                    payload.pois,
-                    payload.generation,
-                )
-            )
-            self._response_generation = payload.generation
-        return self._response
+        response = self.response
+        return None if response.is_empty else response
 
 
 class MobileHost:
@@ -179,36 +150,15 @@ class MobileHost:
         """
         if request is not None and request.category != DEFAULT_CATEGORY:
             return None
-        generation = self.cache.generation
-        if generation != self._share_generation:
-            regions, pois = self.cache.share()
+        if self.cache.generation != self._share_generation:
+            generation, regions, pois = self.cache.frozen_snapshot()
             self._share_memo = (
                 None
                 if not regions and not pois
-                else ShareResponse(
-                    self.host_id, tuple(regions), tuple(pois), generation
-                )
+                else ShareResponse(self.host_id, regions, pois, generation)
             )
             self._share_generation = generation
         return self._share_memo
-
-    def share_payload(self) -> SharePayload:
-        """Export this host's share state for cross-shard mirroring.
-
-        Same content contract as :meth:`share_response` (and the same
-        per-generation memoisation, via the cache's frozen snapshot),
-        plus the frozen copy-on-write slab union — everything a
-        :class:`HaloHost` mirror on a neighbouring shard needs to
-        answer share requests exactly as this host would.
-        """
-        generation, regions, pois, union = self.cache.frozen_snapshot()
-        return SharePayload(
-            host_id=self.host_id,
-            generation=generation,
-            regions=regions,
-            pois=pois,
-            region_union=union,
-        )
 
     # ------------------------------------------------------------------
     def execute_knn(
@@ -346,7 +296,7 @@ class MobileHost:
             return None
         region = Circle(position, radius).inscribed_rect()
         pois = tuple(_pois_from_responses(responses, region, mvr).values())
-        self.cache.insert_result(region, list(pois), now, position, heading)
+        self.cache.insert_result(region, pois, now, position, heading)
         return region, pois
 
     # -- resolution and cache-settlement steps --------------------------
@@ -419,7 +369,7 @@ class MobileHost:
         """Cache settlement of a peer-VERIFIED window query."""
         self.cache.touch((p.poi_id for p in outcome.verified_pois), now)
         self.cache.insert_result(
-            window, list(outcome.verified_pois), now, position, heading
+            window, outcome.verified_pois, now, position, heading
         )
         return outcome.verified_pois
 
@@ -456,7 +406,7 @@ class MobileHost:
         # cache capacity allows").
         shared_regions.extend(_pois_per_region(plan.bonus_regions, downloaded))
         for region, pois in shared_regions:
-            self.cache.insert_result(region, list(pois), now, position, heading)
+            self.cache.insert_result(region, pois, now, position, heading)
         return tuple(shared_regions)
 
     def adopt_window_download(
@@ -480,7 +430,7 @@ class MobileHost:
         ]
         shared_regions.extend(_pois_per_region(bonus_regions, downloaded))
         for region, pois in shared_regions:
-            self.cache.insert_result(region, list(pois), now, position, heading)
+            self.cache.insert_result(region, pois, now, position, heading)
         return tuple(shared_regions)
 
     # ------------------------------------------------------------------

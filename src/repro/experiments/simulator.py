@@ -19,28 +19,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..cache import POICache, ReplacementPolicy
-from ..check import invariants
+from ..cache import ReplacementPolicy
 from ..errors import ExperimentError
 from ..faults import ChannelModel, FaultConfig, P2PFaultStats
-from ..geometry import Point, Rect
-from ..mobility import WaypointFleet
+from ..geometry import Point
 from ..model import POI
 from ..obs import NO_TRACER
-from ..p2p import PeerNetwork, ShareRequest, ShareResponse
+from ..p2p import ShareRequest, ShareResponse
 from ..sim import Environment
-from ..workloads import (
-    ParameterSet,
-    QueryEvent,
-    QueryKind,
-    QueryWorkload,
-    generate_pois,
-)
-from .host import HostQueryResult, MobileHost
+from ..workloads import ParameterSet, QueryEvent, QueryKind, QueryWorkload
+from .host import HostQueryResult
 from .metrics import MetricsCollector
-from .station import BaseStation
-
-SECONDS_PER_HOUR = 3600.0
+from .world import QueryWorld, draw_world
 
 # Position refreshes quantise simulated time into epochs of
 # ``position_refresh_interval``.  Event times are accumulated float
@@ -64,7 +54,7 @@ def refresh_due(t: float, last_refresh: float, interval: float) -> bool:
     return t - last_refresh >= interval - REFRESH_EPSILON
 
 
-class Simulation:
+class Simulation(QueryWorld):
     """A fully wired simulated world for one parameter set."""
 
     def __init__(
@@ -96,21 +86,31 @@ class Simulation:
     ):
         if position_refresh_interval <= 0:
             raise ExperimentError("position_refresh_interval must be positive")
-        self.params = params
-        self.rng = np.random.default_rng(seed)
-        self.accept_approximate = accept_approximate
-        self.min_correctness = min_correctness
+        self.rng, pois, self.fleet = draw_world(
+            params, seed, pois, speed_range_mph, pause_range_s
+        )
+        super().__init__(
+            params,
+            pois,
+            dict(
+                hilbert_order=hilbert_order,
+                bucket_capacity=bucket_capacity,
+                entries_per_index_packet=entries_per_index_packet,
+                m=m,
+                packet_time=packet_time,
+            ),
+            accept_approximate=accept_approximate,
+            min_correctness=min_correctness,
+            p2p_latency=p2p_latency,
+            cache_gossip=cache_gossip,
+            overhear=overhear,
+            max_regions=max_regions,
+            p2p_hops=p2p_hops,
+            enable_sharing=enable_sharing,
+            policy_factory=policy_factory,
+        )
         self.position_refresh_interval = position_refresh_interval
-        self.p2p_latency = p2p_latency
-        self.cache_gossip = cache_gossip
-        self.overhear = overhear
         self.max_responders = max_responders
-        if p2p_hops < 1:
-            raise ExperimentError(f"p2p_hops must be >= 1, got {p2p_hops}")
-        self.p2p_hops = p2p_hops
-        # With sharing disabled the simulator degrades to the pure
-        # on-air system of Zheng et al. — the paper's baseline.
-        self.enable_sharing = enable_sharing
         # Observability is strictly opt-in too: without a tracer the
         # shared no-op tracer is used (no spans, no allocations) and
         # without a registry no metrics are mirrored — tracing never
@@ -127,58 +127,13 @@ class Simulation:
             if fault_config is not None and fault_config.enabled
             else None
         )
-
-        self.pois: list[POI] = (
-            list(pois)
-            if pois is not None
-            else generate_pois(params.bounds, params.poi_number, self.rng)
-        )
-        self.station = BaseStation(
-            self.pois,
-            params.bounds,
-            hilbert_order=hilbert_order,
-            bucket_capacity=bucket_capacity,
-            entries_per_index_packet=entries_per_index_packet,
-            m=m,
-            packet_time=packet_time,
-        )
         if self.faults is not None and fault_config.broadcast_enabled:
             self.station.client.channel = self.faults
-        if self.tracer.enabled:
-            self.station.client.tracer = self.tracer
-        speed_mi_s = (
-            speed_range_mph[0] / SECONDS_PER_HOUR,
-            speed_range_mph[1] / SECONDS_PER_HOUR,
-        )
-        self.fleet = WaypointFleet(
-            params.mh_number,
-            params.bounds,
-            self.rng,
-            speed_range=speed_mi_s,
-            pause_range=pause_range_s,
-        )
-        self.network = PeerNetwork(params.bounds, params.tx_range_mi)
-        # Section 4.1: a host "stores all the verified POIs and their
-        # minimum bounding boxes" — the number of retained regions is
-        # bounded by the POI capacity itself, not by a separate knob.
-        # ``max_regions`` overrides this for the ablation benchmarks.
-        region_cap = (
-            max_regions if max_regions is not None else max(4, params.cache_size)
-        )
         if registry is not None:
             self.network.attach_registry(registry)
-        self.hosts = [
-            MobileHost(
-                i,
-                POICache(
-                    params.cache_size,
-                    policy_factory() if policy_factory is not None else None,
-                    max_regions=region_cap,
-                ),
-            )
-            for i in range(params.mh_number)
-        ]
+        self.hosts = [self._make_host(i) for i in range(params.mh_number)]
         if self.tracer.enabled:
+            self.station.client.tracer = self.tracer
             for host in self.hosts:
                 host.cache.tracer = self.tracer
         self.env = Environment()
@@ -216,6 +171,17 @@ class Simulation:
     def poi_density(self) -> float:
         return self.params.poi_density
 
+    def _responder(self, gid: int):
+        return self.hosts[gid]
+
+    _owned = _responder
+
+    def _owned_hosts(self):
+        return self.hosts
+
+    def _snapshot_rows(self, gids: np.ndarray):
+        return self._xs[gids], self._ys[gids], self._hx[gids], self._hy[gids]
+
     # ------------------------------------------------------------------
     # Query pipeline
     # ------------------------------------------------------------------
@@ -232,12 +198,7 @@ class Simulation:
         """
         if not self.enable_sharing:
             return [], P2PFaultStats()
-        if self.p2p_hops == 1:
-            peer_ids = self.network.peers_of(host_id, position)
-        else:
-            peer_ids = self.network.peers_within_hops(
-                host_id, position, self.p2p_hops
-            )
+        peer_ids = self._peer_ids(host_id, position)
         if (
             self.max_responders is not None
             and peer_ids.size > self.max_responders
@@ -245,22 +206,9 @@ class Simulation:
             peer_ids = self.rng.choice(
                 peer_ids, size=self.max_responders, replace=False
             )
-        responses: list[ShareResponse] = []
-        own = self.hosts[host_id].share_response()
-        if own is not None:
-            responses.append(own)
         if self.faults is None or not self.fault_config.p2p_enabled:
-            received = 0
-            for pid in peer_ids:
-                response = self.hosts[int(pid)].share_response()
-                if response is not None:
-                    responses.append(response)
-                    received += 1
-            self.network.record_responses(received)
-            return responses, P2PFaultStats()
-        return self._collect_responses_faulty(
-            host_id, position, now, peer_ids, responses
-        )
+            return self._gather(host_id, peer_ids), P2PFaultStats()
+        return self._collect_responses_faulty(host_id, position, now, peer_ids)
 
     def _collect_responses_faulty(
         self,
@@ -268,7 +216,6 @@ class Simulation:
         position: Point,
         now: float,
         peer_ids: np.ndarray,
-        responses: list[ShareResponse],
     ) -> tuple[list[ShareResponse], P2PFaultStats]:
         """The unreliable-channel share exchange with retry/backoff.
 
@@ -282,6 +229,8 @@ class Simulation:
         channel = self.faults
         cfg = self.fault_config
         request = ShareRequest(requester_id=host_id, issued_at=now)
+        own = self.hosts[host_id].share_response()
+        responses = [own] if own is not None else []
         drops = retries = misses = 0
         extra_latency = 0.0
         pending: list[int] = []
@@ -374,37 +323,18 @@ class Simulation:
                         deadline_misses=fault_stats.deadline_misses,
                         sim_s=sim_s,
                     )
-            if event.kind is QueryKind.KNN:
-                result = host.execute_knn(
-                    position,
-                    heading,
-                    event.k,
-                    responses,
-                    self.station.client,
-                    self.poi_density,
-                    event.time,
-                    p2p_latency=self.p2p_latency * self.p2p_hops,
-                    accept_approximate=self.accept_approximate,
-                    min_correctness=self.min_correctness,
-                    cache_gossip=self.cache_gossip,
-                    fault_stats=fault_stats,
-                    tracer=tracer if tracer.enabled else None,
-                )
-            else:
-                window = event.window_for(position, self.params.bounds)
-                result = host.execute_window(
-                    position,
-                    heading,
-                    window,
-                    responses,
-                    self.station.client,
-                    event.time,
-                    p2p_latency=self.p2p_latency * self.p2p_hops,
-                    fault_stats=fault_stats,
-                    tracer=tracer if tracer.enabled else None,
-                )
-            if self.overhear and result.shared:
-                self._spread_overheard(event.host_id, result, event.time)
+            result = self._run_query(
+                host,
+                event,
+                position,
+                heading,
+                responses,
+                fault_stats,
+                tracer if tracer.enabled else None,
+            )
+            self._spread_overheard(
+                event.host_id, position, result.shared, event.time
+            )
             if query_span.enabled:
                 record = result.record
                 query_span.set(
@@ -426,45 +356,8 @@ class Simulation:
                             record.covered_fraction_missing
                         ),
                     )
-        if invariants.check_enabled():
-            invariants.check_record(result.record)
-            invariants.check_traffic(self.network)
+        self._check(result.record)
         return result
-
-    def _spread_overheard(
-        self, querier: int, result: HostQueryResult, now: float
-    ) -> None:
-        """Cooperative caching of result sets (after Chow et al. [5]).
-
-        The exchange between the querier and the channel/peers happens
-        on a shared radio medium; single-hop neighbours overhear the
-        certified result and adopt the regions into their own caches,
-        subject to their own capacity and replacement policy.
-        """
-        position = self.host_position(querier)
-        # Overhearing is passive: no share request goes on the air, so
-        # the neighbourhood lookup must not count as p2p traffic.
-        peer_ids = self.network.peers_of(querier, position, count_traffic=False)
-        if peer_ids.size == 0:
-            return
-        # One gather against the fleet snapshot for the whole
-        # neighbourhood (instead of a per-peer Point/heading lookup);
-        # every peer is handed the same shared POI tuples
-        # (insert_result never mutates its input).
-        ids = peer_ids.tolist()
-        xs = self._xs[peer_ids].tolist()
-        ys = self._ys[peer_ids].tolist()
-        hxs = self._hx[peer_ids].tolist()
-        hys = self._hy[peer_ids].tolist()
-        hosts = self.hosts
-        for pid, x, y, hx, hy in zip(ids, xs, ys, hxs, hys):
-            cache = hosts[pid].cache
-            peer_position = Point(x, y)
-            peer_heading = (hx, hy)
-            for region, pois in result.shared:
-                cache.insert_result(
-                    region, pois, now, peer_position, peer_heading
-                )
 
     # ------------------------------------------------------------------
     # Workload runs

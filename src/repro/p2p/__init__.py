@@ -1,6 +1,6 @@
 """Peer-to-peer layer: range-disc discovery and sharing messages."""
 
 from .network import PeerNetwork
-from .protocol import SharePayload, ShareRequest, ShareResponse
+from .protocol import ShareRequest, ShareResponse
 
-__all__ = ["PeerNetwork", "SharePayload", "ShareRequest", "ShareResponse"]
+__all__ = ["PeerNetwork", "ShareRequest", "ShareResponse"]

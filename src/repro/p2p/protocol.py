@@ -40,40 +40,6 @@ class ShareRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class SharePayload:
-    """A host's exported share state, mirrored across shard boundaries.
-
-    This is what crosses a shard boundary once per broadcast cycle (or
-    per event in lockstep mode): the owner's verified-region rectangles
-    and cached POIs — the exact :class:`ShareResponse` content — plus
-    ``region_union``, the *frozen* copy-on-write
-    :class:`~repro.geometry.SlabUnion` snapshot of the owner's slab
-    mirror (see ``POICache.frozen_snapshot``).  ``generation`` stamps
-    the owner's cache content, so a mirror only needs replacing when
-    the stamp moves and downstream ``(peer_id, generation)`` memos stay
-    bit-compatible with a single-process run.
-    """
-
-    host_id: int
-    generation: int
-    regions: tuple[Rect, ...]
-    pois: tuple[POI, ...]
-    region_union: object = None
-
-    def __reduce__(self):
-        # Pickle as one flat codec frame: contiguous rect/POI buffers
-        # plus the slab-structured union, instead of a generic
-        # dataclass object graph (see repro.codec.types).
-        from ..codec import decode, encode
-
-        return (decode, (encode(self),))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.regions and not self.pois
-
-
-@dataclass(frozen=True, slots=True)
 class ShareResponse:
     """One peer's contribution: its VR rectangles and cached POIs.
 
@@ -81,6 +47,10 @@ class ShareResponse:
     (-1 when unknown); responses with the same ``(peer_id, generation)``
     are guaranteed identical, which the query kernels exploit to
     memoise merged verified regions.
+
+    It is also all that crosses a shard boundary for a halo mirror:
+    the *querier* merges the rectangles into the MVR (Algorithm 1
+    line 4), so no pre-merged union travels with them.
     """
 
     peer_id: int

@@ -7,7 +7,12 @@ owning the mobile hosts inside its rectangle.  A coordinator
 (:class:`ShardedSimulation`) owns everything random — the world RNG,
 the POI field, the mobility fleet, and the query workload — and the
 shard workers (:class:`ShardWorld`) own the hosts' caches and execute
-queries against a halo-extended local peer network.
+queries against a halo-extended local peer network, through the same
+pipeline object the single-process simulator runs
+(:class:`~repro.experiments.world.QueryWorld`).  What crosses a shard
+boundary for a halo mirror is the owner's :class:`~repro.p2p.
+ShareResponse` and nothing else; the pipe RPC has an opcode per worker
+method and never pickles.
 
 Determinism contract: in ``exchange="event"`` (lockstep) mode the
 recorded metrics, per-query records, and final cache states are

@@ -19,10 +19,10 @@ crosses the coordinator as one flat buffer — encoded once by its owner
 shard, decoded once by each consumer shard — instead of being pickled
 up and re-pickled down.
 
-Cold methods with no hot-path cost (``traffic_totals``,
-``share_states``, ``owned_count``, ...) fall back to a generic
-pickled call (``OP_CALL_PICKLE``) so the worker surface stays open
-without per-method wire schemas.
+Every worker method has an opcode — the introspection calls
+(``traffic_totals``, ``owned_count``, ``share_states``) included — so
+nothing on the pipe is ever unpickled and the worker never resolves a
+method name read off the wire.
 
 This module deliberately imports only :mod:`repro.codec.core` — the
 type registry loads lazily inside ``encode``/``decode`` — so the shard
@@ -32,13 +32,12 @@ without a cycle.
 
 from __future__ import annotations
 
-import pickle
+from itertools import islice
 
 from ..codec.core import Reader, Writer, decode, encode
 from ..errors import ExperimentError
 
 OP_SHUTDOWN = 0
-OP_CALL_PICKLE = 1
 OP_BEGIN_EPOCH = 2
 OP_TAKE_HOSTS = 3
 OP_GIVE_HOSTS = 4
@@ -46,6 +45,9 @@ OP_SET_HALO = 5
 OP_EXPORT_PAYLOADS = 6
 OP_EXECUTE_BATCH = 7
 OP_APPLY_OPS = 8
+OP_TRAFFIC_TOTALS = 9
+OP_OWNED_COUNT = 10
+OP_SHARE_STATES = 11
 
 STATUS_OK = 0
 STATUS_ERR = 1
@@ -58,6 +60,9 @@ _OPCODES = {
     "export_payloads": OP_EXPORT_PAYLOADS,
     "execute_batch": OP_EXECUTE_BATCH,
     "apply_ops": OP_APPLY_OPS,
+    "traffic_totals": OP_TRAFFIC_TOTALS,
+    "owned_count": OP_OWNED_COUNT,
+    "share_states": OP_SHARE_STATES,
 }
 
 
@@ -72,12 +77,13 @@ class EncodedMobileHost:
 
 
 class EncodedSharePayload:
-    """A halo payload as an opaque codec blob plus its mirror keys."""
+    """A halo payload (an owner's share response) as an opaque codec
+    blob plus its mirror keys."""
 
-    __slots__ = ("host_id", "generation", "blob")
+    __slots__ = ("peer_id", "generation", "blob")
 
-    def __init__(self, host_id: int, generation: int, blob: bytes):
-        self.host_id = host_id
+    def __init__(self, peer_id: int, generation: int, blob: bytes):
+        self.peer_id = peer_id
         self.generation = generation
         self.blob = blob
 
@@ -114,7 +120,9 @@ def shutdown_request() -> bytes:
 
 def encode_request(method: str, args: tuple) -> bytes:
     """One request buffer for a worker-method invocation."""
-    opcode = _OPCODES.get(method, OP_CALL_PICKLE)
+    opcode = _OPCODES.get(method)
+    if opcode is None:
+        raise ExperimentError(f"shard worker has no RPC method {method!r}")
     w = Writer()
     w.u8(opcode)
     if opcode == OP_BEGIN_EPOCH:
@@ -154,9 +162,6 @@ def encode_request(method: str, args: tuple) -> bytes:
         w.u32(len(ops))
         for op in ops:
             w.bytes_(op.blob)
-    else:
-        w.str_(method)
-        w.bytes_(pickle.dumps(args))
     return w.getvalue()
 
 
@@ -176,7 +181,7 @@ def read_ack(data: bytes) -> int:
 
 def decode_response(method: str, data: bytes):
     """Parse a worker response for ``method`` into coordinator objects."""
-    opcode = _OPCODES.get(method, OP_CALL_PICKLE)
+    opcode = _OPCODES[method]
     r = Reader(data)
     _check_status(r)
     if opcode == OP_TAKE_HOSTS:
@@ -192,8 +197,12 @@ def decode_response(method: str, data: bytes):
         result = [_read_outcome(r) for _ in range(r.u32())]
     elif opcode == OP_APPLY_OPS:
         result = _read_dirty(r)
-    elif opcode == OP_CALL_PICKLE:
-        result = pickle.loads(r.bytes_())
+    elif opcode == OP_TRAFFIC_TOTALS:
+        result = (r.i64(), r.i64(), r.i64())
+    elif opcode == OP_OWNED_COUNT:
+        result = r.i64()
+    elif opcode == OP_SHARE_STATES:
+        result = _read_share_states(r)
     else:  # begin_epoch / give_hosts / set_halo_payloads return nothing
         result = None
     r.expect_end()
@@ -203,6 +212,19 @@ def decode_response(method: str, data: bytes):
 def _read_dirty(r: Reader) -> tuple[tuple[int, int], ...]:
     flat = r.i64_array().tolist()
     return tuple(zip(flat[0::2], flat[1::2]))
+
+
+def _read_share_states(r: Reader) -> dict[int, tuple[int, tuple, tuple]]:
+    """Rebuild ``ShardWorld.share_states()`` from its columnar form."""
+    gids, generations, n_rects, n_pois = (
+        r.i64_array().tolist() for _ in range(4)
+    )
+    rects = zip(*[iter(r.f64_array().tolist())] * 4)
+    pois = zip(r.i64_array().tolist(), *[iter(r.f64_array().tolist())] * 2)
+    return {
+        gid: (generation, tuple(islice(rects, nr)), tuple(islice(pois, npoi)))
+        for gid, generation, nr, npoi in zip(gids, generations, n_rects, n_pois)
+    }
 
 
 def _read_outcome(r: Reader) -> RelayedOutcome:
@@ -241,6 +263,20 @@ def _ok() -> Writer:
 
 def _write_dirty(w: Writer, dirty) -> None:
     w.i64_array([value for pair in dirty for value in pair])
+
+
+def _write_share_states(w: Writer, states: dict) -> None:
+    """Columnar (93,300 hosts at full scale): ids, stamps and counts
+    per host, then every rect and every POI in one flat buffer each."""
+    entries = list(states.values())
+    w.i64_array(list(states))
+    w.i64_array([entry[0] for entry in entries])
+    w.i64_array([len(entry[1]) for entry in entries])
+    w.i64_array([len(entry[2]) for entry in entries])
+    w.f64_array([v for entry in entries for rect in entry[1] for v in rect])
+    pois = [poi for entry in entries for poi in entry[2]]
+    w.i64_array([poi[0] for poi in pois])
+    w.f64_array([v for poi in pois for v in poi[1:]])
 
 
 def handle_request(world, data: bytes) -> bytes | None:
@@ -287,7 +323,7 @@ def handle_request(world, data: bytes) -> bytes | None:
             payloads = world.export_payloads(gids, known)
             w.u32(len(payloads))
             for payload in payloads:
-                w.i64(payload.host_id)
+                w.i64(payload.peer_id)
                 w.i64(payload.generation)
                 w.bytes_(encode(payload))
         elif opcode == OP_EXECUTE_BATCH:
@@ -310,11 +346,16 @@ def handle_request(world, data: bytes) -> bytes | None:
             ops = [decode(r.bytes_()) for _ in range(r.u32())]
             r.expect_end()
             _write_dirty(w, world.apply_ops(ops))
-        elif opcode == OP_CALL_PICKLE:
-            method = r.str_()
-            args = pickle.loads(r.bytes_())
+        elif opcode == OP_TRAFFIC_TOTALS:
             r.expect_end()
-            w.bytes_(pickle.dumps(getattr(world, method)(*args)))
+            for total in world.traffic_totals():
+                w.i64(total)
+        elif opcode == OP_OWNED_COUNT:
+            r.expect_end()
+            w.i64(world.owned_count())
+        elif opcode == OP_SHARE_STATES:
+            r.expect_end()
+            _write_share_states(w, world.share_states())
         else:
             raise ExperimentError(f"unknown RPC opcode {opcode}")
         return w.getvalue()

@@ -2,11 +2,12 @@
 
 :class:`ShardedSimulation` is a drop-in for
 :class:`~repro.experiments.Simulation.run_workload` at full Table-3
-scale.  The coordinator owns everything random and replays the
-single-process RNG discipline *exactly* — one ``default_rng(seed)``
-consumed in the same order: POI generation, fleet initialisation, then
-workload event draws interleaved with fleet-refresh draws exactly as
-``Simulation.run_workload`` interleaves them.  Query execution itself
+scale.  The coordinator owns everything random and shares the
+single-process RNG discipline by construction — the same
+:func:`~repro.experiments.world.draw_world` (one ``default_rng(seed)``:
+POI field, then fleet), then workload event draws interleaved with
+fleet-refresh draws at the boundaries the shared ``refresh_due``
+names.  Query execution itself
 never touches the world RNG (faults and responder subsampling are
 rejected in sharded mode), so the shard workers are RNG-free and the
 whole run is a deterministic function of ``(seed, shards, exchange)``.
@@ -41,13 +42,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ExperimentError
-from ..mobility import WaypointFleet
+from ..cache import POICache
+from ..codec.core import encode
+from ..errors import CodecError, ExperimentError
 from ..model import POI
-from ..p2p import SharePayload
-from ..workloads import ParameterSet, QueryKind, QueryWorkload, generate_pois
+from ..p2p import ShareResponse
+from ..workloads import ParameterSet, QueryKind, QueryWorkload
+from ..experiments.host import MobileHost
 from ..experiments.metrics import MetricsCollector
-from ..experiments.simulator import SECONDS_PER_HOUR, refresh_due
+from ..experiments.simulator import refresh_due
+from ..experiments.world import draw_world
 from . import rpc
 from .grid import ShardGrid
 from .worker import EventOutcome, OverhearOp, ShardWorld, shard_worker_main
@@ -197,23 +201,14 @@ class ShardedSimulation:
         self.p2p_hops = p2p_hops
         self.registry = registry
 
-        # --- world RNG, consumed in Simulation.__init__ order --------
-        self.rng = np.random.default_rng(seed)
-        self.pois: list[POI] = (
-            list(pois)
-            if pois is not None
-            else generate_pois(params.bounds, params.poi_number, self.rng)
-        )
-        speed_mi_s = (
-            speed_range_mph[0] / SECONDS_PER_HOUR,
-            speed_range_mph[1] / SECONDS_PER_HOUR,
-        )
-        self.fleet = WaypointFleet(
-            params.mh_number,
-            params.bounds,
-            self.rng,
-            speed_range=speed_mi_s,
-            pause_range=pause_range_s,
+        self.backend = self._resolve_backend(backend)
+        # One more up-front limitation: process shards migrate hosts as
+        # codec frames, which only carry the stock policies.
+        if self.backend == "process" and policy_factory is not None:
+            self._require_wire_policy(policy_factory)
+
+        self.rng, self.pois, self.fleet = draw_world(
+            params, seed, pois, speed_range_mph, pause_range_s
         )
 
         self.grid = ShardGrid(
@@ -239,7 +234,6 @@ class ShardedSimulation:
             enable_sharing=enable_sharing,
             policy_factory=policy_factory,
         )
-        self.backend = self._resolve_backend(backend)
 
         # Coordinator-side exchange bookkeeping.
         self._owner: np.ndarray | None = None
@@ -247,7 +241,7 @@ class ShardedSimulation:
         self._halo_pushed: list[dict[int, int]] = [
             {} for _ in range(self.grid.n)
         ]
-        self._payloads: dict[int, SharePayload] = {}
+        self._payloads: dict[int, ShareResponse] = {}
         self._gen: dict[int, int] = {}
         self._traffic_mirrored = (0, 0, 0)
         self._now = 0.0
@@ -277,6 +271,22 @@ class ShardedSimulation:
         if backend == "auto":
             return "process" if self.shards > 1 else "inprocess"
         return backend
+
+    @staticmethod
+    def _require_wire_policy(policy_factory) -> None:
+        """Refuse, before any worker exists, a policy that cannot migrate.
+
+        Process shards move hosts as codec frames, and only the stock
+        replacement policies have a wire form; the probe is the codec
+        itself, so there is no second list of what it accepts.
+        """
+        try:
+            encode(MobileHost(0, POICache(1, policy_factory())))
+        except CodecError as exc:
+            raise ExperimentError(
+                f"the process shard backend cannot run this policy_factory:"
+                f" {exc} (use backend='inprocess' or a single process)"
+            ) from exc
 
     def _spawn_workers(self, config: dict) -> None:
         """Fill ``self._workers`` in place (a partial list stays closable)."""
@@ -407,9 +417,9 @@ class ShardedSimulation:
                 for g in gids
             ]
             for payload in workers[src].call("export_payloads", gids, known):
-                self._payloads[payload.host_id] = payload
-                self._gen[payload.host_id] = payload.generation
-        by_shard: dict[int, list[SharePayload]] = defaultdict(list)
+                self._payloads[payload.peer_id] = payload
+                self._gen[payload.peer_id] = payload.generation
+        by_shard: dict[int, list[ShareResponse]] = defaultdict(list)
         for shard_id, gid, generation in plan:
             by_shard[shard_id].append(self._payloads[gid])
             self._halo_pushed[shard_id][gid] = generation
@@ -522,11 +532,7 @@ class ShardedSimulation:
     def traffic_totals(self) -> tuple[int, int, int]:
         """Fleet-wide (requests_sent, peers_heard, responses_received)."""
         totals = [worker.call("traffic_totals") for worker in self._workers]
-        return (
-            sum(t[0] for t in totals),
-            sum(t[1] for t in totals),
-            sum(t[2] for t in totals),
-        )
+        return tuple(map(sum, zip(*totals)))
 
     def _mirror_traffic(self) -> None:
         if self.registry is None:

@@ -4,15 +4,17 @@ A :class:`ShardWorld` owns the :class:`~repro.experiments.host.
 MobileHost` objects (caches included) of every host inside its tile,
 plus read-only :class:`~repro.experiments.host.HaloHost` mirrors of
 the foreign hosts inside its halo band.  It executes query events with
-the *same* host pipeline as the single-process simulator — the only
-differences are mechanical:
+the *same* pipeline object as the single-process simulator
+(:class:`~repro.experiments.world.QueryWorld`) — the only differences
+are mechanical:
 
 * peer discovery runs on a shard-local :class:`~repro.p2p.PeerNetwork`
   in id-mapped mode over the owned + halo rows (identical world bounds
   and cell size, rows sorted by global id, so neighbour sets AND their
   enumeration order match the full-fleet grid restricted to the local
   subset);
-* share responses of halo peers come from their mirrored payloads;
+* share responses of halo peers are the owner's exported
+  :class:`~repro.p2p.ShareResponse`, held by the mirror;
 * overheard results destined for halo peers become
   :class:`OverhearOp` messages routed to the owner shard instead of
   direct cache inserts.
@@ -22,73 +24,39 @@ The worker never touches an RNG — every random draw in the system
 execution is a pure function of the messages it receives.
 
 ``shard_worker_main`` is the subprocess entry point: a blocking RPC
-loop over a :mod:`multiprocessing` pipe, one ``(method, args)`` tuple
-per request.  The in-process backend calls the same methods directly.
+loop over a :mod:`multiprocessing` pipe, one binary request buffer per
+call.  The in-process backend calls the same methods directly.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import ExperimentError
-from ..cache import POICache
-from ..check import invariants
 from ..geometry import Point
-from ..model import POI
-from ..p2p import PeerNetwork, SharePayload, ShareResponse
+from ..p2p import ShareResponse
 from ..mobility import ShardFleetSoA
-from ..workloads import ParameterSet, QueryEvent, QueryKind
+from ..workloads import QueryEvent
 from ..experiments.host import HaloHost, MobileHost
-from ..experiments.station import BaseStation
-from .messages import EventOutcome, OverhearOp, SharedRegions
+from ..experiments.world import QueryWorld
+from .messages import EventOutcome, OverhearOp
 
 __all__ = [
     "EventOutcome",
     "OverhearOp",
-    "SharedRegions",
     "ShardWorld",
     "shard_worker_main",
 ]
 
 
-class ShardWorld:
+class ShardWorld(QueryWorld):
     """The executable state of one spatial shard."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        params: ParameterSet,
-        pois: Sequence[POI],
-        station_kwargs: dict,
-        accept_approximate: bool = True,
-        min_correctness: float = 0.5,
-        p2p_latency: float = 0.05,
-        cache_gossip: bool = True,
-        overhear: bool = True,
-        max_regions: int | None = None,
-        p2p_hops: int = 1,
-        enable_sharing: bool = True,
-        policy_factory=None,
-    ):
+    def __init__(self, shard_id: int, **settings):
+        super().__init__(**settings)
         self.shard_id = shard_id
-        self.params = params
-        self.pois = list(pois)
-        # Every shard builds an identical base-station replica: the
-        # station is a pure function of the POI field and its knobs
-        # (no RNG), so replication costs memory, not determinism.
-        self.station = BaseStation(self.pois, params.bounds, **station_kwargs)
-        self.accept_approximate = accept_approximate
-        self.min_correctness = min_correctness
-        self.p2p_latency = p2p_latency
-        self.cache_gossip = cache_gossip
-        self.overhear = overhear
-        self.p2p_hops = p2p_hops
-        self.enable_sharing = enable_sharing
-        self.policy_factory = policy_factory
-        self.region_cap = (
-            max_regions if max_regions is not None else max(4, params.cache_size)
-        )
-        self.network = PeerNetwork(params.bounds, params.tx_range_mi)
         self.hosts: dict[int, MobileHost] = {}
         self.mirrors: dict[int, HaloHost] = {}
         self.soa: ShardFleetSoA | None = None
@@ -97,16 +65,6 @@ class ShardWorld:
     # ------------------------------------------------------------------
     # Epoch lifecycle
     # ------------------------------------------------------------------
-    def _make_host(self, gid: int) -> MobileHost:
-        return MobileHost(
-            gid,
-            POICache(
-                self.params.cache_size,
-                self.policy_factory() if self.policy_factory is not None else None,
-                max_regions=self.region_cap,
-            ),
-        )
-
     def take_hosts(self, gids: Sequence[int]) -> list[MobileHost]:
         """Release hosts migrating out (their tile is now foreign)."""
         out = []
@@ -159,33 +117,31 @@ class ShardWorld:
             gid: mirror for gid, mirror in self.mirrors.items() if gid in halo
         }
         for gid, mirror in self.mirrors.items():
-            soa.record_generation(gid, mirror.payload.generation)
+            soa.record_generation(gid, mirror.response.generation)
         self.soa = soa
         self.network.update_positions(soa.xs, soa.ys, ids=soa.ids)
         self._epoch += 1
 
-    def set_halo_payloads(self, payloads: Sequence[SharePayload]) -> None:
-        """Install/refresh halo mirrors from owner-exported payloads."""
+    def set_halo_payloads(self, payloads: Sequence[ShareResponse]) -> None:
+        """Install/refresh halo mirrors from owner-exported responses."""
         soa = self.soa
-        for payload in payloads:
-            mirror = self.mirrors.get(payload.host_id)
-            if mirror is None:
-                self.mirrors[payload.host_id] = HaloHost(payload)
-            else:
-                mirror.update(payload)
-            if soa is not None and payload.host_id in soa:
-                soa.record_generation(payload.host_id, payload.generation)
+        for response in payloads:
+            gid = response.peer_id
+            self.mirrors[gid] = HaloHost(response)
+            if soa is not None and gid in soa:
+                soa.record_generation(gid, response.generation)
 
     def export_payloads(
         self, gids: Sequence[int], known: Sequence[int]
-    ) -> list[SharePayload]:
-        """Payloads of owned hosts whose generation moved past ``known``.
+    ) -> list[ShareResponse]:
+        """Share responses of owned hosts whose generation moved past ``known``.
 
         ``known[i]`` is the caller's last seen generation for
-        ``gids[i]`` (-1 for never); unchanged hosts are skipped, and a
-        re-export of an unchanged host costs nothing anyway — the
-        payload is memoised per generation inside the cache
-        (``POICache.frozen_snapshot``).
+        ``gids[i]`` (-1 for never); unchanged hosts are skipped.  What
+        crosses the seam is exactly what the owner would answer a
+        peer with (memoised per generation inside the host); a host
+        with nothing to share exports an empty response so the caller
+        still learns its generation stamp.
         """
         out = []
         for gid, known_generation in zip(gids, known):
@@ -194,93 +150,35 @@ class ShardWorld:
                 raise ExperimentError(
                     f"shard {self.shard_id} asked to export foreign host {gid}"
                 )
-            if host.cache.generation != known_generation:
-                out.append(host.share_payload())
+            generation = host.cache.generation
+            if generation != known_generation:
+                response = host.share_response()
+                if response is None:
+                    response = ShareResponse(host.host_id, (), (), generation)
+                out.append(response)
         return out
 
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
     def _responder(self, gid: int):
-        host = self.hosts.get(gid)
-        if host is not None:
-            return host
-        mirror = self.mirrors.get(gid)
-        if mirror is not None:
-            return mirror
         # A peer inside the radio disc of an owned host is inside the
         # halo band by construction; an unsynced mirror is an empty
         # cache (nothing exported yet), which answers nothing — the
         # same as a real host that has cached nothing.
-        return None
+        return self.hosts.get(gid) or self.mirrors.get(gid)
 
-    def _collect_responses(
-        self, host_id: int, position: Point
-    ) -> list[ShareResponse]:
-        if not self.enable_sharing:
-            return []
-        if self.p2p_hops == 1:
-            peer_ids = self.network.peers_of(host_id, position)
-        else:
-            peer_ids = self.network.peers_within_hops(
-                host_id, position, self.p2p_hops
-            )
-        responses: list[ShareResponse] = []
-        own = self.hosts[host_id].share_response()
-        if own is not None:
-            responses.append(own)
-        received = 0
-        for pid in peer_ids.tolist():
-            responder = self._responder(pid)
-            if responder is None:
-                continue
-            response = responder.share_response()
-            if response is not None:
-                responses.append(response)
-                received += 1
-        self.network.record_responses(received)
-        return responses
+    def _owned(self, gid: int) -> MobileHost | None:
+        return self.hosts.get(gid)
 
-    def _spread_overheard(
-        self, querier: int, shared: SharedRegions, now: float, event_index: int
-    ) -> tuple[list[OverhearOp], list[int]]:
-        """Adopt overheard results locally; emit ops for halo peers.
+    def _owned_hosts(self):
+        return self.hosts.values()
 
-        Owned neighbours adopt immediately (the single-process order —
-        caches are disjoint, so splitting owned/remote cannot reorder
-        anything observable); foreign neighbours get one op each,
-        replayed by their owner before the next event (lockstep mode)
-        or at the next cycle boundary.
-        """
+    def _snapshot_rows(self, gids: np.ndarray):
         soa = self.soa
-        position = soa.position_of(querier)
-        peer_ids = self.network.peers_of(querier, position, count_traffic=False)
-        remote_ops: list[OverhearOp] = []
-        touched: list[int] = []
-        if peer_ids.size == 0:
-            return remote_ops, touched
-        hosts = self.hosts
-        # Every peer is handed the same shared POI tuples:
-        # insert_result never mutates its input.
-        for pid in peer_ids.tolist():
-            local = soa.local_of(pid)
-            x = float(soa.xs[local])
-            y = float(soa.ys[local])
-            heading = (float(soa.hx[local]), float(soa.hy[local]))
-            host = hosts.get(pid)
-            if host is not None:
-                peer_position = Point(x, y)
-                cache = host.cache
-                for region, pois in shared:
-                    cache.insert_result(
-                        region, pois, now, peer_position, heading
-                    )
-                touched.append(pid)
-            else:
-                remote_ops.append(
-                    OverhearOp(event_index, pid, now, (x, y), heading, shared)
-                )
-        return remote_ops, touched
+        # Snapshot rows are sorted by ascending global id.
+        rows = np.searchsorted(soa.ids, gids)
+        return soa.xs[rows], soa.ys[rows], soa.hx[rows], soa.hy[rows]
 
     def _stamp_dirty(
         self, touched: Sequence[int]
@@ -288,11 +186,7 @@ class ShardWorld:
         """(gid, generation) for touched owned hosts that truly changed."""
         soa = self.soa
         dirty: list[tuple[int, int]] = []
-        seen: set[int] = set()
-        for gid in touched:
-            if gid in seen:
-                continue
-            seen.add(gid)
+        for gid in dict.fromkeys(touched):  # each host once, first-touch order
             generation = self.hosts[gid].cache.generation
             if generation != soa.generation_of(gid):
                 soa.record_generation(gid, generation)
@@ -300,60 +194,41 @@ class ShardWorld:
         return tuple(dirty)
 
     def execute_event(self, event: QueryEvent, event_index: int) -> EventOutcome:
-        """Run one query event; mirrors ``Simulation.execute_query``."""
-        host = self.hosts.get(event.host_id)
+        """Run one query event through the shared pipeline.
+
+        Owned neighbours adopt an overheard result immediately (the
+        single-process order); foreign neighbours get one
+        :class:`OverhearOp` each, replayed by their owner before the
+        next event (lockstep mode) or at the next cycle boundary.
+        """
+        gid = event.host_id
+        host = self.hosts.get(gid)
         if host is None:
             raise ExperimentError(
-                f"event for host {event.host_id} routed to shard"
+                f"event for host {gid} routed to shard"
                 f" {self.shard_id}, which does not own it"
             )
-        soa = self.soa
-        position = soa.position_of(event.host_id)
-        heading = soa.heading_of(event.host_id)
-        responses = self._collect_responses(event.host_id, position)
-        if event.kind is QueryKind.KNN:
-            result = host.execute_knn(
-                position,
-                heading,
-                event.k,
-                responses,
-                self.station.client,
-                self.params.poi_density,
-                event.time,
-                p2p_latency=self.p2p_latency * self.p2p_hops,
-                accept_approximate=self.accept_approximate,
-                min_correctness=self.min_correctness,
-                cache_gossip=self.cache_gossip,
-            )
-        else:
-            window = event.window_for(position, self.params.bounds)
-            result = host.execute_window(
-                position,
-                heading,
-                window,
-                responses,
-                self.station.client,
-                event.time,
-                p2p_latency=self.p2p_latency * self.p2p_hops,
-            )
-        remote_ops: list[OverhearOp] = []
-        touched: list[int] = [event.host_id]
-        if self.overhear and result.shared:
-            shared = tuple(
-                (region, tuple(pois)) for region, pois in result.shared
-            )
-            remote_ops, overheard = self._spread_overheard(
-                event.host_id, shared, event.time, event_index
-            )
-            touched.extend(overheard)
-        if invariants.check_enabled():
-            invariants.check_record(result.record)
-            invariants.check_traffic(self.network)
+        position = self.soa.position_of(gid)
+        responses = (
+            self._gather(gid, self._peer_ids(gid, position))
+            if self.enable_sharing
+            else []
+        )
+        result = self._run_query(
+            host, event, position, self.soa.heading_of(gid), responses
+        )
+        shared = result.shared
+        now = event.time
+        adopted, foreign = self._spread_overheard(gid, position, shared, now)
+        self._check(result.record)
         return EventOutcome(
             event_index=event_index,
             record=result.record,
-            remote_ops=tuple(remote_ops),
-            dirty=self._stamp_dirty(touched),
+            remote_ops=tuple(
+                OverhearOp(event_index, pid, now, xy, heading, shared)
+                for pid, xy, heading in foreign
+            ),
+            dirty=self._stamp_dirty([gid, *adopted]),
         )
 
     def execute_batch(
@@ -378,38 +253,10 @@ class ShardWorld:
             cache = host.cache
             for region, pois in op.shared:
                 cache.insert_result(
-                    region, list(pois), op.now, peer_position, op.heading
+                    region, pois, op.now, peer_position, op.heading
                 )
             touched.append(op.target)
         return self._stamp_dirty(touched)
-
-    # ------------------------------------------------------------------
-    # Introspection / merging
-    # ------------------------------------------------------------------
-    def traffic_totals(self) -> tuple[int, int, int]:
-        network = self.network
-        return (
-            network.requests_sent,
-            network.peers_heard,
-            network.responses_received,
-        )
-
-    def share_states(self) -> dict[int, tuple[int, tuple, tuple]]:
-        """Final observable cache state of every owned host.
-
-        ``{gid: (generation, region tuples, (poi_id, x, y) triples)}``
-        — the referee fingerprint the differential suite compares.
-        """
-        out = {}
-        for gid in sorted(self.hosts):
-            cache = self.hosts[gid].cache
-            regions, pois = cache.share()
-            out[gid] = (
-                cache.generation,
-                tuple(r.as_tuple() for r in regions),
-                tuple((p.poi_id, p.x, p.y) for p in pois),
-            )
-        return out
 
     def owned_count(self) -> int:
         return len(self.hosts)

@@ -31,6 +31,7 @@ from repro.codec.core import (
 from repro.codec.fuzz import run_codec_fuzz
 from repro.codec.types import encode_records
 from repro.codec.values import read_value, write_value
+from repro.cache import FIFOPolicy, LRUPolicy
 from repro.cache.store import POICache
 from repro.core import Resolution
 from repro.experiments.host import MobileHost
@@ -38,7 +39,8 @@ from repro.experiments.metrics import QueryRecord
 from repro.geometry import Point, Rect
 from repro.geometry.slabunion import SlabUnion
 from repro.model import POI
-from repro.p2p.protocol import SharePayload
+from repro.obs import NO_TRACER
+from repro.p2p.protocol import ShareResponse
 from repro.shard.messages import EventOutcome, OverhearOp
 from repro.workloads.queries import QueryEvent, QueryKind
 
@@ -80,13 +82,15 @@ def slab_unions(draw):
 
 @st.composite
 def payloads(draw):
-    return SharePayload(
-        host_id=draw(small_int),
+    # A halo payload is the owner's ShareResponse, which (like the
+    # cache behind it) never carries a degenerate verified region.
+    proper = rects().filter(lambda rect: not rect.is_degenerate())
+    return ShareResponse(
+        peer_id=draw(small_int),
+        regions=tuple(draw(st.lists(proper, max_size=4))),
+        pois=tuple(draw(st.lists(pois(), max_size=6))),
         # generation=0: a host that has never shared anything yet.
         generation=draw(st.one_of(st.just(0), small_int)),
-        regions=tuple(draw(st.lists(rects(), max_size=4))),
-        pois=tuple(draw(st.lists(pois(), max_size=6))),
-        region_union=draw(st.one_of(st.none(), slab_unions())),
     )
 
 
@@ -207,11 +211,7 @@ def test_empty_slab_union_roundtrip():
 @given(payloads())
 def test_share_payload_roundtrip(payload):
     assert_both_roundtrips(payload)
-    clone = decode(encode(payload))
-    assert clone.host_id == payload.host_id
-    assert clone.generation == payload.generation
-    assert clone.regions == payload.regions
-    assert clone.pois == payload.pois
+    assert decode(encode(payload)) == payload
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,20 +263,22 @@ def test_value_codec_roundtrip(value):
         assert type(clone) is type(value)
 
 
-def test_host_roundtrip_is_bit_identical():
-    cache = POICache(capacity=32, max_regions=4)
-    now = 0.0
-    for i in range(6):
-        region = Rect(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0)
-        batch = [
-            POI(100 * i + j, Point(10.0 * i + j, float(j)))
-            for j in range(4)
-        ]
+def warm_host(policy=None) -> MobileHost:
+    cache = POICache(capacity=8, policy=policy, max_regions=4)
+    for i in range(5):  # the last inserts evict through the policy
         cache.insert_result(
-            region, batch, now + i, Point(10.0 * i, 4.0), (1.0, 0.0)
+            Rect(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0),
+            [POI(10 * i + j, Point(10.0 * i + j, float(j))) for j in range(3)],
+            float(i),
+            Point(10.0 * i, 4.0),
+            (1.0, 0.0),
         )
-    host = MobileHost(7, cache)
-    host.share_payload()  # populate the lazy mirror before snapshotting
+    return MobileHost(7, cache)
+
+
+def test_host_roundtrip_is_bit_identical():
+    host = warm_host()
+    host.cache.region_union  # materialise the lazy mirror before snapshotting
     original = encode(host)
     assert encode(decode(original)) == original
     assert encode(pickle.loads(pickle.dumps(host))) == original
@@ -285,17 +287,68 @@ def test_host_roundtrip_is_bit_identical():
     assert clone.cache.pois == host.cache.pois
 
 
+@pytest.mark.parametrize("policy_cls", [LRUPolicy, FIFOPolicy])
+def test_stock_policy_hosts_cross_without_pickle(policy_cls, monkeypatch):
+    host = warm_host(policy_cls())
+
+    def no_pickle(*args, **kwargs):
+        raise AssertionError("the host codec must not pickle")
+
+    monkeypatch.setattr(pickle, "dumps", no_pickle)
+    monkeypatch.setattr(pickle, "loads", no_pickle)
+    original = encode(host)
+    clone = decode(original)
+    assert type(clone.cache.policy) is policy_cls
+    assert encode(clone) == original
+
+
+def test_hosts_without_a_wire_form_are_refused():
+    class HomeGrownPolicy(LRUPolicy):
+        pass
+
+    with pytest.raises(CodecError, match="HomeGrownPolicy"):
+        encode(warm_host(HomeGrownPolicy()))
+    standing = warm_host()
+    standing.standing[1] = object()
+    with pytest.raises(CodecError, match="standing"):
+        encode(standing)
+    traced = warm_host()
+    traced.cache.tracer = NO_TRACER
+    with pytest.raises(CodecError, match="traced"):
+        encode(traced)
+
+
+def test_halo_payload_is_just_the_share_response():
+    # header | peer id, generation | rect buffer | POI id/x/y buffers
+    # and the category flag: nothing else (no slab-union section).
+    response = warm_host().share_response()
+    n_regions, n_pois = len(response.regions), len(response.pois)
+    assert n_regions and n_pois
+    assert len(encode(response)) == (
+        HEADER_SIZE + 16 + (4 + 32 * n_regions) + 3 * (4 + 8 * n_pois) + 1
+    )
+
+
+def test_degenerate_region_in_a_payload_frame_is_a_codec_error():
+    frame = bytearray(encode(SAMPLE_OBJECTS[1]))
+    # The sample's single region starts after header, ids and the rect
+    # count; copy x1 over x2 so the decoded region has zero width.
+    x1 = HEADER_SIZE + 16 + 4
+    frame[x1 + 16:x1 + 24] = frame[x1:x1 + 8]
+    with pytest.raises(CodecError, match="degenerate"):
+        decode(bytes(frame))
+
+
 # ----------------------------------------------------------------------
 # Rejection: hostile bytes only ever raise CodecError
 # ----------------------------------------------------------------------
 SAMPLE_OBJECTS = [
     SlabUnion().insert_rect(Rect(0.0, 0.0, 4.0, 4.0)),
-    SharePayload(
-        host_id=1,
-        generation=2,
+    ShareResponse(
+        peer_id=1,
         regions=(Rect(0.0, 0.0, 1.0, 1.0),),
         pois=(POI(3, Point(0.5, 0.5)),),
-        region_union=None,
+        generation=2,
     ),
     OverhearOp(1, 2, 3.0, (0.0, 0.0), (1.0, 0.0), ()),
     QueryRecord(

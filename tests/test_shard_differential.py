@@ -19,10 +19,11 @@ import warnings
 
 import pytest
 
+from repro.cache import DirectionDistancePolicy, LRUPolicy
 from repro.errors import ExperimentError
 from repro.experiments import Simulation
 from repro.faults import FaultConfig
-from repro.shard import ShardedSimulation
+from repro.shard import ShardedSimulation, ShardWorld, rpc
 from repro.workloads import (
     RIVERSIDE_COUNTY,
     QueryKind,
@@ -35,19 +36,6 @@ def tenth_scale_params():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalingClampWarning)
         return scaled_parameters(RIVERSIDE_COUNTY, 0.1)
-
-
-def single_process_states(sim):
-    """The same share-payload fingerprint ShardWorld.share_states emits."""
-    out = {}
-    for host in sim.hosts:
-        regions, pois = host.cache.share()
-        out[host.host_id] = (
-            host.cache.generation,
-            tuple(region.as_tuple() for region in regions),
-            tuple((poi.poi_id, poi.x, poi.y) for poi in pois),
-        )
-    return out
 
 
 @pytest.mark.parametrize("kind", [QueryKind.KNN, QueryKind.WINDOW])
@@ -68,7 +56,7 @@ def test_lockstep_bit_identical(kind, hops):
             base_collector.records, sharded_collector.records
         ):
             assert reference == candidate
-        assert single_process_states(base) == sharded.share_states()
+        assert base.share_states() == sharded.share_states()
         assert sharded.traffic_totals() == (
             base.network.requests_sent,
             base.network.peers_heard,
@@ -128,7 +116,11 @@ def test_sharded_mode_rejects_unshardable_features():
 
 
 def _failing_policy_factory():
-    raise RuntimeError("policy factory exploded inside the worker")
+    # The coordinator probes the factory once before spawning (wire-form
+    # check); this one only explodes where the test wants it to.
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError("policy factory exploded inside the worker")
+    return DirectionDistancePolicy()
 
 
 @pytest.mark.parametrize(
@@ -146,3 +138,65 @@ def test_failed_construction_leaves_no_worker_processes(broken):
             backend="process", **broken,
         )
     assert multiprocessing.active_children() == []
+
+
+def test_cycle_lru_policy_deterministic_across_backends():
+    # LRUPolicy hosts migrate through their one-byte policy tag, and the
+    # introspection calls through their own opcodes: both backends must
+    # agree on every observable.
+    params = tenth_scale_params()
+    runs = []
+    for backend in ("inprocess", "process"):
+        with ShardedSimulation(
+            params, seed=7, shards=4, exchange="cycle", backend=backend,
+            policy_factory=LRUPolicy,
+        ) as sim:
+            collector = sim.run_workload(QueryKind.KNN, 10, 80)
+            runs.append(
+                (
+                    collector.records,
+                    sim.share_states(),
+                    sim.traffic_totals(),
+                    sim.owned_counts(),
+                )
+            )
+            if backend == "inprocess":
+                # Exporting a halo payload no longer materialises the
+                # owner's slab mirror.
+                assert all(
+                    host.cache._mirror is None
+                    for worker in sim._workers
+                    for host in worker.world.hosts.values()
+                )
+    assert runs[0] == runs[1]
+    assert sum(runs[0][3]) == params.mh_number
+
+
+def test_unknown_rpc_method_rejected_before_the_pipe():
+    with pytest.raises(ExperimentError, match="no RPC method"):
+        rpc.encode_request("drop_all_hosts", ())
+
+
+class _HomeGrownPolicy(LRUPolicy):
+    """Not a stock policy: no wire form."""
+
+
+def test_custom_policy_needs_an_inprocess_backend():
+    params = tenth_scale_params()
+    with pytest.raises(ExperimentError, match="_HomeGrownPolicy"):
+        ShardedSimulation(
+            params, seed=0, shards=4, exchange="cycle", backend="process",
+            policy_factory=_HomeGrownPolicy,
+        )
+    assert multiprocessing.active_children() == []
+    with ShardedSimulation(
+        params, seed=0, shards=4, exchange="cycle", backend="inprocess",
+        policy_factory=_HomeGrownPolicy,
+    ) as sim:
+        assert len(sim.run_workload(QueryKind.KNN, 0, 20).records) == 20
+
+
+def test_one_pipeline_under_both_worlds():
+    # Structural guard: the query pipeline cannot quietly fork again.
+    for name in ("_peer_ids", "_gather", "_run_query", "_spread_overheard"):
+        assert getattr(Simulation, name) is getattr(ShardWorld, name), name

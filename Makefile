@@ -49,6 +49,10 @@ lint:
 	@! grep -rIn '\<Share[P]ayload\>\|share[_]payload\|region[_]union=' src
 	@! grep -rIn 'OP_CALL[_]PICKLE\|[_]PICKLE\|import[ ]pickle' \
 		src/repro/shard src/repro/codec/types.py
+	@echo ">> the merged MVR stays a per-query transient, the collector policy has one definition"
+	@! grep -rIn 'delta[_]merges\|[_]memo: Ordered[D]ict' src
+	@! grep -rIn '__del[_]_\|weak[r]ef' src/repro
+	@test "$$(grep -rI 'set[_]threshold' src | wc -l)" -eq 1
 
 test:
 	@echo ">> tier-1 tests"

@@ -150,8 +150,8 @@ class POICache:
         # "rebuild from region_rects on next access".
         self._mirror: SlabUnion | None = None
         # Monotone content stamp: bumped whenever the POI set or the
-        # verified regions change, so share responses and merged MVRs
-        # can be memoised on (host, generation) and stay sound.
+        # verified regions change, so share responses can be memoised
+        # on (host, generation) and stay sound.
         self.generation = 0
         # Optional repro.obs.Tracer; when set (and enabled) every
         # insert_result emits a ``cache.insert`` span nested under the
@@ -255,9 +255,9 @@ class POICache:
         eviction with region shrinking.
 
         The content generation moves at most once per call, however
-        many POIs, regions, and evictions the call touches — share
-        responses and merged-MVR memos key on the generation, so a
-        double bump would invalidate them twice for one change.
+        many POIs, regions, and evictions the call touches — the
+        share-response memo and the halo sync key on the generation,
+        so a double bump would invalidate them twice for one change.
         """
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
@@ -337,9 +337,9 @@ class POICache:
                 # :meth:`_coalesce_regions` would.  A newcomer inside
                 # an incumbent changes neither the region list nor
                 # the union — skip the append *and* the generation
-                # bump (nothing observable moved, so share responses
-                # and merged-MVR memos stay valid, which is exactly
-                # what the memo keys exist to exploit).  Otherwise
+                # bump (nothing observable moved, so the memoised
+                # share response stays valid, which is exactly what
+                # the stamp exists to exploit).  Otherwise
                 # drop any incumbents the newcomer covers and
                 # binary-insert it into the area-descending order,
                 # ties landing behind, where the stable full-scan

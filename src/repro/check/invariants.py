@@ -18,6 +18,8 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -212,13 +214,16 @@ def check_union(
     """A merged region's fast reads against the pure-Python slab sweep.
 
     A bulk-built :class:`~repro.geometry.SlabUnion` answers
-    ``contains_point`` and ``distance_to_boundary`` from its members
-    and the coverage grid without building slabs, and — given a
-    ``window`` — ``covers_rect`` and ``subtract_from_rect`` from the
-    members the window meets; all four must equal what the sweep-built
-    slab structure of the same members says, bit for bit (Lemma 3.1
-    turns on ``distance <= boundary distance``; the remainder
-    rectangles pick the broadcast buckets).
+    ``contains_point``, ``contains_points`` and
+    ``distance_to_boundary`` from its members and the coverage grid
+    without building slabs, and — given a ``window`` — ``covers_rect``
+    and ``subtract_from_rect`` from the members the window meets; all
+    five must equal what the sweep-built slab structure of the same
+    members says, bit for bit (Lemma 3.1 turns on ``distance <=
+    boundary distance``; the remainder rectangles pick the broadcast
+    buckets).  The containment mask is probed where cuts cross: each
+    member's corners, its cuts against the next member's, and the
+    midpoint between the two (a cell interior, often a hole).
     Unions past their first subtraction have no member list and no
     lazy state, and are skipped.
     """
@@ -243,6 +248,18 @@ def check_union(
         raise InvariantViolation(
             f"union contains_point({point.x!r}, {point.y!r}) is {inside},"
             f" the slab sweep says {expected}"
+        )
+    pxs, pys = [point.x], [point.y]
+    for r, s in zip(members, members[1:] + members[:1]):
+        pxs += (r.x1, r.x2, r.x1, s.x2, (r.x1 + s.x2) / 2.0)
+        pys += (r.y1, r.y2, s.y2, r.y1, (r.y1 + s.y2) / 2.0)
+    mask = union.contains_points(np.array(pxs), np.array(pys)).tolist()
+    expected = [slabs_contains_point(xs, slabs, x, y) for x, y in zip(pxs, pys)]
+    if mask != expected:
+        at = next(i for i, (a, b) in enumerate(zip(mask, expected)) if a != b)
+        raise InvariantViolation(
+            f"union contains_points at ({pxs[at]!r}, {pys[at]!r}) is"
+            f" {mask[at]}, the slab sweep says {expected[at]}"
         )
     if window is not None:
         covered = union.covers_rect(window)

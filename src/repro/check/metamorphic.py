@@ -30,12 +30,15 @@ import math
 import random
 from typing import Sequence
 
+import numpy as np
+
 from ..broadcast import OnAirClient
 from ..geometry import Point, Rect, RectUnion, SlabUnion
 from ..geometry.region import (
     grid_boundary_coord_arrays,
     grid_slabs,
     slabs_boundary_coord_arrays,
+    slabs_contains_point,
     sweep_slabs,
 )
 from ..model import POI
@@ -330,6 +333,8 @@ def grid_vs_sweep(rects: Sequence[Rect]) -> list[str]:
     * ``grid_slabs`` equals ``sweep_slabs`` (canonical structure);
     * the grid's boundary arrays hold the same segment multiset as the
       slab boundary pass over the sweep's structure;
+    * a fresh union's batch containment mask equals the sweep's
+      predicate on and one ulp around the cut crossings;
     * a lazily built :class:`~repro.geometry.SlabUnion` answers
       containment, boundary distance, window coverage and window
       subtraction like the sweep's slabs
@@ -357,6 +362,7 @@ def grid_vs_sweep(rects: Sequence[Rect]) -> list[str]:
             f"grid boundary segments differ from the slab boundary on"
             f" {len(members)} rects"
         )
+    violations += _containment_vs_sweep(members, expected)
     for index, rect in enumerate(members[:8]):
         corner = Point(rect.x1, rect.y1)
         centre = Point((rect.x1 + rect.x2) / 2.0, (rect.y1 + rect.y2) / 2.0)
@@ -380,6 +386,37 @@ def grid_vs_sweep(rects: Sequence[Rect]) -> list[str]:
             except InvariantViolation as exc:
                 violations.append(str(exc))
     return violations
+
+
+def _containment_vs_sweep(members: Sequence[Rect], swept) -> list[str]:
+    """The batch containment mask of a fresh union against the sweep.
+
+    Probes are the crossings of the outermost and the middle cuts of
+    each axis, each cut taken exactly and one ulp either side — on a
+    cut a point belongs to the closed cells on both sides, one ulp off
+    to one of them, and past the outermost cuts to none.
+    """
+    if not members:
+        return []
+    xs, slabs = swept
+
+    def probes(cuts):
+        mid = len(cuts) // 2
+        picked = np.array(sorted({*cuts[:3], *cuts[mid : mid + 3], *cuts[-3:]}))
+        return np.concatenate(
+            (np.nextafter(picked, -np.inf), picked, np.nextafter(picked, np.inf))
+        )
+
+    px = probes(xs)
+    py = probes(sorted({y for r in members for y in (r.y1, r.y2)}))
+    pxs, pys = (a.ravel() for a in np.meshgrid(px, py))
+    mask = SlabUnion.from_rects(members).contains_points(pxs, pys).tolist()
+    return [
+        f"contains_points({x!r}, {y!r}) is {got} on {len(members)} rects,"
+        f" the slab sweep says {not got}"
+        for x, y, got in zip(pxs.tolist(), pys.tolist(), mask)
+        if got != slabs_contains_point(xs, slabs, x, y)
+    ]
 
 
 def random_rect_set(rng: random.Random) -> list[Rect]:

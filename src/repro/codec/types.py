@@ -35,7 +35,7 @@ import struct
 from ..cache.entry import CacheItem, VerifiedRegion
 from ..cache.policy import DirectionDistancePolicy, FIFOPolicy, LRUPolicy
 from ..cache.store import POICache
-from ..core import MVRMemo, Resolution
+from ..core import Resolution
 from ..errors import CodecError
 from ..experiments.host import MobileHost
 from ..experiments.metrics import QueryRecord
@@ -486,7 +486,6 @@ def read_host(r: Reader) -> MobileHost:
     host.cache = cache
     host._share_generation = None
     host._share_memo = None
-    host._mvr_memo = MVRMemo()
     host.standing = {}
     return host
 

@@ -13,21 +13,16 @@ Two performance layers sit under the algorithm:
   response) replaces the per-POI Python loop; ``nnv_scalar`` keeps the
   loop-based reference implementation, asserted byte-identical in the
   equivalence tests;
-* :class:`MVRMemo` memoises the merged union keyed on the tuple of
-  contributing ``(peer_id, generation)`` pairs, so a query against
-  unchanged peer caches skips the slab decomposition (and its cached
-  boundary arrays survive with it).  Misses are *incremental*: when
-  the new response set only adds rectangles over the previous merge,
-  the memo clones the previous :class:`~repro.geometry.SlabUnion`
-  (copy-on-write, shared interval tuples) and inserts just the delta —
-  the canonical-form contract makes the result bit-identical to an
-  eager rebuild.
+* :meth:`MVRMemo.merged` builds the MVR the host pipeline queries: a
+  frozen, lazy :class:`~repro.geometry.SlabUnion` that lives for one
+  query.  NNV asks it which received POIs lie inside and how far the
+  query point is from its boundary; both are read off one coverage
+  grid, and no slab structure is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import OrderedDict
 from itertools import accumulate
 from typing import Sequence, Union
 
@@ -39,9 +34,9 @@ from ..model import POI
 from ..p2p import ShareResponse
 from .heap import HeapEntry, ResultHeap
 
-# The merged-MVR object: eager (unstamped one-shot merges) or
-# persistent (memoised merges).  Same read contract, pinned to the
-# same slab kernels in repro.geometry.region.
+# The merged-MVR object: eager (one-shot merges inside nnv / sbwq) or
+# the host pipeline's lazy SlabUnion.  Same read contract, pinned to
+# the same slab kernels in repro.geometry.region.
 RegionUnion = Union[RectUnion, SlabUnion]
 
 
@@ -56,79 +51,21 @@ def merge_verified_regions(responses: Sequence[ShareResponse]) -> RectUnion:
 
 
 class MVRMemo:
-    """Bounded memo of merged verified regions.
+    """The merge step of the host pipeline; it remembers nothing.
 
-    A set of share responses whose ``(peer_id, generation)`` stamps all
-    match a previous merge is guaranteed to carry the same regions, so
-    the previously built union (a lazy ``SlabUnion`` with whatever it
-    has derived so far: boundary arrays, slabs) is returned as-is.  Responses without a stamp (``generation < 0``)
-    bypass the memo.  Own one memo per querying host — generations are
-    only unique per cache, not globally.
-
-    Memo misses are merged incrementally against the most recent
-    result: an unchanged rectangle set reuses the previous (frozen)
-    union outright, a grown set clones it and inserts only the added
-    rectangles, and only a shrunk/changed set pays for a bulk rebuild.
-    ``delta_merges`` counts the misses served by the cheap path.
-    Canonical slab form is preserved either way, so every derived
-    float is independent of which path built the union.  (On the
-    delta path :attr:`~repro.geometry.SlabUnion.rects` reflects
-    insertion history rather than response order; the geometry is
-    identical.)
+    Every query merges the regions it was sent into a fresh union and
+    drops it with the query: memoising unions on the peers'
+    ``(peer_id, generation)`` stamps retained one union per query and
+    hit on none (DESIGN section 7.5).  The class, and the constant
+    ``hits``, are what the benchmark's tracer reads.
     """
 
-    __slots__ = ("maxsize", "_memo", "_last", "hits", "misses", "delta_merges")
+    __slots__ = ()
+    hits = 0
 
-    def __init__(self, maxsize: int = 128):
-        self.maxsize = maxsize
-        self._memo: OrderedDict[tuple, SlabUnion] = OrderedDict()
-        self._last: tuple[frozenset, SlabUnion] | None = None
-        self.hits = 0
-        self.misses = 0
-        self.delta_merges = 0
-
-    def merged(self, responses: Sequence[ShareResponse]) -> RegionUnion:
-        key = tuple((r.peer_id, r.generation) for r in responses)
-        if any(generation < 0 for _, generation in key):
-            return merge_verified_regions(responses)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._memo.move_to_end(key)
-            self._last = (
-                frozenset(
-                    rect for response in responses for rect in response.regions
-                ),
-                cached,
-            )
-            return cached
-        self.misses += 1
-        rects = [
-            rect for response in responses for rect in response.regions
-        ]
-        rect_set = frozenset(rects)
-        if self._last is not None and rect_set == self._last[0]:
-            # Same geometry under new stamps (peers bumped their
-            # generations for POI-only changes): reuse outright.
-            self.delta_merges += 1
-            mvr = self._last[1]
-        elif self._last is not None and rect_set > self._last[0]:
-            # Pure growth: clone the previous union (O(slabs), shares
-            # every interval tuple) and insert only the new rects.
-            self.delta_merges += 1
-            prev_set, prev_union = self._last
-            mvr = prev_union.clone()
-            for rect in rects:
-                if rect not in prev_set:
-                    mvr.insert_rect(rect)
-            mvr.freeze()
-        else:
-            mvr = SlabUnion.from_rects(rects).freeze()
-        self._memo[key] = mvr
-        self._last = (rect_set, mvr)
-        while len(self._memo) > self.maxsize:
-            self._memo.popitem(last=False)
-        return mvr
+    def merged(self, responses: Sequence[ShareResponse]) -> SlabUnion:
+        rects = [rect for response in responses for rect in response.regions]
+        return SlabUnion.from_rects(rects).freeze()
 
 
 def collect_candidates(
@@ -212,8 +149,8 @@ def nnv(
     Returns the heap and the MVR (callers reuse the MVR for the
     approximate-answer probabilities and for SBWQ).  When the query
     point is outside the MVR, Lemma 3.1 cannot apply and every
-    candidate enters unverified.  Pass a memoised ``mvr`` (see
-    :class:`MVRMemo`) to skip the merge entirely.
+    candidate enters unverified.  Pass an already merged ``mvr`` (see
+    :meth:`MVRMemo.merged`) to skip the merge.
 
     The candidate pipeline is one batch computation: concatenate the
     per-response coordinate arrays, mask to the MVR, deduplicate ids by

@@ -80,9 +80,8 @@ def sbnn(
 ) -> SBNNOutcome:
     """Algorithm 2 (SBNN), up to the broadcast-channel hand-off.
 
-    ``mvr`` optionally supplies a pre-merged (memoised) verified
-    region so repeated queries against unchanged peer caches skip the
-    MapOverlay step.
+    ``mvr`` optionally supplies the already merged verified region
+    (the MapOverlay step, done by the caller).
 
     ``annotate`` controls the Lemma 3.2 correctness annotations:
 

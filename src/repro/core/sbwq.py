@@ -63,7 +63,7 @@ def sbwq(
     The returned ``verified_pois`` are the peer POIs inside both the
     window and the MVR — exactly the part of the answer the peers can
     vouch for.  ``remainder_windows`` is empty iff the query resolved.
-    ``mvr`` optionally supplies a pre-merged (memoised) verified region.
+    ``mvr`` optionally supplies the already merged verified region.
 
     The filter stays a loop on purpose: the window test comes first and
     rejects nearly every peer POI, so the MVR is rarely asked, while

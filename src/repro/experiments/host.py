@@ -36,6 +36,10 @@ from .metrics import QueryRecord
 
 NO_FAULTS = P2PFaultStats()
 
+# Every host merges through this one stateless instance: the merged
+# MVR belongs to the query that asked for it, not to the host.
+MVR = MVRMemo()
+
 
 SharedRegion = tuple[Rect, tuple[POI, ...]]
 
@@ -127,10 +131,9 @@ class MobileHost:
         self.host_id = host_id
         self.cache = cache
         # Memoised share response (rebuilt only when the cache content
-        # generation moves) and merged-MVR memo for this host's queries.
+        # generation moves).
         self._share_generation: int | None = None
         self._share_memo: ShareResponse | None = None
-        self._mvr_memo = MVRMemo()
         # Standing (continuous) queries anchored at this host, keyed by
         # query id.  The host carries them across ticks; the continuous
         # monitor engine owns their lifecycle.
@@ -195,7 +198,7 @@ class MobileHost:
             poi_density,
             accept_approximate=accept_approximate,
             min_correctness=min_correctness,
-            mvr=self._mvr_memo.merged(responses),
+            mvr=MVR.merged(responses),
             annotate="always" if tracing else "auto",
             tracer=tracer if tracing else None,
         )
@@ -324,12 +327,12 @@ class MobileHost:
             poi_density,
             accept_approximate=accept_approximate,
             min_correctness=min_correctness,
-            mvr=self._mvr_memo.merged(responses),
+            mvr=MVR.merged(responses),
         )
 
     def resolve_window(self, window: Rect, responses: Sequence[ShareResponse]):
         """Run SBWQ (one-shot queries and standing re-evaluations)."""
-        mvr = self._mvr_memo.merged(responses)
+        mvr = MVR.merged(responses)
         if invariants.check_enabled():
             invariants.check_union(mvr, window.center, window)
         return sbwq(window, responses, mvr=mvr)

@@ -143,6 +143,7 @@ class Simulation(QueryWorld):
         self._hy: np.ndarray | None = None
         self._last_refresh = -math.inf
         self._refresh_positions(0.0)
+        self._tenure()
 
     # ------------------------------------------------------------------
     # World state

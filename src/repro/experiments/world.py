@@ -23,6 +23,7 @@ world RNG identically by construction.
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -130,6 +131,23 @@ class QueryWorld:
                 max_regions=self.region_cap,
             ),
         )
+
+    def _tenure(self) -> None:
+        """Hand the constructed world to the collector as permanent.
+
+        A subclass calls this once, when its construction ends.  The
+        POI field, the station's index and the fleet live as long as
+        the world does: moved to the permanent generation they are
+        never scanned again.  The thresholds then make collections
+        rare — a query allocates thousands of short-lived geometry
+        objects and almost no cycles, and every full pass re-reads the
+        whole warmed heap to find none.  Nothing in the package has a
+        finaliser or a weak reference, so when the collector runs is
+        unobservable: records and cache states do not move.
+        """
+        gc.collect()
+        gc.freeze()
+        gc.set_threshold(50_000, 50, 50)
 
     # ------------------------------------------------------------------
     # Where the hosts and the snapshot live (subclass hooks)

@@ -284,6 +284,26 @@ def coverage_grid(
     return xs, ys, np.concatenate(covers)
 
 
+def padded_coverage_grid(
+    rects: Sequence[Rect],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`coverage_grid` with one ring of False cells around the
+    cover matrix: cell ``(i, j)`` is ``padded[i + 1, j + 1]``, and
+    every ``searchsorted`` result over the cuts indexes ``padded``."""
+    xs, ys, cover = coverage_grid(rects)
+    padded = np.zeros((cover.shape[0] + 2, cover.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = cover
+    return xs, ys, padded
+
+
+def _row_blocks(cover: np.ndarray):
+    """A whole cover matrix as the ``(lo, rows)`` blocks that
+    :func:`_grid_blocks` would have yielded it in."""
+    step = max(1, GRID_BLOCK_CELLS // (cover.shape[1] + 1))
+    for lo in range(0, len(cover), step):
+        yield lo, cover[lo : lo + step]
+
+
 def _row_runs(mask: np.ndarray):
     """Maximal runs of True along each row, in row-major order.
 
@@ -305,9 +325,9 @@ def grid_slabs(
     """The canonical slab structure, read off the coverage grid.
 
     The cuts are taken from the rectangles themselves (the sweep's own
-    expression), not from the index arrays: a memoised union then
-    shares its float objects with its members, as the sweep's does,
-    instead of holding two fresh ones per interval.
+    expression), not from the index arrays: a union that is kept (a
+    cache's mirror) then shares its float objects with its members, as
+    the sweep's does, instead of holding two fresh ones per interval.
     """
     _, _, blocks = _grid_blocks(rects)
     xs = x_cuts(rects)
@@ -324,7 +344,10 @@ def grid_slabs(
     return xs, slabs
 
 
-def grid_boundary_coord_arrays(rects: Sequence[Rect]) -> tuple[np.ndarray, ...]:
+def grid_boundary_coord_arrays(
+    rects: Sequence[Rect],
+    padded_grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, ...]:
     """The boundary coordinate arrays, read off the coverage grid.
 
     Same segment multiset as ``slabs_boundary_coord_arrays(*build_slabs(
@@ -334,8 +357,17 @@ def grid_boundary_coord_arrays(rects: Sequence[Rect]) -> tuple[np.ndarray, ...]:
     bit-identical.  Runs, not cells: the projection parameter is a
     float, and a collinear edge split differently rounds differently
     at subnormal scale.
+
+    ``padded_grid`` is ``padded_coverage_grid(rects)`` when the caller
+    already holds it (a lazy union answers containment from the same
+    one); the segments, and their order, are those of the
+    block-by-block build.
     """
-    xs, ys, blocks = _grid_blocks(rects)
+    if padded_grid is None:
+        xs, ys, blocks = _grid_blocks(rects)
+    else:
+        xs, ys, padded = padded_grid
+        blocks = _row_blocks(padded[1:-1, 1:-1])
     ax, ay, bx, by = [], [], [], []
     outside = np.zeros((1, max(len(ys) - 1, 0)), dtype=bool)
     before = outside
@@ -367,6 +399,31 @@ def grid_boundary_coord_arrays(rects: Sequence[Rect]) -> tuple[np.ndarray, ...]:
         np.concatenate(ax), np.concatenate(ay),
         np.concatenate(bx), np.concatenate(by),
     )
+
+
+def grid_contains_points(
+    padded_grid: tuple[np.ndarray, np.ndarray, np.ndarray],
+    pxs: np.ndarray,
+    pys: np.ndarray,
+) -> np.ndarray:
+    """Closed containment of points in the union, by cell lookup.
+
+    ``padded_grid`` is :func:`padded_coverage_grid` of the members, so
+    an insertion point among the cuts is a row (column) of the matrix:
+    0, left of every cut, and ``len(xs)``, right of every cut, are the
+    False ring.  The closed union of the members is the closed union
+    of the covered cells.  A point strictly between two cuts has one
+    cell per axis; a point on a cut belongs to the closed cells on
+    both sides, which the left and the right insertion point name.
+    Comparisons only — the mask equals :func:`rects_contain_points`
+    over the members on every point.
+    """
+    xs, ys, padded = padded_grid
+    lx = xs.searchsorted(pxs, "left")
+    rx = xs.searchsorted(pxs, "right")
+    ly = ys.searchsorted(pys, "left")
+    ry = ys.searchsorted(pys, "right")
+    return padded[lx, ly] | padded[lx, ry] | padded[rx, ly] | padded[rx, ry]
 
 
 def slabs_area(xs: Sequence[float], slabs: SlabList) -> float:

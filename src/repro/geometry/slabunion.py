@@ -30,19 +30,22 @@ subtraction), so after the first subtract the union is only
 unavailable.
 
 Slab interval tuples are immutable and structurally shared:
-:meth:`clone` is O(slabs) and copies no interval data, which is what
-makes the MVR memo's copy-on-write delta merges cheap.
+:meth:`clone` is O(slabs) and copies no interval data.
 
 **Lazy bulk builds.**  :meth:`from_rects` over a large rectangle set
 (the merged-MVR case) records the members and builds nothing.  The
 reads NNV makes — emptiness, MBR, containment, distance to the
-boundary — are answered from the members and the coverage grid
-(:func:`~repro.geometry.region.grid_boundary_coord_arrays`), and the
+boundary — are answered from the members and from one coverage grid,
+built by whichever of the two asks first: the containment mask is a
+cell lookup in it
+(:func:`~repro.geometry.region.grid_contains_points`) and the boundary
+arrays are its run lengths
+(:func:`~repro.geometry.region.grid_boundary_coord_arrays`).  The
 reads SBWQ makes — window coverage and the remainder ``w'`` — from
 the members the window meets
 (:func:`~repro.geometry.region.window_slabs`); the slab structure is
-built, from the same grid, by the first read or mutation that needs
-all of it.  Every route gives the floats the eager build gives.
+built, by the same grid kernel, by the first read or mutation that
+needs all of it.  Every route gives the floats the eager build gives.
 """
 
 from __future__ import annotations
@@ -62,9 +65,11 @@ from .region import (
     boundary_min_distance,
     build_slabs,
     grid_boundary_coord_arrays,
+    grid_contains_points,
     intervals_cover,
     intervals_difference,
     merge_intervals,
+    padded_coverage_grid,
     rects_contain_points,
     slabs_area,
     slabs_boundary_coord_arrays,
@@ -163,7 +168,7 @@ class SlabUnion:
         return twin
 
     def freeze(self) -> "SlabUnion":
-        """Forbid further mutation (for memo-shared instances)."""
+        """Forbid further mutation (the merged MVR is read-only)."""
         self._frozen = True
         return self
 
@@ -175,13 +180,6 @@ class SlabUnion:
         from ..codec import decode, encode
 
         return (decode, (encode(self),))
-
-    def union_with(self, rects: Iterable[Rect]) -> "SlabUnion":
-        """A new union that also covers ``rects`` (self unchanged)."""
-        twin = self.clone()
-        for rect in rects:
-            twin.insert_rect(rect)
-        return twin
 
     # ------------------------------------------------------------------
     # Mutation
@@ -444,18 +442,31 @@ class SlabUnion:
 
         return self._memo_get("cover_arrays", compute)
 
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The padded coverage grid of a lazy union's members, built
+        once: containment looks points up in it and the boundary
+        arrays are its run lengths."""
+        return self._memo_get(
+            "grid", lambda: padded_coverage_grid(self._members)
+        )
+
     def contains_points(self, pxs: np.ndarray, pys: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`contains_point` over coordinate arrays.
 
-        Broadcasts against the member rectangles while the history is
-        insert-only (the exact arrays RectUnion uses), else against
-        the disjoint slab pieces; both closed covers equal the region,
-        so the mask matches the scalar predicate on every point.
+        A lazy union looks the points up in its coverage grid
+        (:func:`~repro.geometry.region.grid_contains_points`).  Any
+        other broadcasts against the member rectangles while the
+        history is insert-only (the exact arrays RectUnion uses), else
+        against the disjoint slab pieces.  All three closed covers
+        equal the region, so the mask matches the scalar predicate on
+        every point.
         """
         pxs = np.asarray(pxs, dtype=np.float64)
         pys = np.asarray(pys, dtype=np.float64)
         if self.is_empty:
             return np.zeros(pxs.shape, dtype=bool)
+        if self._lazy:
+            return grid_contains_points(self._grid(), pxs, pys)
         return rects_contain_points(self._cover_coord_arrays(), pxs, pys)
 
     def _window_slabs(self, window: Rect):
@@ -498,7 +509,7 @@ class SlabUnion:
     def _boundary_coord_arrays(self) -> tuple[np.ndarray, ...]:
         def compute():
             if self._lazy:
-                return grid_boundary_coord_arrays(self._members)
+                return grid_boundary_coord_arrays(self._members, self._grid())
             return slabs_boundary_coord_arrays(self._xs, self._slabs)
 
         return self._memo_get("boundary_arrays", compute)

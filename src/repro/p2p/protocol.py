@@ -45,8 +45,9 @@ class ShareResponse:
 
     ``generation`` stamps the responder's cache content at build time
     (-1 when unknown); responses with the same ``(peer_id, generation)``
-    are guaranteed identical, which the query kernels exploit to
-    memoise merged verified regions.
+    are guaranteed identical, which the responder exploits to build
+    each response once and a shard to re-sync only the mirrors that
+    moved.
 
     It is also all that crosses a shard boundary for a halo mirror:
     the *querier* merges the rectangles into the MVR (Algorithm 1

@@ -61,6 +61,7 @@ class ShardWorld(QueryWorld):
         self.mirrors: dict[int, HaloHost] = {}
         self.soa: ShardFleetSoA | None = None
         self._epoch = -1
+        self._tenure()
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
@@ -270,25 +271,12 @@ def shard_worker_main(conn, config: dict) -> None:
     over ``send_bytes``.  An ``OP_SHUTDOWN`` request (or pipe EOF)
     ends the loop.
     """
-    import gc
     import traceback
 
     from . import rpc
 
     try:
         world = ShardWorld(**config)
-        # The station replica (full POI field + spatial index) is
-        # immortal for this worker's lifetime; move it into the
-        # permanent generation so the collector stops rescanning it,
-        # and collect far less often — query execution allocates
-        # millions of short-lived geometry objects whose cycles are
-        # rare, so the default thresholds spend real wall time on
-        # generational scans that find nothing.  GC timing has no
-        # observable effect on the simulation, so lockstep
-        # bit-identity with the single-process referee is preserved.
-        gc.collect()
-        gc.freeze()
-        gc.set_threshold(50_000, 50, 50)
         conn.send_bytes(rpc.construction_ack(world.shard_id))
     except BaseException:
         conn.send_bytes(rpc.err_frame(traceback.format_exc()))

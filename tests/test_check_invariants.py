@@ -266,8 +266,9 @@ class TestCheckUnion:
         with pytest.raises(InvariantViolation, match="subtract_from_rect"):
             check_union(union, window.center, window)
 
-    def test_window_seam_fires_on_corrupted_cuts(self, checks_on):
+    def test_window_seam_fires_on_corrupted_cuts(self, checks_on, monkeypatch):
         from repro.experiments.host import MobileHost
+        from repro.geometry import slabunion
         from repro.p2p import ShareResponse
 
         host = MobileHost(0, POICache(8))
@@ -282,6 +283,16 @@ class TestCheckUnion:
         # the slab 4..7, and the window looks uncovered there
         cuts = outcome.mvr._memo["x_cuts"]
         outcome.mvr._memo["x_cuts"] = [x for x in cuts if x not in (5, 6)]
+        with pytest.raises(InvariantViolation, match="covers_rect"):
+            check_union(outcome.mvr, window.center, window)
+        # every query merges afresh, so the seam sees the fault only
+        # when the kernel itself produces it
+        real = slabunion.x_cuts
+        monkeypatch.setattr(
+            slabunion,
+            "x_cuts",
+            lambda rects: [x for x in real(rects) if x not in (5, 6)],
+        )
         with pytest.raises(InvariantViolation, match="covers_rect"):
             host.resolve_window(window, responses)
         with pytest.raises(InvariantViolation, match="covers_rect"):

@@ -21,12 +21,14 @@ from repro.check.metamorphic import grid_vs_sweep
 from repro.codec import decode, encode
 from repro.errors import GeometryError
 from repro.geometry import Circle, Point, Rect, RectUnion, SlabUnion
+from repro.geometry import region
 from repro.geometry.region import (
     GRID_MIN_RECTS,
     boundary_min_distance,
     coverage_grid,
     grid_boundary_coord_arrays,
     grid_slabs,
+    rects_contain_points,
     slabs_boundary_coord_arrays,
     slabs_covers_rect,
     slabs_subtract_from_rect,
@@ -431,7 +433,7 @@ class TestWindowLocalReads:
         clipped = SlabUnion.from_rects([Rect(1, 0, 5, 1)])
         assert clipped.subtract_from_rect(window) == [Rect(1, 1, 5, 2)]
 
-    def test_sbwq_leaves_a_memoised_mvr_lazy(self):
+    def test_sbwq_leaves_the_merged_mvr_lazy(self):
         from repro.core import MVRMemo, Resolution, sbwq
         from repro.model import POI
         from repro.p2p import ShareResponse
@@ -455,7 +457,137 @@ class TestWindowLocalReads:
         assert [p.poi_id for p in inside.verified_pois] == list(range(2, 9))
         assert across.resolution is Resolution.BROADCAST
         assert across.remainder_windows == (Rect(25, 0.5, 40, 2.5),)
-        assert mvr._lazy and memo.merged(responses) is mvr
+        assert mvr._lazy and mvr._frozen
+
+
+lookup_sets = st.one_of(
+    st.lists(float_rect, min_size=GRID_MIN_RECTS, max_size=200),
+    st.lists(lattice_rect, min_size=GRID_MIN_RECTS, max_size=200),
+)
+
+
+def sharp_points(rects, extra):
+    """Where a cell lookup can go wrong: every cut crossing of a
+    sample of cuts (member corners and MBR edges among them; on the
+    lattice, hole corners too), one ulp either side of each, cell
+    centres (hole interiors), and points beyond the MBR."""
+    def axis(values):
+        cuts = np.unique(values)
+        if len(cuts) > 8:
+            mid = len(cuts) // 2
+            cuts = np.concatenate((cuts[:3], cuts[mid : mid + 2], cuts[-3:]))
+        centres = (cuts[:-1] + cuts[1:]) / 2.0
+        return np.concatenate((
+            cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf),
+            centres, [cuts[0] - 1.0, cuts[-1] + 1.0],
+        ))
+
+    px = axis([x for r in rects for x in (r.x1, r.x2)])
+    py = axis([y for r in rects for y in (r.y1, r.y2)])
+    gx, gy = (a.ravel() for a in np.meshgrid(px, py))
+    ex = np.array([x for x, _ in extra])
+    ey = np.array([y for _, y in extra])
+    return np.concatenate((gx, ex)), np.concatenate((gy, ey))
+
+
+class TestOneGridPerLazyUnion:
+    """Containment by cell lookup, on the grid the boundary reads."""
+
+    @given(lookup_sets, points)
+    @settings(max_examples=120, deadline=None)
+    def test_lookup_equals_broadcast_equals_scalar(self, rects, extra):
+        rects = members(rects)
+        if len(rects) < GRID_MIN_RECTS:
+            return
+        pxs, pys = sharp_points(rects, extra)
+        union = SlabUnion.from_rects(rects)
+        with mock.patch.object(
+            region, "_grid_blocks", wraps=region._grid_blocks
+        ) as builds:
+            mask = union.contains_points(pxs, pys)
+            inside = [
+                Point(x, y)
+                for x, y in zip(pxs[mask][:3].tolist(), pys[mask][:3].tolist())
+            ]
+            distances = [union.distance_to_boundary(p) for p in inside]
+            again = union.contains_points(pxs, pys)
+            assert builds.call_count == 1
+        assert union._lazy
+        broadcast = rects_contain_points(
+            (
+                np.array([r.x1 for r in rects]), np.array([r.y1 for r in rects]),
+                np.array([r.x2 for r in rects]), np.array([r.y2 for r in rects]),
+            ),
+            pxs, pys,
+        )
+        assert np.array_equal(mask, broadcast) and np.array_equal(mask, again)
+        scalar = [
+            union.contains_point(Point(x, y))
+            for x, y in zip(pxs.tolist(), pys.tolist())
+        ]
+        assert mask.tolist() == scalar
+        # the shared grid gives the un-shared build's arrays, in order
+        for shared, alone in zip(
+            union._boundary_coord_arrays(), grid_boundary_coord_arrays(rects)
+        ):
+            assert np.array_equal(shared, alone)
+        swept = slabs_boundary_coord_arrays(*sweep_slabs(rects))
+        assert distances == [
+            boundary_min_distance(swept, p.x, p.y) for p in inside
+        ]
+
+    def test_named_points(self):
+        # a ring (hole 1..2 x 1..2) plus filler to make the union lazy
+        ring = [Rect(0, 0, 3, 1), Rect(0, 2, 3, 3), Rect(0, 0, 1, 3), Rect(2, 0, 3, 3)]
+        rects = ring + [Rect(10 + i, 0, 11 + i, 1) for i in range(GRID_MIN_RECTS)]
+        union = SlabUnion.from_rects(rects)
+        up, down = (lambda v: np.nextafter(v, np.inf)), (lambda v: np.nextafter(v, -np.inf))
+        cases = [
+            ((1.5, 1.5), False),          # inside the hole
+            ((1.0, 1.5), True),           # on the hole's edge (a cut)
+            ((up(1.0), 1.5), False),      # one ulp into the hole
+            ((down(1.0), 1.5), True),
+            ((1.0, 1.0), True),           # hole corner: four cells meet
+            ((up(1.0), up(1.0)), False),
+            ((0.0, 0.0), True),           # MBR corner
+            ((down(0.0), 0.0), False),
+            ((0.0, 3.0), True),
+            ((0.0, up(3.0)), False),
+            ((3.0, 1.5), True),           # right edge of the ring
+            ((up(3.0), 1.5), False),
+            ((5.0, 0.5), False),          # between components
+            ((10.0, 1.0), True),
+            ((10.0 + GRID_MIN_RECTS, 0.0), True),   # MBR far corner
+            ((up(10.0 + GRID_MIN_RECTS), 0.0), False),
+            ((-1e9, 0.5), False),
+            ((1e9, 1e9), False),
+        ]
+        pxs = np.array([float(x) for (x, _), _ in cases])
+        pys = np.array([float(y) for (_, y), _ in cases])
+        assert union._lazy
+        assert union.contains_points(pxs, pys).tolist() == [e for _, e in cases]
+        assert [
+            union.contains_point(Point(x, y)) for x, y in zip(pxs, pys)
+        ] == [e for _, e in cases]
+
+    def test_other_unions_keep_the_broadcast(self):
+        rects = [Rect(i, 0, i + 2, 1 + i % 3) for i in range(GRID_MIN_RECTS + 4)]
+        pxs, pys = np.array([1.0, 0.5, -1.0]), np.array([0.5, 2.5, 0.5])
+        expected = [True, False, False]
+        built = SlabUnion.from_rects(rects)
+        built.area  # leaves the lazy state
+        decoded = decode(encode(SlabUnion.from_rects(rects)))
+        mutated = SlabUnion.from_rects(rects).insert_rect(Rect(40, 0, 41, 1))
+        cut = SlabUnion.from_rects(rects).subtract_point_cut(Point(30.0, 30.0))
+        small = SlabUnion.from_rects(rects[:3])
+        unions = (built, decoded, mutated, cut, small, RectUnion(rects))
+        with mock.patch.object(
+            region, "_grid_blocks",
+            side_effect=AssertionError("built a grid for a broadcast union"),
+        ):
+            for union in unions:
+                assert not getattr(union, "_lazy", False)
+                assert union.contains_points(pxs, pys).tolist() == expected
 
 
 class TestIsEmptyIsStructural:

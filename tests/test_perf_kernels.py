@@ -85,6 +85,7 @@ class TestNNVEquivalence:
     @given(responses_strategy(), coord_strategy, coord_strategy)
     @settings(max_examples=60, deadline=None)
     def test_memoised_mvr_matches_fresh_merge(self, responses, qx, qy):
+        # (the name predates the memo's removal: `merged` vs the eager merge)
         memo = MVRMemo()
         merged = memo.merged(responses)
         fresh = merge_verified_regions(responses)
@@ -168,40 +169,92 @@ class TestPeerPoisBatchEquivalence:
 
 
 class TestMVRMemo:
+    """`MVRMemo.merged` is a pure function of the responses' regions:
+    the union belongs to the query that asked for it."""
+
     def _response(self, peer, generation, x=0.0):
         return ShareResponse(
             peer, (Rect(x, 0, x + 2, 2),), (), generation=generation
         )
 
-    def test_hit_returns_same_object(self):
+    @pytest.mark.parametrize("count", [2, 40])  # sweep-built, lazy
+    def test_merging_twice_gives_equal_distinct_unions(self, count):
         memo = MVRMemo()
-        responses = [self._response(0, 1), self._response(1, 4)]
+        responses = [self._response(i, 1 + i, x=1.5 * i) for i in range(count)]
         first = memo.merged(responses)
         second = memo.merged(list(responses))
-        assert second is first
-        assert memo.hits == 1 and memo.misses == 1
+        assert second is not first
+        assert first._lazy == second._lazy == (count >= 16)
+        probe = Point(1.0, 1.0)
+        assert first.distance_to_boundary(probe) == second.distance_to_boundary(
+            probe
+        )
+        for a, b in zip(
+            first._boundary_coord_arrays(), second._boundary_coord_arrays()
+        ):
+            assert a is not b and np.array_equal(a, b)
+        assert list(first.xs) == list(second.xs)
+        assert list(first.slab_intervals) == list(second.slab_intervals)
+        assert first.rects == second.rects
+        assert memo.hits == 0
 
     def test_generation_change_invalidates(self):
+        # Nothing to invalidate any more: a changed cache is simply
+        # merged afresh.
         memo = MVRMemo()
         before = memo.merged([self._response(0, 1)])
         after = memo.merged([self._response(0, 2, x=5.0)])
         assert after is not before
         assert after.rects != before.rects
-        assert memo.misses == 2
 
     def test_unstamped_responses_bypass_memo(self):
+        # Stamped or not, every merge is a fresh frozen SlabUnion.
         memo = MVRMemo()
         unstamped = [ShareResponse(0, (Rect(0, 0, 1, 1),), ())]
         first = memo.merged(unstamped)
         second = memo.merged(unstamped)
         assert first is not second
+        assert first.rects == second.rects == (Rect(0, 0, 1, 1),)
+        assert first._frozen and second._frozen
         assert memo.hits == 0
 
-    def test_lru_bound(self):
-        memo = MVRMemo(maxsize=2)
+    def test_nothing_is_retained(self):
+        memo = MVRMemo()
         for generation in range(5):
             memo.merged([self._response(0, generation)])
-        assert len(memo._memo) <= 2
+        # no instance state at all: one memo serves every host
+        assert not hasattr(memo, "__dict__") and MVRMemo.__slots__ == ()
+        assert memo.hits == 0
+        assert "merged" in MVRMemo.__dict__  # the name bench/ patches
+
+    def test_no_warmed_host_holds_a_merged_union(self):
+        import gc
+        import types
+
+        from repro.experiments import Simulation, scaled_parameters
+        from repro.experiments import host as host_module
+        from repro.geometry import SlabUnion
+        from repro.workloads import LA_CITY, QueryKind
+
+        sim = Simulation(scaled_parameters(LA_CITY, area_scale=0.02), seed=3)
+        sim.run_workload(QueryKind.KNN, 0, 200)
+        sim.run_workload(QueryKind.WINDOW, 0, 100)
+        assert type(host_module.MVR) is MVRMemo
+        held = {"host_id", "cache", "_share_generation", "_share_memo", "standing"}
+        for host in sim.hosts:
+            assert set(vars(host)) == held
+            seen, stack = set(), [host]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(
+                    obj, (type, types.ModuleType, types.FunctionType)
+                ):
+                    continue
+                seen.add(id(obj))
+                # merged() is the only place that freezes a union
+                assert not (isinstance(obj, SlabUnion) and obj._frozen)
+                assert not isinstance(obj, RectUnion)
+                stack.extend(gc.get_referents(obj))
 
 
 class TestCacheGeneration:

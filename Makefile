@@ -53,6 +53,8 @@ lint:
 	@! grep -rIn 'delta[_]merges\|[_]memo: Ordered[D]ict' src
 	@! grep -rIn '__del[_]_\|weak[r]ef' src/repro
 	@test "$$(grep -rI 'set[_]threshold' src | wc -l)" -eq 1
+	@echo ">> a cache keeps rectangles: no persistent slab core, no second cache mode, no pickle hooks"
+	@! grep -rIn 'insert[_]rect\|subtract[_]rect\|subtract[_]point_cut\|region[_]union\|TAG_SLAB[_]UNION\|MIRROR[_]COMPACT\|incremental[=]\|__reduce[_]_' src/repro
 
 test:
 	@echo ">> tier-1 tests"

@@ -9,18 +9,14 @@ Shrinking cuts the region along the side that loses the least area and
 pushes the cut a hair (``EVICTION_MARGIN``) past the victim so the
 victim ends up strictly outside the closed region.
 
-Two auxiliary structures ride along with the POI table:
-
-* a structure-of-arrays mirror of the cached POI coordinates and ids
-  (append on insert, swap-remove on evict), so the eviction policy
-  scores candidates straight from arrays instead of rebuilding them
-  from the item dict on every capacity breach;
-* a lazily materialised :class:`~repro.geometry.SlabUnion` mirror of
-  the verified regions (:attr:`POICache.region_union`): inserts update
-  the affected slabs, evictions become point-cut subtractions.  The
-  mirror is a *sound over-approximation refined per eviction* — it
-  keeps the verified area the rectangle shrinking forfeits — while
-  ``_regions`` remains the exact wire format ``share()`` sends.
+The verified area has one representation, the rectangle list
+``_regions`` — what ``share()`` sends and what every reader (the
+merged MVR of a query, the continuous safe regions) builds its union
+from.  One auxiliary structure rides along with the POI table: a
+structure-of-arrays mirror of the cached POI coordinates and ids
+(append on insert, swap-remove on evict), so the eviction policy
+scores candidates straight from arrays instead of rebuilding them from
+the item dict on every capacity breach.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Iterable, Sequence
 
 from ..check import invariants
 from ..errors import CacheError
-from ..geometry import Point, Rect, SlabUnion
+from ..geometry import Point, Rect
 from ..model import POI
 from .entry import CacheItem, VerifiedRegion
 from .policy import DirectionDistancePolicy, ReplacementPolicy
@@ -37,12 +33,6 @@ from .policy import DirectionDistancePolicy, ReplacementPolicy
 import numpy as np
 
 EVICTION_MARGIN = 1e-9
-
-# Slab count above which the region mirror is dropped and lazily
-# rebuilt from the (few, coalesced) wire-format regions: point cuts
-# accrete two x cuts each, and past this size a fresh bulk build is
-# cheaper than carrying the perforations.
-MIRROR_COMPACT_SLABS = 96
 
 
 def _descending_area(vr: "VerifiedRegion") -> float:
@@ -119,7 +109,6 @@ class POICache:
         capacity: int,
         policy: ReplacementPolicy | None = None,
         max_regions: int = 4,
-        incremental: bool = True,
     ):
         if capacity < 1:
             raise CacheError(f"cache capacity must be >= 1, got {capacity}")
@@ -128,27 +117,18 @@ class POICache:
         self.capacity = capacity
         self.max_regions = max_regions
         self.policy = policy if policy is not None else DirectionDistancePolicy()
-        # ``incremental=False`` pins the sequential reference paths
-        # (full rank-and-slice eviction, append+coalesce on every
-        # insert) for the churn differential suite; both paths must
-        # produce bit-identical observable state.
-        self.incremental = incremental
         self._items: dict[int, CacheItem] = {}
         self._regions: list[VerifiedRegion] = []
         # Structure-of-arrays mirror of the POI table: coordinates and
         # ids appended on insert, swap-removed on evict, so capacity
         # enforcement scores candidates without rebuilding arrays from
         # the item dict.  No id->slot map is kept — the batch eviction
-        # path already knows its victims' slots, and the sequential
-        # reference path (:meth:`_evict`) scans the id column.
+        # path already knows its victims' slots, and a rank-only policy
+        # scans the id column.
         self._slot_n = 0
         self._slot_xs = np.empty(64, np.float64)
         self._slot_ys = np.empty(64, np.float64)
         self._slot_ids = np.empty(64, np.int64)
-        # Lazily materialised slab-decomposition mirror of the
-        # verified regions (see the module docstring); ``None`` means
-        # "rebuild from region_rects on next access".
-        self._mirror: SlabUnion | None = None
         # Monotone content stamp: bumped whenever the POI set or the
         # verified regions change, so share responses can be memoised
         # on (host, generation) and stay sound.
@@ -170,9 +150,9 @@ class POICache:
     def _drop_slot_of(self, poi_id: int) -> None:
         """Swap-remove one POI from the coordinate arrays by id.
 
-        Scans the (small) id column — only the sequential reference
-        paths come through here; the batch eviction path already
-        knows its victims' slot indices.
+        Scans the (small) id column — only rank-only policies come
+        through here; the batch eviction path already knows its
+        victims' slot indices.
         """
         last = self._slot_n - 1
         ids_b = self._slot_ids
@@ -219,25 +199,6 @@ class POICache:
     @property
     def region_rects(self) -> list[Rect]:
         return [vr.rect for vr in self._regions]
-
-    @property
-    def region_union(self) -> SlabUnion:
-        """Live slab-decomposition union of this host's verified area.
-
-        Materialised lazily from the wire-format rectangles, then
-        maintained incrementally: region inserts update the affected
-        slabs, evictions subtract a point cut around each victim.
-        The result is a *sound superset* of ``RectUnion(region_rects)``
-        — rectangle shrinking forfeits a whole strip per victim where
-        the mirror only loses the margin square — so containment in
-        the mirror still implies complete cached POI knowledge (the
-        invariant :meth:`check_soundness` asserts).
-        """
-        mirror = self._mirror
-        if mirror is None:
-            mirror = SlabUnion.from_rects(self.region_rects)
-            self._mirror = mirror
-        return mirror
 
     # ------------------------------------------------------------------
     def insert_result(
@@ -329,7 +290,7 @@ class POICache:
         # subtraction is zero exactly when the operands are equal.
         if region.x2 != region.x1 and region.y2 != region.y1:
             regions = self._regions
-            if self.incremental and self._regions_coalesced and regions:
+            if self._regions_coalesced and regions:
                 # Fused covered-check + coalesce: while the
                 # incumbents are containment-free and area-sorted, the
                 # only possible containments involve the newcomer, so
@@ -386,12 +347,6 @@ class POICache:
                             else:
                                 hi = mid
                         regions.insert(lo, new_vr)
-                    mirror = self._mirror
-                    if mirror is not None:
-                        # Dropping covered rectangles never changes
-                        # the union — the newcomer is the only
-                        # geometric delta, applied to its slabs.
-                        mirror.insert_rect(region)
                     if len(regions) > self.max_regions:
                         self._trim_regions(host_position)
             else:
@@ -413,24 +368,13 @@ class POICache:
     ) -> None:
         """Append a verified region the general way: full coalesce.
 
-        The reference path (``incremental=False``) and the
-        post-shrink path (``_regions_coalesced`` false) land here; the
-        common case is fused into :meth:`_insert_result`.
+        The post-shrink path (``_regions_coalesced`` false) and the
+        first region of an empty cache land here; the common case is
+        fused into :meth:`_insert_result`.
         """
-        regions = self._regions
-        new_vr = VerifiedRegion(region, now)
-        regions.append(new_vr)
+        self._regions.append(VerifiedRegion(region, now))
         self._coalesce_regions()
-        mirror = self._mirror
-        if mirror is not None:
-            # Coalescing only ever drops covered rectangles, which
-            # never changes the union — the kept newcomer is the only
-            # geometric delta, applied to its affected slabs.
-            for vr in regions:
-                if vr is new_vr:
-                    mirror.insert_rect(region)
-                    break
-        if len(regions) > self.max_regions:
+        if len(self._regions) > self.max_regions:
             self._trim_regions(host_position)
 
     def _trim_regions(self, host_position: Point) -> None:
@@ -447,9 +391,6 @@ class POICache:
                 if dist > worst_dist:
                     worst, worst_dist = idx, dist
             del regions[worst]
-            # Removing a rectangle can carve the union arbitrarily;
-            # rebuild the mirror lazily from the survivors.
-            self._mirror = None
 
     def touch(self, poi_ids: Iterable[int], now: float) -> None:
         """Record use of cached POIs (LRU bookkeeping)."""
@@ -496,18 +437,17 @@ class POICache:
         Everything the host-migration codec ships: configuration
         scalars, the POI table in dict insertion order (load-bearing:
         ``pois``/``share`` iterate it), the verified regions in their
-        area-descending list order, the *exact* slot-array prefix
-        (swap-remove order is load-bearing for batch eviction), and
-        the slab mirror (or ``None``).  Memos, the tracer, and the
-        policy are excluded — memoised values are pure functions of
-        this state (dropping them is determinism-safe), and the policy
-        is encoded separately by the codec.
+        area-descending list order, and the *exact* slot-array prefix
+        (swap-remove order is load-bearing for batch eviction).
+        Memos, the tracer, and the policy are excluded — memoised
+        values are pure functions of this state (dropping them is
+        determinism-safe), and the policy is encoded separately by the
+        codec.
         """
         n = self._slot_n
         return (
             self.capacity,
             self.max_regions,
-            self.incremental,
             self.generation,
             self._regions_coalesced,
             tuple(self._items.values()),
@@ -515,7 +455,6 @@ class POICache:
             self._slot_ids[:n],
             self._slot_xs[:n],
             self._slot_ys[:n],
-            self._mirror,
         )
 
     @classmethod
@@ -524,7 +463,6 @@ class POICache:
         policy: ReplacementPolicy,
         capacity: int,
         max_regions: int,
-        incremental: bool,
         generation: int,
         regions_coalesced: bool,
         items: Sequence[CacheItem],
@@ -532,7 +470,6 @@ class POICache:
         slot_ids,
         slot_xs,
         slot_ys,
-        mirror: SlabUnion | None,
     ) -> "POICache":
         """Rebuild a cache from :meth:`codec_state` components.
 
@@ -550,7 +487,6 @@ class POICache:
         cache.capacity = capacity
         cache.max_regions = max_regions
         cache.policy = policy
-        cache.incremental = incremental
         cache._items = {item.poi.poi_id: item for item in items}
         if len(cache._items) != len(items):
             raise CacheError("duplicate POI ids in codec cache state")
@@ -566,7 +502,6 @@ class POICache:
         cache._slot_xs[:n] = slot_xs
         cache._slot_ys[:n] = slot_ys
         cache._slot_ids[:n] = slot_ids
-        cache._mirror = mirror
         cache.generation = generation
         cache.tracer = None
         cache._regions_coalesced = regions_coalesced
@@ -619,7 +554,7 @@ class POICache:
         the per-victim path re-scanned every region per eviction.  The
         batch is observationally identical to evicting the ranked
         victims one at a time (the property suite pins this against
-        :meth:`_evict`).
+        its own per-victim loop).
         """
         excess = len(self._items) - self.capacity
         if excess <= 0:
@@ -629,7 +564,7 @@ class POICache:
         ys_b = self._slot_ys
         ids_b = self._slot_ids
         select = getattr(self.policy, "select_victims", None)
-        if self.incremental and select is not None:
+        if select is not None:
             # Victims straight from the coordinate arrays (same
             # ranking as rank_victims — the batch-eviction suite pins
             # it), then swap-remove their slots highest-index first so
@@ -664,14 +599,6 @@ class POICache:
                 vxs.append(location.x)
                 vys.append(location.y)
         self._repair_regions(vxs, vys)
-        mirror = self._mirror
-        if mirror is not None:
-            for x, y in zip(vxs, vys):
-                p = Point(x, y)
-                if mirror.contains_point(p):
-                    mirror.subtract_point_cut(p)
-            if mirror.slab_count > MIRROR_COMPACT_SLABS:
-                self._mirror = None
         return excess
 
     def _repair_regions(
@@ -679,8 +606,8 @@ class POICache:
     ) -> None:
         """Shrink every region covering an evicted point, in one pass.
 
-        Equivalent to applying the per-victim shrink loop of
-        :meth:`_evict` victim by victim: regions are independent of
+        Equivalent to shrinking the regions victim by victim (the
+        loop the batch-eviction suite keeps): regions are independent of
         one another, so the victim loop can move inside the region
         loop as long as each region sees the victims in eviction
         order.  ``max_regions`` keeps the outer loop tiny, so the
@@ -714,39 +641,6 @@ class POICache:
             self._regions = updated
             self._regions_coalesced = False
 
-    def _evict(self, poi: POI) -> None:
-        """Remove one POI, shrinking every region that covers it.
-
-        The sequential reference path: :meth:`_enforce_capacity` now
-        batches its evictions, and the property suite checks the batch
-        against this per-victim loop.  Generation bookkeeping is the
-        caller's job (the public mutators bump it once per call).
-        """
-        if poi.poi_id not in self._items:
-            raise CacheError(f"evicting uncached POI {poi.poi_id}")
-        del self._items[poi.poi_id]
-        self._drop_slot_of(poi.poi_id)
-        updated: list[VerifiedRegion] = []
-        shrunk_any = False
-        for vr in self._regions:
-            if not vr.rect.contains_point(poi.location):
-                updated.append(vr)
-                continue
-            shrunk_any = True
-            shrunk = shrink_rect_to_exclude(vr.rect, poi.location)
-            if shrunk is not None:
-                updated.append(VerifiedRegion(shrunk, vr.created_at))
-        if shrunk_any:
-            self._regions = updated
-            self._regions_coalesced = False
-        mirror = self._mirror
-        if mirror is not None:
-            location = poi.location
-            if mirror.contains_point(location):
-                mirror.subtract_point_cut(location)
-            if mirror.slab_count > MIRROR_COMPACT_SLABS:
-                self._mirror = None
-
     # ------------------------------------------------------------------
     def check_soundness(
         self, server_pois: Iterable[POI], margin: float = EVICTION_MARGIN
@@ -754,16 +648,16 @@ class POICache:
         """Test helper: assert the verified-region invariant.
 
         Every server POI *strictly more than* ``margin`` inside a
-        region must be cached — strictly-open interiority, the one
-        definition both branches share: eviction shrinking and mirror
-        point cuts both leave survivors exactly ``margin`` from the
+        region must be cached — strictly-open interiority: eviction
+        shrinking leaves the survivor exactly ``margin`` from the
         excluded point, so a POI sitting precisely on the margin band
-        is legal either way.  When the slab mirror is materialised the
-        same contract is asserted over its (larger) area.
+        is legal.
 
-        Contrapositive (what the continuous safe regions rely on): an
-        *uncached* POI is at least ``distance_to_boundary(q) - margin``
-        away from any point ``q`` of the verified area.
+        What the cache maintains is stronger, and is what the
+        continuous safe regions rely on: shrinking leaves the victim
+        outside every *closed* region, so an uncached POI is at least
+        ``distance_to_boundary(q)`` from any point ``q`` of the
+        verified area (they give the ``margin`` band away on top).
         """
         server_pois = list(server_pois)
         for vr in self._regions:
@@ -793,18 +687,4 @@ class POICache:
                     raise CacheError(
                         f"verified region {vr.rect.as_tuple()} covers uncached"
                         f" POI {poi.poi_id} at ({poi.x}, {poi.y})"
-                    )
-        mirror = self._mirror
-        if mirror is not None and not mirror.is_empty:
-            for poi in server_pois:
-                if poi.poi_id in self:
-                    continue
-                location = poi.location
-                if (
-                    mirror.contains_point(location)
-                    and mirror.distance_to_boundary(location) > margin
-                ):
-                    raise CacheError(
-                        f"region mirror covers uncached POI {poi.poi_id}"
-                        f" at ({poi.x}, {poi.y})"
                     )

@@ -53,7 +53,6 @@ _LAZY = {
     "grid_vs_sweep": "metamorphic",
     "grid_vs_sweep_campaign": "metamorphic",
     "knn_radius_monotone": "metamorphic",
-    "region_mirror_consistency": "metamorphic",
     "safe_region_contract": "metamorphic",
     "translation_invariant_knn": "metamorphic",
     "union_area_monotone": "metamorphic",

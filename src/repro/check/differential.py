@@ -56,7 +56,6 @@ from .invariants import InvariantViolation
 from .metamorphic import (
     grid_vs_sweep,
     knn_radius_monotone,
-    region_mirror_consistency,
     window_shrink_duality,
 )
 from .oracles import oracle_knn, oracle_window_ids, world_digest
@@ -583,7 +582,6 @@ def run_campaign(
                 if regions:
                     eager = RectUnion(regions)
                     spot += window_shrink_duality(eager, sim.params.bounds)
-                    spot += region_mirror_consistency(cache, eager)
                     spot += grid_vs_sweep(regions)
                 if spot:
                     disagreements.append(

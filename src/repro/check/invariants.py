@@ -187,7 +187,7 @@ def check_retrieval_cost(cost: "RetrievalCost", planned_buckets: int) -> None:
 
 
 def check_cache(cache) -> None:
-    """Capacity, region-cap, and mirror contracts of a cooperative cache."""
+    """Capacity and region-cap contracts of a cooperative cache."""
     if len(cache) > cache.capacity:
         raise InvariantViolation(
             f"cache holds {len(cache)} POIs, capacity {cache.capacity}"
@@ -197,15 +197,6 @@ def check_cache(cache) -> None:
             f"cache holds {len(cache.regions)} regions,"
             f" cap {cache.max_regions}"
         )
-    mirror = getattr(cache, "_mirror", None)
-    if mirror is not None:
-        # The slab mirror is maintained as a superset of the wire
-        # rectangles: every region must still be covered by it.
-        for rect in cache.region_rects:
-            if not mirror.covers_rect(rect):
-                raise InvariantViolation(
-                    f"region mirror does not cover region {rect!r}"
-                )
 
 
 def check_union(
@@ -224,10 +215,7 @@ def check_union(
     buckets).  The containment mask is probed where cuts cross: each
     member's corners, its cuts against the next member's, and the
     midpoint between the two (a cell interior, often a hole).
-    Unions past their first subtraction have no member list and no
-    lazy state, and are skipped.
     """
-    from ..errors import GeometryError
     from ..geometry.region import (
         boundary_min_distance,
         slabs_boundary_coord_arrays,
@@ -237,10 +225,7 @@ def check_union(
         sweep_slabs,
     )
 
-    try:
-        members = union.rects
-    except GeometryError:
-        return
+    members = union.rects
     inside = union.contains_point(point)
     xs, slabs = sweep_slabs(members)
     expected = slabs_contains_point(xs, slabs, point.x, point.y)

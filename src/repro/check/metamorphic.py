@@ -289,44 +289,6 @@ def safe_region_contract(
     return violations
 
 
-def region_mirror_consistency(cache, union: RectUnion) -> list[str]:
-    """The incremental slab mirror against the eager wire-format union.
-
-    ``cache.region_union`` is maintained per insert/evict while the
-    eager union is rebuilt from the ``share()`` rectangles; the mirror
-    must be a sound superset: it covers every wire rectangle, its area
-    is no smaller, and any point the eager union contains it contains
-    too (probed at region corners and centres — the cut lines are the
-    sharpest spots).
-    """
-    violations: list[str] = []
-    mirror = cache.region_union
-    for rect in cache.region_rects:
-        if not mirror.covers_rect(rect):
-            violations.append(
-                f"region mirror does not cover region {rect.as_tuple()}"
-            )
-    if mirror.area < union.area - AREA_TOL:
-        violations.append(
-            f"region mirror area {mirror.area} below eager union"
-            f" area {union.area}"
-        )
-    for rect in union.rects:
-        cx = (rect.x1 + rect.x2) / 2.0
-        cy = (rect.y1 + rect.y2) / 2.0
-        for p in (
-            Point(rect.x1, rect.y1),
-            Point(rect.x2, rect.y2),
-            Point(cx, cy),
-        ):
-            if union.contains_point(p) and not mirror.contains_point(p):
-                violations.append(
-                    f"eager union contains {p.as_tuple()} but the"
-                    " region mirror does not"
-                )
-    return violations
-
-
 def grid_vs_sweep(rects: Sequence[Rect]) -> list[str]:
     """The coverage-grid kernel against the sweep on one rectangle set.
 

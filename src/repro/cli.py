@@ -647,9 +647,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         for mismatch in continuous.mismatches:
             print(f"    {mismatch}")
         total_disagreements += len(continuous.mismatches)
-    # Codec leg: seeded random slab histories (plus payloads, ops,
-    # records, outcomes, value trees) round-tripped through both
-    # encodings — binary frames and pickle-via-__reduce__ — with
+    # Codec leg: seeded random payloads, ops, records, outcomes and
+    # value trees round-tripped through their binary frames, with
     # truncation/corruption rejection checked on the same frames.
     from .codec.fuzz import run_codec_fuzz
 

@@ -9,9 +9,6 @@ trailing, or unknown bytes raise :class:`~repro.errors.CodecError`.
 
 Consumers:
 
-* the domain types' ``__reduce__`` hooks (pickling an
-  :class:`~repro.shard.messages.OverhearOp` ships one codec frame
-  instead of a generic dataclass graph);
 * the sharded simulator's pipe RPC (:mod:`repro.shard.rpc`), which
   moves raw codec buffers over ``send_bytes``/``recv_bytes`` — a halo
   payload is the owner's :class:`~repro.p2p.ShareResponse` frame, a

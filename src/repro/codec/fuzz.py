@@ -1,14 +1,9 @@
 """Seeded codec fuzzing for the ``repro check`` harness.
 
-Generates random-but-reproducible domain objects — slab unions grown
-from random rect histories, share payloads, overhear ops, query
-records/events, composed event outcomes, and JSON-shaped value trees —
-and round-trips each through *both* encodings that exist for it:
-
-* the flat binary frame (``encode`` / ``decode``), and
-* pickle, which the domain types' ``__reduce__`` hooks route through
-  the same frames (so a divergence here means the hook and the codec
-  disagree).
+Generates random-but-reproducible domain objects — share payloads,
+overhear ops, query records/events, composed event outcomes, and
+JSON-shaped value trees — and round-trips each through its flat binary
+frame (``encode`` / ``decode``).
 
 Equality is judged on canonical re-encoded bytes: the codec is
 deterministic over an object's logical state, so ``encode(clone) ==
@@ -23,14 +18,12 @@ contract from the serving layer, applied to the exchange codec).
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass, field
 
 from ..core import Resolution
 from ..experiments.metrics import QueryRecord
 from ..geometry import Point, Rect
-from ..geometry.slabunion import SlabUnion
 from ..model import POI
 from ..p2p.protocol import ShareResponse
 from ..shard.messages import EventOutcome, OverhearOp
@@ -80,16 +73,6 @@ def _pois(rng: random.Random, n: int) -> tuple[POI, ...]:
         )
         for _ in range(n)
     )
-
-
-def _slab_union(rng: random.Random) -> SlabUnion:
-    """A slab union grown from a random insert history."""
-    union = SlabUnion()
-    for _ in range(rng.randrange(0, 12)):
-        union.insert_rect(_rect(rng))
-    if rng.random() < 0.3:
-        union.freeze()
-    return union
 
 
 def _payload(rng: random.Random) -> ShareResponse:
@@ -190,7 +173,7 @@ def _json_value(rng: random.Random, depth: int = 0):
     }
 
 
-_BUILDERS = (_slab_union, _payload, _op, _record, _event, _outcome)
+_BUILDERS = (_payload, _op, _record, _event, _outcome)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +212,7 @@ def _attack(rng: random.Random, frame: bytes, report: CodecFuzzReport):
 
 
 def run_codec_fuzz(seed: int = 0, rounds: int = 50) -> CodecFuzzReport:
-    """Round-trip ``rounds`` batches of random objects both ways."""
+    """Round-trip ``rounds`` batches of random objects."""
     from time import perf_counter
 
     started = perf_counter()
@@ -239,18 +222,13 @@ def run_codec_fuzz(seed: int = 0, rounds: int = 50) -> CodecFuzzReport:
         for build in _BUILDERS:
             obj = build(rng)
             original = encode(obj)
-            for label, clone in (
-                ("codec", decode(original)),
-                ("pickle", pickle.loads(pickle.dumps(obj))),
-            ):
-                again = encode(clone)
-                if again != original:
-                    report.mismatches.append(
-                        f"round {round_index} seed {seed}:"
-                        f" {type(obj).__name__} diverged after {label}"
-                        f" round-trip ({len(original)} -> {len(again)}"
-                        " bytes)"
-                    )
+            again = encode(decode(original))
+            if again != original:
+                report.mismatches.append(
+                    f"round {round_index} seed {seed}:"
+                    f" {type(obj).__name__} diverged after the codec"
+                    f" round-trip ({len(original)} -> {len(again)} bytes)"
+                )
             report.objects_checked += 1
             if round_index % 5 == 0:
                 _attack(rng, original, report)

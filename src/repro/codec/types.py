@@ -4,8 +4,6 @@ One registration per versioned type tag (see :mod:`repro.codec.core`):
 
 * ``Rect`` / ``Point`` / ``POI`` batches — contiguous float64/int64
   buffers, category strings elided when every POI carries the default;
-* ``SlabUnion`` — generation + flags + x-cut array + per-slab interval
-  counts + one flat interval buffer (+ member rects while insert-only);
 * ``ShareResponse`` / ``OverhearOp`` / ``EventOutcome`` — the cross-
   shard exchange messages, composed from the above (a halo payload is
   just the owner's share response: peer id, generation, rects, POIs);
@@ -22,10 +20,7 @@ Nothing here pickles: every decoder is strict over flat buffers.
 Floats round-trip bit-exactly (``<d`` both ways) and every decoded
 coordinate is a Python ``float`` (numpy views are ``.tolist()``-ed),
 so downstream arithmetic is bit-identical to the never-encoded
-object.  The domain types' ``__reduce__`` hooks route pickling through
-:func:`~repro.codec.core.encode` / :func:`~repro.codec.core.decode`,
-which is what removes the generic-dataclass pickle cost everywhere
-else (and what the codec fuzz leg cross-checks).
+object.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ from ..errors import CodecError
 from ..experiments.host import MobileHost
 from ..experiments.metrics import QueryRecord
 from ..geometry import Point, Rect
-from ..geometry.slabunion import SlabUnion
 from ..model import DEFAULT_CATEGORY, POI
 from ..p2p.protocol import ShareResponse
 from ..shard.messages import EventOutcome, OverhearOp
@@ -53,7 +47,6 @@ from .core import (
     TAG_QUERY_RECORD,
     TAG_RECORD_BATCH,
     TAG_SHARE_PAYLOAD,
-    TAG_SLAB_UNION,
     Reader,
     Writer,
     frame,
@@ -148,76 +141,6 @@ def read_pois(r: Reader) -> tuple[POI, ...]:
     return tuple(
         POI(pid, Point(x, y), r.str_()) for pid, x, y in zip(ids, xs, ys)
     )
-
-
-# ----------------------------------------------------------------------
-# SlabUnion
-# ----------------------------------------------------------------------
-_FLAG_FROZEN = 1
-_FLAG_MEMBERS = 2
-
-
-def write_slab_union(w: Writer, union: SlabUnion) -> None:
-    members = union._members
-    w.i64(union.generation)
-    flags = 0
-    if union._frozen:
-        flags |= _FLAG_FROZEN
-    if members is not None:
-        flags |= _FLAG_MEMBERS
-    w.u8(flags)
-    w.f64_array(union._xs)
-    slabs = union._slabs
-    w.i64_array([len(intervals) for intervals in slabs])
-    flat = []
-    for intervals in slabs:
-        for a, b in intervals:
-            flat.append(a)
-            flat.append(b)
-    w.f64_array(flat)
-    if members is not None:
-        write_rects(w, members)
-
-
-def read_slab_union(r: Reader) -> SlabUnion:
-    generation = r.i64()
-    flags = r.u8()
-    if flags & ~(_FLAG_FROZEN | _FLAG_MEMBERS):
-        raise CodecError(f"unknown SlabUnion flags 0x{flags:02x}")
-    xs = r.f64_array().tolist()
-    counts = r.i64_array().tolist()
-    if len(counts) != max(len(xs) - 1, 0):
-        raise CodecError(
-            f"{len(counts)} slabs do not fit {len(xs)} x cuts"
-        )
-    flat = r.f64_array().tolist()
-    total = 0
-    for count in counts:
-        if count < 0:
-            raise CodecError(f"negative slab interval count {count}")
-        total += count
-    if len(flat) != 2 * total:
-        raise CodecError(
-            f"interval buffer holds {len(flat)} floats, expected {2 * total}"
-        )
-    slabs: list[tuple] = []
-    pos = 0
-    for count in counts:
-        end = pos + 2 * count
-        slabs.append(
-            tuple(zip(flat[pos:end:2], flat[pos + 1:end:2]))
-        )
-        pos = end
-    union = SlabUnion.__new__(SlabUnion)
-    union._xs = xs
-    union._slabs = slabs
-    union._members = list(read_rects(r)) if flags & _FLAG_MEMBERS else None
-    union._lazy = False
-    union.generation = generation
-    union._frozen = bool(flags & _FLAG_FROZEN)
-    union._memo_gen = -1
-    union._memo = {}
-    return union
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +309,6 @@ def write_host(w: Writer, host: MobileHost) -> None:
     (
         capacity,
         max_regions,
-        incremental,
         generation,
         regions_coalesced,
         items,
@@ -394,7 +316,6 @@ def write_host(w: Writer, host: MobileHost) -> None:
         slot_ids,
         slot_xs,
         slot_ys,
-        mirror,
     ) = cache.codec_state()
     policy = cache.policy
     if type(policy) is DirectionDistancePolicy:
@@ -409,7 +330,6 @@ def write_host(w: Writer, host: MobileHost) -> None:
         )
     w.i64(capacity)
     w.i64(max_regions)
-    w.u8(1 if incremental else 0)
     w.i64(generation)
     w.u8(1 if regions_coalesced else 0)
     write_pois(w, [item.poi for item in items])
@@ -420,11 +340,6 @@ def write_host(w: Writer, host: MobileHost) -> None:
     w.i64_array(slot_ids)
     w.f64_array(slot_xs)
     w.f64_array(slot_ys)
-    if mirror is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        write_slab_union(w, mirror)
 
 
 def read_host(r: Reader) -> MobileHost:
@@ -438,7 +353,6 @@ def read_host(r: Reader) -> MobileHost:
         raise CodecError(f"unknown policy tag {policy_tag}")
     capacity = r.i64()
     max_regions = r.i64()
-    incremental = bool(r.u8())
     generation = r.i64()
     regions_coalesced = bool(r.u8())
     pois = read_pois(r)
@@ -466,12 +380,10 @@ def read_host(r: Reader) -> MobileHost:
     slot_ys = r.f64_array()
     if slot_xs.size != slot_ids.size or slot_ys.size != slot_ids.size:
         raise CodecError("slot coordinate buffers disagree with id buffer")
-    mirror = read_slab_union(r) if r.u8() else None
     cache = POICache.from_codec_state(
         policy,
         capacity,
         max_regions,
-        incremental,
         generation,
         regions_coalesced,
         items,
@@ -479,7 +391,6 @@ def read_host(r: Reader) -> MobileHost:
         slot_ids,
         slot_xs,
         slot_ys,
-        mirror,
     )
     host = MobileHost.__new__(MobileHost)
     host.host_id = host_id
@@ -493,7 +404,6 @@ def read_host(r: Reader) -> MobileHost:
 # ----------------------------------------------------------------------
 # Registration
 # ----------------------------------------------------------------------
-register(TAG_SLAB_UNION, SlabUnion, write_slab_union, read_slab_union)
 register(
     TAG_SHARE_PAYLOAD, ShareResponse, write_share_response, read_share_response
 )

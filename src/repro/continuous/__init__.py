@@ -1,7 +1,7 @@
 """Continuous safe-region monitoring queries (:mod:`repro.continuous`).
 
 Standing kNN / window queries re-evaluated per tick: a per-query
-*safe region* derived from the cache's verified mirror answers most
+*safe region* derived from the cache's verified regions answers most
 ticks locally and provably exactly, and the re-evaluations that do
 fall back to the channel in a tick share one batched broadcast scan.
 """

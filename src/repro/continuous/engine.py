@@ -7,7 +7,7 @@ incremental scheme this module exists for:
 
 * **safe regions** (:mod:`repro.continuous.safe_region`) — after each
   full re-evaluation the host freezes a :class:`SafeRegion` from its
-  cache's verified mirror; while the safe test holds on later ticks
+  cache's verified regions; while the safe test holds on later ticks
   the answer is recomputed *locally* from the frozen snapshot, with no
   share exchange and no channel time, and is provably identical to a
   full re-evaluation;

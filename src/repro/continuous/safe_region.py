@@ -3,14 +3,17 @@
 A standing query re-evaluated at anchor ``q0`` freezes everything the
 host *provably* knows at that instant:
 
-* the cache's verified-region mirror (:attr:`POICache.region_union`)
-  gives ``r_known = distance_to_boundary(q0) - margin``.  By the
-  strictly-open soundness invariant (:meth:`POICache.check_soundness`)
-  an uncached server POI either lies outside the mirror (distance from
-  ``q0`` at least ``distance_to_boundary(q0)``) or within ``margin``
-  of its boundary (distance at least ``distance_to_boundary(q0) -
-  margin``) — so every *uncached* server POI is at least ``r_known``
-  from ``q0``;
+* the union of the cache's verified regions
+  (``SlabUnion.from_rects(cache.region_rects)``) gives ``r_known =
+  distance_to_boundary(q0) - margin``.  A region enters the cache with
+  every server POI of its closed rectangle, and an evicted POI is
+  shrunk out of every region that held it, so an uncached server POI
+  lies outside the closed union — at least
+  ``distance_to_boundary(q0)`` from ``q0``.  The invariant the tests
+  can assert (:meth:`POICache.check_soundness`) is the strictly-open
+  one, which lets an uncached POI sit within ``margin`` of a
+  boundary, and ``r_known`` gives that band away — so every
+  *uncached* server POI is at least ``r_known`` from ``q0``;
 * the *snapshot* is every cached POI strictly closer than ``r_known``
   to ``q0`` — by the contrapositive above, exactly the set of server
   POIs inside the open disc ``D(q0, r_known)``.  POIs are static, so
@@ -35,9 +38,9 @@ From those two facts purely local re-evaluation is provably exact:
   with the host.
 
 The strict ``<`` comparisons throughout mirror the strictly-open
-interiority both :meth:`check_soundness` branches assert: a POI
-sitting exactly on the margin band is allowed to be uncached, so the
-safe tests must never claim it.
+interiority :meth:`check_soundness` asserts: a POI sitting exactly on
+the margin band is allowed to be uncached, so the safe tests must
+never claim it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 from ..cache import EVICTION_MARGIN, POICache
-from ..geometry import Point, Rect
+from ..geometry import Point, Rect, SlabUnion
 from ..index import brute_force_knn, brute_force_window
 from ..model import POI, QueryResultEntry
 
@@ -94,7 +97,7 @@ def derive_safe_region(
     k: int | None = None,
     margin: float = EVICTION_MARGIN,
 ) -> SafeRegion | None:
-    """Derive a :class:`SafeRegion` from a cache's verified mirror.
+    """Derive a :class:`SafeRegion` from a cache's verified regions.
 
     Returns ``None`` when the anchor is outside the verified area (or
     the margin-shrunk knowledge radius vanishes) — the standing query
@@ -104,7 +107,7 @@ def derive_safe_region(
     with an inflated margin models knowledge loss, and the (smaller)
     region must still answer exactly within its own disc.
     """
-    union = cache.region_union
+    union = SlabUnion.from_rects(cache.region_rects)
     if union.is_empty or not union.contains_point(anchor):
         return None
     r_known = union.distance_to_boundary(anchor) - margin

@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 
 from ..errors import ReproError
-from ..geometry import Circle, Point, RectUnion
+from ..geometry import Circle, Point, SlabUnion
 from .heap import ResultHeap
 
 
 def unverified_region_area(
-    query: Point, candidate_distance: float, mvr: RectUnion
+    query: Point, candidate_distance: float, mvr: SlabUnion
 ) -> float:
     """Area ``u`` of ``C(q, r') - MVR`` (exact, holes included)."""
     if candidate_distance < 0:
@@ -34,7 +34,7 @@ def unverified_region_area(
 def correctness_probability(
     query: Point,
     candidate_distance: float,
-    mvr: RectUnion,
+    mvr: SlabUnion,
     poi_density: float,
 ) -> float:
     """Lemma 3.2: ``P(candidate holds its rank) = exp(-λ·u)``."""
@@ -58,7 +58,7 @@ def surpassing_ratio(
 
 
 def annotate_heap(
-    query: Point, heap: ResultHeap, mvr: RectUnion, poi_density: float
+    query: Point, heap: ResultHeap, mvr: SlabUnion, poi_density: float
 ) -> None:
     """Fill in correctness probability and surpassing ratio for every
     unverified heap entry (they are memorised in ``H`` — Table 2)."""

@@ -13,41 +13,35 @@ Two performance layers sit under the algorithm:
   response) replaces the per-POI Python loop; ``nnv_scalar`` keeps the
   loop-based reference implementation, asserted byte-identical in the
   equivalence tests;
-* :meth:`MVRMemo.merged` builds the MVR the host pipeline queries: a
-  frozen, lazy :class:`~repro.geometry.SlabUnion` that lives for one
-  query.  NNV asks it which received POIs lie inside and how far the
-  query point is from its boundary; both are read off one coverage
-  grid, and no slab structure is built.
+* :func:`merge_verified_regions` builds the MVR: a lazy
+  :class:`~repro.geometry.SlabUnion` that lives for one query.  NNV
+  asks it which received POIs lie inside and how far the query point
+  is from its boundary; both are read off one coverage grid, and no
+  slab structure is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from ..check import invariants
-from ..geometry import Point, Rect, RectUnion, SlabUnion
+from ..geometry import Point, Rect, SlabUnion
 from ..model import POI
 from ..p2p import ShareResponse
 from .heap import HeapEntry, ResultHeap
 
-# The merged-MVR object: eager (one-shot merges inside nnv / sbwq) or
-# the host pipeline's lazy SlabUnion.  Same read contract, pinned to
-# the same slab kernels in repro.geometry.region.
-RegionUnion = Union[RectUnion, SlabUnion]
-
-
-def merge_verified_regions(responses: Sequence[ShareResponse]) -> RectUnion:
+def merge_verified_regions(responses: Sequence[ShareResponse]) -> SlabUnion:
     """The MVR: union of every peer's verified-region MBRs.
 
     This is the MapOverlay step of Algorithm 1 (line 4), exact for the
     rectangle inputs the protocol carries.
     """
     rects = [rect for response in responses for rect in response.regions]
-    return RectUnion(rects)
+    return SlabUnion.from_rects(rects)
 
 
 class MVRMemo:
@@ -64,12 +58,11 @@ class MVRMemo:
     hits = 0
 
     def merged(self, responses: Sequence[ShareResponse]) -> SlabUnion:
-        rects = [rect for response in responses for rect in response.regions]
-        return SlabUnion.from_rects(rects).freeze()
+        return merge_verified_regions(responses)
 
 
 def collect_candidates(
-    responses: Sequence[ShareResponse], mvr: RegionUnion
+    responses: Sequence[ShareResponse], mvr: SlabUnion
 ) -> list[POI]:
     """The candidate set ``O``: received POIs that lie inside the MVR.
 
@@ -87,7 +80,7 @@ def collect_candidates(
 
 def first_contained(
     responses: Sequence[ShareResponse],
-    mvr: RegionUnion,
+    mvr: SlabUnion,
     within: Rect | None = None,
 ) -> tuple[list[ShareResponse], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The batch form of :func:`collect_candidates`.
@@ -142,8 +135,8 @@ def nnv(
     query: Point,
     responses: Sequence[ShareResponse],
     k: int,
-    mvr: RegionUnion | None = None,
-) -> tuple[ResultHeap, RegionUnion]:
+    mvr: SlabUnion | None = None,
+) -> tuple[ResultHeap, SlabUnion]:
     """Algorithm 1 (NNV): build the heap ``H`` from peer data.
 
     Returns the heap and the MVR (callers reuse the MVR for the
@@ -182,8 +175,8 @@ def nnv_scalar(
     query: Point,
     responses: Sequence[ShareResponse],
     k: int,
-    mvr: RegionUnion | None = None,
-) -> tuple[ResultHeap, RegionUnion]:
+    mvr: SlabUnion | None = None,
+) -> tuple[ResultHeap, SlabUnion]:
     """Loop-based reference implementation of :func:`nnv`.
 
     Kept for the equivalence tests (and as readable documentation of

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from ..check import invariants
 from ..errors import ReproError
-from ..geometry import Point, RectUnion
+from ..geometry import Point, SlabUnion
 from ..model import POI
 from ..p2p import ShareResponse
 from .approx import annotate_heap
@@ -57,7 +57,7 @@ class SBNNOutcome:
 
     resolution: Resolution
     heap: ResultHeap
-    mvr: RectUnion
+    mvr: SlabUnion
     bounds: SearchBounds
     annotated: bool = False
 
@@ -74,7 +74,7 @@ def sbnn(
     poi_density: float,
     accept_approximate: bool = True,
     min_correctness: float = 0.5,
-    mvr: RectUnion | None = None,
+    mvr: SlabUnion | None = None,
     annotate: str = "auto",
     tracer=None,
 ) -> SBNNOutcome:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..geometry import Point, Rect, RectUnion
+from ..geometry import Point, Rect, SlabUnion
 from ..model import POI
 from ..p2p import ShareResponse
 from .nnv import merge_verified_regions
@@ -30,7 +30,7 @@ class SBWQOutcome:
     resolution: Resolution
     verified_pois: tuple[POI, ...]
     remainder_windows: tuple[Rect, ...]
-    mvr: RectUnion
+    mvr: SlabUnion
     window: Rect | None = None
 
     @property
@@ -56,7 +56,7 @@ class SBWQOutcome:
 def sbwq(
     window: Rect,
     responses: Sequence[ShareResponse],
-    mvr: RectUnion | None = None,
+    mvr: SlabUnion | None = None,
 ) -> SBWQOutcome:
     """Algorithm 3 (SBWQ), up to the broadcast-channel hand-off.
 

@@ -27,7 +27,7 @@ from ..core import MVRMemo, Resolution, sbnn, sbwq
 from ..core.heap import HeapEntry
 from ..core.nnv import first_contained, pois_at
 from ..faults import P2PFaultStats
-from ..geometry import Circle, Point, Rect, RectUnion
+from ..geometry import Circle, Point, Rect, SlabUnion
 from ..model import DEFAULT_CATEGORY, POI
 from ..obs import NO_TRACER
 from ..p2p import ShareRequest, ShareResponse
@@ -60,7 +60,7 @@ class HostQueryResult:
 
 
 def _pois_from_responses(
-    responses: Sequence[ShareResponse], within: Rect, mvr: RectUnion
+    responses: Sequence[ShareResponse], within: Rect, mvr: SlabUnion
 ) -> dict[int, POI]:
     """Peer POIs inside both ``within`` and the MVR (hence complete).
 
@@ -279,7 +279,7 @@ class MobileHost:
         self,
         position: Point,
         heading: tuple[float, float],
-        mvr: RectUnion,
+        mvr: SlabUnion,
         responses: Sequence[ShareResponse],
         now: float,
     ) -> tuple[Rect, tuple[POI, ...]] | None:

@@ -54,13 +54,6 @@ class QueryRecord:
     recovery_retunes: int = 0
     buckets_lost: int = 0
 
-    def __reduce__(self):
-        # Pickle as one struct-packed codec frame (repro.codec.types)
-        # instead of the generic frozen-dataclass state protocol.
-        from ..codec import decode, encode
-
-        return (decode, (encode(self),))
-
 
 class MetricsCollector:
     """Aggregates query records into the figures' percentages.

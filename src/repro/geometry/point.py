@@ -37,11 +37,6 @@ class Point:
     def __hash__(self) -> int:
         return hash((self.x, self.y))
 
-    def __reduce__(self):
-        # Constructor-args pickling: two floats instead of the generic
-        # slots-state protocol.
-        return (Point, (self.x, self.y))
-
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance ``||self, other||`` (Table 1 notation)."""
         return math.hypot(self.x - other.x, self.y - other.y)

@@ -59,11 +59,6 @@ class Rect:
     def __hash__(self) -> int:
         return hash((self.x1, self.y1, self.x2, self.y2))
 
-    def __reduce__(self):
-        # Constructor-args pickling: four floats instead of the
-        # generic slots-state protocol (one dict + setstate per rect).
-        return (Rect, (self.x1, self.y1, self.x2, self.y2))
-
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------

@@ -14,11 +14,11 @@ that union exactly with a slab decomposition:
   beyond the input coordinates themselves.
 
 The slab structure itself — a sorted boundary list ``xs`` plus one
-merged interval tuple per slab — is shared with the *incremental*
+merged interval tuple per slab — is shared with the lazily built
 :class:`~repro.geometry.slabunion.SlabUnion`: every read-side
 operation lives here as a module-level function over ``(xs, slabs)``,
-so the eager union (rebuilt per construction) and the persistent union
-(mutated in place) are pinned to one set of kernels and cannot drift.
+so the eager union and the lazy one are pinned to one set of kernels
+and cannot drift.
 """
 
 from __future__ import annotations
@@ -115,11 +115,10 @@ def intervals_total_length(intervals: Sequence[Interval]) -> float:
 # ----------------------------------------------------------------------
 # A slab structure is a pair ``(xs, slabs)``: ``xs`` is the sorted list
 # of x cuts and ``slabs[i]`` holds the merged y intervals covering the
-# slab ``xs[i]..xs[i+1]`` as an immutable tuple (immutability is what
-# lets SlabUnion clones share unchanged slabs).  The canonical
+# slab ``xs[i]..xs[i+1]`` as an immutable tuple.  The canonical
 # structure for a rectangle set — cuts at exactly the member edges,
-# intervals in merged canonical form — is *unique*, so an incremental
-# build and an eager rebuild of the same set agree bit-for-bit.
+# intervals in merged canonical form — is *unique*, so the grid build
+# and the sweep of the same set agree bit-for-bit.
 
 
 # Unions of at least this many rectangles are built on the coverage
@@ -325,9 +324,9 @@ def grid_slabs(
     """The canonical slab structure, read off the coverage grid.
 
     The cuts are taken from the rectangles themselves (the sweep's own
-    expression), not from the index arrays: a union that is kept (a
-    cache's mirror) then shares its float objects with its members, as
-    the sweep's does, instead of holding two fresh ones per interval.
+    expression), not from the index arrays: the structure then shares
+    its float objects with its members, as the sweep's does, instead
+    of holding two fresh ones per interval.
     """
     _, _, blocks = _grid_blocks(rects)
     xs = x_cuts(rects)

@@ -24,12 +24,6 @@ class POI:
     location: Point
     category: str = DEFAULT_CATEGORY
 
-    def __reduce__(self):
-        # Constructor-args pickling: skips the generic frozen-dataclass
-        # ``fields()``/``_dataclass_setstate`` machinery, which
-        # dominated profiled cross-shard pipe traffic.
-        return (POI, (self.poi_id, self.location, self.category))
-
     @property
     def x(self) -> float:
         return self.location.x

@@ -36,11 +36,6 @@ class OverhearOp:
     heading: tuple[float, float]
     shared: SharedRegions
 
-    def __reduce__(self):
-        from ..codec import decode, encode
-
-        return (decode, (encode(self),))
-
 
 @dataclass(frozen=True, slots=True)
 class EventOutcome:
@@ -53,8 +48,3 @@ class EventOutcome:
     # observably mutated — the coordinator re-exports exactly these
     # payloads to shards mirroring them.
     dirty: tuple[tuple[int, int], ...]
-
-    def __reduce__(self):
-        from ..codec import decode, encode
-
-        return (decode, (encode(self),))

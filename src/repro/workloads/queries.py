@@ -46,13 +46,6 @@ class QueryEvent:
     window_area: float = 0.0
     center_offset: tuple[float, float] = (0.0, 0.0)
 
-    def __reduce__(self):
-        # Pickle as one struct-packed codec frame (repro.codec.types)
-        # instead of the generic frozen-dataclass state protocol.
-        from ..codec import decode, encode
-
-        return (decode, (encode(self),))
-
     def window_for(self, host_position: Point, bounds: Rect) -> Rect:
         """Materialise the query window around the host's position."""
         if self.kind is not QueryKind.WINDOW:

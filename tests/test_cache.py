@@ -14,6 +14,7 @@ from repro.cache import (
     shrink_rect_to_exclude,
 )
 from repro.cache.entry import CacheItem
+from repro.check import safe_region_contract
 from repro.errors import CacheError
 from repro.geometry import Point, Rect
 from repro.model import POI
@@ -142,18 +143,23 @@ class TestEvictionSoundness:
         with pytest.raises(CacheError):
             cache.check_soundness(pois + [stranger])
 
+    # The two readers of the verified rectangles share one definition
+    # of "inside", strictly-open interiority at the margin: the
+    # cache's own check, and the safe-region certificate derived from
+    # the same rectangles.
+
     def test_boundary_point_is_legal_in_both_branches(self):
-        # Both check_soundness branches use strictly-open interiority:
-        # an uncached POI sitting *exactly* on the margin band — the
-        # state eviction shrinking and mirror point cuts leave behind —
-        # must not raise, with or without the mirror materialised.
+        # An uncached POI sitting *exactly* on the margin band must
+        # not raise, and the certificate's open disc must not claim it.
         cache = POICache(capacity=10)
         cached = POI(1, Point(5, 5))
         cache.insert_result(Rect(0, 0, 10, 10), [cached], 0.0, Point(5, 5))
         on_margin = POI(777, Point(EVICTION_MARGIN, 5.0))
-        cache.check_soundness([cached, on_margin])  # rect branch only
-        assert cache.region_union.contains_point(on_margin.location)
-        cache.check_soundness([cached, on_margin])  # mirror branch too
+        assert cache.region_rects[0].contains_point(on_margin.location)
+        cache.check_soundness([cached, on_margin])
+        assert safe_region_contract(
+            cache, [cached, on_margin], Point(5, 5), 1, [Point(5, 5)]
+        ) == []
 
     def test_strict_interior_violation_raises_in_both_branches(self):
         cache = POICache(capacity=10)
@@ -162,9 +168,28 @@ class TestEvictionSoundness:
         inside = POI(778, Point(2.0 * EVICTION_MARGIN, 5.0))
         with pytest.raises(CacheError):
             cache.check_soundness([cached, inside])
-        cache.region_union  # materialise the mirror
-        with pytest.raises(CacheError):
-            cache.check_soundness([cached, inside])
+        violations = safe_region_contract(
+            cache, [cached, inside], Point(5, 5), 1, []
+        )
+        assert violations and "snapshot" in violations[0]
+
+    def test_eviction_leaves_the_victim_outside_every_closed_region(self):
+        # What the continuous safe regions rest on: an evicted POI is
+        # shrunk out of every region that held it, so an uncached POI
+        # lies outside the closed union of the verified rectangles.
+        pois = poi_grid(10, 10)
+        cache = POICache(capacity=30, max_regions=4)
+        cache.insert_result(Rect(0, 0, 9, 9), pois, 0.0, Point(0, 0))
+        cache.insert_result(Rect(2, 2, 12, 12), [
+            p for p in pois if Rect(2, 2, 12, 12).contains_point(p.location)
+        ], 1.0, Point(9, 9))
+        assert len(cache) == 30 and cache.region_rects
+        for poi in pois:
+            if poi.poi_id not in cache:
+                assert not any(
+                    rect.contains_point(poi.location)
+                    for rect in cache.region_rects
+                )
 
     def test_thin_region_skipped_without_error(self):
         # A region thinner than the 2*margin band has no strict

@@ -4,7 +4,7 @@
 policy call, deletes them in one pass, and repairs the verified
 regions once for the whole batch.  The pre-batching behaviour — evict
 the ranked victims one at a time, re-scanning every region per victim
-— survives as :meth:`POICache._evict`.  These properties pin the two
+— lives here as :func:`evict_one`.  These properties pin the two
 paths to each other on randomised caches: same survivor set, same
 region rectangles (same shrinks, in the same order), same coalesce
 flag, and the verified-region soundness invariant intact either way.
@@ -15,9 +15,29 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import POICache
+from repro.cache import POICache, VerifiedRegion
+from repro.cache.store import shrink_rect_to_exclude
 from repro.geometry import Point, Rect
 from repro.model import POI
+
+
+def evict_one(cache, poi):
+    """Remove one POI, shrinking every region that covers it."""
+    del cache._items[poi.poi_id]
+    cache._drop_slot_of(poi.poi_id)
+    updated = []
+    shrunk_any = False
+    for vr in cache._regions:
+        if not vr.rect.contains_point(poi.location):
+            updated.append(vr)
+            continue
+        shrunk_any = True
+        shrunk = shrink_rect_to_exclude(vr.rect, poi.location)
+        if shrunk is not None:
+            updated.append(VerifiedRegion(shrunk, vr.created_at))
+    if shrunk_any:
+        cache._regions = updated
+        cache._regions_coalesced = False
 
 # Integer-lattice POI positions and rect corners: containment and the
 # eviction-margin cuts stay exact, so any batch/sequential divergence
@@ -85,7 +105,7 @@ class TestBatchedEvictionEquivalence:
                 list(reference._items.values()), position, heading
             )[:excess]
             for item in victims:
-                reference._evict(item.poi)
+                evict_one(reference, item.poi)
 
         assert list(batched._items) == list(reference._items)
         assert batched.regions == reference.regions

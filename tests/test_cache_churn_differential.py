@@ -1,14 +1,17 @@
-"""Incremental cache paths vs the sequential reference, under churn.
+"""Incremental cache paths vs the general reference paths, under churn.
 
-``POICache(incremental=True)`` runs the fused insert (single-pass
-coalesce + binary insert), batch eviction, and the live slab-mirror
-maintenance; ``incremental=False`` pins the sequential reference
-(append + full coalesce per insert, rank-and-evict one victim at a
-time, lazy mirror only).  The two must agree *bit for bit* on every
-observable payload at every step of a seeded churn stream — the same
-worlds two peers would exchange over the air.
+A stock ``POICache`` runs the fused insert (single-pass coalesce +
+binary insert) and array-scored batch eviction.  The reference cache
+here is the same class driven down its general paths from outside:
+a rank-only policy wrapper (no ``select_victims``) takes the
+``rank_victims`` branch that ``LRUPolicy`` / ``FIFOPolicy`` use in
+production, and clearing ``_regions_coalesced`` before each insert
+takes ``_append_region`` + the full ``_coalesce_regions`` scan.  The
+two must agree *bit for bit* on every observable payload at every step
+of a seeded churn stream — the same worlds two peers would exchange
+over the air.
 
-The content generation is deliberately excluded: the incremental path
+The content generation is deliberately excluded: the fused path
 skips the bump when a verified region lands inside an incumbent
 (nothing observable moved), so generation *values* diverge while the
 memo contract — stamp moves whenever content moves — holds on both.
@@ -18,9 +21,29 @@ import random
 
 import pytest
 
-from repro.cache import POICache
+from repro.cache import DirectionDistancePolicy, POICache
 from repro.geometry import Point, Rect
 from repro.model import POI
+
+
+class RankOnly:
+    """The default policy without its array-scored ``select_victims``."""
+
+    def __init__(self):
+        self._policy = DirectionDistancePolicy()
+
+    def rank_victims(self, items, host_position, heading):
+        return self._policy.rank_victims(items, host_position, heading)
+
+
+def reference_cache(capacity, max_regions=4):
+    return POICache(capacity, policy=RankOnly(), max_regions=max_regions)
+
+
+def reference_insert(cache, region, pois, now, position, heading):
+    """``insert_result`` down the general append + full-coalesce path."""
+    cache._regions_coalesced = False
+    cache.insert_result(region, pois, now, position, heading)
 
 
 def _churn_stream(seed, ops, side=1000.0):
@@ -81,54 +104,34 @@ def _observable(cache):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
 def test_incremental_matches_reference_bit_for_bit(seed):
-    fast = POICache(capacity=25, max_regions=4, incremental=True)
-    ref = POICache(capacity=25, max_regions=4, incremental=False)
-    # Materialise the mirror up front so insert_rect / point-cut
-    # repair (not just the lazy rebuild) run through the whole stream.
-    fast.region_union
+    fast = POICache(capacity=25, max_regions=4)
+    ref = reference_cache(capacity=25, max_regions=4)
     steps = 0
     for region, pois, now, position, heading in _churn_stream(seed, 220):
         fast.insert_result(region, pois, now, position, heading)
-        ref.insert_result(region, list(pois), now, position, heading)
+        reference_insert(ref, region, list(pois), now, position, heading)
         assert _observable(fast) == _observable(ref)
         steps += 1
     assert steps == 220
     assert len(fast) == fast.capacity  # the stream actually churned
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_mirror_stays_sound_superset_during_churn(seed):
-    cache = POICache(capacity=20, max_regions=4, incremental=True)
-    cache.region_union
-    rng = random.Random(seed + 1000)
-    for region, pois, now, position, heading in _churn_stream(seed, 150):
-        cache.insert_result(region, pois, now, position, heading)
-        mirror = cache.region_union
-        for rect in cache.region_rects:
-            assert mirror.covers_rect(rect)
-        # Any point inside a live region must be mirror-contained.
-        for rect in cache.region_rects[:2]:
-            p = Point(
-                rng.uniform(rect.x1, rect.x2), rng.uniform(rect.y1, rect.y2)
-            )
-            assert mirror.contains_point(p)
-
-
-def bench_cache_churn(ops, seed, capacities, incremental=True):
+def bench_cache_churn(ops, seed, capacities, reference=False):
     """Seeded insert/evict churn at Table-3-style capacity pressure.
 
     One fresh cache per capacity on a 10 km square: a random-walking
     host verifies a small region per op, each insert offers 3-8 new
-    POIs, so a warm cache evicts (shrinking regions, repairing the slab
-    mirror) on nearly every step.  Returns the per-capacity counts the
-    two cache modes must agree on.
+    POIs, so a warm cache evicts (shrinking regions) on nearly every
+    step.  Returns the per-capacity counts the stock cache and the
+    reference must agree on.
     """
     rng = random.Random(seed)
     side = 10_000.0
     report = {"ops": ops, "per_capacity": []}
     next_poi_id = 1
     for capacity in capacities:
-        cache = POICache(capacity, incremental=incremental)
+        cache = reference_cache(capacity) if reference else POICache(capacity)
+        insert = reference_insert if reference else POICache.insert_result
         x = rng.uniform(0.2 * side, 0.8 * side)
         y = rng.uniform(0.2 * side, 0.8 * side)
         offered = 0
@@ -159,7 +162,7 @@ def bench_cache_churn(ops, seed, capacities, incremental=True):
                 )
                 next_poi_id += 1
             offered += count
-            cache.insert_result(region, pois, float(op), Point(x, y), heading)
+            insert(cache, region, pois, float(op), Point(x, y), heading)
             # Exercise the generation-keyed memos the way peers do.
             if op % 16 == 0:
                 cache.share()
@@ -177,7 +180,7 @@ def bench_cache_churn(ops, seed, capacities, incremental=True):
 
 def test_bench_churn_reports_match_across_modes():
     fast = bench_cache_churn(300, seed=5, capacities=(30, 60))
-    ref = bench_cache_churn(300, seed=5, capacities=(30, 60), incremental=False)
+    ref = bench_cache_churn(300, seed=5, capacities=(30, 60), reference=True)
     assert fast["ops"] == ref["ops"] == 300
     for got, want in zip(fast["per_capacity"], ref["per_capacity"]):
         for key in (

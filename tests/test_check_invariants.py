@@ -209,13 +209,18 @@ class TestCheckUnion:
 
     def test_lazy_eager_and_subtracted_unions_pass(self, checks_on):
         inside, outside = Point(1.0, 0.5), Point(-3.0, 0.5)
+        # what a subtraction leaves: fragments abutting along the cuts
+        remainder = SlabUnion.from_rects(self.RECTS[::2]).subtract_from_rect(
+            Rect(-1, -1, 30, 5)
+        )
+        assert len(remainder) >= 16
         for union in (
             SlabUnion.from_rects(self.RECTS),
             SlabUnion.from_rects(self.RECTS[:3]),
             RectUnion(self.RECTS),
             SlabUnion.from_rects([]),
-            # no member list after a subtraction: nothing to compare
-            SlabUnion.from_rects(self.RECTS).subtract_point_cut(inside),
+            SlabUnion.from_rects(remainder),
+            SlabUnion.from_rects(remainder[:5]),
         ):
             check_union(union, inside)
             check_union(union, outside)
@@ -245,9 +250,6 @@ class TestCheckUnion:
                 SlabUnion.from_rects(self.RECTS[:3]),
                 RectUnion(self.RECTS),
                 SlabUnion.from_rects([]),
-                SlabUnion.from_rects(self.RECTS).subtract_point_cut(
-                    Point(1.0, 0.5)
-                ),
             ):
                 check_union(union, window.center, window)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broadcast import BatchMember, OnAirClient, batch_scan, plan_knn
-from repro.cache import POICache
+from repro.cache import EVICTION_MARGIN, POICache
 from repro.check import (
     run_continuous_campaign,
     safe_region_contract,
@@ -28,7 +28,7 @@ from repro.continuous import (
 )
 from repro.errors import BroadcastError, ExperimentError, ReproError
 from repro.experiments import Simulation
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, RectUnion
 from repro.index import brute_force_knn
 from repro.model import POI
 from repro.workloads import LA_CITY, QueryKind, scaled_parameters
@@ -192,6 +192,46 @@ class TestSafeRegionContract:
             cache, pois, anchor, k, probes, window_side=safe.r_known / 4
         )
         assert violations == []
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_certificates_over_churned_caches(self, seed):
+        # The certificate is derived from the rectangles eviction left
+        # behind, so the caches that matter are the ones that evicted:
+        # a warmed world with overhearing on, hosts at capacity only.
+        params = scaled_parameters(LA_CITY, area_scale=0.05)
+        sim = Simulation(
+            params, seed=seed, accept_approximate=False, overhear=True
+        )
+        sim.run_workload(QueryKind.KNN, 0, 800)
+        churned = [
+            host.cache for host in sim.hosts
+            if len(host.cache) == host.cache.capacity and host.cache.regions
+        ]
+        assert len(churned) >= 100
+        certificates = 0
+        for cache in churned[:150]:
+            eager = RectUnion(cache.region_rects)
+            for rect in cache.region_rects:
+                anchor = rect.center
+                safe = derive_safe_region(cache, anchor, k=3)
+                r_known = eager.distance_to_boundary(anchor) - EVICTION_MARGIN
+                if safe is None:
+                    assert r_known <= 0.0
+                    continue
+                certificates += 1
+                # the same certificate an eager union of the same
+                # rectangles gives
+                assert safe.r_known == r_known
+                assert sorted(p.poi_id for p in safe.snapshot) == sorted(
+                    p.poi_id for p in cache.pois
+                    if math.hypot(p.x - anchor.x, p.y - anchor.y) < r_known
+                )
+                probes = [anchor, Point(anchor.x + safe.r_known / 4, anchor.y)]
+                assert safe_region_contract(
+                    cache, sim.pois, anchor, 3, probes,
+                    window_side=safe.r_known / 4,
+                ) == []
+        assert certificates >= 200
 
 
 class TestBatchScan:

@@ -5,10 +5,10 @@ to the structure ``sweep_slabs`` builds one slab at a time; the sweep
 is the referee at every size.  On top of the kernel, a lazily built
 ``SlabUnion.from_rects`` must be indistinguishable from a union whose
 slabs were materialised up front — on every public read, whichever
-read comes first, and after every way of leaving the lazy state.
+read comes first, and after every structural read that ends the lazy
+state.
 """
 
-import pickle
 import tracemalloc
 from unittest import mock
 
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.metamorphic import grid_vs_sweep
-from repro.codec import decode, encode
 from repro.errors import GeometryError
 from repro.geometry import Circle, Point, Rect, RectUnion, SlabUnion
 from repro.geometry import region
@@ -211,8 +210,29 @@ def same_state(a, b):
         a._xs == b._xs
         and a._slabs == b._slabs
         and a._members == b._members
-        and (a.generation, a._frozen) == (b.generation, b._frozen)
     )
+
+
+def structural_reads(window, p):
+    """Every read that needs the whole slab structure: the only ways a
+    lazy union stops being lazy."""
+    return {
+        "area": lambda u: u.area,
+        "xs": lambda u: list(u.xs),
+        "slab_intervals": lambda u: list(u.slab_intervals),
+        "disjoint_rects": lambda u: u.disjoint_rects(),
+        "boundary_segments": lambda u: [
+            (s.a, s.b) for s in u.boundary_segments()
+        ],
+        "boundary_length": lambda u: u.boundary_length(),
+        "intersects_rect": lambda u: u.intersects_rect(window),
+        "degenerate window": lambda u: u.covers_rect(
+            Rect(p.x, p.y, p.x, p.y + 1.0)
+        ),
+        "disc_intersection_area": lambda u: u.disc_intersection_area(
+            Circle(p, 3.0)
+        ),
+    }
 
 
 big_sets = st.one_of(
@@ -251,32 +271,26 @@ class TestLazyUnion:
 
     @given(big_sets, lattice_rect, points)
     @settings(max_examples=40, deadline=None)
-    def test_leaving_the_lazy_state(self, rects, extra, pts):
+    def test_leaving_the_lazy_state(self, rects, window, pts):
         p = Point(*pts[0])
-        exits = {
-            "clone+insert": lambda u: u.clone().insert_rect(extra),
-            "point cut": lambda u: u.subtract_point_cut(p),
-            "freeze": lambda u: u.freeze(),
-            "codec": lambda u: decode(encode(u)),
-            "pickle": lambda u: pickle.loads(pickle.dumps(u)),
-        }
-        for label, leave in exits.items():
+        for label, leave in structural_reads(window, p).items():
             for prime in (False, True):
                 lazy = SlabUnion.from_rects(rects)
+                eager = eager_twin(rects)
                 if prime and not lazy.is_empty:
                     # The boundary arrays came from the grid before
                     # the slabs existed; they must survive the exit.
                     lazy.distance_to_boundary(p)
-                got = leave(lazy)
-                want = leave(eager_twin(rects))
-                assert same_state(got, want), label
-                assert got.is_empty == want.is_empty
-                if not got.is_empty:
-                    assert got.distance_to_boundary(p) == (
-                        want.distance_to_boundary(p)
+                assert leave(lazy) == leave(eager), label
+                assert not lazy._lazy, label
+                assert same_state(lazy, eager), label
+                assert lazy.is_empty == eager.is_empty
+                if not lazy.is_empty:
+                    assert lazy.distance_to_boundary(p) == (
+                        eager.distance_to_boundary(p)
                     ), label
-                assert got.contains_point(p) == want.contains_point(p)
-                assert got.area == want.area
+                assert lazy.contains_point(p) == eager.contains_point(p)
+                assert lazy.area == eager.area
 
 
 # ----------------------------------------------------------------------
@@ -380,11 +394,11 @@ class TestWindowLocalReads:
     @given(sets_and_windows())
     @settings(max_examples=60, deadline=None)
     def test_primed_union_reads_the_same(self, drawn):
-        # One union across all windows (the MVR memo's case): the
-        # memoised cuts serve every later window.
+        # One union across all windows: the memoised cuts serve every
+        # later window.
         rects, windows = drawn
         xs, slabs = sweep_slabs(rects)
-        union = SlabUnion.from_rects(rects).freeze()
+        union = SlabUnion.from_rects(rects)
         for window in windows:
             assert window_reads(union, window) == (
                 slabs_covers_rect(xs, slabs, window),
@@ -396,27 +410,20 @@ class TestWindowLocalReads:
     def test_after_leaving_the_lazy_state(self, drawn, extra, pts):
         rects, windows = drawn
         p = Point(*pts[0])
-        exits = {
-            "clone+insert": lambda u: u.clone().insert_rect(extra),
-            "point cut": lambda u: u.subtract_point_cut(p),
-            "freeze": lambda u: u.freeze(),
-            "codec": lambda u: decode(encode(u)),
-            "pickle": lambda u: pickle.loads(pickle.dumps(u)),
-        }
-        for label, leave in exits.items():
+        for label, leave in structural_reads(extra, p).items():
             lazy = SlabUnion.from_rects(rects)
+            eager = eager_twin(rects)
             # the cuts are memoised before the exit
             window_reads(lazy, Rect(-1.0, -1.0, 7.0, 7.0))
-            got = leave(lazy)
-            want = leave(eager_twin(rects))
-            # freezing is not an exit: the memoised MVR is a frozen
-            # lazy union, and its window reads are the local ones
-            assert got._lazy == (label == "freeze"), label
+            assert lazy._lazy
+            assert leave(lazy) == leave(eager), label
+            # from here on the window reads run over the full structure
+            assert not lazy._lazy, label
             for window in windows:
-                assert window_reads(got, window) == window_reads(
-                    want, window
+                assert window_reads(lazy, window) == window_reads(
+                    eager, window
                 ), label
-            assert same_state(got, want), label
+            assert same_state(lazy, eager), label
 
     def test_clipping_members_to_the_window_is_not_the_same(self):
         # The member on the right misses the window in y, yet its left
@@ -457,7 +464,7 @@ class TestWindowLocalReads:
         assert [p.poi_id for p in inside.verified_pois] == list(range(2, 9))
         assert across.resolution is Resolution.BROADCAST
         assert across.remainder_windows == (Rect(25, 0.5, 40, 2.5),)
-        assert mvr._lazy and mvr._frozen
+        assert mvr._lazy
 
 
 lookup_sets = st.one_of(
@@ -576,11 +583,8 @@ class TestOneGridPerLazyUnion:
         expected = [True, False, False]
         built = SlabUnion.from_rects(rects)
         built.area  # leaves the lazy state
-        decoded = decode(encode(SlabUnion.from_rects(rects)))
-        mutated = SlabUnion.from_rects(rects).insert_rect(Rect(40, 0, 41, 1))
-        cut = SlabUnion.from_rects(rects).subtract_point_cut(Point(30.0, 30.0))
         small = SlabUnion.from_rects(rects[:3])
-        unions = (built, decoded, mutated, cut, small, RectUnion(rects))
+        unions = (built, small, RectUnion(rects))
         with mock.patch.object(
             region, "_grid_blocks",
             side_effect=AssertionError("built a grid for a broadcast union"),
@@ -600,16 +604,15 @@ class TestIsEmptyIsStructural:
         assert RectUnion([Rect(1, 1, 1, 5)]).is_empty
         assert not SlabUnion.from_rects([rect]).is_empty
         assert not RectUnion([rect]).is_empty
-        # emptied by subtraction, whole and in two bites
-        assert SlabUnion.from_rects([rect]).subtract_rect(rect).is_empty
-        halves = SlabUnion.from_rects([rect])
-        halves.subtract_rect(Rect(0, 0, 1, 2))
-        assert not halves.is_empty
-        assert halves.subtract_rect(Rect(1, 0, 2, 2)).is_empty
-        # a hole leaves an empty slab between two live ones
-        ring = SlabUnion.from_rects([Rect(0, 0, 3, 1)])
-        ring.subtract_rect(Rect(1, 0, 2, 1))
-        assert not ring.is_empty and ring.area == 2.0
+        # lazy or not, and however many members are degenerate
+        many = [Rect(i, 0, i + 1, 1) for i in range(GRID_MIN_RECTS)]
+        assert not SlabUnion.from_rects(many).is_empty
+        assert SlabUnion.from_rects(
+            [Rect(i, 0, i, 1) for i in range(GRID_MIN_RECTS)]
+        ).is_empty
+        # a gap leaves an empty slab between two live ones
+        gap = SlabUnion.from_rects([Rect(0, 0, 1, 1), Rect(2, 0, 3, 1)])
+        assert not gap.is_empty and gap.area == 2.0
 
     def test_never_touches_the_area(self, monkeypatch):
         import repro.geometry.slabunion as module
@@ -620,4 +623,4 @@ class TestIsEmptyIsStructural:
         monkeypatch.setattr(module, "slabs_area", boom)
         union = SlabUnion.from_rects([Rect(0, 0, 2, 2)])
         assert not union.is_empty
-        assert union.subtract_rect(Rect(0, 0, 2, 2)).is_empty
+        assert SlabUnion.from_rects([Rect(0, 0, 0, 2)]).is_empty

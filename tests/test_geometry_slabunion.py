@@ -1,17 +1,14 @@
-"""SlabUnion vs eager RectUnion: the incremental/eager differential.
+"""SlabUnion vs eager RectUnion: the build-once/eager differential.
 
-The persistent :class:`~repro.geometry.SlabUnion` must be
-*bit-identical* to the eager :class:`~repro.geometry.RectUnion` for
-insert-only histories (canonical-form contract: same x cuts, same
-merged interval tuples, hence the same floats out of every derived
-computation), and *set-equivalent* once subtraction enters the
-history (the eager structure has no subtract, so the reference is a
-disjoint-piece replay).  Plus the mutation-specific contracts the
-eager union cannot express: clone isolation (copy-on-write) and the
-freeze guard.
+:class:`~repro.geometry.SlabUnion` must be *bit-identical* to the
+eager :class:`~repro.geometry.RectUnion` of the same rectangle set
+(canonical-form contract: same x cuts, same merged interval tuples,
+hence the same floats out of every derived computation) — whether
+``from_rects`` builds the slabs at once (small sets) or defers them
+behind the coverage grid (``GRID_MIN_RECTS`` members and up).  Plus
+the contracts of the value itself: empty unions, and no way to change
+a union after it is built.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -20,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import Point, Rect, RectUnion, SlabUnion
+from repro.geometry.region import GRID_MIN_RECTS
 
 rect_strategy = st.builds(
     lambda x, y, w, h: Rect(x, y, x + w, y + h),
@@ -35,15 +33,24 @@ lattice_rect = st.tuples(
     st.integers(0, 10), st.integers(0, 10), st.integers(1, 6), st.integers(1, 6)
 ).map(lambda t: Rect(t[0], t[1], t[0] + t[2], t[1] + t[3]))
 
-rect_lists = st.lists(rect_strategy | lattice_rect, max_size=10)
+# Both sides of the lazy threshold: the sweep builds the small sets at
+# once, the large ones stay lazy until a structural read.
+rect_lists = st.one_of(
+    st.lists(rect_strategy | lattice_rect, max_size=10),
+    st.lists(
+        rect_strategy | lattice_rect,
+        min_size=GRID_MIN_RECTS,
+        max_size=3 * GRID_MIN_RECTS,
+    ),
+)
 
 coord = st.floats(-60, 60)
 
 
-def incremental(rects):
-    union = SlabUnion()
-    for rect in rects:
-        union.insert_rect(rect)
+def built(rects):
+    union = SlabUnion.from_rects(rects)
+    live = [r for r in rects if not r.is_degenerate()]
+    assert union._lazy == (len(live) >= GRID_MIN_RECTS)
     return union
 
 
@@ -52,21 +59,20 @@ class TestInsertOnlyBitIdentity:
     @settings(max_examples=150, deadline=None)
     def test_structure_matches_eager(self, rects):
         eager = RectUnion(rects)
-        inc = incremental(rects)
-        bulk = SlabUnion.from_rects(rects)
-        for union in (inc, bulk):
-            assert union._xs == eager._xs
-            assert union._slabs == eager._slab_intervals
-            assert union.area == eager.area
-            assert union.rects == eager.rects
-            assert union.disjoint_rects() == eager.disjoint_rects()
-            assert union.is_empty == eager.is_empty
+        union = built(rects)
+        assert union.is_empty == eager.is_empty
+        assert union.rects == eager.rects
+        assert union._xs == eager._xs
+        assert union._slabs == eager._slab_intervals
+        assert not union._lazy
+        assert union.area == eager.area
+        assert union.disjoint_rects() == eager.disjoint_rects()
 
     @given(rect_lists, st.lists(st.tuples(coord, coord), max_size=25))
     @settings(max_examples=100, deadline=None)
     def test_containment_matches_eager(self, rects, points):
         eager = RectUnion(rects)
-        union = incremental(rects)
+        union = built(rects)
         # Corner points sit exactly on boundaries — the sharpest case.
         points = points + [(r.x1, r.y1) for r in rects]
         points += [(r.x2, r.y2) for r in rects]
@@ -85,9 +91,8 @@ class TestInsertOnlyBitIdentity:
     @settings(max_examples=100, deadline=None)
     def test_windows_and_boundary_match_eager(self, rects, window, x, y):
         eager = RectUnion(rects)
-        union = incremental(rects)
+        union = built(rects)
         assert union.covers_rect(window) == eager.covers_rect(window)
-        assert union.intersects_rect(window) == eager.intersects_rect(window)
         assert union.subtract_from_rect(window) == eager.subtract_from_rect(
             window
         )
@@ -96,266 +101,49 @@ class TestInsertOnlyBitIdentity:
             assert union.distance_to_boundary(p) == eager.distance_to_boundary(
                 p
             )
-            assert union.boundary_length() == eager.boundary_length()
             assert union.mbr() == eager.mbr()
+        assert union.intersects_rect(window) == eager.intersects_rect(window)
+        if not eager.is_empty:
+            assert union.boundary_length() == eager.boundary_length()
             segs = union.boundary_segments()
             assert [(s.a, s.b) for s in segs] == [
                 (s.a, s.b) for s in eager.boundary_segments()
             ]
 
 
-# An op sequence: insert or subtract a rectangle, or cut a point.
-op_strategy = st.one_of(
-    st.tuples(st.just("+"), lattice_rect),
-    st.tuples(st.just("-"), lattice_rect),
-    st.tuples(
-        st.just("cut"),
-        st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
-            lambda t: Point(float(t[0]) + 0.5, float(t[1]) + 0.5)
-        ),
-    ),
-)
-
-
-def replay_eager(ops):
-    """Reference replay on disjoint pieces via the eager union only."""
-    pieces: list[Rect] = []
-    for op, arg in ops:
-        if op == "+":
-            pieces = RectUnion(pieces + [arg]).disjoint_rects()
-        else:
-            if op == "cut":
-                m = 1e-9
-                arg = Rect(arg.x - m, arg.y - m, arg.x + m, arg.y + m)
-            cutter = RectUnion([arg])
-            pieces = [
-                kept
-                for piece in pieces
-                for kept in cutter.subtract_from_rect(piece)
-            ]
-    return RectUnion(pieces)
-
-
-class TestMutationSequences:
-    @given(st.lists(op_strategy, min_size=1, max_size=14))
-    @settings(max_examples=120, deadline=None)
-    def test_set_equivalent_to_piece_replay(self, ops):
-        union = SlabUnion()
-        for op, arg in ops:
-            if op == "+":
-                union.insert_rect(arg)
-            elif op == "-":
-                union.subtract_rect(arg)
-            else:
-                union.subtract_point_cut(arg)
-        reference = replay_eager(ops)
-        assert math.isclose(
-            union.area, reference.area, rel_tol=1e-9, abs_tol=1e-9
-        )
-        assert union.is_empty == reference.is_empty
-        # Predicates agree everywhere, boundaries included: both
-        # structures cut at the same closed lines.
-        for x in range(-1, 14):
-            for y in range(-1, 14):
-                p = Point(float(x), float(y))
-                assert union.contains_point(p) == reference.contains_point(p)
-        xs = np.linspace(-1.0, 13.0, 30)
-        grid_x, grid_y = np.meshgrid(xs, xs)
-        assert np.array_equal(
-            union.contains_points(grid_x.ravel(), grid_y.ravel()),
-            reference.contains_points(grid_x.ravel(), grid_y.ravel()),
-        )
-        window = Rect(2, 2, 9, 9)
-        assert union.covers_rect(window) == reference.covers_rect(window)
-        if not union.is_empty:
-            assert union.mbr() == reference.mbr()
-            p = Point(6.25, 6.25)
-            assert union.distance_to_boundary(p) == pytest.approx(
-                reference.distance_to_boundary(p), rel=1e-9, abs=1e-9
-            )
-
-    @given(st.lists(op_strategy, min_size=1, max_size=10), lattice_rect)
-    @settings(max_examples=80, deadline=None)
-    def test_subtract_from_rect_partitions_window(self, ops, window):
-        union = SlabUnion()
-        for op, arg in ops:
-            if op == "+":
-                union.insert_rect(arg)
-            elif op == "-":
-                union.subtract_rect(arg)
-            else:
-                union.subtract_point_cut(arg)
-        remainder = union.subtract_from_rect(window)
-        covered = window.area - sum(r.area for r in remainder)
-        # covered must equal area(window ∩ union) measured on pieces
-        inter = sum(
-            r.intersection(window).area
-            for r in union.disjoint_rects()
-            if r.intersection(window) is not None
-        )
-        assert covered == pytest.approx(inter, rel=1e-9, abs=1e-9)
-
-
-class TestPointCut:
-    def test_cut_point_excluded_margin_kept(self):
-        union = SlabUnion().insert_rect(Rect(0, 0, 10, 10))
-        p = Point(4.0, 6.0)
-        union.subtract_point_cut(p)
-        assert not union.contains_point(p)
-        # Area loss is the tiny square only.
-        assert union.area == pytest.approx(100.0, abs=1e-12)
-        # Points one margin away in each axis survive.
-        assert union.contains_point(Point(4.0 - 1e-9, 6.0))
-        assert union.contains_point(Point(4.0, 6.0 + 1e-9))
-
-    def test_cut_outside_region_is_noop_on_structure(self):
-        union = SlabUnion().insert_rect(Rect(0, 0, 2, 2))
-        before_area = union.area
-        union.subtract_point_cut(Point(50.0, 50.0))
-        assert union.area == before_area
-        assert union.contains_point(Point(1, 1))
-
-
-class TestOnCutVictims:
-    """Eviction point cuts for victims lying exactly on slab x-cuts.
-
-    The sharpest subtract case: the tiny cut square straddles an
-    existing slab boundary (a member edge), so both neighbouring slabs
-    receive the same interval difference and the straddled cut becomes
-    redundant.  The union must stay set-correct with no sliver
-    intervals, no empty interior slabs, and no equal-neighbour cuts
-    left inside the perforated range.
-    """
-
-    @given(
-        st.lists(lattice_rect, min_size=1, max_size=8),
-        st.tuples(st.integers(0, 12), st.integers(0, 12)),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_on_cut_victim_leaves_canonical_structure(self, rects, coords):
-        union = incremental(rects)
-        p = Point(float(coords[0]), float(coords[1]))
-        # Snap the victim onto the nearest existing x cut so the cut
-        # square always straddles a slab boundary.
-        p = Point(min(union._xs, key=lambda x: abs(x - p.x)), p.y)
-        generation_before = union.generation
-        union.subtract_point_cut(p)
-        assert not union.contains_point(p)
-        reference = replay_eager([("+", r) for r in rects] + [("cut", p)])
-        assert math.isclose(
-            union.area, reference.area, rel_tol=1e-9, abs_tol=1e-9
-        )
-        xs, slabs = union._xs, union._slabs
-        if slabs:
-            assert len(xs) == len(slabs) + 1
-        else:
-            assert xs == []
-        # Strictly increasing cuts: no zero-width sliver slabs.
-        assert all(a < b for a, b in zip(xs, xs[1:]))
-        for intervals in slabs:
-            # Well-formed merged intervals: positive measure, sorted,
-            # strictly separated (touching intervals must have merged).
-            assert all(a < b for a, b in intervals)
-            assert all(
-                intervals[i][1] < intervals[i + 1][0]
-                for i in range(len(intervals) - 1)
-            )
-        # No equal-neighbour cut survives inside the perforated range —
-        # unless the cut was a structural no-op (the victim's square
-        # missed every interval), where the insert-only canonical
-        # structure intentionally keeps cuts at member edges even
-        # between coinciding slabs.
-        if union.generation != generation_before:
-            m = 1e-9
-            for j in range(1, len(slabs)):
-                if p.x - m <= xs[j] <= p.x + m:
-                    assert slabs[j - 1] != slabs[j]
-
-    def test_on_cut_victim_drops_redundant_member_edge(self):
-        union = incremental([Rect(0, 0, 2, 2), Rect(2, 0, 4, 2)])
-        union.subtract_point_cut(Point(2.0, 1.0))
-        assert not union.contains_point(Point(2.0, 1.0))
-        # Both sides of the member edge at x=2 got the same interval
-        # difference, leaving the cut redundant; it must be merged away
-        # rather than inflate slab_count (the mirror compaction gauge).
-        assert 2.0 not in union._xs
-        assert union.slab_count == 3
-        assert union.contains_point(Point(2.0, 1.0 + 2e-9))
-        assert union.contains_point(Point(2.0 - 2e-9, 1.0))
-
-    def test_miss_y_band_is_structural_noop(self):
-        union = incremental([Rect(0, 0, 4, 2)])
-        g = union.generation
-        xs_before = list(union._xs)
-        slabs_before = list(union._slabs)
-        # Overlaps the x range but misses every y interval: removing
-        # nothing must insert no cuts, bump no generation, and keep
-        # the member list (and hence `rects`) alive.
-        union.subtract_rect(Rect(1, 5, 3, 7))
-        assert union.generation == g
-        assert union._xs == xs_before
-        assert union._slabs == slabs_before
-        assert union.rects == (Rect(0, 0, 4, 2),)
-
-    def test_noop_subtract_on_frozen_union_still_raises(self):
-        union = incremental([Rect(0, 0, 4, 2)]).freeze()
-        with pytest.raises(GeometryError):
-            union.subtract_rect(Rect(1, 5, 3, 7))
-
-
 class TestPersistence:
-    def test_clone_is_isolated(self):
-        base = SlabUnion().insert_rect(Rect(0, 0, 4, 4))
-        twin = base.clone()
-        twin.insert_rect(Rect(10, 0, 14, 4))
-        assert base.area == 16.0
-        assert twin.area == 32.0
-        base.subtract_rect(Rect(0, 0, 2, 4))
-        assert base.area == 8.0
-        assert twin.area == 32.0
+    """Contracts of the value itself."""
 
-    def test_clone_shares_then_diverges_structurally(self):
-        base = SlabUnion.from_rects([Rect(0, 0, 4, 4), Rect(2, 2, 8, 8)])
-        twin = base.clone()
-        assert twin._slabs == base._slabs
-        twin.insert_rect(Rect(0, 0, 8, 8))
-        assert twin._slabs != base._slabs
-        # base unchanged, still canonical vs eager
-        eager = RectUnion([Rect(0, 0, 4, 4), Rect(2, 2, 8, 8)])
-        assert base._xs == eager._xs
-        assert base._slabs == eager._slab_intervals
-
-    def test_freeze_guards_mutation(self):
-        union = SlabUnion().insert_rect(Rect(0, 0, 1, 1)).freeze()
-        with pytest.raises(GeometryError):
-            union.insert_rect(Rect(2, 2, 3, 3))
-        with pytest.raises(GeometryError):
-            union.subtract_rect(Rect(0, 0, 1, 1))
-        # ... but a clone of a frozen union mutates freely.
-        union.clone().insert_rect(Rect(2, 2, 3, 3))
-
-    def test_rects_unavailable_after_subtract(self):
-        union = SlabUnion().insert_rect(Rect(0, 0, 4, 4))
+    def test_exposes_no_mutator(self):
+        # One representation of a verified area, built once: nothing on
+        # the class changes a union after `from_rects` returns it.
+        assert SlabUnion.__slots__ == (
+            "_xs", "_slabs", "_members", "_lazy", "_memo"
+        )
+        for name in (
+            "insert_rect", "subtract_rect", "subtract_point_cut",
+            "clone", "freeze", "generation", "__reduce__",
+        ):
+            assert name not in vars(SlabUnion), name
+        union = SlabUnion.from_rects([Rect(0, 0, 4, 4)])
+        assert not hasattr(union, "__dict__")
+        with pytest.raises(AttributeError):
+            union.generation = 1
+        # the structural accessors hand out the structure read-only
+        # by convention; the member view is a fresh tuple
         assert union.rects == (Rect(0, 0, 4, 4),)
-        union.subtract_rect(Rect(1, 1, 2, 2))
-        with pytest.raises(GeometryError):
-            union.rects
-
-    def test_generation_advances_and_memo_refreshes(self):
-        union = SlabUnion().insert_rect(Rect(0, 0, 2, 2))
-        g = union.generation
-        assert union.area == 4.0
-        union.insert_rect(Rect(2, 0, 4, 2))
-        assert union.generation > g
-        assert union.area == 8.0
+        assert union.rects is not union.rects
 
     def test_empty_contracts(self):
-        union = SlabUnion()
-        assert union.is_empty
-        assert union.area == 0.0
-        with pytest.raises(GeometryError):
-            union.mbr()
-        with pytest.raises(GeometryError):
-            union.distance_to_boundary(Point(0, 0))
-        assert union.subtract_from_rect(Rect(0, 0, 1, 1)) == [Rect(0, 0, 1, 1)]
-        assert not union.contains_point(Point(0, 0))
+        for union in (SlabUnion(), SlabUnion.from_rects([Rect(1, 1, 1, 5)])):
+            assert union.is_empty
+            assert union.area == 0.0
+            assert union.rects == ()
+            with pytest.raises(GeometryError):
+                union.mbr()
+            with pytest.raises(GeometryError):
+                union.distance_to_boundary(Point(0, 0))
+            assert union.subtract_from_rect(Rect(0, 0, 1, 1)) == [
+                Rect(0, 0, 1, 1)
+            ]
+            assert not union.contains_point(Point(0, 0))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import POICache
-from repro.core import MVRMemo, merge_verified_regions, nnv, nnv_scalar, sbwq
+from repro.core import MVRMemo, nnv, nnv_scalar, sbwq
 from repro.experiments.host import _pois_from_responses
 from repro.geometry import (
     Point,
@@ -88,7 +88,9 @@ class TestNNVEquivalence:
         # (the name predates the memo's removal: `merged` vs the eager merge)
         memo = MVRMemo()
         merged = memo.merged(responses)
-        fresh = merge_verified_regions(responses)
+        fresh = RectUnion(
+            [rect for response in responses for rect in response.regions]
+        )
         assert merged.rects == fresh.rects
         heap_memo, _ = nnv(Point(qx, qy), responses, 3, mvr=merged)
         heap_ref, _ = nnv_scalar(Point(qx, qy), responses, 3)
@@ -122,7 +124,9 @@ class TestPeerPoisBatchEquivalence:
     @given(responses_strategy(), rect_strategy)
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_scalar(self, responses, window):
-        mvr = merge_verified_regions(responses)
+        mvr = RectUnion(
+            [rect for response in responses for rect in response.regions]
+        )
         expected = scalar_peer_pois(responses, window, mvr)
         got = batch_peer_pois(responses, window, mvr)
         assert len(got) == len(expected)
@@ -208,14 +212,13 @@ class TestMVRMemo:
         assert after.rects != before.rects
 
     def test_unstamped_responses_bypass_memo(self):
-        # Stamped or not, every merge is a fresh frozen SlabUnion.
+        # Stamped or not, every merge is a fresh SlabUnion.
         memo = MVRMemo()
         unstamped = [ShareResponse(0, (Rect(0, 0, 1, 1),), ())]
         first = memo.merged(unstamped)
         second = memo.merged(unstamped)
         assert first is not second
         assert first.rects == second.rects == (Rect(0, 0, 1, 1),)
-        assert first._frozen and second._frozen
         assert memo.hits == 0
 
     def test_nothing_is_retained(self):
@@ -239,6 +242,10 @@ class TestMVRMemo:
         sim = Simulation(scaled_parameters(LA_CITY, area_scale=0.02), seed=3)
         sim.run_workload(QueryKind.KNN, 0, 200)
         sim.run_workload(QueryKind.WINDOW, 0, 100)
+        # standing queries hang off their hosts, certificates and all
+        monitor = sim.run_continuous(QueryKind.KNN, standing=30, ticks=3)
+        assert any(query.safe is not None for query in monitor.queries)
+        assert sum(len(host.standing) for host in sim.hosts) == 30
         assert type(host_module.MVR) is MVRMemo
         held = {"host_id", "cache", "_share_generation", "_share_memo", "standing"}
         for host in sim.hosts:
@@ -251,9 +258,8 @@ class TestMVRMemo:
                 ):
                     continue
                 seen.add(id(obj))
-                # merged() is the only place that freezes a union
-                assert not (isinstance(obj, SlabUnion) and obj._frozen)
-                assert not isinstance(obj, RectUnion)
+                # a host keeps rectangles; unions belong to queries
+                assert not isinstance(obj, (SlabUnion, RectUnion))
                 stack.extend(gc.get_referents(obj))
 
 

@@ -26,7 +26,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test smoke oracle-smoke serve-smoke shard-smoke \
-	bench-smoke bench-ab loc
+	bench-smoke bench-ab loc reach
 
 check: lint test smoke oracle-smoke serve-smoke shard-smoke bench-smoke
 
@@ -55,20 +55,22 @@ lint:
 	@test "$$(grep -rI 'set[_]threshold' src | wc -l)" -eq 1
 	@echo ">> a cache keeps rectangles: no persistent slab core, no second cache mode, no pickle hooks"
 	@! grep -rIn 'insert[_]rect\|subtract[_]rect\|subtract[_]point_cut\|region[_]union\|TAG_SLAB[_]UNION\|MIRROR[_]COMPACT\|incremental[=]\|__reduce[_]_' src/repro
+	@echo ">> retired world options and capabilities stay out of src/repro"
+	@! grep -rIn 'position[_]refresh_interval\|speed[_]range_mph\|pause[_]range_s\|cache[_]gossip\|max[_]responders\|station[_]kwargs\|Random[W]aypoint\|run[_]until_steady\|\<Any[O]f\>\|\<All[O]f\>\|carry[_]generations_from\|[_]pois_memo\|bench[-]quick' src/repro
 
 test:
 	@echo ">> tier-1 tests"
 	$(PYTHON) -m pytest -x -q
 
 smoke:
-	@echo ">> traced bench-quick smoke"
-	$(PYTHON) -m repro.cli bench-quick --figures fig10 \
+	@echo ">> traced figure smoke (fig10, two sweep values)"
+	$(PYTHON) -m repro.cli figure fig10 --values 50 200 --scale 0.02 \
 		--warmup 30 --measure 20 --trace /tmp/repro-smoke.jsonl > /dev/null
 	$(PYTHON) -m repro.cli trace-summary /tmp/repro-smoke.jsonl \
 		| tail -n 1
 	@rm -f /tmp/repro-smoke.jsonl
 	@echo ">> traced continuous smoke (figc)"
-	$(PYTHON) -m repro.cli bench-quick --figures figc --scale 0.02 \
+	$(PYTHON) -m repro.cli figure figc --values 20 60 --scale 0.02 \
 		--warmup 40 --measure 60 --trace /tmp/repro-smoke-figc.jsonl \
 		> /dev/null
 	$(PYTHON) -m repro.cli trace-summary /tmp/repro-smoke-figc.jsonl \
@@ -103,3 +105,8 @@ bench-ab:
 loc:
 	@test -n "$(BASE)" || { echo "usage: make loc BASE=<rev>"; exit 2; }
 	$(PYTHON) tools/loc_table.py $(BASE)
+
+# Not part of `check` (~18 min): which code lines of src/repro does any
+# command, check leg, bench pass, example or benchmarks/ script reach?
+reach:
+	$(PYTHON) tools/reach_table.py

@@ -53,11 +53,6 @@ class RetrievalCost:
     recovery_latency: float = 0.0
 
     @property
-    def tuning_time(self) -> float:
-        """Tuning expressed in packets — kept for symmetry with the paper."""
-        return float(self.tuning_packets)
-
-    @property
     def data_latency(self) -> float:
         """The data-scan share of ``access_latency`` (never negative)."""
         return max(

@@ -1,21 +1,20 @@
 """The broadcast server: Hilbert-ordered data file construction.
 
-The server owns the ground-truth POI database (an R-tree) and
-serialises it for the wireless channel: POIs are sorted by the Hilbert
-value of their cell and packed into fixed-capacity buckets; the index
-segment lists every occupied Hilbert value with its bucket.
+The server owns the ground-truth POI database and serialises it for
+the wireless channel: POIs are sorted by the Hilbert value of their
+cell and packed into fixed-capacity buckets; the index segment lists
+every occupied Hilbert value with its bucket.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import BroadcastError
-from ..geometry import HilbertGrid, Point, Rect
-from ..index import RTree
+from ..geometry import HilbertGrid, Rect
 from ..model import POI
 from .packets import DataBucket, IndexEntry, IndexSegment
 
@@ -39,13 +38,11 @@ class BroadcastServer:
         self.grid = HilbertGrid(hilbert_order, bounds)
         self.bucket_capacity = bucket_capacity
         self.pois = tuple(pois)
-        self.rtree = RTree.from_pois(pois)
 
         decorated = sorted(
             ((self.grid.value_of_point(p.location), p.poi_id, p) for p in pois)
         )
         self._sorted_hvalues = [h for h, _, _ in decorated]
-        self._sorted_pois = [p for _, _, p in decorated]
 
         self.buckets: list[DataBucket] = []
         for start in range(0, len(decorated), bucket_capacity):
@@ -81,9 +78,9 @@ class BroadcastServer:
         # immutable for the life of the server (the (1, m) data file
         # never changes mid-run), so the curve decode of every occupied
         # value happens exactly once here, vectorised, instead of once
-        # per query in the first-scan radius estimate.  ``_index_*``
-        # arrays are per-entry; the ``*_expanded`` views repeat each
-        # entry per POI in its cell — exactly what the index publishes.
+        # per query in the first-scan radius estimate: one cell centre
+        # per POI (each entry repeated per POI in its cell — exactly
+        # what the index publishes).
         h_arr = np.fromiter(
             (e.h_value for e in index_entries), np.int64, count=len(index_entries)
         )
@@ -91,18 +88,16 @@ class BroadcastServer:
             (e.poi_count for e in index_entries), np.int64, count=len(index_entries)
         )
         cx1, cy1, cx2, cy2 = self.grid.rects_of_values(h_arr)
-        self._index_hvalues = h_arr
-        self._index_counts = counts
-        self._index_center_x = np.repeat((cx1 + cx2) / 2.0, counts)
-        self._index_center_y = np.repeat((cy1 + cy2) / 2.0, counts)
-        self._index_h_expanded = np.repeat(h_arr, counts)
-        # Flat python-float copies for the scalar ``math.hypot`` scan
+        # Flat python-float lists for the scalar ``math.hypot`` scan
         # of the radius estimate (``np.hypot`` rounds differently in
         # ~0.6 % of cases, which would break bit-identity of the
         # estimated radius against the historical per-Point path).
-        self._index_center_x_list: list[float] = self._index_center_x.tolist()
-        self._index_center_y_list: list[float] = self._index_center_y.tolist()
-        self._index_positions_memo: tuple[tuple[int, Point], ...] | None = None
+        self._index_center_x_list: list[float] = np.repeat(
+            (cx1 + cx2) / 2.0, counts
+        ).tolist()
+        self._index_center_y_list: list[float] = np.repeat(
+            (cy1 + cy2) / 2.0, counts
+        ).tolist()
 
     # ------------------------------------------------------------------
     @property
@@ -112,26 +107,6 @@ class BroadcastServer:
     def bucket_of_position(self, sorted_position: int) -> int:
         """Bucket id of the POI at a position in the Hilbert-sorted file."""
         return sorted_position // self.bucket_capacity
-
-    def buckets_for_values(self, h_values: Iterable[int]) -> list[int]:
-        """Sorted ids of every bucket holding a POI at any given value.
-
-        Empty cells map to no bucket — nothing needs to be downloaded
-        for them.  A cell whose POIs straddle a bucket boundary maps to
-        all the straddled buckets.
-        """
-        needed: set[int] = set()
-        for h in h_values:
-            lo = bisect_left(self._sorted_hvalues, h)
-            hi = bisect_right(self._sorted_hvalues, h)
-            if lo == hi:
-                continue  # empty cell
-            needed.update(
-                self.bucket_of_position(pos)
-                for pos in range(lo, hi, self.bucket_capacity)
-            )
-            needed.add(self.bucket_of_position(hi - 1))
-        return sorted(needed)
 
     def buckets_in_range(self, lo: int, hi: int) -> list[int]:
         """Ids of every bucket whose Hilbert range intersects ``[lo, hi]``.
@@ -150,49 +125,13 @@ class BroadcastServer:
         last = self.bucket_of_position(stop - 1)
         return list(range(first, last + 1))
 
-    def buckets_for_window(self, window: Rect) -> list[int]:
-        """Buckets needed to answer a window query from the channel."""
-        return self.buckets_for_values(self.grid.values_intersecting(window))
-
-    def occupied_hvalues(self) -> list[int]:
-        """All occupied Hilbert values (what the index publishes)."""
-        return self._index_hvalues.tolist()
-
-    def index_positions(self) -> list[tuple[int, Point]]:
-        """What a client learns from the index: per occupied value, the
-        cell-centre position estimate, repeated per POI in the cell.
-
-        Built once from the precomputed geometry and memoised — the
-        index never changes, so neither does this list.
-        """
-        if self._index_positions_memo is None:
-            self._index_positions_memo = tuple(
-                (h, Point(x, y))
-                for h, x, y in zip(
-                    self._index_h_expanded.tolist(),
-                    self._index_center_x_list,
-                    self._index_center_y_list,
-                )
-            )
-        return list(self._index_positions_memo)
-
-    def index_position_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The per-POI published positions as flat arrays.
-
-        Returns ``(h_values, center_x, center_y)`` with one slot per
-        POI (values repeat per POI in a cell, mirroring
-        :meth:`index_positions`).  Callers must treat the arrays as
-        read-only — they are the server's precomputed geometry.
-        """
-        return self._index_h_expanded, self._index_center_x, self._index_center_y
-
     def index_center_lists(self) -> tuple[list[float], list[float]]:
-        """The per-POI centre coordinates as plain-float lists.
+        """The per-POI published cell centres as plain-float lists.
 
-        The scalar counterpart of :meth:`index_position_arrays` for
-        code that must run ``math.hypot`` per element (bit-identical
-        to the historical per-Point distance scan).  Read-only: these
-        are the server's precomputed lists, not copies.
+        For code that must run ``math.hypot`` per element
+        (bit-identical to the historical per-Point distance scan).
+        Read-only: these are the server's precomputed lists, not
+        copies.
         """
         return self._index_center_x_list, self._index_center_y_list
 

@@ -142,9 +142,6 @@ class POICache:
         # the fused insert in :meth:`_insert_result` (no containments
         # can lurk among the kept regions).
         self._regions_coalesced = True
-        # (generation, payload) memos for the share/pois accessors.
-        self._pois_memo: tuple[int, tuple[POI, ...]] | None = None
-        self._share_memo: tuple[int, tuple[Rect, ...], tuple[POI, ...]] | None = None
 
     # ------------------------------------------------------------------
     def _drop_slot_of(self, poi_id: int) -> None:
@@ -181,16 +178,8 @@ class POICache:
 
     @property
     def pois(self) -> list[POI]:
-        """The cached POIs (insertion order), memoised per generation."""
-        memo = self._pois_memo
-        generation = self.generation
-        if memo is None or memo[0] != generation:
-            memo = (
-                generation,
-                tuple([item.poi for item in self._items.values()]),
-            )
-            self._pois_memo = memo
-        return list(memo[1])
+        """The cached POIs (insertion order), as a fresh list."""
+        return [item.poi for item in self._items.values()]
 
     @property
     def regions(self) -> list[VerifiedRegion]:
@@ -417,16 +406,12 @@ class POICache:
     ) -> tuple[int, tuple[Rect, ...], tuple[POI, ...]]:
         """``(generation, region_rects, pois)``: the shareable state.
 
-        Immutable, and memoised on the content generation: the stamp
-        moves exactly when the POI set or the regions change, so the
-        memo is rebuilt precisely as often as the content differs.
+        Immutable, and built per call: the stamp moves exactly when
+        the POI set or the regions change, so a caller that wants one
+        snapshot per generation keeps it beside the stamp (the host's
+        share response does).
         """
-        memo = self._share_memo
-        generation = self.generation
-        if memo is None or memo[0] != generation:
-            memo = (generation, tuple(self.region_rects), tuple(self.pois))
-            self._share_memo = memo
-        return memo
+        return self.generation, tuple(self.region_rects), tuple(self.pois)
 
     # ------------------------------------------------------------------
     # Binary codec support (see repro.codec.types)
@@ -439,10 +424,8 @@ class POICache:
         ``pois``/``share`` iterate it), the verified regions in their
         area-descending list order, and the *exact* slot-array prefix
         (swap-remove order is load-bearing for batch eviction).
-        Memos, the tracer, and the policy are excluded — memoised
-        values are pure functions of this state (dropping them is
-        determinism-safe), and the policy is encoded separately by the
-        codec.
+        The tracer and the policy are excluded — the policy is encoded
+        separately by the codec.
         """
         n = self._slot_n
         return (
@@ -475,9 +458,8 @@ class POICache:
 
         The slot arrays arrive as (possibly read-only ``frombuffer``)
         views; they are copied into fresh writable buffers sized by
-        the same doubling schedule ``_grow_slots`` uses.  Memos start
-        empty and the tracer unset — both rebuild on demand with
-        values identical to the originals.
+        the same doubling schedule ``_grow_slots`` uses.  The tracer
+        starts unset.
         """
         if capacity < 1:
             raise CacheError(f"cache capacity must be >= 1, got {capacity}")
@@ -505,8 +487,6 @@ class POICache:
         cache.generation = generation
         cache.tracer = None
         cache._regions_coalesced = regions_coalesced
-        cache._pois_memo = None
-        cache._share_memo = None
         return cache
 
     def pois_in(self, rect: Rect) -> list[POI]:

@@ -4,17 +4,19 @@ Usage::
 
     python -m repro.cli figure fig10 --scale 0.06 --warmup 2500 \
         --measure 400 --out results/fig10.csv
+    python -m repro.cli figure fig10 fig13 --values 50 200 --scale 0.02 \
+        --warmup 150 --measure 100 --trace trace.jsonl
     python -m repro.cli query --region la --k 5 --seed 3
     python -m repro.cli params
-    python -m repro.cli bench-quick --trace trace.jsonl
     python -m repro.cli trace-summary trace.jsonl
     python -m repro.cli check --seed 0 --queries 10000
     python -m repro.cli serve --region suburbia --scale 0.02 --port 7007
     python -m repro.cli load --spawn --count 200 --connections 4 --json
 
 The CSV written by ``figure`` has one row per (region, x, series) —
-see :mod:`repro.experiments.export`.  ``--trace PATH`` (on ``figure``,
-``query``, and ``bench-quick``) records every query's lifecycle as
+see :mod:`repro.experiments.export`; several figure names print (and
+export) their panels one after the other.  ``--trace PATH`` (on
+``figure`` and ``query``) records every query's lifecycle as
 JSON-lines spans plus a metrics snapshot; ``trace-summary`` renders
 the per-phase latency breakdown.  ``check`` runs the seeded
 differential-oracle campaigns of :mod:`repro.check` (README
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Callable, Sequence
@@ -80,18 +81,6 @@ REGIONS = {
     "la": LA_CITY,
     "suburbia": SYNTHETIC_SUBURBIA,
     "riverside": RIVERSIDE_COUNTY,
-}
-
-# Two sweep values per figure: enough to see the trend direction while
-# keeping ``bench-quick`` well under two minutes on one core.
-QUICK_SWEEPS: dict[str, tuple[float, ...]] = {
-    "fig10": (50, 200),
-    "fig11": (6, 30),
-    "fig12": (3, 15),
-    "fig13": (50, 200),
-    "fig14": (6, 30),
-    "fig15": (1, 5),
-    "figc": (20, 60),
 }
 
 
@@ -195,18 +184,41 @@ def fault_config_from_args(args: argparse.Namespace) -> FaultConfig | None:
     return FaultConfig(**kwargs)
 
 
+def _sweep_value(text: str) -> int | float:
+    """One ``--values`` entry: an int where it reads as one (cache
+    sizes, k, standing counts), else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="LBSQ-with-data-sharing reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig = sub.add_parser("figure", help="regenerate one evaluation figure")
-    fig.add_argument("name", choices=sorted(FIGURES))
+    fig = sub.add_parser("figure", help="regenerate evaluation figures")
+    fig.add_argument("names", nargs="+", choices=sorted(FIGURES), metavar="name")
+    fig.add_argument(
+        "--values",
+        nargs="+",
+        type=_sweep_value,
+        default=None,
+        help="sweep these values instead of the figure's own (two values"
+        " and tiny budgets make a sub-minute smoke sweep)",
+    )
     fig.add_argument("--scale", type=float, default=0.06)
     fig.add_argument("--warmup", type=int, default=2500)
     fig.add_argument("--measure", type=int, default=400)
     fig.add_argument("--seed", type=int, default=0)
+    fig.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="sweep-runner process count (1 = serial in-process)",
+    )
     fig.add_argument("--out", default=None, help="optional CSV output path")
     fig.add_argument(
         "--shards",
@@ -243,36 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_arg(query)
 
     sub.add_parser("params", help="print the Table 3 parameter sets")
-
-    bench = sub.add_parser(
-        "bench-quick",
-        help="tiny-parameter figure sweeps with machine-readable output",
-    )
-    bench.add_argument(
-        "--figures",
-        nargs="+",
-        choices=sorted(FIGURES),
-        default=sorted(FIGURES),
-        help="subset of figures to run (default: all six)",
-    )
-    bench.add_argument("--scale", type=float, default=0.02)
-    bench.add_argument("--warmup", type=int, default=150)
-    bench.add_argument("--measure", type=int, default=100)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sweep-runner process count (1 = serial in-process)",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="print one JSON document instead of ASCII tables",
-    )
-    bench.add_argument("--out", default=None, help="optional JSON output path")
-    add_fault_args(bench)
-    add_trace_arg(bench)
 
     ts = sub.add_parser(
         "trace-summary",
@@ -433,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    runner = FIGURES[args.name]
-    fault_kwargs = {}
+    sweep_kwargs = {}
+    if args.values is not None:
+        sweep_kwargs["values"] = args.values
     fault_config = fault_config_from_args(args)
     if fault_config is not None:
-        fault_kwargs["fault_config"] = fault_config
-    shard_kwargs = {}
+        sweep_kwargs["fault_config"] = fault_config
     if args.shards is not None:
-        if args.name == "figc":
+        if "figc" in args.names:
             print("--shards does not apply to figc (continuous"
                   " engine is not sharded)", file=sys.stderr)
             return 2
@@ -448,21 +430,30 @@ def cmd_figure(args: argparse.Namespace) -> int:
             print("--shards is incompatible with fault injection and"
                   " --trace (see ShardedSimulation)", file=sys.stderr)
             return 2
-        shard_kwargs = {
-            "shards": args.shards,
-            "exchange": args.exchange,
-            "shard_backend": args.shard_backend,
-        }
+        sweep_kwargs.update(
+            shards=args.shards,
+            exchange=args.exchange,
+            shard_backend=args.shard_backend,
+        )
+    if args.trace and args.workers != 1:
+        # The tracer and registry are live in-process objects; only the
+        # serial sweep path threads them through without pickling.
+        print("--trace forces --workers 1 (serial sweep)", file=sys.stderr)
+        args.workers = 1
     trace = _TraceSession(args.trace)
-    panels = runner(
-        area_scale=args.scale,
-        warmup_queries=args.warmup,
-        measure_queries=args.measure,
-        seed=args.seed,
-        **fault_kwargs,
-        **shard_kwargs,
-        **trace.sim_kwargs,
-    )
+    panels = [
+        panel
+        for name in args.names
+        for panel in FIGURES[name](
+            area_scale=args.scale,
+            warmup_queries=args.warmup,
+            measure_queries=args.measure,
+            seed=args.seed,
+            max_workers=args.workers,
+            **sweep_kwargs,
+            **trace.sim_kwargs,
+        )
+    ]
     for panel in panels:
         print(format_series(panel))
         print()
@@ -496,88 +487,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     for rank, poi in enumerate(result.answers, start=1):
         print(f"  #{rank}: POI {poi.poi_id} at"
               f" ({poi.x:.2f}, {poi.y:.2f})")
-    trace.finish()
-    return 0
-
-
-def _panels_payload(panels) -> list[dict]:
-    return [
-        {
-            "region": panel.region,
-            "x_label": panel.x_label,
-            "xs": panel.xs,
-            "series": panel.series,
-            "wall_clock_s": panel.wall_clock_s,
-        }
-        for panel in panels
-    ]
-
-
-def cmd_bench_quick(args: argparse.Namespace) -> int:
-    if args.trace and args.workers != 1:
-        # The tracer and registry are live in-process objects; only the
-        # serial sweep path threads them through without pickling.
-        print("--trace forces --workers 1 (serial sweep)", file=sys.stderr)
-        args.workers = 1
-    trace = _TraceSession(args.trace)
-    report: dict = {
-        "parameters": {
-            "area_scale": args.scale,
-            "warmup_queries": args.warmup,
-            "measure_queries": args.measure,
-            "seed": args.seed,
-            "max_workers": args.workers,
-        },
-        "figures": {},
-    }
-    fault_kwargs = {}
-    fault_config = fault_config_from_args(args)
-    if fault_config is not None:
-        # Only stamped when enabled, so the fault-free report stays
-        # byte-compatible with the pre-fault-layer output.
-        fault_kwargs["fault_config"] = fault_config
-        report["parameters"]["faults"] = {
-            "loss_rate": fault_config.loss_rate,
-            "churn_rate": fault_config.churn_rate,
-            "peer_timeout": (
-                fault_config.peer_timeout
-                if math.isfinite(fault_config.peer_timeout)
-                else None
-            ),
-            "retries": fault_config.retries,
-            "fault_seed": fault_config.seed,
-        }
-    start = time.perf_counter()
-    for name in args.figures:
-        fig_start = time.perf_counter()
-        panels = FIGURES[name](
-            values=QUICK_SWEEPS[name],
-            area_scale=args.scale,
-            warmup_queries=args.warmup,
-            measure_queries=args.measure,
-            seed=args.seed,
-            max_workers=args.workers,
-            **fault_kwargs,
-            **trace.sim_kwargs,
-        )
-        report["figures"][name] = {
-            "wall_clock_s": time.perf_counter() - fig_start,
-            "panels": _panels_payload(panels),
-        }
-        if not args.json:
-            print(f"--- {name} ---")
-            for panel in panels:
-                print(format_series(panel))
-                print()
-    report["total_wall_clock_s"] = time.perf_counter() - start
-    document = json.dumps(report, indent=2)
-    if args.json:
-        print(document)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(document + "\n")
-        if not args.json:
-            print(f"wrote {args.out}")
     trace.finish()
     return 0
 
@@ -853,7 +762,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "figure": cmd_figure,
         "query": cmd_query,
         "params": cmd_params,
-        "bench-quick": cmd_bench_quick,
         "trace-summary": cmd_trace_summary,
         "check": cmd_check,
         "serve": cmd_serve,

@@ -162,10 +162,6 @@ class Reader:
         n = self.u32()
         return np.frombuffer(self._take(n), dtype=np.uint8) != 0
 
-    @property
-    def remaining(self) -> int:
-        return len(self._view) - self._pos
-
     def expect_end(self) -> None:
         if self._pos != len(self._view):
             raise CodecError(

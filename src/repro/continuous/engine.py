@@ -276,7 +276,6 @@ class ContinuousMonitor:
                     outcome,
                     responses,
                     t,
-                    cache_gossip=sim.cache_gossip,
                 )
                 answers[query.query_id] = tuple(e.poi for e in entries)
                 self.stats.reeval_verified += 1

@@ -20,7 +20,6 @@ from .runners import (
 )
 from .simulator import Simulation
 from .station import BaseStation, PacketEvent
-from .steady import SteadyStateReport, run_until_steady
 from ..workloads import scaled_parameters
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "PointResult",
     "QueryRecord",
     "Simulation",
-    "SteadyStateReport",
     "SweepPoint",
     "SweepRunner",
     "SweepSeries",
@@ -47,7 +45,6 @@ __all__ = [
     "run_knn_k",
     "run_knn_txrange",
     "run_sweep",
-    "run_until_steady",
     "run_wq_cache",
     "run_wq_size",
     "run_wq_txrange",

@@ -1,4 +1,4 @@
-"""Result export: CSV serialisation of sweeps and query records.
+"""Result export: CSV serialisation of figure sweeps.
 
 The benchmark harness prints ASCII tables; downstream analysis wants
 machine-readable files.  Pure standard library (``csv``), no pandas.
@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import Iterable
 
 from ..errors import ExperimentError
-from .metrics import MetricsCollector
 from .runners import SweepSeries
 
 
@@ -45,57 +44,3 @@ def write_sweep_csv(panels: Iterable[SweepSeries], path: str | Path) -> Path:
         writer.writeheader()
         writer.writerows(rows)
     return path
-
-
-def write_records_csv(collector: MetricsCollector, path: str | Path) -> Path:
-    """Write raw per-query records to a CSV file; returns the path."""
-    if not collector.records:
-        raise ExperimentError("nothing to export: empty collector")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fieldnames = [
-        "time",
-        "host_id",
-        "kind",
-        "resolution",
-        "access_latency",
-        "tuning_packets",
-        "buckets_downloaded",
-        "peer_count",
-        "k",
-        "window_area",
-        "result_size",
-    ]
-    with path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for r in collector.records:
-            writer.writerow(
-                {
-                    "time": r.time,
-                    "host_id": r.host_id,
-                    "kind": r.kind.value,
-                    "resolution": r.resolution.value,
-                    "access_latency": r.access_latency,
-                    "tuning_packets": r.tuning_packets,
-                    "buckets_downloaded": r.buckets_downloaded,
-                    "peer_count": r.peer_count,
-                    "k": r.k,
-                    "window_area": r.window_area,
-                    "result_size": r.result_size,
-                }
-            )
-    return path
-
-
-def read_sweep_csv(path: str | Path) -> list[dict[str, object]]:
-    """Read back a sweep CSV (strings except x/percent, which parse)."""
-    path = Path(path)
-    if not path.exists():
-        raise ExperimentError(f"no such export: {path}")
-    with path.open() as handle:
-        rows = list(csv.DictReader(handle))
-    for row in rows:
-        row["x"] = float(row["x"])
-        row["percent"] = float(row["percent"])
-    return rows

@@ -176,7 +176,6 @@ class MobileHost:
         p2p_latency: float = 0.05,
         accept_approximate: bool = True,
         min_correctness: float = 0.5,
-        cache_gossip: bool = True,
         fault_stats: P2PFaultStats | None = None,
         tracer=None,
     ) -> HostQueryResult:
@@ -208,7 +207,7 @@ class MobileHost:
         if outcome.resolution is not Resolution.BROADCAST:
             latency = (p2p_latency if peer_count else 0.0) + faults.extra_latency
             entries, shared = self.settle_knn_peer(
-                position, heading, k, outcome, responses, now, cache_gossip
+                position, heading, k, outcome, responses, now
             )
             return HostQueryResult(
                 record=QueryRecord(
@@ -345,18 +344,15 @@ class MobileHost:
         outcome,
         responses: Sequence[ShareResponse],
         now: float,
-        cache_gossip: bool = True,
     ) -> tuple[tuple[HeapEntry, ...], SharedRegion | None]:
         """Cache settlement of a peer-resolved kNN (non-BROADCAST).
 
         Gossips the verified disc first, then touches the answers.
         Returns the answer entries and the gossiped region (if any).
         """
-        shared = None
-        if cache_gossip:
-            shared = self._gossip_cache(
-                position, heading, outcome.mvr, responses, now
-            )
+        shared = self._gossip_cache(
+            position, heading, outcome.mvr, responses, now
+        )
         entries = tuple(outcome.heap.results()[:k])
         self.cache.touch((e.poi.poi_id for e in entries), now)
         return entries, shared

@@ -159,9 +159,6 @@ class MetricsCollector:
         self._require_records()
         return mean(r.peer_count for r in self.records)
 
-    def total_buckets(self) -> int:
-        return sum(r.buckets_downloaded for r in self.records)
-
     # ------------------------------------------------------------------
     # Fault-layer aggregates (all zero on a perfect channel)
     # ------------------------------------------------------------------

@@ -7,7 +7,7 @@ Queries arrive as a Poisson stream on the discrete-event kernel; each
 query runs the host pipeline of :mod:`repro.experiments.host`.
 
 Positions are refreshed in vectorised batches every
-``position_refresh_interval`` simulated seconds: random-waypoint legs
+``POSITION_REFRESH_INTERVAL`` simulated seconds: random-waypoint legs
 last minutes, so a ≤10 s-stale snapshot changes nothing measurable and
 keeps 10^4–10^5 hosts affordable.
 """
@@ -30,10 +30,12 @@ from ..sim import Environment
 from ..workloads import ParameterSet, QueryEvent, QueryKind, QueryWorkload
 from .host import HostQueryResult
 from .metrics import MetricsCollector
-from .world import QueryWorld, draw_world
+from .world import P2P_LATENCY, QueryWorld, draw_world
+
+POSITION_REFRESH_INTERVAL = 10.0
 
 # Position refreshes quantise simulated time into epochs of
-# ``position_refresh_interval``.  Event times are accumulated float
+# ``POSITION_REFRESH_INTERVAL``.  Event times are accumulated float
 # sums, so an event nominally *on* an epoch boundary can arrive a few
 # ulps early; without an explicit epsilon the staleness test
 # ``t - last >= interval`` would then defer the refresh and two
@@ -64,19 +66,7 @@ class Simulation(QueryWorld):
         policy_factory: Callable[[], ReplacementPolicy] | None = None,
         accept_approximate: bool = True,
         min_correctness: float = 0.5,
-        position_refresh_interval: float = 10.0,
-        p2p_latency: float = 0.05,
-        hilbert_order: int = 6,
-        bucket_capacity: int = 4,
-        entries_per_index_packet: int = 64,
-        m: int = 4,
-        packet_time: float = 0.1,
-        speed_range_mph: tuple[float, float] = (20.0, 60.0),
-        pause_range_s: tuple[float, float] = (0.0, 30.0),
-        cache_gossip: bool = True,
         overhear: bool = True,
-        max_responders: int | None = None,
-        max_regions: int | None = None,
         p2p_hops: int = 1,
         enable_sharing: bool = True,
         pois: Sequence[POI] | None = None,
@@ -84,33 +74,17 @@ class Simulation(QueryWorld):
         tracer=None,
         registry=None,
     ):
-        if position_refresh_interval <= 0:
-            raise ExperimentError("position_refresh_interval must be positive")
-        self.rng, pois, self.fleet = draw_world(
-            params, seed, pois, speed_range_mph, pause_range_s
-        )
+        self.rng, pois, self.fleet = draw_world(params, seed, pois)
         super().__init__(
             params,
             pois,
-            dict(
-                hilbert_order=hilbert_order,
-                bucket_capacity=bucket_capacity,
-                entries_per_index_packet=entries_per_index_packet,
-                m=m,
-                packet_time=packet_time,
-            ),
             accept_approximate=accept_approximate,
             min_correctness=min_correctness,
-            p2p_latency=p2p_latency,
-            cache_gossip=cache_gossip,
             overhear=overhear,
-            max_regions=max_regions,
             p2p_hops=p2p_hops,
             enable_sharing=enable_sharing,
             policy_factory=policy_factory,
         )
-        self.position_refresh_interval = position_refresh_interval
-        self.max_responders = max_responders
         # Observability is strictly opt-in too: without a tracer the
         # shared no-op tracer is used (no spans, no allocations) and
         # without a registry no metrics are mirrored — tracing never
@@ -156,7 +130,7 @@ class Simulation(QueryWorld):
         self._last_refresh = t
 
     def _maybe_refresh(self, t: float) -> None:
-        if refresh_due(t, self._last_refresh, self.position_refresh_interval):
+        if refresh_due(t, self._last_refresh, POSITION_REFRESH_INTERVAL):
             self._refresh_positions(t)
 
     def host_position(self, host_id: int) -> Point:
@@ -193,20 +167,13 @@ class Simulation(QueryWorld):
 
         Traffic accounting: only peers that actually answer (non-empty
         cache, message delivered, deadline met) count as responses —
-        peers merely in range are ``peers_heard``, and responders
-        discarded by ``max_responders`` subsampling were never
-        collected, so neither inflates ``responses_received``.
+        peers merely in range are ``peers_heard`` and do not inflate
+        ``responses_received``.  Without faults nothing here draws
+        from an RNG.
         """
         if not self.enable_sharing:
             return [], P2PFaultStats()
         peer_ids = self._peer_ids(host_id, position)
-        if (
-            self.max_responders is not None
-            and peer_ids.size > self.max_responders
-        ):
-            peer_ids = self.rng.choice(
-                peer_ids, size=self.max_responders, replace=False
-            )
         if self.faults is None or not self.fault_config.p2p_enabled:
             return self._gather(host_id, peer_ids), P2PFaultStats()
         return self._collect_responses_faulty(host_id, position, now, peer_ids)
@@ -247,7 +214,7 @@ class Simulation(QueryWorld):
                 retries += 1
                 self.network.record_requests(1)
                 extra_latency += (
-                    self.p2p_latency * self.p2p_hops
+                    P2P_LATENCY * self.p2p_hops
                     + channel.backoff_delay(attempt)
                 )
             still_pending: list[int] = []
@@ -313,7 +280,7 @@ class Simulation(QueryWorld):
                     # to the record: one round trip when any peer
                     # answered, plus whatever faults added.
                     sim_s = (
-                        self.p2p_latency * self.p2p_hops
+                        P2P_LATENCY * self.p2p_hops
                         if peers_responded
                         else 0.0
                     ) + fault_stats.extra_latency

@@ -43,13 +43,15 @@ from .station import BaseStation
 
 SECONDS_PER_HOUR = 3600.0
 
+# Section 4.1's system model, fixed: the paper varies TxRange, CSize, k
+# and the window size (all :class:`ParameterSet` fields), never these.
+P2P_LATENCY = 0.05  # seconds per hop of one share-exchange round trip
+SPEED_RANGE_MPH = (20.0, 60.0)
+PAUSE_RANGE_S = (0.0, 30.0)
+
 
 def draw_world(
-    params: ParameterSet,
-    seed: int,
-    pois: Sequence[POI] | None,
-    speed_range_mph: tuple[float, float],
-    pause_range_s: tuple[float, float],
+    params: ParameterSet, seed: int, pois: Sequence[POI] | None
 ) -> tuple[np.random.Generator, list[POI], WaypointFleet]:
     """The world RNG and what is drawn from it before any query.
 
@@ -70,10 +72,10 @@ def draw_world(
         params.bounds,
         rng,
         speed_range=(
-            speed_range_mph[0] / SECONDS_PER_HOUR,
-            speed_range_mph[1] / SECONDS_PER_HOUR,
+            SPEED_RANGE_MPH[0] / SECONDS_PER_HOUR,
+            SPEED_RANGE_MPH[1] / SECONDS_PER_HOUR,
         ),
-        pause_range=pause_range_s,
+        pause_range=PAUSE_RANGE_S,
     )
     return rng, field, fleet
 
@@ -85,13 +87,9 @@ class QueryWorld:
         self,
         params: ParameterSet,
         pois: Sequence[POI],
-        station_kwargs: dict,
         accept_approximate: bool = True,
         min_correctness: float = 0.5,
-        p2p_latency: float = 0.05,
-        cache_gossip: bool = True,
         overhear: bool = True,
-        max_regions: int | None = None,
         p2p_hops: int = 1,
         enable_sharing: bool = True,
         policy_factory: Callable[[], ReplacementPolicy] | None = None,
@@ -100,13 +98,11 @@ class QueryWorld:
             raise ExperimentError(f"p2p_hops must be >= 1, got {p2p_hops}")
         self.params = params
         self.pois = list(pois)
-        # The station is a pure function of the POI field and its
-        # knobs (no RNG), so every shard builds an identical replica.
-        self.station = BaseStation(self.pois, params.bounds, **station_kwargs)
+        # The station is a pure function of the POI field (no RNG, no
+        # knobs), so every shard builds an identical replica.
+        self.station = BaseStation(self.pois, params.bounds)
         self.accept_approximate = accept_approximate
         self.min_correctness = min_correctness
-        self.p2p_latency = p2p_latency
-        self.cache_gossip = cache_gossip
         self.overhear = overhear
         self.p2p_hops = p2p_hops
         # With sharing disabled the world degrades to the pure on-air
@@ -116,10 +112,7 @@ class QueryWorld:
         # Section 4.1: a host "stores all the verified POIs and their
         # minimum bounding boxes" — the number of retained regions is
         # bounded by the POI capacity itself, not by a separate knob.
-        # ``max_regions`` overrides this for the ablation benchmarks.
-        self.region_cap = (
-            max_regions if max_regions is not None else max(4, params.cache_size)
-        )
+        self.region_cap = max(4, params.cache_size)
         self.network = PeerNetwork(params.bounds, params.tx_range_mi)
 
     def _make_host(self, gid: int) -> MobileHost:
@@ -208,7 +201,7 @@ class QueryWorld:
         tracer=None,
     ) -> HostQueryResult:
         """Hand one event to the host pipeline with this world's knobs."""
-        p2p_latency = self.p2p_latency * self.p2p_hops
+        p2p_latency = P2P_LATENCY * self.p2p_hops
         if event.kind is QueryKind.KNN:
             return host.execute_knn(
                 position,
@@ -221,7 +214,6 @@ class QueryWorld:
                 p2p_latency=p2p_latency,
                 accept_approximate=self.accept_approximate,
                 min_correctness=self.min_correctness,
-                cache_gossip=self.cache_gossip,
                 fault_stats=fault_stats,
                 tracer=tracer,
             )

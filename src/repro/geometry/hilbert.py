@@ -187,14 +187,6 @@ class HilbertGrid:
         cx, cy = self.cell_of_point(p)
         return hilbert_xy_to_d(self.order, cx, cy)
 
-    def values_of_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Batch :meth:`value_of_point` over coordinate arrays."""
-        cx = ((np.asarray(xs, dtype=np.float64) - self.bounds.x1) / self._cell_w).astype(np.int64)
-        cy = ((np.asarray(ys, dtype=np.float64) - self.bounds.y1) / self._cell_h).astype(np.int64)
-        np.clip(cx, 0, self.side - 1, out=cx)
-        np.clip(cy, 0, self.side - 1, out=cy)
-        return hilbert_xy_to_d_batch(self.order, cx, cy)
-
     def cell_rect(self, cx: int, cy: int) -> Rect:
         """The spatial extent of cell ``(cx, cy)``."""
         x1 = self.bounds.x1 + cx * self._cell_w
@@ -219,17 +211,6 @@ class HilbertGrid:
         x1 = self.bounds.x1 + cx * self._cell_w
         y1 = self.bounds.y1 + cy * self._cell_h
         return x1, y1, x1 + self._cell_w, y1 + self._cell_h
-
-    def centers_of_values(
-        self, ds: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batch :meth:`center_of_value`: ``(x, y)`` centre arrays."""
-        x1, y1, x2, y2 = self.rects_of_values(ds)
-        return (x1 + x2) / 2.0, (y1 + y2) / 2.0
-
-    def center_of_value(self, d: int) -> Point:
-        """Centre point of the cell with Hilbert value ``d``."""
-        return self.rect_of_value(d).center
 
     def aligned_blocks(
         self, lo: int, hi: int, min_cells: int = 1

@@ -187,10 +187,6 @@ class Rect:
             self.x1 - margin, self.y1 - margin, self.x2 + margin, self.y2 + margin
         )
 
-    def clipped_to(self, bounds: "Rect") -> "Rect | None":
-        """Alias of :meth:`intersection`, reads better when clipping."""
-        return self.intersection(bounds)
-
     # ------------------------------------------------------------------
     # Geometry queries
     # ------------------------------------------------------------------

@@ -108,10 +108,6 @@ class SlabUnion:
             return getattr(self, name)
         raise AttributeError(name)
 
-    @classmethod
-    def empty(cls) -> "SlabUnion":
-        return cls()
-
     # ------------------------------------------------------------------
     # Memoised derived values
     # ------------------------------------------------------------------
@@ -276,10 +272,3 @@ class SlabUnion:
 
     def disc_uncovered_area(self, circle: Circle) -> float:
         return max(0.0, circle.area - self.disc_intersection_area(circle))
-
-    def contains_circle(self, circle: Circle) -> bool:
-        if self.is_empty:
-            return False
-        if not self.contains_point(circle.center):
-            return False
-        return circle.radius <= self.distance_to_boundary(circle.center)

@@ -1,11 +1,6 @@
 """Spatial indexing substrate: R-tree, uniform grid, brute-force oracle."""
 
-from .brute import (
-    brute_force_knn,
-    brute_force_range,
-    brute_force_window,
-    collective_mbr,
-)
+from .brute import brute_force_knn, brute_force_window
 from .grid import UniformGrid
 from .rtree import CountingRTreeView, RTree
 
@@ -14,7 +9,5 @@ __all__ = [
     "RTree",
     "UniformGrid",
     "brute_force_knn",
-    "brute_force_range",
     "brute_force_window",
-    "collective_mbr",
 ]

@@ -8,7 +8,7 @@ hold tens of POIs, where a scan beats any structure).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..geometry import Point, Rect
 from ..model import POI, QueryResultEntry
@@ -41,23 +41,3 @@ def brute_force_window(pois: Iterable[POI], window: Rect) -> list[POI]:
     hits = [poi for poi in pois if window.contains_point(poi.location)]
     hits.sort(key=lambda poi: poi.poi_id)
     return hits
-
-
-def brute_force_range(
-    pois: Iterable[POI], center: Point, radius: float
-) -> list[POI]:
-    """All POIs within ``radius`` of ``center``, sorted by distance."""
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    hits = [
-        (poi.distance_to(center), poi.poi_id, poi)
-        for poi in pois
-        if poi.distance_to(center) <= radius
-    ]
-    hits.sort()
-    return [poi for _, _, poi in hits]
-
-
-def collective_mbr(pois: Sequence[POI]) -> Rect:
-    """The MBR of a non-empty POI collection (a cache's verified region)."""
-    return Rect.from_points([poi.location for poi in pois])

@@ -115,29 +115,3 @@ class UniformGrid:
         dy = self._ys[idx] - center.y
         mask = dx * dx + dy * dy <= radius * radius
         return idx[mask]
-
-    def query_rect(self, window: Rect) -> np.ndarray:
-        """Indices of all points inside the (closed) window."""
-        if self._xs is None:
-            raise GeometryError("grid queried before rebuild()")
-        gx1 = max(0, int((window.x1 - self.bounds.x1) / self.cell_size))
-        gy1 = max(0, int((window.y1 - self.bounds.y1) / self.cell_size))
-        gx2 = min(self.cols - 1, int((window.x2 - self.bounds.x1) / self.cell_size))
-        gy2 = min(self.rows - 1, int((window.y2 - self.bounds.y1) / self.cell_size))
-        candidates: list[np.ndarray] = []
-        for gy in range(gy1, gy2 + 1):
-            row_base = gy * self.cols
-            for gx in range(gx1, gx2 + 1):
-                idx = self._cell_indices(row_base + gx)
-                if idx.size:
-                    candidates.append(idx)
-        if not candidates:
-            return np.empty(0, dtype=np.int64)
-        idx = np.concatenate(candidates)
-        mask = (
-            (self._xs[idx] >= window.x1)
-            & (self._xs[idx] <= window.x2)
-            & (self._ys[idx] >= window.y1)
-            & (self._ys[idx] <= window.y2)
-        )
-        return idx[mask]

@@ -1,15 +1,12 @@
-"""Mobility substrate: random waypoint (scalar and vectorised) and
+"""Mobility substrate: vectorised random waypoint and
 road-network-constrained trajectories."""
 
 from .fleet import WaypointFleet
 from .roadnet import GridRoadNetwork, RoadTrajectory
 from .shardfleet import ShardFleetSoA
-from .waypoint import Leg, RandomWaypoint
 
 __all__ = [
     "GridRoadNetwork",
-    "Leg",
-    "RandomWaypoint",
     "RoadTrajectory",
     "ShardFleetSoA",
     "WaypointFleet",

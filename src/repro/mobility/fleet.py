@@ -51,10 +51,6 @@ class WaypointFleet:
         self.next_depart = self.arrive + rng.uniform(*pause_range, n)
         self._now = 0.0
 
-    @property
-    def now(self) -> float:
-        return self._now
-
     def advance_to(self, t: float) -> None:
         """Roll every host's leg forward so all legs are current at ``t``."""
         if t < self._now:

@@ -5,9 +5,7 @@ plus a halo of hosts owned by neighbouring shards.  The coordinator
 broadcasts one position/heading snapshot per refresh epoch; this class
 holds that snapshot in parallel arrays (the same layout
 :class:`~repro.mobility.WaypointFleet` uses for the whole fleet) keyed
-by *global* host id, together with the last observed cache content
-generation per host — the stamp the halo-exchange protocol uses to
-decide which share payloads actually need to cross a boundary.
+by *global* host id.
 
 Rows are sorted by ascending global id.  That ordering is load-bearing:
 the shard-local :class:`~repro.p2p.PeerNetwork` built over these arrays
@@ -34,7 +32,6 @@ class ShardFleetSoA:
         "hx",
         "hy",
         "owned_mask",
-        "generations",
         "_id_to_local",
     )
 
@@ -58,19 +55,11 @@ class ShardFleetSoA:
         self.ids = ids
         self.xs, self.ys, self.hx, self.hy = arrays
         self.owned_mask = owned_mask
-        # Last cache content generation observed per host: the owner
-        # shard stamps its hosts after every mutation, halo rows are
-        # stamped from incoming share payloads.  -1 = never observed.
-        self.generations = np.full(ids.shape, -1, dtype=np.int64)
         self._id_to_local = {
             int(gid): local for local, gid in enumerate(ids.tolist())
         }
 
     # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return int(self.ids.size)
-
     @property
     def owned_ids(self) -> np.ndarray:
         return self.ids[self.owned_mask]
@@ -79,18 +68,12 @@ class ShardFleetSoA:
     def halo_ids(self) -> np.ndarray:
         return self.ids[~self.owned_mask]
 
-    def __contains__(self, gid: int) -> bool:
-        return int(gid) in self._id_to_local
-
     def local_of(self, gid: int) -> int:
         """Local row index of a global host id."""
         try:
             return self._id_to_local[int(gid)]
         except KeyError:
             raise MobilityError(f"host {gid} not in this shard's snapshot")
-
-    def owns(self, gid: int) -> bool:
-        return bool(self.owned_mask[self.local_of(gid)])
 
     def position_of(self, gid: int) -> Point:
         local = self.local_of(gid)
@@ -99,19 +82,3 @@ class ShardFleetSoA:
     def heading_of(self, gid: int) -> tuple[float, float]:
         local = self.local_of(gid)
         return (float(self.hx[local]), float(self.hy[local]))
-
-    def generation_of(self, gid: int) -> int:
-        return int(self.generations[self.local_of(gid)])
-
-    def record_generation(self, gid: int, generation: int) -> None:
-        self.generations[self.local_of(gid)] = generation
-
-    def carry_generations_from(self, previous: "ShardFleetSoA") -> None:
-        """Copy forward the stamps of hosts that survive an epoch change."""
-        prev_map = previous._id_to_local
-        prev_gen = previous.generations
-        gens = self.generations
-        for local, gid in enumerate(self.ids.tolist()):
-            prev_local = prev_map.get(gid)
-            if prev_local is not None:
-                gens[local] = prev_gen[prev_local]

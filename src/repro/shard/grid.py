@@ -73,17 +73,6 @@ class ShardGrid:
         y2 = self.bounds.y2 if row == self.rows - 1 else y1 + self.tile_h
         return Rect(x1, y1, x2, y2)
 
-    def expanded_rect_of(self, shard: int) -> Rect:
-        """The tile plus its halo band (clipped to the world)."""
-        rect = self.rect_of(shard)
-        h = self.halo_width
-        return Rect(
-            max(self.bounds.x1, rect.x1 - h),
-            max(self.bounds.y1, rect.y1 - h),
-            min(self.bounds.x2, rect.x2 + h),
-            min(self.bounds.y2, rect.y2 + h),
-        )
-
     def owner_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorised tile assignment: one owner shard per position.
 

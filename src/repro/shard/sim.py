@@ -8,9 +8,10 @@ single-process RNG discipline by construction — the same
 POI field, then fleet), then workload event draws interleaved with
 fleet-refresh draws at the boundaries the shared ``refresh_due``
 names.  Query execution itself
-never touches the world RNG (faults and responder subsampling are
-rejected in sharded mode), so the shard workers are RNG-free and the
-whole run is a deterministic function of ``(seed, shards, exchange)``.
+never touches the world RNG (fault injection, the one thing that
+draws mid-query, is rejected in sharded mode), so the shard workers
+are RNG-free and the whole run is a deterministic function of
+``(seed, shards, exchange)``.
 
 Two halo-exchange cadences:
 
@@ -50,7 +51,7 @@ from ..p2p import ShareResponse
 from ..workloads import ParameterSet, QueryKind, QueryWorkload
 from ..experiments.host import MobileHost
 from ..experiments.metrics import MetricsCollector
-from ..experiments.simulator import refresh_due
+from ..experiments.simulator import POSITION_REFRESH_INTERVAL, refresh_due
 from ..experiments.world import draw_world
 from . import rpc
 from .grid import ShardGrid
@@ -141,19 +142,7 @@ class ShardedSimulation:
         policy_factory=None,
         accept_approximate: bool = True,
         min_correctness: float = 0.5,
-        position_refresh_interval: float = 10.0,
-        p2p_latency: float = 0.05,
-        hilbert_order: int = 6,
-        bucket_capacity: int = 4,
-        entries_per_index_packet: int = 64,
-        m: int = 4,
-        packet_time: float = 0.1,
-        speed_range_mph: tuple[float, float] = (20.0, 60.0),
-        pause_range_s: tuple[float, float] = (0.0, 30.0),
-        cache_gossip: bool = True,
         overhear: bool = True,
-        max_responders: int | None = None,
-        max_regions: int | None = None,
         p2p_hops: int = 1,
         enable_sharing: bool = True,
         pois: Sequence[POI] | None = None,
@@ -161,8 +150,6 @@ class ShardedSimulation:
         tracer=None,
         registry=None,
     ):
-        if position_refresh_interval <= 0:
-            raise ExperimentError("position_refresh_interval must be positive")
         if shards < 1:
             raise ExperimentError(f"shard count must be >= 1, got {shards}")
         if exchange not in ("event", "cycle"):
@@ -173,20 +160,15 @@ class ShardedSimulation:
             raise ExperimentError(f"unknown shard backend {backend!r}")
         if p2p_hops < 1:
             raise ExperimentError(f"p2p_hops must be >= 1, got {p2p_hops}")
-        # Honest limitations, not silent degradations: these features
-        # draw from the world/channel RNG *during* query execution, in
-        # an order that depends on which shard runs which query — no
-        # shard decomposition can replay the single-process stream.
+        # Honest limitations, not silent degradations.  Faults draw
+        # from the channel RNG *during* query execution, in an order
+        # that depends on which shard runs which query — no shard
+        # decomposition can replay the single-process stream.
         if fault_config is not None and getattr(fault_config, "enabled", False):
             raise ExperimentError(
                 "sharded mode does not support fault injection: the"
                 " channel RNG draw order cannot be replicated across"
                 " shards (run single-process for fault studies)"
-            )
-        if max_responders is not None:
-            raise ExperimentError(
-                "sharded mode does not support max_responders: responder"
-                " subsampling draws from the world RNG mid-query"
             )
         if tracer is not None and getattr(tracer, "enabled", False):
             raise ExperimentError(
@@ -197,7 +179,6 @@ class ShardedSimulation:
         self.params = params
         self.shards = shards
         self.exchange = exchange
-        self.position_refresh_interval = position_refresh_interval
         self.p2p_hops = p2p_hops
         self.registry = registry
 
@@ -207,9 +188,7 @@ class ShardedSimulation:
         if self.backend == "process" and policy_factory is not None:
             self._require_wire_policy(policy_factory)
 
-        self.rng, self.pois, self.fleet = draw_world(
-            params, seed, pois, speed_range_mph, pause_range_s
-        )
+        self.rng, self.pois, self.fleet = draw_world(params, seed, pois)
 
         self.grid = ShardGrid(
             params.bounds, shards, halo_width=p2p_hops * params.tx_range_mi
@@ -217,19 +196,9 @@ class ShardedSimulation:
         worker_config = dict(
             params=params,
             pois=self.pois,
-            station_kwargs=dict(
-                hilbert_order=hilbert_order,
-                bucket_capacity=bucket_capacity,
-                entries_per_index_packet=entries_per_index_packet,
-                m=m,
-                packet_time=packet_time,
-            ),
             accept_approximate=accept_approximate,
             min_correctness=min_correctness,
-            p2p_latency=p2p_latency,
-            cache_gossip=cache_gossip,
             overhear=overhear,
-            max_regions=max_regions,
             p2p_hops=p2p_hops,
             enable_sharing=enable_sharing,
             policy_factory=policy_factory,
@@ -501,7 +470,7 @@ class ShardedSimulation:
             event for _, event in zip(range(total), workload)
         ):
             if refresh_due(
-                event.time, self._last_refresh, self.position_refresh_interval
+                event.time, self._last_refresh, POSITION_REFRESH_INTERVAL
             ):
                 records.extend(self._flush_batches(buffered))
                 buffered = []

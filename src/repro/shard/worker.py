@@ -60,6 +60,9 @@ class ShardWorld(QueryWorld):
         self.hosts: dict[int, MobileHost] = {}
         self.mirrors: dict[int, HaloHost] = {}
         self.soa: ShardFleetSoA | None = None
+        # Cache generation last reported to the coordinator, per owned
+        # host: a touched host is dirty when its cache has moved past it.
+        self._reported: dict[int, int] = {}
         self._epoch = -1
         self._tenure()
 
@@ -75,6 +78,7 @@ class ShardWorld(QueryWorld):
                 raise ExperimentError(
                     f"shard {self.shard_id} asked to release unowned host {gid}"
                 )
+            del self._reported[host.host_id]
             out.append(host)
         return out
 
@@ -86,6 +90,7 @@ class ShardWorld(QueryWorld):
                     f"shard {self.shard_id} already owns host {host.host_id}"
                 )
             self.hosts[host.host_id] = host
+            self._reported[host.host_id] = host.cache.generation
 
     def begin_epoch(self, t, ids, xs, ys, hx, hy, owned_mask) -> None:
         """Install the coordinator's refresh-epoch snapshot.
@@ -98,12 +103,9 @@ class ShardWorld(QueryWorld):
         """
         del t
         soa = ShardFleetSoA(ids, xs, ys, hx, hy, owned_mask)
-        if self.soa is not None:
-            soa.carry_generations_from(self.soa)
         owned = set(soa.owned_ids.tolist())
         if self._epoch < 0:
-            for gid in sorted(owned):
-                self.hosts[gid] = self._make_host(gid)
+            self.give_hosts([self._make_host(gid) for gid in sorted(owned)])
         if self.hosts.keys() != owned:
             missing = sorted(owned - self.hosts.keys())[:5]
             extra = sorted(self.hosts.keys() - owned)[:5]
@@ -111,26 +113,18 @@ class ShardWorld(QueryWorld):
                 f"shard {self.shard_id} ownership out of sync"
                 f" (missing={missing}, extra={extra})"
             )
-        for gid, host in self.hosts.items():
-            soa.record_generation(gid, host.cache.generation)
         halo = set(soa.halo_ids.tolist())
         self.mirrors = {
             gid: mirror for gid, mirror in self.mirrors.items() if gid in halo
         }
-        for gid, mirror in self.mirrors.items():
-            soa.record_generation(gid, mirror.response.generation)
         self.soa = soa
         self.network.update_positions(soa.xs, soa.ys, ids=soa.ids)
         self._epoch += 1
 
     def set_halo_payloads(self, payloads: Sequence[ShareResponse]) -> None:
         """Install/refresh halo mirrors from owner-exported responses."""
-        soa = self.soa
         for response in payloads:
-            gid = response.peer_id
-            self.mirrors[gid] = HaloHost(response)
-            if soa is not None and gid in soa:
-                soa.record_generation(gid, response.generation)
+            self.mirrors[response.peer_id] = HaloHost(response)
 
     def export_payloads(
         self, gids: Sequence[int], known: Sequence[int]
@@ -185,12 +179,12 @@ class ShardWorld(QueryWorld):
         self, touched: Sequence[int]
     ) -> tuple[tuple[int, int], ...]:
         """(gid, generation) for touched owned hosts that truly changed."""
-        soa = self.soa
+        reported = self._reported
         dirty: list[tuple[int, int]] = []
         for gid in dict.fromkeys(touched):  # each host once, first-touch order
             generation = self.hosts[gid].cache.generation
-            if generation != soa.generation_of(gid):
-                soa.record_generation(gid, generation)
+            if generation != reported[gid]:
+                reported[gid] = generation
                 dirty.append((gid, generation))
         return tuple(dirty)
 

@@ -1,15 +1,11 @@
 """Discrete-event simulation kernel (generator-based, simpy-style)."""
 
-from .core import Environment, Event, Interrupt, Process, Timeout
-from .events import AllOf, AnyOf
+from .core import Environment, Event, Process, Timeout
 from .resources import Resource, Store
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "Store",

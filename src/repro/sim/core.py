@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..errors import SimulationError
 
@@ -120,38 +120,9 @@ class Process(Event):
             raise SimulationError("process() needs a generator")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Event | None = None
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its next resume."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True
-        event.callbacks.append(self._resume)
-        self.env._enqueue(event)
-
     def _resume(self, trigger: Event) -> None:
-        if not self.is_alive:
-            # The process finished in the same step that also triggered
-            # this wake-up (e.g. an interrupt racing its own timeout).
-            return
-        # Drop the stale wait when an interrupt preempts a timeout.
-        if self._waiting_on is not None:
-            target = self._waiting_on
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-            self._waiting_on = None
-        self.env._active = self
         try:
             if trigger._ok:
                 next_event = self._generator.send(trigger._value)
@@ -159,7 +130,6 @@ class Process(Event):
                 trigger._defused = True
                 next_event = self._generator.throw(trigger._value)
         except StopIteration as stop:
-            self.env._active = None
             if self.triggered:
                 raise SimulationError("process finished twice") from stop
             self._ok = True
@@ -167,13 +137,10 @@ class Process(Event):
             self.env._enqueue(self)
             return
         except BaseException as exc:
-            self.env._active = None
             self._ok = False
             self._value = exc
             self.env._enqueue(self)
             return
-        finally:
-            self.env._active = None
         if not isinstance(next_event, Event):
             self._generator.close()
             self._ok = False
@@ -184,18 +151,9 @@ class Process(Event):
             return
         if next_event.processed:
             raise SimulationError("process waited on an already-processed event")
-        self._waiting_on = next_event
         if next_event.callbacks is None:
             raise SimulationError("event already processed")
         next_event.callbacks.append(self._resume)
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Environment:
@@ -205,16 +163,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._eid = itertools.count()
-        self._active: Process | None = None
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        return self._active
 
     # ------------------------------------------------------------------
     # Factories
@@ -228,25 +181,11 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> "Event":
-        from .events import AllOf
-
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> "Event":
-        from .events import AnyOf
-
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
         heapq.heappush(self._queue, (self._now + delay, next(self._eid), event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""

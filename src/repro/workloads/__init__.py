@@ -10,7 +10,7 @@ from .params import (
     ScalingClampWarning,
     scaled_parameters,
 )
-from .poi import clustered_pois, generate_pois, poisson_poi_field
+from .poi import clustered_pois, generate_pois
 from .queries import QueryEvent, QueryKind, QueryWorkload, seeded_events
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ScalingClampWarning",
     "clustered_pois",
     "generate_pois",
-    "poisson_poi_field",
     "scaled_parameters",
     "seeded_events",
 ]

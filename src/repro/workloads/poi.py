@@ -5,9 +5,6 @@ Poisson distributed — the assumption behind Lemma 3.2.  Two flavours:
 
 * :func:`generate_pois` — a *conditioned* Poisson field: exactly the
   Table 3 count, uniformly placed;
-* :func:`poisson_poi_field` — an *unconditioned* field at a given
-  density (the count itself is Poisson), used by the analysis module's
-  Monte-Carlo checks;
 * :func:`clustered_pois` — a Neyman-Scott (cluster) process for the
   robustness ablation: real gas stations cluster along arterials.
 """
@@ -37,21 +34,6 @@ def generate_pois(
         POI(id_offset + i, Point(float(x), float(y)), category)
         for i, (x, y) in enumerate(zip(xs, ys))
     ]
-
-
-def poisson_poi_field(
-    bounds: Rect,
-    density: float,
-    rng: np.random.Generator,
-    category: str = DEFAULT_CATEGORY,
-) -> list[POI]:
-    """A spatial Poisson process of the given intensity (per unit area)."""
-    if density <= 0:
-        raise ExperimentError(f"density must be positive, got {density}")
-    count = int(rng.poisson(density * bounds.area))
-    if count == 0:
-        return []
-    return generate_pois(bounds, count, rng, category)
 
 
 def clustered_pois(

@@ -63,57 +63,8 @@ class TestConstruction:
         assert len(set(values)) == len(values)
         assert sum(e.poi_count for e in server.index.entries) == len(pois)
 
-    def test_index_positions_reflect_counts(self):
-        server, pois = make_server(60)
-        positions = server.index_positions()
-        assert len(positions) == len(pois)
-        for h, center in positions:
-            assert server.grid.rect_of_value(h).contains_point(center)
-
 
 class TestBucketLookup:
-    def test_buckets_for_values_finds_all_pois(self):
-        server, pois = make_server(150, seed=3)
-        # For every occupied value, the returned buckets must contain
-        # every POI in that cell.
-        for entry in server.index.entries:
-            bucket_ids = server.buckets_for_values([entry.h_value])
-            pois_found = [
-                p
-                for bid in bucket_ids
-                for p in server.pois_in_bucket(bid)
-                if server.grid.value_of_point(p.location) == entry.h_value
-            ]
-            assert len(pois_found) == entry.poi_count
-
-    def test_empty_cells_need_no_buckets(self):
-        server, _ = make_server(10, seed=4, hilbert_order=6)
-        occupied = set(server.occupied_hvalues())
-        empty = next(
-            h for h in range(server.grid.cell_count) if h not in occupied
-        )
-        assert server.buckets_for_values([empty]) == []
-
-    def test_cell_straddling_buckets(self):
-        # 20 POIs in one cell with capacity 8 straddle three buckets.
-        pois = [POI(i, Point(1.0 + i * 1e-6, 1.0)) for i in range(20)]
-        server = BroadcastServer(
-            pois, BOUNDS, hilbert_order=3, bucket_capacity=8
-        )
-        h = server.grid.value_of_point(Point(1, 1))
-        assert server.buckets_for_values([h]) == [0, 1, 2]
-
-    def test_buckets_for_window_covers_window_pois(self):
-        server, pois = make_server(200, seed=5)
-        window = Rect(4, 4, 9, 9)
-        bucket_ids = server.buckets_for_window(window)
-        downloaded = {
-            p.poi_id for bid in bucket_ids for p in server.pois_in_bucket(bid)
-        }
-        for poi in pois:
-            if window.contains_point(poi.location):
-                assert poi.poi_id in downloaded
-
     def test_unknown_bucket_raises(self):
         server, _ = make_server(10)
         with pytest.raises(BroadcastError):

@@ -360,12 +360,15 @@ class TestRefreshEpoch:
         assert not refresh_due(9.999, last_refresh=0.0, interval=10.0)
 
     def test_simulation_uses_the_shared_predicate(self):
-        from repro.experiments.simulator import REFRESH_EPSILON
+        from repro.experiments.simulator import (
+            POSITION_REFRESH_INTERVAL,
+            REFRESH_EPSILON,
+        )
 
         sim = tiny_sim()
         sim._last_refresh = 0.0
         before = sim._last_refresh
-        sim._maybe_refresh(sim.position_refresh_interval - REFRESH_EPSILON / 2)
+        sim._maybe_refresh(POSITION_REFRESH_INTERVAL - REFRESH_EPSILON / 2)
         assert sim._last_refresh != before  # refreshed at the boundary
         sim._maybe_refresh(sim._last_refresh + 1.0)  # well inside: no-op
         assert sim._last_refresh != 1.0 + before

@@ -47,18 +47,6 @@ class TestKnnPipeline:
         # The gossip region is shared for overhearing peers.
         assert result.shared
 
-    def test_gossip_disabled_leaves_cache_empty(self):
-        pois, client = make_world(seed=2)
-        host = make_host()
-        q = Point(10, 10)
-        responses = [honest_response(1, Rect(6, 6, 14, 14), pois)]
-        result = host.execute_knn(
-            q, (0, 0), 2, responses, client, 0.5, now=0.0, cache_gossip=False
-        )
-        assert result.record.resolution is Resolution.VERIFIED
-        assert len(host.cache) == 0
-        assert result.shared == ()
-
     def test_broadcast_fallback_answers_exactly_and_caches(self):
         pois, client = make_world(seed=3)
         host = make_host()

@@ -9,6 +9,7 @@ from repro.broadcast import BroadcastSchedule
 from repro.cache import POICache
 from repro.errors import FaultError
 from repro.experiments import MobileHost, Simulation, scaled_parameters
+from repro.experiments.world import P2P_LATENCY
 from repro.faults import ChannelModel, FaultConfig, P2PFaultStats
 from repro.geometry import Point, Rect
 from repro.model import POI
@@ -345,7 +346,7 @@ class TestRetryBackoff:
         assert stats.retries == 1
         assert stats.drops == 1
         # One retry round: one extra round trip plus the first backoff.
-        expected = sim.p2p_latency * sim.p2p_hops + 0.1
+        expected = P2P_LATENCY * sim.p2p_hops + 0.1
         assert stats.extra_latency == pytest.approx(expected)
         assert any(r.peer_id == peers[0] for r in responses)
 
@@ -362,7 +363,7 @@ class TestRetryBackoff:
         assert stats.drops == 2 * len(peers)
         # Latency charged for the retry round even though nobody answered.
         assert stats.extra_latency == pytest.approx(
-            sim.p2p_latency * sim.p2p_hops + 0.1
+            P2P_LATENCY * sim.p2p_hops + 0.1
         )
 
     def test_second_retry_doubles_backoff(self):
@@ -378,7 +379,7 @@ class TestRetryBackoff:
         sim.faults = ScriptedChannel(sim.fault_config, script)
         responses, stats = self.collect(sim, host_id)
         assert stats.retries == 2
-        expected = 2 * sim.p2p_latency * sim.p2p_hops + 0.1 + 0.2
+        expected = 2 * P2P_LATENCY * sim.p2p_hops + 0.1 + 0.2
         assert stats.extra_latency == pytest.approx(expected)
 
 
@@ -393,15 +394,6 @@ class TestTrafficAccounting:
         # Cold world: nobody has anything cached, nothing goes on air.
         assert sim.network.requests_sent == 1
         assert sim.network.responses_received == 0
-
-    def test_subsampling_counts_only_collected(self):
-        params = scaled_parameters(SYNTHETIC_SUBURBIA, area_scale=0.02)
-        sim = Simulation(params, seed=9, max_responders=1)
-        sim.run_workload(QueryKind.KNN, 0, 200)
-        # At most one response can be collected per request, however
-        # many peers were in range.
-        assert sim.network.responses_received <= sim.network.requests_sent
-        assert sim.network.peers_heard >= sim.network.responses_received
 
     def test_multihop_relays_charged(self):
         from repro.p2p import PeerNetwork

@@ -5,13 +5,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import Point, Rect
-from repro.index import (
-    UniformGrid,
-    brute_force_knn,
-    brute_force_range,
-    brute_force_window,
-    collective_mbr,
-)
+from repro.index import UniformGrid, brute_force_knn, brute_force_window
 from repro.model import POI
 
 
@@ -42,17 +36,6 @@ class TestBruteForce:
         hits = brute_force_window(self.make(), Rect(0, 0, 3, 4))
         assert [p.poi_id for p in hits] == [0, 1, 2]
 
-    def test_range(self):
-        hits = brute_force_range(self.make(), Point(0, 0), 5)
-        assert [p.poi_id for p in hits] == [0, 2, 1]
-
-    def test_range_negative_radius_raises(self):
-        with pytest.raises(ValueError):
-            brute_force_range(self.make(), Point(0, 0), -0.1)
-
-    def test_collective_mbr(self):
-        assert collective_mbr(self.make()) == Rect(0, 0, 10, 10)
-
 
 class TestUniformGrid:
     def build(self, n=500, seed=0, bounds=Rect(0, 0, 100, 100), cell=5.0):
@@ -73,8 +56,6 @@ class TestUniformGrid:
         grid = UniformGrid(Rect(0, 0, 10, 10), 1)
         with pytest.raises(GeometryError):
             grid.query_disc(Point(5, 5), 1)
-        with pytest.raises(GeometryError):
-            grid.query_rect(Rect(0, 0, 1, 1))
 
     def test_mismatched_arrays_raise(self):
         grid = UniformGrid(Rect(0, 0, 10, 10), 1)
@@ -95,20 +76,6 @@ class TestUniformGrid:
             got = set(grid.query_disc(c, radius).tolist())
             d2 = (xs - c.x) ** 2 + (ys - c.y) ** 2
             expected = set(np.nonzero(d2 <= radius * radius)[0].tolist())
-            assert got == expected
-
-    def test_rect_matches_brute_force(self):
-        grid, xs, ys = self.build(seed=4)
-        rng = np.random.default_rng(2)
-        for _ in range(15):
-            x1, y1 = rng.uniform(0, 80, 2)
-            w = Rect(x1, y1, x1 + rng.uniform(0, 25), y1 + rng.uniform(0, 25))
-            got = set(grid.query_rect(w).tolist())
-            expected = set(
-                np.nonzero(
-                    (xs >= w.x1) & (xs <= w.x2) & (ys >= w.y1) & (ys <= w.y2)
-                )[0].tolist()
-            )
             assert got == expected
 
     def test_points_outside_bounds_remain_queryable(self):

@@ -11,77 +11,11 @@ from repro.errors import MobilityError
 from repro.geometry import Point, Rect
 from repro.mobility import (
     GridRoadNetwork,
-    RandomWaypoint,
     RoadTrajectory,
     WaypointFleet,
 )
 
 BOUNDS = Rect(0, 0, 100, 100)
-
-
-class TestRandomWaypoint:
-    def make(self, seed=0, **kwargs):
-        return RandomWaypoint(BOUNDS, np.random.default_rng(seed), **kwargs)
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(MobilityError):
-            RandomWaypoint(Rect(0, 0, 0, 1), rng)
-        with pytest.raises(MobilityError):
-            RandomWaypoint(BOUNDS, rng, speed_range=(0, 5))
-        with pytest.raises(MobilityError):
-            RandomWaypoint(BOUNDS, rng, speed_range=(5, 2))
-        with pytest.raises(MobilityError):
-            RandomWaypoint(BOUNDS, rng, pause_range=(-1, 2))
-
-    def test_start_position_respected(self):
-        host = self.make(start=Point(10, 20))
-        assert host.position_at(0.0) == Point(10, 20)
-
-    def test_positions_stay_in_bounds(self):
-        host = self.make(seed=1)
-        for t in np.linspace(0, 5000, 400):
-            p = host.position_at(float(t))
-            assert BOUNDS.contains_point(p)
-
-    def test_time_cannot_run_backwards(self):
-        host = self.make(seed=2)
-        host.position_at(100.0)
-        with pytest.raises(MobilityError):
-            host.position_at(50.0)
-
-    def test_speed_respected_between_samples(self):
-        host = self.make(seed=3, speed_range=(5, 15), pause_range=(0, 0))
-        prev = host.position_at(0.0)
-        for t in np.arange(1.0, 300.0, 1.0):
-            cur = host.position_at(float(t))
-            assert prev.distance_to(cur) <= 15.0 + 1e-9
-            prev = cur
-
-    def test_heading_is_unit_or_zero(self):
-        host = self.make(seed=4)
-        for t in np.linspace(0, 2000, 200):
-            hx, hy = host.heading_at(float(t))
-            norm = math.hypot(hx, hy)
-            assert norm == pytest.approx(0.0) or norm == pytest.approx(1.0)
-
-    def test_pause_holds_position(self):
-        host = self.make(seed=5, pause_range=(10, 10))
-        leg = host.current_leg
-        p1 = host.position_at(leg.arrive_time + 1)
-        p2 = host.position_at(leg.arrive_time + 9)
-        assert p1 == p2 == leg.destination
-
-    def test_leg_interpolation_midpoint(self):
-        host = self.make(seed=6, pause_range=(0, 0))
-        leg = host.current_leg
-        mid_t = (leg.depart_time + leg.arrive_time) / 2
-        mid = host.position_at(mid_t)
-        expected = Point(
-            (leg.origin.x + leg.destination.x) / 2,
-            (leg.origin.y + leg.destination.y) / 2,
-        )
-        assert mid.distance_to(expected) < 1e-9
 
 
 class TestWaypointFleet:

@@ -23,6 +23,7 @@ from repro.cache import DirectionDistancePolicy, LRUPolicy
 from repro.errors import ExperimentError
 from repro.experiments import Simulation
 from repro.faults import FaultConfig
+from repro.obs import Tracer
 from repro.shard import ShardedSimulation, ShardWorld, rpc
 from repro.workloads import (
     RIVERSIDE_COUNTY,
@@ -107,12 +108,38 @@ def test_sharded_mode_rejects_unshardable_features():
     params = tenth_scale_params()
     with pytest.raises(ExperimentError, match="fault injection"):
         ShardedSimulation(params, fault_config=FaultConfig(loss_rate=0.5))
-    with pytest.raises(ExperimentError, match="max_responders"):
-        ShardedSimulation(params, max_responders=3)
+    with pytest.raises(ExperimentError, match="tracing"):
+        ShardedSimulation(params, tracer=Tracer())
     with pytest.raises(ExperimentError, match="exchange"):
         ShardedSimulation(params, exchange="nightly")
     with pytest.raises(ExperimentError, match="shard count"):
         ShardedSimulation(params, shards=0)
+
+
+RETIRED_WORLD_OPTIONS = (
+    "position_refresh_interval",
+    "p2p_latency",
+    "hilbert_order",
+    "bucket_capacity",
+    "entries_per_index_packet",
+    "m",
+    "packet_time",
+    "speed_range_mph",
+    "pause_range_s",
+    "cache_gossip",
+    "max_regions",
+    "max_responders",
+)
+
+
+@pytest.mark.parametrize("world", [Simulation, ShardedSimulation])
+def test_retired_world_options_are_rejected(world):
+    # Constants now: a caller that still sets one hears so at the call,
+    # before any world (or worker) is built.
+    for name in RETIRED_WORLD_OPTIONS:
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            world(tenth_scale_params(), **{name: 1})
+    assert multiprocessing.active_children() == []
 
 
 def _failing_policy_factory():
@@ -126,7 +153,7 @@ def _failing_policy_factory():
 @pytest.mark.parametrize(
     "broken",
     [
-        {"m": 0},  # ShardWorld construction raises (bad station knob)
+        {"pois": []},  # ShardWorld construction raises (nothing to broadcast)
         {"policy_factory": _failing_policy_factory},  # first epoch raises
     ],
     ids=["construction", "first-epoch"],

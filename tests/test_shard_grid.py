@@ -105,20 +105,6 @@ class TestShardFleetSoA:
             ShardFleetSoA(ids, zeros, zeros, zeros, zeros,
                           np.ones(3, dtype=bool))
 
-    def test_generation_carry_survives_membership_change(self):
-        ids = np.array([1, 4, 9], dtype=np.int64)
-        zeros = np.zeros(3)
-        first = ShardFleetSoA(ids, zeros, zeros, zeros, zeros,
-                              np.ones(3, dtype=bool))
-        first.record_generation(4, 17)
-        ids2 = np.array([4, 7], dtype=np.int64)
-        zeros2 = np.zeros(2)
-        second = ShardFleetSoA(ids2, zeros2, zeros2, zeros2, zeros2,
-                               np.ones(2, dtype=bool))
-        second.carry_generations_from(first)
-        assert second.generation_of(4) == 17
-        assert second.generation_of(7) == -1  # never seen
-
 
 class TestMigration:
     """Hosts drifting across shard boundaries over many refresh epochs."""

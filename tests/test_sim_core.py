@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Event, Interrupt, Timeout
+from repro.sim import Environment, Event, Timeout
 
 
 class TestClock:
@@ -22,9 +22,6 @@ class TestClock:
         env = Environment(initial_time=5)
         with pytest.raises(SimulationError):
             env.run(until=1)
-
-    def test_peek_empty_is_inf(self):
-        assert Environment().peek() == float("inf")
 
     def test_step_on_empty_queue_raises(self):
         with pytest.raises(SimulationError):
@@ -241,73 +238,3 @@ class TestEvent:
         ev.fail(RuntimeError("expected"))
         env.run()
         assert caught == ["expected"]
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper_early(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        def interrupter(env, victim):
-            yield env.timeout(2)
-            victim.interrupt(cause="wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert log == [(2.0, "wake up")]
-
-    def test_interrupt_finished_process_raises(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_self_interrupt_raises(self):
-        env = Environment()
-        errors = []
-
-        def proc(env):
-            try:
-                env.active_process.interrupt()
-            except SimulationError:
-                errors.append(True)
-            yield env.timeout(1)
-
-        env.process(proc(env))
-        env.run()
-        assert errors == [True]
-
-    def test_interrupted_timeout_does_not_fire_later(self):
-        env = Environment()
-        wakes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10)
-                wakes.append("timeout")
-            except Interrupt:
-                wakes.append("interrupt")
-            yield env.timeout(50)
-            wakes.append("second sleep done")
-
-        def interrupter(env, victim):
-            yield env.timeout(1)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert wakes == ["interrupt", "second sleep done"]
-        assert env.now == 51.0

@@ -1,99 +1,9 @@
-"""Tests for composite events and shared resources."""
+"""Tests for the kernel's shared resources."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Resource, Store
-
-
-class TestAllOf:
-    def test_waits_for_all(self):
-        env = Environment()
-        log = []
-
-        def proc(env):
-            t1 = env.timeout(1, value="a")
-            t2 = env.timeout(5, value="b")
-            values = yield env.all_of([t1, t2])
-            log.append((env.now, sorted(values.values())))
-
-        env.process(proc(env))
-        env.run()
-        assert log == [(5.0, ["a", "b"])]
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-        log = []
-
-        def proc(env):
-            value = yield env.all_of([])
-            log.append((env.now, value))
-
-        env.process(proc(env))
-        env.run()
-        assert log == [(0.0, {})]
-
-    def test_failure_propagates(self):
-        env = Environment()
-        caught = []
-        bad = env.event()
-
-        def proc(env):
-            try:
-                yield env.all_of([env.timeout(10), bad])
-            except RuntimeError:
-                caught.append(env.now)
-
-        env.process(proc(env))
-        bad.fail(RuntimeError("child failed"))
-        env.run()
-        assert caught == [0.0]
-
-    def test_mixed_environments_raise(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(SimulationError):
-            AllOf(env1, [env1.timeout(1), env2.timeout(1)])
-
-
-class TestAnyOf:
-    def test_first_event_wins(self):
-        env = Environment()
-        log = []
-
-        def proc(env):
-            fast = env.timeout(1, value="fast")
-            slow = env.timeout(9, value="slow")
-            values = yield env.any_of([fast, slow])
-            log.append((env.now, list(values.values())))
-
-        env.process(proc(env))
-        env.run()
-        assert log == [(1.0, ["fast"])]
-
-    def test_loser_timeout_still_fires_harmlessly(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.any_of([env.timeout(1), env.timeout(2)])
-
-        env.process(proc(env))
-        env.run()
-        assert env.now == 2.0  # queue drains fully without errors
-
-    def test_already_triggered_child(self):
-        env = Environment()
-        log = []
-        pre = env.event()
-        pre.succeed("early")
-        env.run(until=0)  # process the pre-triggered event
-
-        def proc(env):
-            values = yield AnyOf(env, [pre, env.timeout(10)])
-            log.append(list(values.values()))
-
-        env.process(proc(env))
-        env.run()
-        assert log == [["early"]]
+from repro.sim import Environment, Resource, Store
 
 
 class TestResource:

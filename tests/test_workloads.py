@@ -19,7 +19,6 @@ from repro.workloads import (
     QueryWorkload,
     clustered_pois,
     generate_pois,
-    poisson_poi_field,
     ScalingClampWarning,
     scaled_parameters,
 )
@@ -159,18 +158,6 @@ class TestPOIGeneration:
             Rect(0, 0, 1, 1), 5, np.random.default_rng(0), id_offset=100
         )
         assert [p.poi_id for p in pois] == [100, 101, 102, 103, 104]
-
-    def test_poisson_field_count_distribution(self):
-        rng = np.random.default_rng(1)
-        counts = [
-            len(poisson_poi_field(Rect(0, 0, 10, 10), 2.0, rng))
-            for _ in range(50)
-        ]
-        assert np.mean(counts) == pytest.approx(200, rel=0.15)
-
-    def test_poisson_field_validation(self):
-        with pytest.raises(ExperimentError):
-            poisson_poi_field(Rect(0, 0, 1, 1), 0, np.random.default_rng(0))
 
     def test_clustered_pois_more_clumped_than_uniform(self):
         rng = np.random.default_rng(2)

@@ -22,7 +22,7 @@ _NOT_CODE = {
 }
 
 
-def code_lines(source: str) -> int:
+def code_line_numbers(source: str) -> set[int]:
     docstrings: set[int] = set()
     for node in ast.walk(ast.parse(source)):
         body = getattr(node, "body", None)
@@ -37,23 +37,29 @@ def code_lines(source: str) -> int:
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    return lines - docstrings
+
+
+def sources(tree: str):
+    """``(package, path, source)`` of every module of ``tree``/src/repro."""
+    root = os.path.join(tree, "src", "repro")
+    for folder, _, files in sorted(os.walk(root)):
+        relative = os.path.relpath(folder, root)
+        package = "(top level)" if relative == "." else relative.split(os.sep)[0]
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    yield package, path, handle.read()
 
 
 def count(tree: str) -> tuple[Counter, Counter]:
     """(raw, code) lines per top-level package of ``tree``/src/repro."""
-    root = os.path.join(tree, "src", "repro")
     raw: Counter = Counter()
     code: Counter = Counter()
-    for folder, _, files in os.walk(root):
-        relative = os.path.relpath(folder, root)
-        package = "(top level)" if relative == "." else relative.split(os.sep)[0]
-        for name in files:
-            if name.endswith(".py"):
-                with open(os.path.join(folder, name), encoding="utf-8") as handle:
-                    source = handle.read()
-                raw[package] += source.count("\n")
-                code[package] += code_lines(source)
+    for package, _, source in sources(tree):
+        raw[package] += source.count("\n")
+        code[package] += len(code_line_numbers(source))
     return raw, code
 
 

@@ -57,6 +57,8 @@ lint:
 	@! grep -rIn 'insert[_]rect\|subtract[_]rect\|subtract[_]point_cut\|region[_]union\|TAG_SLAB[_]UNION\|MIRROR[_]COMPACT\|incremental[=]\|__reduce[_]_' src/repro
 	@echo ">> retired world options and capabilities stay out of src/repro"
 	@! grep -rIn 'position[_]refresh_interval\|speed[_]range_mph\|pause[_]range_s\|cache[_]gossip\|max[_]responders\|station[_]kwargs\|Random[W]aypoint\|run[_]until_steady\|\<Any[O]f\>\|\<All[O]f\>\|carry[_]generations_from\|[_]pois_memo\|bench[-]quick' src/repro
+	@echo ">> two access models, one index, no side kernel: the R-tree, the DES resources and the second seed derivation stay out"
+	@! grep -rIn '\<R[T]ree\>\|Counting[R]TreeView\|broadcast[_]process\|request[_]process\|sim[.]resources\|seeds[=]' src/repro examples benchmarks
 
 test:
 	@echo ">> tier-1 tests"

@@ -3,8 +3,10 @@
 The paper dismisses the point-to-point model because "it may not scale
 to very large systems".  This bench measures that claim: the same kNN
 workload is priced against (a) the broadcast channel (load-independent
-latency) and (b) an on-demand server with c uplink channels, at
-increasing arrival rates, both by DES and by the M/M/c closed form.
+latency) and (b) an on-demand server with c uplink channels, at arrival
+rates chosen from its measured capacity ``c * mu`` — below it, near it
+and beyond it — both by the FCFS queue itself and by the M/M/c closed
+form.
 """
 
 import numpy as np
@@ -14,14 +16,23 @@ from repro.errors import ExperimentError
 from repro.experiments import format_table
 from repro.geometry import Point, Rect
 from repro.ondemand import OnDemandServer, mmc_wait_time
-from repro.sim import Environment, Resource
 from repro.workloads import generate_pois
 
 from _util import emit
 
 BOUNDS = Rect(0, 0, 20, 20)
-RATES = (1.0, 5.0, 10.0, 20.0)  # requests per second
 CHANNELS = 8
+K = 5
+HORIZON = 120.0  # seconds of arrivals per rate
+LOADS = (0.5, 0.9, 1.0, 1.5)  # arrival rate / capacity
+
+
+def poisson_arrivals(rng, rate):
+    """(time, query point, k) requests at ``rate`` per second."""
+    t = float(rng.exponential(1.0 / rate))
+    while t < HORIZON:
+        yield t, Point(*rng.uniform(1, 19, 2)), K
+        t += float(rng.exponential(1.0 / rate))
 
 
 def run():
@@ -35,79 +46,78 @@ def run():
         np.mean(
             [
                 client.knn(
-                    Point(*rng.uniform(1, 19, 2)), 5, t_query=float(t)
+                    Point(*rng.uniform(1, 19, 2)), K, t_query=float(t)
                 ).cost.access_latency
                 for t in rng.uniform(0, 200, 40)
             ]
         )
     )
 
-    mean_service = float(
-        np.mean(
-            [
-                server.service_time_for_knn(Point(*rng.uniform(1, 19, 2)), 5)
-                for _ in range(40)
-            ]
-        )
-    )
-    service_rate = 1.0 / mean_service
+    # Service is deterministic for a fixed k, so capacity is exact.
+    service = server.service_time(K)
+    service_rate = 1.0 / service
+    capacity = CHANNELS * service_rate
 
     rows = []
     measured = {}
-    for rate in RATES:
-        env = Environment()
-        uplinks = Resource(env, capacity=CHANNELS)
-        sink = []
-
-        def arrivals(env):
-            while env.now < 120.0:
-                yield env.timeout(float(rng.exponential(1.0 / rate)))
-                q = Point(*rng.uniform(1, 19, 2))
-                env.process(server.request_process(env, uplinks, q, 5, sink))
-
-        env.process(arrivals(env))
-        env.run()
-        sim_latency = float(np.mean([a.latency for a in sink])) if sink else 0.0
+    for load in LOADS:
+        rate = load * capacity
+        answers = server.serve(poisson_arrivals(rng, rate))
+        queue_latency = float(np.mean([a.latency for a in answers]))
         try:
-            model_wait = mmc_wait_time(rate, service_rate, CHANNELS)
+            model_latency = mmc_wait_time(rate, service_rate, CHANNELS) + service
         except ExperimentError:  # unstable: no stationary wait exists
-            model_wait = float("inf")
-        model_latency = (
-            model_wait + mean_service if model_wait != float("inf") else float("inf")
-        )
-        measured[rate] = (sim_latency, model_latency)
+            model_latency = float("inf")
+        measured[load] = (queue_latency, model_latency)
         rows.append(
             [
-                rate,
-                round(sim_latency, 3),
-                "inf" if model_latency == float("inf") else round(model_latency, 3),
-                round(broadcast_lat, 2),
+                round(rate, 1),
+                f"{load:.2f}",
+                len(answers),
+                f"{queue_latency:.3f}",
+                f"{model_latency:.3f}",
+                f"{broadcast_lat:.2f}",
             ]
         )
     table = format_table(
         [
             "arrival rate [1/s]",
-            "on-demand latency (DES) [s]",
+            "rate / capacity",
+            "requests",
+            "on-demand latency (FCFS queue) [s]",
             "on-demand latency (M/M/c) [s]",
             "broadcast latency [s]",
         ],
         rows,
-        title=f"On-demand ({CHANNELS} channels) vs broadcast scalability",
+        title=(
+            f"On-demand ({CHANNELS} channels, capacity {capacity:.0f} req/s)"
+            " vs broadcast scalability"
+        ),
     )
-    return measured, broadcast_lat, service_rate, table
+    return measured, broadcast_lat, table
 
 
 def test_ondemand_does_not_scale(benchmark):
-    measured, broadcast_lat, service_rate, table = benchmark.pedantic(
+    measured, broadcast_lat, table = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     emit("On-demand vs broadcast scalability", table)
 
+    queue = {load: latency for load, (latency, _) in measured.items()}
+    below = [load for load in LOADS if load < 1.0]
+    beyond = [load for load in LOADS if load >= 1.5]
+    assert below and beyond
+    # Below capacity a request is served almost as fast as unloaded,
+    # far quicker than a broadcast cycle, and the M/M/c form (random
+    # service) bounds the deterministic-service queue from above.
+    for load in below:
+        assert queue[load] < broadcast_lat
+        assert queue[load] <= measured[load][1] + 1e-9
     # On-demand latency grows with load; broadcast's is flat by design.
-    latencies = [measured[r][0] for r in RATES]
-    assert latencies[-1] > latencies[0]
-    # Past saturation (rate >= c * mu) the queue blows up, far beyond
+    latencies = [queue[load] for load in LOADS]
+    assert latencies == sorted(latencies)
+    # Past saturation (rate >= 1.5 c mu) the queue blows up, far beyond
     # the load-independent broadcast latency.
-    saturated = [r for r in RATES if r >= 8 * service_rate]
-    if saturated:
-        assert measured[saturated[0]][0] > broadcast_lat
+    for load in beyond:
+        assert measured[load][1] == float("inf")
+        assert queue[load] > 2 * broadcast_lat

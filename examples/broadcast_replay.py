@@ -1,10 +1,10 @@
 """Replay the (1, m) broadcast channel packet by packet.
 
-Drives the base station as a real discrete-event process (one event
-per packet), lets a client execute the on-air access protocol of
-Section 2.1 — initial probe, index search, data retrieval — against
-the replayed channel, and confirms the observed access latency matches
-the closed-form schedule arithmetic the experiment harness uses.
+Replays the base station's channel one packet at a time, lets a client
+execute the on-air access protocol of Section 2.1 — initial probe,
+index search, data retrieval — against the replayed packets, and
+confirms the observed access latency matches the closed-form schedule
+arithmetic the experiment harness uses.
 
 Run:  python examples/broadcast_replay.py
 """
@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.experiments import BaseStation
 from repro.geometry import Point, Rect
-from repro.sim import Environment, Store
 from repro.workloads import generate_pois
 
 BOUNDS = Rect(0, 0, 20, 20)
@@ -38,28 +37,23 @@ def main() -> None:
     print(f"closed-form: latency {plan.cost.access_latency:.2f} s,"
           f" tuning {plan.cost.tuning_packets} packets")
 
-    # Replay the channel and observe the same retrieval live.
-    env = Environment()
-    channel = Store(env)
+    # Replay the channel and observe the same retrieval packet by packet.
+    # The client may only use data packets after its index read.
+    index_ready = (
+        schedule.next_index_start(t_query + schedule.packet_time)
+        + plan.plan.index_read_packets * schedule.packet_time
+    )
     needed = set(plan.plan.bucket_ids)
     observed = {}
-
-    def client_process(env, channel):
-        while needed:
-            packet = yield channel.get()
-            if packet.kind == "data" and packet.ref in needed:
-                # The client may only use packets after its index read.
-                index_ready = (
-                    schedule.next_index_start(t_query + schedule.packet_time)
-                    + plan.plan.index_read_packets * schedule.packet_time
-                )
-                if packet.time - schedule.packet_time >= index_ready - 1e-9:
-                    needed.remove(packet.ref)
-                    observed[packet.ref] = packet.time
-
-    env.process(station.broadcast_process(env, channel, cycles=3))
-    env.process(client_process(env, channel))
-    env.run()
+    for packet in station.replay(cycles=3):
+        if (
+            packet.kind == "data"
+            and packet.ref in needed
+            and packet.time - schedule.packet_time >= index_ready - 1e-9
+        ):
+            needed.remove(packet.ref)
+            observed[packet.ref] = packet.time
+    assert not needed, f"buckets {sorted(needed)} never seen in 3 cycles"
 
     finish = max(observed.values())
     print(f"replayed:    last needed packet fully received at"

@@ -39,10 +39,6 @@ class DataBucket:
         if not self.pois:
             raise BroadcastError("empty data bucket")
 
-    def covers_value(self, h: int) -> bool:
-        """True when Hilbert value ``h`` falls in this bucket's range."""
-        return self.h_min <= h <= self.h_max
-
 
 @dataclass(frozen=True, slots=True)
 class IndexEntry:

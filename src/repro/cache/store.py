@@ -489,16 +489,6 @@ class POICache:
         cache._regions_coalesced = regions_coalesced
         return cache
 
-    def pois_in(self, rect: Rect) -> list[POI]:
-        """Cached POIs inside a rectangle (sorted by id)."""
-        hits = [
-            item.poi
-            for item in self._items.values()
-            if rect.contains_point(item.poi.location)
-        ]
-        hits.sort(key=lambda p: p.poi_id)
-        return hits
-
     # ------------------------------------------------------------------
     def _coalesce_regions(self) -> None:
         """Drop regions fully covered by another (newer wins ties).

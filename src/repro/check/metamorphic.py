@@ -247,7 +247,7 @@ def safe_region_contract(
                 want = oracle_knn_ids(server_pois, p, k)
                 if got != want:
                     violations.append(
-                        f"{label} kNN at {p.as_tuple()}: safe answer"
+                        f"{label} kNN at {tuple(p)}: safe answer"
                         f" {got} != oracle {want}"
                     )
             if window_side > 0.0:
@@ -260,7 +260,7 @@ def safe_region_contract(
                     want = oracle_window_ids(server_pois, window)
                     if got != want:
                         violations.append(
-                            f"{label} window at {p.as_tuple()}: safe answer"
+                            f"{label} window at {tuple(p)}: safe answer"
                             f" {got} != oracle {want}"
                         )
 

@@ -35,9 +35,9 @@ HEADER_SIZE = 3
 
 # Versioned type tags.  0x00-0x0f: single objects; 0x10-0x1f: batches;
 # 0x20-0x2f: serving-layer wire messages (see repro.serve.protocol).
-TAG_PICKLE = 0x00
-# 0x01 carried the persistent SlabUnion; retired, and reserved so an
-# old frame is refused as an unknown tag rather than misread.
+# 0x00 carried a pickled object and 0x01 the persistent SlabUnion;
+# both retired, and reserved so an old frame is refused as an unknown
+# tag rather than misread.
 TAG_SHARE_PAYLOAD = 0x02
 TAG_OVERHEAR_OP = 0x03
 TAG_QUERY_RECORD = 0x04

@@ -36,10 +36,6 @@ class SearchBounds:
     lower: float | None
     upper: float | None
 
-    @property
-    def has_any(self) -> bool:
-        return self.lower is not None or self.upper is not None
-
 
 def search_bounds(heap: ResultHeap) -> SearchBounds:
     """Derive the Section-3.3.3 bounds from the heap's state."""

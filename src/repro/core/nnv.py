@@ -50,7 +50,7 @@ class MVRMemo:
     Every query merges the regions it was sent into a fresh union and
     drops it with the query: memoising unions on the peers'
     ``(peer_id, generation)`` stamps retained one union per query and
-    hit on none (DESIGN section 7.5).  The class, and the constant
+    hit on none (DESIGN section 7.3).  The class, and the constant
     ``hits``, are what the benchmark's tracer reads.
     """
 

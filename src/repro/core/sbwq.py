@@ -34,10 +34,6 @@ class SBWQOutcome:
     window: Rect | None = None
 
     @property
-    def fully_resolved(self) -> bool:
-        return self.resolution is Resolution.VERIFIED
-
-    @property
     def covered_fraction_missing(self) -> float:
         """Area *share* of the window still needing the channel, in [0, 1].
 

@@ -146,15 +146,6 @@ class MetricsCollector:
         ]
         return mean(latencies) if latencies else 0.0
 
-    def mean_tuning(self, resolution: Resolution | None = None) -> float:
-        self._require_records()
-        tunings = [
-            r.tuning_packets
-            for r in self.records
-            if resolution is None or r.resolution is resolution
-        ]
-        return mean(tunings) if tunings else 0.0
-
     def mean_peer_count(self) -> float:
         self._require_records()
         return mean(r.peer_count for r in self.records)
@@ -192,19 +183,4 @@ class MetricsCollector:
             "deadline_misses": float(self.total_deadline_misses()),
             "recovery_retunes": float(self.total_retunes()),
             "buckets_lost": float(self.total_buckets_lost()),
-        }
-
-    # ------------------------------------------------------------------
-    def summary(self) -> dict[str, float]:
-        """A flat dict for reporting tables."""
-        self._require_records()
-        return {
-            "queries": float(len(self.records)),
-            "pct_verified": self.pct_verified,
-            "pct_approximate": self.pct_approximate,
-            "pct_broadcast": self.pct_broadcast,
-            "mean_latency_all": self.mean_latency(),
-            "mean_latency_broadcast": self.mean_latency(Resolution.BROADCAST),
-            "mean_tuning_broadcast": self.mean_tuning(Resolution.BROADCAST),
-            "mean_peers": self.mean_peer_count(),
         }

@@ -3,9 +3,10 @@
 Every sweep point — one (region, parameter value) cell of a figure
 grid — is an independent :class:`Simulation`, so the grid parallelises
 embarrassingly.  :class:`SweepRunner` derives one seed per point
-up-front (``np.random.SeedSequence.spawn``, indexed by grid position,
-so the assignment never depends on scheduling), fans the points over a
-``ProcessPoolExecutor``, and reassembles the results in grid order.
+up-front (``seed + 1000 * region_index + value_index``: a function of
+the grid position, so the assignment never depends on scheduling),
+fans the points over a ``ProcessPoolExecutor``, and reassembles the
+results in grid order.
 The output is therefore deterministic in the worker count: the same
 seeds produce the same collectors whether the points ran serially, in
 four workers, or in any interleaving.
@@ -13,18 +14,19 @@ four workers, or in any interleaving.
 ``max_workers=1`` (the default for the legacy
 :func:`repro.experiments.run_sweep` entry point) bypasses the pool
 entirely and runs in-process — no pickling, no subprocess start-up —
-which keeps unit tests and tiny sweeps fast.
+which keeps unit tests and tiny sweeps fast.  That is the caller's
+choice, never the environment's: a pool that cannot start is an
+:class:`~repro.errors.ExperimentError`, not a silent serial run.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from ..errors import ExperimentError
 from ..workloads import ALL_REGIONS, ParameterSet, QueryKind, scaled_parameters
@@ -46,7 +48,7 @@ class SweepPoint:
     base: ParameterSet
     kind: QueryKind
     overrides: dict
-    seed: int | np.random.SeedSequence
+    seed: int
     area_scale: float = 0.1
     warmup_queries: int = 2500
     measure_queries: int = 600
@@ -118,16 +120,23 @@ class SweepRunner:
         workers = min(workers, len(points))
         if workers <= 1:
             return [_execute_point(p) for p in points]
+        already_running = set(multiprocessing.active_children())
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 # Executor.map preserves input order, so the grid order
                 # survives any parallel completion order.
                 return list(pool.map(_execute_point, points))
-        except OSError:
-            # Environments that cannot spawn processes (restricted
-            # sandboxes) degrade to the serial path; results are
-            # identical by construction.
-            return [_execute_point(p) for p in points]
+        except OSError as exc:
+            # A pool that failed part-way through starting its workers
+            # never joins the ones it did start; reap them first.
+            for child in set(multiprocessing.active_children()) - already_running:
+                child.terminate()
+                child.join()
+            raise ExperimentError(
+                f"could not run {len(points)} sweep points on a pool of"
+                f" {workers} worker processes: {exc} (max_workers=1 runs"
+                " them serially in this process)"
+            ) from exc
 
     # ------------------------------------------------------------------
     def run_sweep(
@@ -139,7 +148,6 @@ class SweepRunner:
         *,
         area_scale: float = 0.1,
         seed: int = 0,
-        seeds: Sequence[int | np.random.SeedSequence] | None = None,
         warmup_queries: int = 2500,
         measure_queries: int = 600,
         x_label: str | None = None,
@@ -147,26 +155,13 @@ class SweepRunner:
     ) -> list[SweepSeries]:
         """Figure-style sweep: vary one field over ``regions`` × ``values``.
 
-        By default every point gets a child of
-        ``np.random.SeedSequence(seed)`` spawned up-front by grid index,
-        giving statistically independent streams whose assignment does
-        not depend on worker count.  ``seeds`` pins one explicit seed
-        per point in row-major (region, value) order instead — the
-        legacy entry point uses this to stay bit-compatible with its
-        historical arithmetic derivation.
+        The point at (``region_index``, ``value_index``) runs with seed
+        ``seed + 1000 * region_index + value_index`` — the derivation
+        behind every committed figure, CSV and EXPERIMENTS.md number,
+        fixed by grid position and so independent of the worker count.
         """
         values = list(values)
         regions = list(regions)
-        n_points = len(regions) * len(values)
-        if seeds is None:
-            seeds = np.random.SeedSequence(seed).spawn(n_points)
-        else:
-            seeds = list(seeds)
-            if len(seeds) != n_points:
-                raise ExperimentError(
-                    f"need {n_points} seeds (regions x values), "
-                    f"got {len(seeds)}"
-                )
         points: list[SweepPoint] = []
         for region_index, base in enumerate(regions):
             for value_index, value in enumerate(values):
@@ -177,7 +172,7 @@ class SweepRunner:
                         base=base,
                         kind=kind,
                         overrides={vary: value},
-                        seed=seeds[index],
+                        seed=seed + 1000 * region_index + value_index,
                         area_scale=area_scale,
                         warmup_queries=warmup_queries,
                         measure_queries=measure_queries,

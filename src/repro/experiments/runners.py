@@ -60,28 +60,20 @@ def run_sweep(
 ) -> list[SweepSeries]:
     """Generic sweep: vary one ParameterSet field, measure resolutions.
 
-    Delegates to :class:`~repro.experiments.parallel.SweepRunner` with
-    the historical arithmetic seed derivation
-    (``seed + 1000 * region_index + value_index``), so the results are
-    bit-identical to earlier serial versions for every ``max_workers``.
+    :meth:`~repro.experiments.parallel.SweepRunner.run_sweep` on a
+    runner of ``max_workers`` processes (serial by default); the
+    results are bit-identical for every ``max_workers``.
     """
     # Imported lazily: parallel.py imports SweepSeries from this module.
     from .parallel import SweepRunner
 
-    values = list(values)
-    regions = list(regions)
-    seeds = [
-        seed + 1000 * region_index + value_index
-        for region_index in range(len(regions))
-        for value_index in range(len(values))
-    ]
     return SweepRunner(max_workers=max_workers).run_sweep(
         vary,
         values,
         kind,
         regions,
         area_scale=area_scale,
-        seeds=seeds,
+        seed=seed,
         warmup_queries=warmup_queries,
         measure_queries=measure_queries,
         x_label=x_label,

@@ -1,10 +1,9 @@
 """The base-station module.
 
 Owns the broadcast server and schedule, and can *replay* the channel
-as an actual discrete-event process (one event per packet) — the
-experiment harness prices retrievals with the closed-form schedule
-arithmetic instead, and the replay exists to cross-validate that
-arithmetic and to drive the examples.
+packet by packet — the experiment harness prices retrievals with the
+closed-form schedule arithmetic instead, and the replay exists to
+cross-validate that arithmetic and to drive the examples.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Sequence
 from ..broadcast import BroadcastSchedule, BroadcastServer, OnAirClient
 from ..geometry import Rect
 from ..model import POI
-from ..sim import Environment, Store
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,15 +74,20 @@ class BaseStation:
                 index_copy += 1
         return slots
 
-    def broadcast_process(self, env: Environment, channel: Store, cycles: int = 1):
-        """A DES process feeding ``cycles`` full cycles into ``channel``.
+    def replay(self, cycles: int = 1) -> list[PacketEvent]:
+        """The packets of ``cycles`` full cycles, in channel order.
 
-        Each packet occupies ``packet_time``; its event is emitted at
-        the packet's *end* (a client has the packet once it has fully
-        arrived).
+        Each packet occupies ``packet_time``; its event carries the
+        packet's *end* (a client has the packet once it has fully
+        arrived), accumulated slot by slot rather than multiplied out,
+        so the replay checks the schedule's offsets instead of
+        restating them.
         """
         slots = self.cycle_slots()
+        events: list[PacketEvent] = []
+        now = 0.0
         for _ in range(cycles):
             for kind, ref in slots:
-                yield env.timeout(self.schedule.packet_time)
-                channel.put(PacketEvent(env.now, kind, ref))
+                now += self.schedule.packet_time
+                events.append(PacketEvent(now, kind, ref))
+        return events

@@ -35,11 +35,6 @@ class P2PFaultStats:
     deadline_misses: int = 0
     extra_latency: float = 0.0
 
-    @property
-    def faulted(self) -> bool:
-        """True when any fault fired during the exchange."""
-        return bool(self.drops or self.retries or self.deadline_misses)
-
 
 class ChannelModel:
     """Seeded per-link fault decisions for one simulated world."""

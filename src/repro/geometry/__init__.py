@@ -15,7 +15,7 @@ from .hilbert import (
     hilbert_xy_to_d,
     hilbert_xy_to_d_batch,
 )
-from .point import Point, centroid
+from .point import Point
 from .rect import Rect
 from .region import (
     RectUnion,
@@ -36,7 +36,6 @@ __all__ = [
     "RectUnion",
     "Segment",
     "SlabUnion",
-    "centroid",
     "circle_rect_intersection_area",
     "hilbert_d_to_xy",
     "hilbert_d_to_xy_batch",

@@ -33,10 +33,6 @@ class Circle:
     def area(self) -> float:
         return math.pi * self.radius * self.radius
 
-    def contains_point(self, p: Point) -> bool:
-        """Closed containment: boundary points are inside."""
-        return self.center.squared_distance_to(p) <= self.radius * self.radius
-
     def mbr(self) -> Rect:
         """The minimum bounding rectangle of the disc."""
         return Rect(

@@ -8,7 +8,7 @@ assumes a unit.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class Point:
@@ -41,34 +41,6 @@ class Point:
         """Euclidean distance ``||self, other||`` (Table 1 notation)."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def squared_distance_to(self, other: "Point") -> float:
-        """Squared Euclidean distance (avoids the sqrt in comparisons)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """A new point offset by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def as_tuple(self) -> tuple[float, float]:
-        """The point as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """Arithmetic mean of a non-empty collection of points."""
-    xs = 0.0
-    ys = 0.0
-    n = 0
-    for p in points:
-        xs += p.x
-        ys += p.y
-        n += 1
-    if n == 0:
-        raise ValueError("centroid of an empty point collection")
-    return Point(xs / n, ys / n)

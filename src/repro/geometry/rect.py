@@ -2,18 +2,17 @@
 
 Rectangles are closed regions ``[x1, x2] x [y1, y2]``.  They are the
 currency of the whole system: verified regions (Section 3.2 of the
-paper), R-tree node boxes, query windows, and Hilbert-cell extents are
-all :class:`Rect` instances.
+paper), query windows, bucket extents and Hilbert-cell extents are all
+:class:`Rect` instances.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import GeometryError
 from .point import Point
-from .segment import Segment
 
 
 class Rect:
@@ -63,28 +62,6 @@ class Rect:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_points(cls, points: Iterable[Point]) -> "Rect":
-        """The MBR of a non-empty collection of points."""
-        pts = list(points)
-        if not pts:
-            raise GeometryError("MBR of an empty point collection")
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        return cls(min(xs), min(ys), max(xs), max(ys))
-
-    @classmethod
-    def from_center(cls, center: Point, width: float, height: float) -> "Rect":
-        """A rectangle of the given dimensions centred on ``center``."""
-        if width < 0 or height < 0:
-            raise GeometryError("negative rectangle dimensions")
-        return cls(
-            center.x - width / 2.0,
-            center.y - height / 2.0,
-            center.x + width / 2.0,
-            center.y + height / 2.0,
-        )
-
-    @classmethod
     def bounding(cls, rects: Sequence["Rect"]) -> "Rect":
         """The MBR of a non-empty collection of rectangles."""
         if not rects:
@@ -112,10 +89,6 @@ class Rect:
         return self.width * self.height
 
     @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    @property
     def center(self) -> Point:
         return Point((self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0)
 
@@ -129,33 +102,6 @@ class Rect:
     def contains_point(self, p: Point) -> bool:
         """Closed containment: boundary points are inside."""
         return self.x1 <= p.x <= self.x2 and self.y1 <= p.y <= self.y2
-
-    def contains_rect(self, other: "Rect") -> bool:
-        """True when ``other`` lies entirely inside this rectangle."""
-        return (
-            self.x1 <= other.x1
-            and self.y1 <= other.y1
-            and other.x2 <= self.x2
-            and other.y2 <= self.y2
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        """Closed intersection test (shared boundary counts)."""
-        return (
-            self.x1 <= other.x2
-            and other.x1 <= self.x2
-            and self.y1 <= other.y2
-            and other.y1 <= self.y2
-        )
-
-    def overlaps_interior(self, other: "Rect") -> bool:
-        """True when the open interiors intersect (positive-area overlap)."""
-        return (
-            self.x1 < other.x2
-            and other.x1 < self.x2
-            and self.y1 < other.y2
-            and other.y1 < self.y2
-        )
 
     # ------------------------------------------------------------------
     # Combinators
@@ -190,25 +136,6 @@ class Rect:
     # ------------------------------------------------------------------
     # Geometry queries
     # ------------------------------------------------------------------
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """Corners in counter-clockwise order starting at ``(x1, y1)``."""
-        return (
-            Point(self.x1, self.y1),
-            Point(self.x2, self.y1),
-            Point(self.x2, self.y2),
-            Point(self.x1, self.y2),
-        )
-
-    def edges(self) -> tuple[Segment, Segment, Segment, Segment]:
-        """The four boundary segments in counter-clockwise order."""
-        c = self.corners()
-        return (
-            Segment(c[0], c[1]),
-            Segment(c[1], c[2]),
-            Segment(c[2], c[3]),
-            Segment(c[3], c[0]),
-        )
-
     def distance_to_point(self, p: Point) -> float:
         """Distance from ``p`` to the rectangle (0 when ``p`` is inside)."""
         dx = max(self.x1 - p.x, 0.0, p.x - self.x2)
@@ -220,14 +147,6 @@ class Rect:
         dx = max(abs(p.x - self.x1), abs(p.x - self.x2))
         dy = max(abs(p.y - self.y1), abs(p.y - self.y2))
         return math.hypot(dx, dy)
-
-    def boundary_distance_to_point(self, p: Point) -> float:
-        """Distance from ``p`` to the rectangle *boundary* (positive inside too)."""
-        return min(edge.distance_to_point(p) for edge in self.edges())
-
-    def sample_point(self, u: float, v: float) -> Point:
-        """The point at fractional position ``(u, v)`` in ``[0, 1]^2``."""
-        return Point(self.x1 + u * self.width, self.y1 + v * self.height)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         """The rectangle as a plain ``(x1, y1, x2, y2)`` tuple."""

@@ -844,7 +844,7 @@ class RectUnion:
 
     def boundary_length(self) -> float:
         """Total length of the boundary (holes included)."""
-        return sum(seg.length for seg in self.boundary_segments())
+        return sum(seg.a.distance_to(seg.b) for seg in self.boundary_segments())
 
     # ------------------------------------------------------------------
     # Disc interactions (Lemma 3.2 support)

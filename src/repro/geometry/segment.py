@@ -1,8 +1,7 @@
-"""Line segments and point-to-segment distance."""
+"""Line segments: the boundary pieces a union of rectangles reports."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .point import Point
@@ -14,39 +13,3 @@ class Segment:
 
     a: Point
     b: Point
-
-    @property
-    def length(self) -> float:
-        """Euclidean length of the segment."""
-        return self.a.distance_to(self.b)
-
-    def midpoint(self) -> Point:
-        """The midpoint of the segment."""
-        return Point((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
-
-    def distance_to_point(self, p: Point) -> float:
-        """Shortest Euclidean distance from ``p`` to any point on the segment.
-
-        Uses the standard clamped projection onto the supporting line; a
-        degenerate (zero-length) segment degrades to point distance.
-        """
-        ax, ay = self.a.x, self.a.y
-        bx, by = self.b.x, self.b.y
-        dx = bx - ax
-        dy = by - ay
-        seg_len_sq = dx * dx + dy * dy
-        if seg_len_sq == 0.0:
-            return p.distance_to(self.a)
-        t = ((p.x - ax) * dx + (p.y - ay) * dy) / seg_len_sq
-        t = max(0.0, min(1.0, t))
-        cx = ax + t * dx
-        cy = ay + t * dy
-        return math.hypot(p.x - cx, p.y - cy)
-
-    def is_horizontal(self) -> bool:
-        """True when both endpoints share the same y coordinate."""
-        return self.a.y == self.b.y
-
-    def is_vertical(self) -> bool:
-        """True when both endpoints share the same x coordinate."""
-        return self.a.x == self.b.x

@@ -257,7 +257,9 @@ class SlabUnion:
     def boundary_length(self) -> float:
         return self._memo_get(
             "boundary_length",
-            lambda: sum(seg.length for seg in self.boundary_segments()),
+            lambda: sum(
+                seg.a.distance_to(seg.b) for seg in self.boundary_segments()
+            ),
         )
 
     # ------------------------------------------------------------------

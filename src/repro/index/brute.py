@@ -1,7 +1,8 @@
 """Linear-scan spatial search.
 
-The brute-force index is the correctness oracle for the R-tree and the
-grid, and is also genuinely used for small collections (peer caches
+The brute-force index is the correctness oracle for the grid, the
+on-air scan and the sharing kernels, the on-demand baseline's query
+engine, and is also genuinely used for small collections (peer caches
 hold tens of POIs, where a scan beats any structure).
 """
 

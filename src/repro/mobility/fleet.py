@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import MobilityError
-from ..geometry import Point, Rect
+from ..geometry import Rect
 
 
 class WaypointFleet:
@@ -107,10 +107,3 @@ class WaypointFleet:
         ux = np.where(moving, vx / norm, 0.0)
         uy = np.where(moving, vy / norm, 0.0)
         return ux, uy
-
-    def position_of(self, host: int, t: float | None = None) -> Point:
-        """Convenience scalar accessor for one host."""
-        if not (0 <= host < self.n):
-            raise MobilityError(f"unknown host {host}")
-        xs, ys = self.positions(t)
-        return Point(float(xs[host]), float(ys[host]))

@@ -78,7 +78,7 @@ class GridRoadNetwork:
         """The road node closest to an arbitrary point (linear scan)."""
         return min(
             self._node_list,
-            key=lambda node: self._positions[node].squared_distance_to(p),
+            key=lambda node: self._positions[node].distance_to(p),
         )
 
     def shortest_path(

@@ -32,10 +32,6 @@ class POI:
     def y(self) -> float:
         return self.location.y
 
-    def distance_to(self, p: Point) -> float:
-        """Euclidean distance from this POI to ``p``."""
-        return self.location.distance_to(p)
-
 
 @dataclass(frozen=True, slots=True)
 class QueryResultEntry:

@@ -7,23 +7,26 @@ cellular network, and reveals the user's location.
 
 This module implements that baseline so the scalability claim can be
 measured: a server with a bounded number of concurrent uplink channels
-(a :class:`repro.sim.Resource`), an R-tree-backed query engine whose
-service time is proportional to the nodes it touches, and a closed-form
-M/M/c waiting-time model for quick analysis.  The broadcast model's
-latency is load-independent; the on-demand model's latency explodes
-past saturation — reproduced by ``benchmarks/bench_ondemand_baseline``.
+that answers each kNN request exactly (a linear scan, the oracle every
+index in this repo is checked against), holds a channel for a service
+time proportional to the answer it ships, and queues requests first
+come, first served; plus a closed-form M/M/c waiting-time model for
+quick analysis.  The broadcast model's latency is load-independent;
+the on-demand model's latency explodes past saturation — reproduced by
+``benchmarks/bench_ondemand_baseline``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import ExperimentError
-from ..geometry import Point, Rect
-from ..index import RTree
-from ..model import POI, QueryResultEntry
-from ..sim import Environment, Resource
+from ..geometry import Point
+from ..index import brute_force_knn
+from ..model import QueryResultEntry
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,56 +45,60 @@ class OnDemandAnswer:
 class OnDemandServer:
     """A central spatial server with ``channels`` concurrent uplinks.
 
-    ``per_node_service_time`` prices one R-tree node access (I/O +
-    transmission); a request holds an uplink for its whole service.
+    ``per_result_service_time`` prices one returned POI (I/O +
+    transmission) on top of ``fixed_overhead`` (connection set-up); a
+    request holds an uplink for its whole service.
     """
 
     def __init__(
         self,
         pois,
         channels: int = 4,
-        per_node_service_time: float = 0.01,
+        per_result_service_time: float = 0.01,
         fixed_overhead: float = 0.05,
     ):
         if channels < 1:
             raise ExperimentError("channels must be >= 1")
-        if per_node_service_time <= 0 or fixed_overhead < 0:
+        if per_result_service_time <= 0 or fixed_overhead < 0:
             raise ExperimentError("invalid service-time parameters")
-        self.tree = RTree.from_pois(pois)
+        self.pois = tuple(pois)
         self.channels = channels
-        self.per_node_service_time = per_node_service_time
+        self.per_result_service_time = per_result_service_time
         self.fixed_overhead = fixed_overhead
         self.served = 0
 
-    def service_time_for_knn(self, query: Point, k: int) -> float:
-        """Deterministic service time from the counted node accesses."""
-        _, accesses = self.tree.count_node_accesses(
-            lambda view: view.nearest(query, k)
-        )
-        return self.fixed_overhead + accesses * self.per_node_service_time
+    def service_time(self, results: int) -> float:
+        """Deterministic channel-holding time of a ``results``-POI answer."""
+        return self.fixed_overhead + results * self.per_result_service_time
 
-    def request_process(
-        self,
-        env: Environment,
-        uplinks: Resource,
-        query: Point,
-        k: int,
-        sink: list[OnDemandAnswer],
-    ):
-        """DES process for one client request (queue, serve, release)."""
-        arrived = env.now
-        yield uplinks.request()
-        queued_for = env.now - arrived
-        service = self.service_time_for_knn(query, k)
-        yield env.timeout(service)
-        uplinks.release()
-        self.served += 1
-        results = tuple(self.tree.nearest(query, k))
-        sink.append(
-            OnDemandAnswer(
-                results=results, queued_for=queued_for, service_time=service
-            )
-        )
+    def serve(
+        self, arrivals: Iterable[tuple[float, Point, int]]
+    ) -> list[OnDemandAnswer]:
+        """Serve ``(arrival time, query point, k)`` requests, FIFO.
+
+        ``arrivals`` come in non-decreasing time order.  The queue is a
+        heap of the times at which each channel next falls free: a
+        request starts when it has arrived *and* the earliest channel
+        is free, and hands that channel back ``service_time`` later —
+        the c-server first-come-first-served discipline, with no event
+        loop behind it.  Answers are returned in arrival order.
+        """
+        free = [0.0] * self.channels
+        answers: list[OnDemandAnswer] = []
+        last = -math.inf
+        for arrived, query, k in arrivals:
+            if arrived < last:
+                raise ExperimentError(
+                    f"arrivals out of order: {arrived} after {last}"
+                )
+            last = arrived
+            results = tuple(brute_force_knn(self.pois, query, k))
+            service = self.service_time(len(results))
+            start = max(arrived, heapq.heappop(free))
+            heapq.heappush(free, start + service)
+            answers.append(OnDemandAnswer(results, start - arrived, service))
+        self.served += len(answers)
+        return answers
 
 
 def erlang_b(offered_load: float, servers: int) -> float:

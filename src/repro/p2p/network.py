@@ -196,7 +196,3 @@ class PeerNetwork:
         return np.array(
             sorted(int(self._ids[node]) for node in visited), dtype=np.int64
         )
-
-    @property
-    def host_count(self) -> int:
-        return self._grid.size

@@ -29,9 +29,10 @@ Two halo-exchange cadences:
   quantifies how little the recorded curves move.
 
 Backends: ``"process"`` runs each shard in its own worker process
-(persistent pipe RPC, graceful ``OSError`` fallback to in-process for
-sandboxes that cannot spawn — the ``SweepRunner`` discipline);
-``"inprocess"`` keeps every shard in the calling process.
+(persistent pipe RPC; a worker that cannot be started is an
+:class:`~repro.errors.ExperimentError`, never a silent change of
+backend); ``"inprocess"`` keeps every shard in the calling process and
+is the lockstep referee.
 """
 
 from __future__ import annotations
@@ -94,10 +95,12 @@ class _ProcessShard:
         self._proc = ctx.Process(
             target=shard_worker_main, args=(child, config), daemon=True
         )
-        self._proc.start()
-        child.close()
         self._pending: deque[str] = deque()
         try:
+            try:
+                self._proc.start()
+            finally:
+                child.close()
             rpc.read_ack(self._conn.recv_bytes())  # construction ack
         except BaseException:
             self.close()
@@ -259,25 +262,22 @@ class ShardedSimulation:
 
     def _spawn_workers(self, config: dict) -> None:
         """Fill ``self._workers`` in place (a partial list stays closable)."""
-        if self.backend == "process":
-            try:
-                ctx = multiprocessing.get_context()
-                for shard_id in range(self.grid.n):
-                    self._workers.append(
-                        _ProcessShard(dict(config, shard_id=shard_id), ctx)
-                    )
-                return
-            except OSError:
-                # Sandboxes that cannot spawn processes degrade to the
-                # in-process backend; cycle-mode results are identical
-                # by construction (same messages, same order).
-                self.close()
-                self._workers.clear()
-                self.backend = "inprocess"
+        ctx = multiprocessing.get_context()
         for shard_id in range(self.grid.n):
-            self._workers.append(
-                _InprocessShard(dict(config, shard_id=shard_id))
-            )
+            shard_config = dict(config, shard_id=shard_id)
+            if self.backend == "inprocess":
+                self._workers.append(_InprocessShard(shard_config))
+                continue
+            try:
+                self._workers.append(_ProcessShard(shard_config, ctx))
+            except OSError as exc:
+                # The constructor reaps the workers already started
+                # before this reaches the caller.
+                raise ExperimentError(
+                    f"the process shard backend could not start worker"
+                    f" {shard_id} of {self.grid.n}: {exc}"
+                    " (backend='inprocess' needs no worker processes)"
+                ) from exc
 
     def close(self) -> None:
         """Shut down worker processes (idempotent)."""

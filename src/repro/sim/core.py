@@ -1,8 +1,10 @@
 """A compact discrete-event simulation kernel.
 
 The original study runs on an event-driven mobile-system simulator;
-this module provides that substrate (simpy is not available offline).
-The programming model mirrors the familiar generator style:
+this module provides that substrate (simpy is not available offline):
+a clock, processes and timeouts — what its one caller,
+``Simulation.run_workload``'s driver process, uses.  The programming
+model mirrors the familiar generator style:
 
     def driver(env):
         yield env.timeout(5.0)
@@ -31,8 +33,10 @@ _PENDING = object()
 class Event:
     """A one-shot occurrence that processes can wait on.
 
-    An event is *triggered* once :meth:`succeed` or :meth:`fail` is
-    called, and *processed* once the environment has run its callbacks.
+    An event is *triggered* once it has a value (a :class:`Timeout` at
+    construction, a :class:`Process` when its generator returns or
+    raises), and *processed* once the environment has run its
+    callbacks.
     """
 
     def __init__(self, env: "Environment"):
@@ -49,38 +53,6 @@ class Event:
     @property
     def processed(self) -> bool:
         return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        if not self.triggered:
-            raise SimulationError("event value inspected before trigger")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        if self._value is _PENDING:
-            raise SimulationError("event value read before trigger")
-        return self._value
-
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with an optional value."""
-        if self.triggered:
-            raise SimulationError("event triggered twice")
-        self._ok = True
-        self._value = value
-        self.env._enqueue(self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception to throw into waiters."""
-        if self.triggered:
-            raise SimulationError("event triggered twice")
-        if not isinstance(exception, BaseException):
-            raise SimulationError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env._enqueue(self)
-        return self
 
     def defuse(self) -> None:
         """Mark a failed event as handled outside a process."""
@@ -172,9 +144,6 @@ class Environment:
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 

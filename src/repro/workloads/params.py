@@ -105,10 +105,6 @@ class ParameterSet:
         return self.query_rate_per_min / 60.0
 
     @property
-    def queries_per_host_per_min(self) -> float:
-        return self.query_rate_per_min / self.mh_number
-
-    @property
     def window_side_mi(self) -> float:
         """Mean window side: ``window_percent`` of the region side.
 

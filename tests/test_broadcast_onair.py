@@ -87,7 +87,7 @@ class TestOnAirKnn:
         # Pretend everything within the 5th NN distance is verified.
         lower = expected[4].distance
         known = tuple(
-            p for p in pois if p.distance_to(q) <= lower
+            p for p in pois if p.location.distance_to(q) <= lower
         )
         filtered = client.knn(q, k, lower_bound=lower, known_pois=known)
         assert [e.poi.poi_id for e in filtered.results] == [
@@ -103,7 +103,7 @@ class TestOnAirKnn:
         q = Point(10, 10)
         expected = brute_force_knn(pois, q, 30)
         lower = expected[19].distance
-        known = tuple(p for p in pois if p.distance_to(q) <= lower)
+        known = tuple(p for p in pois if p.location.distance_to(q) <= lower)
         filtered = client.knn(q, 30, lower_bound=lower, known_pois=known)
         assert filtered.plan.skipped_buckets  # the optimisation engaged
         assert [e.poi.poi_id for e in filtered.results] == [

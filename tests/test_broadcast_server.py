@@ -78,14 +78,6 @@ class TestPacketStructures:
         with pytest.raises(BroadcastError):
             DataBucket(0, 0, 1, (), Rect(0, 0, 1, 1))
 
-    def test_bucket_covers_value(self):
-        bucket = DataBucket(
-            0, 3, 7, (POI(0, Point(0, 0)),), Rect(0, 0, 1, 1)
-        )
-        assert bucket.covers_value(3)
-        assert bucket.covers_value(7)
-        assert not bucket.covers_value(8)
-
     def test_index_segment_validation(self):
         with pytest.raises(BroadcastError):
             IndexSegment(

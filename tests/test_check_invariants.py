@@ -280,7 +280,7 @@ class TestCheckUnion:
         ]
         window = Rect(3.5, 0.25, 9.5, 0.75)
         outcome = host.resolve_window(window, responses)
-        assert outcome.fully_resolved and outcome.mvr._lazy
+        assert outcome.resolution is Resolution.VERIFIED and outcome.mvr._lazy
         # the memoised cuts lose x=5 and x=6: no member is as wide as
         # the slab 4..7, and the window looks uncovered there
         cuts = outcome.mvr._memo["x_cuts"]

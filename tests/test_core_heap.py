@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import HeapEntry, HeapState, ResultHeap, search_bounds
+from repro.core import (
+    HeapEntry,
+    HeapState,
+    ResultHeap,
+    SearchBounds,
+    search_bounds,
+)
 from repro.errors import ReproError
 from repro.geometry import Point
 from repro.model import POI
@@ -94,12 +100,12 @@ class TestSixStates:
         heap = ResultHeap(5)
         heap.add(entry(0, 2, False))
         assert heap.state is HeapState.PARTIAL_UNVERIFIED
-        assert not search_bounds(heap).has_any
+        assert search_bounds(heap) == SearchBounds(None, None)
 
     def test_state6_empty(self):
         heap = ResultHeap(5)
         assert heap.state is HeapState.EMPTY
-        assert not search_bounds(heap).has_any
+        assert search_bounds(heap) == SearchBounds(None, None)
 
     def test_full_all_verified_groups_with_state1(self):
         heap = ResultHeap(2)

@@ -149,7 +149,10 @@ class TestLemma31Soundness:
             responses.append(response(peer_id, [vr], inside))
         # Query from inside the first peer's VR so Lemma 3.1 can bite.
         first_vr = responses[0].regions[0]
-        q = first_vr.sample_point(float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)))
+        u, v = (float(t) for t in rng.uniform(0.2, 0.8, 2))
+        q = Point(
+            first_vr.x1 + u * first_vr.width, first_vr.y1 + v * first_vr.height
+        )
 
         heap, mvr = nnv(q, responses, k)
         verified = heap.verified_entries

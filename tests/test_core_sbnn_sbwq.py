@@ -44,7 +44,7 @@ class TestSBNNDecisions:
     def test_broadcast_resolution_without_peers(self):
         outcome = sbnn(Point(1, 1), [], k=3, poi_density=0.5)
         assert outcome.resolution is Resolution.BROADCAST
-        assert not outcome.bounds.has_any
+        assert (outcome.bounds.lower, outcome.bounds.upper) == (None, None)
 
     def test_approximate_resolution(self):
         # A big VR, q near its edge: the far candidates stay
@@ -167,7 +167,7 @@ class TestSBNNOnAirIntegration:
 
 
 def POI_dist(pois, pid, q):
-    return next(p for p in pois if p.poi_id == pid).distance_to(q)
+    return next(p for p in pois if p.poi_id == pid).location.distance_to(q)
 
 
 class TestSBWQ:
@@ -192,7 +192,7 @@ class TestSBWQ:
         remainder_area = sum(r.area for r in outcome.remainder_windows)
         assert remainder_area == pytest.approx((10 - 6) * (8 - 4))
         for r in outcome.remainder_windows:
-            assert window.contains_rect(r)
+            assert window.intersection(r) == r
 
     def test_no_peers_remainder_is_whole_window(self):
         window = Rect(1, 1, 3, 3)

@@ -14,7 +14,6 @@ from repro.experiments import (
 )
 from repro.geometry import Rect
 from repro.index import brute_force_knn, brute_force_window
-from repro.sim import Environment, Store
 from repro.workloads import LA_CITY, QueryKind, generate_pois
 
 TINY = dict(area_scale=0.02)
@@ -43,7 +42,7 @@ class TestMetricsCollector:
         with pytest.raises(ExperimentError):
             collector.percentage(Resolution.VERIFIED)
         with pytest.raises(ExperimentError):
-            collector.summary()
+            collector.mean_latency()
 
     def test_percentages_sum_to_100(self):
         collector = MetricsCollector()
@@ -91,32 +90,37 @@ class TestBaseStation:
         # The replayed packet end-times must agree with the closed-form
         # schedule offsets the harness prices retrievals with.
         station, _ = self.make()
-        env = Environment()
-        channel = Store(env)
-        received = []
-
-        def sink(env, channel):
-            while True:
-                packet = yield channel.get()
-                received.append(packet)
-
-        env.process(station.broadcast_process(env, channel, cycles=1))
-        env.process(sink(env, channel))
-        env.run(until=station.schedule.cycle_duration + 1)
+        schedule = station.schedule
+        received = station.replay(cycles=1)
+        assert [p.time for p in received] == sorted(p.time for p in received)
+        assert received[-1].time == pytest.approx(schedule.cycle_duration)
         data_packets = [p for p in received if p.kind == "data"]
+        assert len(data_packets) == schedule.data_bucket_count
         for packet in data_packets:
             expected_end = (
-                station.schedule.bucket_offset(packet.ref) + 1
-            ) * station.schedule.packet_time
+                schedule.bucket_offset(packet.ref) + 1
+            ) * schedule.packet_time
             assert packet.time == pytest.approx(expected_end)
+        # Every index copy starts where next_index_start says one does.
+        copies = {}
+        for packet in received:
+            if packet.kind == "index":
+                copies.setdefault(packet.ref, packet.time - schedule.packet_time)
+        assert len(copies) == schedule.m
+        for start in copies.values():
+            assert schedule.next_index_start(start) == pytest.approx(start)
 
     def test_replay_cycle_count(self):
         station, _ = self.make(n=20)
-        env = Environment()
-        channel = Store(env)
-        env.process(station.broadcast_process(env, channel, cycles=3))
-        env.run()
-        assert len(channel) == 3 * station.schedule.cycle_packets
+        one = station.replay()
+        three = station.replay(cycles=3)
+        assert len(three) == 3 * station.schedule.cycle_packets
+        assert [(p.kind, p.ref) for p in three] == 3 * [
+            (p.kind, p.ref) for p in one
+        ]
+        assert three[-1].time == pytest.approx(
+            3 * station.schedule.cycle_duration
+        )
 
 
 class TestSimulationQueries:
@@ -288,10 +292,8 @@ class TestEmptyCollectorContract:
         collector = MetricsCollector()
         for aggregate in (
             collector.mean_latency,
-            collector.mean_tuning,
             collector.mean_peer_count,
             collector.fault_summary,
-            collector.summary,
             lambda: collector.percentage(Resolution.VERIFIED),
         ):
             with pytest.raises(ExperimentError):
@@ -303,8 +305,6 @@ class TestEmptyCollectorContract:
         collector = MetricsCollector()
         collector.add(self.make_record(Resolution.VERIFIED))
         assert collector.mean_latency(Resolution.BROADCAST) == 0.0
-        assert collector.mean_tuning(Resolution.BROADCAST) == 0.0
-        assert collector.summary()["mean_latency_broadcast"] == 0.0
 
     def test_registry_mirroring(self):
         from repro.obs import MetricsRegistry

@@ -10,7 +10,7 @@ from repro.cache import POICache
 from repro.errors import FaultError
 from repro.experiments import MobileHost, Simulation, scaled_parameters
 from repro.experiments.world import P2P_LATENCY
-from repro.faults import ChannelModel, FaultConfig, P2PFaultStats
+from repro.faults import ChannelModel, FaultConfig
 from repro.geometry import Point, Rect
 from repro.model import POI
 from repro.p2p import ShareRequest
@@ -567,14 +567,3 @@ class TestBroadcastRecovery:
         # P2P faults are off: the peer exchange stayed perfect.
         assert collector.total_drops() == 0
         assert collector.total_retries() == 0
-
-
-# ----------------------------------------------------------------------
-# P2PFaultStats
-# ----------------------------------------------------------------------
-class TestFaultStats:
-    def test_faulted_flag(self):
-        assert not P2PFaultStats().faulted
-        assert P2PFaultStats(drops=1).faulted
-        assert P2PFaultStats(retries=2).faulted
-        assert P2PFaultStats(deadline_misses=1).faulted

@@ -34,19 +34,13 @@ class TestCircleBasics:
     def test_area(self):
         assert Circle(Point(0, 0), 2).area == pytest.approx(4 * math.pi)
 
-    def test_contains_point_closed(self):
-        c = Circle(Point(0, 0), 5)
-        assert c.contains_point(Point(3, 4))
-        assert not c.contains_point(Point(3.01, 4))
-
     def test_mbr(self):
         assert Circle(Point(1, 2), 3).mbr() == Rect(-2, -1, 4, 5)
 
     def test_inscribed_rect_is_contained(self):
         c = Circle(Point(0, 0), 2)
         sq = c.inscribed_rect()
-        for corner in sq.corners():
-            assert c.contains_point(corner)
+        assert c.contains_rect(sq)
         assert sq.area == pytest.approx(2 * c.radius**2)
 
     def test_intersects_rect(self):

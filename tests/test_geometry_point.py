@@ -1,12 +1,9 @@
-"""Unit tests for points and segments."""
+"""Unit tests for points."""
 
-import math
-
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Segment, centroid
+from repro.geometry import Point
 
 coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -19,16 +16,9 @@ class TestPoint:
         a, b = Point(1.5, -2.0), Point(-3.0, 7.25)
         assert a.distance_to(b) == b.distance_to(a)
 
-    def test_squared_distance(self):
-        assert Point(0, 0).squared_distance_to(Point(3, 4)) == 25.0
-
-    def test_translated(self):
-        assert Point(1, 2).translated(3, -1) == Point(4, 1)
-
     def test_iteration_and_tuple(self):
         p = Point(2.0, 5.0)
         assert tuple(p) == (2.0, 5.0)
-        assert p.as_tuple() == (2.0, 5.0)
 
     def test_points_are_hashable_value_objects(self):
         assert {Point(1, 2), Point(1, 2)} == {Point(1, 2)}
@@ -39,62 +29,3 @@ class TestPoint:
         assert a.distance_to(b) <= a.distance_to(origin) + origin.distance_to(
             b
         ) + 1e-9
-
-
-class TestCentroid:
-    def test_centroid_of_symmetric_points(self):
-        pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-        assert centroid(pts) == Point(1, 1)
-
-    def test_centroid_of_single_point(self):
-        assert centroid([Point(3, 4)]) == Point(3, 4)
-
-    def test_centroid_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
-
-class TestSegment:
-    def test_length(self):
-        assert Segment(Point(0, 0), Point(3, 4)).length == 5.0
-
-    def test_midpoint(self):
-        assert Segment(Point(0, 0), Point(2, 4)).midpoint() == Point(1, 2)
-
-    def test_distance_to_point_on_segment_is_zero(self):
-        seg = Segment(Point(0, 0), Point(10, 0))
-        assert seg.distance_to_point(Point(5, 0)) == 0.0
-
-    def test_distance_perpendicular(self):
-        seg = Segment(Point(0, 0), Point(10, 0))
-        assert seg.distance_to_point(Point(5, 3)) == 3.0
-
-    def test_distance_clamps_to_endpoints(self):
-        seg = Segment(Point(0, 0), Point(10, 0))
-        assert seg.distance_to_point(Point(13, 4)) == 5.0
-        assert seg.distance_to_point(Point(-3, -4)) == 5.0
-
-    def test_degenerate_segment_distance(self):
-        seg = Segment(Point(2, 2), Point(2, 2))
-        assert seg.distance_to_point(Point(5, 6)) == 5.0
-
-    def test_orientation_predicates(self):
-        assert Segment(Point(0, 1), Point(5, 1)).is_horizontal()
-        assert Segment(Point(2, 0), Point(2, 9)).is_vertical()
-        assert not Segment(Point(0, 0), Point(1, 1)).is_horizontal()
-
-    @given(coords, coords, coords, coords, coords, coords)
-    def test_distance_never_exceeds_endpoint_distance(
-        self, ax, ay, bx, by, px, py
-    ):
-        seg = Segment(Point(ax, ay), Point(bx, by))
-        p = Point(px, py)
-        d = seg.distance_to_point(p)
-        assert d <= p.distance_to(seg.a) + 1e-9
-        assert d <= p.distance_to(seg.b) + 1e-9
-
-    @given(coords, coords, coords, coords)
-    def test_distance_to_own_endpoints_is_zero(self, ax, ay, bx, by):
-        seg = Segment(Point(ax, ay), Point(bx, by))
-        assert seg.distance_to_point(seg.a) <= 1e-9 * (1 + seg.length)
-        assert seg.distance_to_point(seg.b) <= 1e-9 * (1 + seg.length)

@@ -72,14 +72,6 @@ class TestWaypointFleet:
             (np.abs(norms - 1.0) < 1e-9) | (np.abs(norms) < 1e-9)
         )
 
-    def test_position_of_matches_arrays(self):
-        fleet = self.make(n=10, seed=5)
-        xs, ys = fleet.positions(25.0)
-        p = fleet.position_of(3)
-        assert p == Point(float(xs[3]), float(ys[3]))
-        with pytest.raises(MobilityError):
-            fleet.position_of(10)
-
     def test_long_advance_is_safe(self):
         # Advancing far ahead must regenerate many legs without error.
         fleet = self.make(n=20, seed=6, pause_range=(0, 0.1))
@@ -189,7 +181,12 @@ class TestRoadTrajectory:
         mid_t = (traj._depart + traj._arrive) / 2
         p = traj.position_at(mid_t)
         # Mid-trip position must lie within the path's bounding box.
-        bbox = Rect.from_points(path)
+        bbox = Rect(
+            min(v.x for v in path),
+            min(v.y for v in path),
+            max(v.x for v in path),
+            max(v.y for v in path),
+        )
         assert bbox.expanded(1e-6).contains_point(p)
 
 

@@ -16,9 +16,6 @@ class TestPOI:
         assert poi.y == 2.5
         assert poi.category == DEFAULT_CATEGORY
 
-    def test_distance(self):
-        assert POI(0, Point(0, 0)).distance_to(Point(3, 4)) == 5.0
-
     def test_value_semantics(self):
         assert POI(1, Point(0, 0)) == POI(1, Point(0, 0))
         assert POI(1, Point(0, 0)) != POI(2, Point(0, 0))

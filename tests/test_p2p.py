@@ -97,7 +97,3 @@ class TestPeerNetwork:
             d = np.hypot(pts[:, 0] - center.x, pts[:, 1] - center.y)
             expected = set(np.nonzero(d <= 7.5)[0].tolist()) - {host}
             assert got == expected
-
-    def test_host_count(self):
-        net = self.make([(0, 0), (1, 1), (2, 2)])
-        assert net.host_count == 3

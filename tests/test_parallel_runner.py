@@ -5,6 +5,9 @@ never on the worker count or scheduling — because every point's seed
 is fixed up-front and ``run_points`` restores grid order.
 """
 
+import multiprocessing
+from multiprocessing.process import BaseProcess
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -22,9 +25,9 @@ def _series_view(panels):
     return [(p.region, p.xs, p.series) for p in panels]
 
 
-def _summaries(panels):
+def _records(panels):
     return [
-        [collector.summary() for collector in panel.collectors]
+        [collector.records for collector in panel.collectors]
         for panel in panels
     ]
 
@@ -39,7 +42,7 @@ class TestDeterminism:
             "tx_range_m", [50, 150], QueryKind.KNN, ALL_REGIONS[:2], **kwargs
         )
         assert _series_view(serial) == _series_view(parallel)
-        assert _summaries(serial) == _summaries(parallel)
+        assert _records(serial) == _records(parallel)
 
     def test_legacy_entry_point_is_worker_count_invariant(self):
         kwargs = dict(seed=2, **TINY)
@@ -55,7 +58,7 @@ class TestDeterminism:
             **kwargs,
         )
         assert _series_view(serial) == _series_view(parallel)
-        assert _summaries(serial) == _summaries(parallel)
+        assert _records(serial) == _records(parallel)
 
     def test_default_seeds_are_reproducible(self):
         runs = [
@@ -66,6 +69,23 @@ class TestDeterminism:
             for _ in range(2)
         ]
         assert _series_view(runs[0]) == _series_view(runs[1])
+
+    def test_one_seed_per_grid_position(self, monkeypatch):
+        # The derivation behind every committed figure: a function of
+        # the grid position alone, the same through either entry point.
+        seen = []
+        monkeypatch.setattr(
+            SweepRunner,
+            "run_points",
+            lambda self, points: seen.append([p.seed for p in points]) or [],
+        )
+        for sweep in (SweepRunner(max_workers=3).run_sweep, run_sweep):
+            with pytest.raises(ExperimentError, match="point results"):
+                sweep(
+                    "tx_range_m", [50, 100, 150], QueryKind.KNN,
+                    ALL_REGIONS[:2], seed=7, **TINY,
+                )
+        assert seen == [[7, 8, 9, 1007, 1008, 1009]] * 2
 
 
 class TestRunPoints:
@@ -101,16 +121,25 @@ class TestValidation:
         with pytest.raises(ExperimentError):
             SweepRunner(max_workers=0)
 
-    def test_rejects_wrong_seed_count(self):
-        with pytest.raises(ExperimentError):
-            SweepRunner(max_workers=1).run_sweep(
-                "tx_range_m",
-                [50, 150],
-                QueryKind.KNN,
-                ALL_REGIONS[:1],
-                seeds=[1, 2, 3],
-                **TINY,
-            )
+    def test_pool_that_cannot_start_is_a_typed_error(self, monkeypatch):
+        # The second worker fails to start: no silent serial re-run,
+        # and the worker that did start is not left behind.
+        real_start = BaseProcess.start
+        started = []
+
+        def flaky_start(process):
+            if started:
+                raise OSError("cannot fork")
+            started.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", flaky_start)
+        points = TestRunPoints()._points(2)
+        with pytest.raises(ExperimentError, match="2 worker processes") as info:
+            SweepRunner(max_workers=2).run_points(points)
+        assert isinstance(info.value.__cause__, OSError)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepSeriesTiming:

@@ -323,8 +323,15 @@ class TestRectUnionBatchKernels:
         region = RectUnion(rects)
         p = Point(x, y)
         vectorised = region.distance_to_boundary(p)
+        # Boundary segments are axis-aligned: each is a degenerate Rect.
         reference = min(
-            seg.distance_to_point(p) for seg in region.boundary_segments()
+            Rect(
+                min(seg.a.x, seg.b.x),
+                min(seg.a.y, seg.b.y),
+                max(seg.a.x, seg.b.x),
+                max(seg.a.y, seg.b.y),
+            ).distance_to_point(p)
+            for seg in region.boundary_segments()
         )
         assert vectorised == pytest.approx(reference, rel=1e-12, abs=1e-12)
 

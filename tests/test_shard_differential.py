@@ -167,6 +167,34 @@ def test_failed_construction_leaves_no_worker_processes(broken):
     assert multiprocessing.active_children() == []
 
 
+def test_worker_that_cannot_start_is_a_typed_error(monkeypatch):
+    # The environment never picks the backend: the third worker fails
+    # to start, the two already running are reaped, nothing falls back
+    # to in-process shards.
+    from multiprocessing.process import BaseProcess
+
+    real_start = BaseProcess.start
+    started = []
+
+    def flaky_start(process):
+        if len(started) == 2:
+            raise OSError("cannot fork")
+        started.append(process)
+        real_start(process)
+
+    monkeypatch.setattr(BaseProcess, "start", flaky_start)
+    with pytest.raises(
+        ExperimentError, match="could not start worker 2 of 4"
+    ) as info:
+        ShardedSimulation(
+            tenth_scale_params(), seed=0, shards=4, exchange="cycle",
+            backend="process",
+        )
+    assert isinstance(info.value.__cause__, OSError)
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
+
+
 def test_cycle_lru_policy_deterministic_across_backends():
     # LRUPolicy hosts migrate through their one-byte policy tag, and the
     # introspection calls through their own opcodes: both backends must

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Event, Timeout
+from repro.sim import Environment
 
 
 class TestClock:
@@ -117,24 +117,6 @@ class TestProcess:
         env.run()
         assert log == [(5.0, 99)]
 
-    def test_ping_pong_via_events(self):
-        env = Environment()
-        log = []
-        ball = env.event()
-
-        def pinger(env, ball):
-            yield env.timeout(1)
-            ball.succeed("ping")
-
-        def ponger(env, ball):
-            value = yield ball
-            log.append((env.now, value))
-
-        env.process(pinger(env, ball))
-        env.process(ponger(env, ball))
-        env.run()
-        assert log == [(1.0, "ping")]
-
     def test_yielding_non_event_fails_loudly(self):
         env = Environment()
 
@@ -188,53 +170,39 @@ class TestProcess:
 
 
 class TestEvent:
-    def test_double_trigger_raises(self):
-        env = Environment()
-        ev = env.event()
-        ev.succeed()
-        with pytest.raises(SimulationError):
-            ev.succeed()
-        with pytest.raises(SimulationError):
-            ev.fail(RuntimeError())
+    """A process that raises is a failed event."""
 
-    def test_value_before_trigger_raises(self):
-        env = Environment()
-        ev = env.event()
-        with pytest.raises(SimulationError):
-            _ = ev.value
-        with pytest.raises(SimulationError):
-            _ = ev.ok
-
-    def test_fail_requires_exception(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.event().fail("not an exception")
+    @staticmethod
+    def failing(env, message):
+        yield env.timeout(1)
+        raise RuntimeError(message)
 
     def test_unhandled_failed_event_raises_at_step(self):
+        # Nobody waits on the failed process: the step that processes
+        # its failure raises, chaining the original exception.
         env = Environment()
-        env.event().fail(RuntimeError("lost"))
-        with pytest.raises(SimulationError):
-            env.run()
+        env.process(self.failing(env, "lost"))
+        env.step()  # start the process
+        env.step()  # its timeout fires; the generator raises
+        with pytest.raises(SimulationError, match="never handled") as info:
+            env.step()
+        assert isinstance(info.value.__cause__, RuntimeError)
 
     def test_defused_failure_is_silent(self):
         env = Environment()
-        ev = env.event()
-        ev.fail(RuntimeError("handled elsewhere"))
-        ev.defuse()
+        env.process(self.failing(env, "handled elsewhere")).defuse()
         env.run()  # does not raise
 
     def test_failed_event_throws_into_waiting_process(self):
         env = Environment()
         caught = []
-        ev = env.event()
 
-        def proc(env, ev):
+        def proc(env):
             try:
-                yield ev
+                yield env.process(self.failing(env, "expected"))
             except RuntimeError as exc:
-                caught.append(str(exc))
+                caught.append((env.now, str(exc)))
 
-        env.process(proc(env, ev))
-        ev.fail(RuntimeError("expected"))
+        env.process(proc(env))
         env.run()
-        assert caught == ["expected"]
+        assert caught == [(1.0, "expected")]

@@ -99,8 +99,8 @@ class TestScaling:
         scaled = scaled_parameters(LA_CITY, area_scale=0.1)
         assert scaled.poi_density == pytest.approx(LA_CITY.poi_density, rel=0.05)
         assert scaled.mh_density == pytest.approx(LA_CITY.mh_density, rel=0.05)
-        assert scaled.queries_per_host_per_min == pytest.approx(
-            LA_CITY.queries_per_host_per_min, rel=0.05
+        assert scaled.query_rate_per_min / scaled.mh_number == pytest.approx(
+            LA_CITY.query_rate_per_min / LA_CITY.mh_number, rel=0.05
         )
 
     def test_absolute_window_geometry_preserved(self):
@@ -231,14 +231,14 @@ class TestQueryWorkload:
         params, workload = self.make(kind=QueryKind.WINDOW, seed=5)
         event = next(workload)
         window = event.window_for(Point(10, 10), params.bounds)
-        assert params.bounds.contains_rect(window)
+        assert params.bounds.intersection(window) == window
         assert window.area == pytest.approx(event.window_area, rel=0.01)
 
     def test_window_clamped_near_edge(self):
         params, workload = self.make(kind=QueryKind.WINDOW, seed=6)
         event = next(workload)
         window = event.window_for(Point(0, 0), params.bounds)
-        assert params.bounds.contains_rect(window)
+        assert params.bounds.intersection(window) == window
 
     def test_window_for_on_knn_event_raises(self):
         _, workload = self.make(kind=QueryKind.KNN, seed=7)

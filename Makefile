@@ -59,6 +59,9 @@ lint:
 	@! grep -rIn 'position[_]refresh_interval\|speed[_]range_mph\|pause[_]range_s\|cache[_]gossip\|max[_]responders\|station[_]kwargs\|Random[W]aypoint\|run[_]until_steady\|\<Any[O]f\>\|\<All[O]f\>\|carry[_]generations_from\|[_]pois_memo\|bench[-]quick' src/repro
 	@echo ">> two access models, one index, no side kernel: the R-tree, the DES resources and the second seed derivation stay out"
 	@! grep -rIn '\<R[T]ree\>\|Counting[R]TreeView\|broadcast[_]process\|request[_]process\|sim[.]resources\|seeds[=]' src/repro examples benchmarks
+	@echo ">> one channel read, one pipeline per query kind, one standing-query registry"
+	@test "$$(grep -rI 'retrieve_with[_]recovery(' src/repro | grep -v 'broadcast/schedule.py' | wc -l)" -eq 1
+	@! grep -rIn '[_]finalize_member\|annotate[=]\|host[^ ]*\.standing\>' src/repro
 
 test:
 	@echo ">> tier-1 tests"

@@ -6,11 +6,17 @@ from .client import OnAirClient
 from .onair_knn import (
     KnnPlan,
     OnAirKnnResult,
+    answer_knn,
     estimate_search_radius,
     onair_knn,
     plan_knn,
 )
-from .onair_window import OnAirWindowResult, onair_window, plan_window
+from .onair_window import (
+    OnAirWindowResult,
+    answer_window,
+    onair_window,
+    plan_window,
+)
 from .packets import DataBucket, IndexEntry, IndexSegment
 from .schedule import BroadcastSchedule, RetrievalCost
 from .server import BroadcastServer
@@ -28,6 +34,8 @@ __all__ = [
     "OnAirKnnResult",
     "OnAirWindowResult",
     "RetrievalCost",
+    "answer_knn",
+    "answer_window",
     "batch_scan",
     "estimate_search_radius",
     "onair_knn",

@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..check import invariants
 from ..errors import BroadcastError
 from ..geometry import Circle, Point, Rect
 from ..index import brute_force_knn
 from ..model import POI, QueryResultEntry
-from ..obs import NO_TRACER
+from .batch import BatchMember, batch_scan
 from .schedule import BroadcastSchedule, RetrievalCost
 from .server import BroadcastServer
 
@@ -148,6 +147,33 @@ def plan_knn(
     )
 
 
+def answer_knn(
+    plan: KnnPlan,
+    query: Point,
+    k: int,
+    known_pois: tuple[POI, ...],
+    downloaded: tuple[POI, ...],
+    cost: RetrievalCost,
+) -> OnAirKnnResult:
+    """Rank one plan's download together with the POIs already held.
+
+    ``known_pois`` are POIs the client holds verified (from peer
+    sharing); they stand in for any skipped buckets in the ranking,
+    keeping the answer exact even under the lower-bound filter.
+    ``downloaded`` may be a solo scan's or this plan's slice of a
+    shared one, ``cost`` the channel bill either way.
+    """
+    by_id = {poi.poi_id: poi for poi in downloaded}
+    for poi in known_pois:
+        by_id.setdefault(poi.poi_id, poi)
+    return OnAirKnnResult(
+        results=tuple(brute_force_knn(by_id.values(), query, k)),
+        cost=cost,
+        plan=plan,
+        downloaded=downloaded,
+    )
+
+
 def onair_knn(
     server: BroadcastServer,
     schedule: BroadcastSchedule,
@@ -162,64 +188,20 @@ def onair_knn(
 ) -> OnAirKnnResult:
     """Run a full on-air kNN query, returning the exact answer.
 
-    ``known_pois`` are POIs the client already holds verified (from
-    peer sharing); they stand in for any skipped buckets in the final
-    ranking, keeping the answer exact even under the lower-bound
-    filter.  ``channel`` is an optional unreliable-broadcast fault
-    model: lost buckets are recovered by re-tuning at the next index
-    segment, and the recovery shows up in the cost.  ``tracer`` is an
-    optional :class:`repro.obs.Tracer`; the first scan, the data scan,
-    and any fault recovery each get a span (expected to nest under an
-    enclosing ``query`` span).
+    Plan, scan alone (a batch of one: :func:`~repro.broadcast.batch.
+    batch_scan` owns the channel read, the fault recovery and the
+    spans), rank.  ``channel`` and ``tracer`` are the scan's.
     """
-    if tracer is None:
-        tracer = NO_TRACER
-    with tracer.span("broadcast.index_scan") as index_span:
-        plan = plan_knn(server, query, k, upper_bound, lower_bound)
-        index_span.set(
-            index_packets=plan.index_read_packets,
-            buckets_planned=len(plan.bucket_ids),
-            buckets_skipped=len(plan.skipped_buckets),
-            filtered=upper_bound is not None,
-            k_clamped=plan.k_clamped,
-        )
-    with tracer.span("broadcast.data_scan") as data_span:
-        cost = schedule.retrieve_with_recovery(
-            t_query,
-            plan.bucket_ids,
-            plan.index_read_packets,
-            channel=channel,
-            recovery_index_packets=server.index.tree_probe_packets,
-        )
-        downloaded: list[POI] = []
-        for bucket_id in plan.bucket_ids:
-            downloaded.extend(server.pois_in_bucket(bucket_id))
-        by_id = {poi.poi_id: poi for poi in downloaded}
-        for poi in known_pois:
-            by_id.setdefault(poi.poi_id, poi)
-        results = tuple(brute_force_knn(by_id.values(), query, k))
-        data_span.set(
-            buckets=cost.buckets_downloaded,
-            tuning_packets=cost.tuning_packets,
-            pois=len(downloaded),
-            sim_s=cost.data_latency,
-        )
-    # The index scan's simulated share is only known once the
-    # retrieval is priced; the span object stays mutable until its
-    # root is exported, so back-fill it here.
-    index_span.set(sim_s=cost.index_latency)
-    if cost.retunes and tracer.enabled:
-        with tracer.span("broadcast.recovery") as recovery_span:
-            recovery_span.set(
-                retunes=cost.retunes,
-                buckets_lost=cost.buckets_lost,
-                sim_s=cost.recovery_latency,
-            )
-    if invariants.check_enabled():
-        invariants.check_retrieval_cost(cost, len(plan.bucket_ids))
-    return OnAirKnnResult(
-        results=results,
-        cost=cost,
-        plan=plan,
-        downloaded=tuple(downloaded),
+    plan = plan_knn(server, query, k, upper_bound, lower_bound)
+    scan = batch_scan(
+        server,
+        schedule,
+        [BatchMember(0, plan.bucket_ids, plan.index_read_packets)],
+        t_query,
+        channel=channel,
+        tracer=tracer,
+        buckets_skipped=len(plan.skipped_buckets),
+        filtered=upper_bound is not None,
+        k_clamped=plan.k_clamped,
     )
+    return answer_knn(plan, query, k, known_pois, scan.downloads[0], scan.cost)

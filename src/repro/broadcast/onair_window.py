@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..check import invariants
 from ..errors import BroadcastError
 from ..geometry import Rect
 from ..index import brute_force_window
 from ..model import POI
-from ..obs import NO_TRACER
+from .batch import BatchMember, batch_scan
 from .schedule import BroadcastSchedule, RetrievalCost
 from .server import BroadcastServer
 
@@ -65,6 +64,32 @@ def plan_window(
     return tuple(sorted(buckets)), tuple(blocks)
 
 
+def answer_window(
+    windows: Sequence[Rect],
+    bucket_ids: tuple[int, ...],
+    bonus_regions: tuple[Rect, ...],
+    downloaded: tuple[POI, ...],
+    cost: RetrievalCost,
+) -> OnAirWindowResult:
+    """Filter one plan's download by the window fragments.
+
+    Returns the POIs inside any fragment, by id.  ``downloaded`` may be
+    a solo scan's or this plan's slice of a shared one, ``cost`` the
+    channel bill either way.
+    """
+    hits: dict[int, POI] = {}
+    for window in windows:
+        for poi in brute_force_window(downloaded, window):
+            hits[poi.poi_id] = poi
+    return OnAirWindowResult(
+        pois=tuple(sorted(hits.values(), key=lambda p: p.poi_id)),
+        cost=cost,
+        bucket_ids=bucket_ids,
+        downloaded=downloaded,
+        bonus_regions=bonus_regions,
+    )
+
+
 def onair_window(
     server: BroadcastServer,
     schedule: BroadcastSchedule,
@@ -75,60 +100,22 @@ def onair_window(
 ) -> OnAirWindowResult:
     """Run an on-air window query over one or more window fragments.
 
-    Returns the POIs inside any of the fragments.  Callers answering an
-    original window ``w`` from a partial peer result combine these POIs
-    with the peer-verified ones covering ``w - union(windows)``.
-    ``channel`` is an optional unreliable-broadcast fault model whose
-    bucket losses are recovered via index-segment re-tunes.  ``tracer``
-    is an optional :class:`repro.obs.Tracer` adding index-scan /
-    data-scan / recovery spans (expected to nest under an enclosing
-    ``query`` span).
+    Plan, scan alone (a batch of one: :func:`~repro.broadcast.batch.
+    batch_scan` owns the channel read, the fault recovery and the
+    spans), filter.  Callers answering an original window ``w`` from a
+    partial peer result combine the returned POIs with the
+    peer-verified ones covering ``w - union(windows)``.
     """
-    if tracer is None:
-        tracer = NO_TRACER
-    with tracer.span("broadcast.index_scan") as index_span:
-        bucket_ids, bonus_regions = plan_window(server, windows)
-        index_span.set(
-            index_packets=server.index.tree_probe_packets,
-            windows=len(windows),
-            buckets_planned=len(bucket_ids),
-        )
-    with tracer.span("broadcast.data_scan") as data_span:
-        cost = schedule.retrieve_with_recovery(
-            t_query,
-            bucket_ids,
-            server.index.tree_probe_packets,
-            channel=channel,
-            recovery_index_packets=server.index.tree_probe_packets,
-        )
-        downloaded: list[POI] = []
-        for bucket_id in bucket_ids:
-            downloaded.extend(server.pois_in_bucket(bucket_id))
-        hits: dict[int, POI] = {}
-        for window in windows:
-            for poi in brute_force_window(downloaded, window):
-                hits[poi.poi_id] = poi
-        pois = tuple(sorted(hits.values(), key=lambda p: p.poi_id))
-        data_span.set(
-            buckets=cost.buckets_downloaded,
-            tuning_packets=cost.tuning_packets,
-            pois=len(downloaded),
-            sim_s=cost.data_latency,
-        )
-    index_span.set(sim_s=cost.index_latency)
-    if cost.retunes and tracer.enabled:
-        with tracer.span("broadcast.recovery") as recovery_span:
-            recovery_span.set(
-                retunes=cost.retunes,
-                buckets_lost=cost.buckets_lost,
-                sim_s=cost.recovery_latency,
-            )
-    if invariants.check_enabled():
-        invariants.check_retrieval_cost(cost, len(bucket_ids))
-    return OnAirWindowResult(
-        pois=pois,
-        cost=cost,
-        bucket_ids=bucket_ids,
-        downloaded=tuple(downloaded),
-        bonus_regions=bonus_regions,
+    bucket_ids, bonus_regions = plan_window(server, windows)
+    scan = batch_scan(
+        server,
+        schedule,
+        [BatchMember(0, bucket_ids, server.index.tree_probe_packets)],
+        t_query,
+        channel=channel,
+        tracer=tracer,
+        windows=len(windows),
+    )
+    return answer_window(
+        windows, bucket_ids, bonus_regions, scan.downloads[0], scan.cost
     )

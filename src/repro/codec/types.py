@@ -298,11 +298,8 @@ _TAG_POLICY = {tag: cls for cls, tag in _POLICY_TAG.items()}
 
 def write_host(w: Writer, host: MobileHost) -> None:
     cache = host.cache
-    # Standing queries hold monitor-engine objects and tracers hold
-    # open files: neither has a flat layout, and the sharded simulator
-    # rejects both configurations up front.
-    if host.standing:
-        raise CodecError("a host carrying standing queries has no wire form")
+    # Tracers hold open files: no flat layout, and the sharded
+    # simulator rejects the configuration up front.
     if cache.tracer is not None:
         raise CodecError("a host whose cache is traced has no wire form")
     w.i64(host.host_id)
@@ -397,7 +394,6 @@ def read_host(r: Reader) -> MobileHost:
     host.cache = cache
     host._share_generation = None
     host._share_memo = None
-    host.standing = {}
     return host
 
 

@@ -17,6 +17,10 @@ incremental scheme this module exists for:
   each member's answer is assembled from its own plan's buckets and is
   bit-identical to a solo scan.
 
+A full re-evaluation is the one-shot query pipeline itself — the
+world's share exchange, then the host's ``knn_steps`` /
+``window_steps`` generator — with the tick supplying the scan: a
+one-shot query scans alone, a tick's waiting members share one.
 Re-evaluations run with ``accept_approximate=False``: a standing query
 only ever resolves VERIFIED (peers prove the answer) or BROADCAST
 (the channel completes it) — both exact — so monitored and naive modes
@@ -28,14 +32,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ..broadcast import BatchMember, batch_scan, plan_knn, plan_window
+from ..broadcast import (
+    BatchMember,
+    answer_knn,
+    answer_window,
+    batch_scan,
+    plan_knn,
+    plan_window,
+)
 from ..core import Resolution
 from ..errors import ExperimentError
-from ..geometry import Point, Rect
-from ..index import brute_force_knn, brute_force_window
+from ..experiments.world import P2P_LATENCY
+from ..geometry import Point
 from ..model import POI
 from ..obs import BATCH_WIDTH_BUCKETS
 from ..workloads import ParameterSet, QueryEvent, QueryKind, QueryWorkload
@@ -112,22 +124,6 @@ class ContinuousStats:
         return sum(widths) / len(widths) if widths else 0.0
 
 
-@dataclass(slots=True)
-class _Pending:
-    """A re-evaluation that must go to the channel this tick."""
-
-    query: StandingQuery
-    position: Point
-    heading: tuple[float, float]
-    outcome: object
-    responses: list
-    bucket_ids: tuple[int, ...]
-    index_read_packets: int
-    plan: object = None  # KnnPlan for kNN members
-    window: Rect | None = None  # materialised window for window members
-    bonus_regions: tuple[Rect, ...] = ()
-
-
 class ContinuousMonitor:
     """Drives a set of standing queries over a simulation's world.
 
@@ -158,8 +154,6 @@ class ContinuousMonitor:
         self.batch_scans = batch_scans
         self.registry = registry if registry is not None else sim.registry
         self.stats = ContinuousStats()
-        for query in self.queries:
-            sim.hosts[query.host_id].standing[query.query_id] = query
 
     # ------------------------------------------------------------------
     def add_query(self, query: StandingQuery) -> None:
@@ -174,15 +168,12 @@ class ContinuousMonitor:
                 f"duplicate standing query id {query.query_id}"
             )
         self.queries.append(query)
-        self.sim.hosts[query.host_id].standing[query.query_id] = query
 
     def remove_query(self, query_id: int) -> StandingQuery:
         """Deregister a standing query (e.g. its session disconnected)."""
         for i, query in enumerate(self.queries):
             if query.query_id == query_id:
-                del self.queries[i]
-                self.sim.hosts[query.host_id].standing.pop(query_id, None)
-                return query
+                return self.queries.pop(i)
         raise ExperimentError(f"unknown standing query id {query_id}")
 
     # ------------------------------------------------------------------
@@ -198,7 +189,7 @@ class ContinuousMonitor:
         sim._refresh_positions(t)
         stats.ticks += 1
         answers: dict[int, tuple[POI, ...]] = {}
-        pending: list[_Pending] = []
+        pending: list[tuple] = []
         hits_before = stats.safe_hits
         with sim.tracer.span("continuous.tick") as span:
             for query in self.queries:
@@ -211,12 +202,13 @@ class ContinuousMonitor:
                 stats.safe_misses += 1
                 self._count("continuous.safe_miss")
                 self._reevaluate(query, position, t, answers, pending)
-            self._run_scans(t, pending, answers)
+            channel_s = self._run_scans(t, pending, answers)
             span.set(
                 time=t,
                 queries=len(self.queries),
                 safe_hits=stats.safe_hits - hits_before,
                 broadcast_members=len(pending),
+                access_latency=channel_s,
             )
         for query in self.queries:
             query.answer = answers[query.query_id]
@@ -251,206 +243,134 @@ class ContinuousMonitor:
         position: Point,
         t: float,
         answers: dict[int, tuple[POI, ...]],
-        pending: list[_Pending],
+        pending: list[tuple],
     ) -> None:
-        """Full re-evaluation: share exchange, SBNN/SBWQ, maybe channel."""
+        """Start the world's query pipeline for one standing query.
+
+        The share exchange and the host pipeline are the ones a
+        one-shot query at ``position`` and ``t`` runs, exact answers
+        only.  A pipeline the peers finish settles here; one that
+        needs the channel is left suspended, with its plan and the
+        answer step its download will go through, for the tick's scan.
+        """
         sim = self.sim
         host = sim.hosts[query.host_id]
         heading = sim.host_heading(query.host_id)
-        responses, _ = sim._collect_responses(query.host_id, position, t)
-        server = sim.station.server
+        k = query.template.k
+        responses, fault_stats = sim._collect_responses(
+            query.host_id, position, t
+        )
+        knobs = dict(
+            p2p_latency=P2P_LATENCY * sim.p2p_hops,
+            fault_stats=fault_stats,
+            tracer=sim.tracer,
+        )
         if query.kind is QueryKind.KNN:
-            outcome = host.resolve_knn(
+            steps = host.knn_steps(
                 position,
-                query.template.k,
+                heading,
+                k,
                 responses,
                 sim.poi_density,
+                t,
                 accept_approximate=False,
                 min_correctness=sim.min_correctness,
-            )
-            if outcome.resolution is not Resolution.BROADCAST:
-                entries, _ = host.settle_knn_peer(
-                    position,
-                    heading,
-                    query.template.k,
-                    outcome,
-                    responses,
-                    t,
-                )
-                answers[query.query_id] = tuple(e.poi for e in entries)
-                self.stats.reeval_verified += 1
-                self._count("continuous.reeval_verified")
-                self._refresh_safe(query, host, position)
-                return
-            plan = plan_knn(
-                server,
-                position,
-                query.template.k,
-                upper_bound=outcome.bounds.upper,
-                lower_bound=outcome.bounds.lower,
-            )
-            pending.append(
-                _Pending(
-                    query=query,
-                    position=position,
-                    heading=heading,
-                    outcome=outcome,
-                    responses=responses,
-                    bucket_ids=plan.bucket_ids,
-                    index_read_packets=plan.index_read_packets,
-                    plan=plan,
-                )
+                **knobs,
             )
         else:
             window = query.template.window_for(position, sim.params.bounds)
-            outcome = host.resolve_window(window, responses)
-            if outcome.resolution is Resolution.VERIFIED:
-                verified = host.settle_window_peer(
-                    position, heading, window, outcome, t
-                )
-                answers[query.query_id] = verified
-                self.stats.reeval_verified += 1
-                self._count("continuous.reeval_verified")
-                self._refresh_safe(query, host, position)
-                return
-            bucket_ids, bonus_regions = plan_window(
-                server, outcome.remainder_windows
+            steps = host.window_steps(
+                position, heading, window, responses, t, **knobs
             )
-            pending.append(
-                _Pending(
-                    query=query,
-                    position=position,
-                    heading=heading,
-                    outcome=outcome,
-                    responses=responses,
-                    bucket_ids=bucket_ids,
-                    index_read_packets=server.index.tree_probe_packets,
-                    window=window,
-                    bonus_regions=bonus_regions,
-                )
+        try:
+            outcome = next(steps)
+        except StopIteration as done:
+            self._settle(query, position, done.value, answers)
+            return
+        server = sim.station.server
+        if query.kind is QueryKind.KNN:
+            plan = plan_knn(
+                server, position, k, outcome.bounds.upper, outcome.bounds.lower
             )
-        self.stats.reeval_broadcast += 1
-        self._count("continuous.reeval_broadcast")
+            bucket_ids, index_read = plan.bucket_ids, plan.index_read_packets
+            answer = partial(
+                answer_knn, plan, position, k, outcome.verified_pois
+            )
+        else:
+            windows = outcome.remainder_windows
+            bucket_ids, bonus_regions = plan_window(server, windows)
+            index_read = server.index.tree_probe_packets
+            answer = partial(answer_window, windows, bucket_ids, bonus_regions)
+        member = BatchMember(query.query_id, bucket_ids, index_read)
+        pending.append((member, answer, steps, query, position))
 
-    # ------------------------------------------------------------------
     def _run_scans(
         self,
         t: float,
-        pending: list[_Pending],
+        pending: list[tuple],
         answers: dict[int, tuple[POI, ...]],
-    ) -> None:
-        """Serve the tick's broadcast-bound members, batched or solo.
+    ) -> float:
+        """Serve the tick's broadcast-bound pipelines, batched or solo.
 
         In batched mode the whole tick is one shared scan; in naive
-        mode each member pays its own — single-member batches reproduce
-        the solo scan's bucket list, index read, and downloads exactly,
-        so the member answers are identical either way.
+        mode each member pays its own.  Each pipeline resumes with the
+        answer made from its own slice of the download, so its result
+        is the same either way.  Returns the tick's channel time.
         """
         if not pending:
-            return
-        sim = self.sim
-        client = sim.station.client
-        groups = [pending] if self.batch_scans else [[p] for p in pending]
+            return 0.0
+        client = self.sim.station.client
         stats = self.stats
+        channel_s = 0.0
+        groups = [pending] if self.batch_scans else [[p] for p in pending]
         for group in groups:
-            members = [
-                BatchMember(
-                    member_id=p.query.query_id,
-                    bucket_ids=p.bucket_ids,
-                    index_read_packets=p.index_read_packets,
-                )
-                for p in group
-            ]
-            result = batch_scan(
-                sim.station.server,
-                sim.station.schedule,
-                members,
+            scan = batch_scan(
+                client.server,
+                client.schedule,
+                [member for member, *_ in group],
                 t,
                 channel=client.channel,
                 tracer=client.tracer,
             )
+            cost = scan.cost
+            channel_s += cost.access_latency
             stats.scans += 1
-            stats.tuning_packets += result.cost.tuning_packets
-            stats.buckets_downloaded += result.cost.buckets_downloaded
-            stats.access_latency += result.cost.access_latency
-            stats.batch_widths.append(result.width)
+            stats.tuning_packets += cost.tuning_packets
+            stats.buckets_downloaded += cost.buckets_downloaded
+            stats.access_latency += cost.access_latency
+            stats.batch_widths.append(scan.width)
             self._count("continuous.scans")
-            self._count(
-                "continuous.tuning_packets", result.cost.tuning_packets
-            )
-            self._observe("continuous.batch_width", result.width)
-            for p in group:
-                self._finalize_member(
-                    p, result.downloads[p.query.query_id], t, answers
-                )
+            self._count("continuous.tuning_packets", cost.tuning_packets)
+            self._observe("continuous.batch_width", scan.width)
+            for member, answer, steps, query, position in group:
+                try:
+                    steps.send(answer(scan.downloads[member.member_id], cost))
+                except StopIteration as done:
+                    self._settle(query, position, done.value, answers)
+        return channel_s
 
-    def _finalize_member(
+    def _settle(
         self,
-        p: _Pending,
-        downloaded: tuple[POI, ...],
-        t: float,
+        query: StandingQuery,
+        position: Point,
+        result,
         answers: dict[int, tuple[POI, ...]],
     ) -> None:
-        """Assemble one member's exact answer and settle its cache.
-
-        Replays the tail of :func:`repro.broadcast.onair_knn` /
-        :func:`onair_window` over the member's own download slice, then
-        the corresponding cache-adoption branch of the one-shot host
-        pipeline.
-        """
-        query = p.query
-        host = self.sim.hosts[query.host_id]
-        if query.kind is QueryKind.KNN:
-            by_id = {poi.poi_id: poi for poi in downloaded}
-            for poi in p.outcome.verified_pois:
-                by_id.setdefault(poi.poi_id, poi)
-            entries = brute_force_knn(
-                by_id.values(), p.position, query.template.k
-            )
-            answers[query.query_id] = tuple(e.poi for e in entries)
-            host.adopt_knn_download(
-                p.position,
-                p.heading,
-                p.outcome,
-                p.plan,
-                downloaded,
-                p.responses,
-                t,
-            )
+        """Book a finished pipeline: its answer, then a new safe region."""
+        answers[query.query_id] = result.answers
+        if result.record.resolution is Resolution.BROADCAST:
+            self.stats.reeval_broadcast += 1
+            self._count("continuous.reeval_broadcast")
         else:
-            merged: dict[int, POI] = {
-                poi.poi_id: poi for poi in p.outcome.verified_pois
-            }
-            hits: dict[int, POI] = {}
-            for window in p.outcome.remainder_windows:
-                for poi in brute_force_window(downloaded, window):
-                    hits[poi.poi_id] = poi
-            merged.update(
-                (poi.poi_id, poi)
-                for poi in sorted(hits.values(), key=lambda x: x.poi_id)
+            self.stats.reeval_verified += 1
+            self._count("continuous.reeval_verified")
+        query.safe = None
+        if self.use_safe_regions:
+            query.safe = derive_safe_region(
+                self.sim.hosts[query.host_id].cache,
+                position,
+                k=query.template.k if query.kind is QueryKind.KNN else None,
             )
-            answers[query.query_id] = tuple(
-                sorted(merged.values(), key=lambda x: x.poi_id)
-            )
-            host.adopt_window_download(
-                p.position,
-                p.heading,
-                p.window,
-                merged,
-                p.bonus_regions,
-                downloaded,
-                t,
-            )
-        self._refresh_safe(query, host, p.position)
-
-    # ------------------------------------------------------------------
-    def _refresh_safe(self, query: StandingQuery, host, anchor: Point) -> None:
-        """Re-derive the safe region after a full re-evaluation."""
-        if not self.use_safe_regions:
-            query.safe = None
-            return
-        k = query.template.k if query.kind is QueryKind.KNN else None
-        query.safe = derive_safe_region(host.cache, anchor, k=k)
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         if self.registry is not None:

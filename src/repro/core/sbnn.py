@@ -42,17 +42,14 @@ class Resolution(Enum):
     BROADCAST = "broadcast"  # must fall back to the channel
 
 
-ANNOTATE_MODES = ("auto", "always", "never")
-
-
 @dataclass(slots=True)
 class SBNNOutcome:
     """Everything Algorithm 2 decides before (maybe) going on-air.
 
     ``annotated`` says whether the Lemma 3.2 correctness annotations
-    were computed for this outcome — under ``annotate="auto"`` they
-    are skipped exactly when they cannot decide the approximate path,
-    which leaves ``correctness=None`` on the heap entries.
+    were computed for this outcome — untraced, they are skipped exactly
+    when they cannot decide the approximate path, which leaves
+    ``correctness=None`` on the heap entries.
     """
 
     resolution: Resolution
@@ -75,7 +72,6 @@ def sbnn(
     accept_approximate: bool = True,
     min_correctness: float = 0.5,
     mvr: SlabUnion | None = None,
-    annotate: str = "auto",
     tracer=None,
 ) -> SBNNOutcome:
     """Algorithm 2 (SBNN), up to the broadcast-channel hand-off.
@@ -83,18 +79,15 @@ def sbnn(
     ``mvr`` optionally supplies the already merged verified region
     (the MapOverlay step, done by the caller).
 
-    ``annotate`` controls the Lemma 3.2 correctness annotations:
-
-    * ``"auto"`` (default) — only when they can decide the approximate
-      path (heap full, approximation accepted), the historical
-      behaviour.  Queries headed for ``BROADCAST`` therefore carry
-      ``correctness=None`` — fine for the decision, useless for a
-      trace consumer asking *why* the peers fell short.
-    * ``"always"`` — whenever any unverified entry exists (tracing and
-      explanation); never changes the resolution, because the
-      approximate path already required a full heap.
-    * ``"never"`` — skip even decisive annotations (an unannotated
-      full heap falls through to ``BROADCAST``).
+    The Lemma 3.2 correctness annotations cost a disc/region area
+    computation per unverified entry, so they are computed when they
+    can decide the approximate path (heap full, approximation
+    accepted) — and, under a ``tracer``, whenever any unverified entry
+    exists: a query headed for ``BROADCAST`` otherwise carries
+    ``correctness=None``, fine for the decision, useless for a trace
+    consumer asking *why* the peers fell short.  Annotating never
+    changes the resolution, because the approximate path already
+    required a full heap.
 
     ``tracer`` is an optional :class:`repro.obs.Tracer`; when given,
     the NNV pass and the annotation pass each get a span
@@ -103,10 +96,6 @@ def sbnn(
     if not (0.0 <= min_correctness <= 1.0):
         raise ReproError(
             f"min_correctness must be in [0, 1], got {min_correctness}"
-        )
-    if annotate not in ANNOTATE_MODES:
-        raise ReproError(
-            f"annotate must be one of {ANNOTATE_MODES}, got {annotate!r}"
         )
     if tracer is None:
         heap, mvr = nnv(query, responses, k, mvr=mvr)
@@ -119,16 +108,10 @@ def sbnn(
                 heap_size=len(heap),
                 verified=heap.verified_count,
             )
-    # The Lemma 3.2 annotations cost a disc/region area computation per
-    # unverified entry; ``auto`` only pays it when it can decide the
-    # approximate path (heap full, approximation accepted).
     needs_annotation = (
         not mvr.is_empty
         and bool(heap.unverified_entries)
-        and (
-            annotate == "always"
-            or (annotate == "auto" and accept_approximate and heap.is_full)
-        )
+        and (tracer is not None or (accept_approximate and heap.is_full))
     )
     if needs_annotation:
         if tracer is None:
@@ -136,7 +119,7 @@ def sbnn(
         else:
             with tracer.span("core.annotate") as span:
                 annotate_heap(query, heap, mvr, poi_density)
-                span.set(entries=len(heap.unverified_entries), mode=annotate)
+                span.set(entries=len(heap.unverified_entries))
 
     if heap.verified_count >= k:
         resolution = Resolution.VERIFIED

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..broadcast import OnAirClient
+from ..broadcast import OnAirClient, OnAirWindowResult, RetrievalCost
 from ..cache import POICache
 from ..check import invariants
 from ..core import MVRMemo, Resolution, sbnn, sbwq
@@ -35,6 +35,15 @@ from ..workloads import QueryKind
 from .metrics import QueryRecord
 
 NO_FAULTS = P2PFaultStats()
+# What a query the peers resolved took from the channel: nothing, free.
+NO_SCAN = OnAirWindowResult(
+    pois=(),
+    cost=RetrievalCost(
+        access_latency=0.0, tuning_packets=0, finish_time=0.0, buckets_downloaded=0
+    ),
+    bucket_ids=(),
+    downloaded=(),
+)
 
 # Every host merges through this one stateless instance: the merged
 # MVR belongs to the query that asked for it, not to the host.
@@ -134,10 +143,6 @@ class MobileHost:
         # generation moves).
         self._share_generation: int | None = None
         self._share_memo: ShareResponse | None = None
-        # Standing (continuous) queries anchored at this host, keyed by
-        # query id.  The host carries them across ticks; the continuous
-        # monitor engine owns their lifecycle.
-        self.standing: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     def share_response(
@@ -163,7 +168,162 @@ class MobileHost:
             self._share_generation = generation
         return self._share_memo
 
-    # ------------------------------------------------------------------
+    # -- the two query pipelines, each written once ---------------------
+    # A pipeline is a generator: peers first (Algorithms 2-3); if they
+    # cannot finish the job it yields the outcome that says what is
+    # missing and is sent the channel's result for it.  *How* the scan
+    # runs is the driver's business: execute_knn / execute_window scan
+    # alone and at once, a ContinuousMonitor tick shares one scan among
+    # every pipeline it has waiting.  Either way the cache ends up
+    # bit-identical for the same query at the same place and time.
+
+    def knn_steps(
+        self,
+        position: Point,
+        heading: tuple[float, float],
+        k: int,
+        responses: Sequence[ShareResponse],
+        poi_density: float,
+        now: float,
+        p2p_latency: float = 0.05,
+        accept_approximate: bool = True,
+        min_correctness: float = 0.5,
+        fault_stats: P2PFaultStats | None = None,
+        tracer=None,
+    ):
+        """The SBNN pipeline for one kNN query (Algorithm 2).
+
+        Yields the :class:`~repro.core.SBNNOutcome` when the query must
+        go on air — its bounds and verified POIs filter the retrieval —
+        and is sent the :class:`~repro.broadcast.OnAirKnnResult`;
+        returns the :class:`HostQueryResult`.  ``fault_stats`` is what
+        the unreliable channel did to the share exchange (drops,
+        retries, deadline misses); its extra latency is charged to the
+        query and its counters stamped on the record.  ``tracer`` (a
+        :class:`repro.obs.Tracer`) adds the core spans, and with them
+        the Lemma 3.2 annotations that explain the peers' answer.
+        """
+        outcome = sbnn(
+            position,
+            responses,
+            k,
+            poi_density,
+            accept_approximate=accept_approximate,
+            min_correctness=min_correctness,
+            mvr=MVR.merged(responses),
+            tracer=tracer if tracer is not None and tracer.enabled else None,
+        )
+        if outcome.resolution is not Resolution.BROADCAST:
+            # Gossip the verified disc first, then touch the answers.
+            gossiped = self._gossip_cache(
+                position, heading, outcome.mvr, responses, now
+            )
+            entries = tuple(outcome.heap.results()[:k])
+            self.cache.touch((e.poi.poi_id for e in entries), now)
+            return self._result(
+                QueryKind.KNN,
+                outcome.resolution,
+                now,
+                responses,
+                p2p_latency,
+                fault_stats,
+                tuple(e.poi for e in entries),
+                (gossiped,) if gossiped else (),
+                heap_entries=entries,
+                k=k,
+            )
+        scan = yield outcome
+        covered = scan.plan.search_mbr
+        complete = {poi.poi_id: poi for poi in scan.downloaded}
+        complete.update(_pois_from_responses(responses, covered, outcome.mvr))
+        cx1, cy1, cx2, cy2 = covered.x1, covered.y1, covered.x2, covered.y2
+        cached_pois = tuple(
+            [
+                poi
+                for poi in complete.values()
+                if cx1 <= poi.location.x <= cx2
+                and cy1 <= poi.location.y <= cy2
+            ]
+        )
+        return self._result(
+            QueryKind.KNN,
+            Resolution.BROADCAST,
+            now,
+            responses,
+            p2p_latency,
+            fault_stats,
+            tuple(e.poi for e in scan.results),
+            self._adopt(
+                (covered, cached_pois),
+                scan.plan.bonus_regions,
+                scan.downloaded,
+                now,
+                position,
+                heading,
+            ),
+            scan.cost,
+            k=k,
+        )
+
+    def window_steps(
+        self,
+        position: Point,
+        heading: tuple[float, float],
+        window: Rect,
+        responses: Sequence[ShareResponse],
+        now: float,
+        p2p_latency: float = 0.05,
+        fault_stats: P2PFaultStats | None = None,
+        tracer=None,
+    ):
+        """The SBWQ pipeline for one window query (Algorithm 3).
+
+        Yields the :class:`~repro.core.SBWQOutcome` when part of the
+        window is left for the channel and is sent the
+        :class:`~repro.broadcast.OnAirWindowResult` for its remainder
+        windows; returns the :class:`HostQueryResult`.
+        """
+        with (tracer or NO_TRACER).span("core.sbwq") as span:
+            outcome = self.resolve_window(window, responses)
+            span.set(
+                responses=len(responses),
+                verified_pois=len(outcome.verified_pois),
+                remainder_windows=len(outcome.remainder_windows),
+                covered_fraction_missing=outcome.covered_fraction_missing,
+            )
+        answers = outcome.verified_pois
+        scan = NO_SCAN
+        if outcome.resolution is Resolution.VERIFIED:
+            self.cache.touch((p.poi_id for p in answers), now)
+        else:
+            # Verified peers cover w ∩ MVR, the channel covered w − MVR:
+            # together the whole window is certified.
+            scan = yield outcome
+            merged = {poi.poi_id: poi for poi in answers}
+            merged.update({poi.poi_id: poi for poi in scan.pois})
+            answers = tuple(sorted(merged.values(), key=lambda p: p.poi_id))
+        return self._result(
+            QueryKind.WINDOW,
+            outcome.resolution,
+            now,
+            responses,
+            p2p_latency,
+            fault_stats,
+            answers,
+            self._adopt(
+                (window, answers),
+                scan.bonus_regions,
+                scan.downloaded,
+                now,
+                position,
+                heading,
+            ),
+            scan.cost,
+            window_area=window.area,
+            covered_fraction_missing=outcome.covered_fraction_missing,
+        )
+
+    # -- the one-shot driver: a solo scan, at once -----------------------
     def execute_knn(
         self,
         position: Point,
@@ -173,106 +333,54 @@ class MobileHost:
         onair: OnAirClient,
         poi_density: float,
         now: float,
-        p2p_latency: float = 0.05,
-        accept_approximate: bool = True,
-        min_correctness: float = 0.5,
-        fault_stats: P2PFaultStats | None = None,
-        tracer=None,
+        **knobs,
     ) -> HostQueryResult:
-        """The full SBNN pipeline for one kNN query (Algorithm 2).
-
-        ``fault_stats`` is what the unreliable channel did to the share
-        exchange (drops, retries, deadline misses); its extra latency
-        is charged to the query and its counters stamped on the record.
-        ``tracer`` (a :class:`repro.obs.Tracer`) adds the core spans
-        and switches the Lemma 3.2 annotations to ``"always"`` so
-        traced broadcast-bound queries still explain the peers' answer.
-        """
-        faults = fault_stats if fault_stats is not None else NO_FAULTS
-        tracing = tracer is not None and tracer.enabled
-        outcome = sbnn(
-            position,
-            responses,
-            k,
-            poi_density,
-            accept_approximate=accept_approximate,
-            min_correctness=min_correctness,
-            mvr=MVR.merged(responses),
-            annotate="always" if tracing else "auto",
-            tracer=tracer if tracing else None,
+        """One kNN query start to finish (``knobs`` as :meth:`knn_steps`)."""
+        steps = self.knn_steps(
+            position, heading, k, responses, poi_density, now, **knobs
         )
-        peer_count = sum(
-            1 for r in responses if r.peer_id != self.host_id
-        )
-        if outcome.resolution is not Resolution.BROADCAST:
-            latency = (p2p_latency if peer_count else 0.0) + faults.extra_latency
-            entries, shared = self.settle_knn_peer(
-                position, heading, k, outcome, responses, now
+        try:
+            outcome = next(steps)
+            steps.send(
+                onair.knn(
+                    position,
+                    k,
+                    t_query=now,
+                    upper_bound=outcome.bounds.upper,
+                    lower_bound=outcome.bounds.lower,
+                    known_pois=outcome.verified_pois,
+                )
             )
-            return HostQueryResult(
-                record=QueryRecord(
-                    time=now,
-                    host_id=self.host_id,
-                    kind=QueryKind.KNN,
-                    resolution=outcome.resolution,
-                    access_latency=latency,
-                    tuning_packets=0,
-                    buckets_downloaded=0,
-                    peer_count=peer_count,
-                    k=k,
-                    result_size=len(entries),
-                    p2p_drops=faults.drops,
-                    p2p_retries=faults.retries,
-                    p2p_deadline_misses=faults.deadline_misses,
-                ),
-                answers=tuple(e.poi for e in entries),
-                heap_entries=entries,
-                shared=(shared,) if shared else (),
-            )
+        except StopIteration as done:
+            return done.value
 
-        onair_result = onair.knn(
-            position,
-            k,
-            t_query=now,
-            upper_bound=outcome.bounds.upper,
-            lower_bound=outcome.bounds.lower,
-            known_pois=outcome.verified_pois,
+    def execute_window(
+        self,
+        position: Point,
+        heading: tuple[float, float],
+        window: Rect,
+        responses: Sequence[ShareResponse],
+        onair: OnAirClient,
+        now: float,
+        **knobs,
+    ) -> HostQueryResult:
+        """One window query start to finish (``knobs`` as :meth:`window_steps`)."""
+        steps = self.window_steps(
+            position, heading, window, responses, now, **knobs
         )
-        shared_regions = self.adopt_knn_download(
-            position,
-            heading,
-            outcome,
-            onair_result.plan,
-            onair_result.downloaded,
-            responses,
-            now,
-        )
-        latency = (
-            (p2p_latency if peer_count else 0.0)
-            + faults.extra_latency
-            + onair_result.cost.access_latency
-        )
-        return HostQueryResult(
-            record=QueryRecord(
-                time=now,
-                host_id=self.host_id,
-                kind=QueryKind.KNN,
-                resolution=Resolution.BROADCAST,
-                access_latency=latency,
-                tuning_packets=onair_result.cost.tuning_packets,
-                buckets_downloaded=onair_result.cost.buckets_downloaded,
-                peer_count=peer_count,
-                k=k,
-                result_size=len(onair_result.results),
-                p2p_drops=faults.drops,
-                p2p_retries=faults.retries,
-                p2p_deadline_misses=faults.deadline_misses,
-                recovery_retunes=onair_result.cost.retunes,
-                buckets_lost=onair_result.cost.buckets_lost,
-            ),
-            answers=tuple(e.poi for e in onair_result.results),
-            shared=shared_regions,
-        )
+        try:
+            outcome = next(steps)
+            steps.send(onair.window(outcome.remainder_windows, t_query=now))
+        except StopIteration as done:
+            return done.value
+
+    # -- steps both pipelines share --------------------------------------
+    def resolve_window(self, window: Rect, responses: Sequence[ShareResponse]):
+        """Run SBWQ over the merged verified region of ``responses``."""
+        mvr = MVR.merged(responses)
+        if invariants.check_enabled():
+            invariants.check_union(mvr, window.center, window)
+        return sbwq(window, responses, mvr=mvr)
 
     def _gossip_cache(
         self,
@@ -301,227 +409,64 @@ class MobileHost:
         self.cache.insert_result(region, pois, now, position, heading)
         return region, pois
 
-    # -- resolution and cache-settlement steps --------------------------
-    # The standing-query engine (:mod:`repro.continuous`) needs the
-    # resolution step, the broadcast scan, and the cache settlement
-    # decoupled so concurrent re-evaluations can share one scan.  The
-    # one-shot execute_knn / execute_window settle through the same
-    # four methods, so a standing query leaves the cache bit-identical
-    # to a one-shot query at the same place and time.
-
-    def resolve_knn(
+    def _adopt(
         self,
-        position: Point,
-        k: int,
-        responses: Sequence[ShareResponse],
-        poi_density: float,
-        accept_approximate: bool = False,
-        min_correctness: float = 0.5,
-    ):
-        """Run SBNN for a standing kNN re-evaluation (exact by default)."""
-        return sbnn(
-            position,
-            responses,
-            k,
-            poi_density,
-            accept_approximate=accept_approximate,
-            min_correctness=min_correctness,
-            mvr=MVR.merged(responses),
-        )
-
-    def resolve_window(self, window: Rect, responses: Sequence[ShareResponse]):
-        """Run SBWQ (one-shot queries and standing re-evaluations)."""
-        mvr = MVR.merged(responses)
-        if invariants.check_enabled():
-            invariants.check_union(mvr, window.center, window)
-        return sbwq(window, responses, mvr=mvr)
-
-    def settle_knn_peer(
-        self,
-        position: Point,
-        heading: tuple[float, float],
-        k: int,
-        outcome,
-        responses: Sequence[ShareResponse],
-        now: float,
-    ) -> tuple[tuple[HeapEntry, ...], SharedRegion | None]:
-        """Cache settlement of a peer-resolved kNN (non-BROADCAST).
-
-        Gossips the verified disc first, then touches the answers.
-        Returns the answer entries and the gossiped region (if any).
-        """
-        shared = self._gossip_cache(
-            position, heading, outcome.mvr, responses, now
-        )
-        entries = tuple(outcome.heap.results()[:k])
-        self.cache.touch((e.poi.poi_id for e in entries), now)
-        return entries, shared
-
-    def settle_window_peer(
-        self,
-        position: Point,
-        heading: tuple[float, float],
-        window: Rect,
-        outcome,
-        now: float,
-    ) -> tuple[POI, ...]:
-        """Cache settlement of a peer-VERIFIED window query."""
-        self.cache.touch((p.poi_id for p in outcome.verified_pois), now)
-        self.cache.insert_result(
-            window, outcome.verified_pois, now, position, heading
-        )
-        return outcome.verified_pois
-
-    def adopt_knn_download(
-        self,
-        position: Point,
-        heading: tuple[float, float],
-        outcome,
-        plan,
-        downloaded: Sequence[POI],
-        responses: Sequence[ShareResponse],
-        now: float,
-    ) -> tuple[SharedRegion, ...]:
-        """Cache settlement of a broadcast-resolved kNN.
-
-        ``plan`` / ``downloaded`` may come from a solo scan or from this
-        member's slice of a batched scan — the caching is identical.
-        """
-        covered = plan.search_mbr
-        complete = {poi.poi_id: poi for poi in downloaded}
-        complete.update(_pois_from_responses(responses, covered, outcome.mvr))
-        cx1, cy1, cx2, cy2 = covered.x1, covered.y1, covered.x2, covered.y2
-        cached_pois = tuple(
-            [
-                poi
-                for poi in complete.values()
-                if cx1 <= poi.location.x <= cx2
-                and cy1 <= poi.location.y <= cy2
-            ]
-        )
-        shared_regions: list[SharedRegion] = [(covered, cached_pois)]
-        # Everything the segment download certifies beyond the search
-        # MBR is cacheable too ("store as many received POIs as the
-        # cache capacity allows").
-        shared_regions.extend(_pois_per_region(plan.bonus_regions, downloaded))
-        for region, pois in shared_regions:
-            self.cache.insert_result(region, pois, now, position, heading)
-        return tuple(shared_regions)
-
-    def adopt_window_download(
-        self,
-        position: Point,
-        heading: tuple[float, float],
-        window: Rect,
-        answers: dict[int, POI],
+        certified: SharedRegion,
         bonus_regions: Sequence[Rect],
         downloaded: Sequence[POI],
         now: float,
-    ) -> tuple[SharedRegion, ...]:
-        """Cache settlement of a broadcast-resolved window query.
-
-        Verified peers cover w ∩ MVR, the channel covered w − MVR:
-        together the whole window is certified.  The segment download
-        certifies the aligned blocks beyond the window as well.
-        """
-        shared_regions: list[SharedRegion] = [
-            (window, tuple(sorted(answers.values(), key=lambda p: p.poi_id)))
-        ]
-        shared_regions.extend(_pois_per_region(bonus_regions, downloaded))
-        for region, pois in shared_regions:
-            self.cache.insert_result(region, pois, now, position, heading)
-        return tuple(shared_regions)
-
-    # ------------------------------------------------------------------
-    def execute_window(
-        self,
         position: Point,
         heading: tuple[float, float],
-        window: Rect,
-        responses: Sequence[ShareResponse],
-        onair: OnAirClient,
-        now: float,
-        p2p_latency: float = 0.05,
-        fault_stats: P2PFaultStats | None = None,
-        tracer=None,
-    ) -> HostQueryResult:
-        """The full SBWQ pipeline for one window query (Algorithm 3)."""
-        faults = fault_stats if fault_stats is not None else NO_FAULTS
-        span_tracer = tracer if tracer is not None else NO_TRACER
-        with span_tracer.span("core.sbwq") as span:
-            outcome = self.resolve_window(window, responses)
-            span.set(
-                responses=len(responses),
-                verified_pois=len(outcome.verified_pois),
-                remainder_windows=len(outcome.remainder_windows),
-                covered_fraction_missing=outcome.covered_fraction_missing,
-            )
-        peer_count = sum(
-            1 for r in responses if r.peer_id != self.host_id
-        )
-        if outcome.resolution is Resolution.VERIFIED:
-            self.settle_window_peer(position, heading, window, outcome, now)
-            return HostQueryResult(
-                record=QueryRecord(
-                    time=now,
-                    host_id=self.host_id,
-                    kind=QueryKind.WINDOW,
-                    resolution=Resolution.VERIFIED,
-                    access_latency=(p2p_latency if peer_count else 0.0)
-                    + faults.extra_latency,
-                    tuning_packets=0,
-                    buckets_downloaded=0,
-                    peer_count=peer_count,
-                    window_area=window.area,
-                    result_size=len(outcome.verified_pois),
-                    covered_fraction_missing=outcome.covered_fraction_missing,
-                    p2p_drops=faults.drops,
-                    p2p_retries=faults.retries,
-                    p2p_deadline_misses=faults.deadline_misses,
-                ),
-                answers=outcome.verified_pois,
-                shared=((window, outcome.verified_pois),),
-            )
+    ) -> tuple[SharedRegion, ...]:
+        """Cache what a query certified; returns it for the neighbours.
 
-        onair_result = onair.window(outcome.remainder_windows, t_query=now)
-        answers: dict[int, POI] = {
-            poi.poi_id: poi for poi in outcome.verified_pois
-        }
-        answers.update({poi.poi_id: poi for poi in onair_result.pois})
-        shared_regions = self.adopt_window_download(
-            position,
-            heading,
-            window,
-            answers,
-            onair_result.bonus_regions,
-            onair_result.downloaded,
-            now,
-        )
-        latency = (
-            (p2p_latency if peer_count else 0.0)
-            + faults.extra_latency
-            + onair_result.cost.access_latency
-        )
-        ordered = tuple(sorted(answers.values(), key=lambda p: p.poi_id))
+        Everything a segment download certifies beyond the query itself
+        (the aligned blocks of ``bonus_regions``) is cacheable too —
+        "store as many received POIs as the cache capacity allows".
+        """
+        shared = (certified, *_pois_per_region(bonus_regions, downloaded))
+        for region, pois in shared:
+            self.cache.insert_result(region, pois, now, position, heading)
+        return shared
+
+    def _result(
+        self,
+        kind: QueryKind,
+        resolution: Resolution,
+        now: float,
+        responses: Sequence[ShareResponse],
+        p2p_latency: float,
+        fault_stats: P2PFaultStats | None,
+        answers: tuple[POI, ...],
+        shared: tuple[SharedRegion, ...],
+        cost: RetrievalCost = NO_SCAN.cost,
+        heap_entries: tuple[HeapEntry, ...] = (),
+        **query_fields,
+    ) -> HostQueryResult:
+        """The one place a query's record is written."""
+        faults = fault_stats if fault_stats is not None else NO_FAULTS
+        peer_count = sum(1 for r in responses if r.peer_id != self.host_id)
         return HostQueryResult(
             record=QueryRecord(
                 time=now,
                 host_id=self.host_id,
-                kind=QueryKind.WINDOW,
-                resolution=Resolution.BROADCAST,
-                access_latency=latency,
-                tuning_packets=onair_result.cost.tuning_packets,
-                buckets_downloaded=onair_result.cost.buckets_downloaded,
+                kind=kind,
+                resolution=resolution,
+                access_latency=(p2p_latency if peer_count else 0.0)
+                + faults.extra_latency
+                + cost.access_latency,
+                tuning_packets=cost.tuning_packets,
+                buckets_downloaded=cost.buckets_downloaded,
                 peer_count=peer_count,
-                window_area=window.area,
-                result_size=len(ordered),
-                covered_fraction_missing=outcome.covered_fraction_missing,
+                result_size=len(answers),
                 p2p_drops=faults.drops,
                 p2p_retries=faults.retries,
                 p2p_deadline_misses=faults.deadline_misses,
-                recovery_retunes=onair_result.cost.retunes,
-                buckets_lost=onair_result.cost.buckets_lost,
+                recovery_retunes=cost.retunes,
+                buckets_lost=cost.buckets_lost,
+                **query_fields,
             ),
-            answers=ordered,
-            shared=shared_regions,
+            answers=answers,
+            heap_entries=heap_entries,
+            shared=shared,
         )

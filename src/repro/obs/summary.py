@@ -6,7 +6,7 @@ span name (phase), how many spans ran, what they cost the machine
 ``sim_s`` attribute convention of :mod:`repro.obs.trace`).  The
 summary also cross-checks the instrumentation: summed phase ``sim_s``
 must reproduce the ``access_latency`` recorded on the ``query`` root
-spans.
+spans and, for monitored runs, on the ``continuous.tick`` spans.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = ["PhaseStats", "TraceSummary", "format_summary", "summarize_spans"]
+
+# Spans that carry a recorded ``access_latency`` for their subtree.
+RECORDED = ("query", "continuous.tick")
 
 
 @dataclass(slots=True)
@@ -79,15 +82,17 @@ def _walk(node: dict, summary: TraceSummary, depth: int) -> None:
     stats.count += 1
     stats.wall_ms += float(node.get("wall_ms", 0.0))
     attributes = node.get("attributes") or {}
-    if name == "query":
+    if name in RECORDED:
         # A query tree is accounted wherever it sits: as a root in a
         # simulation trace, or nested under a ``serve.request`` root
         # in a per-connection serving-layer trace.  Either way the
-        # query node carries the recorded total, not a phase share.
-        summary.queries += 1
-        summary.recorded_access_latency_s += float(
-            attributes.get("access_latency", 0.0)
-        )
+        # node carries the recorded total, not a phase share; so does
+        # a monitor tick, for the channel time its shared scans took.
+        recorded = float(attributes.get("access_latency", 0.0))
+        stats.sim_s += recorded
+        summary.recorded_access_latency_s += recorded
+        if name == "query":
+            summary.queries += 1
         resolution = attributes.get("resolution")
         if resolution is not None:
             summary.resolutions[resolution] = (
@@ -124,21 +129,15 @@ def format_summary(summary: TraceSummary) -> str:
         key=lambda s: (s.name != "query", -s.sim_s, s.name),
     )
     for stats in ordered:
-        is_root = stats.name == "query"
+        # A recorded total is what the shares are of, not one of them.
         share = (
-            "" if is_root or total_sim <= 0.0
+            "" if stats.name in RECORDED or total_sim <= 0.0
             else f"{100.0 * stats.sim_s / total_sim:6.1f}%"
-        )
-        sim_total = (
-            summary.recorded_access_latency_s if is_root else stats.sim_s
-        )
-        sim_mean = (
-            sim_total / stats.count if stats.count else 0.0
         )
         lines.append(
             f"{stats.name:<24} {stats.count:>8} {stats.wall_ms:>12.2f}"
-            f" {stats.mean_wall_ms():>10.4f} {sim_total:>12.3f}"
-            f" {sim_mean:>11.4f} {share:>7}"
+            f" {stats.mean_wall_ms():>10.4f} {stats.sim_s:>12.3f}"
+            f" {stats.mean_sim_s():>11.4f} {share:>7}"
         )
     lines.append("")
     if summary.queries:

@@ -549,6 +549,10 @@ class BaseStationServer:
                     await self._register_standing(job)
                 else:
                     await self._serve_query(job)
+            except ReproError:
+                # A tick the monitor could not finish (or a refusal no
+                # frame can carry) costs that job only, not the worker.
+                self._count("serve.errors")
             finally:
                 self.queue.task_done()
 
@@ -594,20 +598,7 @@ class BaseStationServer:
             session.inflight -= 1
             self._note_service(perf_counter() - started)
         session.record(self._now(), "answer", id=request_id)
-        try:
-            await self._send(session, reply)
-        except FrameTooLargeError as exc:
-            # The reply itself blew the frame bound: the stream is
-            # still intact (nothing was written), so answer with a
-            # typed error instead of killing the worker or the session.
-            session.errors += 1
-            self._count("serve.oversized_replies")
-            await self._send(
-                session,
-                error_message(
-                    str(exc), request_id=request_id, code="too-large"
-                ),
-            )
+        await self._send(session, reply)
 
     def _execute(self, session: ClientSession, request_id, event: QueryEvent):
         tracer = session.tracer
@@ -744,4 +735,15 @@ class BaseStationServer:
         return True
 
     async def _send(self, session: ClientSession, message: dict[str, Any]):
-        return await self._write(session.writer, message, session.encoding)
+        try:
+            return await self._write(session.writer, message, session.encoding)
+        except FrameTooLargeError as exc:
+            # The message blew the frame bound: nothing was written, the
+            # stream is intact, so it costs only itself — the session
+            # gets a typed error naming the request or standing query.
+            session.errors += 1
+            self._count("serve.oversized_replies")
+            refusal = error_message(str(exc), message.get("id"), "too-large")
+            if "standing_id" in message:
+                refusal["standing_id"] = message["standing_id"]
+            return await self._write(session.writer, refusal, session.encoding)

@@ -291,10 +291,6 @@ def test_hosts_without_a_wire_form_are_refused():
 
     with pytest.raises(CodecError, match="HomeGrownPolicy"):
         encode(warm_host(HomeGrownPolicy()))
-    standing = warm_host()
-    standing.standing[1] = object()
-    with pytest.raises(CodecError, match="standing"):
-        encode(standing)
     traced = warm_host()
     traced.cache.tracer = NO_TRACER
     with pytest.raises(CodecError, match="traced"):

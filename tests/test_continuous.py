@@ -7,6 +7,7 @@ query, exactly the answers a naive recompute-from-scratch run returns
 measurably fewer tuning packets on the broadcast channel.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast import BatchMember, OnAirClient, batch_scan, plan_knn
+from repro.broadcast import (
+    BatchMember,
+    OnAirClient,
+    answer_knn,
+    answer_window,
+    batch_scan,
+    plan_knn,
+    plan_window,
+)
 from repro.cache import EVICTION_MARGIN, POICache
 from repro.check import (
     run_continuous_campaign,
     safe_region_contract,
 )
 from repro.check.oracles import oracle_knn_ids, oracle_window_ids
+from repro.core import Resolution
 from repro.continuous import (
     ContinuousMonitor,
     derive_safe_region,
@@ -28,6 +38,7 @@ from repro.continuous import (
 )
 from repro.errors import BroadcastError, ExperimentError, ReproError
 from repro.experiments import Simulation
+from repro.faults import ChannelModel, FaultConfig
 from repro.geometry import Point, Rect, RectUnion
 from repro.index import brute_force_knn
 from repro.model import POI
@@ -304,6 +315,61 @@ class TestBatchScan:
         assert shared.width == 3
         assert shared.cost.tuning_packets < solo_total
 
+    @given(
+        seed=st.integers(0, 50),
+        qx=st.floats(0.5, 19.5),
+        qy=st.floats(0.5, 19.5),
+        k=st.integers(1, 12),
+        side=st.floats(0.2, 6.0),
+        t_query=st.floats(0.0, 500.0),
+        loss=st.sampled_from([None, 0.3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_width_one_batch_is_the_solo_scan(
+        self, seed, qx, qy, k, side, t_query, loss
+    ):
+        # The law the one pipeline rests on: a batch of one is the solo
+        # scan — every cost field, the download and the answer — on the
+        # perfect channel and on a lossy one drawing the same stream.
+        client, _ = self.make_client(n=120, seed=seed)
+        server, schedule = client.server, client.schedule
+
+        def channel():
+            if loss is None:
+                return None
+            config = FaultConfig(bucket_loss_rate=loss, seed=7)
+            return ChannelModel(config, tx_range=1.0)
+
+        q = Point(qx, qy)
+        plan = plan_knn(server, q, k)
+        client.channel = channel()
+        solo = client.knn(q, k, t_query=t_query)
+        batched = batch_scan(
+            server, schedule,
+            [BatchMember(5, plan.bucket_ids, plan.index_read_packets)],
+            t_query, channel=channel(),
+        )
+        assert solo.plan == plan
+        assert batched.cost == solo.cost
+        assert batched.downloads[5] == solo.downloaded
+        assert answer_knn(plan, q, k, (), batched.downloads[5], batched.cost) == solo
+
+        windows = [Rect(qx - side / 2, qy - side / 2, qx, qy + side / 2),
+                   Rect(qx, qy - side / 2, qx + side / 2, qy + side / 2)]
+        bucket_ids, bonus = plan_window(server, windows)
+        client.channel = channel()
+        solo = client.window(windows, t_query=t_query)
+        batched = batch_scan(
+            server, schedule,
+            [BatchMember(9, bucket_ids, server.index.tree_probe_packets)],
+            t_query, channel=channel(),
+        )
+        assert batched.cost == solo.cost
+        assert batched.downloads[9] == solo.downloaded
+        assert answer_window(
+            windows, bucket_ids, bonus, batched.downloads[9], batched.cost
+        ) == solo
+
     def test_empty_members_rejected(self):
         client, _ = self.make_client(n=20)
         with pytest.raises(BroadcastError):
@@ -405,6 +471,53 @@ class TestEngineAB:
                     assert sorted(ids_mon) == oracle_window_ids(
                         sim_mon.pois, window
                     )
+
+    @pytest.mark.parametrize("kind", [QueryKind.KNN, QueryKind.WINDOW])
+    def test_one_shot_query_is_a_naive_tick_of_one(self, kind, monkeypatch):
+        # Two identically seeded, identically warmed worlds: the same
+        # template at the same time through execute_query on one and
+        # through one naive tick on the other leaves the same record
+        # (answers, tuning packets, access latency, ...) and the same
+        # caches.
+        params = scaled_parameters(LA_CITY, area_scale=0.02)
+        settled = []
+        real = ContinuousMonitor._settle
+
+        def spy(self, query, position, result, answers):
+            settled.append(result)
+            return real(self, query, position, result, answers)
+
+        monkeypatch.setattr(ContinuousMonitor, "_settle", spy)
+        resolutions = set()
+        for draw in range(6):
+            one_shot, ticked = (
+                Simulation(
+                    params, seed=3, accept_approximate=False, overhear=False
+                )
+                for _ in range(2)
+            )
+            for sim in (one_shot, ticked):
+                sim.run_workload(kind, 0, 60)
+            (query,) = standing_queries(
+                params, kind, np.random.default_rng((draw, 0xC017)), 1
+            )
+            t = one_shot.env.now + 10.0
+            # the monitor force-refreshes positions; so must the one-shot
+            one_shot._refresh_positions(t)
+            event = dataclasses.replace(query.template, time=t)
+            expected = one_shot.execute_query(event)
+            monitor = ContinuousMonitor(
+                ticked, [query], use_safe_regions=False, batch_scans=False
+            )
+            answers = monitor.tick(t)
+            (got,) = settled[-1:]
+            assert got.record == expected.record
+            assert answers[query.query_id] == got.answers == expected.answers
+            assert got.shared == expected.shared
+            assert monitor.stats.tuning_packets == expected.record.tuning_packets
+            assert ticked.share_states() == one_shot.share_states()
+            resolutions.add(expected.record.resolution)
+        assert Resolution.BROADCAST in resolutions
 
     def test_monitored_mode_spends_fewer_tuning_packets(self):
         (_, _), (mon, naive) = self.build_pair(QueryKind.KNN, standing=12)

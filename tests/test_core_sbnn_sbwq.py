@@ -12,6 +12,7 @@ from repro.errors import ReproError
 from repro.geometry import Point, Rect, RectUnion
 from repro.index import brute_force_knn, brute_force_window
 from repro.model import POI
+from repro.obs import Tracer
 from repro.p2p import ShareResponse
 
 WORLD = Rect(0, 0, 20, 20)
@@ -301,14 +302,14 @@ class TestSBWQCoveredFraction:
 
 
 class TestAnnotateKnob:
-    """The annotate= knob: BROADCAST outcomes can now carry Lemma 3.2
-    correctness annotations without changing any resolution."""
+    """Annotation follows the tracer: a traced BROADCAST outcome carries
+    Lemma 3.2 correctness annotations, and no resolution changes."""
 
     def broadcast_setup(self):
         # Two candidates for k=3: the near one verifies, the far one's
         # verification disc exits the VR (unverified), and the heap
-        # stays short — so "auto" skips annotation and the query goes
-        # to broadcast with an unannotated unverified entry.
+        # stays short — so untraced the annotation is skipped and the
+        # query goes to broadcast with an unannotated unverified entry.
         pois = [POI(0, Point(10, 10.05)), POI(1, Point(10.5, 10))]
         vr = Rect(0, 0, 20, 10.2)
         return Point(10, 10), [ShareResponse(0, (vr,), tuple(pois))]
@@ -322,31 +323,22 @@ class TestAnnotateKnob:
 
     def test_always_annotates_broadcast_without_changing_resolution(self):
         q, responses = self.broadcast_setup()
-        auto = sbnn(q, responses, k=3, poi_density=0.05)
-        always = sbnn(q, responses, k=3, poi_density=0.05, annotate="always")
-        assert always.resolution is auto.resolution is Resolution.BROADCAST
-        assert always.annotated
+        plain = sbnn(q, responses, k=3, poi_density=0.05)
+        tracer = Tracer()
+        traced = sbnn(q, responses, k=3, poi_density=0.05, tracer=tracer)
+        assert traced.resolution is plain.resolution is Resolution.BROADCAST
+        assert traced.annotated
         assert all(
-            e.correctness is not None for e in always.heap.unverified_entries
+            e.correctness is not None for e in traced.heap.unverified_entries
         )
-
-    def test_never_refuses_approximate(self):
-        # Same world with k=2: the heap fills, the unverified sliver is
-        # tiny, so auto resolves APPROXIMATE; "never" leaves
-        # correctness unset so the same query falls to BROADCAST.
-        q, responses = self.broadcast_setup()
-        auto = sbnn(q, responses, k=2, poi_density=0.05, accept_approximate=True)
-        never = sbnn(
-            q, responses, k=2, poi_density=0.05,
-            accept_approximate=True, annotate="never",
-        )
-        assert auto.resolution is Resolution.APPROXIMATE
-        assert never.resolution is Resolution.BROADCAST
-        assert not never.annotated
+        assert [root.name for root in tracer.roots] == [
+            "core.nnv", "core.annotate"
+        ]
 
     def test_resolution_invariant_auto_vs_always(self):
-        # Property: "always" is pure metadata — resolutions match
-        # "auto" across random worlds.
+        # Property: the traced annotations are pure metadata —
+        # resolutions match the untraced ones across random worlds,
+        # whether or not approximate answers are accepted.
         rng = np.random.default_rng(11)
         pois = make_pois(n=100, seed=12)
         for _ in range(25):
@@ -357,10 +349,13 @@ class TestAnnotateKnob:
                 responses.append(honest_response(peer_id, vr, pois))
             q = Point(*rng.uniform(2, 18, 2))
             k = int(rng.integers(1, 6))
-            auto = sbnn(q, responses, k=k, poi_density=0.25)
-            always = sbnn(q, responses, k=k, poi_density=0.25, annotate="always")
-            assert auto.resolution is always.resolution
-
-    def test_invalid_mode_raises(self):
-        with pytest.raises(ReproError):
-            sbnn(Point(1, 1), [], k=2, poi_density=0.5, annotate="sometimes")
+            for accept in (True, False):
+                plain = sbnn(
+                    q, responses, k=k, poi_density=0.25,
+                    accept_approximate=accept,
+                )
+                traced = sbnn(
+                    q, responses, k=k, poi_density=0.25,
+                    accept_approximate=accept, tracer=Tracer(),
+                )
+                assert plain.resolution is traced.resolution

@@ -273,6 +273,48 @@ class TestTracedSimulation:
                 stack.extend(node.get("children", ()))
             assert math.isclose(sim_total, recorded, rel_tol=1e-9, abs_tol=1e-12)
 
+    def test_traced_ticks_balance_and_match_untraced(self):
+        # A standing re-evaluation is the one-shot pipeline under a
+        # shared scan: the same core.* / broadcast.* spans, the tick's
+        # channel time recorded on continuous.tick, coverage 1.
+        params = scaled_parameters(SYNTHETIC_SUBURBIA, area_scale=0.02)
+        runs = {}
+        for label, tracer in (("plain", None), ("traced", Tracer())):
+            sim = Simulation(
+                params, seed=7, accept_approximate=False, overhear=False,
+                tracer=tracer,
+            )
+            monitor = sim.run_continuous(
+                QueryKind.KNN, standing=8, ticks=4, warmup_queries=30
+            )
+            runs[label] = (monitor.stats, sim.share_states())
+        assert runs["plain"] == runs["traced"]
+        ticks = [r.to_dict() for r in tracer.roots if r.name == "continuous.tick"]
+        assert len(ticks) == 4
+        names = set()
+        for doc in ticks:
+            sim_total = 0.0
+            stack = list(doc.get("children", ()))
+            while stack:
+                node = stack.pop()
+                names.add(node["name"])
+                sim_total += (node.get("attributes") or {}).get("sim_s", 0.0)
+                stack.extend(node.get("children", ()))
+            assert math.isclose(
+                sim_total, doc["attributes"]["access_latency"],
+                rel_tol=1e-9, abs_tol=1e-12,
+            )
+        assert {
+            "core.nnv", "cache.insert",
+            "broadcast.index_scan", "broadcast.data_scan",
+        } <= names
+        assert sum(d["attributes"]["access_latency"] for d in ticks) == (
+            pytest.approx(runs["traced"][0].access_latency)
+        )
+        summary = summarize_spans([root.to_dict() for root in tracer.roots])
+        assert summary.queries == 30
+        assert summary.coverage == pytest.approx(1.0, rel=1e-9)
+
     def test_tracing_leaves_records_bit_identical(self):
         plain = run_sim()
         traced = run_sim(tracer=Tracer(), registry=MetricsRegistry())

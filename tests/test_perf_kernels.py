@@ -242,12 +242,12 @@ class TestMVRMemo:
         sim = Simulation(scaled_parameters(LA_CITY, area_scale=0.02), seed=3)
         sim.run_workload(QueryKind.KNN, 0, 200)
         sim.run_workload(QueryKind.WINDOW, 0, 100)
-        # standing queries hang off their hosts, certificates and all
+        # standing queries live in their monitor, certificates and all
         monitor = sim.run_continuous(QueryKind.KNN, standing=30, ticks=3)
         assert any(query.safe is not None for query in monitor.queries)
-        assert sum(len(host.standing) for host in sim.hosts) == 30
+        assert len(monitor.queries) == 30
         assert type(host_module.MVR) is MVRMemo
-        held = {"host_id", "cache", "_share_generation", "_share_memo", "standing"}
+        held = {"host_id", "cache", "_share_generation", "_share_memo"}
         for host in sim.hosts:
             assert set(vars(host)) == held
             seen, stack = set(), [host]

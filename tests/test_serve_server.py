@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ExperimentError, ServeError
 from repro.experiments import Simulation
 from repro.obs import load_trace, summarize_spans
 from repro.serve import (
@@ -344,6 +344,62 @@ class TestSessions:
         assert push["plan"] == "standing"
         assert len(push["poi_ids"]) == 3
         assert remaining == []
+
+    def test_oversized_standing_push_costs_only_itself(self, monkeypatch):
+        # 42 POIs in the scaled world: the k=5000 push is ~200 bytes
+        # and blows a 150-byte frame bound on every tick; the ack, the
+        # typed refusals and small answers stay inside it.
+        def broken_tick(t):
+            raise ExperimentError("boom")
+
+        async def scenario():
+            server = await started_server(
+                seed=1, tick_interval=0.05, max_frame=150
+            )
+            worker = next(
+                t for t in server._tasks if t.get_name() == "serve-worker"
+            )
+            try:
+                client = ServeClient("127.0.0.1", server.port, "watcher")
+                await client.connect()
+                ack = await client.request(
+                    {"type": "QUERY", "kind": "knn", "k": 5000,
+                     "standing": True}
+                )
+                assert ack["registered"] is True
+                for _ in range(100):
+                    if client.pushes:
+                        break
+                    await asyncio.sleep(0.02)
+                refusal = client.pushes[0]
+                small = await client.request(
+                    {"type": "QUERY", "kind": "knn", "k": 2}
+                )
+                # A tick the monitor cannot finish is lost, nothing more.
+                ticks = server.snapshot()["serve.ticks"]
+                monkeypatch.setattr(server.monitor, "tick", broken_tick)
+                for _ in range(100):
+                    if server.snapshot().get("serve.errors"):
+                        break
+                    await asyncio.sleep(0.02)
+                after = await client.request(
+                    {"type": "QUERY", "kind": "knn", "k": 2}
+                )
+                counters = server.snapshot()
+                await client.close()
+                return ack, refusal, small, after, ticks, counters, worker.done()
+            finally:
+                await server.stop()
+
+        ack, refusal, small, after, ticks, counters, done = run(scenario())
+        assert refusal["type"] == "ERROR" and refusal["code"] == "too-large"
+        assert refusal["standing_id"] == ack["standing_id"]
+        assert small["type"] == after["type"] == "ANSWER"
+        assert len(small["poi_ids"]) == 2
+        assert counters["serve.oversized_replies"] >= 1.0
+        assert counters["serve.errors"] >= 1.0
+        assert counters["serve.ticks"] == ticks  # failed ticks do not count
+        assert not done
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,9 @@ lint:
 	@echo ">> one channel read, one pipeline per query kind, one standing-query registry"
 	@test "$$(grep -rI 'retrieve_with[_]recovery(' src/repro | grep -v 'broadcast/schedule.py' | wc -l)" -eq 1
 	@! grep -rIn '[_]finalize_member\|annotate[=]\|host[^ ]*\.standing\>' src/repro
+	@echo ">> one disc read: the closed form is called by the batched kernel and the brute oracle, core prices no piece itself"
+	@test "$$(grep -rI 'circle_rect_intersection[_]area(' src/repro | grep -v 'geometry/circle.py' | wc -l)" -eq 2
+	@! grep -rIn 'disjoint[_]rects()' src/repro/core
 
 test:
 	@echo ">> tier-1 tests"

@@ -16,7 +16,7 @@ with :func:`set_check_enabled`.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def set_check_enabled(on: bool) -> bool:
 # Seam checks.  Callers guard with ``if check_enabled():`` so the
 # off-path cost is a single boolean test and no argument evaluation.
 # ----------------------------------------------------------------------
-def check_heap(heap: "ResultHeap") -> None:
+def check_heap(heap: "ResultHeap", accepted_at: float | None = None) -> None:
     """Heap-state legality after NNV (the six ``H`` states, Table 2).
 
     * at most ``k`` entries, unique POI ids;
@@ -66,7 +66,13 @@ def check_heap(heap: "ResultHeap") -> None:
       through a disc around the query, so any POI nearer than a
       verified one is verified too;
     * the reported :class:`~repro.core.heap.HeapState` matches the
-      entry counts.
+      entry counts;
+    * the Lemma 3.2 annotations sit on unverified entries only, each
+      in ``[0, 1]``, and the annotated ones are the farthest (the pass
+      walks inwards from the far end and may stop early);
+    * with ``accepted_at`` — the threshold an ``APPROXIMATE`` outcome
+      was accepted at, passed where the resolution is known — every
+      unverified entry is annotated and at or above it.
     """
     from ..core.heap import HeapState
 
@@ -81,7 +87,7 @@ def check_heap(heap: "ResultHeap") -> None:
     keys = [e.sort_key() for e in entries]
     if keys != sorted(keys):
         raise InvariantViolation(f"heap entries out of distance order: {keys}")
-    seen_unverified = False
+    seen_unverified = seen_annotated = False
     for entry in entries:
         if entry.verified and seen_unverified:
             raise InvariantViolation(
@@ -90,11 +96,32 @@ def check_heap(heap: "ResultHeap") -> None:
             )
         if not entry.verified:
             seen_unverified = True
-        if entry.correctness is not None and not (
-            0.0 <= entry.correctness <= 1.0
-        ):
+        if entry.correctness is None:
+            if seen_annotated:
+                raise InvariantViolation(
+                    "unannotated heap entry beyond an annotated one"
+                    f" (poi {entry.poi.poi_id} at {entry.distance})"
+                )
+            if accepted_at is not None and not entry.verified:
+                raise InvariantViolation(
+                    f"unverified poi {entry.poi.poi_id} accepted without"
+                    " a Lemma 3.2 correctness annotation"
+                )
+            continue
+        seen_annotated = True
+        if entry.verified:
+            raise InvariantViolation(
+                f"verified poi {entry.poi.poi_id} carries a correctness"
+                " annotation"
+            )
+        if not (0.0 <= entry.correctness <= 1.0):
             raise InvariantViolation(
                 f"correctness {entry.correctness} outside [0, 1]"
+            )
+        if accepted_at is not None and entry.correctness < accepted_at:
+            raise InvariantViolation(
+                f"unverified poi {entry.poi.poi_id} accepted at correctness"
+                f" {entry.correctness} < threshold {accepted_at}"
             )
     verified = heap.verified_count
     unverified = len(entries) - verified
@@ -200,27 +227,38 @@ def check_cache(cache) -> None:
 
 
 def check_union(
-    union, point: "Point", window: "Rect | None" = None
+    union,
+    point: "Point",
+    window: "Rect | None" = None,
+    radii: "Sequence[float]" = (),
 ) -> None:
     """A merged region's fast reads against the pure-Python slab sweep.
 
     A bulk-built :class:`~repro.geometry.SlabUnion` answers
-    ``contains_point``, ``contains_points`` and
-    ``distance_to_boundary`` from its members and the coverage grid
+    ``contains_point``, ``contains_points``, ``distance_to_boundary``
+    and the batched disc areas from its members and the coverage grid
     without building slabs, and — given a ``window`` — ``covers_rect``
     and ``subtract_from_rect`` from the members the window meets; all
-    five must equal what the sweep-built slab structure of the same
+    six must equal what the sweep-built slab structure of the same
     members says, bit for bit (Lemma 3.1 turns on ``distance <=
     boundary distance``; the remainder rectangles pick the broadcast
-    buckets).  The containment mask is probed where cuts cross: each
-    member's corners, its cuts against the next member's, and the
-    midpoint between the two (a cell interior, often a hole).
+    buckets; Lemma 3.2 turns on ``exp(-λu) >= threshold``).  The
+    containment mask is probed where cuts cross: each member's
+    corners, its cuts against the next member's, and the midpoint
+    between the two (a cell interior, often a hole).  The discs around
+    ``point`` are one tangent to the nearest boundary edge, one
+    swallowing the MBR and one half-way, each read as a batch of one,
+    and the caller's ``radii`` (the heap's, at the annotate seam) read
+    as the one batch ``annotate_heap`` makes of them — against the
+    sweep's pieces one disc and one piece at a time.
     """
+    from ..geometry import Circle
     from ..geometry.region import (
         boundary_min_distance,
         slabs_boundary_coord_arrays,
         slabs_contains_point,
         slabs_covers_rect,
+        slabs_disc_intersection_area,
         slabs_subtract_from_rect,
         sweep_slabs,
     )
@@ -272,3 +310,19 @@ def check_union(
             f"union distance_to_boundary({point.x!r}, {point.y!r}) is"
             f" {distance!r}, the slab sweep says {expected!r}"
         )
+    beyond = 1.5 * union.mbr().max_distance_to_point(point)
+    probes = [distance, (distance + beyond) / 2.0, beyond]
+    areas = [union.disc_intersection_area(Circle(point, r)) for r in probes]
+    if radii:
+        discs = union.disc_pieces(point, max(radii))
+        probes += radii
+        areas += [discs.intersection_area(r) for r in radii]
+    for radius, area in zip(probes, areas):
+        expected = slabs_disc_intersection_area(
+            xs, slabs, Circle(point, radius)
+        )
+        if area != expected:
+            raise InvariantViolation(
+                f"union disc area at ({point.x!r}, {point.y!r}), radius"
+                f" {radius!r} is {area!r}, the slab sweep says {expected!r}"
+            )

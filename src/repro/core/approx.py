@@ -58,18 +58,48 @@ def surpassing_ratio(
 
 
 def annotate_heap(
-    query: Point, heap: ResultHeap, mvr: SlabUnion, poi_density: float
-) -> None:
-    """Fill in correctness probability and surpassing ratio for every
-    unverified heap entry (they are memorised in ``H`` — Table 2)."""
+    query: Point,
+    heap: ResultHeap,
+    mvr: SlabUnion,
+    poi_density: float,
+    min_correctness: float = 0.0,
+) -> dict[str, int]:
+    """Fill in correctness probability and surpassing ratio for the
+    unverified heap entries (they are memorised in ``H`` — Table 2).
+
+    The discs ``C(q, r')`` of one heap are concentric, so their areas
+    are one batched read of the MVR
+    (:meth:`~repro.geometry.SlabUnion.disc_pieces`), and ``exp(-λu)``
+    only falls as ``r'`` grows: the entries are walked from the
+    farthest inwards and the walk stops at the first one below
+    ``min_correctness`` — that entry alone refuses the approximate
+    answer, and the nearer ones, which nothing reads then, keep
+    ``correctness=None``.  The default ``0.0`` annotates every entry.
+    Each value is what :func:`correctness_probability` returns.
+
+    Returns the counts the ``core.annotate`` span carries: unverified
+    ``entries``, how many were ``annotated``, the MVR's ``pieces`` and
+    the ``pieces_near`` the farthest disc.
+    """
+    if poi_density < 0:
+        raise ReproError(f"POI density must be non-negative, got {poi_density}")
+    unverified = heap.unverified_entries
+    if not unverified:
+        return {"entries": 0, "annotated": 0}
     anchor = heap.last_verified_distance
-    for entry in heap:
-        if entry.verified:
-            continue
-        entry.correctness = correctness_probability(
-            query, entry.distance, mvr, poi_density
-        )
+    discs = mvr.disc_pieces(query, unverified[-1].distance)
+    for annotated, entry in enumerate(reversed(unverified), start=1):
+        u = discs.uncovered_area(entry.distance)
+        entry.correctness = math.exp(-poi_density * u)
         entry.surpassing_ratio = surpassing_ratio(entry.distance, anchor)
+        if entry.correctness < min_correctness:
+            break
+    return {
+        "entries": len(unverified),
+        "annotated": annotated,
+        "pieces": len(mvr.piece_table()[0]),
+        "pieces_near": len(discs.near),
+    }
 
 
 def expected_detour(

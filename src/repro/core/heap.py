@@ -33,7 +33,15 @@ class HeapState(Enum):
 @dataclass(slots=True)
 class HeapEntry:
     """One candidate NN: POI, distance, verification status, and the
-    approximate-answer annotations of Section 3.3.2."""
+    approximate-answer annotations of Section 3.3.2.
+
+    ``correctness`` / ``surpassing_ratio`` stay ``None`` on a verified
+    entry, on every entry of a heap the annotation pass skipped, and
+    on the unverified entries nearer than the one at which an
+    early-stopped pass refused the approximate answer
+    (:func:`~repro.core.approx.annotate_heap`): within one heap the
+    annotated unverified entries are always the farthest ones.
+    """
 
     poi: POI
     distance: float

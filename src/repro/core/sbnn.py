@@ -46,10 +46,14 @@ class Resolution(Enum):
 class SBNNOutcome:
     """Everything Algorithm 2 decides before (maybe) going on-air.
 
-    ``annotated`` says whether the Lemma 3.2 correctness annotations
-    were computed for this outcome — untraced, they are skipped exactly
-    when they cannot decide the approximate path, which leaves
-    ``correctness=None`` on the heap entries.
+    ``annotated`` says whether the Lemma 3.2 annotation pass ran for
+    this outcome — untraced, it is skipped exactly when it cannot
+    decide the approximate path, which leaves ``correctness=None`` on
+    the heap entries.  When it ran untraced and the outcome is
+    ``BROADCAST``, it stopped at the farthest entry below the
+    threshold: that entry and those beyond it are annotated, the
+    nearer ones are not.  An ``APPROXIMATE`` outcome, and any traced
+    one, has every unverified entry annotated.
     """
 
     resolution: Resolution
@@ -87,7 +91,11 @@ def sbnn(
     ``correctness=None``, fine for the decision, useless for a trace
     consumer asking *why* the peers fell short.  Annotating never
     changes the resolution, because the approximate path already
-    required a full heap.
+    required a full heap.  Untraced, the pass is handed
+    ``min_correctness`` and stops at the entry that decides it
+    (:func:`~repro.core.approx.annotate_heap`); ``all(...)`` below is
+    order-independent, so the resolution is the one annotating every
+    entry gives.
 
     ``tracer`` is an optional :class:`repro.obs.Tracer`; when given,
     the NNV pass and the annotation pass each get a span
@@ -114,12 +122,15 @@ def sbnn(
         and (tracer is not None or (accept_approximate and heap.is_full))
     )
     if needs_annotation:
+        if invariants.check_enabled():
+            invariants.check_union(
+                mvr, query, radii=[e.distance for e in heap.unverified_entries]
+            )
         if tracer is None:
-            annotate_heap(query, heap, mvr, poi_density)
+            annotate_heap(query, heap, mvr, poi_density, min_correctness)
         else:
             with tracer.span("core.annotate") as span:
-                annotate_heap(query, heap, mvr, poi_density)
-                span.set(entries=len(heap.unverified_entries))
+                span.set(**annotate_heap(query, heap, mvr, poi_density))
 
     if heap.verified_count >= k:
         resolution = Resolution.VERIFIED
@@ -135,7 +146,8 @@ def sbnn(
     else:
         resolution = Resolution.BROADCAST
     if invariants.check_enabled():
-        invariants.check_heap(heap)
+        accepted = resolution is Resolution.APPROXIMATE
+        invariants.check_heap(heap, min_correctness if accepted else None)
     return SBNNOutcome(
         resolution=resolution,
         heap=heap,

@@ -556,6 +556,111 @@ def slabs_disjoint_rects(xs: Sequence[float], slabs: SlabList) -> list[Rect]:
     return pieces
 
 
+def slabs_disc_intersection_area(
+    xs: Sequence[float], slabs: SlabList, circle: Circle
+) -> float:
+    """Exact area of ``disc ∩ union``, one piece and one disc at a time.
+
+    The brute form of the disc read — :class:`RectUnion`'s, and the
+    reference :class:`DiscPieces` is compared against.
+    """
+    total = 0.0
+    for piece in slabs_disjoint_rects(xs, slabs):
+        if circle.intersects_rect(piece):
+            total += circle_rect_intersection_area(circle, piece)
+    return min(total, circle.area)
+
+
+# A piece table is :func:`slabs_disjoint_rects` as four coordinate
+# arrays ``(x1, y1, x2, y2)`` — same pieces, same order, same floats.
+PieceTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def slabs_piece_table(xs: Sequence[float], slabs: SlabList) -> PieceTable:
+    """The piece table of a built slab structure."""
+    pieces = [r.as_tuple() for r in slabs_disjoint_rects(xs, slabs)]
+    table = np.array(pieces, dtype=np.float64).reshape(len(pieces), 4)
+    return tuple(np.ascontiguousarray(table.T))
+
+
+def grid_piece_table(
+    padded_grid: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> PieceTable:
+    """The piece table, read off the coverage grid: a maximal run of
+    covered cells in an x-slab is one merged interval of that slab
+    (:func:`grid_slabs`), so the runs in row-major order are the
+    pieces in slab order, with no slab tuples and no ``Rect`` built."""
+    xs, ys, padded = padded_grid
+    x1, y1, x2, y2 = [], [], [], []
+    for lo, cover in _row_blocks(padded[1:-1, 1:-1]):
+        rows, first, stop = _row_runs(cover)
+        x1.append(xs[lo + rows])
+        y1.append(ys[first])
+        x2.append(xs[lo + rows + 1])
+        y2.append(ys[stop])
+    return tuple(np.concatenate(c) for c in (x1, y1, x2, y2))
+
+
+class DiscPieces:
+    """The pieces of a union that concentric discs ``C(center, r)``,
+    ``r <= reach``, can meet — the batched disc read of Lemma 3.2.
+
+    The discs of one heap share a centre, so a piece's distance to it
+    is computed once: ``dx`` / ``dy`` as array expressions, a
+    comparisons-only Chebyshev prefilter ``max(dx, dy) <= reach``, then
+    ``math.hypot`` per survivor, kept for every radius as the exact
+    ``Circle.intersects_rect`` test.  The prefilter drops no piece the
+    exact test keeps: ``max(dx, dy) <= math.hypot(dx, dy)`` holds in
+    floats (rounding is monotone and the larger leg is representable).
+    The area itself stays the scalar closed form summed in piece order
+    — ``np.arcsin`` and a vectorised sum are not ``math.asin`` and the
+    loop to the last bit — so every area equals
+    :func:`slabs_disc_intersection_area`'s.
+    """
+
+    __slots__ = ("center", "reach", "near")
+
+    def __init__(self, table: PieceTable, center: Point, reach: float):
+        x1, y1, x2, y2 = table
+        qx, qy = center.x, center.y
+        dx = np.maximum(np.maximum(x1 - qx, 0.0), qx - x2)
+        dy = np.maximum(np.maximum(y1 - qy, 0.0), qy - y2)
+        kept = np.flatnonzero(np.maximum(dx, dy) <= reach)
+        self.center = center
+        self.reach = reach
+        # ``(distance, piece)`` of the pieces within reach, in piece order.
+        self.near = [
+            (d, Rect(*piece))
+            for d, piece in zip(
+                map(math.hypot, dx[kept].tolist(), dy[kept].tolist()),
+                zip(*(c[kept].tolist() for c in table)),
+            )
+            if d <= reach
+        ]
+
+    def _covered(self, circle: Circle) -> float:
+        radius = circle.radius
+        if radius > self.reach:
+            raise GeometryError(
+                f"disc radius {radius} beyond the prepared reach {self.reach}"
+            )
+        total = 0.0
+        for distance, piece in self.near:
+            if distance <= radius:
+                total += circle_rect_intersection_area(circle, piece)
+        return min(total, circle.area)
+
+    def intersection_area(self, radius: float) -> float:
+        """Exact area of ``C(center, radius) ∩ union``."""
+        return self._covered(Circle(self.center, radius))
+
+    def uncovered_area(self, radius: float) -> float:
+        """Exact area of ``C(center, radius) - union`` — the
+        *unverified region* size ``u``."""
+        circle = Circle(self.center, radius)
+        return max(0.0, circle.area - self._covered(circle))
+
+
 def slabs_subtract_from_rect(
     xs: Sequence[float], slabs: SlabList, window: Rect
 ) -> list[Rect]:
@@ -851,11 +956,9 @@ class RectUnion:
     # ------------------------------------------------------------------
     def disc_intersection_area(self, circle: Circle) -> float:
         """Exact area of ``disc ∩ union``."""
-        total = 0.0
-        for piece in self.disjoint_rects():
-            if circle.intersects_rect(piece):
-                total += circle_rect_intersection_area(circle, piece)
-        return min(total, circle.area)
+        return slabs_disc_intersection_area(
+            self._xs, self._slab_intervals, circle
+        )
 
     def disc_uncovered_area(self, circle: Circle) -> float:
         """Exact area of ``disc - union`` — the *unverified region* size."""

@@ -17,15 +17,18 @@ matches the eager build exactly — not just within tolerance.
 
 **Lazy bulk builds.**  :meth:`from_rects` over a large rectangle set
 (the merged-MVR case) records the members and builds nothing.  The
-reads NNV makes — emptiness, MBR, containment, distance to the
-boundary — are answered from the members and from one coverage grid,
-built by whichever of the two asks first: the containment mask is a
-cell lookup in it
-(:func:`~repro.geometry.region.grid_contains_points`) and the boundary
+reads the kNN path makes — emptiness, MBR, containment, distance to
+the boundary, disc areas — are answered from the members and from one
+coverage grid, built by whichever of them asks first: the containment
+mask is a cell lookup in it
+(:func:`~repro.geometry.region.grid_contains_points`), the boundary
 arrays are its run lengths
-(:func:`~repro.geometry.region.grid_boundary_coord_arrays`).  The
-reads SBWQ makes — window coverage and the remainder ``w'`` — from
-the members the window meets
+(:func:`~repro.geometry.region.grid_boundary_coord_arrays`), and so is
+the piece table the Lemma 3.2 disc areas are priced against
+(:func:`~repro.geometry.region.grid_piece_table`; the concentric discs
+of one heap share one :class:`~repro.geometry.region.DiscPieces`
+read).  The reads SBWQ makes — window coverage and the remainder
+``w'`` — from the members the window meets
 (:func:`~repro.geometry.region.window_slabs`); the slab structure is
 built, by the same grid kernel, by the first read that needs all of
 it.  Every route gives the floats the eager build gives.
@@ -38,16 +41,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import GeometryError
-from .circle import Circle, circle_rect_intersection_area
+from .circle import Circle
 from .point import Point
 from .rect import Rect
 from .region import (
     GRID_MIN_RECTS,
+    DiscPieces,
     Interval,
+    PieceTable,
     boundary_min_distance,
     build_slabs,
     grid_boundary_coord_arrays,
     grid_contains_points,
+    grid_piece_table,
     padded_coverage_grid,
     rects_contain_points,
     slabs_area,
@@ -57,6 +63,7 @@ from .region import (
     slabs_covers_rect,
     slabs_disjoint_rects,
     slabs_intersects_rect,
+    slabs_piece_table,
     slabs_subtract_from_rect,
     window_slabs,
     x_cuts,
@@ -181,8 +188,8 @@ class SlabUnion:
 
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The padded coverage grid of a lazy union's members, built
-        once: containment looks points up in it and the boundary
-        arrays are its run lengths."""
+        once: containment looks points up in it, the boundary arrays
+        and the piece table are its run lengths."""
         return self._memo_get(
             "grid", lambda: padded_coverage_grid(self._members)
         )
@@ -265,12 +272,29 @@ class SlabUnion:
     # ------------------------------------------------------------------
     # Disc interactions (Lemma 3.2 support)
     # ------------------------------------------------------------------
+    def piece_table(self) -> PieceTable:
+        """:meth:`disjoint_rects` as ``(x1, y1, x2, y2)`` arrays (do
+        not mutate).  A lazy union reads it off its coverage grid and
+        stays lazy."""
+
+        def compute():
+            if self._lazy:
+                return grid_piece_table(self._grid())
+            return slabs_piece_table(self._xs, self._slabs)
+
+        return self._memo_get("piece_table", compute)
+
+    def disc_pieces(self, center: Point, reach: float) -> DiscPieces:
+        """The batched disc read: areas of ``C(center, r)`` against the
+        union for any ``r <= reach``, the pieces priced together."""
+        return DiscPieces(self.piece_table(), center, reach)
+
     def disc_intersection_area(self, circle: Circle) -> float:
-        total = 0.0
-        for piece in self.disjoint_rects():
-            if circle.intersects_rect(piece):
-                total += circle_rect_intersection_area(circle, piece)
-        return min(total, circle.area)
+        return self.disc_pieces(circle.center, circle.radius).intersection_area(
+            circle.radius
+        )
 
     def disc_uncovered_area(self, circle: Circle) -> float:
-        return max(0.0, circle.area - self.disc_intersection_area(circle))
+        return self.disc_pieces(circle.center, circle.radius).uncovered_area(
+            circle.radius
+        )

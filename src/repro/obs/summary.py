@@ -17,6 +17,8 @@ __all__ = ["PhaseStats", "TraceSummary", "format_summary", "summarize_spans"]
 
 # Spans that carry a recorded ``access_latency`` for their subtree.
 RECORDED = ("query", "continuous.tick")
+# The counts a ``core.annotate`` span carries (Lemma 3.2 pass).
+ANNOTATE_COUNTS = ("entries", "annotated", "pieces", "pieces_near")
 
 
 @dataclass(slots=True)
@@ -47,6 +49,11 @@ class TraceSummary:
     # accounts for (essentially) all recorded access latency.
     phase_sim_s: float = 0.0
     recorded_access_latency_s: float = 0.0
+    # Summed over the ``core.annotate`` spans: unverified entries seen
+    # and annotated, MVR pieces and those near the farthest disc.
+    annotate: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(ANNOTATE_COUNTS, 0)
+    )
 
     @property
     def coverage(self) -> float:
@@ -61,6 +68,7 @@ class TraceSummary:
             "phase_sim_s": self.phase_sim_s,
             "recorded_access_latency_s": self.recorded_access_latency_s,
             "coverage": self.coverage,
+            "annotate": dict(self.annotate),
             "phases": {
                 name: {
                     "count": stats.count,
@@ -103,6 +111,9 @@ def _walk(node: dict, summary: TraceSummary, depth: int) -> None:
         stats.sim_s += sim_s
         if depth > 0:
             summary.phase_sim_s += sim_s
+        if name == "core.annotate":
+            for key in ANNOTATE_COUNTS:
+                summary.annotate[key] += int(attributes.get(key, 0))
     for child in node.get("children", ()):
         _walk(child, summary, depth + 1)
 
@@ -147,6 +158,13 @@ def format_summary(summary: TraceSummary) -> str:
         )
         lines.append(
             f"queries: {summary.queries} ({resolutions})"
+        )
+    if "core.annotate" in summary.phases:
+        counts = summary.annotate
+        lines.append(
+            f"annotate: {counts['annotated']} of {counts['entries']}"
+            f" unverified entries annotated, {counts['pieces_near']} of"
+            f" {counts['pieces']} MVR pieces near a disc"
         )
     lines.append(
         "phase sim latency: "

@@ -96,6 +96,31 @@ class TestCheckHeap:
         with pytest.raises(InvariantViolation, match="correctness"):
             check_heap(heap)
 
+    def test_annotations_form_a_far_end_suffix(self, checks_on):
+        # what an early stop leaves: the far entries annotated only
+        check_heap(make_heap(
+            [entry(1, 1.0, True), entry(2, 2.0, False), entry(3, 3.0, False, 0.2)]
+        ))
+        check_heap(make_heap([entry(i, float(i), False) for i in (1, 2, 3)]))
+        heap = make_heap(
+            [entry(1, 1.0, False), entry(2, 2.0, False, 0.9), entry(3, 3.0, False)]
+        )
+        with pytest.raises(InvariantViolation, match="beyond an annotated"):
+            check_heap(heap)
+        heap = make_heap([entry(1, 1.0, True, 0.9), entry(2, 2.0, False, 0.8)])
+        with pytest.raises(InvariantViolation, match="verified poi 1 carries"):
+            check_heap(heap)
+
+    def test_accepted_heap_is_annotated_at_or_above_the_threshold(self, checks_on):
+        full = [entry(1, 1.0, True), entry(2, 2.0, False, 0.8), entry(3, 3.0, False, 0.5)]
+        check_heap(make_heap(full), accepted_at=0.5)
+        with pytest.raises(InvariantViolation, match="< threshold 0.6"):
+            check_heap(make_heap(full), accepted_at=0.6)
+        stopped = [entry(1, 1.0, True), entry(2, 2.0, False), entry(3, 3.0, False, 0.9)]
+        check_heap(make_heap(stopped))
+        with pytest.raises(InvariantViolation, match="without a Lemma 3.2"):
+            check_heap(make_heap(stopped), accepted_at=0.5)
+
 
 def make_record(**overrides):
     fields = dict(
@@ -234,6 +259,42 @@ class TestCheckUnion:
         )
         with pytest.raises(InvariantViolation, match="distance_to_boundary"):
             check_union(union, Point(0.25, 0.125))
+
+    def test_wrong_disc_area_detected(self, checks_on):
+        # a piece short, as a run-length read that lost a run would be
+        union = SlabUnion.from_rects(self.RECTS)
+        union._memo["piece_table"] = tuple(c[1:] for c in union.piece_table())
+        with pytest.raises(InvariantViolation, match="disc area"):
+            check_union(union, Point(0.25, 0.125))
+        # the built-in discs pass here; the heap's, batched, do not
+        union = SlabUnion.from_rects(self.RECTS)
+        union._memo["piece_table"] = tuple(c[:-1] for c in union.piece_table())
+        with pytest.raises(InvariantViolation, match="disc area"):
+            check_union(union, Point(24.5, 0.5), radii=[0.1, 0.4])
+
+    def test_annotate_seam_fires(self, checks_on, monkeypatch):
+        from repro.core import sbnn
+        from repro.geometry.region import DiscPieces
+        from repro.p2p import ShareResponse
+
+        # k=2 from one peer: the near POI verifies, the far one does
+        # not, the heap is full — the annotation decides the answer
+        pois = (POI(0, Point(1.0, 0.6)), POI(1, Point(1.9, 0.5)))
+        response = ShareResponse(0, tuple(self.RECTS), pois, generation=1)
+        outcome = sbnn(Point(1.0, 0.5), [response], 2, poi_density=0.1)
+        assert outcome.annotated and outcome.mvr._lazy
+        # wrong only in the batch the heap's farthest disc prepares:
+        # nnv's own check_union, with no radii, cannot see it
+        far = outcome.heap.last_distance
+        real = DiscPieces._covered
+        monkeypatch.setattr(
+            DiscPieces,
+            "_covered",
+            lambda self, circle: real(self, circle)
+            / (2.0 if self.reach == far else 1.0),
+        )
+        with pytest.raises(InvariantViolation, match="disc area"):
+            sbnn(Point(1.0, 0.5), [response], 2, poi_density=0.1)
 
     WINDOWS = [
         Rect(3.0, 0.25, 9.0, 0.75),   # covered

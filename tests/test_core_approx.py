@@ -11,6 +11,7 @@ from repro.core import (
     unverified_region_area,
 )
 from repro.core.approx import annotate_heap
+from repro.core.heap import HeapEntry, ResultHeap
 from repro.core.nnv import nnv
 from repro.errors import ReproError
 from repro.geometry import Circle, Point, Rect, RectUnion
@@ -118,3 +119,117 @@ class TestAnnotateHeap:
         annotate_heap(q, heap, mvr, poi_density=0.4)
         probs = [e.correctness for e in heap.unverified_entries]
         assert probs == sorted(probs, reverse=True)
+
+    def test_walks_inwards_and_stops_at_the_deciding_entry(self):
+        # boundary distance 0.5: the POI at 0.4 verifies, those at 1.5
+        # and 3.0 do not
+        vr = Rect(0, 0, 4, 4)
+        q = Point(3.5, 2)
+        pois = [POI(i, Point(3.5 - d, 2)) for i, d in enumerate((0.4, 1.5, 3.0))]
+        responses = [ShareResponse(0, (vr,), tuple(pois))]
+        full, mvr = nnv(q, responses, k=3)
+        counts = annotate_heap(q, full, mvr, poi_density=0.1)
+        assert counts == {
+            "entries": 2, "annotated": 2, "pieces": 1, "pieces_near": 1
+        }
+        near, far = (e.correctness for e in full.unverified_entries)
+        assert far < 0.5 < near
+        # the farthest entry is below 0.5: it alone is annotated
+        early, _ = nnv(q, responses, k=3)
+        counts = annotate_heap(q, early, mvr, 0.1, min_correctness=0.5)
+        assert (counts["entries"], counts["annotated"]) == (2, 1)
+        stopped_near, stopped_far = early.unverified_entries
+        assert stopped_near.correctness is stopped_near.surpassing_ratio is None
+        assert stopped_far.correctness == far
+        assert stopped_far.surpassing_ratio == (
+            full.unverified_entries[1].surpassing_ratio
+        )
+        # a threshold every entry clears stops nowhere
+        cleared, _ = nnv(q, responses, k=3)
+        annotate_heap(q, cleared, mvr, 0.1, min_correctness=far)
+        assert [e.correctness for e in cleared] == [e.correctness for e in full]
+        # and each value is the public one-disc function's
+        assert [e.correctness for e in full.unverified_entries] == [
+            correctness_probability(q, e.distance, mvr, 0.1)
+            for e in full.unverified_entries
+        ]
+
+    def test_negative_density_raises(self):
+        q = Point(2, 2)
+        responses = [ShareResponse(0, (Rect(0, 0, 4, 4),), (POI(0, Point(3.5, 2)),))]
+        heap, mvr = nnv(q, responses, k=1)
+        with pytest.raises(ReproError, match="density"):
+            annotate_heap(q, heap, mvr, poi_density=-0.1)
+
+
+class TestStopEarlyDecision:
+    """Over a warmed world's (heap, MVR) pairs the early-stopped pass
+    decides what annotating every entry decides."""
+
+    @pytest.fixture(scope="class")
+    def annotating_queries(self):
+        import sys
+
+        from repro.experiments import Simulation, scaled_parameters
+        from repro.workloads import RIVERSIDE_COUNTY, QueryKind, seeded_events
+
+        import repro.core.sbnn  # noqa: F401  (the package binds the function)
+
+        module = sys.modules["repro.core.sbnn"]
+        params = scaled_parameters(RIVERSIDE_COUNTY, area_scale=0.25)
+        sim = Simulation(params, seed=0)
+        sim.run_workload(QueryKind.KNN, 0, 3000)
+        calls = []
+
+        def both(query, heap, mvr, poi_density, min_correctness):
+            everything = ResultHeap(heap.k)
+            everything._entries = [
+                HeapEntry(e.poi, e.distance, e.verified) for e in heap
+            ]
+            annotate_heap(query, everything, mvr, poi_density)
+            counts = annotate_heap(query, heap, mvr, poi_density, min_correctness)
+            calls.append((query, heap, everything, mvr, min_correctness, counts))
+            return counts
+
+        events = seeded_events(
+            params, QueryKind.KNN, 1, 1500, start_time=sim.env.now
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "annotate_heap", both)
+            records = [sim.execute_query(e).record for e in events]
+        return calls, records
+
+    def test_same_resolution_and_equal_annotations(self, annotating_queries):
+        calls, records = annotating_queries
+        assert len(calls) >= 700
+
+        def accepted(heap, threshold):
+            return all(
+                (e.correctness or 0.0) >= threshold
+                for e in heap.unverified_entries
+            )
+
+        approximate = stopped = 0
+        for query, early, everything, mvr, threshold, counts in calls:
+            assert accepted(early, threshold) == accepted(everything, threshold)
+            pairs = list(zip(early.unverified_entries, everything.unverified_entries))
+            assert all(b.correctness is not None for _, b in pairs)
+            annotated = [(a, b) for a, b in pairs if a.correctness is not None]
+            # a far-end suffix, each value the annotate-all pass's
+            assert annotated == pairs[len(pairs) - len(annotated):]
+            assert len(annotated) == counts["annotated"]
+            for a, b in annotated:
+                assert a.correctness == b.correctness
+                assert a.surpassing_ratio == b.surpassing_ratio
+            if accepted(early, threshold):
+                approximate += 1
+                assert len(annotated) == len(pairs)
+            else:
+                stopped += len(annotated) < len(pairs)
+                assert annotated[0][0].correctness < threshold
+        from repro.core import Resolution
+
+        assert approximate == sum(
+            r.resolution is Resolution.APPROXIMATE for r in records
+        ) > 100
+        assert stopped > 300  # the early stop is the common case here

@@ -334,6 +334,34 @@ class TestAnnotateKnob:
         assert [root.name for root in tracer.roots] == [
             "core.nnv", "core.annotate"
         ]
+        assert tracer.roots[1].attributes == {
+            "entries": 1, "annotated": 1, "pieces": 1, "pieces_near": 1
+        }
+
+    def test_untraced_pass_stops_at_the_entry_that_decides(self):
+        # A full heap of k=3 with one verified entry: the farthest
+        # candidate's disc leaves the VR by far, so it alone refuses
+        # the approximate answer.  Traced, both unverified entries are
+        # annotated and the outcome is the same.
+        pois = [POI(i, Point(3.5 - d, 2)) for i, d in enumerate((0.4, 1.5, 3.0))]
+        q, responses = Point(3.5, 2), [ShareResponse(0, (Rect(0, 0, 4, 4),), tuple(pois))]
+        plain = sbnn(q, responses, k=3, poi_density=0.1)
+        tracer = Tracer()
+        traced = sbnn(q, responses, k=3, poi_density=0.1, tracer=tracer)
+        assert plain.resolution is traced.resolution is Resolution.BROADCAST
+        assert plain.annotated and traced.annotated
+        near, far = plain.heap.unverified_entries
+        assert near.correctness is None and far.correctness < 0.5
+        assert [e.correctness for e in traced.heap.unverified_entries] == [
+            pytest.approx(0.8136, abs=1e-4), far.correctness
+        ]
+        assert tracer.roots[1].attributes["annotated"] == 2
+        # a threshold the far entry clears accepts, fully annotated
+        accepted = sbnn(q, responses, k=3, poi_density=0.1, min_correctness=0.2)
+        assert accepted.resolution is Resolution.APPROXIMATE
+        assert [e.correctness for e in accepted.heap.unverified_entries] == [
+            e.correctness for e in traced.heap.unverified_entries
+        ]
 
     def test_resolution_invariant_auto_vs_always(self):
         # Property: the traced annotations are pure metadata —

@@ -30,6 +30,7 @@ from repro.geometry.region import (
     rects_contain_points,
     slabs_boundary_coord_arrays,
     slabs_covers_rect,
+    slabs_disc_intersection_area,
     slabs_subtract_from_rect,
     sweep_slabs,
 )
@@ -228,9 +229,6 @@ def structural_reads(window, p):
         "intersects_rect": lambda u: u.intersects_rect(window),
         "degenerate window": lambda u: u.covers_rect(
             Rect(p.x, p.y, p.x, p.y + 1.0)
-        ),
-        "disc_intersection_area": lambda u: u.disc_intersection_area(
-            Circle(p, 3.0)
         ),
     }
 
@@ -518,6 +516,8 @@ class TestOneGridPerLazyUnion:
             ]
             distances = [union.distance_to_boundary(p) for p in inside]
             again = union.contains_points(pxs, pys)
+            # the third read off the same grid: the Lemma 3.2 disc areas
+            areas = [union.disc_intersection_area(Circle(p, 3.0)) for p in inside]
             assert builds.call_count == 1
         assert union._lazy
         broadcast = rects_contain_points(
@@ -541,6 +541,10 @@ class TestOneGridPerLazyUnion:
         swept = slabs_boundary_coord_arrays(*sweep_slabs(rects))
         assert distances == [
             boundary_min_distance(swept, p.x, p.y) for p in inside
+        ]
+        assert areas == [
+            slabs_disc_intersection_area(*sweep_slabs(rects), Circle(p, 3.0))
+            for p in inside
         ]
 
     def test_named_points(self):

@@ -232,6 +232,26 @@ class TestSummary:
         assert "broadcast.data_scan" in text
         assert "coverage 1.0000" in text
 
+    def test_annotate_counts_are_summed_and_printed(self):
+        spans = self.make_spans()
+        assert "annotate:" not in format_summary(summarize_spans(spans))
+        for entries, annotated in ((4, 4), (3, 1)):
+            spans[0]["children"].append(
+                {"name": "core.annotate", "wall_ms": 0.1,
+                 "attributes": {"entries": entries, "annotated": annotated,
+                                "pieces": 70, "pieces_near": 10}}
+            )
+        summary = summarize_spans(spans)
+        assert summary.annotate == summary.to_dict()["annotate"] == {
+            "entries": 7, "annotated": 5, "pieces": 140, "pieces_near": 20
+        }
+        lines = format_summary(summary).splitlines()
+        assert lines[-2] == (
+            "annotate: 5 of 7 unverified entries annotated,"
+            " 20 of 140 MVR pieces near a disc"
+        )
+        assert lines[-1].startswith("phase sim latency")
+
     def test_empty_trace(self):
         summary = summarize_spans([])
         assert summary.queries == 0

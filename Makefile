@@ -65,6 +65,8 @@ lint:
 	@echo ">> one disc read: the closed form is called by the batched kernel and the brute oracle, core prices no piece itself"
 	@test "$$(grep -rI 'circle_rect_intersection[_]area(' src/repro | grep -v 'geometry/circle.py' | wc -l)" -eq 2
 	@! grep -rIn 'disjoint[_]rects()' src/repro/core
+	@echo ">> the clock is a float, a sweep has one door, the world holds the one tracer: retired names stay out"
+	@! grep -rIn 'repro[.]sim\|from [.][.]sim\|Sweep[R]unner\|run_knn[_]txrange\|run_knn[_]cache\|run_knn[_]k\>\|run_wq[_]txrange\|run_wq[_]cache\|run_wq[_]size\|use_safe[_]regions\|batch[_]scans=\|[.]cache[.]tracer\|trace[_]limit' src/repro examples benchmarks
 
 test:
 	@echo ">> tier-1 tests"

@@ -6,14 +6,14 @@ future work.  This bench sweeps host density (fractions of the LA
 fleet) and compares one- vs two-hop sharing in the sparse regime.
 
 All five simulation points are independent, so they run as one
-:class:`SweepRunner` batch (the seeds match the historical serial
+:func:`run_points` batch (the seeds match the historical serial
 loop, so the numbers are unchanged).
 """
 
 from repro.experiments import (
     SweepPoint,
-    SweepRunner,
     format_table,
+    run_points,
     scaled_parameters,
 )
 from repro.workloads import LA_CITY, RIVERSIDE_COUNTY, QueryKind
@@ -62,7 +62,7 @@ def _points(p):
 
 def run():
     p = profile()
-    results = SweepRunner(max_workers=workers()).run_points(_points(p))
+    results = run_points(_points(p), workers())
     density_results = results[: len(DENSITY_FRACTIONS)]
     hop_results = results[len(DENSITY_FRACTIONS) :]
 

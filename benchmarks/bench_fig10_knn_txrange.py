@@ -8,7 +8,7 @@ than ~20 % of queries still need the channel; sparse Riverside stays
 broadcast-dominated.
 """
 
-from repro.experiments import format_series, run_knn_txrange
+from repro.experiments import format_series, run_figure
 
 from _util import emit, profile, series_payload, workers
 
@@ -17,7 +17,8 @@ TX_VALUES = (10, 50, 100, 200)
 
 def run():
     p = profile()
-    return run_knn_txrange(
+    return run_figure(
+        "fig10",
         values=TX_VALUES,
         area_scale=p.area_scale,
         warmup_queries=p.warmup_queries,

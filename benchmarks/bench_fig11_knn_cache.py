@@ -6,7 +6,7 @@ queries with larger caches in LA and Suburbia; Riverside moves less
 because its bottleneck is peer scarcity, not cache space.
 """
 
-from repro.experiments import format_series, run_knn_cache
+from repro.experiments import format_series, run_figure
 
 from _util import emit, profile, series_payload, workers
 
@@ -15,7 +15,8 @@ CACHE_VALUES = (6, 14, 22, 30)
 
 def run():
     p = profile()
-    return run_knn_cache(
+    return run_figure(
+        "fig11",
         values=CACHE_VALUES,
         area_scale=p.area_scale,
         warmup_queries=p.warmup_queries,

@@ -7,7 +7,7 @@ up by ~28 points and Riverside's by ~21 (its starting level was
 already much higher).
 """
 
-from repro.experiments import format_series, run_knn_k
+from repro.experiments import format_series, run_figure
 
 from _util import emit, profile, series_payload, workers
 
@@ -16,7 +16,8 @@ K_VALUES = (3, 7, 11, 15)
 
 def run():
     p = profile()
-    return run_knn_k(
+    return run_figure(
+        "fig12",
         values=K_VALUES,
         area_scale=p.area_scale,
         warmup_queries=p.warmup_queries,

@@ -6,7 +6,7 @@ similar to the kNN case" — more range, more peer-resolved windows,
 with the density ordering LA > Suburbia > Riverside.
 """
 
-from repro.experiments import format_series, run_wq_txrange
+from repro.experiments import format_series, run_figure
 
 from _util import emit, profile, series_payload, workers
 
@@ -15,7 +15,8 @@ TX_VALUES = (10, 50, 100, 200)
 
 def run():
     p = profile()
-    return run_wq_txrange(
+    return run_figure(
+        "fig13",
         values=TX_VALUES,
         area_scale=p.area_scale,
         warmup_queries=p.wq_warmup_queries,

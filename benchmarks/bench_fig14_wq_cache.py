@@ -6,7 +6,7 @@ window queries can be fulfilled by peers", hence shorter access
 latency.
 """
 
-from repro.experiments import format_series, run_wq_cache
+from repro.experiments import format_series, run_figure
 
 from _util import emit, profile, series_payload, workers
 
@@ -15,7 +15,8 @@ CACHE_VALUES = (6, 14, 22, 30)
 
 def run():
     p = profile()
-    return run_wq_cache(
+    return run_figure(
+        "fig14",
         values=CACHE_VALUES,
         area_scale=p.area_scale,
         warmup_queries=p.wq_warmup_queries,

@@ -13,7 +13,7 @@ claim — small windows are majority-resolved by sharing in dense areas
 — is asserted below.
 """
 
-from repro.experiments import format_series, run_wq_size
+from repro.experiments import format_series, run_figure
 
 from _util import emit, profile, series_payload, workers
 
@@ -22,7 +22,8 @@ SIZE_VALUES = (1, 3, 5)
 
 def run():
     p = profile()
-    return run_wq_size(
+    return run_figure(
+        "fig15",
         values=SIZE_VALUES,
         area_scale=p.area_scale,
         warmup_queries=p.wq_warmup_queries,

@@ -6,7 +6,6 @@ A full reimplementation of the paper's system and its substrates:
 * ``repro.core``       — NNV / SBNN / SBWQ, the paper's contribution;
 * ``repro.geometry``   — exact rectilinear region algebra + Hilbert curve;
 * ``repro.index``      — uniform grid and the brute-force oracle;
-* ``repro.sim``        — discrete-event kernel under ``Simulation``;
 * ``repro.broadcast``  — (1, m) broadcast channel + on-air algorithms;
 * ``repro.mobility``   — random waypoint and road-network movement;
 * ``repro.cache``      — cooperative caches with verified regions;

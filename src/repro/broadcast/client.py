@@ -31,8 +31,6 @@ class OnAirClient:
         # Optional unreliable-broadcast fault model (repro.faults.
         # ChannelModel); None means the perfect channel of the paper.
         self.channel = None
-        # Optional repro.obs.Tracer; None means no spans are emitted.
-        self.tracer = None
 
     @classmethod
     def build(
@@ -69,8 +67,12 @@ class OnAirClient:
         upper_bound: float | None = None,
         lower_bound: float | None = None,
         known_pois: tuple[POI, ...] = (),
+        tracer=None,
     ) -> OnAirKnnResult:
-        """On-air kNN (optionally with sharing-derived search bounds)."""
+        """On-air kNN (optionally with sharing-derived search bounds).
+
+        ``tracer`` (a :class:`repro.obs.Tracer`) gets the scan's spans.
+        """
         return onair_knn(
             self.server,
             self.schedule,
@@ -81,11 +83,11 @@ class OnAirClient:
             lower_bound=lower_bound,
             known_pois=known_pois,
             channel=self.channel,
-            tracer=self.tracer,
+            tracer=tracer,
         )
 
     def window(
-        self, windows: Sequence[Rect], t_query: float = 0.0
+        self, windows: Sequence[Rect], t_query: float = 0.0, tracer=None
     ) -> OnAirWindowResult:
         """On-air window query over one or more window fragments."""
         return onair_window(
@@ -94,5 +96,5 @@ class OnAirClient:
             windows,
             t_query,
             channel=self.channel,
-            tracer=self.tracer,
+            tracer=tracer,
         )

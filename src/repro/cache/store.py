@@ -133,10 +133,6 @@ class POICache:
         # verified regions change, so share responses can be memoised
         # on (host, generation) and stay sound.
         self.generation = 0
-        # Optional repro.obs.Tracer; when set (and enabled) every
-        # insert_result emits a ``cache.insert`` span nested under the
-        # active query span.
-        self.tracer = None
         # True while no region has been shrunk (or dropped) by an
         # eviction since the last full coalesce — the precondition for
         # the fused insert in :meth:`_insert_result` (no containments
@@ -197,6 +193,7 @@ class POICache:
         now: float,
         host_position: Point,
         heading: tuple[float, float] = (0.0, 0.0),
+        tracer=None,
     ) -> None:
         """Store a query result: a region plus *all* server POIs in it.
 
@@ -208,8 +205,9 @@ class POICache:
         many POIs, regions, and evictions the call touches — the
         share-response memo and the halo sync key on the generation,
         so a double bump would invalidate them twice for one change.
+        Under an enabled ``tracer`` (a :class:`repro.obs.Tracer`) the
+        call is one ``cache.insert`` span below the active query span.
         """
-        tracer = self.tracer
         if tracer is None or not tracer.enabled:
             self._insert_result(region, pois, now, host_position, heading)
             return
@@ -424,8 +422,8 @@ class POICache:
         ``pois``/``share`` iterate it), the verified regions in their
         area-descending list order, and the *exact* slot-array prefix
         (swap-remove order is load-bearing for batch eviction).
-        The tracer and the policy are excluded — the policy is encoded
-        separately by the codec.
+        The policy is excluded — it is encoded separately by the
+        codec.
         """
         n = self._slot_n
         return (
@@ -458,8 +456,7 @@ class POICache:
 
         The slot arrays arrive as (possibly read-only ``frombuffer``)
         views; they are copied into fresh writable buffers sized by
-        the same doubling schedule ``_grow_slots`` uses.  The tracer
-        starts unset.
+        the same doubling schedule ``_grow_slots`` uses.
         """
         if capacity < 1:
             raise CacheError(f"cache capacity must be >= 1, got {capacity}")
@@ -485,7 +482,6 @@ class POICache:
         cache._slot_ys[:n] = slot_ys
         cache._slot_ids[:n] = slot_ids
         cache.generation = generation
-        cache.tracer = None
         cache._regions_coalesced = regions_coalesced
         return cache
 

@@ -130,14 +130,11 @@ def run_continuous_campaign(
     mon = ContinuousMonitor(
         sim_mon,
         _standing_mix(params, seed, standing),
-        use_safe_regions=True,
-        batch_scans=True,
     )
     naive = ContinuousMonitor(
         sim_naive,
         _standing_mix(params, seed, standing),
-        use_safe_regions=False,
-        batch_scans=False,
+        naive=True,
     )
     report = ContinuousCampaignReport(
         params_name=params_name,

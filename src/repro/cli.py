@@ -35,7 +35,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .faults import FaultConfig
 from .obs import (
@@ -47,15 +47,10 @@ from .obs import (
     summarize_spans,
 )
 from .experiments import (
+    FIGURES,
     Simulation,
     format_series,
-    run_continuous_sharing,
-    run_knn_cache,
-    run_knn_k,
-    run_knn_txrange,
-    run_wq_cache,
-    run_wq_size,
-    run_wq_txrange,
+    run_figure,
     scaled_parameters,
 )
 from .experiments.export import write_sweep_csv
@@ -66,16 +61,6 @@ from .workloads import (
     SYNTHETIC_SUBURBIA,
     QueryKind,
 )
-
-FIGURES: dict[str, Callable] = {
-    "fig10": run_knn_txrange,
-    "fig11": run_knn_cache,
-    "fig12": run_knn_k,
-    "fig13": run_wq_txrange,
-    "fig14": run_wq_cache,
-    "fig15": run_wq_size,
-    "figc": run_continuous_sharing,
-}
 
 REGIONS = {
     "la": LA_CITY,
@@ -416,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     sweep_kwargs = {}
-    if args.values is not None:
-        sweep_kwargs["values"] = args.values
     fault_config = fault_config_from_args(args)
     if fault_config is not None:
         sweep_kwargs["fault_config"] = fault_config
@@ -444,7 +427,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
     panels = [
         panel
         for name in args.names
-        for panel in FIGURES[name](
+        for panel in run_figure(
+            name,
+            args.values,
             area_scale=args.scale,
             warmup_queries=args.warmup,
             measure_queries=args.measure,

@@ -11,9 +11,8 @@ One registration per versioned type tag (see :mod:`repro.codec.core`):
   enum ordinals for :class:`QueryKind` / :class:`Resolution`;
 * ``MobileHost`` — the host-migration record: the full
   :meth:`POICache.codec_state` plus one tag byte for the eviction
-  policy (the stock policies only; anything else, and any host
-  carrying standing queries or a tracer, has no wire form and raises
-  :class:`~repro.errors.CodecError` on encode).
+  policy (the stock policies only; anything else has no wire form
+  and raises :class:`~repro.errors.CodecError` on encode).
 
 Nothing here pickles: every decoder is strict over flat buffers.
 
@@ -298,10 +297,6 @@ _TAG_POLICY = {tag: cls for cls, tag in _POLICY_TAG.items()}
 
 def write_host(w: Writer, host: MobileHost) -> None:
     cache = host.cache
-    # Tracers hold open files: no flat layout, and the sharded
-    # simulator rejects the configuration up front.
-    if cache.tracer is not None:
-        raise CodecError("a host whose cache is traced has no wire form")
     w.i64(host.host_id)
     (
         capacity,

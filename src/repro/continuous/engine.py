@@ -127,20 +127,18 @@ class ContinuousStats:
 class ContinuousMonitor:
     """Drives a set of standing queries over a simulation's world.
 
-    ``use_safe_regions`` and ``batch_scans`` are the two levers the
-    A/B benchmark toggles: both off is the naive per-tick
-    recompute-from-scratch baseline, both on is the full incremental
-    scheme.  Either way the per-tick answers are exact, so the two
-    configurations are bit-identical in their answers and differ only
-    in channel cost.
+    ``naive`` is the A/B referee: no safe regions and a solo scan per
+    broadcast-bound query, the per-tick recompute-from-scratch
+    baseline of the full incremental scheme.  Either way the per-tick
+    answers are exact, so the two configurations are bit-identical in
+    their answers and differ only in channel cost.
     """
 
     def __init__(
         self,
         sim,
         queries: list[StandingQuery],
-        use_safe_regions: bool = True,
-        batch_scans: bool = True,
+        naive: bool = False,
         registry=None,
     ):
         if not queries:
@@ -150,8 +148,7 @@ class ContinuousMonitor:
             raise ExperimentError(f"duplicate standing query ids: {sorted(ids)}")
         self.sim = sim
         self.queries = list(queries)
-        self.use_safe_regions = use_safe_regions
-        self.batch_scans = batch_scans
+        self.naive = naive
         self.registry = registry if registry is not None else sim.registry
         self.stats = ContinuousStats()
 
@@ -222,7 +219,7 @@ class ContinuousMonitor:
         answers: dict[int, tuple[POI, ...]],
     ) -> bool:
         """Answer locally from the safe-region snapshot when provably safe."""
-        if not self.use_safe_regions or query.safe is None:
+        if self.naive or query.safe is None:
             return False
         safe = query.safe
         if query.kind is QueryKind.KNN:
@@ -322,7 +319,7 @@ class ContinuousMonitor:
         client = self.sim.station.client
         stats = self.stats
         channel_s = 0.0
-        groups = [pending] if self.batch_scans else [[p] for p in pending]
+        groups = [[p] for p in pending] if self.naive else [pending]
         for group in groups:
             scan = batch_scan(
                 client.server,
@@ -330,7 +327,7 @@ class ContinuousMonitor:
                 [member for member, *_ in group],
                 t,
                 channel=client.channel,
-                tracer=client.tracer,
+                tracer=self.sim.tracer,
             )
             cost = scan.cost
             channel_s += cost.access_latency
@@ -365,7 +362,7 @@ class ContinuousMonitor:
             self.stats.reeval_verified += 1
             self._count("continuous.reeval_verified")
         query.safe = None
-        if self.use_safe_regions:
+        if not self.naive:
             query.safe = derive_safe_region(
                 self.sim.hosts[query.host_id].cache,
                 position,

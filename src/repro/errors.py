@@ -15,10 +15,6 @@ class GeometryError(ReproError):
     """Invalid geometric construction or query (e.g. empty region)."""
 
 
-class SimulationError(ReproError):
-    """Misuse of the discrete-event simulation kernel."""
-
-
 class BroadcastError(ReproError):
     """Invalid broadcast schedule, packet, or on-air protocol state."""
 

@@ -2,21 +2,22 @@
 
 from .host import HostQueryResult, MobileHost
 from .metrics import MetricsCollector, QueryRecord
-from .parallel import PointResult, SweepPoint, SweepRunner, assemble_series
+from .parallel import (
+    KNN_SERIES,
+    WQ_SERIES,
+    PointResult,
+    SweepPoint,
+    SweepSeries,
+    assemble_series,
+    run_points,
+    run_sweep,
+)
 from .reporting import format_series, format_table
 from .runners import (
     CONTINUOUS_SERIES,
-    KNN_SERIES,
-    WQ_SERIES,
-    SweepSeries,
+    FIGURES,
     run_continuous_sharing,
-    run_knn_cache,
-    run_knn_k,
-    run_knn_txrange,
-    run_sweep,
-    run_wq_cache,
-    run_wq_size,
-    run_wq_txrange,
+    run_figure,
 )
 from .simulator import Simulation
 from .station import BaseStation, PacketEvent
@@ -25,6 +26,7 @@ from ..workloads import scaled_parameters
 __all__ = [
     "BaseStation",
     "CONTINUOUS_SERIES",
+    "FIGURES",
     "HostQueryResult",
     "KNN_SERIES",
     "MetricsCollector",
@@ -34,19 +36,14 @@ __all__ = [
     "QueryRecord",
     "Simulation",
     "SweepPoint",
-    "SweepRunner",
     "SweepSeries",
     "WQ_SERIES",
     "assemble_series",
     "format_series",
     "format_table",
     "run_continuous_sharing",
-    "run_knn_cache",
-    "run_knn_k",
-    "run_knn_txrange",
+    "run_figure",
+    "run_points",
     "run_sweep",
-    "run_wq_cache",
-    "run_wq_size",
-    "run_wq_txrange",
     "scaled_parameters",
 ]

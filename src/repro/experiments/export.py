@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..errors import ExperimentError
-from .runners import SweepSeries
+from .parallel import SweepSeries
 
 
 def sweep_to_rows(panels: Iterable[SweepSeries]) -> list[dict[str, object]]:

@@ -216,7 +216,7 @@ class MobileHost:
         if outcome.resolution is not Resolution.BROADCAST:
             # Gossip the verified disc first, then touch the answers.
             gossiped = self._gossip_cache(
-                position, heading, outcome.mvr, responses, now
+                position, heading, outcome.mvr, responses, now, tracer
             )
             entries = tuple(outcome.heap.results()[:k])
             self.cache.touch((e.poi.poi_id for e in entries), now)
@@ -260,6 +260,7 @@ class MobileHost:
                 now,
                 position,
                 heading,
+                tracer,
             ),
             scan.cost,
             k=k,
@@ -317,6 +318,7 @@ class MobileHost:
                 now,
                 position,
                 heading,
+                tracer,
             ),
             scan.cost,
             window_area=window.area,
@@ -333,11 +335,13 @@ class MobileHost:
         onair: OnAirClient,
         poi_density: float,
         now: float,
+        tracer=None,
         **knobs,
     ) -> HostQueryResult:
         """One kNN query start to finish (``knobs`` as :meth:`knn_steps`)."""
         steps = self.knn_steps(
-            position, heading, k, responses, poi_density, now, **knobs
+            position, heading, k, responses, poi_density, now,
+            tracer=tracer, **knobs,
         )
         try:
             outcome = next(steps)
@@ -349,6 +353,7 @@ class MobileHost:
                     upper_bound=outcome.bounds.upper,
                     lower_bound=outcome.bounds.lower,
                     known_pois=outcome.verified_pois,
+                    tracer=tracer,
                 )
             )
         except StopIteration as done:
@@ -362,15 +367,16 @@ class MobileHost:
         responses: Sequence[ShareResponse],
         onair: OnAirClient,
         now: float,
+        tracer=None,
         **knobs,
     ) -> HostQueryResult:
         """One window query start to finish (``knobs`` as :meth:`window_steps`)."""
         steps = self.window_steps(
-            position, heading, window, responses, now, **knobs
+            position, heading, window, responses, now, tracer=tracer, **knobs
         )
         try:
             outcome = next(steps)
-            steps.send(onair.window(outcome.remainder_windows, t_query=now))
+            steps.send(onair.window(outcome.remainder_windows, now, tracer))
         except StopIteration as done:
             return done.value
 
@@ -389,6 +395,7 @@ class MobileHost:
         mvr: SlabUnion,
         responses: Sequence[ShareResponse],
         now: float,
+        tracer,
     ) -> tuple[Rect, tuple[POI, ...]] | None:
         """Keep the verified disc around a peer-resolved query.
 
@@ -406,7 +413,9 @@ class MobileHost:
             return None
         region = Circle(position, radius).inscribed_rect()
         pois = tuple(_pois_from_responses(responses, region, mvr).values())
-        self.cache.insert_result(region, pois, now, position, heading)
+        self.cache.insert_result(
+            region, pois, now, position, heading, tracer
+        )
         return region, pois
 
     def _adopt(
@@ -417,6 +426,7 @@ class MobileHost:
         now: float,
         position: Point,
         heading: tuple[float, float],
+        tracer,
     ) -> tuple[SharedRegion, ...]:
         """Cache what a query certified; returns it for the neighbours.
 
@@ -426,7 +436,9 @@ class MobileHost:
         """
         shared = (certified, *_pois_per_region(bonus_regions, downloaded))
         for region, pois in shared:
-            self.cache.insert_result(region, pois, now, position, heading)
+            self.cache.insert_result(
+                region, pois, now, position, heading, tracer
+            )
         return shared
 
     def _result(

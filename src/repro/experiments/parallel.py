@@ -2,18 +2,17 @@
 
 Every sweep point — one (region, parameter value) cell of a figure
 grid — is an independent :class:`Simulation`, so the grid parallelises
-embarrassingly.  :class:`SweepRunner` derives one seed per point
+embarrassingly.  :func:`run_sweep` derives one seed per point
 up-front (``seed + 1000 * region_index + value_index``: a function of
 the grid position, so the assignment never depends on scheduling),
-fans the points over a ``ProcessPoolExecutor``, and reassembles the
-results in grid order.
+fans the points over a ``ProcessPoolExecutor`` (:func:`run_points`),
+and reassembles the results in grid order.
 The output is therefore deterministic in the worker count: the same
 seeds produce the same collectors whether the points ran serially, in
 four workers, or in any interleaving.
 
-``max_workers=1`` (the default for the legacy
-:func:`repro.experiments.run_sweep` entry point) bypasses the pool
-entirely and runs in-process — no pickling, no subprocess start-up —
+``max_workers=1`` (the default) bypasses the pool entirely and runs
+in-process — no pickling, no subprocess start-up —
 which keeps unit tests and tiny sweeps fast.  That is the caller's
 choice, never the environment's: a pool that cannot start is an
 :class:`~repro.errors.ExperimentError`, not a silent serial run.
@@ -22,7 +21,6 @@ choice, never the environment's: a pool that cannot start is an
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,8 +29,26 @@ from typing import Sequence
 from ..errors import ExperimentError
 from ..workloads import ALL_REGIONS, ParameterSet, QueryKind, scaled_parameters
 from .metrics import MetricsCollector
-from .runners import KNN_SERIES, WQ_SERIES, SweepSeries
 from .simulator import Simulation
+
+KNN_SERIES = ("Solved by SBNN", "Solved by Approximate SBNN", "Solved by Broadcast")
+WQ_SERIES = ("Solved by SBWQ", "Solved by Broadcast")
+
+
+@dataclass(slots=True)
+class SweepSeries:
+    """One figure panel: a region's series over the swept parameter.
+
+    ``wall_clock_s`` holds the per-point simulation wall-clock times
+    (same order as ``xs``).
+    """
+
+    region: str
+    x_label: str
+    xs: list[float]
+    series: dict[str, list[float]]
+    collectors: list[MetricsCollector] = field(default_factory=list)
+    wall_clock_s: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -96,91 +112,79 @@ def _execute_point(point: SweepPoint) -> PointResult:
     return PointResult(point, collector, time.perf_counter() - start)
 
 
-class SweepRunner:
-    """Execute sweep points across worker processes, results in order.
+def run_points(
+    points: Sequence[SweepPoint], max_workers: int = 1
+) -> list[PointResult]:
+    """Execute the points on ``max_workers`` processes, in grid order.
 
-    ``max_workers=None`` sizes the pool to the machine; ``1`` runs
-    serially in-process.  Results always come back ordered by
-    ``SweepPoint.index`` regardless of completion order.
+    ``1`` runs serially in-process.  Results always come back ordered
+    by ``SweepPoint.index`` regardless of completion order.
     """
+    if max_workers < 1:
+        raise ExperimentError(f"max_workers must be >= 1, got {max_workers}")
+    points = list(points)
+    workers = min(max_workers, len(points))
+    if workers <= 1:
+        return [_execute_point(p) for p in points]
+    already_running = set(multiprocessing.active_children())
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Executor.map preserves input order, so the grid order
+            # survives any parallel completion order.
+            return list(pool.map(_execute_point, points))
+    except OSError as exc:
+        # A pool that failed part-way through starting its workers
+        # never joins the ones it did start; reap them first.
+        for child in set(multiprocessing.active_children()) - already_running:
+            child.terminate()
+            child.join()
+        raise ExperimentError(
+            f"could not run {len(points)} sweep points on a pool of"
+            f" {workers} worker processes: {exc} (max_workers=1 runs"
+            " them serially in this process)"
+        ) from exc
 
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ExperimentError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
-        self.max_workers = max_workers
 
-    def run_points(self, points: Sequence[SweepPoint]) -> list[PointResult]:
-        """Execute the points, returning results in grid order."""
-        points = list(points)
-        if not points:
-            return []
-        workers = self.max_workers or os.cpu_count() or 1
-        workers = min(workers, len(points))
-        if workers <= 1:
-            return [_execute_point(p) for p in points]
-        already_running = set(multiprocessing.active_children())
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # Executor.map preserves input order, so the grid order
-                # survives any parallel completion order.
-                return list(pool.map(_execute_point, points))
-        except OSError as exc:
-            # A pool that failed part-way through starting its workers
-            # never joins the ones it did start; reap them first.
-            for child in set(multiprocessing.active_children()) - already_running:
-                child.terminate()
-                child.join()
-            raise ExperimentError(
-                f"could not run {len(points)} sweep points on a pool of"
-                f" {workers} worker processes: {exc} (max_workers=1 runs"
-                " them serially in this process)"
-            ) from exc
+def run_sweep(
+    vary: str,
+    values: Sequence[float],
+    kind: QueryKind,
+    regions: Sequence[ParameterSet] = ALL_REGIONS,
+    *,
+    area_scale: float = 0.1,
+    seed: int = 0,
+    warmup_queries: int = 2500,
+    measure_queries: int = 600,
+    x_label: str | None = None,
+    max_workers: int = 1,
+    **sim_kwargs,
+) -> list[SweepSeries]:
+    """Figure-style sweep: vary one field over ``regions`` × ``values``.
 
-    # ------------------------------------------------------------------
-    def run_sweep(
-        self,
-        vary: str,
-        values: Sequence[float],
-        kind: QueryKind,
-        regions: Sequence[ParameterSet] = ALL_REGIONS,
-        *,
-        area_scale: float = 0.1,
-        seed: int = 0,
-        warmup_queries: int = 2500,
-        measure_queries: int = 600,
-        x_label: str | None = None,
-        **sim_kwargs,
-    ) -> list[SweepSeries]:
-        """Figure-style sweep: vary one field over ``regions`` × ``values``.
-
-        The point at (``region_index``, ``value_index``) runs with seed
-        ``seed + 1000 * region_index + value_index`` — the derivation
-        behind every committed figure, CSV and EXPERIMENTS.md number,
-        fixed by grid position and so independent of the worker count.
-        """
-        values = list(values)
-        regions = list(regions)
-        points: list[SweepPoint] = []
-        for region_index, base in enumerate(regions):
-            for value_index, value in enumerate(values):
-                index = region_index * len(values) + value_index
-                points.append(
-                    SweepPoint(
-                        index=index,
-                        base=base,
-                        kind=kind,
-                        overrides={vary: value},
-                        seed=seed + 1000 * region_index + value_index,
-                        area_scale=area_scale,
-                        warmup_queries=warmup_queries,
-                        measure_queries=measure_queries,
-                        sim_kwargs=dict(sim_kwargs),
-                    )
-                )
-        results = self.run_points(points)
-        return assemble_series(results, regions, values, kind, x_label or vary)
+    The point at (``region_index``, ``value_index``) runs with seed
+    ``seed + 1000 * region_index + value_index`` — the derivation
+    behind every committed figure, CSV and EXPERIMENTS.md number,
+    fixed by grid position and so independent of ``max_workers``.
+    """
+    values = list(values)
+    regions = list(regions)
+    points = [
+        SweepPoint(
+            index=region_index * len(values) + value_index,
+            base=base,
+            kind=kind,
+            overrides={vary: value},
+            seed=seed + 1000 * region_index + value_index,
+            area_scale=area_scale,
+            warmup_queries=warmup_queries,
+            measure_queries=measure_queries,
+            sim_kwargs=dict(sim_kwargs),
+        )
+        for region_index, base in enumerate(regions)
+        for value_index, value in enumerate(values)
+    ]
+    results = run_points(points, max_workers)
+    return assemble_series(results, regions, values, kind, x_label or vary)
 
 
 def assemble_series(

@@ -1,8 +1,10 @@
 """Figure runners: the parameter sweeps behind Figures 10–15.
 
-Each ``run_*`` function reproduces one figure: it sweeps one parameter
-over the three Table 3 regions and returns, per region, the series the
-paper plots (percentage of queries resolved by each path).
+:data:`FIGURES` has one row per figure — the swept parameter, the
+values the paper plots, the query kind and the axis label — and
+:func:`run_figure` runs a row over the three Table 3 regions,
+returning per region the series the paper plots (percentage of
+queries resolved by each path).
 
 Scaling: the sweeps run on density-preserving scaled worlds (see
 :func:`repro.workloads.scaled_parameters`); ``area_scale`` and the
@@ -13,140 +15,64 @@ the benchmarks use more substantial defaults.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..workloads import ALL_REGIONS, ParameterSet, QueryKind
-from .metrics import MetricsCollector
+from ..errors import ExperimentError
+from ..workloads import ALL_REGIONS, ParameterSet, QueryKind, scaled_parameters
+from .parallel import SweepSeries, run_sweep
+from .simulator import Simulation
 
-KNN_SERIES = ("Solved by SBNN", "Solved by Approximate SBNN", "Solved by Broadcast")
-WQ_SERIES = ("Solved by SBWQ", "Solved by Broadcast")
 CONTINUOUS_SERIES = (
     "Safe-Region Hit Rate (%)",
     "Broadcast Access Ratio (naive/monitored)",
     "Mean Batch Width",
 )
 
+# name -> (swept ParameterSet field, default values, query kind, axis
+# label).  ``figc`` sweeps no field: its values are standing-query
+# counts and :func:`run_continuous_sharing` runs it.
+_KNN, _WQ = QueryKind.KNN, QueryKind.WINDOW
+FIGURES: dict[str, tuple[str | None, tuple[float, ...], QueryKind, str]] = {
+    "fig10": ("tx_range_m", (10, 50, 100, 150, 200), _KNN, "Transmission Range (m)"),
+    "fig11": ("cache_size", (6, 12, 18, 24, 30), _KNN, "Number of Cached Items"),
+    "fig12": ("knn_k", (3, 6, 9, 12, 15), _KNN, "Number of k"),
+    "fig13": ("tx_range_m", (10, 50, 100, 150, 200), _WQ, "Transmission Range (m)"),
+    "fig14": ("cache_size", (6, 12, 18, 24, 30), _WQ, "Number of Cached Items"),
+    "fig15": ("window_percent", (1, 2, 3, 4, 5), _WQ, "Query Window Size (%)"),
+    "figc": (None, (25, 50, 100), _KNN, "Standing Queries"),
+}
 
-@dataclass(slots=True)
-class SweepSeries:
-    """One figure panel: a region's series over the swept parameter.
 
-    ``wall_clock_s`` holds the per-point simulation wall-clock times
-    (same order as ``xs``) when the sweep ran through the
-    :class:`~repro.experiments.parallel.SweepRunner`.
+def run_figure(
+    name: str, values: Sequence[float] | None = None, **kwargs
+) -> list[SweepSeries]:
+    """Run one :data:`FIGURES` row (``values`` replaces the row's own).
+
+    ``kwargs`` are :func:`~repro.experiments.parallel.run_sweep`'s:
+    ``regions``, ``area_scale``, ``seed``, the warm-up / measurement
+    budgets, ``max_workers`` and any ``Simulation`` option.
     """
-
-    region: str
-    x_label: str
-    xs: list[float]
-    series: dict[str, list[float]]
-    collectors: list[MetricsCollector] = field(default_factory=list)
-    wall_clock_s: list[float] = field(default_factory=list)
-
-
-def run_sweep(
-    vary: str,
-    values: Sequence[float],
-    kind: QueryKind,
-    regions: Sequence[ParameterSet] = ALL_REGIONS,
-    area_scale: float = 0.1,
-    seed: int = 0,
-    warmup_queries: int = 2500,
-    measure_queries: int = 600,
-    x_label: str | None = None,
-    max_workers: int = 1,
-    **sim_kwargs,
-) -> list[SweepSeries]:
-    """Generic sweep: vary one ParameterSet field, measure resolutions.
-
-    :meth:`~repro.experiments.parallel.SweepRunner.run_sweep` on a
-    runner of ``max_workers`` processes (serial by default); the
-    results are bit-identical for every ``max_workers``.
-    """
-    # Imported lazily: parallel.py imports SweepSeries from this module.
-    from .parallel import SweepRunner
-
-    return SweepRunner(max_workers=max_workers).run_sweep(
-        vary,
-        values,
-        kind,
-        regions,
-        area_scale=area_scale,
-        seed=seed,
-        warmup_queries=warmup_queries,
-        measure_queries=measure_queries,
-        x_label=x_label,
-        **sim_kwargs,
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 10: kNN vs transmission range
-# ----------------------------------------------------------------------
-def run_knn_txrange(
-    values: Sequence[float] = (10, 50, 100, 150, 200), **kwargs
-) -> list[SweepSeries]:
-    """Figure 10: kNN resolution shares vs transmission range."""
-    kwargs.setdefault("x_label", "Transmission Range (m)")
-    return run_sweep("tx_range_m", values, QueryKind.KNN, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Figure 11: kNN vs cache capacity
-# ----------------------------------------------------------------------
-def run_knn_cache(
-    values: Sequence[float] = (6, 12, 18, 24, 30), **kwargs
-) -> list[SweepSeries]:
-    """Figure 11: kNN resolution shares vs cache capacity."""
-    kwargs.setdefault("x_label", "Number of Cached Items")
-    return run_sweep("cache_size", values, QueryKind.KNN, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Figure 12: kNN vs k
-# ----------------------------------------------------------------------
-def run_knn_k(
-    values: Sequence[float] = (3, 6, 9, 12, 15), **kwargs
-) -> list[SweepSeries]:
-    """Figure 12: kNN resolution shares vs the number of neighbours k."""
-    kwargs.setdefault("x_label", "Number of k")
-    return run_sweep("knn_k", values, QueryKind.KNN, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Figure 13: window queries vs transmission range
-# ----------------------------------------------------------------------
-def run_wq_txrange(
-    values: Sequence[float] = (10, 50, 100, 150, 200), **kwargs
-) -> list[SweepSeries]:
-    """Figure 13: window-query resolution shares vs transmission range."""
-    kwargs.setdefault("x_label", "Transmission Range (m)")
-    return run_sweep("tx_range_m", values, QueryKind.WINDOW, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Figure 14: window queries vs cache capacity
-# ----------------------------------------------------------------------
-def run_wq_cache(
-    values: Sequence[float] = (6, 12, 18, 24, 30), **kwargs
-) -> list[SweepSeries]:
-    """Figure 14: window-query resolution shares vs cache capacity."""
-    kwargs.setdefault("x_label", "Number of Cached Items")
-    return run_sweep("cache_size", values, QueryKind.WINDOW, **kwargs)
+    if name not in FIGURES:
+        raise ExperimentError(f"unknown figure {name!r}")
+    vary, default, kind, x_label = FIGURES[name]
+    values = default if values is None else values
+    kwargs.setdefault("x_label", x_label)
+    if vary is None:
+        return run_continuous_sharing(values, **kwargs)
+    return run_sweep(vary, values, kind, **kwargs)
 
 
 # ----------------------------------------------------------------------
 # Continuous workload: batched-sharing gains vs standing-query count
 # ----------------------------------------------------------------------
 def run_continuous_sharing(
-    values: Sequence[float] = (25, 50, 100),
+    values: Sequence[float] = FIGURES["figc"][1],
     regions: Sequence[ParameterSet] = ALL_REGIONS,
     area_scale: float = 0.1,
     seed: int = 0,
     warmup_queries: int = 2500,
     measure_queries: int = 400,
-    x_label: str | None = None,
+    x_label: str = FIGURES["figc"][3],
     max_workers: int = 1,
     tick_interval: float = 5.0,
     **sim_kwargs,
@@ -165,9 +91,6 @@ def run_continuous_sharing(
     ``max_workers`` is accepted for CLI symmetry but the A/B pairs run
     serially — each point is two full simulations already.
     """
-    from ..workloads import scaled_parameters
-    from .simulator import Simulation
-
     del max_workers
     values = list(values)
     ticks = max(2, measure_queries // 20)
@@ -181,7 +104,7 @@ def run_continuous_sharing(
             point_seed = seed + 1000 * region_index + value_index
             point_start = time.perf_counter()
             stats = {}
-            for label, flags in (("monitored", True), ("naive", False)):
+            for label, naive in (("monitored", False), ("naive", True)):
                 sim = Simulation(
                     params,
                     seed=point_seed,
@@ -194,8 +117,7 @@ def run_continuous_sharing(
                     standing=int(standing),
                     ticks=ticks,
                     tick_interval=tick_interval,
-                    use_safe_regions=flags,
-                    batch_scans=flags,
+                    naive=naive,
                     warmup_queries=warmup_queries,
                 ).stats
             monitored, naive = stats["monitored"], stats["naive"]
@@ -214,21 +136,10 @@ def run_continuous_sharing(
         panels.append(
             SweepSeries(
                 region=params.name,
-                x_label=x_label or "Standing Queries",
+                x_label=x_label,
                 xs=xs,
                 series=series,
                 wall_clock_s=wall_clock,
             )
         )
     return panels
-
-
-# ----------------------------------------------------------------------
-# Figure 15: window queries vs window size
-# ----------------------------------------------------------------------
-def run_wq_size(
-    values: Sequence[float] = (1, 2, 3, 4, 5), **kwargs
-) -> list[SweepSeries]:
-    """Figure 15: window-query resolution shares vs window size."""
-    kwargs.setdefault("x_label", "Query Window Size (%)")
-    return run_sweep("window_percent", values, QueryKind.WINDOW, **kwargs)

@@ -3,8 +3,9 @@
 One :class:`Simulation` wires together the whole stack for a single
 parameter set: POI field, base station (broadcast server + schedule),
 mobility fleet, peer network, and one cooperative cache per host.
-Queries arrive as a Poisson stream on the discrete-event kernel; each
-query runs the host pipeline of :mod:`repro.experiments.host`.
+Queries arrive as one time-ordered Poisson stream; the world clock is
+the time of the last event, and each query runs the host pipeline of
+:mod:`repro.experiments.host`.
 
 Positions are refreshed in vectorised batches every
 ``POSITION_REFRESH_INTERVAL`` simulated seconds: random-waypoint legs
@@ -15,6 +16,7 @@ keeps 10^4–10^5 hosts affordable.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,9 +26,7 @@ from ..errors import ExperimentError
 from ..faults import ChannelModel, FaultConfig, P2PFaultStats
 from ..geometry import Point
 from ..model import POI
-from ..obs import NO_TRACER
 from ..p2p import ShareRequest, ShareResponse
-from ..sim import Environment
 from ..workloads import ParameterSet, QueryEvent, QueryKind, QueryWorkload
 from .host import HostQueryResult
 from .metrics import MetricsCollector
@@ -54,6 +54,12 @@ def refresh_due(t: float, last_refresh: float, interval: float) -> bool:
     single-process refreshes to agree on every boundary.
     """
     return t - last_refresh >= interval - REFRESH_EPSILON
+
+
+class Clock:
+    """The world clock: ``now`` is the simulated time of the last event."""
+
+    now = 0.0
 
 
 class Simulation(QueryWorld):
@@ -90,7 +96,8 @@ class Simulation(QueryWorld):
         # without a registry no metrics are mirrored — tracing never
         # touches an RNG, so traced and untraced runs stay
         # bit-identical in every recorded metric.
-        self.tracer = tracer if tracer is not None else NO_TRACER
+        if tracer is not None:
+            self.tracer = tracer
         self.registry = registry
         # The fault layer is strictly opt-in: without an enabled
         # config no ChannelModel exists, no fault RNG is ever drawn,
@@ -106,11 +113,7 @@ class Simulation(QueryWorld):
         if registry is not None:
             self.network.attach_registry(registry)
         self.hosts = [self._make_host(i) for i in range(params.mh_number)]
-        if self.tracer.enabled:
-            self.station.client.tracer = self.tracer
-            for host in self.hosts:
-                host.cache.tracer = self.tracer
-        self.env = Environment()
+        self.env = Clock()
         self._xs: np.ndarray | None = None
         self._ys: np.ndarray | None = None
         self._hx: np.ndarray | None = None
@@ -349,19 +352,11 @@ class Simulation(QueryWorld):
         )
         collector = MetricsCollector(registry=self.registry)
         total = warmup_queries + measure_queries
-
-        def driver(env: Environment):
-            done = 0
-            for event in workload:
-                yield env.timeout(event.time - env.now)
-                result = self.execute_query(event)
-                done += 1
-                if done > warmup_queries:
-                    collector.add(result.record)
-                if done >= total:
-                    return
-
-        self.env.run(until=self.env.process(driver(self.env)))
+        for done, event in enumerate(islice(workload, total)):
+            self.env.now = event.time
+            result = self.execute_query(event)
+            if done >= warmup_queries:
+                collector.add(result.record)
         return collector
 
     def run_continuous(
@@ -370,8 +365,7 @@ class Simulation(QueryWorld):
         standing: int = 100,
         ticks: int = 30,
         tick_interval: float = 5.0,
-        use_safe_regions: bool = True,
-        batch_scans: bool = True,
+        naive: bool = False,
         warmup_queries: int = 0,
         workload_seed: int = 0,
     ):
@@ -382,9 +376,10 @@ class Simulation(QueryWorld):
         the same seeds monitor the identical query set without
         perturbing the world stream) are re-evaluated every
         ``tick_interval`` simulated seconds for ``ticks`` ticks.
-        ``use_safe_regions`` / ``batch_scans`` are the incremental
-        levers the A/B benchmark toggles; an optional one-shot
-        ``warmup_queries`` stream primes the fleet's caches first.
+        ``naive`` runs the recompute-per-tick referee (no safe regions,
+        one scan per query) the A/B benchmark compares against; an
+        optional one-shot ``warmup_queries`` stream primes the fleet's
+        caches first.
         """
         from ..continuous import ContinuousMonitor, standing_queries
 
@@ -397,8 +392,7 @@ class Simulation(QueryWorld):
         monitor = ContinuousMonitor(
             self,
             queries,
-            use_safe_regions=use_safe_regions,
-            batch_scans=batch_scans,
+            naive=naive,
             registry=self.registry,
         )
         start = self.env.now

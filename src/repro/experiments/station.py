@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..broadcast import BroadcastSchedule, BroadcastServer, OnAirClient
+from ..broadcast import OnAirClient
 from ..geometry import Rect
 from ..model import POI
 
@@ -38,20 +38,17 @@ class BaseStation:
         m: int = 4,
         packet_time: float = 0.1,
     ):
-        self.server = BroadcastServer(
+        self.client = OnAirClient.build(
             pois,
             bounds,
             hilbert_order=hilbert_order,
             bucket_capacity=bucket_capacity,
             entries_per_index_packet=entries_per_index_packet,
-        )
-        self.schedule = BroadcastSchedule(
-            data_bucket_count=self.server.bucket_count,
-            index_packet_count=self.server.index.packet_count,
             m=m,
             packet_time=packet_time,
         )
-        self.client = OnAirClient(self.server, self.schedule)
+        self.server = self.client.server
+        self.schedule = self.client.schedule
 
     # ------------------------------------------------------------------
     def cycle_slots(self) -> list[tuple[str, int]]:

@@ -35,6 +35,7 @@ from ..faults import P2PFaultStats
 from ..geometry import Point
 from ..mobility import WaypointFleet
 from ..model import POI
+from ..obs import NO_TRACER
 from ..p2p import PeerNetwork, ShareResponse
 from ..workloads import ParameterSet, QueryEvent, QueryKind, generate_pois
 from .host import HostQueryResult, MobileHost, SharedRegion
@@ -114,6 +115,9 @@ class QueryWorld:
         # bounded by the POI capacity itself, not by a separate knob.
         self.region_cap = max(4, params.cache_size)
         self.network = PeerNetwork(params.bounds, params.tx_range_mi)
+        # The world's one span sink (repro.obs); a traced Simulation
+        # replaces it, and every layer below is handed it per call.
+        self.tracer = NO_TRACER
 
     def _make_host(self, gid: int) -> MobileHost:
         return MobileHost(
@@ -260,6 +264,7 @@ class QueryWorld:
         # every peer is handed the same shared POI tuples
         # (insert_result never mutates its input).
         columns = (peer_ids, *self._snapshot_rows(peer_ids))
+        tracer = self.tracer if self.tracer.enabled else None
         for pid, x, y, hx, hy in zip(*(c.tolist() for c in columns)):
             host = self._owned(pid)
             if host is None:
@@ -270,7 +275,7 @@ class QueryWorld:
             peer_heading = (hx, hy)
             for region, pois in shared:
                 cache.insert_result(
-                    region, pois, now, peer_position, peer_heading
+                    region, pois, now, peer_position, peer_heading, tracer
                 )
             adopted.append(pid)
         return adopted, foreign

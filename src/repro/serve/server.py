@@ -305,8 +305,6 @@ class BaseStationServer:
             # (best effort) and close.  The accept loop itself is
             # untouched — the next connection is served normally.
             self._count("serve.frame_errors")
-            if session is not None:
-                session.record(self._now(), "frame-error", error=str(exc))
             await self._write(
                 writer,
                 error_message(str(exc), code="framing"),
@@ -345,7 +343,6 @@ class BaseStationServer:
             exporter=exporter,
             encoding=encoding,
         )
-        session.record(self._now(), "hello", client_id=client_id)
         self.sessions[sid] = session
         return session
 
@@ -405,7 +402,6 @@ class BaseStationServer:
         session.report_location(
             float(x), float(y), float(when) if when is not None else None
         )
-        session.record(self._now(), "update", x=float(x), y=float(y))
         self._count("serve.updates")
 
     # ------------------------------------------------------------------
@@ -429,7 +425,6 @@ class BaseStationServer:
         reason = self._shed_reason(session)
         if reason is not None:
             session.shed += 1
-            session.record(self._now(), "shed", reason=reason, id=request_id)
             self._count("serve.shed")
             self._count(f"serve.shed.{reason}")
             await self._send(
@@ -597,7 +592,6 @@ class BaseStationServer:
         finally:
             session.inflight -= 1
             self._note_service(perf_counter() - started)
-        session.record(self._now(), "answer", id=request_id)
         await self._send(session, reply)
 
     def _execute(self, session: ClientSession, request_id, event: QueryEvent):
@@ -612,22 +606,13 @@ class BaseStationServer:
                 request_id=request_id,
                 queue_depth=self.queue.qsize(),
             )
-            self._attach_tracer(tracer)
+            # The worker is the only query executor, so the world's one
+            # tracer is this connection's for the length of a request.
+            self.sim.tracer = tracer
             try:
                 return self.sim.execute_query(event)
             finally:
-                self._attach_tracer(None)
-
-    def _attach_tracer(self, tracer) -> None:
-        """Point the simulation's span sinks at one connection's tracer.
-
-        Safe because the worker is the only query executor: no two
-        requests ever hold the simulator (or its tracer slots)
-        concurrently.
-        """
-        live = tracer if tracer is not None else NO_TRACER
-        self.sim.tracer = live
-        self.sim.station.client.tracer = live
+                self.sim.tracer = NO_TRACER
 
     async def _register_standing(self, job: _Job) -> None:
         from ..continuous import ContinuousMonitor, StandingQuery
@@ -654,7 +639,6 @@ class BaseStationServer:
             session.standing_ids.add(standing_id)
             self._standing_owner[standing_id] = session
             self._count("serve.standing_registered")
-            session.record(self._now(), "standing", standing_id=standing_id)
             reply = {
                 "type": "ANSWER",
                 "id": request_id,
@@ -706,7 +690,6 @@ class BaseStationServer:
                 if session.idle_for(now) <= self.config.idle_timeout:
                     continue
                 self._count("serve.reaped")
-                session.record(now, "reaped", idle_s=session.idle_for(now))
                 # Closing the transport wakes the handler's read, which
                 # runs the normal cleanup path.
                 session.writer.close()

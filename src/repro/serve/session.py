@@ -2,16 +2,13 @@
 
 One :class:`ClientSession` per live connection: who the client is,
 where it last reported itself (UPDATE frames), how many of its
-requests are in flight (the per-client admission cap), which standing
-queries it owns, and a bounded ring of recent protocol events — the
-trace buffer an operator reads when a client misbehaves.  The session
-also owns the connection's span tracer/exporter when per-connection
-tracing is on.
+requests are in flight (the per-client admission cap), and which
+standing queries it owns.  The session also owns the connection's span
+tracer/exporter when per-connection tracing is on.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 from ..geometry import Point
@@ -37,7 +34,6 @@ class ClientSession:
         "standing_ids",
         "last_active",
         "closed",
-        "trace",
         "tracer",
         "exporter",
         "encoding",
@@ -50,7 +46,6 @@ class ClientSession:
         writer,
         host_id: int,
         now: float,
-        trace_limit: int = 256,
         tracer=None,
         exporter=None,
         encoding: str = "json",
@@ -73,19 +68,12 @@ class ClientSession:
         self.standing_ids: set[int] = set()
         self.last_active = now
         self.closed = False
-        self.trace: deque[tuple[float, str, dict[str, Any]]] = deque(
-            maxlen=trace_limit
-        )
         self.tracer = tracer
         self.exporter = exporter
 
     # ------------------------------------------------------------------
     def touch(self, now: float) -> None:
         self.last_active = now
-
-    def record(self, now: float, event: str, **fields: Any) -> None:
-        """Append one event to the bounded trace buffer."""
-        self.trace.append((now, event, fields))
 
     def idle_for(self, now: float) -> float:
         return now - self.last_active

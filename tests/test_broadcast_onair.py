@@ -268,8 +268,7 @@ class TestKClampSurfacing:
         client, _ = make_world(5, seed=7)
         tracer = Tracer()
         with tracer.span("query"):
-            client.tracer = tracer
-            client.knn(Point(10, 10), 50)
+            client.knn(Point(10, 10), 50, tracer=tracer)
         root = tracer.roots[0].to_dict()
         index_scan = next(
             c for c in root["children"] if c["name"] == "broadcast.index_scan"

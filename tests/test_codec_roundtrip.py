@@ -37,7 +37,6 @@ from repro.experiments.host import MobileHost
 from repro.experiments.metrics import QueryRecord
 from repro.geometry import Point, Rect
 from repro.model import POI
-from repro.obs import NO_TRACER
 from repro.p2p.protocol import ShareResponse
 from repro.shard.messages import EventOutcome, OverhearOp
 from repro.workloads.queries import QueryEvent, QueryKind
@@ -291,10 +290,6 @@ def test_hosts_without_a_wire_form_are_refused():
 
     with pytest.raises(CodecError, match="HomeGrownPolicy"):
         encode(warm_host(HomeGrownPolicy()))
-    traced = warm_host()
-    traced.cache.tracer = NO_TRACER
-    with pytest.raises(CodecError, match="traced"):
-        encode(traced)
 
 
 def test_halo_payload_is_just_the_share_response():

@@ -438,9 +438,7 @@ class TestEngineAB:
                 params, kind, np.random.default_rng((seed, 0xC017)), standing
             )
             monitors.append(
-                ContinuousMonitor(
-                    sim, queries, use_safe_regions=flags, batch_scans=flags
-                )
+                ContinuousMonitor(sim, queries, naive=not flags)
             )
             sims.append(sim)
         return sims, monitors
@@ -506,9 +504,7 @@ class TestEngineAB:
             one_shot._refresh_positions(t)
             event = dataclasses.replace(query.template, time=t)
             expected = one_shot.execute_query(event)
-            monitor = ContinuousMonitor(
-                ticked, [query], use_safe_regions=False, batch_scans=False
-            )
+            monitor = ContinuousMonitor(ticked, [query], naive=True)
             answers = monitor.tick(t)
             (got,) = settled[-1:]
             assert got.record == expected.record
@@ -562,8 +558,7 @@ class TestEngineAB:
                 standing=100,
                 ticks=20,
                 tick_interval=5.0,
-                use_safe_regions=flags,
-                batch_scans=flags,
+                naive=not flags,
                 warmup_queries=150,
             )
             assert monitor.stats.evaluations == 2000

@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.model",
     "repro.ondemand",
     "repro.p2p",
-    "repro.sim",
     "repro.workloads",
 ]
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import ExperimentError, ServeError
 from repro.experiments import Simulation
-from repro.obs import load_trace, summarize_spans
+from repro.obs import Tracer, load_trace, summarize_spans
 from repro.serve import (
     BaseStationServer,
     MSG_SHED,
@@ -460,17 +460,19 @@ class TestLoadgen:
 # Per-connection trace export
 # ----------------------------------------------------------------------
 class TestTracing:
-    def test_connection_trace_is_summary_compatible(self, tmp_path):
+    @staticmethod
+    def traced_connection(tmp_path, seed, count):
+        """One lockstep connection to a traced server; its trace file."""
         trace_dir = str(tmp_path / "traces")
 
         async def scenario():
-            server = await started_server(seed=5, trace_dir=trace_dir)
+            server = await started_server(seed=seed, trace_dir=trace_dir)
             try:
                 await run_load(
                     PARAMS,
                     server.port,
-                    seed=5,
-                    count=6,
+                    seed=seed,
+                    count=count,
                     connections=1,
                     lockstep=True,
                 )
@@ -478,9 +480,11 @@ class TestTracing:
                 await server.stop()
 
         run(scenario())
-        files = sorted(os.listdir(trace_dir))
-        assert files == ["conn-00000.jsonl"]
-        spans, metrics = load_trace(os.path.join(trace_dir, files[0]))
+        assert os.listdir(trace_dir) == ["conn-00000.jsonl"]
+        return load_trace(os.path.join(trace_dir, "conn-00000.jsonl"))
+
+    def test_connection_trace_is_summary_compatible(self, tmp_path):
+        spans, metrics = self.traced_connection(tmp_path, seed=5, count=6)
         assert len(spans) == 6
         assert all(s["name"] == "serve.request" for s in spans)
         assert all(
@@ -493,6 +497,28 @@ class TestTracing:
         summary = summarize_spans(spans)
         assert summary.queries == 6
         assert summary.recorded_access_latency_s > 0
+
+
+    def test_wire_trace_lists_the_span_names_of_its_in_process_twin(
+        self, tmp_path
+    ):
+        # One tracer holder (the world): what a traced Simulation emits
+        # under ``query`` — ``cache.insert`` included — a traced
+        # connection emits under ``serve.request`` > ``query``.
+        seed, count = 5, 30
+
+        def names(span):
+            return [span["name"], [names(c) for c in span.get("children", ())]]
+
+        spans, _ = self.traced_connection(tmp_path, seed, count)
+        wire = [names(s["children"][0]) for s in spans]
+        tracer = Tracer()
+        sim = Simulation(PARAMS, seed=seed, tracer=tracer)
+        for event in seeded_events(PARAMS, QueryKind.KNN, seed, count):
+            sim.execute_query(event)
+        assert wire == [names(root.to_dict()) for root in tracer.roots]
+        inserts = sum(str(query).count("cache.insert") for query in wire)
+        assert inserts > count
 
 
 # ----------------------------------------------------------------------

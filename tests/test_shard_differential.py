@@ -65,6 +65,23 @@ def test_lockstep_bit_identical(kind, hops):
         )
 
 
+def test_both_worlds_advance_time_the_same_way():
+    # Each workload's Poisson stream starts at the clock the previous
+    # one left, so equal clocks are what keep later workloads equal.
+    params = tenth_scale_params()
+    base = Simulation(params, seed=13)
+    with ShardedSimulation(
+        params, seed=13, shards=4, exchange="event"
+    ) as sharded:
+        assert base.env.now == sharded._now == 0.0
+        for kind in (QueryKind.KNN, QueryKind.WINDOW, QueryKind.KNN):
+            reference = base.run_workload(kind, 5, 30)
+            candidate = sharded.run_workload(kind, 5, 30)
+            assert reference.records == candidate.records
+            assert base.share_states() == sharded.share_states()
+            assert base.env.now == sharded._now == reference.records[-1].time
+
+
 def test_lockstep_identity_independent_of_shard_count():
     params = tenth_scale_params()
     streams = []

@@ -67,6 +67,8 @@ lint:
 	@! grep -rIn 'disjoint[_]rects()' src/repro/core
 	@echo ">> the clock is a float, a sweep has one door, the world holds the one tracer: retired names stay out"
 	@! grep -rIn 'repro[.]sim\|from [.][.]sim\|Sweep[R]unner\|run_knn[_]txrange\|run_knn[_]cache\|run_knn[_]k\>\|run_wq[_]txrange\|run_wq[_]cache\|run_wq[_]size\|use_safe[_]regions\|batch[_]scans=\|[.]cache[.]tracer\|trace[_]limit' src/repro examples benchmarks
+	@echo ">> a cache's region upkeep has one piece of state: the moved-region marker, no coalesced flag beside it"
+	@! grep -rIn '_regions[_]coalesced' src tests
 
 test:
 	@echo ">> tier-1 tests"

@@ -17,10 +17,15 @@ structure-of-arrays mirror of the cached POI coordinates and ids
 (append on insert, swap-remove on evict), so the eviction policy
 scores candidates straight from arrays instead of rebuilding them from
 the item dict on every capacity breach.
+
+The region list is kept *settled* — area-descending, no region inside
+an earlier one — and one marker records what an eviction moved since
+the last settle, so the next settle re-checks only those regions.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from ..check import invariants
@@ -34,32 +39,46 @@ import numpy as np
 
 EVICTION_MARGIN = 1e-9
 
+# The two states of ``POICache._moved`` that are not a list of the
+# regions a repair rebuilt: nothing moved since the last settle, and
+# every region counts as moved (a list of unknown history).
+SETTLED = ()
+ALL_MOVED = None
 
-def _descending_area(vr: "VerifiedRegion") -> float:
-    """Sort key of the coalescing pass (module-level: no closure rebuild)."""
-    return -vr.area
+
+# Sort key of the coalescing pass, read in C (sorted with reverse=True,
+# which keeps equal areas in list order).
+_area = attrgetter("area")
 
 
 def shrink_rect_to_exclude(rect: Rect, p: Point) -> Rect | None:
-    """The largest of the four axis cuts of ``rect`` that excludes ``p``."""
-    return shrink_rect_to_exclude_xy(rect, p.x, p.y)
+    """The largest of the four axis cuts of ``rect`` that excludes ``p``.
+
+    ``rect`` itself when ``p`` lies outside it, ``None`` when no
+    positive-area remainder exists.
+    """
+    x1, y1, x2, y2 = rect.x1, rect.y1, rect.x2, rect.y2
+    if not (x1 <= p.x <= x2 and y1 <= p.y <= y2):
+        return rect
+    bounds = cut_excluding(x1, y1, x2, y2, p.x, p.y)
+    return None if bounds is None else Rect(*bounds)
 
 
-def shrink_rect_to_exclude_xy(rect: Rect, px: float, py: float) -> Rect | None:
-    """The largest of the four axis cuts of ``rect`` excluding ``(px, py)``.
+def cut_excluding(
+    x1: float, y1: float, x2: float, y2: float, px: float, py: float
+) -> tuple[float, float, float, float] | None:
+    """Bounds of the largest of the four axis cuts of the closed box
+    ``(x1, y1, x2, y2)`` that excludes ``(px, py)``, a point inside it.
 
     Returns ``None`` when no positive-area remainder exists.
 
     The candidate areas are compared arithmetically (same expressions
-    as ``Rect.area``, same left/right/down/up precedence on ties) and
-    only the winning rectangle is constructed — this runs once per
-    (region, victim) shrink, the hottest loop of cache eviction, so
-    the victim arrives as two floats straight off the eviction arrays
-    rather than a constructed :class:`Point`.
+    as ``Rect.area``, same left/right/down/up precedence on ties) —
+    this runs once per (region, victim) shrink, the hottest loop of
+    cache eviction, so it takes and returns floats: the victim arrives
+    straight off the eviction arrays, and a region cut by several
+    victims becomes one :class:`Rect` after its last cut.
     """
-    x1, y1, x2, y2 = rect.x1, rect.y1, rect.x2, rect.y2
-    if not (x1 <= px <= x2 and y1 <= py <= y2):
-        return rect
     cut_left = px - EVICTION_MARGIN
     cut_right = px + EVICTION_MARGIN
     cut_down = py - EVICTION_MARGIN
@@ -93,12 +112,12 @@ def shrink_rect_to_exclude_xy(rect: Rect, px: float, py: float) -> Rect | None:
     if best < 0:
         return None
     if best == 0:
-        return Rect(x1, y1, cut_left, y2)
+        return x1, y1, cut_left, y2
     if best == 1:
-        return Rect(cut_right, y1, x2, y2)
+        return cut_right, y1, x2, y2
     if best == 2:
-        return Rect(x1, y1, x2, cut_down)
-    return Rect(x1, cut_up, x2, y2)
+        return x1, y1, x2, cut_down
+    return x1, cut_up, x2, y2
 
 
 class POICache:
@@ -133,11 +152,13 @@ class POICache:
         # verified regions change, so share responses can be memoised
         # on (host, generation) and stay sound.
         self.generation = 0
-        # True while no region has been shrunk (or dropped) by an
-        # eviction since the last full coalesce — the precondition for
-        # the fused insert in :meth:`_insert_result` (no containments
-        # can lurk among the kept regions).
-        self._regions_coalesced = True
+        # What moved since the region list was last settled (area-sorted,
+        # no region inside an earlier one): ``SETTLED`` while no
+        # eviction has shrunk or dropped a region — the precondition for
+        # the fused insert in :meth:`_insert_result` — else the list of
+        # regions :meth:`_repair_regions` rebuilt, which is all
+        # :meth:`_coalesce_regions` re-checks in full, or ``ALL_MOVED``.
+        self._moved: list[VerifiedRegion] | tuple[()] | None = SETTLED
 
     # ------------------------------------------------------------------
     def _drop_slot_of(self, poi_id: int) -> None:
@@ -206,12 +227,17 @@ class POICache:
         share-response memo and the halo sync key on the generation,
         so a double bump would invalidate them twice for one change.
         Under an enabled ``tracer`` (a :class:`repro.obs.Tracer`) the
-        call is one ``cache.insert`` span below the active query span.
+        call is one ``cache.insert`` span below the active query span;
+        its ``regions_moved`` / ``regions_shrunk`` are the moved-region
+        marker's length when the call starts (what this insert's settle
+        re-checks in full) and when it ends (what this call's evictions
+        shrank, left for the next settle).
         """
         if tracer is None or not tracer.enabled:
             self._insert_result(region, pois, now, host_position, heading)
             return
         with tracer.span("cache.insert") as span:
+            moved = self._moved_count()
             added, evicted = self._insert_result(
                 region, pois, now, host_position, heading
             )
@@ -220,8 +246,15 @@ class POICache:
                 pois_added=added,
                 pois_evicted=evicted,
                 regions=len(self._regions),
+                regions_moved=moved,
+                regions_shrunk=self._moved_count(),
                 size=len(self._items),
             )
+
+    def _moved_count(self) -> int:
+        """How many regions the marker counts as moved (traced path)."""
+        moved = self._moved
+        return len(self._regions) if moved is ALL_MOVED else len(moved)
 
     def _insert_result(
         self,
@@ -277,7 +310,7 @@ class POICache:
         # subtraction is zero exactly when the operands are equal.
         if region.x2 != region.x1 and region.y2 != region.y1:
             regions = self._regions
-            if self._regions_coalesced and regions:
+            if self._moved is SETTLED and regions:
                 # Fused covered-check + coalesce: while the
                 # incumbents are containment-free and area-sorted, the
                 # only possible containments involve the newcomer, so
@@ -353,14 +386,15 @@ class POICache:
     def _append_region(
         self, region: Rect, now: float, host_position: Point
     ) -> None:
-        """Append a verified region the general way: full coalesce.
+        """Append a verified region the general way, then settle.
 
-        The post-shrink path (``_regions_coalesced`` false) and the
-        first region of an empty cache land here; the common case is
-        fused into :meth:`_insert_result`.
+        The post-shrink path (the marker not ``SETTLED``) and the first
+        region of an empty cache land here; the common case is fused
+        into :meth:`_insert_result`.
         """
-        self._regions.append(VerifiedRegion(region, now))
-        self._coalesce_regions()
+        newcomer = VerifiedRegion(region, now)
+        self._regions.append(newcomer)
+        self._coalesce_regions(newcomer)
         if len(self._regions) > self.max_regions:
             self._trim_regions(host_position)
 
@@ -423,14 +457,16 @@ class POICache:
         area-descending list order, and the *exact* slot-array prefix
         (swap-remove order is load-bearing for batch eviction).
         The policy is excluded — it is encoded separately by the
-        codec.
+        codec.  Of the moved-region marker only "settled or not"
+        crosses; an unsettled cache decodes as ``ALL_MOVED``, whose
+        full re-check settles to the same list.
         """
         n = self._slot_n
         return (
             self.capacity,
             self.max_regions,
             self.generation,
-            self._regions_coalesced,
+            self._moved is SETTLED,
             tuple(self._items.values()),
             tuple(self._regions),
             self._slot_ids[:n],
@@ -482,32 +518,57 @@ class POICache:
         cache._slot_ys[:n] = slot_ys
         cache._slot_ids[:n] = slot_ids
         cache.generation = generation
-        cache._regions_coalesced = regions_coalesced
+        cache._moved = SETTLED if regions_coalesced else ALL_MOVED
         return cache
 
     # ------------------------------------------------------------------
-    def _coalesce_regions(self) -> None:
-        """Drop regions fully covered by another (newer wins ties).
+    def _coalesce_regions(self, newcomer: VerifiedRegion) -> None:
+        """Settle the list: drop regions fully covered by another
+        (newer wins ties), re-checking in full only what moved.
 
-        The plain full scan: shrinking can push a kept region inside a
-        sibling, and those stale containments are only cleaned up
-        here.  (The common insert never comes this way — it is fused
-        into :meth:`_insert_result`.)
+        Shrinking can push a kept region inside a sibling, and those
+        containments are only cleaned up here.  The walk is the full
+        scan's — stable area-descending sort, each region tested
+        against the kept regions before it — but a region no repair
+        rebuilt since the last settle is tested only against the kept
+        *moved* ones (the marker's regions and ``newcomer``).  That
+        is exact: the unmoved regions keep their rectangles and, under
+        the stable sort, their order of the settled list, where none
+        sat inside an earlier one — so an unmoved region can only sit
+        inside an earlier moved one.  ``ALL_MOVED`` re-checks every
+        region — the full scan — through the same loop.  (The common
+        insert never comes this way — it is fused into
+        :meth:`_insert_result`.)
         """
         regions = self._regions
         if len(regions) > 1:
+            moved = self._moved
+            if moved is ALL_MOVED:
+                fresh = None
+            else:
+                fresh = set(map(id, moved))
+                fresh.add(id(newcomer))
             kept: list[VerifiedRegion] = []
-            for vr in sorted(regions, key=_descending_area):
-                rect = vr.rect
-                rx1, ry1, rx2, ry2 = rect.x1, rect.y1, rect.x2, rect.y2
-                for other in kept:
+            kept_moved: list[VerifiedRegion] = []
+            for vr in sorted(regions, key=_area, reverse=True):
+                if fresh is None or id(vr) in fresh:
+                    against = kept
+                elif kept_moved:
+                    against = kept_moved
+                else:
+                    kept.append(vr)
+                    continue
+                r = vr.rect
+                for other in against:
                     o = other.rect
-                    if o.x1 <= rx1 and o.y1 <= ry1 and rx2 <= o.x2 and ry2 <= o.y2:
+                    if o.x1 <= r.x1 and o.y1 <= r.y1 and r.x2 <= o.x2 and r.y2 <= o.y2:
                         break
                 else:
                     kept.append(vr)
+                    if against is kept:
+                        kept_moved.append(vr)
             self._regions = kept
-        self._regions_coalesced = True
+        self._moved = SETTLED
 
     def _enforce_capacity(
         self, now: float, host_position: Point, heading: tuple[float, float]
@@ -579,33 +640,52 @@ class POICache:
         order.  ``max_regions`` keeps the outer loop tiny, so the
         containment test runs on local floats (victim coordinates
         arrive as parallel float lists straight off the eviction
-        arrays, bounds refreshed after each shrink) rather than a
-        batched matrix build.
+        arrays, bounds cut in floats and one :class:`Rect` built after
+        the last cut) rather than a batched matrix build.  A region
+        disjoint from the victims' closed bounding box holds no victim
+        and is kept untested.
+
+        Every region it rebuilds joins the moved-region marker, which
+        is what the next :meth:`_coalesce_regions` re-checks in full.
         """
         regions = self._regions
         if not regions or not vxs:
             return
+        bx1, bx2 = min(vxs), max(vxs)
+        by1, by2 = min(vys), max(vys)
         updated: list[VerifiedRegion] = []
-        changed = False
+        rebuilt: list[VerifiedRegion] = []
+        dropped = False
         for vr in regions:
             rect = vr.rect
+            if rect.x2 < bx1 or bx2 < rect.x1 or rect.y2 < by1 or by2 < rect.y1:
+                updated.append(vr)
+                continue
             x1, y1, x2, y2 = rect.x1, rect.y1, rect.x2, rect.y2
+            shrunk = False
             for px, py in zip(vxs, vys):
                 if x1 <= px <= x2 and y1 <= py <= y2:
-                    rect = shrink_rect_to_exclude_xy(rect, px, py)
-                    if rect is None:
+                    bounds = cut_excluding(x1, y1, x2, y2, px, py)
+                    if bounds is None:
+                        dropped = True
                         break
-                    x1, y1, x2, y2 = rect.x1, rect.y1, rect.x2, rect.y2
-            if rect is None:
-                changed = True
-            elif rect is vr.rect:
-                updated.append(vr)
+                    x1, y1, x2, y2 = bounds
+                    shrunk = True
             else:
-                changed = True
-                updated.append(VerifiedRegion(rect, vr.created_at))
-        if changed:
+                if shrunk:
+                    vr = VerifiedRegion(Rect(x1, y1, x2, y2), vr.created_at)
+                    rebuilt.append(vr)
+                updated.append(vr)
+        if rebuilt or dropped:
             self._regions = updated
-            self._regions_coalesced = False
+            moved = self._moved
+            if moved is SETTLED:
+                self._moved = rebuilt
+            elif moved is not ALL_MOVED:
+                # Repairs with no settle between them: the earlier
+                # rebuilt regions still listed stay moved.
+                alive = set(map(id, updated))
+                self._moved = [vr for vr in moved if id(vr) in alive] + rebuilt
 
     # ------------------------------------------------------------------
     def check_soundness(

@@ -214,16 +214,43 @@ def check_retrieval_cost(cost: "RetrievalCost", planned_buckets: int) -> None:
 
 
 def check_cache(cache) -> None:
-    """Capacity and region-cap contracts of a cooperative cache."""
+    """Capacity, region-cap and region-list contracts of a cache.
+
+    No region is degenerate, and while the list is settled (no
+    eviction moved a region since the last settle) the areas are
+    non-increasing with no region inside an earlier one — what the
+    fused insert and the partial settle both start from.  O(R²).
+    """
+    from ..cache.store import SETTLED
+
     if len(cache) > cache.capacity:
         raise InvariantViolation(
             f"cache holds {len(cache)} POIs, capacity {cache.capacity}"
         )
-    if len(cache.regions) > cache.max_regions:
+    regions = cache.regions
+    if len(regions) > cache.max_regions:
         raise InvariantViolation(
-            f"cache holds {len(cache.regions)} regions,"
-            f" cap {cache.max_regions}"
+            f"cache holds {len(regions)} regions, cap {cache.max_regions}"
         )
+    for vr in regions:
+        if vr.rect.is_degenerate():
+            raise InvariantViolation(f"degenerate verified region {vr!r}")
+    if cache._moved is not SETTLED:
+        return
+    for i in range(1, len(regions)):
+        if regions[i].area > regions[i - 1].area:
+            raise InvariantViolation(
+                f"settled regions out of area order at {i}:"
+                f" {regions[i - 1]!r} then {regions[i]!r}"
+            )
+        r = regions[i].rect
+        for earlier in regions[:i]:
+            o = earlier.rect
+            if o.x1 <= r.x1 and o.y1 <= r.y1 and r.x2 <= o.x2 and r.y2 <= o.y2:
+                raise InvariantViolation(
+                    f"settled region {regions[i]!r} lies inside the"
+                    f" earlier {earlier!r}"
+                )
 
 
 def check_union(

@@ -19,6 +19,8 @@ __all__ = ["PhaseStats", "TraceSummary", "format_summary", "summarize_spans"]
 RECORDED = ("query", "continuous.tick")
 # The counts a ``core.annotate`` span carries (Lemma 3.2 pass).
 ANNOTATE_COUNTS = ("entries", "annotated", "pieces", "pieces_near")
+# The region counts a ``cache.insert`` span carries (region upkeep).
+CACHE_COUNTS = ("regions", "regions_moved", "regions_shrunk")
 
 
 @dataclass(slots=True)
@@ -54,6 +56,12 @@ class TraceSummary:
     annotate: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(ANNOTATE_COUNTS, 0)
     )
+    # Summed over the ``cache.insert`` spans: regions held after the
+    # insert, moved since the last settle when it began, and left
+    # shrunk by its evictions.
+    cache: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(CACHE_COUNTS, 0)
+    )
 
     @property
     def coverage(self) -> float:
@@ -69,6 +77,7 @@ class TraceSummary:
             "recorded_access_latency_s": self.recorded_access_latency_s,
             "coverage": self.coverage,
             "annotate": dict(self.annotate),
+            "cache": dict(self.cache),
             "phases": {
                 name: {
                     "count": stats.count,
@@ -114,6 +123,9 @@ def _walk(node: dict, summary: TraceSummary, depth: int) -> None:
         if name == "core.annotate":
             for key in ANNOTATE_COUNTS:
                 summary.annotate[key] += int(attributes.get(key, 0))
+        elif name == "cache.insert":
+            for key in CACHE_COUNTS:
+                summary.cache[key] += int(attributes.get(key, 0))
     for child in node.get("children", ()):
         _walk(child, summary, depth + 1)
 
@@ -165,6 +177,13 @@ def format_summary(summary: TraceSummary) -> str:
             f"annotate: {counts['annotated']} of {counts['entries']}"
             f" unverified entries annotated, {counts['pieces_near']} of"
             f" {counts['pieces']} MVR pieces near a disc"
+        )
+    if "cache.insert" in summary.phases:
+        counts = summary.cache
+        lines.append(
+            f"cache: {counts['regions_moved']} of {counts['regions']} held"
+            " regions moved since the last settle,"
+            f" {counts['regions_shrunk']} shrunk by evictions"
         )
     lines.append(
         "phase sim latency: "

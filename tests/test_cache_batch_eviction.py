@@ -6,8 +6,10 @@ regions once for the whole batch.  The pre-batching behaviour — evict
 the ranked victims one at a time, re-scanning every region per victim
 — lives here as :func:`evict_one`.  These properties pin the two
 paths to each other on randomised caches: same survivor set, same
-region rectangles (same shrinks, in the same order), same coalesce
-flag, and the verified-region soundness invariant intact either way.
+region rectangles (same shrinks, in the same order), the same settled
+state, and the verified-region soundness invariant intact either way.
+Both run at two shapes: four regions over a few POIs, and the worlds'
+own capacity 50 / ``max_regions=50`` with dozens of regions.
 """
 
 import math
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import POICache, VerifiedRegion
-from repro.cache.store import shrink_rect_to_exclude
+from repro.cache.store import ALL_MOVED, SETTLED, shrink_rect_to_exclude
 from repro.geometry import Point, Rect
 from repro.model import POI
 
@@ -37,30 +39,49 @@ def evict_one(cache, poi):
             updated.append(VerifiedRegion(shrunk, vr.created_at))
     if shrunk_any:
         cache._regions = updated
-        cache._regions_coalesced = False
+        cache._moved = ALL_MOVED
+
 
 # Integer-lattice POI positions and rect corners: containment and the
 # eviction-margin cuts stay exact, so any batch/sequential divergence
 # is a real algorithmic difference rather than float noise.
-poi_pool = st.lists(
-    st.tuples(st.integers(0, 12), st.integers(0, 12)),
-    min_size=4,
-    max_size=30,
-    unique=True,
-).map(
-    lambda pts: [
-        POI(i, Point(float(x), float(y))) for i, (x, y) in enumerate(pts)
-    ]
+def poi_pool(side, min_size, max_size):
+    return st.lists(
+        st.tuples(st.integers(0, side), st.integers(0, side)),
+        min_size=min_size,
+        max_size=max_size,
+        unique=True,
+    ).map(
+        lambda pts: [
+            POI(i, Point(float(x), float(y))) for i, (x, y) in enumerate(pts)
+        ]
+    )
+
+
+def insert_batches(side, extent, min_size, max_size):
+    rects = st.tuples(
+        st.integers(0, side - 3),
+        st.integers(0, side - 3),
+        st.integers(1, extent),
+        st.integers(1, extent),
+    ).map(lambda t: Rect(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+    return st.lists(rects, min_size=min_size, max_size=max_size)
+
+
+# (max_regions, POI pool, inserted regions, capacity to evict down to).
+shapes = st.one_of(
+    st.tuples(
+        st.just(4), poi_pool(12, 4, 30), insert_batches(12, 6, 1, 6),
+        st.integers(1, 8),
+    ),
+    st.tuples(
+        st.just(50), poi_pool(24, 100, 250), insert_batches(24, 5, 30, 70),
+        st.just(50),
+    ),
 )
 
-rects = st.tuples(
-    st.integers(0, 9), st.integers(0, 9), st.integers(1, 6), st.integers(1, 6)
-).map(lambda t: Rect(t[0], t[1], t[0] + t[2], t[1] + t[3]))
-
-insert_batches = st.lists(rects, min_size=1, max_size=6)
-
 positions = st.tuples(
-    st.integers(-2, 14), st.integers(-2, 14)
+    st.integers(-2, 26), st.integers(-2, 26)
 ).map(lambda t: Point(float(t[0]), float(t[1])))
 
 headings = st.sampled_from(
@@ -68,14 +89,14 @@ headings = st.sampled_from(
 )
 
 
-def _filled_cache(pool, regions, position, heading, capacity):
+def _filled_cache(pool, regions, position, heading, capacity, max_regions):
     """A cache built through the public API, one insert per region.
 
     Each insert carries *every* pool POI inside its region, honouring
     the completeness contract of ``insert_result``; a generous build
     capacity keeps eviction out of the construction phase.
     """
-    cache = POICache(capacity=capacity, max_regions=4)
+    cache = POICache(capacity=capacity, max_regions=max_regions)
     for step, region in enumerate(regions):
         pois = [p for p in pool if region.contains_point(p.location)]
         cache.insert_result(region, pois, float(step), position, heading)
@@ -83,14 +104,18 @@ def _filled_cache(pool, regions, position, heading, capacity):
 
 
 class TestBatchedEvictionEquivalence:
-    @given(poi_pool, insert_batches, positions, headings, st.integers(1, 8))
+    @given(shapes, positions, headings)
     @settings(max_examples=120, deadline=None)
-    def test_batch_matches_sequential_evict(
-        self, pool, regions, position, heading, capacity
-    ):
-        batched = _filled_cache(pool, regions, position, heading, len(pool))
-        reference = _filled_cache(pool, regions, position, heading, len(pool))
+    def test_batch_matches_sequential_evict(self, shape, position, heading):
+        max_regions, pool, regions, capacity = shape
+        batched = _filled_cache(
+            pool, regions, position, heading, len(pool), max_regions
+        )
+        reference = _filled_cache(
+            pool, regions, position, heading, len(pool), max_regions
+        )
         assert list(batched._items) == list(reference._items)
+        before = list(batched._regions)
 
         excess = len(batched) - capacity
         batched.capacity = reference.capacity = capacity
@@ -109,16 +134,26 @@ class TestBatchedEvictionEquivalence:
 
         assert list(batched._items) == list(reference._items)
         assert batched.regions == reference.regions
-        assert batched._regions_coalesced == reference._regions_coalesced
+        assert (batched._moved is SETTLED) == (reference._moved is SETTLED)
+        # The marker lists exactly the regions the repair rebuilt:
+        # every other region is the very object it was before.
+        moved = {id(vr) for vr in batched._moved}
+        unmoved = {id(vr) for vr in before}
+        assert len(moved) == len(batched._moved)
+        for vr in batched._regions:
+            assert (id(vr) in moved) != (id(vr) in unmoved)
         batched.check_soundness(pool)
         reference.check_soundness(pool)
 
-    @given(poi_pool, insert_batches, positions, headings, st.integers(1, 8))
+    @given(shapes, positions, headings)
     @settings(max_examples=60, deadline=None)
     def test_public_path_stays_sound_under_pressure(
-        self, pool, regions, position, heading, capacity
+        self, shape, position, heading
     ):
         """Evictions triggered inside ``insert_result`` itself."""
-        cache = _filled_cache(pool, regions, position, heading, capacity)
+        max_regions, pool, regions, capacity = shape
+        cache = _filled_cache(
+            pool, regions, position, heading, capacity, max_regions
+        )
         assert len(cache) <= capacity
         cache.check_soundness(pool)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.broadcast.schedule import RetrievalCost
-from repro.cache import POICache
+from repro.cache import POICache, VerifiedRegion
 from repro.check import invariants
 from repro.check.invariants import (
     InvariantViolation,
@@ -227,6 +227,40 @@ class TestCheckCache:
         cache._items[2] = object()
         with pytest.raises(InvariantViolation, match="capacity"):
             check_cache(cache)
+
+    @staticmethod
+    def planted(*rects, moved=()):
+        cache = POICache(capacity=4, max_regions=4)
+        cache._regions = [VerifiedRegion(r, 0.0) for r in rects]
+        cache._moved = moved
+        return cache
+
+    def test_settled_containment_detected(self, checks_on):
+        cache = self.planted(Rect(0, 0, 4, 4), Rect(5, 5, 7, 7), Rect(1, 1, 2, 2))
+        with pytest.raises(InvariantViolation, match="inside the earlier"):
+            check_cache(cache)
+        # Unsettled, a containment is what the next settle drops.
+        cache._moved = list(cache._regions[2:])
+        check_cache(cache)
+
+    def test_settled_area_order_detected(self, checks_on):
+        cache = self.planted(Rect(0, 0, 1, 1), Rect(5, 5, 7, 7))
+        with pytest.raises(InvariantViolation, match="area order"):
+            check_cache(cache)
+
+    def test_degenerate_region_detected(self, checks_on):
+        cache = self.planted(Rect(0, 0, 4, 4), Rect(5, 5, 5, 7), moved=None)
+        with pytest.raises(InvariantViolation, match="degenerate"):
+            check_cache(cache)
+
+    def test_seam_holds_through_world_shaped_churn(self, checks_on):
+        cache = POICache(capacity=50, max_regions=50)
+        for i in range(300):
+            x, y = 7.0 * (i % 17), 5.0 * (i % 13)
+            region = Rect(x, y, x + 9.0 + i % 5, y + 6.0 + i % 7)
+            pois = [POI(4 * i + j, Point(x + j + 0.5, y + 0.5)) for j in range(4)]
+            cache.insert_result(region, pois, float(i), Point(x, y), (1.0, 0.0))
+        assert len(cache) == 50 and len(cache.regions) > 25
 
 
 class TestCheckUnion:

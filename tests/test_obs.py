@@ -12,7 +12,10 @@ import math
 
 import pytest
 
+from repro.cache import POICache
 from repro.errors import ReproError
+from repro.geometry import Point, Rect
+from repro.model import POI
 from repro.obs import (
     LATENCY_BUCKETS_S,
     NO_TRACER,
@@ -252,6 +255,25 @@ class TestSummary:
         )
         assert lines[-1].startswith("phase sim latency")
 
+    def test_cache_region_counts_are_summed_and_printed(self):
+        spans = self.make_spans()
+        assert "cache:" not in format_summary(summarize_spans(spans))
+        for moved, shrunk in ((0, 2), (2, 1)):
+            spans[0]["children"].append(
+                {"name": "cache.insert", "wall_ms": 0.1,
+                 "attributes": {"regions": 27, "regions_moved": moved,
+                                "regions_shrunk": shrunk, "size": 50}}
+            )
+        summary = summarize_spans(spans)
+        assert summary.cache == summary.to_dict()["cache"] == {
+            "regions": 54, "regions_moved": 2, "regions_shrunk": 3
+        }
+        lines = format_summary(summary).splitlines()
+        assert lines[-2] == (
+            "cache: 2 of 54 held regions moved since the last settle,"
+            " 3 shrunk by evictions"
+        )
+
     def test_empty_trace(self):
         summary = summarize_spans([])
         assert summary.queries == 0
@@ -334,6 +356,31 @@ class TestTracedSimulation:
         summary = summarize_spans([root.to_dict() for root in tracer.roots])
         assert summary.queries == 30
         assert summary.coverage == pytest.approx(1.0, rel=1e-9)
+
+    def test_cache_insert_span_reads_the_moved_marker(self):
+        # Evicting inserts on one host: each span's regions_shrunk is
+        # the marker this insert's evictions left, which the next
+        # insert's settle re-checks as its regions_moved.
+        tracer = Tracer()
+        cache = POICache(capacity=6, max_regions=50)
+        with tracer.span("query"):
+            for i in range(12):
+                x = 3.0 * i
+                pois = [POI(3 * i + j, Point(x + j + 0.5, 1.0 + j)) for j in range(3)]
+                cache.insert_result(
+                    Rect(x, 0.0, x + 4.0, 4.0), pois, float(i), Point(x, 2.0),
+                    (1.0, 0.0), tracer=tracer,
+                )
+        spans = tracer.roots[0].to_dict()["children"]
+        counts = [span["attributes"] for span in spans]
+        assert [c["regions_moved"] for c in counts] == [0] + [
+            c["regions_shrunk"] for c in counts[:-1]
+        ]
+        assert counts[-1]["regions_shrunk"] == len(cache._moved)
+        assert sum(c["regions_shrunk"] for c in counts) > 0
+        summary = summarize_spans([tracer.roots[0].to_dict()])
+        assert 0 < summary.cache["regions_moved"] < summary.cache["regions"]
+        assert "cache: " in format_summary(summary)
 
     def test_tracing_leaves_records_bit_identical(self):
         plain = run_sim()

@@ -69,6 +69,9 @@ lint:
 	@! grep -rIn 'repro[.]sim\|from [.][.]sim\|Sweep[R]unner\|run_knn[_]txrange\|run_knn[_]cache\|run_knn[_]k\>\|run_wq[_]txrange\|run_wq[_]cache\|run_wq[_]size\|use_safe[_]regions\|batch[_]scans=\|[.]cache[.]tracer\|trace[_]limit' src/repro examples benchmarks
 	@echo ">> a cache's region upkeep has one piece of state: the moved-region marker, no coalesced flag beside it"
 	@! grep -rIn '_regions[_]coalesced' src tests
+	@echo ">> a shared result enters a cache in one call; the coordinate mirror stays inside the cache store"
+	@! grep -rIn 'for region, pois [i]n' src/repro/experiments src/repro/shard
+	@test "$$(grep -rIl '[_]slot[_]' src tests tools examples benchmarks bench | grep -v '^src/repro/cache/store.py$$' | wc -l)" -eq 0
 
 test:
 	@echo ">> tier-1 tests"

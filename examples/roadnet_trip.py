@@ -69,9 +69,9 @@ def main() -> None:
             latency = onair.cost.access_latency
             source = "broadcast"
             covered = onair.plan.search_mbr
+            inside = [p for p in onair.downloaded if covered.contains_point(p.location)]
             cache.insert_result(
-                covered,
-                [p for p in onair.downloaded if covered.contains_point(p.location)],
+                [(covered, inside)],
                 t,
                 position,
                 heading,

@@ -1,6 +1,6 @@
 """Cooperative caching: per-host POI stores with verified regions."""
 
-from .entry import CacheItem, VerifiedRegion
+from .entry import CacheItem, SharedResult, VerifiedRegion
 from .policy import DirectionDistancePolicy, FIFOPolicy, LRUPolicy, ReplacementPolicy
 from .store import EVICTION_MARGIN, POICache, shrink_rect_to_exclude
 
@@ -12,6 +12,7 @@ __all__ = [
     "LRUPolicy",
     "POICache",
     "ReplacementPolicy",
+    "SharedResult",
     "VerifiedRegion",
     "shrink_rect_to_exclude",
 ]

@@ -16,6 +16,13 @@ import numpy as np
 from ..geometry import Point
 from .entry import CacheItem
 
+# How close two ``np.hypot`` eviction scores may be before
+# ``select_victims`` re-scores both with ``math.hypot``: far wider than
+# the few ulp the two functions can differ by, far narrower than the
+# gaps between the scores of a real pool.
+NEAR_REL = 1e-12
+NEAR_ABS = 1e-300
+
 
 class ReplacementPolicy(Protocol):
     """Ranks cached items most-evictable-first."""
@@ -127,68 +134,54 @@ class DirectionDistancePolicy:
         """Indices of the top-``excess`` victims, in eviction order.
 
         Identical ranking to :meth:`rank_victims` sliced to ``excess``
-        (the batch-eviction property suite pins the two).  Small pools
-        score every item directly — at typical cache sizes (tens to a
-        few hundred items) the exact kernel is a handful of array ops
-        and any pruning machinery costs more than it saves.  Large
-        pools run the exact per-element ``math.hypot`` only on a
-        pruned candidate set:
+        (``tests/test_cache_policy_select.py`` pins the two).  The pool
+        is ranked by ``np.hypot`` scores — one array call — and only the
+        members whose approximate score sits within ``NEAR_REL``
+        (relative, plus ``NEAR_ABS``) of a neighbour's in that order are
+        re-scored exactly (:meth:`score_arrays`) before the final sort:
 
-        * every score is bracketed by the Chebyshev distance below and
-          the Manhattan distance above (``max(|dx|,|dy|) <= hypot <=
-          |dx|+|dy|``).  Each bound is one correctly-rounded operation
-          away from its exact value, and IEEE round-to-nearest is
-          monotone, so after the behind-penalty multiply the float
-          bracket still holds *elementwise* for the float scores;
-        * at least ``excess`` items have a lower bound at or above the
-          ``excess``-th largest lower bound ``T``, so any item whose
-          upper bound falls below ``T`` ranks strictly below ``excess``
-          better items and can never be a victim.
+        * ``np.hypot`` and ``math.hypot`` each land within a few ulp of
+          the true distance (~1e-15 relative), IEEE round-to-nearest is
+          monotone, so after the behind-penalty multiply an
+          approximate score is within ``NEAR_REL / 2`` of the exact one
+          by three orders of magnitude;
+        * a member whose approximate score is farther than that from
+          both neighbours therefore keeps its place against every
+          other member, approximate or exact, and the mixed scores sort
+          exactly as the exact ones would.  Equal approximate scores
+          are neighbours at distance zero: they are re-scored, and
+          exact ties fall to the larger ``poi_id`` as in
+          :meth:`rank_victims`.
         """
         n = int(ids.size)
         excess = min(excess, n)
         if excess <= 0:
             return np.empty(0, dtype=np.intp)
-        if n < 512:
-            scores = self.score_arrays(xs, ys, host_position, heading)
-            order = np.lexsort((np.negative(ids), np.negative(scores)))
-            return order[:excess]
         dx = xs - host_position.x
         dy = ys - host_position.y
-        adx = np.abs(dx)
-        ady = np.abs(dy)
-        lower = np.maximum(adx, ady)
-        upper = adx + ady
+        scores = np.hypot(dx, dy)
         hx, hy = heading
-        degenerate = hx == 0.0 and hy == 0.0
-        if not degenerate:
-            mult = np.where(
-                dx * hx + dy * hy < 0.0, 1.0 + self.behind_penalty, 1.0
-            )
-            lower = lower * mult
-            upper = upper * mult
-        if excess >= n:
-            candidates = np.arange(n, dtype=np.intp)
-        else:
-            threshold = np.partition(lower, n - excess)[n - excess]
-            candidates = np.flatnonzero(upper >= threshold)
-        cdx = dx[candidates]
-        cdy = dy[candidates]
-        scores = np.fromiter(
-            map(math.hypot, cdx.tolist(), cdy.tolist()),
-            np.float64,
-            candidates.size,
-        )
-        if not degenerate:
+        if hx != 0.0 or hy != 0.0:
             scores = np.where(
-                cdx * hx + cdy * hy < 0.0,
+                dx * hx + dy * hy < 0.0,
                 scores * (1.0 + self.behind_penalty),
                 scores,
             )
-        order = np.lexsort(
-            (np.negative(ids[candidates]), np.negative(scores))
-        )
-        return candidates[order[:excess]]
+        # Without near neighbours every gap is positive: the order is
+        # strict, and no tie is left for the id to break.
+        order = np.argsort(scores)[::-1]
+        ranked = scores[order]
+        floor = ranked[:-1] * (1.0 - NEAR_REL)
+        floor -= NEAR_ABS
+        near = ranked[1:] >= floor
+        if near.any():
+            pairs = np.flatnonzero(near)
+            exact = order[np.union1d(pairs, pairs + 1)]
+            scores[exact] = self.score_arrays(
+                xs[exact], ys[exact], host_position, heading
+            )
+            order = np.lexsort((np.negative(ids), np.negative(scores)))
+        return order[:excess]
 
 
 class LRUPolicy:

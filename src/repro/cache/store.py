@@ -13,10 +13,14 @@ The verified area has one representation, the rectangle list
 ``_regions`` — what ``share()`` sends and what every reader (the
 merged MVR of a query, the continuous safe regions) builds its union
 from.  One auxiliary structure rides along with the POI table: a
-structure-of-arrays mirror of the cached POI coordinates and ids
-(append on insert, swap-remove on evict), so the eviction policy
-scores candidates straight from arrays instead of rebuilding them from
-the item dict on every capacity breach.
+structure-of-arrays mirror of the cached POI coordinates and ids, in
+the table's own order (appended on insert, compacted in order on
+evict), so the eviction policy scores candidates straight from arrays
+instead of rebuilding them from the item dict.
+
+A cache adopts one query's shared result per call — a *visit* — and
+ranks the visit's POIs at most once (see
+:meth:`POICache.insert_result`).
 
 The region list is kept *settled* — area-descending, no region inside
 an earlier one — and one marker records what an eviction moved since
@@ -25,6 +29,9 @@ the last settle, so the next settle re-checks only those regions.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -32,7 +39,7 @@ from ..check import invariants
 from ..errors import CacheError
 from ..geometry import Point, Rect
 from ..model import POI
-from .entry import CacheItem, VerifiedRegion
+from .entry import CacheItem, SharedResult, VerifiedRegion
 from .policy import DirectionDistancePolicy, ReplacementPolicy
 
 import numpy as np
@@ -44,6 +51,18 @@ EVICTION_MARGIN = 1e-9
 # every region counts as moved (a list of unknown history).
 SETTLED = ()
 ALL_MOVED = None
+
+# The ``cache.insert`` span's attributes, each a sum over the visit's
+# steps.
+_SPAN_COUNTS = (
+    "pois_offered",
+    "pois_added",
+    "pois_evicted",
+    "regions",
+    "regions_moved",
+    "regions_shrunk",
+    "size",
+)
 
 
 # Sort key of the coalescing pass, read in C (sorted with reverse=True,
@@ -120,6 +139,75 @@ def cut_excluding(
     return x1, cut_up, x2, y2
 
 
+class _RankedRest:
+    """A visit's steps after its first overflow, against one ranking.
+
+    ``doomed`` / ``xs`` / ``ys`` are the doomed POIs' ids and
+    coordinates in eviction (rank) order.  ``present`` holds the ranks
+    in play now, ``enters[j]`` the ranks step ``j`` brings in at their
+    first offer, ``added_at[j]`` the survivors it admits; ``again[j]``
+    and ``revisits[j]`` are the ids step ``j`` offers that an earlier
+    step may have evicted (offered before, or a table POI's first
+    offer), and ``gone`` the doomed POIs evicted so far, by id — offered
+    again, they come back in and are evicted again.
+    """
+
+    __slots__ = (
+        "doomed", "xs", "ys", "present", "enters", "added_at", "again",
+        "revisits", "gone",
+    )
+
+    def __init__(
+        self,
+        steps: int,
+        doomed: list[int],
+        xs: list[float],
+        ys: list[float],
+        again: list[list[int]],
+        revisits: dict[int, list[int]],
+    ) -> None:
+        self.doomed = doomed
+        self.xs = xs
+        self.ys = ys
+        self.present: list[int] = []
+        self.enters: list[list[int]] = [[] for _ in range(steps)]
+        self.added_at = [0] * steps
+        self.again = again
+        self.revisits = revisits
+        self.gone: dict[int, int] = {}
+
+    def admit(self, step: int) -> int:
+        """Step ``step``'s admissions; returns how many came in."""
+        added = self.added_at[step]
+        entering = self.enters[step]
+        if entering:
+            self.present += entering
+            added += len(entering)
+        gone = self.gone
+        if gone:
+            present = self.present
+            revisits = self.revisits.get(step, ())
+            for poi_id in chain(self.again[step], revisits):
+                r = gone.pop(poi_id, None)
+                if r is not None:
+                    present.append(r)
+                    added += 1
+        return added
+
+    def evict(self, count: int) -> tuple[list[float], list[float]]:
+        """The ``count`` most evictable present POIs leave; their
+        coordinates in eviction order."""
+        present = self.present
+        present.sort()
+        victims = present[:count]
+        del present[:count]
+        self.gone.update(zip(map(self.doomed.__getitem__, victims), victims))
+        return (
+            list(map(self.xs.__getitem__, victims)),
+            list(map(self.ys.__getitem__, victims)),
+        )
+
+
 class POICache:
     """Bounded POI cache with verified-region maintenance."""
 
@@ -138,16 +226,9 @@ class POICache:
         self.policy = policy if policy is not None else DirectionDistancePolicy()
         self._items: dict[int, CacheItem] = {}
         self._regions: list[VerifiedRegion] = []
-        # Structure-of-arrays mirror of the POI table: coordinates and
-        # ids appended on insert, swap-removed on evict, so capacity
-        # enforcement scores candidates without rebuilding arrays from
-        # the item dict.  No id->slot map is kept — the batch eviction
-        # path already knows its victims' slots, and a rank-only policy
-        # scans the id column.
-        self._slot_n = 0
-        self._slot_xs = np.empty(64, np.float64)
-        self._slot_ys = np.empty(64, np.float64)
-        self._slot_ids = np.empty(64, np.int64)
+        self._slot_xs = array("d")
+        self._slot_ys = array("d")
+        self._slot_ids = array("q")
         # Monotone content stamp: bumped whenever the POI set or the
         # verified regions change, so share responses can be memoised
         # on (host, generation) and stay sound.
@@ -155,36 +236,65 @@ class POICache:
         # What moved since the region list was last settled (area-sorted,
         # no region inside an earlier one): ``SETTLED`` while no
         # eviction has shrunk or dropped a region — the precondition for
-        # the fused insert in :meth:`_insert_result` — else the list of
+        # the fused insert in :meth:`_place_region` — else the list of
         # regions :meth:`_repair_regions` rebuilt, which is all
         # :meth:`_coalesce_regions` re-checks in full, or ``ALL_MOVED``.
         self._moved: list[VerifiedRegion] | tuple[()] | None = SETTLED
 
     # ------------------------------------------------------------------
-    def _drop_slot_of(self, poi_id: int) -> None:
-        """Swap-remove one POI from the coordinate arrays by id.
+    # The coordinate mirror.  ``_slot_xs`` / ``_slot_ys`` / ``_slot_ids``
+    # hold the cached POIs' coordinates and ids in the order ``_items``
+    # lists them — one order for the table and its mirror
+    # (``check_cache`` asserts it), which is what lets the codec leave
+    # the mirror out of a host record and rebuild it on decode.  They
+    # are ``array.array`` columns: an admitted POI is three appends, an
+    # evicted one three deletes in place, and a ranking reads numpy
+    # copies.
+    # ------------------------------------------------------------------
+    def _fill_slots(self, items: Sequence[CacheItem]) -> None:
+        """Build the mirror from ``items``, in their order (decode)."""
+        locations = [item.poi.location for item in items]
+        self._slot_xs = array("d", [p.x for p in locations])
+        self._slot_ys = array("d", [p.y for p in locations])
+        self._slot_ids = array("q", [item.poi.poi_id for item in items])
 
-        Scans the (small) id column — only rank-only policies come
-        through here; the batch eviction path already knows its
-        victims' slot indices.
+    def _slot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The mirror as numpy ``(xs, ys, ids)`` arrays, for a ranking."""
+        return (
+            np.array(self._slot_xs),
+            np.array(self._slot_ys),
+            np.array(self._slot_ids),
+        )
+
+    def _delete_slots(self, slots: Iterable[int]) -> None:
+        """Delete mirror entries by position (the rest keep their order)."""
+        xs = self._slot_xs
+        ys = self._slot_ys
+        ids = self._slot_ids
+        for slot in sorted(slots, reverse=True):
+            del xs[slot]
+            del ys[slot]
+            del ids[slot]
+
+    def _drop(self, poi_ids: Sequence[int]) -> tuple[list[float], list[float]]:
+        """Remove cached POIs by id from the table and the mirror.
+
+        Returns the victims' coordinates in ``poi_ids`` order, for the
+        region repair.  Rank-only policies evict through here.
         """
-        last = self._slot_n - 1
-        ids_b = self._slot_ids
-        slot = int(np.flatnonzero(ids_b[: last + 1] == poi_id)[0])
-        self._slot_n = last
-        if slot != last:
-            self._slot_xs[slot] = self._slot_xs[last]
-            self._slot_ys[slot] = self._slot_ys[last]
-            ids_b[slot] = ids_b[last]
+        items = self._items
+        vxs: list[float] = []
+        vys: list[float] = []
+        for poi_id in poi_ids:
+            location = items.pop(poi_id).poi.location
+            vxs.append(location.x)
+            vys.append(location.y)
+        self._delete_slots(map(self._slot_ids.index, poi_ids))
+        return vxs, vys
 
-    def _grow_slots(self) -> None:
-        """Double the coordinate-array capacity (amortised O(1))."""
-        n = self._slot_n
-        for name in ("_slot_xs", "_slot_ys", "_slot_ids"):
-            old = getattr(self, name)
-            grown = np.empty(2 * n, old.dtype)
-            grown[:n] = old
-            setattr(self, name, grown)
+    def mirror_ids(self) -> list[int]:
+        """The mirror's POI ids in its order (equal to the item order)."""
+        return self._slot_ids.tolist()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -209,179 +319,319 @@ class POICache:
     # ------------------------------------------------------------------
     def insert_result(
         self,
-        region: Rect,
-        pois: Sequence[POI],
+        shared: Sequence[tuple[Rect, Sequence[POI]]],
         now: float,
         host_position: Point,
         heading: tuple[float, float] = (0.0, 0.0),
         tracer=None,
     ) -> None:
-        """Store a query result: a region plus *all* server POIs in it.
+        """Adopt one query's shared result: a *visit*.
 
-        Completeness of ``pois`` within ``region`` is the caller's
-        contract; capacity pressure is resolved here by policy-ranked
-        eviction with region shrinking.
+        ``shared`` is the result's ``(region, pois)`` pairs (a
+        :class:`~repro.cache.entry.SharedResult`, or any sequence of
+        pairs), each region with *all* server POIs inside it — the
+        caller's contract.  The pairs are the visit's *steps*, taken in
+        order exactly as if each were inserted alone: admit the step's
+        POIs, place its region, evict down to capacity by policy rank,
+        shrinking every region around each victim.
 
-        The content generation moves at most once per call, however
-        many POIs, regions, and evictions the call touches — the
-        share-response memo and the halo sync key on the generation,
-        so a double bump would invalidate them twice for one change.
-        Under an enabled ``tracer`` (a :class:`repro.obs.Tracer`) the
-        call is one ``cache.insert`` span below the active query span;
-        its ``regions_moved`` / ``regions_shrunk`` are the moved-region
-        marker's length when the call starts (what this insert's settle
-        re-checks in full) and when it ends (what this call's evictions
-        shrank, left for the next settle).
+        Steps are admitted as offered while the table holds them all.
+        From the first step that overflows, a
+        :class:`DirectionDistancePolicy` cache ranks the rest of the
+        visit once: its score depends only on the POI, the position and
+        the heading, all fixed within a visit, so it is one total order
+        over the pool (the table plus the POIs first offered later).
+        Keeping the best ``capacity`` of a growing set commutes under a
+        fixed order, so each step keeps the best of everything held or
+        offered so far, and a POI that survives the visit is evicted at
+        no step.  One ``select_victims`` call names the ``total -
+        capacity`` doomed POIs in eviction order; a step's victims are
+        the first doomed POIs present at that step (one evicted earlier
+        and offered again comes back and is evicted again, cutting
+        regions again), and a POI first offered after the overflow
+        becomes a table entry only if it survives.  Rank-only policies
+        (LRU, FIFO) rank per step: their order moves with the clocks
+        the visit writes.
+
+        What stays per step: region placement, ``_repair_regions`` with
+        that step's victims in eviction order, and one generation bump
+        if the step added a POI, moved a region or evicted — the
+        generation moves at most once per *step*, as inserting the
+        pairs one call each would move it (the share-response memo and
+        the halo sync key on it).  Under an enabled ``tracer`` (a
+        :class:`repro.obs.Tracer`) the visit is one ``cache.insert``
+        span below the active query span, its attributes summed over
+        the steps; ``regions_moved`` / ``regions_shrunk`` add up the
+        moved-region marker's length at each step's start (what its
+        settle re-checks in full) and end (what its evictions shrank).
         """
+        if type(shared) is not SharedResult:
+            shared = SharedResult(shared)
         if tracer is None or not tracer.enabled:
-            self._insert_result(region, pois, now, host_position, heading)
+            self._visit(shared, now, host_position, heading, None)
             return
         with tracer.span("cache.insert") as span:
-            moved = self._moved_count()
-            added, evicted = self._insert_result(
-                region, pois, now, host_position, heading
-            )
-            span.set(
-                pois_offered=len(pois),
-                pois_added=added,
-                pois_evicted=evicted,
-                regions=len(self._regions),
-                regions_moved=moved,
-                regions_shrunk=self._moved_count(),
-                size=len(self._items),
-            )
+            counts = dict.fromkeys(_SPAN_COUNTS, 0)
+            self._visit(shared, now, host_position, heading, counts)
+            span.set(**counts)
 
     def _moved_count(self) -> int:
         """How many regions the marker counts as moved (traced path)."""
         moved = self._moved
         return len(self._regions) if moved is ALL_MOVED else len(moved)
 
-    def _insert_result(
+    def _visit(
         self,
-        region: Rect,
-        pois: Sequence[POI],
+        shared: SharedResult,
         now: float,
         host_position: Point,
         heading: tuple[float, float],
-    ) -> tuple[int, int]:
-        """The uninstrumented insert; returns (POIs added, POIs evicted)."""
+        counts: dict[str, int] | None,
+    ) -> None:
+        """The steps of one visit; ``counts`` collects the span sums."""
+        capacity = self.capacity
+        select = getattr(self.policy, "select_victims", None)
+        last = len(shared) - 1
+        rest: _RankedRest | None = None
+        for step, (region, pois) in enumerate(shared):
+            if counts is not None:
+                moved = self._moved_count()
+            if rest is None:
+                added = self._admit(pois, now)
+                size = len(self._items)
+                if size > capacity and select is not None and step < last:
+                    rest = self._rank_rest(
+                        shared, step, now, host_position, heading, select
+                    )
+            else:
+                added = rest.admit(step)
+                size += added
+            changed = self._place_region(region, now, host_position)
+            evicted = size - capacity
+            if evicted > 0:
+                if rest is None:
+                    vxs, vys = self._evict(evicted, host_position, heading)
+                else:
+                    vxs, vys = rest.evict(evicted)
+                size = capacity
+                self._repair_regions(vxs, vys)
+            else:
+                evicted = 0
+            if added or changed or evicted:
+                self.generation += 1
+            if invariants.ENABLED:
+                invariants.check_cache(self)
+            if counts is not None:
+                counts["pois_offered"] += len(pois)
+                counts["pois_added"] += added
+                counts["pois_evicted"] += evicted
+                counts["regions"] += len(self._regions)
+                counts["regions_moved"] += moved
+                counts["regions_shrunk"] += self._moved_count()
+                counts["size"] += size
+
+    def _rank_rest(
+        self,
+        shared: SharedResult,
+        step: int,
+        now: float,
+        host_position: Point,
+        heading: tuple[float, float],
+        select,
+    ) -> "_RankedRest":
+        """Rank the rest of a visit once, from its first overflowing step.
+
+        ``step`` is admitted, the table holds more than the capacity
+        and steps follow.  The pool is the table plus the POIs first
+        offered after ``step`` that it does not hold; one
+        ``select_victims`` call names its ``total - capacity`` doomed
+        POIs in eviction order.  The table and its mirror are final on return: the
+        table's survivors in their order, then the later survivors in
+        first-offer order — an item is built for a later survivor only
+        — and a table POI first offered after ``step`` has its clock at
+        ``now``.  What the remaining steps replay is returned.
+        """
         items = self._items
-        n = self._slot_n
-        xs_b = self._slot_xs
-        ys_b = self._slot_ys
-        ids_b = self._slot_ids
-        cap = xs_b.size
-        start_n = n
+        later: list[int] = []
+        revisits: dict[int, list[int]] = {}
+        ids, pois, steps, again = shared.offers()
+        for k in range(bisect_right(steps, step), len(ids)):
+            poi_id = ids[k]
+            item = items.get(poi_id)
+            if item is None:
+                later.append(k)
+            else:
+                item.last_used = now
+                revisits.setdefault(steps[k], []).append(poi_id)
+        xs, ys, slot_ids = self._slot_arrays()
+        n = slot_ids.size
+        if later:
+            # The later POIs join the pool behind the table.
+            offered_ids, offered_xs, offered_ys = shared.offered_arrays()
+            picked = np.array(later, np.intp)
+            xs = np.concatenate((xs, offered_xs[picked]))
+            ys = np.concatenate((ys, offered_ys[picked]))
+            slot_ids = np.concatenate((slot_ids, offered_ids[picked]))
+        excess = slot_ids.size - self.capacity
+        sel = select(xs, ys, slot_ids, excess, host_position, heading)
+        rest = _RankedRest(
+            len(shared),
+            slot_ids[sel].tolist(),
+            xs[sel].tolist(),
+            ys[sel].tolist(),
+            again,
+            revisits,
+        )
+        # A doomed table POI is present now and leaves the table at
+        # once; a later one comes in at its first offer.  Walking the
+        # ranks in order keeps every list of ranks ascending.
+        doomed = rest.doomed
+        present = rest.present
+        enters = rest.enters
+        table_slots: list[int] = []
+        later_doomed = [False] * len(later)
+        for r, slot in enumerate(sel.tolist()):
+            if slot < n:
+                del items[doomed[r]]
+                present.append(r)
+                table_slots.append(slot)
+            else:
+                enters[steps[later[slot - n]]].append(r)
+                later_doomed[slot - n] = True
+        self._delete_slots(table_slots)
+        # A later survivor comes in at its first offer: an item and a
+        # mirror entry behind the table's.
+        added_at = rest.added_at
+        append_x = self._slot_xs.append
+        append_y = self._slot_ys.append
+        append_id = self._slot_ids.append
+        new_item = CacheItem.__new__
+        for k, is_doomed in zip(later, later_doomed):
+            if is_doomed:
+                continue
+            poi = pois[k]
+            # Inline CacheItem(poi, now, now): one C allocation instead
+            # of a Python-frame __init__ per cached POI.
+            item = new_item(CacheItem)
+            item.poi = poi
+            item.inserted_at = now
+            item.last_used = now
+            items[ids[k]] = item
+            location = poi.location
+            append_x(location.x)
+            append_y(location.y)
+            append_id(ids[k])
+            added_at[steps[k]] += 1
+        return rest
+
+    def _admit(self, pois: Sequence[POI], now: float) -> int:
+        """One step's POIs into the table and the mirror, as offered.
+
+        Returns how many were new.  Every step of a visit comes through
+        here until one overflows the table (see :meth:`_rank_rest`).
+        """
+        items = self._items
+        append_x = self._slot_xs.append
+        append_y = self._slot_ys.append
+        append_id = self._slot_ids.append
+        added = 0
         new_item = CacheItem.__new__
         for poi in pois:
-            # ``in`` + subscript instead of ``dict.get``: the
-            # containment and subscript opcodes stay off the profiled
-            # C-call path this loop otherwise dominates, and misses
-            # (the common case under churn) pay no failed lookup
-            # result handling.
             poi_id = poi.poi_id
             if poi_id in items:
                 items[poi_id].last_used = now
             else:
-                # Inline CacheItem(poi, now, now): allocation via
-                # __new__ plus direct slot stores — one C allocation
-                # instead of a Python-frame __init__ per cached POI.
                 item = new_item(CacheItem)
                 item.poi = poi
                 item.inserted_at = now
                 item.last_used = now
                 items[poi_id] = item
-                if n == cap:
-                    self._slot_n = n
-                    self._grow_slots()
-                    xs_b = self._slot_xs
-                    ys_b = self._slot_ys
-                    ids_b = self._slot_ids
-                    cap = xs_b.size
                 location = poi.location
-                xs_b[n] = location.x
-                ys_b[n] = location.y
-                ids_b[n] = poi_id
-                n += 1
-        self._slot_n = n
-        added = n - start_n
-        changed = added > 0
+                append_x(location.x)
+                append_y(location.y)
+                append_id(poi_id)
+                added += 1
+        return added
+
+    def _evict(
+        self, count: int, host_position: Point, heading: tuple[float, float]
+    ) -> tuple[list[float], list[float]]:
+        """The ``count`` most evictable POIs leave the table at once.
+
+        Returns their coordinates in eviction order.  A step with no
+        ranking of the rest behind it evicts here: a rank-only policy's
+        every step, and the overflowing last step of a visit.
+        """
+        select = getattr(self.policy, "select_victims", None)
+        if select is None:
+            victims = self.policy.rank_victims(
+                list(self._items.values()), host_position, heading
+            )[:count]
+            return self._drop([item.poi.poi_id for item in victims])
+        xs, ys, ids = self._slot_arrays()
+        sel = select(xs, ys, ids, count, host_position, heading)
+        items = self._items
+        for poi_id in ids[sel].tolist():
+            del items[poi_id]
+        self._delete_slots(sel.tolist())
+        return xs[sel].tolist(), ys[sel].tolist()
+
+    def _place_region(
+        self, region: Rect, now: float, host_position: Point
+    ) -> bool:
+        """One step's verified region into the list; whether it moved.
+
+        Fused covered-check + coalesce: while the incumbents are
+        settled (containment-free and area-sorted), the only possible
+        containments involve the newcomer, so one pass settles what the
+        append + full scan of :meth:`_coalesce_regions` would.  A
+        newcomer inside an incumbent changes neither the region list
+        nor the union — no append *and* no generation bump (nothing
+        observable moved, so the memoised share response stays valid,
+        which is exactly what the stamp exists to exploit).  Otherwise
+        drop any incumbents the newcomer covers and binary-insert it
+        into the area-descending order, ties landing behind, where the
+        stable full-scan sort would put it.
+        """
         # Inline Rect.is_degenerate (zero width or height): IEEE
         # subtraction is zero exactly when the operands are equal.
-        if region.x2 != region.x1 and region.y2 != region.y1:
-            regions = self._regions
-            if self._moved is SETTLED and regions:
-                # Fused covered-check + coalesce: while the
-                # incumbents are containment-free and area-sorted, the
-                # only possible containments involve the newcomer, so
-                # one pass settles what the append + full scan of
-                # :meth:`_coalesce_regions` would.  A newcomer inside
-                # an incumbent changes neither the region list nor
-                # the union — skip the append *and* the generation
-                # bump (nothing observable moved, so the memoised
-                # share response stays valid, which is exactly what
-                # the stamp exists to exploit).  Otherwise
-                # drop any incumbents the newcomer covers and
-                # binary-insert it into the area-descending order,
-                # ties landing behind, where the stable full-scan
-                # sort would put it.
-                rx1, ry1 = region.x1, region.y1
-                rx2, ry2 = region.x2, region.y2
-                covered: list[int] | None = None
-                covered_by_incumbent = False
-                for idx in range(len(regions)):
-                    o = regions[idx].rect
-                    if (
-                        o.x1 <= rx1
-                        and o.y1 <= ry1
-                        and rx2 <= o.x2
-                        and ry2 <= o.y2
-                    ):
-                        covered_by_incumbent = True
-                        break
-                    if (
-                        rx1 <= o.x1
-                        and ry1 <= o.y1
-                        and o.x2 <= rx2
-                        and o.y2 <= ry2
-                    ):
-                        if covered is None:
-                            covered = [idx]
-                        else:
-                            covered.append(idx)
-                if not covered_by_incumbent:
-                    changed = True
-                    if covered is not None:
-                        for idx in reversed(covered):
-                            del regions[idx]
-                    new_vr = VerifiedRegion(region, now)
-                    area = new_vr.area
-                    if regions and regions[-1].area >= area:
-                        regions.append(new_vr)
-                    else:
-                        lo, hi = 0, len(regions)
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if regions[mid].area >= area:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        regions.insert(lo, new_vr)
-                    if len(regions) > self.max_regions:
-                        self._trim_regions(host_position)
-            else:
-                changed = True
-                self._append_region(region, now, host_position)
-        # Inlined no-excess guard: most inserts sit at or under
-        # capacity and skip the call entirely.
-        evicted = 0
-        if len(items) > self.capacity:
-            evicted = self._enforce_capacity(now, host_position, heading)
-        if changed or evicted:
-            self.generation += 1
-        if invariants.ENABLED:
-            invariants.check_cache(self)
-        return added, evicted
+        if region.x2 == region.x1 or region.y2 == region.y1:
+            return False
+        regions = self._regions
+        if self._moved is not SETTLED or not regions:
+            self._append_region(region, now, host_position)
+            return True
+        rx1, ry1 = region.x1, region.y1
+        rx2, ry2 = region.x2, region.y2
+        covered: list[int] | None = None
+        for idx in range(len(regions)):
+            o = regions[idx].rect
+            if o.x1 <= rx1 and o.y1 <= ry1 and rx2 <= o.x2 and ry2 <= o.y2:
+                return False
+            if rx1 <= o.x1 and ry1 <= o.y1 and o.x2 <= rx2 and o.y2 <= ry2:
+                if covered is None:
+                    covered = [idx]
+                else:
+                    covered.append(idx)
+        if covered is not None:
+            for idx in reversed(covered):
+                del regions[idx]
+        new_vr = VerifiedRegion(region, now)
+        area = new_vr.area
+        if regions and regions[-1].area >= area:
+            regions.append(new_vr)
+        else:
+            lo, hi = 0, len(regions)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if regions[mid].area >= area:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            regions.insert(lo, new_vr)
+        if len(regions) > self.max_regions:
+            self._trim_regions(host_position)
+        return True
 
     def _append_region(
         self, region: Rect, now: float, host_position: Point
@@ -390,7 +640,7 @@ class POICache:
 
         The post-shrink path (the marker not ``SETTLED``) and the first
         region of an empty cache land here; the common case is fused
-        into :meth:`_insert_result`.
+        into :meth:`_place_region`.
         """
         newcomer = VerifiedRegion(region, now)
         self._regions.append(newcomer)
@@ -453,15 +703,14 @@ class POICache:
 
         Everything the host-migration codec ships: configuration
         scalars, the POI table in dict insertion order (load-bearing:
-        ``pois``/``share`` iterate it), the verified regions in their
-        area-descending list order, and the *exact* slot-array prefix
-        (swap-remove order is load-bearing for batch eviction).
-        The policy is excluded — it is encoded separately by the
-        codec.  Of the moved-region marker only "settled or not"
-        crosses; an unsettled cache decodes as ``ALL_MOVED``, whose
-        full re-check settles to the same list.
+        ``pois``/``share`` iterate it) and the verified regions in their
+        area-descending list order.  The coordinate mirror is not
+        shipped — it follows the table's order, so the decoder rebuilds
+        it from the POIs.  The policy is excluded — it is encoded
+        separately by the codec.  Of the moved-region marker only
+        "settled or not" crosses; an unsettled cache decodes as
+        ``ALL_MOVED``, whose full re-check settles to the same list.
         """
-        n = self._slot_n
         return (
             self.capacity,
             self.max_regions,
@@ -469,9 +718,6 @@ class POICache:
             self._moved is SETTLED,
             tuple(self._items.values()),
             tuple(self._regions),
-            self._slot_ids[:n],
-            self._slot_xs[:n],
-            self._slot_ys[:n],
         )
 
     @classmethod
@@ -484,16 +730,8 @@ class POICache:
         regions_coalesced: bool,
         items: Sequence[CacheItem],
         regions: Sequence[VerifiedRegion],
-        slot_ids,
-        slot_xs,
-        slot_ys,
     ) -> "POICache":
-        """Rebuild a cache from :meth:`codec_state` components.
-
-        The slot arrays arrive as (possibly read-only ``frombuffer``)
-        views; they are copied into fresh writable buffers sized by
-        the same doubling schedule ``_grow_slots`` uses.
-        """
+        """Rebuild a cache from :meth:`codec_state` components."""
         if capacity < 1:
             raise CacheError(f"cache capacity must be >= 1, got {capacity}")
         if max_regions < 1:
@@ -506,17 +744,7 @@ class POICache:
         if len(cache._items) != len(items):
             raise CacheError("duplicate POI ids in codec cache state")
         cache._regions = list(regions)
-        n = int(np.asarray(slot_ids).size)
-        grown = 64
-        while grown < n:
-            grown *= 2
-        cache._slot_n = n
-        cache._slot_xs = np.empty(grown, np.float64)
-        cache._slot_ys = np.empty(grown, np.float64)
-        cache._slot_ids = np.empty(grown, np.int64)
-        cache._slot_xs[:n] = slot_xs
-        cache._slot_ys[:n] = slot_ys
-        cache._slot_ids[:n] = slot_ids
+        cache._fill_slots(items)
         cache.generation = generation
         cache._moved = SETTLED if regions_coalesced else ALL_MOVED
         return cache
@@ -538,7 +766,7 @@ class POICache:
         inside an earlier moved one.  ``ALL_MOVED`` re-checks every
         region — the full scan — through the same loop.  (The common
         insert never comes this way — it is fused into
-        :meth:`_insert_result`.)
+        :meth:`_place_region`.)
         """
         regions = self._regions
         if len(regions) > 1:
@@ -569,64 +797,6 @@ class POICache:
                         kept_moved.append(vr)
             self._regions = kept
         self._moved = SETTLED
-
-    def _enforce_capacity(
-        self, now: float, host_position: Point, heading: tuple[float, float]
-    ) -> int:
-        """Evict down to capacity; returns the number of POIs evicted.
-
-        Eviction is batched: every victim is ranked in one vectorised
-        policy call, all victims leave the POI table in one pass, and
-        the verified regions are repaired once for the whole batch —
-        the per-victim path re-scanned every region per eviction.  The
-        batch is observationally identical to evicting the ranked
-        victims one at a time (the property suite pins this against
-        its own per-victim loop).
-        """
-        excess = len(self._items) - self.capacity
-        if excess <= 0:
-            return 0
-        items = self._items
-        xs_b = self._slot_xs
-        ys_b = self._slot_ys
-        ids_b = self._slot_ids
-        select = getattr(self.policy, "select_victims", None)
-        if select is not None:
-            # Victims straight from the coordinate arrays (same
-            # ranking as rank_victims — the batch-eviction suite pins
-            # it), then swap-remove their slots highest-index first so
-            # a pending victim is never relocated into a freed slot.
-            n = self._slot_n
-            sel = select(
-                xs_b[:n], ys_b[:n], ids_b[:n], excess, host_position, heading
-            )
-            victim_ids = ids_b[sel].tolist()
-            vxs = xs_b[sel].tolist()
-            vys = ys_b[sel].tolist()
-            for vid in victim_ids:
-                del items[vid]
-            for slot in np.sort(sel)[::-1].tolist():
-                last = self._slot_n - 1
-                self._slot_n = last
-                if slot != last:
-                    xs_b[slot] = xs_b[last]
-                    ys_b[slot] = ys_b[last]
-                    ids_b[slot] = ids_b[last]
-        else:
-            victims = self.policy.rank_victims(
-                list(items.values()), host_position, heading
-            )[:excess]
-            vxs = []
-            vys = []
-            for item in victims:
-                vid = item.poi.poi_id
-                del items[vid]
-                self._drop_slot_of(vid)
-                location = item.poi.location
-                vxs.append(location.x)
-                vys.append(location.y)
-        self._repair_regions(vxs, vys)
-        return excess
 
     def _repair_regions(
         self, vxs: Sequence[float], vys: Sequence[float]

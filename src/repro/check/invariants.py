@@ -214,9 +214,10 @@ def check_retrieval_cost(cost: "RetrievalCost", planned_buckets: int) -> None:
 
 
 def check_cache(cache) -> None:
-    """Capacity, region-cap and region-list contracts of a cache.
+    """Capacity, table-order, region-cap and region-list contracts.
 
-    No region is degenerate, and while the list is settled (no
+    The coordinate mirror lists the cached POIs in the table's own
+    order.  No region is degenerate, and while the list is settled (no
     eviction moved a region since the last settle) the areas are
     non-increasing with no region inside an earlier one — what the
     fused insert and the partial settle both start from.  O(R²).
@@ -226,6 +227,10 @@ def check_cache(cache) -> None:
     if len(cache) > cache.capacity:
         raise InvariantViolation(
             f"cache holds {len(cache)} POIs, capacity {cache.capacity}"
+        )
+    if cache.mirror_ids() != list(cache._items):
+        raise InvariantViolation(
+            "cache coordinate mirror is out of the item order"
         )
     regions = cache.regions
     if len(regions) > cache.max_regions:

@@ -10,7 +10,8 @@ One registration per versioned type tag (see :mod:`repro.codec.core`):
 * ``QueryRecord`` / ``QueryEvent`` — single ``struct`` packs with
   enum ordinals for :class:`QueryKind` / :class:`Resolution`;
 * ``MobileHost`` — the host-migration record: the full
-  :meth:`POICache.codec_state` plus one tag byte for the eviction
+  :meth:`POICache.codec_state` (no coordinate mirror: the decoder
+  rebuilds it from the POIs) plus one tag byte for the eviction
   policy (the stock policies only; anything else has no wire form
   and raises :class:`~repro.errors.CodecError` on encode).
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import struct
 
-from ..cache.entry import CacheItem, VerifiedRegion
+from ..cache.entry import CacheItem, SharedResult, VerifiedRegion
 from ..cache.policy import DirectionDistancePolicy, FIFOPolicy, LRUPolicy
 from ..cache.store import POICache
 from ..core import Resolution
@@ -180,7 +181,7 @@ def read_overhear_op(r: Reader) -> OverhearOp:
     now = r.f64()
     position = (r.f64(), r.f64())
     heading = (r.f64(), r.f64())
-    shared = tuple(
+    shared = SharedResult(
         (read_rect(r), read_pois(r)) for _ in range(r.u32())
     )
     return OverhearOp(event_index, target, now, position, heading, shared)
@@ -305,9 +306,6 @@ def write_host(w: Writer, host: MobileHost) -> None:
         regions_coalesced,
         items,
         regions,
-        slot_ids,
-        slot_xs,
-        slot_ys,
     ) = cache.codec_state()
     policy = cache.policy
     if type(policy) is DirectionDistancePolicy:
@@ -329,9 +327,6 @@ def write_host(w: Writer, host: MobileHost) -> None:
     w.f64_array([item.last_used for item in items])
     write_rects(w, [vr.rect for vr in regions])
     w.f64_array([vr.created_at for vr in regions])
-    w.i64_array(slot_ids)
-    w.f64_array(slot_xs)
-    w.f64_array(slot_ys)
 
 
 def read_host(r: Reader) -> MobileHost:
@@ -367,11 +362,6 @@ def read_host(r: Reader) -> MobileHost:
     regions = [
         VerifiedRegion(rect, t) for rect, t in zip(region_rects, created_at)
     ]
-    slot_ids = r.i64_array()
-    slot_xs = r.f64_array()
-    slot_ys = r.f64_array()
-    if slot_xs.size != slot_ids.size or slot_ys.size != slot_ids.size:
-        raise CodecError("slot coordinate buffers disagree with id buffer")
     cache = POICache.from_codec_state(
         policy,
         capacity,
@@ -380,9 +370,6 @@ def read_host(r: Reader) -> MobileHost:
         regions_coalesced,
         items,
         regions,
-        slot_ids,
-        slot_xs,
-        slot_ys,
     )
     host = MobileHost.__new__(MobileHost)
     host.host_id = host_id

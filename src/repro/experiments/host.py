@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..broadcast import OnAirClient, OnAirWindowResult, RetrievalCost
-from ..cache import POICache
+from ..cache import POICache, SharedResult
 from ..check import invariants
 from ..core import MVRMemo, Resolution, sbnn, sbwq
 from ..core.heap import HeapEntry
@@ -228,7 +228,7 @@ class MobileHost:
                 p2p_latency,
                 fault_stats,
                 tuple(e.poi for e in entries),
-                (gossiped,) if gossiped else (),
+                gossiped,
                 heap_entries=entries,
                 k=k,
             )
@@ -396,27 +396,27 @@ class MobileHost:
         responses: Sequence[ShareResponse],
         now: float,
         tracer,
-    ) -> tuple[Rect, tuple[POI, ...]] | None:
+    ) -> SharedResult | tuple[()]:
         """Keep the verified disc around a peer-resolved query.
 
         The largest inscribed axis-aligned square of the verified disc
         ``C(q, ||q, e_s||)`` lies inside the MVR, where the responses
         are collectively complete, so it is a sound verified region.
-        Returns what was cached so neighbours can adopt it.
+        Returns what was cached (a one-pair result, or nothing) so
+        neighbours can adopt it.
         """
         if invariants.check_enabled():
             invariants.check_union(mvr, position)
         if mvr.is_empty or not mvr.contains_point(position):
-            return None
+            return ()
         radius = mvr.distance_to_boundary(position)
         if radius <= 0.0:
-            return None
+            return ()
         region = Circle(position, radius).inscribed_rect()
         pois = tuple(_pois_from_responses(responses, region, mvr).values())
-        self.cache.insert_result(
-            region, pois, now, position, heading, tracer
+        return self._adopt(
+            (region, pois), (), (), now, position, heading, tracer
         )
-        return region, pois
 
     def _adopt(
         self,
@@ -427,18 +427,18 @@ class MobileHost:
         position: Point,
         heading: tuple[float, float],
         tracer,
-    ) -> tuple[SharedRegion, ...]:
+    ) -> SharedResult:
         """Cache what a query certified; returns it for the neighbours.
 
         Everything a segment download certifies beyond the query itself
         (the aligned blocks of ``bonus_regions``) is cacheable too —
         "store as many received POIs as the cache capacity allows".
+        The whole result enters the cache in one call.
         """
-        shared = (certified, *_pois_per_region(bonus_regions, downloaded))
-        for region, pois in shared:
-            self.cache.insert_result(
-                region, pois, now, position, heading, tracer
-            )
+        shared = SharedResult(
+            (certified, *_pois_per_region(bonus_regions, downloaded))
+        )
+        self.cache.insert_result(shared, now, position, heading, tracer)
         return shared
 
     def _result(

@@ -261,8 +261,9 @@ class QueryWorld:
         # the neighbourhood lookup must not count as p2p traffic.
         peer_ids = self.network.peers_of(querier, position, count_traffic=False)
         # One gather against the snapshot for the whole neighbourhood;
-        # every peer is handed the same shared POI tuples
-        # (insert_result never mutates its input).
+        # every peer adopts the same shared result in one call (which
+        # never mutates it, and builds its adoption columns once for
+        # all of them).
         columns = (peer_ids, *self._snapshot_rows(peer_ids))
         tracer = self.tracer if self.tracer.enabled else None
         for pid, x, y, hx, hy in zip(*(c.tolist() for c in columns)):
@@ -270,13 +271,7 @@ class QueryWorld:
             if host is None:
                 foreign.append((pid, (x, y), (hx, hy)))
                 continue
-            cache = host.cache
-            peer_position = Point(x, y)
-            peer_heading = (hx, hy)
-            for region, pois in shared:
-                cache.insert_result(
-                    region, pois, now, peer_position, peer_heading, tracer
-                )
+            host.cache.insert_result(shared, now, Point(x, y), (hx, hy), tracer)
             adopted.append(pid)
         return adopted, foreign
 

@@ -118,11 +118,17 @@ def shutdown_request() -> bytes:
     return bytes((OP_SHUTDOWN,))
 
 
+def opcode_of(method: str) -> int:
+    """The opcode of a worker method."""
+    try:
+        return _OPCODES[method]
+    except KeyError:
+        raise ExperimentError(f"shard worker has no RPC method {method!r}")
+
+
 def encode_request(method: str, args: tuple) -> bytes:
     """One request buffer for a worker-method invocation."""
-    opcode = _OPCODES.get(method)
-    if opcode is None:
-        raise ExperimentError(f"shard worker has no RPC method {method!r}")
+    opcode = opcode_of(method)
     w = Writer()
     w.u8(opcode)
     if opcode == OP_BEGIN_EPOCH:

@@ -31,8 +31,10 @@ Two halo-exchange cadences:
 Backends: ``"process"`` runs each shard in its own worker process
 (persistent pipe RPC; a worker that cannot be started is an
 :class:`~repro.errors.ExperimentError`, never a silent change of
-backend); ``"inprocess"`` keeps every shard in the calling process and
-is the lockstep referee.
+backend, and one that dies mid-run is a
+:class:`~repro.errors.ShardError` after every worker has been reaped);
+``"inprocess"`` keeps every shard in the calling process and is the
+lockstep referee.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from ..cache import POICache
 from ..codec.core import encode
-from ..errors import CodecError, ExperimentError
+from ..errors import CodecError, ExperimentError, ShardError
 from ..model import POI
 from ..p2p import ShareResponse
 from ..workloads import ParameterSet, QueryKind, QueryWorkload
@@ -57,6 +59,10 @@ from ..experiments.world import draw_world
 from . import rpc
 from .grid import ShardGrid
 from .worker import EventOutcome, OverhearOp, ShardWorld, shard_worker_main
+
+# How often a coordinator waiting on a worker's reply checks that the
+# worker still lives (a reply that arrives ends the wait at once).
+WORKER_POLL_S = 0.05
 
 
 class _InprocessShard:
@@ -88,9 +94,16 @@ class _ProcessShard:
     domain objects relayed between shards stay encoded end-to-end.
     The pending-method queue pairs each deferred ``recv`` with the
     request whose response schema it must parse.
+
+    A reply is awaited with ``poll`` while the worker lives: a worker
+    that dies, or whose pipe closes, is a :class:`ShardError` naming
+    the shard, the opcode and the epoch, never a hang.  (A worker that
+    is wedged but alive is still waited on.)
     """
 
     def __init__(self, config: dict, ctx):
+        self.shard_id = config["shard_id"]
+        self._epoch = -1
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=shard_worker_main, args=(child, config), daemon=True
@@ -101,7 +114,7 @@ class _ProcessShard:
                 self._proc.start()
             finally:
                 child.close()
-            rpc.read_ack(self._conn.recv_bytes())  # construction ack
+            rpc.read_ack(self._receive(None))  # construction ack
         except BaseException:
             self.close()
             raise
@@ -111,24 +124,49 @@ class _ProcessShard:
         return self.recv()
 
     def send(self, method: str, *args) -> None:
-        self._conn.send_bytes(rpc.encode_request(method, args))
+        request = rpc.encode_request(method, args)
+        if method == "begin_epoch":
+            self._epoch += 1
+        try:
+            self._conn.send_bytes(request)
+        except OSError as exc:
+            raise ShardError(
+                self.shard_id, rpc.opcode_of(method), self._epoch
+            ) from exc
         self._pending.append(method)
 
     def recv(self):
+        method = self._pending.popleft()
         return rpc.decode_response(
-            self._pending.popleft(), self._conn.recv_bytes()
+            method, self._receive(rpc.opcode_of(method))
         )
 
-    def close(self) -> None:
+    def _receive(self, opcode: int | None) -> bytes:
+        """The next reply, waited for only while the worker lives."""
+        conn = self._conn
         try:
-            if self._proc.is_alive():
+            while not conn.poll(WORKER_POLL_S):
+                if not self._proc.is_alive():
+                    raise ShardError(self.shard_id, opcode, self._epoch)
+            return conn.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise ShardError(self.shard_id, opcode, self._epoch) from exc
+
+    def close(self) -> None:
+        """Stop the worker: asked to when idle, terminated when it is
+        mid-request (a reply nobody will read) or gone; always joined."""
+        proc = self._proc
+        try:
+            if proc.is_alive() and not self._pending:
                 self._conn.send_bytes(rpc.shutdown_request())
-                self._proc.join(timeout=5.0)
-        except (OSError, ValueError):
+                proc.join(timeout=5.0)
+        except OSError:
             pass
         finally:
-            if self._proc.is_alive():
-                self._proc.terminate()
+            if proc.is_alive():
+                proc.terminate()
+            if proc.pid is not None:
+                proc.join(timeout=5.0)
             self._conn.close()
 
 
@@ -283,6 +321,25 @@ class ShardedSimulation:
         """Shut down worker processes (idempotent)."""
         for worker in self._workers:
             worker.close()
+
+    def _reaping(self, step, *args):
+        """Run one coordinator step; a failure reaps every worker first.
+
+        A run that failed midway — a :class:`ShardError`, a worker's
+        error frame, an interrupt — has left replies unread and shard
+        states out of step, so it is not resumed: no worker outlives it.
+        """
+        try:
+            return step(*args)
+        except BaseException:
+            self.close()
+            raise
+
+    def _ask_all(self, method: str) -> list:
+        """One introspection call per worker, in shard order."""
+        return self._reaping(
+            lambda: [worker.call(method) for worker in self._workers]
+        )
 
     def __enter__(self) -> "ShardedSimulation":
         return self
@@ -458,6 +515,13 @@ class ShardedSimulation:
         """
         if warmup_queries < 0 or measure_queries < 1:
             raise ExperimentError("invalid warmup/measure query counts")
+        return self._reaping(
+            self._run_workload, kind, warmup_queries, measure_queries
+        )
+
+    def _run_workload(
+        self, kind: QueryKind, warmup_queries: int, measure_queries: int
+    ) -> MetricsCollector:
         workload = QueryWorkload(
             self.params, kind, self.rng, start_time=self._now
         )
@@ -500,8 +564,7 @@ class ShardedSimulation:
     # ------------------------------------------------------------------
     def traffic_totals(self) -> tuple[int, int, int]:
         """Fleet-wide (requests_sent, peers_heard, responses_received)."""
-        totals = [worker.call("traffic_totals") for worker in self._workers]
-        return tuple(map(sum, zip(*totals)))
+        return tuple(map(sum, zip(*self._ask_all("traffic_totals"))))
 
     def _mirror_traffic(self) -> None:
         if self.registry is None:
@@ -516,10 +579,10 @@ class ShardedSimulation:
     def share_states(self) -> dict[int, tuple[int, tuple, tuple]]:
         """Final cache fingerprint of every host (differential referee)."""
         merged: dict[int, tuple[int, tuple, tuple]] = {}
-        for worker in self._workers:
-            merged.update(worker.call("share_states"))
+        for states in self._ask_all("share_states"):
+            merged.update(states)
         return merged
 
     def owned_counts(self) -> list[int]:
         """Hosts per shard (diagnostics for balance checks)."""
-        return [worker.call("owned_count") for worker in self._workers]
+        return self._ask_all("owned_count")

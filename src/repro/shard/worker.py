@@ -244,12 +244,9 @@ class ShardWorld(QueryWorld):
                     f"overhear op for host {op.target} routed to shard"
                     f" {self.shard_id}, which does not own it"
                 )
-            peer_position = Point(*op.position)
-            cache = host.cache
-            for region, pois in op.shared:
-                cache.insert_result(
-                    region, pois, op.now, peer_position, op.heading
-                )
+            host.cache.insert_result(
+                op.shared, op.now, Point(*op.position), op.heading
+            )
             touched.append(op.target)
         return self._stamp_dirty(touched)
 

@@ -68,7 +68,7 @@ class TestPOICacheBasics:
     def test_insert_and_contains(self):
         cache = POICache(capacity=10)
         pois = poi_grid(3, 3)
-        cache.insert_result(Rect(0, 0, 2, 2), pois, 0.0, Point(1, 1))
+        cache.insert_result([(Rect(0, 0, 2, 2), pois)], 0.0, Point(1, 1))
         assert len(cache) == 9
         assert pois[0].poi_id in cache
         assert 999 not in cache
@@ -76,15 +76,15 @@ class TestPOICacheBasics:
     def test_duplicate_insert_keeps_one_copy(self):
         cache = POICache(capacity=10)
         poi = POI(1, Point(0, 0))
-        cache.insert_result(Rect(0, 0, 1, 1), [poi], 0.0, Point(0, 0))
-        cache.insert_result(Rect(0, 0, 1, 1), [poi], 1.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 1, 1), [poi])], 0.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 1, 1), [poi])], 1.0, Point(0, 0))
         assert len(cache) == 1
 
     def test_share_returns_regions_and_pois(self):
         cache = POICache(capacity=10)
         pois = poi_grid(2, 2)
         region = Rect(0, 0, 1, 1)
-        cache.insert_result(region, pois, 0.0, Point(0, 0))
+        cache.insert_result([(region, pois)], 0.0, Point(0, 0))
         regions, shared = cache.share()
         assert regions == [region]
         assert {p.poi_id for p in shared} == {p.poi_id for p in pois}
@@ -92,23 +92,23 @@ class TestPOICacheBasics:
     def test_degenerate_region_pois_still_cached(self):
         cache = POICache(capacity=10)
         poi = POI(0, Point(1, 1))
-        cache.insert_result(Rect(1, 1, 1, 1), [poi], 0.0, Point(0, 0))
+        cache.insert_result([(Rect(1, 1, 1, 1), [poi])], 0.0, Point(0, 0))
         assert len(cache) == 1
         assert cache.region_rects == []
 
     def test_region_coalescing(self):
         cache = POICache(capacity=100)
-        cache.insert_result(Rect(0, 0, 10, 10), poi_grid(4, 4), 0.0, Point(0, 0))
-        cache.insert_result(Rect(2, 2, 5, 5), [], 1.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 10, 10), poi_grid(4, 4))], 0.0, Point(0, 0))
+        cache.insert_result([(Rect(2, 2, 5, 5), [])], 1.0, Point(0, 0))
         # The contained region is absorbed.
         assert cache.region_rects == [Rect(0, 0, 10, 10)]
 
     def test_max_regions_enforced_by_dropping_farthest(self):
         cache = POICache(capacity=100, max_regions=2)
         host = Point(0, 0)
-        cache.insert_result(Rect(0, 0, 1, 1), [], 0.0, host)
-        cache.insert_result(Rect(5, 5, 6, 6), [], 1.0, host)
-        cache.insert_result(Rect(50, 50, 51, 51), [], 2.0, host)
+        cache.insert_result([(Rect(0, 0, 1, 1), [])], 0.0, host)
+        cache.insert_result([(Rect(5, 5, 6, 6), [])], 1.0, host)
+        cache.insert_result([(Rect(50, 50, 51, 51), [])], 2.0, host)
         rects = cache.region_rects
         assert len(rects) == 2
         assert Rect(50, 50, 51, 51) not in rects
@@ -117,13 +117,13 @@ class TestPOICacheBasics:
 class TestEvictionSoundness:
     def test_capacity_enforced(self):
         cache = POICache(capacity=5)
-        cache.insert_result(Rect(0, 0, 9, 9), poi_grid(4, 4), 0.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 9, 9), poi_grid(4, 4))], 0.0, Point(0, 0))
         assert len(cache) == 5
 
     def test_regions_shrink_on_eviction(self):
         pois = poi_grid(10, 10)
         cache = POICache(capacity=30)
-        cache.insert_result(Rect(0, 0, 9, 9), pois, 0.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 9, 9), pois)], 0.0, Point(0, 0))
         cache.check_soundness(pois)
         # Regions must have shrunk: with only 30 of 100 POIs cached,
         # covering the whole 9x9 square would be unsound.
@@ -132,7 +132,7 @@ class TestEvictionSoundness:
     def test_soundness_violation_detected(self):
         cache = POICache(capacity=10)
         pois = poi_grid(3, 3)
-        cache.insert_result(Rect(0, 0, 2, 2), pois, 0.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 2, 2), pois)], 0.0, Point(0, 0))
         stranger = POI(777, Point(1.5, 1.5))
         with pytest.raises(CacheError):
             cache.check_soundness(pois + [stranger])
@@ -147,7 +147,7 @@ class TestEvictionSoundness:
         # not raise, and the certificate's open disc must not claim it.
         cache = POICache(capacity=10)
         cached = POI(1, Point(5, 5))
-        cache.insert_result(Rect(0, 0, 10, 10), [cached], 0.0, Point(5, 5))
+        cache.insert_result([(Rect(0, 0, 10, 10), [cached])], 0.0, Point(5, 5))
         on_margin = POI(777, Point(EVICTION_MARGIN, 5.0))
         assert cache.region_rects[0].contains_point(on_margin.location)
         cache.check_soundness([cached, on_margin])
@@ -158,7 +158,7 @@ class TestEvictionSoundness:
     def test_strict_interior_violation_raises_in_both_branches(self):
         cache = POICache(capacity=10)
         cached = POI(1, Point(5, 5))
-        cache.insert_result(Rect(0, 0, 10, 10), [cached], 0.0, Point(5, 5))
+        cache.insert_result([(Rect(0, 0, 10, 10), [cached])], 0.0, Point(5, 5))
         inside = POI(778, Point(2.0 * EVICTION_MARGIN, 5.0))
         with pytest.raises(CacheError):
             cache.check_soundness([cached, inside])
@@ -173,10 +173,10 @@ class TestEvictionSoundness:
         # lies outside the closed union of the verified rectangles.
         pois = poi_grid(10, 10)
         cache = POICache(capacity=30, max_regions=4)
-        cache.insert_result(Rect(0, 0, 9, 9), pois, 0.0, Point(0, 0))
-        cache.insert_result(Rect(2, 2, 12, 12), [
+        cache.insert_result([(Rect(0, 0, 9, 9), pois)], 0.0, Point(0, 0))
+        cache.insert_result([(Rect(2, 2, 12, 12), [
             p for p in pois if Rect(2, 2, 12, 12).contains_point(p.location)
-        ], 1.0, Point(9, 9))
+        ])], 1.0, Point(9, 9))
         assert len(cache) == 30 and cache.region_rects
         for poi in pois:
             if poi.poi_id not in cache:
@@ -192,7 +192,7 @@ class TestEvictionSoundness:
         # regions' failures.
         cache = POICache(capacity=10)
         thin = Rect(0, 0, EVICTION_MARGIN, 10)
-        cache.insert_result(thin, [], 0.0, Point(0, 0))
+        cache.insert_result([(thin, [])], 0.0, Point(0, 0))
         stranger = POI(779, Point(EVICTION_MARGIN / 2, 5.0))
         cache.check_soundness([stranger])
 
@@ -214,7 +214,7 @@ class TestEvictionSoundness:
             inside = [p for p in pois if region.contains_point(p.location)]
             host = Point(*rng.uniform(0, 20, 2))
             heading = (1.0, 0.0)
-            cache.insert_result(region, inside, float(round_), host, heading)
+            cache.insert_result([(region, inside)], float(round_), host, heading)
             cache.check_soundness(pois)
             assert len(cache) <= capacity
 
@@ -299,7 +299,7 @@ class TestPolicies:
     def test_touch_updates_lru(self):
         cache = POICache(capacity=2, policy=LRUPolicy())
         a, b, c = POI(0, Point(0, 0)), POI(1, Point(1, 1)), POI(2, Point(2, 2))
-        cache.insert_result(Rect(0, 0, 1, 1), [a, b], 0.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 1, 1), [a, b])], 0.0, Point(0, 0))
         cache.touch([0], now=10.0)  # a becomes the most recent
-        cache.insert_result(Rect(2, 2, 3, 3), [c], 11.0, Point(0, 0))
+        cache.insert_result([(Rect(2, 2, 3, 3), [c])], 11.0, Point(0, 0))
         assert 0 in cache and 2 in cache and 1 not in cache

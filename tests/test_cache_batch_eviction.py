@@ -1,15 +1,17 @@
 """Batched eviction vs the sequential reference path.
 
-``POICache._enforce_capacity`` ranks every victim in one vectorised
-policy call, deletes them in one pass, and repairs the verified
-regions once for the whole batch.  The pre-batching behaviour — evict
-the ranked victims one at a time, re-scanning every region per victim
-— lives here as :func:`evict_one`.  These properties pin the two
-paths to each other on randomised caches: same survivor set, same
-region rectangles (same shrinks, in the same order), the same settled
-state, and the verified-region soundness invariant intact either way.
-Both run at two shapes: four regions over a few POIs, and the worlds'
-own capacity 50 / ``max_regions=50`` with dozens of regions.
+A visit's eviction ranks every victim in one vectorised policy call,
+deletes them in one pass, and repairs the verified regions once for
+the whole batch.  The pre-batching behaviour — evict the ranked
+victims one at a time, re-scanning every region per victim — lives
+here as :func:`evict_one`.  These properties pin the two paths to each
+other on randomised caches (an over-full cache visited by one empty
+degenerate step evicts down to capacity and does nothing else): same
+survivor set, same region rectangles (same shrinks, in the same
+order), the same settled state, and the verified-region soundness
+invariant intact either way.  Both run at two shapes: four regions
+over a few POIs, and the worlds' own capacity 50 / ``max_regions=50``
+with dozens of regions.
 """
 
 import math
@@ -25,8 +27,7 @@ from repro.model import POI
 
 def evict_one(cache, poi):
     """Remove one POI, shrinking every region that covers it."""
-    del cache._items[poi.poi_id]
-    cache._drop_slot_of(poi.poi_id)
+    cache._drop([poi.poi_id])
     updated = []
     shrunk_any = False
     for vr in cache._regions:
@@ -99,7 +100,7 @@ def _filled_cache(pool, regions, position, heading, capacity, max_regions):
     cache = POICache(capacity=capacity, max_regions=max_regions)
     for step, region in enumerate(regions):
         pois = [p for p in pool if region.contains_point(p.location)]
-        cache.insert_result(region, pois, float(step), position, heading)
+        cache.insert_result([(region, pois)], float(step), position, heading)
     return cache
 
 
@@ -120,7 +121,9 @@ class TestBatchedEvictionEquivalence:
         excess = len(batched) - capacity
         batched.capacity = reference.capacity = capacity
         now = float(len(regions))
-        evicted = batched._enforce_capacity(now, position, heading)
+        held = len(batched)
+        batched.insert_result([(Rect(0, 0, 0, 0), ())], now, position, heading)
+        evicted = held - len(batched)
 
         if excess <= 0:
             assert evicted == 0

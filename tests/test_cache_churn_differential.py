@@ -57,7 +57,12 @@ def reference_insert(cache, region, pois, now, position, heading):
     """
     if not region.is_degenerate():
         cache._moved = ALL_MOVED
-    cache.insert_result(region, pois, now, position, heading)
+    cache.insert_result([(region, pois)], now, position, heading)
+
+
+def stock_insert(cache, region, pois, now, position, heading):
+    """One (region, POIs) pair, as a visit of one step."""
+    cache.insert_result([(region, pois)], now, position, heading)
 
 
 def _churn_stream(seed, ops, side=1000.0, degenerate=0.0):
@@ -154,7 +159,7 @@ def test_incremental_matches_reference_bit_for_bit(
     stream = _churn_stream(seed, ops, degenerate=degenerate)
     for region, pois, now, position, heading in stream:
         pending = fast._moved
-        fast.insert_result(region, pois, now, position, heading)
+        fast.insert_result([(region, pois)], now, position, heading)
         reference_insert(ref, region, list(pois), now, position, heading)
         assert _observable(fast) == _observable(ref)
         # A degenerate insert settles nothing: a new marker list means
@@ -182,7 +187,7 @@ def test_a_migrated_unsettled_cache_replays_like_the_original(seed, split):
     stream = _churn_stream(seed, 400, degenerate=0.1)
     original = POICache(capacity=50, max_regions=50)
     for step, (region, pois, now, position, heading) in enumerate(stream):
-        original.insert_result(region, pois, now, position, heading)
+        original.insert_result([(region, pois)], now, position, heading)
         if step >= split and original._moved is not SETTLED:
             break
     assert original._moved is not SETTLED  # churn at capacity evicts
@@ -190,7 +195,7 @@ def test_a_migrated_unsettled_cache_replays_like_the_original(seed, split):
     assert migrated._moved is ALL_MOVED
     for region, pois, now, position, heading in stream:
         for cache in (original, migrated):
-            cache.insert_result(region, pois, now, position, heading)
+            cache.insert_result([(region, pois)], now, position, heading)
         assert migrated.share() == original.share()
         assert migrated.regions == original.regions
         assert list(migrated._items) == list(original._items)
@@ -212,7 +217,7 @@ def bench_cache_churn(ops, seed, capacities, reference=False):
     next_poi_id = 1
     for capacity in capacities:
         cache = reference_cache(capacity) if reference else POICache(capacity)
-        insert = reference_insert if reference else POICache.insert_result
+        insert = reference_insert if reference else stock_insert
         x = rng.uniform(0.2 * side, 0.8 * side)
         y = rng.uniform(0.2 * side, 0.8 * side)
         offered = 0

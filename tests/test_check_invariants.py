@@ -213,8 +213,7 @@ class TestCheckCache:
     def test_cache_within_caps_passes(self, checks_on):
         cache = POICache(capacity=4, max_regions=4)
         cache.insert_result(
-            Rect(0, 0, 1, 1),
-            [POI(1, Point(0.5, 0.5))],
+            [(Rect(0, 0, 1, 1), [POI(1, Point(0.5, 0.5))])],
             0.0,
             Point(0, 0),
             (1.0, 0.0),
@@ -259,7 +258,7 @@ class TestCheckCache:
             x, y = 7.0 * (i % 17), 5.0 * (i % 13)
             region = Rect(x, y, x + 9.0 + i % 5, y + 6.0 + i % 7)
             pois = [POI(4 * i + j, Point(x + j + 0.5, y + 0.5)) for j in range(4)]
-            cache.insert_result(region, pois, float(i), Point(x, y), (1.0, 0.0))
+            cache.insert_result([(region, pois)], float(i), Point(x, y), (1.0, 0.0))
         assert len(cache) == 50 and len(cache.regions) > 25
 
 

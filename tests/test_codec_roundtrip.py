@@ -237,8 +237,10 @@ def warm_host(policy=None) -> MobileHost:
     cache = POICache(capacity=8, policy=policy, max_regions=4)
     for i in range(5):  # the last inserts evict through the policy
         cache.insert_result(
-            Rect(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0),
-            [POI(10 * i + j, Point(10.0 * i + j, float(j))) for j in range(3)],
+            [(
+                Rect(10.0 * i, 0.0, 10.0 * i + 8.0, 8.0),
+                [POI(10 * i + j, Point(10.0 * i + j, float(j))) for j in range(3)],
+            )],
             float(i),
             Point(10.0 * i, 4.0),
             (1.0, 0.0),
@@ -256,8 +258,10 @@ def test_host_roundtrip_is_bit_identical():
     assert clone.cache.pois == host.cache.pois
     # header | host id | policy tag + penalty | capacity, max_regions,
     # generation | coalesced flag | POI buffers + category flag | two
-    # item clocks | rects + region clock | three slot columns: nothing
-    # else (no incremental byte, no mirror flag, no slab-union section).
+    # item clocks | rects + region clock: nothing else (no slot
+    # columns — the decoder rebuilds the coordinate mirror from the
+    # POIs —, no incremental byte, no mirror flag, no slab-union
+    # section).
     n_pois, n_regions = len(host.cache), len(host.cache.regions)
     assert n_pois == 8 and n_regions
     assert len(original) == (
@@ -265,8 +269,8 @@ def test_host_roundtrip_is_bit_identical():
         + 3 * (4 + 8 * n_pois) + 1
         + 2 * (4 + 8 * n_pois)
         + (4 + 32 * n_regions) + (4 + 8 * n_regions)
-        + 3 * (4 + 8 * n_pois)
     )
+    assert clone.cache.mirror_ids() == list(clone.cache._items)
 
 
 @pytest.mark.parametrize("policy_cls", [LRUPolicy, FIFOPolicy])
@@ -376,6 +380,17 @@ def test_retired_slab_union_tag_is_rejected():
     for frame in (bytes((MAGIC, VERSION, 0x01)), empty_union):
         with pytest.raises(CodecError, match="unknown codec type tag 0x01"):
             decode(frame)
+
+
+def test_retired_host_record_tag_is_rejected():
+    # Tag 0x07 carried the host record with its three slot columns; a
+    # frame written by an older build is refused, never misread as
+    # today's layout.
+    current = encode(SAMPLE_OBJECTS[0])
+    assert current[2] == 0x08
+    stale = bytes((MAGIC, VERSION, 0x07)) + current[HEADER_SIZE:]
+    with pytest.raises(CodecError, match="unknown codec type tag 0x07"):
+        decode(stale)
 
 
 def test_short_header_rejected():

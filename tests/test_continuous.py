@@ -59,7 +59,7 @@ def make_cache(pois, region, capacity=4096, now=0.0):
     """A cache honouring the completeness contract on ``region``."""
     cache = POICache(capacity=capacity)
     inside = [p for p in pois if region.contains_point(p.location)]
-    cache.insert_result(region, inside, now, Point(region.x1, region.y1))
+    cache.insert_result([(region, inside)], now, Point(region.x1, region.y1))
     return cache
 
 
@@ -176,8 +176,7 @@ class TestSafeRegionContract:
             key=lambda p: math.hypot(p.x - 10, p.y - 10),
         )
         cache.insert_result(
-            region,
-            [p for p in inside if p.poi_id != withheld.poi_id],
+            [(region, [p for p in inside if p.poi_id != withheld.poi_id])],
             0.0,
             Point(3, 3),
         )

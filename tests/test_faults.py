@@ -200,7 +200,7 @@ class TestShareRequestDeadline:
     def test_category_mismatch_not_answered(self):
         host = MobileHost(0, POICache(capacity=4))
         host.cache.insert_result(
-            Rect(0, 0, 1, 1), [POI(0, Point(0.5, 0.5))], 0.0, Point(0, 0)
+            [(Rect(0, 0, 1, 1), [POI(0, Point(0.5, 0.5))])], 0.0, Point(0, 0)
         )
         assert host.share_response() is not None
         other = ShareRequest(requester_id=1, category="hospital")
@@ -317,7 +317,7 @@ class TestRetryBackoff:
     def warm_peer(self, sim, host_id):
         """Give one host something to share."""
         sim.hosts[host_id].cache.insert_result(
-            Rect(0, 0, 1, 1), [POI(0, Point(0.5, 0.5))], 0.0, Point(0, 0)
+            [(Rect(0, 0, 1, 1), [POI(0, Point(0.5, 0.5))])], 0.0, Point(0, 0)
         )
 
     def collect(self, sim, host_id=0):
@@ -429,8 +429,7 @@ class TestGenerationBump:
         cache = POICache(capacity=10)
         before = cache.generation
         cache.insert_result(
-            Rect(0, 0, 2, 2),
-            [POI(i, Point(0.5 + i * 0.1, 0.5)) for i in range(3)],
+            [(Rect(0, 0, 2, 2), [POI(i, Point(0.5 + i * 0.1, 0.5)) for i in range(3)])],
             0.0,
             Point(0, 0),
         )
@@ -439,15 +438,13 @@ class TestGenerationBump:
     def test_insert_forcing_eviction_bumps_once(self):
         cache = POICache(capacity=2)
         cache.insert_result(
-            Rect(0, 0, 1, 1),
-            [POI(0, Point(0.2, 0.2)), POI(1, Point(0.8, 0.8))],
+            [(Rect(0, 0, 1, 1), [POI(0, Point(0.2, 0.2)), POI(1, Point(0.8, 0.8))])],
             0.0,
             Point(0, 0),
         )
         before = cache.generation
         cache.insert_result(
-            Rect(2, 2, 3, 3),
-            [POI(2, Point(2.5, 2.5)), POI(3, Point(2.6, 2.6))],
+            [(Rect(2, 2, 3, 3), [POI(2, Point(2.5, 2.5)), POI(3, Point(2.6, 2.6))])],
             1.0,
             Point(0, 0),
         )
@@ -456,18 +453,18 @@ class TestGenerationBump:
     def test_noop_insert_does_not_bump(self):
         cache = POICache(capacity=10)
         poi = POI(0, Point(0.5, 0.5))
-        cache.insert_result(Rect(0, 0, 1, 1), [poi], 0.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 1, 1), [poi])], 0.0, Point(0, 0))
         before = cache.generation
         # Same POI, degenerate region: the share content cannot change.
-        cache.insert_result(Rect(0, 0, 0, 0), [poi], 1.0, Point(0, 0))
+        cache.insert_result([(Rect(0, 0, 0, 0), [poi])], 1.0, Point(0, 0))
         assert cache.generation == before
 
     def test_share_memo_survives_noop_insert(self):
         host = MobileHost(0, POICache(capacity=10))
         poi = POI(0, Point(0.5, 0.5))
-        host.cache.insert_result(Rect(0, 0, 1, 1), [poi], 0.0, Point(0, 0))
+        host.cache.insert_result([(Rect(0, 0, 1, 1), [poi])], 0.0, Point(0, 0))
         first = host.share_response()
-        host.cache.insert_result(Rect(0, 0, 0, 0), [poi], 1.0, Point(0, 0))
+        host.cache.insert_result([(Rect(0, 0, 0, 0), [poi])], 1.0, Point(0, 0))
         assert host.share_response() is first
 
 

@@ -368,7 +368,7 @@ class TestTracedSimulation:
                 x = 3.0 * i
                 pois = [POI(3 * i + j, Point(x + j + 0.5, 1.0 + j)) for j in range(3)]
                 cache.insert_result(
-                    Rect(x, 0.0, x + 4.0, 4.0), pois, float(i), Point(x, 2.0),
+                    [(Rect(x, 0.0, x + 4.0, 4.0), pois)], float(i), Point(x, 2.0),
                     (1.0, 0.0), tracer=tracer,
                 )
         spans = tracer.roots[0].to_dict()["children"]

@@ -271,13 +271,13 @@ class TestCacheGeneration:
         p2 = POI(2, Point(2.0, 2.0))
         p3 = POI(3, Point(3.0, 3.0))
         g0 = cache.generation
-        cache.insert_result(Rect(0, 0, 4, 4), [p1, p2], 0.0, origin)
+        cache.insert_result([(Rect(0, 0, 4, 4), [p1, p2])], 0.0, origin)
         g1 = cache.generation
         assert g1 > g0
         cache.touch([1, 2], 1.0)
         assert cache.generation == g1
         # Over-capacity insert evicts and bumps again.
-        cache.insert_result(Rect(0, 0, 4, 4), [p3], 2.0, origin)
+        cache.insert_result([(Rect(0, 0, 4, 4), [p3])], 2.0, origin)
         assert cache.generation > g1
 
 

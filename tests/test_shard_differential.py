@@ -15,12 +15,17 @@ run (halo cache mirrors are one refresh epoch stale).
 """
 
 import multiprocessing
+import os
+import pickle
+import signal
+import threading
+import time
 import warnings
 
 import pytest
 
 from repro.cache import DirectionDistancePolicy, LRUPolicy
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ShardError
 from repro.experiments import Simulation
 from repro.faults import FaultConfig
 from repro.obs import Tracer
@@ -210,6 +215,40 @@ def test_worker_that_cannot_start_is_a_typed_error(monkeypatch):
     assert isinstance(info.value.__cause__, OSError)
     assert len(started) == 2
     assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_is_a_typed_error_not_a_hang():
+    # SIGKILL one worker while a long run is under way: the coordinator
+    # notices within its poll interval, reaps every worker and raises
+    # a ShardError naming the dead shard.
+    sim = ShardedSimulation(
+        tenth_scale_params(), seed=0, shards=2, exchange="cycle",
+        backend="process",
+    )
+    victim = sim._workers[1]
+    killer = threading.Timer(0.5, os.kill, (victim._proc.pid, signal.SIGKILL))
+    started = time.monotonic()
+    killer.start()
+    try:
+        with pytest.raises(ShardError) as info:
+            sim.run_workload(QueryKind.KNN, 0, 10**6)
+    finally:
+        killer.join()
+    assert time.monotonic() - started < 10.0
+    assert info.value.shard_id == 1
+    assert info.value.opcode is not None and info.value.epoch >= 0
+    assert f"shard worker 1 is gone on opcode {info.value.opcode}" in str(
+        info.value
+    )
+    assert multiprocessing.active_children() == []
+    sim.close()  # idempotent after the reaping
+
+
+def test_shard_error_survives_pickling():
+    error = pickle.loads(pickle.dumps(ShardError(3, 7, 2)))
+    assert (error.shard_id, error.opcode, error.epoch) == (3, 7, 2)
+    assert str(error) == "shard worker 3 is gone on opcode 7 (epoch 2)"
+    assert isinstance(error, ExperimentError)
 
 
 def test_cycle_lru_policy_deterministic_across_backends():

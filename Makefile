@@ -72,6 +72,9 @@ lint:
 	@echo ">> a shared result enters a cache in one call; the coordinate mirror stays inside the cache store"
 	@! grep -rIn 'for region, pois [i]n' src/repro/experiments src/repro/shard
 	@test "$$(grep -rIl '[_]slot[_]' src tests tools examples benchmarks bench | grep -v '^src/repro/cache/store.py$$' | wc -l)" -eq 0
+	@echo ">> a union answers the query path's reads; the retired frame, message and knobs stay out"
+	@! grep -rIn 'boundary[_]segments\|slab[_]intervals\|union[_]with\|slabs[_]intersects_rect\|event[_]outcome\|MSG[_]UPDATE\|report[_]location\|overload[_]depth\|sim[_]factory' src/repro
+	@! grep -n '__getattr[_]_' src/repro/geometry/slabunion.py
 
 test:
 	@echo ">> tier-1 tests"

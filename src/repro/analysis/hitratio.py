@@ -34,6 +34,10 @@ from ..geometry import Circle, Point, Rect, RectUnion
 from ..workloads import ParameterSet
 from .poisson import expected_peers, knn_distance_mean
 
+# How far a peer's verified region has wandered from the peer since it
+# was built (movement between its query and now), in miles.
+REGION_DRIFT_MI = 0.25
+
 
 @dataclass(frozen=True, slots=True)
 class HitRatioInputs:
@@ -49,15 +53,13 @@ def model_inputs(
     params: ParameterSet,
     k: int | None = None,
     cache_size: int | None = None,
-    drift_mi: float = 0.25,
     pois_per_result: float | None = None,
 ) -> HitRatioInputs:
     """Derive the model inputs from a Table 3 parameter set.
 
-    ``drift_mi`` is how far a peer's verified region has wandered from
-    the peer since it was built (movement between its query and now).
-    ``pois_per_result`` caps how many POIs one broadcast answer yields
-    (the paper's example: a 5-NN download carries ~15 POIs).  Its
+    The region drift is :data:`REGION_DRIFT_MI`.  ``pois_per_result``
+    caps how many POIs one broadcast answer yields (the paper's
+    example: a 5-NN download carries ~15 POIs).  Its
     default is pinned to the *workload mean* ``params.knn_k`` — an
     above-average-k query faces caches built mostly by average-k
     downloads, which is why Figure 12's hit ratio falls as k grows.
@@ -72,7 +74,7 @@ def model_inputs(
         expected_peer_count=expected_peers(params.mh_density, params.tx_range_mi),
         knn_radius=knn_distance_mean(k, params.poi_density),
         vr_side=math.sqrt(vr_area),
-        drift=drift_mi,
+        drift=REGION_DRIFT_MI,
     )
 
 

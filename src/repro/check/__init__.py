@@ -10,8 +10,8 @@ brute-force ground truth:
 * :mod:`repro.check.invariants` — opt-in runtime assertions at the
   pipeline seams, enabled with ``REPRO_CHECK=1``;
 * :mod:`repro.check.metamorphic` — relations that must hold between
-  *pairs* of runs (translation invariance, k-monotonicity, union
-  monotonicity, window-shrink duality, grid-vs-sweep union builds);
+  *pairs* of runs (translation invariance, k-monotonicity,
+  window-shrink duality, grid-vs-sweep union builds);
 * :mod:`repro.check.differential` — the seeded fuzz campaign behind
   ``python -m repro.cli check``: random worlds from the Table 3
   parameter sets, query streams with faults off and on, disagreement
@@ -55,11 +55,9 @@ _LAZY = {
     "knn_radius_monotone": "metamorphic",
     "safe_region_contract": "metamorphic",
     "translation_invariant_knn": "metamorphic",
-    "union_area_monotone": "metamorphic",
     "window_shrink_duality": "metamorphic",
     "oracle_knn": "oracles",
     "oracle_knn_ids": "oracles",
-    "oracle_range_ids": "oracles",
     "oracle_union_area": "oracles",
     "oracle_window_ids": "oracles",
     "rects_pairwise_disjoint": "oracles",

@@ -79,6 +79,12 @@ DEFAULT_FAULTS = FaultConfig(
 
 DISTANCE_TOL = 1e-9
 
+# A campaign audits the querying host's cache soundness and the traffic
+# counters every SOUNDNESS_EVERY queries, and runs the metamorphic spot
+# checks every METAMORPHIC_EVERY.
+SOUNDNESS_EVERY = 53
+METAMORPHIC_EVERY = 97
+
 EXACT_RESOLUTIONS = (Resolution.VERIFIED, Resolution.BROADCAST)
 
 
@@ -478,23 +484,19 @@ def run_campaign(
     area_scale: float = 0.02,
     fault_config: FaultConfig | None = None,
     min_correctness: float = 0.5,
-    soundness_every: int = 53,
-    metamorphic_every: int = 97,
     max_disagreements: int = 5,
     shrink: bool = True,
     artifact_dir: str | None = None,
-    sim_factory: Callable[..., Simulation] = Simulation,
 ) -> CampaignReport:
     """One campaign leg: a parameter set, a seed, faults off or on.
 
     Runs ``queries`` interleaved kNN/window queries against a freshly
     generated world, refereeing every answer; every
-    ``soundness_every`` queries the querying host's cache soundness
+    ``SOUNDNESS_EVERY`` queries the querying host's cache soundness
     and the traffic-counter conservation are audited, and every
-    ``metamorphic_every`` queries the metamorphic spot checks run at
+    ``METAMORPHIC_EVERY`` queries the metamorphic spot checks run at
     the current query point.  Runtime invariant seams are enabled for
-    the whole campaign.  ``sim_factory`` is a test hook for injecting
-    a deliberately broken Simulation subclass.
+    the whole campaign.
     """
     if params_name not in PARAM_SETS:
         raise ReproError(
@@ -505,7 +507,7 @@ def run_campaign(
         raise ReproError(f"queries must be >= 1, got {queries}")
     started = time.perf_counter()
     pois, params = _build_world(params_name, seed, area_scale)
-    sim = sim_factory(
+    sim = Simulation(
         params,
         seed=seed,
         pois=list(pois),
@@ -567,11 +569,11 @@ def run_campaign(
                 disagreements.append(disagreement)
                 if len(disagreements) >= max_disagreements:
                     break
-            if (index + 1) % soundness_every == 0:
+            if (index + 1) % SOUNDNESS_EVERY == 0:
                 soundness_checks += 1
                 sim.hosts[event.host_id].cache.check_soundness(sim.pois)
                 invariants.check_traffic(sim.network)
-            if (index + 1) % metamorphic_every == 0:
+            if (index + 1) % METAMORPHIC_EVERY == 0:
                 metamorphic_checks += 1
                 position = sim.host_position(event.host_id)
                 spot = knn_radius_monotone(

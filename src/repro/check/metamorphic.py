@@ -2,7 +2,7 @@
 
 A differential oracle says "this answer matches brute force"; a
 metamorphic property says "these two answers must relate in a known
-way even when neither is independently checkable".  Five families:
+way even when neither is independently checkable".  Four families:
 
 * **Translation invariance** — shifting the whole world (POIs, bounds,
   query point) by a constant offset must not change a kNN answer,
@@ -10,9 +10,6 @@ way even when neither is independently checkable".  Five families:
   changes underneath.
 * **k-monotonicity** — the k-th NN radius is non-decreasing in ``k``,
   and each answer extends the previous one as a prefix.
-* **Union monotonicity** — adding rectangles never shrinks a
-  :class:`~repro.geometry.RectUnion`, never grows it beyond the sum
-  of areas, and re-adding a covered rectangle is a no-op.
 * **Window-shrink duality** — ``w' = w − MVR`` (Section 3.4.2): the
   remainder rectangles and the covered part partition the window.
 * **Grid vs sweep** — the vectorised coverage-grid union kernel and
@@ -46,6 +43,8 @@ from .invariants import InvariantViolation, check_union
 from .oracles import oracle_union_area
 
 AREA_TOL = 1e-9
+# How many eviction margins of knowledge loss the shrink check models.
+SHRINK_MARGIN_SCALE = 4.0
 
 
 def _knn_ids(client: OnAirClient, query: Point, k: int) -> list[int]:
@@ -111,37 +110,6 @@ def knn_radius_monotone(
     return violations
 
 
-def union_area_monotone(
-    base_rects: Sequence[Rect], extra_rects: Sequence[Rect]
-) -> list[str]:
-    """MVR union monotonicity plus idempotence on covered rectangles."""
-    violations: list[str] = []
-    base = RectUnion(base_rects)
-    grown = base.union_with(extra_rects)
-    extra_area = sum(max(0.0, r.area) for r in extra_rects)
-    if grown.area + AREA_TOL < base.area:
-        violations.append(
-            f"union shrank: {base.area} -> {grown.area} after adding rects"
-        )
-    if grown.area > base.area + extra_area + AREA_TOL:
-        violations.append(
-            f"union grew by more than the added area:"
-            f" {grown.area} > {base.area} + {extra_area}"
-        )
-    # Re-adding any disjoint piece of the union itself must change nothing.
-    covered = base.disjoint_rects()[:4]
-    if covered:
-        again = base.union_with(covered)
-        if not math.isclose(
-            again.area, base.area, rel_tol=0.0, abs_tol=AREA_TOL
-        ):
-            violations.append(
-                f"union_with on covered rects moved the area:"
-                f" {base.area} -> {again.area}"
-            )
-    return violations
-
-
 def window_shrink_duality(union: RectUnion, window: Rect) -> list[str]:
     """``w'`` duality: remainder + covered part partition the window.
 
@@ -201,7 +169,6 @@ def safe_region_contract(
     k: int,
     probes: Sequence[Point],
     window_side: float = 0.0,
-    margin_scale: float = 4.0,
 ) -> list[str]:
     """The safe-region certificate against the full-database truth.
 
@@ -216,7 +183,8 @@ def safe_region_contract(
     * **shrink monotonicity** — re-deriving with an inflated margin
       (modelled knowledge loss) yields a smaller-or-equal ``r_known``,
       a subset snapshot, and a smaller-or-equal safe radius, and that
-      shrunk region stays exact within its own disc.
+      shrunk region stays exact within its own disc.  The inflated
+      margin is ``SHRINK_MARGIN_SCALE`` times the cache's own.
     """
     from ..cache import EVICTION_MARGIN
     from ..continuous import derive_safe_region
@@ -266,7 +234,7 @@ def safe_region_contract(
 
     probe_region("safe-region", region, probes)
     shrunk = derive_safe_region(
-        cache, anchor, k=k, margin=margin_scale * EVICTION_MARGIN
+        cache, anchor, k=k, margin=SHRINK_MARGIN_SCALE * EVICTION_MARGIN
     )
     if shrunk is not None:
         if shrunk.r_known > region.r_known + AREA_TOL:

@@ -58,19 +58,6 @@ def oracle_window_ids(pois: Iterable[POI], window: Rect) -> list[int]:
     )
 
 
-def oracle_range_ids(
-    pois: Iterable[POI], center: Point, radius: float
-) -> list[int]:
-    """Ids of every POI within ``radius`` of ``center`` (closed disc)."""
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    return sorted(
-        poi.poi_id
-        for poi in pois
-        if math.hypot(poi.x - center.x, poi.y - center.y) <= radius
-    )
-
-
 def oracle_union_area(rects: Sequence[Rect]) -> float:
     """Exact union area via 2-D coordinate compression.
 

@@ -541,7 +541,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         for mismatch in continuous.mismatches:
             print(f"    {mismatch}")
         total_disagreements += len(continuous.mismatches)
-    # Codec leg: seeded random payloads, ops, records, outcomes and
+    # Codec leg: seeded random payloads, ops, records, events and
     # value trees round-tripped through their binary frames, with
     # truncation/corruption rejection checked on the same frames.
     from .codec.fuzz import run_codec_fuzz

@@ -35,14 +35,14 @@ HEADER_SIZE = 3
 
 # Versioned type tags.  0x00-0x0f: single objects; 0x10-0x1f: batches;
 # 0x20-0x2f: serving-layer wire messages (see repro.serve.protocol).
-# 0x00 carried a pickled object, 0x01 the persistent SlabUnion and
-# 0x07 the host record with its coordinate mirror; all retired, and
-# reserved so an old frame is refused as an unknown tag rather than
-# misread.
+# 0x00 carried a pickled object, 0x01 the persistent SlabUnion, 0x05
+# an EventOutcome (the process backend relays outcomes in its own RPC
+# layout) and 0x07 the host record with its coordinate mirror; all
+# retired, and reserved so an old frame is refused as an unknown tag
+# rather than misread.
 TAG_SHARE_PAYLOAD = 0x02
 TAG_OVERHEAR_OP = 0x03
 TAG_QUERY_RECORD = 0x04
-TAG_EVENT_OUTCOME = 0x05
 TAG_QUERY_EVENT = 0x06
 TAG_HOST = 0x08
 TAG_RECORD_BATCH = 0x13

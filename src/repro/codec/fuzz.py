@@ -1,9 +1,9 @@
 """Seeded codec fuzzing for the ``repro check`` harness.
 
 Generates random-but-reproducible domain objects — share payloads,
-overhear ops, query records/events, composed event outcomes, and
-JSON-shaped value trees — and round-trips each through its flat binary
-frame (``encode`` / ``decode``).
+overhear ops, query records/events, and JSON-shaped value trees — and
+round-trips each through its flat binary frame (``encode`` /
+``decode``).
 
 Equality is judged on canonical re-encoded bytes: the codec is
 deterministic over an object's logical state, so ``encode(clone) ==
@@ -26,7 +26,7 @@ from ..experiments.metrics import QueryRecord
 from ..geometry import Point, Rect
 from ..model import POI
 from ..p2p.protocol import ShareResponse
-from ..shard.messages import EventOutcome, OverhearOp
+from ..shard.messages import OverhearOp
 from ..workloads.queries import QueryEvent, QueryKind
 from .core import Reader, Writer, decode, encode
 from .values import read_value, write_value
@@ -136,18 +136,6 @@ def _event(rng: random.Random) -> QueryEvent:
     )
 
 
-def _outcome(rng: random.Random) -> EventOutcome:
-    return EventOutcome(
-        event_index=rng.randrange(0, 1 << 20),
-        record=_record(rng),
-        remote_ops=tuple(_op(rng) for _ in range(rng.randrange(0, 3))),
-        dirty=tuple(
-            (rng.randrange(0, 1000), rng.randrange(0, 1 << 30))
-            for _ in range(rng.randrange(0, 4))
-        ),
-    )
-
-
 def _json_value(rng: random.Random, depth: int = 0):
     roll = rng.random()
     if depth >= 3 or roll < 0.55:
@@ -173,7 +161,7 @@ def _json_value(rng: random.Random, depth: int = 0):
     }
 
 
-_BUILDERS = (_payload, _op, _record, _event, _outcome)
+_BUILDERS = (_payload, _op, _record, _event)
 
 
 # ----------------------------------------------------------------------

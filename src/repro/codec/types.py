@@ -4,9 +4,9 @@ One registration per versioned type tag (see :mod:`repro.codec.core`):
 
 * ``Rect`` / ``Point`` / ``POI`` batches — contiguous float64/int64
   buffers, category strings elided when every POI carries the default;
-* ``ShareResponse`` / ``OverhearOp`` / ``EventOutcome`` — the cross-
-  shard exchange messages, composed from the above (a halo payload is
-  just the owner's share response: peer id, generation, rects, POIs);
+* ``ShareResponse`` / ``OverhearOp`` — the cross-shard exchange
+  messages, composed from the above (a halo payload is just the
+  owner's share response: peer id, generation, rects, POIs);
 * ``QueryRecord`` / ``QueryEvent`` — single ``struct`` packs with
   enum ordinals for :class:`QueryKind` / :class:`Resolution`;
 * ``MobileHost`` — the host-migration record: the full
@@ -37,10 +37,9 @@ from ..experiments.metrics import QueryRecord
 from ..geometry import Point, Rect
 from ..model import DEFAULT_CATEGORY, POI
 from ..p2p.protocol import ShareResponse
-from ..shard.messages import EventOutcome, OverhearOp
+from ..shard.messages import OverhearOp
 from ..workloads.queries import QueryEvent, QueryKind
 from .core import (
-    TAG_EVENT_OUTCOME,
     TAG_HOST,
     TAG_OVERHEAR_OP,
     TAG_QUERY_EVENT,
@@ -144,7 +143,7 @@ def read_pois(r: Reader) -> tuple[POI, ...]:
 
 
 # ----------------------------------------------------------------------
-# ShareResponse / OverhearOp / EventOutcome
+# ShareResponse / OverhearOp
 # ----------------------------------------------------------------------
 def write_share_response(w: Writer, response: ShareResponse) -> None:
     w.i64(response.peer_id)
@@ -243,32 +242,6 @@ def read_event(r: Reader) -> QueryEvent:
         window_area=r.f64(),
         center_offset=(r.f64(), r.f64()),
     )
-
-
-def write_event_outcome(w: Writer, outcome: EventOutcome) -> None:
-    w.i64(outcome.event_index)
-    write_record(w, outcome.record)
-    w.u32(len(outcome.remote_ops))
-    for op in outcome.remote_ops:
-        write_overhear_op(w, op)
-    w.i64_array([value for pair in outcome.dirty for value in pair])
-
-
-def read_dirty(r: Reader) -> tuple[tuple[int, int], ...]:
-    flat = r.i64_array()
-    if flat.size % 2:
-        raise CodecError("odd dirty-pair buffer")
-    vals = flat.tolist()
-    return tuple(
-        (vals[i], vals[i + 1]) for i in range(0, len(vals), 2)
-    )
-
-
-def read_event_outcome(r: Reader) -> EventOutcome:
-    event_index = r.i64()
-    record = read_record(r)
-    remote_ops = tuple(read_overhear_op(r) for _ in range(r.u32()))
-    return EventOutcome(event_index, record, remote_ops, read_dirty(r))
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +360,6 @@ register(
 )
 register(TAG_OVERHEAR_OP, OverhearOp, write_overhear_op, read_overhear_op)
 register(TAG_QUERY_RECORD, QueryRecord, write_record, read_record)
-register(
-    TAG_EVENT_OUTCOME, EventOutcome, write_event_outcome, read_event_outcome
-)
 register(TAG_QUERY_EVENT, QueryEvent, write_event, read_event)
 register(TAG_HOST, MobileHost, write_host, read_host)
 register(TAG_RECORD_BATCH, None, None, read_record_batch)

@@ -24,7 +24,7 @@ world RNG identically by construction.
 from __future__ import annotations
 
 import gc
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -145,21 +145,6 @@ class QueryWorld:
         gc.collect()
         gc.freeze()
         gc.set_threshold(50_000, 50, 50)
-
-    # ------------------------------------------------------------------
-    # Where the hosts and the snapshot live (subclass hooks)
-    # ------------------------------------------------------------------
-    def _responder(self, gid: int):
-        raise NotImplementedError
-
-    def _owned(self, gid: int) -> MobileHost | None:
-        raise NotImplementedError
-
-    def _owned_hosts(self) -> Iterable[MobileHost]:
-        raise NotImplementedError
-
-    def _snapshot_rows(self, gids: np.ndarray) -> tuple[np.ndarray, ...]:
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Query pipeline

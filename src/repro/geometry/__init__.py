@@ -25,7 +25,6 @@ from .region import (
     intervals_total_length,
     merge_intervals,
 )
-from .segment import Segment
 from .slabunion import SlabUnion
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "Point",
     "Rect",
     "RectUnion",
-    "Segment",
     "SlabUnion",
     "circle_rect_intersection_area",
     "hilbert_d_to_xy",

@@ -14,11 +14,11 @@ that union exactly with a slab decomposition:
   beyond the input coordinates themselves.
 
 The slab structure itself — a sorted boundary list ``xs`` plus one
-merged interval tuple per slab — is shared with the lazily built
+merged interval tuple per slab — is shared with the query path's
 :class:`~repro.geometry.slabunion.SlabUnion`: every read-side
 operation lives here as a module-level function over ``(xs, slabs)``,
-so the eager union and the lazy one are pinned to one set of kernels
-and cannot drift.
+so the eager referee and the union the queries read are pinned to one
+set of kernels and cannot drift.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..errors import GeometryError
 from .circle import Circle, circle_rect_intersection_area
 from .point import Point
 from .rect import Rect
-from .segment import Segment
 
 Interval = tuple[float, float]
 SlabList = Sequence[Sequence[Interval]]
@@ -534,19 +533,6 @@ def slabs_covers_degenerate(
     return True
 
 
-def slabs_intersects_rect(
-    xs: Sequence[float], slabs: SlabList, window: Rect
-) -> bool:
-    """True when the window and the union share positive area."""
-    for (xa, xb), intervals in iter_slabs(xs, slabs):
-        if xb <= window.x1 or xa >= window.x2:
-            continue
-        for y1, y2 in intervals:
-            if y1 < window.y2 and window.y1 < y2:
-                return True
-    return False
-
-
 def slabs_disjoint_rects(xs: Sequence[float], slabs: SlabList) -> list[Rect]:
     """The union as a list of disjoint rectangles (slab pieces)."""
     pieces: list[Rect] = []
@@ -700,13 +686,12 @@ def slabs_boundary_coord_arrays(
 ) -> tuple[np.ndarray, ...]:
     """Boundary segments as flat coordinate arrays ``(ax, ay, dx, dy, len_sq)``.
 
-    Built without materialising :class:`Segment` objects — this is the
-    hot path behind every ``distance_to_boundary`` call.  Horizontal
+    The boundary includes the edges of interior holes — the paper's
+    "unverified regions inside the merged verified region".  Horizontal
     edges come directly from the slab intervals; vertical edges are the
     parts of each slab border covered on exactly one side (symmetric
     difference of the adjacent slabs' intervals, skipped outright when
-    the two interval tuples are equal).  Same segment multiset, in the
-    same order, as :func:`slabs_boundary_segments`.
+    the two interval tuples are equal).
     """
     ax: list[float] = []
     ay: list[float] = []
@@ -753,34 +738,6 @@ def _segment_coord_arrays(ax, ay, bx, by) -> tuple[np.ndarray, ...]:
     return axa, aya, dx, dy, np.where(len_sq > 0.0, len_sq, 1.0)
 
 
-def slabs_boundary_segments(
-    xs: Sequence[float], slabs: SlabList
-) -> list[Segment]:
-    """All boundary segments, *including* the edges of interior holes.
-
-    Collinear fragments are not merged — irrelevant for distance
-    queries.  Cold path (reporting, tests): the distance kernels use
-    :func:`slabs_boundary_coord_arrays` directly.
-    """
-    segments: list[Segment] = []
-    for (xa, xb), intervals in iter_slabs(xs, slabs):
-        for y1, y2 in intervals:
-            segments.append(Segment(Point(xa, y1), Point(xb, y1)))
-            segments.append(Segment(Point(xa, y2), Point(xb, y2)))
-    n_slabs = len(slabs)
-    for i, x in enumerate(xs):
-        left = slabs[i - 1] if i > 0 else ()
-        right = slabs[i] if i < n_slabs else ()
-        if left == right:
-            continue
-        exposed = intervals_difference(left, right) + intervals_difference(
-            right, left
-        )
-        for y1, y2 in exposed:
-            segments.append(Segment(Point(x, y1), Point(x, y2)))
-    return segments
-
-
 def boundary_min_distance(
     arrays: tuple[np.ndarray, ...], px: float, py: float
 ) -> float:
@@ -801,43 +758,27 @@ def boundary_min_distance(
 class RectUnion:
     """The union of a set of axis-aligned rectangles, as a closed region.
 
-    The union is immutable once built.  Degenerate (zero-area) input
-    rectangles contribute nothing and are dropped.
+    The eager referee: it builds the slab structure up front and answers
+    every read from it, so the tests and :mod:`repro.check` compare the
+    query path's :class:`~repro.geometry.slabunion.SlabUnion` against
+    it.  The union is immutable once built.  Degenerate (zero-area)
+    input rectangles contribute nothing and are dropped.
     """
 
     __slots__ = (
-        "_rects",
-        "_xs",
-        "_slab_intervals",
-        "_area",
-        "_boundary",
-        "_boundary_arrays",
-        "_rect_arrays",
+        "_rects", "_xs", "_slabs", "_area", "_boundary_arrays", "_rect_arrays"
     )
 
     def __init__(self, rects: Iterable[Rect] = ()) -> None:
-        # Inline Rect.is_degenerate: constructed per MVR merge.
         self._rects: tuple[Rect, ...] = tuple(
             [r for r in rects if r.x2 != r.x1 and r.y2 != r.y1]
         )
         xs, slabs = build_slabs(self._rects)
         self._xs: list[float] = xs
-        self._slab_intervals: list[tuple[Interval, ...]] = slabs
+        self._slabs: list[tuple[Interval, ...]] = slabs
         self._area = slabs_area(xs, slabs)
-        self._boundary: list[Segment] | None = None
         self._boundary_arrays: tuple[np.ndarray, ...] | None = None
         self._rect_arrays: tuple[np.ndarray, ...] | None = None
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def empty(cls) -> "RectUnion":
-        return cls(())
-
-    def union_with(self, rects: Iterable[Rect]) -> "RectUnion":
-        """A new union that also covers ``rects``."""
-        return RectUnion(list(self._rects) + list(rects))
 
     @property
     def rects(self) -> tuple[Rect, ...]:
@@ -864,7 +805,7 @@ class RectUnion:
 
     def contains_point(self, p: Point) -> bool:
         """Closed containment (points on the boundary are inside)."""
-        return slabs_contains_point(self._xs, self._slab_intervals, p.x, p.y)
+        return slabs_contains_point(self._xs, self._slabs, p.x, p.y)
 
     def _rect_coord_arrays(self) -> tuple[np.ndarray, ...]:
         if self._rect_arrays is None:
@@ -893,18 +834,14 @@ class RectUnion:
 
     def covers_rect(self, window: Rect) -> bool:
         """True when the window lies entirely inside the union."""
-        return slabs_covers_rect(self._xs, self._slab_intervals, window)
-
-    def intersects_rect(self, window: Rect) -> bool:
-        """True when the window and the union share positive area."""
-        return slabs_intersects_rect(self._xs, self._slab_intervals, window)
+        return slabs_covers_rect(self._xs, self._slabs, window)
 
     # ------------------------------------------------------------------
     # Decompositions
     # ------------------------------------------------------------------
     def disjoint_rects(self) -> list[Rect]:
         """The union as a list of disjoint rectangles (slab pieces)."""
-        return slabs_disjoint_rects(self._xs, self._slab_intervals)
+        return slabs_disjoint_rects(self._xs, self._slabs)
 
     def subtract_from_rect(self, window: Rect) -> list[Rect]:
         """The uncovered remainder ``window - union`` as disjoint rectangles.
@@ -912,53 +849,33 @@ class RectUnion:
         This is the reduced query window ``w'`` of Section 3.4.2 (SBWQ
         broadcast-channel data filtering).
         """
-        return slabs_subtract_from_rect(self._xs, self._slab_intervals, window)
+        return slabs_subtract_from_rect(self._xs, self._slabs, window)
 
     # ------------------------------------------------------------------
     # Boundary
     # ------------------------------------------------------------------
-    def boundary_segments(self) -> list[Segment]:
-        """All boundary segments, *including* the edges of interior holes.
-
-        The result is computed once and cached (the region is
-        immutable).
-        """
-        if self._boundary is None:
-            self._boundary = slabs_boundary_segments(
-                self._xs, self._slab_intervals
-            )
-        return self._boundary
-
-    def _boundary_coord_arrays(self) -> tuple[np.ndarray, ...]:
-        if self._boundary_arrays is None:
-            self._boundary_arrays = slabs_boundary_coord_arrays(
-                self._xs, self._slab_intervals
-            )
-        return self._boundary_arrays
-
     def distance_to_boundary(self, p: Point) -> float:
         """Distance from ``p`` to the union's boundary (``||q, e_s||``).
 
-        For a query point inside the region this is the radius of the
-        largest disc around ``p`` contained in the region — exactly the
-        verification bound of Lemma 3.1.
+        The boundary includes the edges of interior holes.  For a query
+        point inside the region this is the radius of the largest disc
+        around ``p`` contained in the region — exactly the verification
+        bound of Lemma 3.1.
         """
         if self.is_empty:
             raise GeometryError("distance to the boundary of an empty region")
-        return boundary_min_distance(self._boundary_coord_arrays(), p.x, p.y)
-
-    def boundary_length(self) -> float:
-        """Total length of the boundary (holes included)."""
-        return sum(seg.a.distance_to(seg.b) for seg in self.boundary_segments())
+        if self._boundary_arrays is None:
+            self._boundary_arrays = slabs_boundary_coord_arrays(
+                self._xs, self._slabs
+            )
+        return boundary_min_distance(self._boundary_arrays, p.x, p.y)
 
     # ------------------------------------------------------------------
     # Disc interactions (Lemma 3.2 support)
     # ------------------------------------------------------------------
     def disc_intersection_area(self, circle: Circle) -> float:
         """Exact area of ``disc ∩ union``."""
-        return slabs_disc_intersection_area(
-            self._xs, self._slab_intervals, circle
-        )
+        return slabs_disc_intersection_area(self._xs, self._slabs, circle)
 
     def disc_uncovered_area(self, circle: Circle) -> float:
         """Exact area of ``disc - union`` — the *unverified region* size."""

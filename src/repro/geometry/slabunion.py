@@ -1,25 +1,25 @@
-"""Build-once slab-decomposition union of axis-aligned rectangles.
+"""The merged verified region the query path reads.
 
-:class:`SlabUnion` is the union the query path reads: the canonical
-slab structure of a rectangle set — sorted x cuts, merged closed
-y-interval tuples per slab — built by :meth:`SlabUnion.from_rects` and
-never changed afterwards.  Every read — area, boundary, containment,
-window coverage/subtraction, disc interactions — is the module-level
-kernel shared with :class:`~repro.geometry.region.RectUnion` (see
-:mod:`~repro.geometry.region`), memoised per object.
+:class:`SlabUnion` is a union of axis-aligned rectangles held as its
+members plus a memo of what its reads derive from them.  Its reads are
+the questions the paper asks of a merged verified region: containment,
+the distance from the query point to the boundary (Lemma 3.1), window
+coverage and the remainder ``w'`` (SBWQ, Section 3.4.2), and the areas
+of discs against it (Lemma 3.2).  Each is a module-level kernel shared
+with :class:`~repro.geometry.region.RectUnion` (see
+:mod:`~repro.geometry.region`), the eager referee.
 
-**Canonical-form contract.**  The structure is bit-identical to the
-eager ``RectUnion(rects)`` of the same member set: the x cuts are
-exactly the member edges, and merged closed intervals have a unique
-maximal representation, so every derived float (area sums, boundary
-segment coordinates, clamped-projection distances, ``w'`` remainders)
-matches the eager build exactly — not just within tolerance.
+**Canonical-form contract.**  Every read returns the floats the eager
+``RectUnion(rects)`` of the same member set gives: the slab structure
+of a rectangle set — x cuts at exactly the member edges, merged closed
+y intervals per slab — is unique, and every route below reads that
+structure or a decomposition of it that the tests pin bit for bit.
 
-**Lazy bulk builds.**  :meth:`from_rects` over a large rectangle set
-(the merged-MVR case) records the members and builds nothing.  The
-reads the kNN path makes — emptiness, MBR, containment, distance to
-the boundary, disc areas — are answered from the members and from one
-coverage grid, built by whichever of them asks first: the containment
+**Routes.**  Below ``GRID_MIN_RECTS`` members :meth:`from_rects` builds
+the slab structure (the pure-Python sweep) and the reads run over it.
+Over a larger set (the merged-MVR case) it builds nothing: emptiness,
+MBR and containment come from the members, and the rest from one
+coverage grid, built by whichever read asks first — the containment
 mask is a cell lookup in it
 (:func:`~repro.geometry.region.grid_contains_points`), the boundary
 arrays are its run lengths
@@ -27,16 +27,16 @@ arrays are its run lengths
 the piece table the Lemma 3.2 disc areas are priced against
 (:func:`~repro.geometry.region.grid_piece_table`; the concentric discs
 of one heap share one :class:`~repro.geometry.region.DiscPieces`
-read).  The reads SBWQ makes — window coverage and the remainder
-``w'`` — from the members the window meets
-(:func:`~repro.geometry.region.window_slabs`); the slab structure is
-built, by the same grid kernel, by the first read that needs all of
-it.  Every route gives the floats the eager build gives.
+read).  Window coverage and ``w'`` read the members the window meets
+(:func:`~repro.geometry.region.window_slabs`).  Only a degenerate
+window, whose closed coverage reads the slabs on both sides of a cut,
+builds the whole slab structure; from then on the union reads it like
+a small one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .rect import Rect
 from .region import (
     GRID_MIN_RECTS,
     DiscPieces,
-    Interval,
     PieceTable,
     boundary_min_distance,
     build_slabs,
@@ -56,68 +55,40 @@ from .region import (
     grid_piece_table,
     padded_coverage_grid,
     rects_contain_points,
-    slabs_area,
     slabs_boundary_coord_arrays,
-    slabs_boundary_segments,
     slabs_contains_point,
     slabs_covers_rect,
-    slabs_disjoint_rects,
-    slabs_intersects_rect,
     slabs_piece_table,
     slabs_subtract_from_rect,
     window_slabs,
     x_cuts,
 )
-from .segment import Segment
 
 
 class SlabUnion:
-    """An immutable union of axis-aligned rectangles over its slab
-    decomposition: built once by :meth:`from_rects`, read many times.
+    """An immutable union of axis-aligned rectangles: built once by
+    :meth:`from_rects`, read many times.
     """
 
-    __slots__ = ("_xs", "_slabs", "_members", "_lazy", "_memo")
+    __slots__ = ("_members", "_memo")
 
-    def __init__(self) -> None:
-        self._xs: list[float] = []
-        self._slabs: list[tuple[Interval, ...]] = []
-        self._members: list[Rect] = []
-        # True while a bulk build is pending: the _xs/_slabs slots are
-        # unset and __getattr__ fills them on first access.
-        self._lazy = False
-        # Derived values, computed on first read.
+    def __init__(self, members: list[Rect]) -> None:
+        # The non-degenerate rectangles, as given.
+        self._members = members
+        # Derived values, each computed on first read.  ``"slabs"``,
+        # the canonical slab structure, is the entry that picks the
+        # route: while it is missing the reads run off the members and
+        # the coverage grid.
         self._memo: dict = {}
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_rects(cls, rects: Iterable[Rect] = ()) -> "SlabUnion":
-        """Bulk-build from a rectangle set (canonical, like RectUnion)."""
-        union = cls()
-        members = [r for r in rects if r.x2 != r.x1 and r.y2 != r.y1]
-        union._members = members
-        if len(members) >= GRID_MIN_RECTS:
-            union._lazy = True
-            del union._xs, union._slabs
-        else:
-            union._xs, union._slabs = build_slabs(members)
+        """Build from a rectangle set (canonical, like RectUnion)."""
+        union = cls([r for r in rects if r.x2 != r.x1 and r.y2 != r.y1])
+        if len(union._members) < GRID_MIN_RECTS:
+            union._memo["slabs"] = build_slabs(union._members)
         return union
 
-    def __getattr__(self, name: str):
-        # Reached only for an unset slot, i.e. the slab structure of a
-        # lazy bulk build.  Every structural read goes through
-        # self._xs / self._slabs, so building here is the one place
-        # laziness ends.
-        if name in ("_xs", "_slabs") and self._lazy:
-            self._xs, self._slabs = build_slabs(self._members)
-            self._lazy = False
-            return getattr(self, name)
-        raise AttributeError(name)
-
-    # ------------------------------------------------------------------
-    # Memoised derived values
-    # ------------------------------------------------------------------
     def _memo_get(self, key: str, compute):
         try:
             return self._memo[key]
@@ -125,18 +96,9 @@ class SlabUnion:
             value = self._memo[key] = compute()
             return value
 
-    # ------------------------------------------------------------------
-    # Structure accessors (read-only)
-    # ------------------------------------------------------------------
-    @property
-    def xs(self) -> Sequence[float]:
-        """The sorted slab boundaries (do not mutate)."""
-        return self._xs
-
-    @property
-    def slab_intervals(self) -> Sequence[tuple[Interval, ...]]:
-        """Merged y intervals per slab (do not mutate)."""
-        return self._slabs
+    def _slabs(self):
+        """The canonical ``(xs, slabs)`` structure (do not mutate)."""
+        return self._memo_get("slabs", lambda: build_slabs(self._members))
 
     @property
     def rects(self) -> tuple[Rect, ...]:
@@ -146,12 +108,6 @@ class SlabUnion:
     # ------------------------------------------------------------------
     # Measures and predicates (same contract as RectUnion)
     # ------------------------------------------------------------------
-    @property
-    def area(self) -> float:
-        return self._memo_get(
-            "area", lambda: slabs_area(self._xs, self._slabs)
-        )
-
     @property
     def is_empty(self) -> bool:
         return not self._members
@@ -165,14 +121,14 @@ class SlabUnion:
         return Rect.bounding(self._members)
 
     def contains_point(self, p: Point) -> bool:
-        if self._lazy:
-            # The closed union of the closed members is the region.
-            px, py = p.x, p.y
-            for r in self._members:
-                if r.x1 <= px <= r.x2 and r.y1 <= py <= r.y2:
-                    return True
-            return False
-        return slabs_contains_point(self._xs, self._slabs, p.x, p.y)
+        if "slabs" in self._memo:
+            return slabs_contains_point(*self._memo["slabs"], p.x, p.y)
+        # The closed union of the closed members is the region.
+        px, py = p.x, p.y
+        for r in self._members:
+            if r.x1 <= px <= r.x2 and r.y1 <= py <= r.y2:
+                return True
+        return False
 
     def _cover_coord_arrays(self) -> tuple[np.ndarray, ...]:
         def compute():
@@ -187,9 +143,9 @@ class SlabUnion:
         return self._memo_get("cover_arrays", compute)
 
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The padded coverage grid of a lazy union's members, built
-        once: containment looks points up in it, the boundary arrays
-        and the piece table are its run lengths."""
+        """The padded coverage grid of the members, built once:
+        containment looks points up in it, the boundary arrays and the
+        piece table are its run lengths."""
         return self._memo_get(
             "grid", lambda: padded_coverage_grid(self._members)
         )
@@ -197,9 +153,9 @@ class SlabUnion:
     def contains_points(self, pxs: np.ndarray, pys: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`contains_point` over coordinate arrays.
 
-        A lazy union looks the points up in its coverage grid
-        (:func:`~repro.geometry.region.grid_contains_points`).  Any
-        other broadcasts against the member rectangles (the exact
+        A union without its slab structure looks the points up in its
+        coverage grid (:func:`~repro.geometry.region.grid_contains_points`).
+        Any other broadcasts against the member rectangles (the exact
         arrays RectUnion uses).  Both closed covers equal the region,
         so the mask matches the scalar predicate on every point.
         """
@@ -207,52 +163,34 @@ class SlabUnion:
         pys = np.asarray(pys, dtype=np.float64)
         if self.is_empty:
             return np.zeros(pxs.shape, dtype=bool)
-        if self._lazy:
+        if "slabs" not in self._memo:
             return grid_contains_points(self._grid(), pxs, pys)
         return rects_contain_points(self._cover_coord_arrays(), pxs, pys)
 
     def _window_slabs(self, window: Rect):
-        """The slab structure a window read runs over.
-
-        While the bulk build is pending that is the window-local one
-        (:func:`~repro.geometry.region.window_slabs`) and the union
-        stays lazy; degenerate windows, whose closed coverage reads
-        the slabs on both sides of a cut, take the full structure.
-        """
-        if self._lazy and not window.is_degenerate():
+        """The slab structure a window read runs over: the
+        window-local one (:func:`~repro.geometry.region.window_slabs`)
+        while the whole structure is unbuilt and the window is not
+        degenerate, else the whole structure."""
+        if "slabs" not in self._memo and not window.is_degenerate():
             cuts = self._memo_get("x_cuts", lambda: x_cuts(self._members))
             return window_slabs(cuts, self._members, window)
-        return self._xs, self._slabs
+        return self._slabs()
 
     def covers_rect(self, window: Rect) -> bool:
         return slabs_covers_rect(*self._window_slabs(window), window)
-
-    def intersects_rect(self, window: Rect) -> bool:
-        return slabs_intersects_rect(self._xs, self._slabs, window)
-
-    # ------------------------------------------------------------------
-    # Decompositions
-    # ------------------------------------------------------------------
-    def disjoint_rects(self) -> list[Rect]:
-        return slabs_disjoint_rects(self._xs, self._slabs)
 
     def subtract_from_rect(self, window: Rect) -> list[Rect]:
         return slabs_subtract_from_rect(*self._window_slabs(window), window)
 
     # ------------------------------------------------------------------
-    # Boundary
+    # Boundary (Lemma 3.1)
     # ------------------------------------------------------------------
-    def boundary_segments(self) -> list[Segment]:
-        return self._memo_get(
-            "boundary_segments",
-            lambda: slabs_boundary_segments(self._xs, self._slabs),
-        )
-
     def _boundary_coord_arrays(self) -> tuple[np.ndarray, ...]:
         def compute():
-            if self._lazy:
+            if "slabs" not in self._memo:
                 return grid_boundary_coord_arrays(self._members, self._grid())
-            return slabs_boundary_coord_arrays(self._xs, self._slabs)
+            return slabs_boundary_coord_arrays(*self._memo["slabs"])
 
         return self._memo_get("boundary_arrays", compute)
 
@@ -261,26 +199,18 @@ class SlabUnion:
             raise GeometryError("distance to the boundary of an empty region")
         return boundary_min_distance(self._boundary_coord_arrays(), p.x, p.y)
 
-    def boundary_length(self) -> float:
-        return self._memo_get(
-            "boundary_length",
-            lambda: sum(
-                seg.a.distance_to(seg.b) for seg in self.boundary_segments()
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Disc interactions (Lemma 3.2 support)
     # ------------------------------------------------------------------
     def piece_table(self) -> PieceTable:
-        """:meth:`disjoint_rects` as ``(x1, y1, x2, y2)`` arrays (do
-        not mutate).  A lazy union reads it off its coverage grid and
-        stays lazy."""
+        """The union's disjoint slab pieces as ``(x1, y1, x2, y2)``
+        arrays (do not mutate), read off the coverage grid while the
+        slab structure is unbuilt."""
 
         def compute():
-            if self._lazy:
+            if "slabs" not in self._memo:
                 return grid_piece_table(self._grid())
-            return slabs_piece_table(self._xs, self._slabs)
+            return slabs_piece_table(*self._memo["slabs"])
 
         return self._memo_get("piece_table", compute)
 

@@ -65,11 +65,6 @@ class Span:
         self.attributes.update(attributes)
         return self
 
-    def add(self, key: str, value: float) -> "Span":
-        """Accumulate into a numeric attribute (missing counts as 0)."""
-        self.attributes[key] = self.attributes.get(key, 0) + value
-        return self
-
     # -- derived views --------------------------------------------------
     @property
     def wall_ms(self) -> float:
@@ -111,9 +106,6 @@ class NullSpan:
         return False
 
     def set(self, **attributes: Any) -> "NullSpan":
-        return self
-
-    def add(self, key: str, value: float) -> "NullSpan":
         return self
 
 

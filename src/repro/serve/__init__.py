@@ -5,10 +5,11 @@ and answers on-demand spatial queries from many mobile clients.  This
 package is the process you can point traffic at:
 
 * **protocol** — a length-prefixed framed wire protocol (4-byte
-  big-endian length + one JSON document) with six message types:
-  HELLO, QUERY, UPDATE, ANSWER, ERROR, SHED;
-* **session** — per-client connection state: client id, last reported
-  location, outstanding-query count, and a bounded trace buffer;
+  big-endian length + one JSON document) with five message types:
+  HELLO, QUERY, ANSWER, ERROR, SHED;
+* **session** — per-client connection state: client id,
+  outstanding-query count, standing queries and the connection's
+  trace exporter;
 * **server** — :class:`BaseStationServer`: one accept loop, one
   bounded request queue drained by a serialised worker over a fully
   wired :class:`~repro.experiments.Simulation`, admission control
@@ -29,7 +30,6 @@ from .protocol import (
     MSG_HELLO,
     MSG_QUERY,
     MSG_SHED,
-    MSG_UPDATE,
     PROTOCOL_VERSION,
     encode_frame,
     read_frame,
@@ -48,7 +48,6 @@ __all__ = [
     "MSG_HELLO",
     "MSG_QUERY",
     "MSG_SHED",
-    "MSG_UPDATE",
     "PROTOCOL_VERSION",
     "ServeClient",
     "ServeConfig",

@@ -38,7 +38,6 @@ from .protocol import (
     MSG_HELLO,
     MSG_QUERY,
     MSG_SHED,
-    MSG_UPDATE,
     FrameError,
     encode_frame,
     read_frame,
@@ -172,16 +171,6 @@ class ServeClient:
         """Issue one workload event as a QUERY and await the reply."""
         return await self.request(query_message(event))
 
-    async def update(self, x: float, y: float, time: float | None = None):
-        """Fire-and-forget location report."""
-        message: dict[str, Any] = {"type": MSG_UPDATE, "x": x, "y": y}
-        if time is not None:
-            message["time"] = time
-        self.writer.write(
-            encode_frame(message, self.encoding, self.max_frame)
-        )
-        await self.writer.drain()
-
     async def close(self) -> None:
         if self._reader_task is not None:
             self._reader_task.cancel()
@@ -301,7 +290,6 @@ async def run_load(
     qps: float | None = None,
     lockstep: bool = False,
     respect_cap: bool = True,
-    client_prefix: str = "load",
     encoding: str = ENCODING_JSON,
 ) -> LoadReport:
     """Replay a seeded workload against a server and measure it.
@@ -322,7 +310,7 @@ async def run_load(
         ServeClient(
             host,
             port,
-            client_id=f"{client_prefix}-{i}",
+            client_id=f"load-{i}",
             respect_cap=respect_cap,
             encoding=encoding,
         )

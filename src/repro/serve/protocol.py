@@ -2,7 +2,7 @@
 
 A frame is a 4-byte big-endian unsigned length followed by exactly
 that many bytes of UTF-8 JSON encoding one object with a ``type``
-field.  Six types exist:
+field.  Five types exist:
 
 ========  =========  ====================================================
 type      direction  meaning
@@ -11,7 +11,6 @@ HELLO     both       session open: the client introduces itself, the
                      server answers with the session id and its limits
 QUERY     c -> s     one spatial query (kNN or window) or a standing
                      registration (``standing: true``)
-UPDATE    c -> s     location report; no reply (fire-and-forget)
 ANSWER    s -> c     a query answer: POI ids, plan kind, latencies
 ERROR     s -> c     a refused frame or a failed request
 SHED      s -> c     admission control refused the request (queue full,
@@ -66,7 +65,6 @@ __all__ = [
     "MSG_HELLO",
     "MSG_QUERY",
     "MSG_SHED",
-    "MSG_UPDATE",
     "PROTOCOL_VERSION",
     "answer_message",
     "decode_payload",
@@ -86,13 +84,12 @@ MAX_FRAME = 256 * 1024
 
 MSG_HELLO = "HELLO"
 MSG_QUERY = "QUERY"
-MSG_UPDATE = "UPDATE"
 MSG_ANSWER = "ANSWER"
 MSG_ERROR = "ERROR"
 MSG_SHED = "SHED"
 
 MESSAGE_TYPES = frozenset(
-    {MSG_HELLO, MSG_QUERY, MSG_UPDATE, MSG_ANSWER, MSG_ERROR, MSG_SHED}
+    {MSG_HELLO, MSG_QUERY, MSG_ANSWER, MSG_ERROR, MSG_SHED}
 )
 
 ENCODING_JSON = "json"

@@ -54,7 +54,6 @@ from .protocol import (
     MAX_FRAME,
     MSG_HELLO,
     MSG_QUERY,
-    MSG_UPDATE,
     PROTOCOL_VERSION,
     FrameError,
     FrameTooLargeError,
@@ -80,10 +79,9 @@ class ServeConfig:
     * ``queue_limit`` — bound on queued-but-unserved requests; a full
       queue is a hard SHED;
     * ``max_inflight`` — per-client cap on outstanding requests;
-    * ``max_wait_s`` / ``overload_depth`` — soft admission: once the
-      queue holds at least ``overload_depth`` requests, shed when the
-      live M/M/1 wait estimate exceeds ``max_wait_s`` (``None`` depth
-      defaults to half the queue limit);
+    * ``max_wait_s`` — soft admission: once the queue holds at least
+      half ``queue_limit`` requests, shed when the live M/M/1 wait
+      estimate exceeds ``max_wait_s``;
     * ``idle_timeout`` — reap sessions idle this long with nothing in
       flight;
     * ``tick_interval`` — wall seconds between continuous-monitor
@@ -91,7 +89,7 @@ class ServeConfig:
       disables the ticker;
     * ``service_delay`` — artificial per-request asyncio delay, the
       overload-testing throttle (defaults off);
-    * ``warmup_queries`` — one-shot workload run before the socket
+    * ``warmup_queries`` — one-shot kNN workload run before the socket
       binds, to warm the fleet's caches;
     * ``trace_dir`` — write one JSONL span trace per connection here.
     """
@@ -101,12 +99,10 @@ class ServeConfig:
     queue_limit: int = 64
     max_inflight: int = 8
     max_wait_s: float = 2.0
-    overload_depth: int | None = None
     idle_timeout: float = 60.0
     tick_interval: float = 1.0
     service_delay: float = 0.0
     warmup_queries: int = 0
-    warmup_kind: QueryKind = QueryKind.KNN
     trace_dir: str | None = None
     max_frame: int = MAX_FRAME
 
@@ -129,12 +125,6 @@ class ServeConfig:
             raise ServeError(
                 f"warmup_queries must be >= 0, got {self.warmup_queries}"
             )
-
-    @property
-    def soft_depth(self) -> int:
-        if self.overload_depth is not None:
-            return self.overload_depth
-        return max(1, self.queue_limit // 2)
 
 
 @dataclass(slots=True)
@@ -192,7 +182,7 @@ class BaseStationServer:
         cfg = self.config
         if cfg.warmup_queries:
             collector = self.sim.run_workload(
-                cfg.warmup_kind, 0, cfg.warmup_queries
+                QueryKind.KNN, 0, cfg.warmup_queries
             )
             self.sim_time = max(
                 self.sim_time, max(r.time for r in collector.records)
@@ -369,17 +359,13 @@ class BaseStationServer:
         mtype = message["type"]
         if mtype == MSG_QUERY:
             await self._admit(session, message)
-        elif mtype == MSG_UPDATE:
-            self._handle_update(session, message)
         elif mtype == MSG_HELLO:
-            session.errors += 1
             self._count("serve.protocol_errors")
             await self._send(
                 session, error_message("duplicate HELLO", code="protocol")
             )
         else:
             # Well-formed frame, nonsense type: answer ERROR, stay up.
-            session.errors += 1
             self._count("serve.protocol_errors")
             await self._send(
                 session,
@@ -389,20 +375,6 @@ class BaseStationServer:
                     code="unknown-type",
                 ),
             )
-
-    def _handle_update(
-        self, session: ClientSession, message: dict[str, Any]
-    ) -> None:
-        x, y = message.get("x"), message.get("y")
-        if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
-            session.errors += 1
-            self._count("serve.protocol_errors")
-            return
-        when = message.get("time")
-        session.report_location(
-            float(x), float(y), float(when) if when is not None else None
-        )
-        self._count("serve.updates")
 
     # ------------------------------------------------------------------
     # Admission control
@@ -414,7 +386,6 @@ class BaseStationServer:
         try:
             event = self._event_from(session, message)
         except ServeError as exc:
-            session.errors += 1
             self._count("serve.bad_requests")
             await self._send(
                 session,
@@ -424,7 +395,6 @@ class BaseStationServer:
         self._note_arrival()
         reason = self._shed_reason(session)
         if reason is not None:
-            session.shed += 1
             self._count("serve.shed")
             self._count(f"serve.shed.{reason}")
             await self._send(
@@ -443,7 +413,7 @@ class BaseStationServer:
             return "client-cap"
         if self.queue.full():
             return "queue-full"
-        if self.queue.qsize() >= self.config.soft_depth:
+        if self.queue.qsize() >= max(1, self.config.queue_limit // 2):
             if self.estimated_wait() > self.config.max_wait_s:
                 return "overload"
         return None
@@ -560,7 +530,6 @@ class BaseStationServer:
         try:
             result = self._execute(session, request_id, event)
         except ReproError as exc:
-            session.errors += 1
             self._count("serve.errors")
             reply = error_message(
                 str(exc), request_id=request_id, code="query-failed"
@@ -568,7 +537,6 @@ class BaseStationServer:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # noqa: BLE001 - the worker must survive
-            session.errors += 1
             self._count("serve.errors")
             reply = error_message(
                 f"internal error: {exc}", request_id=request_id, code="internal"
@@ -630,7 +598,6 @@ class BaseStationServer:
                 self.monitor.add_query(query)
             self._next_standing += 1
         except ReproError as exc:
-            session.errors += 1
             self._count("serve.errors")
             reply = error_message(
                 str(exc), request_id=request_id, code="standing-failed"
@@ -724,7 +691,6 @@ class BaseStationServer:
             # The message blew the frame bound: nothing was written, the
             # stream is intact, so it costs only itself — the session
             # gets a typed error naming the request or standing query.
-            session.errors += 1
             self._count("serve.oversized_replies")
             refusal = error_message(str(exc), message.get("id"), "too-large")
             if "standing_id" in message:

@@ -1,17 +1,12 @@
 """Per-client session state behind the serving layer.
 
 One :class:`ClientSession` per live connection: who the client is,
-where it last reported itself (UPDATE frames), how many of its
-requests are in flight (the per-client admission cap), and which
-standing queries it owns.  The session also owns the connection's span
-tracer/exporter when per-connection tracing is on.
+how many of its requests are in flight (the per-client admission cap),
+and which standing queries it owns.  The session also owns the
+connection's span tracer/exporter when per-connection tracing is on.
 """
 
 from __future__ import annotations
-
-from typing import Any
-
-from ..geometry import Point
 
 __all__ = ["ClientSession"]
 
@@ -24,13 +19,8 @@ class ClientSession:
         "client_id",
         "writer",
         "host_id",
-        "location",
-        "location_time",
         "inflight",
         "answered",
-        "shed",
-        "errors",
-        "updates",
         "standing_ids",
         "last_active",
         "closed",
@@ -58,13 +48,8 @@ class ClientSession:
         # The simulated host this session fronts when a QUERY carries
         # no explicit host_id (assigned round-robin at HELLO).
         self.host_id = host_id
-        self.location: Point | None = None
-        self.location_time: float | None = None
         self.inflight = 0
         self.answered = 0
-        self.shed = 0
-        self.errors = 0
-        self.updates = 0
         self.standing_ids: set[int] = set()
         self.last_active = now
         self.closed = False
@@ -77,31 +62,6 @@ class ClientSession:
 
     def idle_for(self, now: float) -> float:
         return now - self.last_active
-
-    def report_location(self, x: float, y: float, when: float | None) -> None:
-        self.location = Point(x, y)
-        self.location_time = when
-        self.updates += 1
-
-    # ------------------------------------------------------------------
-    def describe(self) -> dict[str, Any]:
-        """JSON-ready operator view of the session."""
-        return {
-            "session": self.session_id,
-            "client_id": self.client_id,
-            "host_id": self.host_id,
-            "inflight": self.inflight,
-            "answered": self.answered,
-            "shed": self.shed,
-            "errors": self.errors,
-            "updates": self.updates,
-            "standing": sorted(self.standing_ids),
-            "location": (
-                [self.location.x, self.location.y]
-                if self.location is not None
-                else None
-            ),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -315,7 +315,7 @@ class TestCheckUnion:
         pois = (POI(0, Point(1.0, 0.6)), POI(1, Point(1.9, 0.5)))
         response = ShareResponse(0, tuple(self.RECTS), pois, generation=1)
         outcome = sbnn(Point(1.0, 0.5), [response], 2, poi_density=0.1)
-        assert outcome.annotated and outcome.mvr._lazy
+        assert outcome.annotated and "slabs" not in outcome.mvr._memo
         # wrong only in the batch the heap's farthest disc prepares:
         # nnv's own check_union, with no radii, cannot see it
         far = outcome.heap.last_distance
@@ -374,7 +374,8 @@ class TestCheckUnion:
         ]
         window = Rect(3.5, 0.25, 9.5, 0.75)
         outcome = host.resolve_window(window, responses)
-        assert outcome.resolution is Resolution.VERIFIED and outcome.mvr._lazy
+        assert outcome.resolution is Resolution.VERIFIED
+        assert "slabs" not in outcome.mvr._memo
         # the memoised cuts lose x=5 and x=6: no member is as wide as
         # the slab 4..7, and the window looks uncovered there
         cuts = outcome.mvr._memo["x_cuts"]

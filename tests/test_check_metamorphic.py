@@ -7,7 +7,6 @@ from repro.broadcast import OnAirClient
 from repro.check.metamorphic import (
     knn_radius_monotone,
     translation_invariant_knn,
-    union_area_monotone,
     window_shrink_duality,
 )
 from repro.geometry import Point, Rect, RectUnion
@@ -75,16 +74,6 @@ class TestKMonotonicity:
         client = OnAirClient.build(pois, bounds, hilbert_order=4,
                                    bucket_capacity=4)
         assert knn_radius_monotone(client, Point(2.0, 8.0), (8, 1, 4)) == []
-
-
-class TestUnionMonotonicity:
-    def test_monotone_and_idempotent(self):
-        base = [Rect(0, 0, 2, 2), Rect(1, 1, 3, 3)]
-        extra = [Rect(4, 4, 6, 6)]
-        assert union_area_monotone(base, extra) == []
-
-    def test_reports_nothing_on_empty_extra(self):
-        assert union_area_monotone([Rect(0, 0, 1, 1)], []) == []
 
 
 class TestWindowShrinkDuality:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.check.oracles import (
     oracle_knn,
     oracle_knn_ids,
-    oracle_range_ids,
     oracle_union_area,
     oracle_window_ids,
     rects_pairwise_disjoint,
@@ -54,12 +53,6 @@ class TestOracleWindow:
 
     def test_empty_window(self):
         assert oracle_window_ids(grid_pois(), Rect(5, 5, 6, 6)) == []
-
-    def test_range_is_closed_disc(self):
-        pois = [POI(1, Point(1, 0)), POI(2, Point(2, 0))]
-        assert oracle_range_ids(pois, Point(0, 0), 1.0) == [1]
-        with pytest.raises(ValueError):
-            oracle_range_ids(pois, Point(0, 0), -0.1)
 
 
 class TestOracleUnionArea:

@@ -38,7 +38,7 @@ from repro.experiments.metrics import QueryRecord
 from repro.geometry import Point, Rect
 from repro.model import POI
 from repro.p2p.protocol import ShareResponse
-from repro.shard.messages import EventOutcome, OverhearOp
+from repro.shard.messages import OverhearOp
 from repro.workloads.queries import QueryEvent, QueryKind
 
 # ----------------------------------------------------------------------
@@ -137,20 +137,6 @@ def events(draw):
     )
 
 
-@st.composite
-def outcomes(draw):
-    return EventOutcome(
-        event_index=draw(small_int),
-        record=draw(records()),
-        remote_ops=tuple(draw(st.lists(overhear_ops(), max_size=2))),
-        dirty=tuple(
-            draw(
-                st.lists(st.tuples(small_int, small_int), max_size=4)
-            )
-        ),
-    )
-
-
 json_values = st.recursive(
     st.one_of(
         st.none(),
@@ -203,13 +189,6 @@ def test_query_record_roundtrip(record):
 def test_query_event_roundtrip(event):
     assert_both_roundtrips(event)
     assert decode(encode(event)) == event
-
-
-@settings(max_examples=30, deadline=None)
-@given(outcomes())
-def test_event_outcome_roundtrip(outcome):
-    assert_both_roundtrips(outcome)
-    assert decode(encode(outcome)) == outcome
 
 
 @settings(max_examples=30, deadline=None)
@@ -382,6 +361,18 @@ def test_retired_slab_union_tag_is_rejected():
             decode(frame)
 
 
+def test_retired_event_outcome_tag_is_rejected():
+    # Tag 0x05 carried an EventOutcome, which no path sent (the process
+    # backend relays outcomes in its own RPC layout); it is reserved,
+    # and a frame written by an older build is refused, payload or not.
+    event_index = (7).to_bytes(8, "little")
+    record = encode(SAMPLE_OBJECTS[3])[HEADER_SIZE:]
+    no_ops_no_dirty = bytes(4 + 4)
+    for payload in (b"", event_index + record + no_ops_no_dirty):
+        with pytest.raises(CodecError, match="unknown codec type tag 0x05"):
+            decode(bytes((MAGIC, VERSION, 0x05)) + payload)
+
+
 def test_retired_host_record_tag_is_rejected():
     # Tag 0x07 carried the host record with its three slot columns; a
     # frame written by an older build is refused, never misread as
@@ -447,5 +438,5 @@ def test_encode_rejects_unregistered_type():
 def test_fuzz_campaign_is_clean():
     report = run_codec_fuzz(seed=7, rounds=15)
     assert report.ok, report.mismatches
-    assert report.objects_checked == 75
+    assert report.objects_checked == 60
     assert report.truncations_rejected > 0

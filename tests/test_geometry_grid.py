@@ -2,11 +2,11 @@
 
 ``grid_slabs`` / ``grid_boundary_coord_arrays`` are a vectorised route
 to the structure ``sweep_slabs`` builds one slab at a time; the sweep
-is the referee at every size.  On top of the kernel, a lazily built
-``SlabUnion.from_rects`` must be indistinguishable from a union whose
-slabs were materialised up front — on every public read, whichever
-read comes first, and after every structural read that ends the lazy
-state.
+is the referee at every size.  On top of the kernel, a bulk
+``SlabUnion.from_rects`` — no slab structure in its memo — must be
+indistinguishable from a union whose slabs were materialised up front:
+on every public read, whichever read comes first, and after the one
+read that builds its slabs (a degenerate window).
 """
 
 import tracemalloc
@@ -161,7 +161,7 @@ coord = st.floats(-60, 60)
 points = st.lists(st.tuples(coord, coord), min_size=1, max_size=6)
 
 READS = (
-    "is_empty", "mbr", "area", "contains_point", "contains_points",
+    "is_empty", "mbr", "piece_table", "contains_point", "contains_points",
     "distance_to_boundary", "covers_rect", "subtract_from_rect",
     "disc_intersection_area",
 )
@@ -177,8 +177,8 @@ def read(union, name, p, window):
 def _read(union, name, p, window):
     if name == "is_empty":
         return union.is_empty
-    if name == "area":
-        return union.area
+    if name == "piece_table":
+        return [c.tolist() for c in union.piece_table()]
     if name == "mbr":
         return union.mbr()
     if name == "contains_point":
@@ -199,38 +199,20 @@ def _read(union, name, p, window):
 def eager_twin(rects):
     """The same union with its slabs built by the sweep, up front."""
     union = SlabUnion.from_rects(rects)
-    union._xs, union._slabs = sweep_slabs(members(rects))
-    union._lazy = False
+    union._memo["slabs"] = sweep_slabs(members(rects))
     return union
 
 
 def same_state(a, b):
     # `==`, not encoded bytes: -0.0 and 0.0 are one cut, and which
     # sign a build keeps is not part of the canonical form.
-    return (
-        a._xs == b._xs
-        and a._slabs == b._slabs
-        and a._members == b._members
-    )
+    return a._slabs() == b._slabs() and a._members == b._members
 
 
-def structural_reads(window, p):
-    """Every read that needs the whole slab structure: the only ways a
-    lazy union stops being lazy."""
-    return {
-        "area": lambda u: u.area,
-        "xs": lambda u: list(u.xs),
-        "slab_intervals": lambda u: list(u.slab_intervals),
-        "disjoint_rects": lambda u: u.disjoint_rects(),
-        "boundary_segments": lambda u: [
-            (s.a, s.b) for s in u.boundary_segments()
-        ],
-        "boundary_length": lambda u: u.boundary_length(),
-        "intersects_rect": lambda u: u.intersects_rect(window),
-        "degenerate window": lambda u: u.covers_rect(
-            Rect(p.x, p.y, p.x, p.y + 1.0)
-        ),
-    }
+def leave(union, p):
+    """The one read that builds a bulk union's slab structure: the
+    closed coverage of a degenerate window."""
+    return union.covers_rect(Rect(p.x, p.y, p.x, p.y + 1.0))
 
 
 big_sets = st.one_of(
@@ -243,16 +225,16 @@ class TestLazyUnion:
     def test_bulk_build_defers_the_slabs(self):
         rects = [Rect(i, 0, i + 2, 1 + i % 3) for i in range(GRID_MIN_RECTS)]
         union = SlabUnion.from_rects(rects)
-        assert union._lazy
+        assert "slabs" not in union._memo
         assert not union.is_empty
         assert union.contains_point(Point(1.0, 0.5))
         assert union.distance_to_boundary(Point(1.0, 0.5)) == 0.5
         assert union.mbr() == Rect.bounding(rects)
-        assert union._lazy  # none of the NNV reads built anything
-        assert union.area > 0
-        assert not union._lazy
+        assert "slabs" not in union._memo  # none of the NNV reads built anything
+        assert leave(union, Point(1.0, 0.0))
+        assert "slabs" in union._memo
         small = SlabUnion.from_rects(rects[: GRID_MIN_RECTS - 1])
-        assert not small._lazy
+        assert "slabs" in small._memo
 
     @given(big_sets, st.permutations(READS), points, lattice_rect)
     @settings(max_examples=80, deadline=None)
@@ -271,24 +253,22 @@ class TestLazyUnion:
     @settings(max_examples=40, deadline=None)
     def test_leaving_the_lazy_state(self, rects, window, pts):
         p = Point(*pts[0])
-        for label, leave in structural_reads(window, p).items():
-            for prime in (False, True):
-                lazy = SlabUnion.from_rects(rects)
-                eager = eager_twin(rects)
-                if prime and not lazy.is_empty:
-                    # The boundary arrays came from the grid before
-                    # the slabs existed; they must survive the exit.
-                    lazy.distance_to_boundary(p)
-                assert leave(lazy) == leave(eager), label
-                assert not lazy._lazy, label
-                assert same_state(lazy, eager), label
-                assert lazy.is_empty == eager.is_empty
-                if not lazy.is_empty:
-                    assert lazy.distance_to_boundary(p) == (
-                        eager.distance_to_boundary(p)
-                    ), label
-                assert lazy.contains_point(p) == eager.contains_point(p)
-                assert lazy.area == eager.area
+        for prime in (False, True):
+            lazy = SlabUnion.from_rects(rects)
+            eager = eager_twin(rects)
+            if prime and not lazy.is_empty:
+                # The boundary arrays and the piece table came from the
+                # grid before the slabs existed; they must survive.
+                lazy.distance_to_boundary(p)
+                lazy.piece_table()
+            assert leave(lazy, p) == leave(eager, p)
+            assert "slabs" in lazy._memo
+            assert same_state(lazy, eager)
+            assert lazy.is_empty == eager.is_empty
+            for name in READS:
+                assert read(lazy, name, p, window) == read(
+                    eager, name, p, window
+                ), name
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +367,7 @@ class TestWindowLocalReads:
             # list equality: the same fragments in the same order
             # (they pick plan_window's buckets one by one)
             assert remainder == slabs_subtract_from_rect(xs, slabs, window)
-            assert union._lazy != window.is_degenerate()
+            assert ("slabs" not in union._memo) != window.is_degenerate()
 
     @given(sets_and_windows())
     @settings(max_examples=60, deadline=None)
@@ -403,25 +383,22 @@ class TestWindowLocalReads:
                 slabs_subtract_from_rect(xs, slabs, window),
             )
 
-    @given(sets_and_windows(), lattice_rect, points)
+    @given(sets_and_windows(), points)
     @settings(max_examples=40, deadline=None)
-    def test_after_leaving_the_lazy_state(self, drawn, extra, pts):
+    def test_after_leaving_the_lazy_state(self, drawn, pts):
         rects, windows = drawn
         p = Point(*pts[0])
-        for label, leave in structural_reads(extra, p).items():
-            lazy = SlabUnion.from_rects(rects)
-            eager = eager_twin(rects)
-            # the cuts are memoised before the exit
-            window_reads(lazy, Rect(-1.0, -1.0, 7.0, 7.0))
-            assert lazy._lazy
-            assert leave(lazy) == leave(eager), label
-            # from here on the window reads run over the full structure
-            assert not lazy._lazy, label
-            for window in windows:
-                assert window_reads(lazy, window) == window_reads(
-                    eager, window
-                ), label
-            assert same_state(lazy, eager), label
+        lazy = SlabUnion.from_rects(rects)
+        eager = eager_twin(rects)
+        # the cuts are memoised before the exit
+        window_reads(lazy, Rect(-1.0, -1.0, 7.0, 7.0))
+        assert "slabs" not in lazy._memo
+        assert leave(lazy, p) == leave(eager, p)
+        # from here on the window reads run over the full structure
+        assert "slabs" in lazy._memo
+        for window in windows:
+            assert window_reads(lazy, window) == window_reads(eager, window)
+        assert same_state(lazy, eager)
 
     def test_clipping_members_to_the_window_is_not_the_same(self):
         # The member on the right misses the window in y, yet its left
@@ -434,7 +411,7 @@ class TestWindowLocalReads:
         assert union.subtract_from_rect(window) == [
             Rect(1, 1, 3, 2), Rect(3, 1, 4, 2), Rect(4, 1, 5, 2)
         ]
-        assert union._lazy
+        assert "slabs" not in union._memo
         clipped = SlabUnion.from_rects([Rect(1, 0, 5, 1)])
         assert clipped.subtract_from_rect(window) == [Rect(1, 1, 5, 2)]
 
@@ -462,7 +439,7 @@ class TestWindowLocalReads:
         assert [p.poi_id for p in inside.verified_pois] == list(range(2, 9))
         assert across.resolution is Resolution.BROADCAST
         assert across.remainder_windows == (Rect(25, 0.5, 40, 2.5),)
-        assert mvr._lazy
+        assert "slabs" not in mvr._memo
 
 
 lookup_sets = st.one_of(
@@ -519,7 +496,7 @@ class TestOneGridPerLazyUnion:
             # the third read off the same grid: the Lemma 3.2 disc areas
             areas = [union.disc_intersection_area(Circle(p, 3.0)) for p in inside]
             assert builds.call_count == 1
-        assert union._lazy
+        assert "slabs" not in union._memo
         broadcast = rects_contain_points(
             (
                 np.array([r.x1 for r in rects]), np.array([r.y1 for r in rects]),
@@ -575,7 +552,7 @@ class TestOneGridPerLazyUnion:
         ]
         pxs = np.array([float(x) for (x, _), _ in cases])
         pys = np.array([float(y) for (_, y), _ in cases])
-        assert union._lazy
+        assert "slabs" not in union._memo
         assert union.contains_points(pxs, pys).tolist() == [e for _, e in cases]
         assert [
             union.contains_point(Point(x, y)) for x, y in zip(pxs, pys)
@@ -586,15 +563,15 @@ class TestOneGridPerLazyUnion:
         pxs, pys = np.array([1.0, 0.5, -1.0]), np.array([0.5, 2.5, 0.5])
         expected = [True, False, False]
         built = SlabUnion.from_rects(rects)
-        built.area  # leaves the lazy state
+        leave(built, Point(1.0, 0.0))
         small = SlabUnion.from_rects(rects[:3])
+        assert "slabs" in built._memo and "slabs" in small._memo
         unions = (built, small, RectUnion(rects))
         with mock.patch.object(
             region, "_grid_blocks",
             side_effect=AssertionError("built a grid for a broadcast union"),
         ):
             for union in unions:
-                assert not getattr(union, "_lazy", False)
                 assert union.contains_points(pxs, pys).tolist() == expected
 
 
@@ -603,7 +580,7 @@ class TestIsEmptyIsStructural:
 
     def test_truth_table(self):
         rect = Rect(0, 0, 2, 2)
-        assert SlabUnion().is_empty and RectUnion().is_empty
+        assert SlabUnion.from_rects().is_empty and RectUnion().is_empty
         assert SlabUnion.from_rects([Rect(1, 1, 1, 5)]).is_empty
         assert RectUnion([Rect(1, 1, 1, 5)]).is_empty
         assert not SlabUnion.from_rects([rect]).is_empty
@@ -616,15 +593,18 @@ class TestIsEmptyIsStructural:
         ).is_empty
         # a gap leaves an empty slab between two live ones
         gap = SlabUnion.from_rects([Rect(0, 0, 1, 1), Rect(2, 0, 3, 1)])
-        assert not gap.is_empty and gap.area == 2.0
+        assert not gap.is_empty and len(gap.piece_table()[0]) == 2
 
     def test_never_touches_the_area(self, monkeypatch):
+        # A union has no area read at all, and emptiness builds nothing.
         import repro.geometry.slabunion as module
 
         def boom(*_):
-            raise AssertionError("is_empty integrated the area")
+            raise AssertionError("is_empty built a structure")
 
-        monkeypatch.setattr(module, "slabs_area", boom)
-        union = SlabUnion.from_rects([Rect(0, 0, 2, 2)])
-        assert not union.is_empty
+        monkeypatch.setattr(module, "padded_coverage_grid", boom)
+        monkeypatch.setattr(module, "x_cuts", boom)
+        assert not hasattr(SlabUnion, "area")
+        many = [Rect(i, 0, i + 1, 1) for i in range(GRID_MIN_RECTS)]
+        assert not SlabUnion.from_rects(many).is_empty
         assert SlabUnion.from_rects([Rect(0, 0, 0, 2)]).is_empty

@@ -104,12 +104,6 @@ class TestRectUnionBasics:
         region = RectUnion([Rect(0, 0, 2, 2)] * 5)
         assert region.area == 4.0
 
-    def test_union_with(self):
-        region = RectUnion([Rect(0, 0, 1, 1)])
-        bigger = region.union_with([Rect(5, 5, 6, 6)])
-        assert bigger.area == 2.0
-        assert region.area == 1.0  # original is immutable
-
     def test_disjoint_rects_partition(self):
         region = RectUnion([Rect(0, 0, 4, 4), Rect(2, 2, 6, 6)])
         pieces = region.disjoint_rects()
@@ -166,12 +160,6 @@ class TestRectUnionContainment:
         assert region.covers_rect(Rect(1, 0.5, 1, 1.5))
         assert not region.covers_rect(Rect(3, 0, 3, 1))
 
-    def test_intersects_rect(self):
-        region = RectUnion([Rect(0, 0, 2, 2)])
-        assert region.intersects_rect(Rect(1, 1, 3, 3))
-        assert not region.intersects_rect(Rect(2, 2, 3, 3))  # touching only
-        assert not region.intersects_rect(Rect(5, 5, 6, 6))
-
 
 class TestRectUnionSubtraction:
     def test_subtract_from_uncovered_window(self):
@@ -191,7 +179,7 @@ class TestRectUnionSubtraction:
         assert sum(r.area for r in remainder) == pytest.approx(4.0)
         for r in remainder:
             assert window.intersection(r) == r
-            assert not region.intersects_rect(r)
+            assert not region.contains_point(r.center)
 
     def test_subtract_empty_region_returns_window(self):
         assert RectUnion().subtract_from_rect(Rect(0, 0, 1, 1)) == [
@@ -218,9 +206,12 @@ class TestRectUnionSubtraction:
 
 
 class TestRectUnionBoundary:
-    def test_single_rect_boundary_length(self):
+    def test_single_rect_boundary_distance(self):
         region = RectUnion([Rect(0, 0, 4, 2)])
-        assert region.boundary_length() == pytest.approx(12.0)
+        assert region.distance_to_boundary(Point(1, 1)) == 1.0
+        assert region.distance_to_boundary(Point(3.5, 0.75)) == 0.5
+        assert region.distance_to_boundary(Point(4, 2)) == 0.0  # a corner
+        assert region.distance_to_boundary(Point(7, 6)) == 5.0  # outside
 
     def test_cross_shape_boundary_distance(self):
         region = RectUnion([Rect(-3, -1, 3, 1), Rect(-1, -3, 1, 3)])
@@ -245,12 +236,12 @@ class TestRectUnionBoundary:
         p = Point(1.5, 3)
         assert region.contains_point(p)
         assert region.distance_to_boundary(p) == pytest.approx(0.5)
-        # Outer boundary 6*4 = 24, hole boundary 2*4 = 8.
-        assert region.boundary_length() == pytest.approx(24 + 8)
+        # From the hole's centre the whole hole edge is 1 away.
+        assert not region.contains_point(Point(3, 3))
+        assert region.distance_to_boundary(Point(3, 3)) == pytest.approx(1.0)
 
     def test_merged_rect_has_no_internal_boundary(self):
         region = RectUnion([Rect(0, 0, 2, 2), Rect(2, 0, 4, 2)])
-        assert region.boundary_length() == pytest.approx(12.0)
         # Centre of the merged block is 1 from the boundary, not 0.
         assert region.distance_to_boundary(Point(2, 1)) == pytest.approx(1.0)
 

@@ -2,12 +2,12 @@
 
 :class:`~repro.geometry.SlabUnion` must be *bit-identical* to the
 eager :class:`~repro.geometry.RectUnion` of the same rectangle set
-(canonical-form contract: same x cuts, same merged interval tuples,
+(canonical-form contract: the same slab pieces and boundary segments,
 hence the same floats out of every derived computation) — whether
-``from_rects`` builds the slabs at once (small sets) or defers them
-behind the coverage grid (``GRID_MIN_RECTS`` members and up).  Plus
-the contracts of the value itself: empty unions, and no way to change
-a union after it is built.
+``from_rects`` builds the slabs at once (small sets) or reads the
+coverage grid (``GRID_MIN_RECTS`` members and up).  Plus the contracts
+of the value itself: empty unions, and no way to change a union after
+it is built.
 """
 
 import numpy as np
@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import Point, Rect, RectUnion, SlabUnion
-from repro.geometry.region import GRID_MIN_RECTS
+from repro.geometry.region import (
+    GRID_MIN_RECTS,
+    slabs_boundary_coord_arrays,
+    slabs_piece_table,
+    sweep_slabs,
+)
 
 rect_strategy = st.builds(
     lambda x, y, w, h: Rect(x, y, x + w, y + h),
@@ -33,8 +38,8 @@ lattice_rect = st.tuples(
     st.integers(0, 10), st.integers(0, 10), st.integers(1, 6), st.integers(1, 6)
 ).map(lambda t: Rect(t[0], t[1], t[0] + t[2], t[1] + t[3]))
 
-# Both sides of the lazy threshold: the sweep builds the small sets at
-# once, the large ones stay lazy until a structural read.
+# Both sides of the grid threshold: the sweep builds the small sets at
+# once, the large ones are read off the coverage grid.
 rect_lists = st.one_of(
     st.lists(rect_strategy | lattice_rect, max_size=10),
     st.lists(
@@ -47,26 +52,47 @@ rect_lists = st.one_of(
 coord = st.floats(-60, 60)
 
 
+# Exactly 1, 15, 16 or 200 members: both sides of GRID_MIN_RECTS.
+live_rect = lattice_rect | st.builds(
+    lambda x, y, w, h: Rect(x, y, x + w, y + h),
+    st.floats(-50, 50),
+    st.floats(-50, 50),
+    st.floats(0.5, 30),
+    st.floats(0.5, 30),
+)
+member_sets = st.sampled_from([1, 15, GRID_MIN_RECTS, 200]).flatmap(
+    lambda n: st.lists(live_rect, min_size=n, max_size=n)
+)
+
+
 def built(rects):
     union = SlabUnion.from_rects(rects)
     live = [r for r in rects if not r.is_degenerate()]
-    assert union._lazy == (len(live) >= GRID_MIN_RECTS)
+    assert ("slabs" in union._memo) == (len(live) < GRID_MIN_RECTS)
     return union
 
 
+def segments(arrays):
+    return sorted(zip(*(a.tolist() for a in arrays)))
+
+
 class TestInsertOnlyBitIdentity:
-    @given(rect_lists)
-    @settings(max_examples=150, deadline=None)
+    @given(member_sets)
+    @settings(max_examples=60, deadline=None)
     def test_structure_matches_eager(self, rects):
-        eager = RectUnion(rects)
+        # The canonical form through what the union exposes: its piece
+        # table float for float and in order, its boundary as a segment
+        # multiset.  `==`, not encoded bytes: -0.0 and 0.0 are one cut,
+        # and which sign a build keeps is not part of the canonical form.
         union = built(rects)
-        assert union.is_empty == eager.is_empty
-        assert union.rects == eager.rects
-        assert union._xs == eager._xs
-        assert union._slabs == eager._slab_intervals
-        assert not union._lazy
-        assert union.area == eager.area
-        assert union.disjoint_rects() == eager.disjoint_rects()
+        swept = sweep_slabs(rects)
+        assert union.rects == RectUnion(rects).rects == tuple(rects)
+        assert [c.tolist() for c in union.piece_table()] == [
+            c.tolist() for c in slabs_piece_table(*swept)
+        ]
+        assert segments(union._boundary_coord_arrays()) == segments(
+            slabs_boundary_coord_arrays(*swept)
+        )
 
     @given(rect_lists, st.lists(st.tuples(coord, coord), max_size=25))
     @settings(max_examples=100, deadline=None)
@@ -102,13 +128,6 @@ class TestInsertOnlyBitIdentity:
                 p
             )
             assert union.mbr() == eager.mbr()
-        assert union.intersects_rect(window) == eager.intersects_rect(window)
-        if not eager.is_empty:
-            assert union.boundary_length() == eager.boundary_length()
-            segs = union.boundary_segments()
-            assert [(s.a, s.b) for s in segs] == [
-                (s.a, s.b) for s in eager.boundary_segments()
-            ]
 
 
 class TestPersistence:
@@ -117,9 +136,7 @@ class TestPersistence:
     def test_exposes_no_mutator(self):
         # One representation of a verified area, built once: nothing on
         # the class changes a union after `from_rects` returns it.
-        assert SlabUnion.__slots__ == (
-            "_xs", "_slabs", "_members", "_lazy", "_memo"
-        )
+        assert SlabUnion.__slots__ == ("_members", "_memo")
         for name in (
             "insert_rect", "subtract_rect", "subtract_point_cut",
             "clone", "freeze", "generation", "__reduce__",
@@ -129,15 +146,15 @@ class TestPersistence:
         assert not hasattr(union, "__dict__")
         with pytest.raises(AttributeError):
             union.generation = 1
-        # the structural accessors hand out the structure read-only
-        # by convention; the member view is a fresh tuple
+        # the member view is a fresh tuple
         assert union.rects == (Rect(0, 0, 4, 4),)
         assert union.rects is not union.rects
 
     def test_empty_contracts(self):
-        for union in (SlabUnion(), SlabUnion.from_rects([Rect(1, 1, 1, 5)])):
+        for rects in ([], [Rect(1, 1, 1, 5)]):
+            union = SlabUnion.from_rects(rects)
             assert union.is_empty
-            assert union.area == 0.0
+            assert [len(c) for c in union.piece_table()] == [0, 0, 0, 0]
             assert union.rects == ()
             with pytest.raises(GeometryError):
                 union.mbr()

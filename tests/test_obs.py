@@ -74,12 +74,6 @@ class TestSpanTree:
         tree = sunk[0].to_dict()
         assert tree["children"][0]["attributes"] == {"sim_s": 1.25}
 
-    def test_add_accumulates(self):
-        tracer = Tracer()
-        with tracer.span("query") as span:
-            span.add("retunes", 2).add("retunes", 3)
-        assert span.attributes["retunes"] == 5
-
     def test_wall_time_measured(self):
         ticks = iter([10.0, 10.5])
         tracer = Tracer(clock=lambda: next(ticks))
@@ -118,7 +112,7 @@ class TestNullTracer:
 
     def test_null_span_is_inert(self):
         with NO_TRACER.span("query") as span:
-            span.set(k=5).add("n", 1)
+            span.set(k=5).set(n=1)
         assert span.attributes == {}
         assert NO_TRACER.roots == []
 

@@ -25,6 +25,7 @@ from repro.geometry import (
     hilbert_xy_to_d,
     hilbert_xy_to_d_batch,
 )
+from repro.geometry.region import slabs_boundary_coord_arrays, sweep_slabs
 from repro.model import POI
 from repro.p2p import ShareResponse
 
@@ -188,7 +189,8 @@ class TestMVRMemo:
         first = memo.merged(responses)
         second = memo.merged(list(responses))
         assert second is not first
-        assert first._lazy == second._lazy == (count >= 16)
+        for union in (first, second):
+            assert ("slabs" in union._memo) == (count < 16)
         probe = Point(1.0, 1.0)
         assert first.distance_to_boundary(probe) == second.distance_to_boundary(
             probe
@@ -197,8 +199,8 @@ class TestMVRMemo:
             first._boundary_coord_arrays(), second._boundary_coord_arrays()
         ):
             assert a is not b and np.array_equal(a, b)
-        assert list(first.xs) == list(second.xs)
-        assert list(first.slab_intervals) == list(second.slab_intervals)
+        for a, b in zip(first.piece_table(), second.piece_table()):
+            assert a is not b and np.array_equal(a, b)
         assert first.rects == second.rects
         assert memo.hits == 0
 
@@ -324,14 +326,13 @@ class TestRectUnionBatchKernels:
         p = Point(x, y)
         vectorised = region.distance_to_boundary(p)
         # Boundary segments are axis-aligned: each is a degenerate Rect.
+        arrays = slabs_boundary_coord_arrays(*sweep_slabs(region.rects))
         reference = min(
             Rect(
-                min(seg.a.x, seg.b.x),
-                min(seg.a.y, seg.b.y),
-                max(seg.a.x, seg.b.x),
-                max(seg.a.y, seg.b.y),
+                min(ax, ax + dx), min(ay, ay + dy),
+                max(ax, ax + dx), max(ay, ay + dy),
             ).distance_to_point(p)
-            for seg in region.boundary_segments()
+            for ax, ay, dx, dy in zip(*(a.tolist() for a in arrays[:4]))
         )
         assert vectorised == pytest.approx(reference, rel=1e-12, abs=1e-12)
 

@@ -260,30 +260,38 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------
-# Sessions: updates, reaping, standing queries
+# Sessions: retired UPDATE frames, reaping, standing queries
 # ----------------------------------------------------------------------
 class TestSessions:
-    def test_update_frames_touch_session_state(self):
+    def test_update_frames_get_unknown_type_error(self):
+        # The server keeps no reported location (standing queries
+        # re-evaluate at the fleet's position): UPDATE is just a type it
+        # does not know, answered with ERROR on a session that stays up.
         async def scenario():
             server = await started_server(seed=1)
             try:
                 client = ServeClient("127.0.0.1", server.port, "mover")
                 hello = await client.connect()
-                await client.update(1.5, 2.5, time=3.0)
-                # UPDATE is fire-and-forget; a query round-trip flushes.
-                await client.request({"type": "QUERY", "kind": "knn", "k": 1})
+                refused = await client.request(
+                    {"type": "UPDATE", "x": 1.5, "y": 2.5, "time": 3.0}
+                )
+                answer = await client.request(
+                    {"type": "QUERY", "kind": "knn", "k": 1}
+                )
                 session = server.sessions[hello["session"]]
-                view = session.describe()
+                answered = session.answered
+                counters = server.snapshot()
                 await client.close()
             finally:
                 await server.stop()
-            return view
+            return refused, answer, answered, counters
 
-        view = run(scenario())
-        assert view["client_id"] == "mover"
-        assert view["updates"] == 1
-        assert view["location"] == [1.5, 2.5]
-        assert view["answered"] == 1
+        refused, answer, answered, counters = run(scenario())
+        assert refused["type"] == "ERROR"
+        assert refused["code"] == "unknown-type"
+        assert answer["type"] == "ANSWER" and answered == 1
+        assert counters["serve.protocol_errors"] == 1.0
+        assert "serve.updates" not in counters
 
     def test_idle_sessions_are_reaped(self):
         async def scenario():

@@ -75,6 +75,9 @@ lint:
 	@echo ">> a union answers the query path's reads; the retired frame, message and knobs stay out"
 	@! grep -rIn 'boundary[_]segments\|slab[_]intervals\|union[_]with\|slabs[_]intersects_rect\|event[_]outcome\|MSG[_]UPDATE\|report[_]location\|overload[_]depth\|sim[_]factory' src/repro
 	@! grep -n '__getattr[_]_' src/repro/geometry/slabunion.py
+	@echo ">> each query reads its peers once: one candidate gather, one d* read, both in core/nnv.py"
+	@test "$$(grep -rI 'first_contained(' src/repro | grep -v '^src/repro/core/nnv.py:' | wc -l)" -eq 0
+	@! grep -n 'distance_to_boundary(' src/repro/experiments/host.py
 
 test:
 	@echo ">> tier-1 tests"

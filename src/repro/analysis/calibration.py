@@ -106,7 +106,8 @@ def correctness_calibration(
                 p for p in pois if vr.contains_point(p.location)
             )
             responses.append(ShareResponse(peer, (vr,), inside))
-        heap, mvr = nnv(q, responses, k)
+        heap, read = nnv(q, responses, k)
+        mvr = read.mvr
         if mvr.is_empty:
             continue
         annotate_heap(q, heap, mvr, density)

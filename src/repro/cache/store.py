@@ -292,6 +292,19 @@ class POICache:
         self._delete_slots(map(self._slot_ids.index, poi_ids))
         return vxs, vys
 
+    def poi_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, xs, ys)`` of the cached POIs in item order.
+
+        Numpy copies of the mirror: the columns of this generation's
+        share response (:meth:`frozen_snapshot` lists the POIs in the
+        same order), which later visits leave untouched.
+        """
+        return (
+            np.array(self._slot_ids),
+            np.array(self._slot_xs),
+            np.array(self._slot_ys),
+        )
+
     def mirror_ids(self) -> list[int]:
         """The mirror's POI ids in its order (equal to the item order)."""
         return self._slot_ids.tolist()
@@ -693,7 +706,11 @@ class POICache:
         snapshot per generation keeps it beside the stamp (the host's
         share response does).
         """
-        return self.generation, tuple(self.region_rects), tuple(self.pois)
+        return (
+            self.generation,
+            tuple([vr.rect for vr in self._regions]),
+            tuple([item.poi for item in self._items.values()]),
+        )
 
     # ------------------------------------------------------------------
     # Binary codec support (see repro.codec.types)

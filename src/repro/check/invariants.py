@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.heap import ResultHeap
     from ..experiments.metrics import QueryRecord
     from ..geometry import Point, Rect
+    from ..model import POI
     from ..p2p.network import PeerNetwork
 
 
@@ -256,6 +257,35 @@ def check_cache(cache) -> None:
                     f"settled region {regions[i]!r} lies inside the"
                     f" earlier {earlier!r}"
                 )
+
+
+def check_same_pois(
+    found: "Sequence[POI]", expected: "Sequence[POI]", what: str
+) -> None:
+    """POIs answered from a query's one peer read against a fresh
+    ``first_contained``: the same objects, in the same order."""
+    if len(found) != len(expected) or any(
+        a is not b for a, b in zip(found, expected)
+    ):
+        raise InvariantViolation(
+            f"{what}: the reused read kept ids"
+            f" {[p.poi_id for p in found]}, a fresh gather"
+            f" {[p.poi_id for p in expected]}"
+        )
+
+
+def check_boundary_distance(union, point: "Point", distance: float) -> None:
+    """The ``d*`` NNV handed on against a fresh read of ``union``:
+    ``-inf`` outside it, else ``distance_to_boundary(point)``."""
+    if union.is_empty or not union.contains_point(point):
+        expected = -np.inf
+    else:
+        expected = union.distance_to_boundary(point)
+    if distance != expected:
+        raise InvariantViolation(
+            f"d* at ({point.x!r}, {point.y!r}) handed on as {distance!r},"
+            f" the union says {expected!r}"
+        )
 
 
 def check_union(

@@ -17,12 +17,15 @@ Two performance layers sit under the algorithm:
   :class:`~repro.geometry.SlabUnion` that lives for one query.  NNV
   asks it which received POIs lie inside and how far the query point
   is from its boundary; both are read off one coverage grid, and no
-  slab structure is built.
+  slab structure is built.  Both answers are asked once per query:
+  they travel on the :class:`PeerRead` NNV returns, which the host's
+  gossip and broadcast steps read instead of the union.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -78,27 +81,49 @@ def collect_candidates(
     return list(by_id.values())
 
 
+def _columns(
+    pieces: Sequence[ShareResponse],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(ids, xs, ys)`` arrays of ``pieces``, concatenated in order."""
+    arrays = [r.poi_arrays() for r in pieces]
+    return (
+        np.concatenate([a[0] for a in arrays]),
+        np.concatenate([a[1] for a in arrays]),
+        np.concatenate([a[2] for a in arrays]),
+    )
+
+
+def _first_copies(ids: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The ascending indices of ``kept`` that hold each id's first copy."""
+    if kept.size > 1:
+        # np.unique keeps the first occurrence of each id in array
+        # order — the same copy the scalar dict insertion keeps.
+        _, first = np.unique(ids[kept], return_index=True)
+        first.sort()
+        kept = kept[first]
+    return kept
+
+
 def first_contained(
     responses: Sequence[ShareResponse],
     mvr: SlabUnion,
     within: Rect | None = None,
 ) -> tuple[list[ShareResponse], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The batch form of :func:`collect_candidates`.
+    """The batch form of :func:`collect_candidates`, from scratch.
 
     Returns ``(pieces, ids, xs, ys, sel)``: the responses that carry
     POIs, their coordinate arrays concatenated, and the ascending flat
     indices of the candidate set — per id, the first copy inside the
-    MVR (and inside the closed rectangle ``within``, tested first:
-    it is the cheaper mask and usually the smaller set).
+    MVR (and inside the closed rectangle ``within``, tested first).
+    The query path answers the same question from its one
+    :class:`PeerRead`; this is the referee ``REPRO_CHECK=1`` and the
+    tests hold it to.
     """
     pieces = [r for r in responses if r.pois]
     if not pieces:
         nothing = np.empty(0)
         return pieces, nothing, nothing, nothing, np.empty(0, np.int64)
-    arrays = [r.poi_arrays() for r in pieces]
-    ids = np.concatenate([a[0] for a in arrays])
-    xs = np.concatenate([a[1] for a in arrays])
-    ys = np.concatenate([a[2] for a in arrays])
+    ids, xs, ys = _columns(pieces)
     if within is None:
         kept = mvr.contains_points(xs, ys).nonzero()[0]
     else:
@@ -110,13 +135,7 @@ def first_contained(
         ).nonzero()[0]
         if kept.size:
             kept = kept[mvr.contains_points(xs[kept], ys[kept])]
-    if kept.size > 1:
-        # np.unique keeps the first occurrence of each id in array
-        # order — the same copy the scalar dict insertion keeps.
-        _, first = np.unique(ids[kept], return_index=True)
-        first.sort()
-        kept = kept[first]
-    return pieces, ids, xs, ys, kept
+    return pieces, ids, xs, ys, _first_copies(ids, kept)
 
 
 def pois_at(
@@ -131,23 +150,94 @@ def pois_at(
     return found
 
 
+@dataclass(slots=True)
+class PeerRead:
+    """One query's read of its peers' replies (Algorithm 1, lines 4-6).
+
+    ``ids`` / ``xs`` / ``ys`` concatenate the columns of the responses
+    that carry POIs (``pieces``), every copy of every id included;
+    ``inside`` is the MVR containment mask over all of them, read once.
+    ``boundary_distance`` is Lemma 3.1's ``d*``, the query point's
+    distance to the MVR boundary: ``-inf`` when the point is outside
+    the MVR, and also when NNV had no candidate to verify (no reader
+    asks then — a peer-resolved query has candidates).  Built by
+    :func:`nnv`, it rides on the :class:`~repro.core.SBNNOutcome` to
+    every later reader of the same query, and dies with the query.
+    """
+
+    pieces: list[ShareResponse]
+    ids: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    inside: np.ndarray
+    mvr: SlabUnion
+    boundary_distance: float = -np.inf
+
+    @classmethod
+    def gather(
+        cls, responses: Sequence[ShareResponse], mvr: SlabUnion
+    ) -> "PeerRead":
+        """Concatenate the responses' columns and mask them to ``mvr``."""
+        pieces = [r for r in responses if r.pois]
+        if not pieces:
+            nothing = np.empty(0)
+            return cls(pieces, nothing, nothing, nothing, nothing.astype(bool), mvr)
+        ids, xs, ys = _columns(pieces)
+        return cls(pieces, ids, xs, ys, mvr.contains_points(xs, ys), mvr)
+
+    def first(self, within: Rect | None = None) -> np.ndarray:
+        """Ascending flat indices of the first copy per id inside the
+        MVR (and the closed rectangle ``within``): the same indices as
+        :func:`first_contained`, stale copies included, because the
+        mask covers every copy."""
+        mask = self.inside
+        if within is not None:
+            xs = self.xs
+            ys = self.ys
+            mask = (
+                mask
+                & (within.x1 <= xs)
+                & (xs <= within.x2)
+                & (within.y1 <= ys)
+                & (ys <= within.y2)
+            )
+        return _first_copies(self.ids, mask.nonzero()[0])
+
+    def pois_within(self, within: Rect) -> list[POI]:
+        """Peer POIs inside both ``within`` and the MVR (hence complete).
+
+        First contained copy wins on duplicate ids, in response order
+        (POI order within a response) — the order cached-region POI
+        tuples inherit downstream.
+        """
+        found = pois_at(self.pieces, self.first(within))
+        if invariants.check_enabled():
+            pieces, _, _, _, sel = first_contained(self.pieces, self.mvr, within)
+            invariants.check_same_pois(
+                found, pois_at(pieces, sel), f"peer POIs within {within!r}"
+            )
+        return found
+
+
 def nnv(
     query: Point,
     responses: Sequence[ShareResponse],
     k: int,
     mvr: SlabUnion | None = None,
-) -> tuple[ResultHeap, SlabUnion]:
+) -> tuple[ResultHeap, PeerRead]:
     """Algorithm 1 (NNV): build the heap ``H`` from peer data.
 
-    Returns the heap and the MVR (callers reuse the MVR for the
-    approximate-answer probabilities and for SBWQ).  When the query
-    point is outside the MVR, Lemma 3.1 cannot apply and every
-    candidate enters unverified.  Pass an already merged ``mvr`` (see
-    :meth:`MVRMemo.merged`) to skip the merge.
+    Returns the heap and the :class:`PeerRead` — the MVR, the peer
+    POIs' columns with their MVR mask, and ``d*`` — which callers reuse
+    for the approximate-answer probabilities, the gossiped disc and the
+    cached peer POIs.  When the query point is outside the MVR, Lemma
+    3.1 cannot apply and every candidate enters unverified.  Pass an
+    already merged ``mvr`` (see :meth:`MVRMemo.merged`) to skip the
+    merge.
 
     The candidate pipeline is one batch computation: concatenate the
     per-response coordinate arrays, mask to the MVR, deduplicate ids by
-    first contained occurrence (:func:`first_contained`), one
+    first contained occurrence (:meth:`PeerRead.first`), one
     ``np.hypot`` over the survivors, one lexsort — only the top ``k``
     POI objects are ever touched in Python.
     """
@@ -156,19 +246,19 @@ def nnv(
     if invariants.check_enabled():
         invariants.check_union(mvr, query)
     heap = ResultHeap(k)
-    pieces, ids, xs, ys, sel = first_contained(responses, mvr)
+    read = PeerRead.gather(responses, mvr)
+    sel = read.first()
     if not sel.size:
-        return heap, mvr
-    distances = np.hypot(xs[sel] - query.x, ys[sel] - query.y)
-    order = np.lexsort((ids[sel], distances))[: min(k, sel.size)]
-    if mvr.is_empty or not mvr.contains_point(query):
-        boundary_distance = -np.inf
-    else:
-        boundary_distance = mvr.distance_to_boundary(query)
-    for position, poi in zip(order, pois_at(pieces, sel[order])):
+        return heap, read
+    distances = np.hypot(read.xs[sel] - query.x, read.ys[sel] - query.y)
+    order = np.lexsort((read.ids[sel], distances))[: min(k, sel.size)]
+    if not mvr.is_empty and mvr.contains_point(query):
+        read.boundary_distance = mvr.distance_to_boundary(query)
+    boundary_distance = read.boundary_distance
+    for position, poi in zip(order, pois_at(read.pieces, sel[order])):
         distance = float(distances[position])
         heap.add(HeapEntry(poi, distance, distance <= boundary_distance))
-    return heap, mvr
+    return heap, read
 
 
 def nnv_scalar(

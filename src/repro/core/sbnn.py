@@ -31,7 +31,7 @@ from ..p2p import ShareResponse
 from .approx import annotate_heap
 from .filtering import SearchBounds, search_bounds
 from .heap import ResultHeap
-from .nnv import nnv
+from .nnv import PeerRead, nnv
 
 
 class Resolution(Enum):
@@ -46,6 +46,10 @@ class Resolution(Enum):
 class SBNNOutcome:
     """Everything Algorithm 2 decides before (maybe) going on-air.
 
+    ``read`` is NNV's one read of the peers' replies (the MVR, the
+    candidate columns with their MVR mask, ``d*``); the host's later
+    steps answer from it instead of asking the union again.
+
     ``annotated`` says whether the Lemma 3.2 annotation pass ran for
     this outcome — untraced, it is skipped exactly when it cannot
     decide the approximate path, which leaves ``correctness=None`` on
@@ -58,7 +62,7 @@ class SBNNOutcome:
 
     resolution: Resolution
     heap: ResultHeap
-    mvr: SlabUnion
+    read: PeerRead
     bounds: SearchBounds
     annotated: bool = False
 
@@ -106,16 +110,17 @@ def sbnn(
             f"min_correctness must be in [0, 1], got {min_correctness}"
         )
     if tracer is None:
-        heap, mvr = nnv(query, responses, k, mvr=mvr)
+        heap, read = nnv(query, responses, k, mvr=mvr)
     else:
         with tracer.span("core.nnv") as span:
-            heap, mvr = nnv(query, responses, k, mvr=mvr)
+            heap, read = nnv(query, responses, k, mvr=mvr)
             span.set(
                 responses=len(responses),
                 k=k,
                 heap_size=len(heap),
                 verified=heap.verified_count,
             )
+    mvr = read.mvr
     needs_annotation = (
         not mvr.is_empty
         and bool(heap.unverified_entries)
@@ -151,7 +156,7 @@ def sbnn(
     return SBNNOutcome(
         resolution=resolution,
         heap=heap,
-        mvr=mvr,
+        read=read,
         bounds=search_bounds(heap),
         annotated=needs_annotation,
     )

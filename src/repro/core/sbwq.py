@@ -62,10 +62,7 @@ def sbwq(
     ``mvr`` optionally supplies the already merged verified region.
 
     The filter stays a loop on purpose: the window test comes first and
-    rejects nearly every peer POI, so the MVR is rarely asked, while
-    the batch form (:func:`~repro.core.nnv.first_contained`) has to
-    build ``poi_arrays()`` for every response — measured at +80 us per
-    query on the sparse window workload.
+    rejects nearly every peer POI, so the MVR is rarely asked.
     """
     if mvr is None:
         mvr = merge_verified_regions(responses)

@@ -25,9 +25,9 @@ from ..cache import POICache, SharedResult
 from ..check import invariants
 from ..core import MVRMemo, Resolution, sbnn, sbwq
 from ..core.heap import HeapEntry
-from ..core.nnv import first_contained, pois_at
+from ..core.nnv import PeerRead
 from ..faults import P2PFaultStats
-from ..geometry import Circle, Point, Rect, SlabUnion
+from ..geometry import Circle, Point, Rect
 from ..model import DEFAULT_CATEGORY, POI
 from ..obs import NO_TRACER
 from ..p2p import ShareRequest, ShareResponse
@@ -66,20 +66,6 @@ class HostQueryResult:
     answers: tuple[POI, ...]
     heap_entries: tuple[HeapEntry, ...] = ()
     shared: tuple[SharedRegion, ...] = ()
-
-
-def _pois_from_responses(
-    responses: Sequence[ShareResponse], within: Rect, mvr: SlabUnion
-) -> dict[int, POI]:
-    """Peer POIs inside both ``within`` and the MVR (hence complete).
-
-    First contained copy wins on duplicate ids, and insertion order
-    (the response order, POI order within a response) is preserved —
-    the dict's ordering flows into cached-region POI tuples downstream.
-    One batch over all responses, as in :func:`~repro.core.nnv.nnv`.
-    """
-    pieces, _, _, _, sel = first_contained(responses, mvr, within)
-    return {poi.poi_id: poi for poi in pois_at(pieces, sel)}
 
 
 def _pois_per_region(
@@ -154,16 +140,23 @@ class MobileHost:
         deployment is single-category).  The response is immutable and
         stamped with the cache's content generation, so it is built
         once per generation and handed out as-is until the cache next
-        changes.
+        changes; its POI columns are copied from the cache's mirror.
         """
         if request is not None and request.category != DEFAULT_CATEGORY:
             return None
-        if self.cache.generation != self._share_generation:
-            generation, regions, pois = self.cache.frozen_snapshot()
+        cache = self.cache
+        if cache.generation != self._share_generation:
+            generation, regions, pois = cache.frozen_snapshot()
             self._share_memo = (
                 None
                 if not regions and not pois
-                else ShareResponse(self.host_id, regions, pois, generation)
+                else ShareResponse(
+                    self.host_id,
+                    regions,
+                    pois,
+                    generation,
+                    _poi_arrays=cache.poi_columns(),
+                )
             )
             self._share_generation = generation
         return self._share_memo
@@ -216,7 +209,7 @@ class MobileHost:
         if outcome.resolution is not Resolution.BROADCAST:
             # Gossip the verified disc first, then touch the answers.
             gossiped = self._gossip_cache(
-                position, heading, outcome.mvr, responses, now, tracer
+                position, heading, outcome.read, now, tracer
             )
             entries = tuple(outcome.heap.results()[:k])
             self.cache.touch((e.poi.poi_id for e in entries), now)
@@ -235,7 +228,9 @@ class MobileHost:
         scan = yield outcome
         covered = scan.plan.search_mbr
         complete = {poi.poi_id: poi for poi in scan.downloaded}
-        complete.update(_pois_from_responses(responses, covered, outcome.mvr))
+        complete.update(
+            {poi.poi_id: poi for poi in outcome.read.pois_within(covered)}
+        )
         cx1, cy1, cx2, cy2 = covered.x1, covered.y1, covered.x2, covered.y2
         cached_pois = tuple(
             [
@@ -392,8 +387,7 @@ class MobileHost:
         self,
         position: Point,
         heading: tuple[float, float],
-        mvr: SlabUnion,
-        responses: Sequence[ShareResponse],
+        read: PeerRead,
         now: float,
         tracer,
     ) -> SharedResult | tuple[()]:
@@ -402,18 +396,18 @@ class MobileHost:
         The largest inscribed axis-aligned square of the verified disc
         ``C(q, ||q, e_s||)`` lies inside the MVR, where the responses
         are collectively complete, so it is a sound verified region.
-        Returns what was cached (a one-pair result, or nothing) so
-        neighbours can adopt it.
+        Its radius is the ``d*`` NNV already read (``-inf`` outside the
+        MVR) and its POIs come from NNV's masked columns.  Returns what
+        was cached (a one-pair result, or nothing) so neighbours can
+        adopt it.
         """
+        radius = read.boundary_distance
         if invariants.check_enabled():
-            invariants.check_union(mvr, position)
-        if mvr.is_empty or not mvr.contains_point(position):
-            return ()
-        radius = mvr.distance_to_boundary(position)
+            invariants.check_boundary_distance(read.mvr, position, radius)
         if radius <= 0.0:
             return ()
         region = Circle(position, radius).inscribed_rect()
-        pois = tuple(_pois_from_responses(responses, region, mvr).values())
+        pois = tuple(read.pois_within(region))
         return self._adopt(
             (region, pois), (), (), now, position, heading, tracer
         )

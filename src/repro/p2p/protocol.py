@@ -43,6 +43,11 @@ class ShareRequest:
 class ShareResponse:
     """One peer's contribution: its VR rectangles and cached POIs.
 
+    ``_poi_arrays`` holds the ``(ids, xs, ys)`` columns of ``pois``:
+    a host's response is built with them, copied from its cache's
+    coordinate mirror; one decoded off the wire (a halo mirror) builds
+    them on first use (:meth:`poi_arrays`).
+
     ``generation`` stamps the responder's cache content at build time
     (-1 when unknown); responses with the same ``(peer_id, generation)``
     are guaranteed identical, which the responder exploits to build
@@ -63,8 +68,9 @@ class ShareResponse:
     )
 
     def __post_init__(self) -> None:
-        if any(r.is_degenerate() for r in self.regions):
-            raise ProtocolError("degenerate verified region in response")
+        for r in self.regions:
+            if r.x2 == r.x1 or r.y2 == r.y1:
+                raise ProtocolError("degenerate verified region in response")
 
     @property
     def is_empty(self) -> bool:
@@ -73,8 +79,9 @@ class ShareResponse:
     def poi_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, xs, ys)`` of this response's POIs, built once.
 
-        The response is immutable, so the arrays are computed lazily on
-        first use and cached for every later query against it.
+        The response is immutable, so arrays it was not built with are
+        computed on first use and cached for every later query
+        against it.
         """
         if self._poi_arrays is None:
             locations = [p.location for p in self.pois]

@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.broadcast.schedule import RetrievalCost
@@ -315,7 +316,7 @@ class TestCheckUnion:
         pois = (POI(0, Point(1.0, 0.6)), POI(1, Point(1.9, 0.5)))
         response = ShareResponse(0, tuple(self.RECTS), pois, generation=1)
         outcome = sbnn(Point(1.0, 0.5), [response], 2, poi_density=0.1)
-        assert outcome.annotated and "slabs" not in outcome.mvr._memo
+        assert outcome.annotated and "slabs" not in outcome.read.mvr._memo
         # wrong only in the batch the heap's farthest disc prepares:
         # nnv's own check_union, with no radii, cannot see it
         far = outcome.heap.last_distance
@@ -408,6 +409,81 @@ class TestCheckUnion:
         response = ShareResponse(0, tuple(self.RECTS), (), generation=1)
         with pytest.raises(InvariantViolation, match="contains_point"):
             nnv(Point(1.0, 0.5), [response], 1, mvr=mvr)
+
+
+class TestReuseSeams:
+    """The host answers from NNV's one peer read; under checks each
+    answer is recomputed from scratch and any disagreement raises."""
+
+    VR = Rect(0, 0, 10, 10)
+    POIS = (POI(0, Point(5.0, 5.2)), POI(1, Point(6.0, 5.0)),
+            POI(2, Point(9.0, 9.0)))
+
+    def outcome(self):
+        from repro.core import sbnn
+        from repro.p2p import ShareResponse
+
+        response = ShareResponse(1, (self.VR,), self.POIS, generation=1)
+        return sbnn(Point(5.0, 5.0), [response], 2, poi_density=0.1)
+
+    def test_reads_agree_with_checks_on(self, checks_on):
+        from repro.experiments.host import MobileHost
+
+        outcome = self.outcome()
+        assert outcome.resolution is Resolution.VERIFIED
+        assert outcome.read.boundary_distance == 5.0
+        host = MobileHost(0, POICache(8))
+        shared = host._gossip_cache(
+            Point(5.0, 5.0), (1.0, 0.0), outcome.read, 0.0, None
+        )
+        [(region, pois)] = shared
+        assert pois == tuple(outcome.read.pois_within(region))
+        assert [p.poi_id for p in pois] == [0, 1]
+
+    def test_wrong_gather_detected(self, checks_on, monkeypatch):
+        from repro.core.nnv import PeerRead
+
+        read = self.outcome().read
+        real = PeerRead.first
+        monkeypatch.setattr(
+            PeerRead, "first", lambda self, within=None: real(self, within)[1:]
+        )
+        with pytest.raises(InvariantViolation, match="reused read"):
+            read.pois_within(self.VR)
+
+    def test_wrong_d_star_detected(self, checks_on):
+        from repro.experiments.host import MobileHost
+
+        read = self.outcome().read
+        read.boundary_distance = 4.0
+        host = MobileHost(0, POICache(8))
+        with pytest.raises(InvariantViolation, match="d\\*"):
+            host._gossip_cache(Point(5.0, 5.0), (1.0, 0.0), read, 0.0, None)
+        read.boundary_distance = -np.inf  # as if the query were outside
+        with pytest.raises(InvariantViolation, match="d\\*"):
+            host._gossip_cache(Point(5.0, 5.0), (1.0, 0.0), read, 0.0, None)
+
+    def test_checks_off_run_no_referee(self, monkeypatch):
+        from importlib import import_module
+
+        from repro.experiments.host import MobileHost
+
+        def boom(*args, **kwargs):
+            raise AssertionError("referee ran with checks off")
+
+        previous = set_check_enabled(False)
+        try:
+            monkeypatch.setattr(
+                import_module("repro.core.nnv"), "first_contained", boom
+            )
+            monkeypatch.setattr(invariants, "check_boundary_distance", boom)
+            read = self.outcome().read
+            host = MobileHost(0, POICache(8))
+            assert host._gossip_cache(
+                Point(5.0, 5.0), (1.0, 0.0), read, 0.0, None
+            )
+        finally:
+            set_check_enabled(previous)
 
 
 class TestSeamIntegration:

@@ -102,7 +102,8 @@ class TestAnnotateHeap:
         pois = [POI(0, Point(5.2, 5.0)), POI(1, Point(9.9, 9.9))]
         responses = [ShareResponse(0, (vr,), tuple(pois))]
         q = Point(5, 5)
-        heap, mvr = nnv(q, responses, k=2)
+        heap, read = nnv(q, responses, k=2)
+        mvr = read.mvr
         annotate_heap(q, heap, mvr, poi_density=0.3)
         verified = heap.verified_entries[0]
         unverified = heap.unverified_entries[0]
@@ -115,7 +116,8 @@ class TestAnnotateHeap:
         q = Point(2, 2)
         pois = [POI(i, Point(2 + 0.9 * (i + 1), 2)) for i in range(3)]
         responses = [ShareResponse(0, (vr,), tuple(pois))]
-        heap, mvr = nnv(q, responses, k=3)
+        heap, read = nnv(q, responses, k=3)
+        mvr = read.mvr
         annotate_heap(q, heap, mvr, poi_density=0.4)
         probs = [e.correctness for e in heap.unverified_entries]
         assert probs == sorted(probs, reverse=True)
@@ -127,7 +129,8 @@ class TestAnnotateHeap:
         q = Point(3.5, 2)
         pois = [POI(i, Point(3.5 - d, 2)) for i, d in enumerate((0.4, 1.5, 3.0))]
         responses = [ShareResponse(0, (vr,), tuple(pois))]
-        full, mvr = nnv(q, responses, k=3)
+        full, read = nnv(q, responses, k=3)
+        mvr = read.mvr
         counts = annotate_heap(q, full, mvr, poi_density=0.1)
         assert counts == {
             "entries": 2, "annotated": 2, "pieces": 1, "pieces_near": 1
@@ -157,7 +160,8 @@ class TestAnnotateHeap:
     def test_negative_density_raises(self):
         q = Point(2, 2)
         responses = [ShareResponse(0, (Rect(0, 0, 4, 4),), (POI(0, Point(3.5, 2)),))]
-        heap, mvr = nnv(q, responses, k=1)
+        heap, read = nnv(q, responses, k=1)
+        mvr = read.mvr
         with pytest.raises(ReproError, match="density"):
             annotate_heap(q, heap, mvr, poi_density=-0.1)
 

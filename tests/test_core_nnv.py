@@ -47,7 +47,8 @@ class TestNNVFigure5:
 
     def test_nearest_is_verified(self):
         q, responses = self.make()
-        heap, mvr = nnv(q, responses, k=2)
+        heap, read = nnv(q, responses, k=2)
+        mvr = read.mvr
         assert mvr.contains_point(q)
         entries = heap.entries
         assert entries[0].poi.poi_id == 1
@@ -81,9 +82,11 @@ class TestNNVFigure6:
 
     def test_hole_blocks_verification(self):
         q, responses = self.make()
-        heap, mvr = nnv(q, responses, k=2)
+        heap, read = nnv(q, responses, k=2)
+        mvr = read.mvr
         # Boundary distance is 0.5 (the hole's left edge).
         assert mvr.distance_to_boundary(q) == pytest.approx(0.5)
+        assert read.boundary_distance == mvr.distance_to_boundary(q)
         by_id = {e.poi.poi_id: e for e in heap}
         assert by_id[1].verified
         assert not by_id[4].verified
@@ -94,12 +97,14 @@ class TestNNVEdgeCases:
         responses = [
             response(0, [Rect(0, 0, 2, 2)], [POI(1, Point(1, 1))]),
         ]
-        heap, _ = nnv(Point(10, 10), responses, k=1)
+        heap, read = nnv(Point(10, 10), responses, k=1)
         assert heap.verified_count == 0
         assert len(heap) == 1  # still a candidate, just unverified
+        assert read.boundary_distance == -np.inf  # Lemma 3.1 cannot apply
 
     def test_no_peers(self):
-        heap, mvr = nnv(Point(0, 0), [], k=3)
+        heap, read = nnv(Point(0, 0), [], k=3)
+        mvr = read.mvr
         assert len(heap) == 0
         assert mvr.is_empty
 
@@ -155,7 +160,9 @@ class TestLemma31Soundness:
             first_vr.x1 + u * first_vr.width, first_vr.y1 + v * first_vr.height
         )
 
-        heap, mvr = nnv(q, responses, k)
+        heap, read = nnv(q, responses, k)
+        mvr = read.mvr
+
         verified = heap.verified_entries
         truth = brute_force_knn(server_pois, q, len(verified))
         got_ids = sorted(e.poi.poi_id for e in verified)

@@ -1,14 +1,20 @@
 """Focused tests for the mobile-host query pipeline."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast import OnAirClient
-from repro.cache import POICache
+from repro.cache import POICache, SharedResult
+from repro.codec import decode, encode
 from repro.core import Resolution
 from repro.experiments.host import MobileHost
 from repro.geometry import Point, Rect
 from repro.index import brute_force_knn, brute_force_window
+from repro.model import POI
 from repro.p2p import ShareResponse
 from repro.workloads import generate_pois
 
@@ -150,3 +156,87 @@ class TestWindowPipeline:
     def test_share_response_empty_cache_is_none(self):
         host = make_host()
         assert host.share_response() is None
+
+
+def rebuilt_columns(response):
+    """``poi_arrays()`` of a fresh response over the same POIs."""
+    return ShareResponse(
+        response.peer_id, response.regions, response.pois, response.generation
+    ).poi_arrays()
+
+
+def assert_same_columns(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestShareResponseColumns:
+    """A host's share response carries ``(ids, xs, ys)`` copied from its
+    cache's coordinate mirror: equal to the columns rebuilt from its
+    POIs, and untouched by the visits that follow."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_pois_through_churn(self, seed):
+        rng = random.Random(seed)
+        host = make_host(capacity=50)
+        built = []  # (response, its columns copied when it was built)
+        history = []
+        next_id = 0
+        for step in range(60):
+            x, y = rng.uniform(0, 20), rng.uniform(0, 20)
+            visit = []
+            for _ in range(rng.randint(1, 4)):
+                if history and rng.random() < 0.3:  # a re-offer
+                    visit.append(rng.choice(history))
+                    continue
+                half = rng.uniform(0.5, 4.0)
+                region = Rect(x - half, y - half, x + half, y + half)
+                pois = tuple(
+                    POI(next_id + i, Point(
+                        rng.uniform(region.x1, region.x2),
+                        rng.uniform(region.y1, region.y2),
+                    ))
+                    for i in range(rng.randint(0, 25))
+                )
+                next_id += len(pois)
+                visit.append((region, pois))
+                history.append((region, pois))
+            host.cache.insert_result(
+                SharedResult(visit), float(step), Point(x, y),
+                (rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            )
+            if rng.random() < 0.15:  # the host migrates: a decoded cache
+                host = decode(encode(host))
+            response = host.share_response()
+            assert response is host.share_response()  # one per generation
+            assert len(response.pois) <= 50
+            assert_same_columns(response.poi_arrays(), rebuilt_columns(response))
+            built.append((response, [a.copy() for a in response.poi_arrays()]))
+        assert any(len(r.pois) == 50 for r, _ in built)  # evictions ran
+        for response, columns in built:
+            assert_same_columns(response.poi_arrays(), columns)
+            assert_same_columns(columns, rebuilt_columns(response))
+
+    def test_a_later_visit_leaves_a_built_response_alone(self):
+        host = make_host(capacity=3)
+        first = (Rect(0, 0, 2, 2), (POI(1, Point(1, 1)), POI(2, Point(1.5, 1))))
+        host.cache.insert_result(SharedResult([first]), 0.0, Point(1, 1))
+        response = host.share_response()
+        ids, xs, ys = (a.copy() for a in response.poi_arrays())
+        second = (Rect(5, 5, 7, 7), (POI(3, Point(6, 6)), POI(4, Point(6.5, 6))))
+        host.cache.insert_result(SharedResult([second]), 1.0, Point(6, 6))
+        later = host.share_response()
+        assert later is not response
+        assert later.poi_arrays()[0].tolist() != ids.tolist()  # evicted
+        assert_same_columns(response.poi_arrays(), (ids, xs, ys))
+        assert_same_columns(later.poi_arrays(), rebuilt_columns(later))
+
+    def test_a_decoded_response_builds_its_columns_on_first_use(self):
+        host = make_host()
+        region = (Rect(0, 0, 2, 2), (POI(7, Point(0.5, 1.5)),))
+        host.cache.insert_result(SharedResult([region]), 0.0, Point(1, 1))
+        mirror = decode(encode(host.share_response()))
+        assert mirror._poi_arrays is None
+        assert_same_columns(mirror.poi_arrays(), host.share_response().poi_arrays())

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from repro.cache import POICache
 from repro.core import MVRMemo, nnv, nnv_scalar, sbwq
-from repro.experiments.host import _pois_from_responses
+from repro.core.nnv import PeerRead, first_contained, pois_at
 from repro.geometry import (
     Point,
     Rect,
     RectUnion,
+    SlabUnion,
     hilbert_d_to_xy,
     hilbert_d_to_xy_batch,
     hilbert_xy_to_d,
@@ -72,7 +73,8 @@ class TestNNVEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_vectorised_matches_scalar(self, responses, qx, qy, k):
         query = Point(qx, qy)
-        heap_vec, mvr_vec = nnv(query, responses, k)
+        heap_vec, read = nnv(query, responses, k)
+        mvr_vec = read.mvr
         heap_ref, mvr_ref = nnv_scalar(query, responses, k)
         entries_vec = heap_vec.results()
         entries_ref = heap_ref.results()
@@ -115,12 +117,13 @@ def scalar_peer_pois(responses, within, mvr):
 
 
 def batch_peer_pois(responses, within, mvr):
-    return list(_pois_from_responses(responses, within, mvr).values())
+    return PeerRead.gather(responses, mvr).pois_within(within)
 
 
 class TestPeerPoisBatchEquivalence:
-    """`_pois_from_responses` (one batch over all responses) and SBWQ's
-    scalar loop keep the same copy of every id, in the same order."""
+    """A query's one peer read (one batch over all responses), asked
+    for a rectangle, and SBWQ's scalar loop keep the same copy of every
+    id, in the same order."""
 
     @given(responses_strategy(), rect_strategy)
     @settings(max_examples=150, deadline=None)
@@ -159,6 +162,8 @@ class TestPeerPoisBatchEquivalence:
         got = batch_peer_pois(responses, window, mvr)
         assert [id(p) for p in got] == [id(other), id(copies[2])]
         assert got == scalar_peer_pois(responses, window, mvr)
+        pieces, _, _, _, sel = first_contained(responses, mvr, window)
+        assert [id(p) for p in pois_at(pieces, sel)] == [id(p) for p in got]
         assert sbwq(window, responses, mvr=mvr).verified_pois == (
             other, copies[2],
         )
@@ -166,11 +171,83 @@ class TestPeerPoisBatchEquivalence:
     def test_nothing_to_offer(self):
         mvr = RectUnion([Rect(0, 0, 1, 1)])
         empty = [ShareResponse(0, (Rect(0, 0, 1, 1),), ())]
-        assert _pois_from_responses([], Rect(0, 0, 1, 1), mvr) == {}
-        assert _pois_from_responses(empty, Rect(0, 0, 1, 1), mvr) == {}
+        assert batch_peer_pois([], Rect(0, 0, 1, 1), mvr) == []
+        assert batch_peer_pois(empty, Rect(0, 0, 1, 1), mvr) == []
         away = [ShareResponse(0, (), (POI(1, Point(5.0, 5.0)),))]
-        assert _pois_from_responses(away, Rect(0, 0, 1, 1), mvr) == {}
-        assert _pois_from_responses(away, Rect(4, 4, 6, 6), mvr) == {}
+        assert batch_peer_pois(away, Rect(0, 0, 1, 1), mvr) == []
+        assert batch_peer_pois(away, Rect(4, 4, 6, 6), mvr) == []
+
+
+# Integer coordinates on a small grid: POIs land on rectangle edges and
+# corners, ids collide across and within peers, and a colliding copy
+# often sits elsewhere (stale peer data).
+grid_coord = st.integers(-6, 6).map(float)
+
+
+@st.composite
+def grid_rect(draw):
+    x, y = draw(grid_coord), draw(grid_coord)
+    return Rect(x, y, x + draw(st.integers(1, 6)), y + draw(st.integers(1, 6)))
+
+
+@st.composite
+def stale_responses_strategy(draw):
+    """Peers whose copies of an id disagree; some peers send nothing."""
+    responses = []
+    for peer in range(draw(st.integers(0, 6))):
+        rects = tuple(draw(st.lists(grid_rect(), max_size=5)))
+        pois = tuple(
+            POI(poi_id, Point(x, y))
+            for poi_id, x, y in draw(
+                st.lists(
+                    st.tuples(st.integers(0, 12), grid_coord, grid_coord),
+                    max_size=8,
+                )
+            )
+        )
+        responses.append(ShareResponse(peer, rects, pois, generation=peer))
+    return responses
+
+
+class TestPeerReadReuse:
+    """A query's one peer read answers "first copy per id inside rect ∩
+    MVR" exactly as a fresh `first_contained` over the same responses:
+    same flat indices, same POI objects in the same order."""
+
+    @given(
+        stale_responses_strategy(),
+        st.one_of(st.none(), grid_rect()),
+        st.sampled_from(["slab", "rect"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reused_gather_equals_fresh_first_contained(
+        self, responses, within, kind
+    ):
+        rects = [rect for response in responses for rect in response.regions]
+        mvr = SlabUnion.from_rects(rects) if kind == "slab" else RectUnion(rects)
+        read = PeerRead.gather(responses, mvr)
+        pieces, _, _, _, sel = first_contained(responses, mvr, within)
+        assert read.first(within).tolist() == sel.tolist()
+        expected = pois_at(pieces, sel)
+        got = pois_at(read.pieces, read.first(within))
+        if within is not None:
+            assert read.pois_within(within) == got
+        assert [id(p) for p in got] == [id(p) for p in expected]
+
+    def test_stale_copy_inside_only_on_the_edge(self):
+        # Id 5's first copy is outside the MVR, its second on the MVR's
+        # edge and the window's corner, its third well inside both.
+        mvr = SlabUnion.from_rects([Rect(0, 0, 4, 4)])
+        copies = [POI(5, Point(-1.0, 2.0)), POI(5, Point(4.0, 4.0)),
+                  POI(5, Point(2.0, 2.0))]
+        responses = [
+            ShareResponse(0, (), ()),
+            ShareResponse(1, (Rect(0, 0, 4, 4),), tuple(copies)),
+        ]
+        read = PeerRead.gather(responses, mvr)
+        assert read.pois_within(Rect(4, 4, 6, 6))[0] is copies[1]
+        assert read.pois_within(Rect(1, 1, 3, 3))[0] is copies[2]
+        assert read.pois_within(Rect(-2, 1, -0.5, 3)) == []
 
 
 class TestMVRMemo:

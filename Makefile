@@ -65,8 +65,8 @@ lint:
 	@echo ">> one disc read: the closed form is called by the batched kernel and the brute oracle, core prices no piece itself"
 	@test "$$(grep -rI 'circle_rect_intersection[_]area(' src/repro | grep -v 'geometry/circle.py' | wc -l)" -eq 2
 	@! grep -rIn 'disjoint[_]rects()' src/repro/core
-	@echo ">> the clock is a float, a sweep has one door, the world holds the one tracer: retired names stay out"
-	@! grep -rIn 'repro[.]sim\|from [.][.]sim\|Sweep[R]unner\|run_knn[_]txrange\|run_knn[_]cache\|run_knn[_]k\>\|run_wq[_]txrange\|run_wq[_]cache\|run_wq[_]size\|use_safe[_]regions\|batch[_]scans=\|[.]cache[.]tracer\|trace[_]limit' src/repro examples benchmarks
+	@echo ">> the clock is a float, a sweep has one door, the world holds the one tracer, the server keeps centre columns: retired names stay out"
+	@! grep -rIn 'index[_]center_lists\|[_]index_center_x[_]list\|[_]index_center_y[_]list\|repro[.]sim\|from [.][.]sim\|Sweep[R]unner\|run_knn[_]txrange\|run_knn[_]cache\|run_knn[_]k\>\|run_wq[_]txrange\|run_wq[_]cache\|run_wq[_]size\|use_safe[_]regions\|batch[_]scans=\|[.]cache[.]tracer\|trace[_]limit' src/repro examples benchmarks
 	@echo ">> a cache's region upkeep has one piece of state: the moved-region marker, no coalesced flag beside it"
 	@! grep -rIn '_regions[_]coalesced' src tests
 	@echo ">> a shared result enters a cache in one call; the coordinate mirror stays inside the cache store"

@@ -21,8 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..check import invariants
 from ..errors import BroadcastError
-from ..geometry import Circle, Point, Rect
+from ..geometry import NEAR_ABS, NEAR_REL, Circle, Point, Rect
 from ..index import brute_force_knn
 from ..model import POI, QueryResultEntry
 from .batch import BatchMember, batch_scan
@@ -72,23 +75,33 @@ def estimate_search_radius(server: BroadcastServer, query: Point, k: int) -> flo
 
     Every object sits within half a cell diagonal of its published
     centre, so ``k-th centre distance + cell diagonal`` is a sound
-    over-estimate of the true k-th NN distance.
+    over-estimate of the true k-th NN distance (and at most one and a
+    half diagonals above it).
 
-    The centre positions come from the server's precomputed index
-    geometry (the broadcast file never changes, so the curve is never
-    decoded per query); the distance scan itself stays on
-    ``math.hypot``, whose rounding the recorded radii depend on.
+    The k-th distance is ``math.hypot``'s, whose rounding the recorded
+    radii depend on, read by selection rather than a sort of the whole
+    index: ``np.partition`` finds the k-th ``np.hypot`` distance, and
+    only the centres within the near-tie band of it (``NEAR_REL``,
+    ``NEAR_ABS``) are re-scored with ``math.hypot``.  The band holds
+    every centre whose exact distance is at most the exact k-th one
+    (DESIGN §7.1), so its k-th exact distance is that one.
     """
     if k < 1:
         raise BroadcastError(f"k must be >= 1, got {k}")
-    xs, ys = server.index_center_lists()
-    if not xs:
-        raise BroadcastError("index is empty")
-    hyp = math.hypot
+    xs, ys = server.index_center_x, server.index_center_y
+    kth = min(k, xs.size) - 1
     qx, qy = query.x, query.y
-    distances = sorted([hyp(qx - x, qy - y) for x, y in zip(xs, ys)])
-    kth = distances[min(k, len(distances)) - 1]
-    return kth + server.grid.cell_diagonal
+    approx = np.hypot(qx - xs, qy - ys)
+    limit = np.partition(approx, kth)[kth] * (1.0 + NEAR_REL) + NEAR_ABS
+    band = np.flatnonzero(approx <= limit)
+    exact = sorted(
+        math.hypot(qx - x, qy - y)
+        for x, y in zip(xs[band].tolist(), ys[band].tolist())
+    )
+    radius = exact[kth] + server.grid.cell_diagonal
+    if invariants.ENABLED:
+        invariants.check_search_radius(server, query, k, radius)
+    return radius
 
 
 def plan_knn(

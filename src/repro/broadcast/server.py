@@ -77,10 +77,10 @@ class BroadcastServer:
         # Precomputed index geometry.  The broadcast schedule is
         # immutable for the life of the server (the (1, m) data file
         # never changes mid-run), so the curve decode of every occupied
-        # value happens exactly once here, vectorised, instead of once
-        # per query in the first-scan radius estimate: one cell centre
-        # per POI (each entry repeated per POI in its cell — exactly
-        # what the index publishes).
+        # value happens exactly once here, vectorised: one published
+        # cell centre per POI (each entry repeated per POI in its cell,
+        # exactly what the index publishes), as two float64 columns in
+        # Hilbert order for the radius estimate's selection.
         h_arr = np.fromiter(
             (e.h_value for e in index_entries), np.int64, count=len(index_entries)
         )
@@ -88,16 +88,8 @@ class BroadcastServer:
             (e.poi_count for e in index_entries), np.int64, count=len(index_entries)
         )
         cx1, cy1, cx2, cy2 = self.grid.rects_of_values(h_arr)
-        # Flat python-float lists for the scalar ``math.hypot`` scan
-        # of the radius estimate (``np.hypot`` rounds differently in
-        # ~0.6 % of cases, which would break bit-identity of the
-        # estimated radius against the historical per-Point path).
-        self._index_center_x_list: list[float] = np.repeat(
-            (cx1 + cx2) / 2.0, counts
-        ).tolist()
-        self._index_center_y_list: list[float] = np.repeat(
-            (cy1 + cy2) / 2.0, counts
-        ).tolist()
+        self.index_center_x = np.repeat((cx1 + cx2) / 2.0, counts)
+        self.index_center_y = np.repeat((cy1 + cy2) / 2.0, counts)
 
     # ------------------------------------------------------------------
     @property
@@ -124,16 +116,6 @@ class BroadcastServer:
         first = self.bucket_of_position(start)
         last = self.bucket_of_position(stop - 1)
         return list(range(first, last + 1))
-
-    def index_center_lists(self) -> tuple[list[float], list[float]]:
-        """The per-POI published cell centres as plain-float lists.
-
-        For code that must run ``math.hypot`` per element
-        (bit-identical to the historical per-Point distance scan).
-        Read-only: these are the server's precomputed lists, not
-        copies.
-        """
-        return self._index_center_x_list, self._index_center_y_list
 
     def pois_in_bucket(self, bucket_id: int) -> tuple[POI, ...]:
         if not (0 <= bucket_id < len(self.buckets)):

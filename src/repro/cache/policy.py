@@ -13,15 +13,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..geometry import Point
+from ..geometry import NEAR_ABS, NEAR_REL, Point
 from .entry import CacheItem
-
-# How close two ``np.hypot`` eviction scores may be before
-# ``select_victims`` re-scores both with ``math.hypot``: far wider than
-# the few ulp the two functions can differ by, far narrower than the
-# gaps between the scores of a real pool.
-NEAR_REL = 1e-12
-NEAR_ABS = 1e-300
 
 
 class ReplacementPolicy(Protocol):

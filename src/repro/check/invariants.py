@@ -15,6 +15,7 @@ with :func:`set_check_enabled`.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import TYPE_CHECKING, Sequence
 
@@ -24,6 +25,7 @@ from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..broadcast.schedule import RetrievalCost
+    from ..broadcast.server import BroadcastServer
     from ..core.heap import ResultHeap
     from ..experiments.metrics import QueryRecord
     from ..geometry import Point, Rect
@@ -211,6 +213,25 @@ def check_retrieval_cost(cost: "RetrievalCost", planned_buckets: int) -> None:
         raise InvariantViolation(
             f"tuning packets {cost.tuning_packets} below probe +"
             f" {planned_buckets} planned buckets"
+        )
+
+
+def check_search_radius(
+    server: "BroadcastServer", query: "Point", k: int, radius: float
+) -> None:
+    """The on-air first-scan radius against the full sort of the index:
+    the ``min(k, N)``-th ``math.hypot(qx - x, qy - y)`` over every
+    published centre, plus a cell diagonal, bit for bit."""
+    qx, qy = query.x, query.y
+    distances = sorted(
+        math.hypot(qx - x, qy - y)
+        for x, y in zip(server.index_center_x.tolist(), server.index_center_y.tolist())
+    )
+    expected = distances[min(k, len(distances)) - 1] + server.grid.cell_diagonal
+    if radius != expected:
+        raise InvariantViolation(
+            f"search radius at ({qx!r}, {qy!r}), k={k}: selected {radius!r},"
+            f" the full sort says {expected!r}"
         )
 
 

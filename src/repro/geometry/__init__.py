@@ -15,7 +15,7 @@ from .hilbert import (
     hilbert_xy_to_d,
     hilbert_xy_to_d_batch,
 )
-from .point import Point
+from .point import NEAR_ABS, NEAR_REL, Point
 from .rect import Rect
 from .region import (
     RectUnion,
@@ -30,6 +30,8 @@ from .slabunion import SlabUnion
 __all__ = [
     "Circle",
     "HilbertGrid",
+    "NEAR_ABS",
+    "NEAR_REL",
     "Point",
     "Rect",
     "RectUnion",

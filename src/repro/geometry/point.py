@@ -10,6 +10,16 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
+# The near-tie band of every ``np.hypot`` -> ``math.hypot`` re-scoring
+# (DESIGN §7.1): a thousand times wider than the few ulp the two
+# functions can differ by (relative, plus ``NEAR_ABS`` at zero and
+# subnormal distances), far narrower than the gaps between the
+# distances of a real data set.  Read by
+# ``DirectionDistancePolicy.select_victims`` and
+# ``estimate_search_radius``.
+NEAR_REL = 1e-12
+NEAR_ABS = 1e-300
+
 
 class Point:
     """An immutable (by convention) 2-D point.

@@ -1,11 +1,14 @@
 """End-to-end tests for the on-air kNN and window algorithms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broadcast import (
+    BroadcastServer,
     OnAirClient,
     estimate_search_radius,
     plan_knn,
@@ -42,10 +45,115 @@ class TestSearchRadius:
                 true_kth = brute_force_knn(pois, q, k)[-1].distance
                 assert radius >= true_kth
 
+    def test_radius_is_tight(self):
+        # Every POI lies within half a diagonal of its published centre,
+        # so the k-th centre distance is at most half a diagonal above
+        # the true k-th distance, and the radius at most one and a half.
+        client, pois = make_world(100, seed=1)
+        diagonal = client.server.grid.cell_diagonal
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            q = Point(*rng.uniform(-5, 25, 2))
+            for k in (1, 3, 10, 100, 105):
+                radius = estimate_search_radius(client.server, q, k)
+                true_kth = brute_force_knn(pois, q, k)[-1].distance
+                assert radius <= true_kth + 1.5 * diagonal + 1e-9
+
     def test_invalid_k_raises(self):
         client, _ = make_world(10)
         with pytest.raises(BroadcastError):
             estimate_search_radius(client.server, Point(0, 0), 0)
+
+    def test_centres_are_float_columns_in_hilbert_order(self):
+        client, pois = make_world(60, seed=8)
+        server = client.server
+        grid = server.grid
+        values = [(grid.value_of_point(p.location), p.poi_id) for p in pois]
+        by_value = [(h, i, grid.rect_of_value(h).center) for h, i in sorted(values)]
+        for column in (server.index_center_x, server.index_center_y):
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+        assert server.index_center_x.tolist() == [c.x for _, _, c in by_value]
+        assert server.index_center_y.tolist() == [c.y for _, _, c in by_value]
+
+
+def published_centres(server, pois):
+    """Each POI's cell centre, decoded one POI at a time."""
+    grid = server.grid
+    return [grid.rect_of_value(grid.value_of_point(p.location)).center
+            for p in pois]
+
+
+def full_sort_radius(server, centres, query, k):
+    """The historical estimate: every published centre's ``math.hypot``
+    distance, sorted, the ``min(k, N)``-th plus a cell diagonal."""
+    distances = sorted(math.hypot(query.x - c.x, query.y - c.y) for c in centres)
+    return distances[min(k, len(distances)) - 1] + server.grid.cell_diagonal
+
+
+@st.composite
+def radius_cases(draw):
+    """A server over POIs on an integer grid (many share one published
+    centre, many centres tie in distance) and a query on a centre, on
+    the grid, or far outside the bounds."""
+    order = draw(st.sampled_from([6, 8]))
+    side = draw(st.sampled_from([8, 100, 1000]))
+    coords = st.integers(0, side)
+    points = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=60))
+    pois = [POI(i, Point(float(x), float(y))) for i, (x, y) in enumerate(points)]
+    server = BroadcastServer(
+        pois, Rect(0, 0, side, side), hilbert_order=order, bucket_capacity=4
+    )
+    where = draw(st.sampled_from(["centre", "grid", "far"]))
+    if where == "centre":
+        query = draw(st.sampled_from(published_centres(server, pois)))
+    elif where == "grid":
+        query = Point(float(draw(coords)), float(draw(coords)))
+    else:
+        fx, fy = draw(st.tuples(*[st.sampled_from([-1e6, -3.5, 41.0, 1e9])] * 2))
+        query = Point(side * fx, side * fy)
+    n = len(pois)
+    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 5]))
+    return server, pois, query, k
+
+
+@given(radius_cases())
+@settings(max_examples=300, deadline=None)
+def test_selected_radius_equals_the_full_sort(case):
+    server, pois, query, k = case
+    assert estimate_search_radius(server, query, k) == full_sort_radius(
+        server, published_centres(server, pois), query, k
+    )
+
+
+def test_radius_is_math_hypots_where_np_hypot_rounds_differently():
+    # Queries whose k-th np.hypot centre distance is not math.hypot's:
+    # the selection must still return math.hypot's, bit for bit.
+    client, pois = make_world(400, seed=9)
+    server = client.server
+    centres = published_centres(server, pois)
+    cx = np.array([c.x for c in centres])
+    cy = np.array([c.y for c in centres])
+    rng = np.random.default_rng(10)
+    differing = 0
+    for q in (Point(*xy) for xy in rng.uniform(-2, 22, (600, 2))):
+        approx = np.sort(np.hypot(q.x - cx, q.y - cy))
+        for k in (1, 2, 5):
+            want = full_sort_radius(server, centres, q, k)
+            if approx[k - 1] + server.grid.cell_diagonal != want:
+                differing += 1
+                assert estimate_search_radius(server, q, k) == want
+    assert differing >= 3
+
+
+def test_single_poi_server_radius():
+    pois = [POI(0, Point(3.0, 4.0))]
+    server = BroadcastServer(pois, Rect(0, 0, 8, 8), hilbert_order=6)
+    centres = published_centres(server, pois)
+    for query in (Point(0.0, 0.0), centres[0], Point(-1e6, 5e8)):
+        for k in (1, 2, 6):
+            assert estimate_search_radius(server, query, k) == full_sort_radius(
+                server, centres, query, k
+            )
 
 
 class TestOnAirKnn:

@@ -96,7 +96,7 @@ def test_the_two_hypots_agree_far_inside_the_near_band():
     # What the re-scoring rule rests on: np.hypot and math.hypot land a
     # few ulp apart at most, at every magnitude (NEAR_ABS covers the
     # subnormal range, where an ulp is absolute).
-    from repro.cache.policy import NEAR_ABS, NEAR_REL
+    from repro.geometry import NEAR_ABS, NEAR_REL
 
     rng = np.random.default_rng(5)
     scale = 10.0 ** rng.uniform(-300, 290, 200_000)

@@ -486,6 +486,56 @@ class TestReuseSeams:
             set_check_enabled(previous)
 
 
+class TestSearchRadiusSeam:
+    """The on-air first-scan radius is a selection; under checks the
+    full sort of the index recomputes it and any difference raises."""
+
+    def server(self):
+        from repro.broadcast import BroadcastServer
+
+        # A lattice: rings of equal centre distance around every query.
+        pois = [POI(4 * x + y, Point(float(x), float(y)))
+                for x in range(4) for y in range(4)]
+        return BroadcastServer(pois, Rect(0, 0, 4, 4), hilbert_order=3)
+
+    def test_selection_agrees_with_checks_on(self, checks_on):
+        from repro.broadcast import estimate_search_radius
+
+        server = self.server()
+        for q in (Point(1.5, 1.5), Point(2.25, 0.75), Point(-9.0, 40.0)):
+            for k in (1, 4, 5, 16, 30):
+                radius = estimate_search_radius(server, q, k)
+                invariants.check_search_radius(server, q, k, radius)
+
+    def test_wrong_radius_detected(self, checks_on):
+        from repro.broadcast import estimate_search_radius
+
+        server = self.server()
+        q = Point(1.5, 1.5)
+        radius = estimate_search_radius(server, q, 5)
+        with pytest.raises(InvariantViolation, match="search radius"):
+            invariants.check_search_radius(
+                server, q, 5, float(np.nextafter(radius, np.inf))
+            )
+
+    def test_referee_runs_only_with_checks_on(self, monkeypatch):
+        from repro.broadcast import estimate_search_radius
+
+        def boom(*args, **kwargs):
+            raise AssertionError("referee ran")
+
+        monkeypatch.setattr(invariants, "check_search_radius", boom)
+        server = self.server()
+        previous = set_check_enabled(False)
+        try:
+            assert estimate_search_radius(server, Point(1.5, 1.5), 3) > 0
+            set_check_enabled(True)
+            with pytest.raises(AssertionError, match="referee ran"):
+                estimate_search_radius(server, Point(1.5, 1.5), 3)
+        finally:
+            set_check_enabled(previous)
+
+
 class TestSeamIntegration:
     """The seams in the production pipelines actually fire."""
 

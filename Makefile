@@ -78,6 +78,8 @@ lint:
 	@echo ">> each query reads its peers once: one candidate gather, one d* read, both in core/nnv.py"
 	@test "$$(grep -rI 'first_contained(' src/repro | grep -v '^src/repro/core/nnv.py:' | wc -l)" -eq 0
 	@! grep -n 'distance_to_boundary(' src/repro/experiments/host.py
+	@echo ">> one serializer on the wire: the struct QUERY/ANSWER layouts and the value codec stay out"
+	@! grep -rIn 'TAG_SB[_]GENERIC\|TAG_SB[_]QUERY\|TAG_SB[_]ANSWER\|write[_]value\|read[_]value\|codec[.]values\|[_]try_encode[_]' src tests
 
 test:
 	@echo ">> tier-1 tests"

@@ -14,8 +14,8 @@ Consumers:
   payload is the owner's :class:`~repro.p2p.ShareResponse` frame, a
   migrating host one flat record; neither decoder unpickles anything;
 * the serving layer's negotiated binary frame mode
-  (:mod:`repro.serve.protocol`), built on the pickle-free value codec
-  in :mod:`~repro.codec.values`.
+  (:mod:`repro.serve.protocol`), which puts this frame header in front
+  of the same JSON bytes the JSON mode sends.
 """
 
 from ..errors import CodecError
@@ -31,7 +31,6 @@ from .core import (
     register,
 )
 from .types import encode_records
-from .values import read_value, write_value
 
 __all__ = [
     "MAGIC",
@@ -44,7 +43,5 @@ __all__ = [
     "encode_records",
     "frame",
     "open_frame",
-    "read_value",
     "register",
-    "write_value",
 ]

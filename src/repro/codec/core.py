@@ -37,7 +37,8 @@ HEADER_SIZE = 3
 # 0x20-0x2f: serving-layer wire messages (see repro.serve.protocol).
 # 0x00 carried a pickled object, 0x01 the persistent SlabUnion, 0x05
 # an EventOutcome (the process backend relays outcomes in its own RPC
-# layout) and 0x07 the host record with its coordinate mirror; all
+# layout), 0x07 the host record with its coordinate mirror and
+# 0x20-0x22 the wire's value tree and struct QUERY/ANSWER layouts; all
 # retired, and reserved so an old frame is refused as an unknown tag
 # rather than misread.
 TAG_SHARE_PAYLOAD = 0x02
@@ -46,9 +47,7 @@ TAG_QUERY_RECORD = 0x04
 TAG_QUERY_EVENT = 0x06
 TAG_HOST = 0x08
 TAG_RECORD_BATCH = 0x13
-TAG_SB_GENERIC = 0x20
-TAG_SB_QUERY = 0x21
-TAG_SB_ANSWER = 0x22
+TAG_WIRE_JSON = 0x23
 
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")

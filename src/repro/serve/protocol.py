@@ -27,14 +27,16 @@ up, so one buggy request never kills a session.
 Two payload encodings share the framing:
 
 * ``"json"`` (default) — UTF-8 JSON, dependency-free and greppable;
-* ``"binary"`` — a :mod:`repro.codec` frame: hot QUERY/ANSWER shapes
-  get dedicated struct-packed layouts, everything else rides the
-  pickle-free value codec (:mod:`repro.codec.values`).  Negotiated at
+* ``"binary"`` — the :mod:`repro.codec` frame header ``MAGIC |
+  VERSION | 0x23`` followed by the same JSON bytes.  Negotiated at
   HELLO (which itself is *always* JSON, both directions): a client
   asks with ``"encoding": "binary"`` and the server echoes it back.
+  A peer built from an older tree sends the retired tags
+  ``0x20``–``0x22`` and is refused by tag.
 
 Either way the decode contract is identical — a payload must decode
-to an object with a string ``type`` field, and malformed bytes raise
+to an object with a string ``type`` field, and malformed bytes
+(hostile nesting and over-long integer literals included) raise
 :class:`FrameError`.  Oversized *outgoing* messages raise the typed
 :class:`FrameTooLargeError` before any bytes hit the transport.
 """
@@ -46,10 +48,8 @@ import json
 import struct
 from typing import Any
 
-from ..codec import CodecError, frame as codec_frame, open_frame
-from ..codec.core import TAG_SB_ANSWER, TAG_SB_GENERIC, TAG_SB_QUERY
-from ..codec.values import read_value, write_value
-from ..errors import ServeError
+from ..codec.core import HEADER_SIZE, MAGIC, TAG_WIRE_JSON, VERSION, open_frame
+from ..errors import CodecError, ServeError
 
 __all__ = [
     "ENCODINGS",
@@ -59,7 +59,6 @@ __all__ = [
     "FrameTooLargeError",
     "HEADER",
     "MAX_FRAME",
-    "MESSAGE_TYPES",
     "MSG_ANSWER",
     "MSG_ERROR",
     "MSG_HELLO",
@@ -88,13 +87,12 @@ MSG_ANSWER = "ANSWER"
 MSG_ERROR = "ERROR"
 MSG_SHED = "SHED"
 
-MESSAGE_TYPES = frozenset(
-    {MSG_HELLO, MSG_QUERY, MSG_ANSWER, MSG_ERROR, MSG_SHED}
-)
-
 ENCODING_JSON = "json"
 ENCODING_BINARY = "binary"
 ENCODINGS = frozenset({ENCODING_JSON, ENCODING_BINARY})
+
+# What a binary payload carries in front of the JSON bytes.
+_BINARY_HEADER = bytes((MAGIC, VERSION, TAG_WIRE_JSON))
 
 
 class FrameError(ServeError):
@@ -103,176 +101,6 @@ class FrameError(ServeError):
 
 class FrameTooLargeError(FrameError):
     """An *outgoing* message encoded past the frame size bound."""
-
-
-# ----------------------------------------------------------------------
-# Binary payloads: struct-packed fast paths + generic value codec
-# ----------------------------------------------------------------------
-# The two hot shapes on a load-generator wire.  Anything that doesn't
-# match exactly (standing registrations, extra fields, pushes) falls
-# back to the generic value codec — same information, same strictness.
-_QUERY_KNN_KEYS = frozenset({"type", "id", "kind", "host_id", "time", "k"})
-_QUERY_WINDOW_KEYS = frozenset(
-    {"type", "id", "kind", "host_id", "time", "window_area", "center_offset"}
-)
-_ANSWER_KEYS = frozenset(
-    {
-        "type",
-        "id",
-        "poi_ids",
-        "plan",
-        "latency_s",
-        "tuning_packets",
-        "host_id",
-        "kind",
-    }
-)
-
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
-
-def _plain_int(value: Any) -> bool:
-    return (
-        type(value) is int and _I64_MIN <= value <= _I64_MAX
-    )
-
-
-def _encode_binary(message: dict[str, Any]) -> bytes:
-    mtype = message.get("type")
-    if mtype == MSG_QUERY:
-        payload = _try_encode_query(message)
-        if payload is not None:
-            return payload
-    elif mtype == MSG_ANSWER:
-        payload = _try_encode_answer(message)
-        if payload is not None:
-            return payload
-    writer = codec_frame(TAG_SB_GENERIC)
-    write_value(writer, message)
-    return writer.getvalue()
-
-
-def _try_encode_query(message: dict[str, Any]) -> bytes | None:
-    keys = message.keys()
-    kind = message.get("kind")
-    if kind == "knn":
-        if keys != _QUERY_KNN_KEYS:
-            return None
-    elif kind == "window":
-        if keys != _QUERY_WINDOW_KEYS:
-            return None
-        offset = message["center_offset"]
-        if not (
-            isinstance(offset, (list, tuple))
-            and len(offset) == 2
-            and all(isinstance(v, (int, float)) for v in offset)
-        ):
-            return None
-        if not isinstance(message["window_area"], (int, float)):
-            return None
-    else:
-        return None
-    if not (_plain_int(message["id"]) and _plain_int(message["host_id"])):
-        return None
-    if not isinstance(message["time"], (int, float)):
-        return None
-    w = codec_frame(TAG_SB_QUERY)
-    w.u8(0 if kind == "knn" else 1)
-    w.i64(message["id"])
-    w.i64(message["host_id"])
-    w.f64(message["time"])
-    if kind == "knn":
-        if not _plain_int(message["k"]):
-            return None
-        w.i64(message["k"])
-    else:
-        w.f64(message["window_area"])
-        w.f64(float(offset[0]))
-        w.f64(float(offset[1]))
-    return w.getvalue()
-
-
-def _try_encode_answer(message: dict[str, Any]) -> bytes | None:
-    if message.keys() != _ANSWER_KEYS:
-        return None
-    poi_ids = message["poi_ids"]
-    if not (
-        _plain_int(message["id"])
-        and _plain_int(message["host_id"])
-        and _plain_int(message["tuning_packets"])
-        and isinstance(message["latency_s"], (int, float))
-        and isinstance(message["plan"], str)
-        and isinstance(message["kind"], str)
-        and isinstance(poi_ids, list)
-        and all(_plain_int(p) for p in poi_ids)
-    ):
-        return None
-    w = codec_frame(TAG_SB_ANSWER)
-    w.i64(message["id"])
-    w.i64_array(poi_ids)
-    w.str_(message["plan"])
-    w.f64(message["latency_s"])
-    w.i64(message["tuning_packets"])
-    w.i64(message["host_id"])
-    w.str_(message["kind"])
-    return w.getvalue()
-
-
-def _decode_binary(payload: bytes) -> dict[str, Any]:
-    tag, r = open_frame(payload)
-    if tag == TAG_SB_QUERY:
-        is_window = r.u8()
-        if is_window not in (0, 1):
-            raise CodecError(f"bad query kind flag {is_window}")
-        message: dict[str, Any] = {
-            "type": MSG_QUERY,
-            "kind": "window" if is_window else "knn",
-            "id": r.i64(),
-            "host_id": r.i64(),
-            "time": r.f64(),
-        }
-        if is_window:
-            message["window_area"] = r.f64()
-            message["center_offset"] = [r.f64(), r.f64()]
-        else:
-            message["k"] = r.i64()
-        # Key order matches query_message() + the client's id tag so a
-        # JSON dump of the decoded dict is byte-comparable in tests.
-        order = (
-            _QUERY_WINDOW_KEYS if is_window else _QUERY_KNN_KEYS
-        )
-        message = {
-            k: message[k]
-            for k in (
-                "type", "kind", "host_id", "time", "k",
-                "window_area", "center_offset", "id",
-            )
-            if k in order
-        }
-    elif tag == TAG_SB_ANSWER:
-        message = {
-            "type": MSG_ANSWER,
-            "id": r.i64(),
-            "poi_ids": r.i64_array().tolist(),
-            "plan": r.str_(),
-            "latency_s": r.f64(),
-            "tuning_packets": r.i64(),
-            "host_id": r.i64(),
-            "kind": r.str_(),
-        }
-    elif tag == TAG_SB_GENERIC:
-        message = read_value(r)
-        if not isinstance(message, dict):
-            raise CodecError(
-                f"binary frame must decode to an object, got"
-                f" {type(message).__name__}"
-            )
-    else:
-        raise CodecError(f"unknown serve frame tag 0x{tag:02x}")
-    r.expect_end()
-    if not isinstance(message.get("type"), str):
-        raise CodecError("frame payload is missing a string 'type' field")
-    return message
 
 
 def encode_frame(
@@ -287,14 +115,10 @@ def encode_frame(
     :class:`FrameTooLargeError` instead of producing a frame the peer
     is contractually required to reject.
     """
-    if encoding == ENCODING_JSON:
-        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    elif encoding == ENCODING_BINARY:
-        try:
-            payload = _encode_binary(message)
-        except CodecError as exc:
-            raise FrameError(f"unencodable binary message: {exc}") from exc
-    else:
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    if encoding == ENCODING_BINARY:
+        payload = _BINARY_HEADER + payload
+    elif encoding != ENCODING_JSON:
         raise ServeError(f"unknown wire encoding {encoding!r}")
     if len(payload) > max_frame:
         raise FrameTooLargeError(
@@ -309,14 +133,21 @@ def decode_payload(
     """Frame payload -> message dict; the ``type`` must be a string."""
     if encoding == ENCODING_BINARY:
         try:
-            return _decode_binary(payload)
+            tag, _ = open_frame(payload)
         except CodecError as exc:
             raise FrameError(f"malformed binary frame: {exc}") from exc
-    if encoding != ENCODING_JSON:
+        if tag != TAG_WIRE_JSON:
+            raise FrameError(
+                f"malformed binary frame: unknown wire tag 0x{tag:02x}"
+            )
+        payload = payload[HEADER_SIZE:]
+    elif encoding != ENCODING_JSON:
         raise ServeError(f"unknown wire encoding {encoding!r}")
     try:
         message = json.loads(payload)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal
+        # past CPython's digit limit; RecursionError a hostile nesting.
         raise FrameError(f"frame payload is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise FrameError(

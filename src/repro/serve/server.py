@@ -543,7 +543,6 @@ class BaseStationServer:
             )
         else:
             record = result.record
-            session.answered += 1
             self._count("serve.answered")
             self.metrics.histogram("serve.service_wall_s").observe(
                 perf_counter() - started

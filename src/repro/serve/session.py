@@ -20,7 +20,6 @@ class ClientSession:
         "writer",
         "host_id",
         "inflight",
-        "answered",
         "standing_ids",
         "last_active",
         "closed",
@@ -49,7 +48,6 @@ class ClientSession:
         # no explicit host_id (assigned round-robin at HELLO).
         self.host_id = host_id
         self.inflight = 0
-        self.answered = 0
         self.standing_ids: set[int] = set()
         self.last_active = now
         self.closed = False
@@ -66,5 +64,5 @@ class ClientSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ClientSession(#{self.session_id} {self.client_id!r}"
-            f" inflight={self.inflight} answered={self.answered})"
+            f" inflight={self.inflight})"
         )

@@ -20,16 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec import CodecError, decode, encode
-from repro.codec.core import (
-    HEADER_SIZE,
-    MAGIC,
-    Reader,
-    VERSION,
-    Writer,
-)
+from repro.codec.core import HEADER_SIZE, MAGIC, VERSION
 from repro.codec.fuzz import run_codec_fuzz
 from repro.codec.types import encode_records
-from repro.codec.values import read_value, write_value
 from repro.cache import FIFOPolicy, LRUPolicy
 from repro.cache.store import POICache
 from repro.core import Resolution
@@ -137,22 +130,6 @@ def events(draw):
     )
 
 
-json_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(min_value=-(1 << 62), max_value=1 << 62),
-        finite,
-        st.text(max_size=12),
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.dictionaries(st.text(max_size=6), children, max_size=4),
-    ),
-    max_leaves=12,
-)
-
-
 def assert_both_roundtrips(obj):
     """Canonical-bytes equality after codec *and* pickle round-trips."""
     original = encode(obj)
@@ -196,20 +173,6 @@ def test_query_event_roundtrip(event):
 def test_record_batch_roundtrip(batch):
     frame = encode_records(batch)
     assert decode(frame) == tuple(batch)
-
-
-@settings(max_examples=50, deadline=None)
-@given(json_values)
-def test_value_codec_roundtrip(value):
-    writer = Writer()
-    write_value(writer, value)
-    reader = Reader(writer.getvalue())
-    clone = read_value(reader)
-    reader.expect_end()
-    assert clone == value
-    # Ints and floats stay distinct types on the wire, unlike JSON.
-    if type(value) in (int, float):
-        assert type(clone) is type(value)
 
 
 def warm_host(policy=None) -> MobileHost:
@@ -405,29 +368,6 @@ def test_corrupted_bytes_never_escape_codecerror():
             decode(bytes(corrupt))
         except CodecError:
             pass
-
-
-def test_value_codec_rejects_unknown_type_byte():
-    reader = Reader(bytes((0x63,)))
-    with pytest.raises(CodecError, match="unknown value type byte"):
-        read_value(reader)
-
-
-def test_value_codec_rejects_deep_nesting():
-    writer = Writer()
-    for _ in range(40):
-        writer.u8(6)  # list...
-        writer.u32(1)  # ...of one element
-    writer.u8(0)
-    with pytest.raises(CodecError, match="nesting"):
-        read_value(Reader(writer.getvalue()))
-
-
-def test_value_codec_rejects_unencodable():
-    with pytest.raises(CodecError, match="not encodable"):
-        write_value(Writer(), object())
-    with pytest.raises(CodecError, match="key must be str"):
-        write_value(Writer(), {1: "x"})
 
 
 def test_encode_rejects_unregistered_type():

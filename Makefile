@@ -26,7 +26,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test smoke oracle-smoke serve-smoke shard-smoke \
-	bench-smoke bench-ab loc reach
+	bench-smoke bench-ab loc reach experiments
 
 check: lint test smoke oracle-smoke serve-smoke shard-smoke bench-smoke
 
@@ -80,6 +80,9 @@ lint:
 	@! grep -n 'distance_to_boundary(' src/repro/experiments/host.py
 	@echo ">> one serializer on the wire: the struct QUERY/ANSWER layouts and the value codec stay out"
 	@! grep -rIn 'TAG_SB[_]GENERIC\|TAG_SB[_]QUERY\|TAG_SB[_]ANSWER\|write[_]value\|read[_]value\|codec[.]values\|[_]try_encode[_]' src tests
+	@echo ">> one door to Figures 10-15: the FIGURES rows carry the claims, no figure runner beside them"
+	@! grep -rIn 'run[_]figure(' benchmarks
+	@! grep -rIn 'series[_]payload' src tests benchmarks
 
 test:
 	@echo ">> tier-1 tests"
@@ -128,6 +131,21 @@ bench-ab:
 loc:
 	@test -n "$(BASE)" || { echo "usage: make loc BASE=<rev>"; exit 2; }
 	$(PYTHON) tools/loc_table.py $(BASE)
+
+# Not part of `check` (~4 min on 2 cores): Figures 10-15, one CSV each
+# under benchmarks/results/; fails if any claim of a FIGURES row reads
+# FAIL.  A run is "<figure> <seed> <warm-up queries> <sweep values...>".
+experiments:
+	@failed=0; for run in "fig10 10 2200 10 50 100 200" \
+		"fig11 11 2200 6 14 22 30" "fig12 12 2200 3 7 11 15" \
+		"fig13 13 3500 10 50 100 200" "fig14 14 3500 6 14 22 30" \
+		"fig15 15 3500 1 3 5"; do \
+		set -- $$run; name=$$1; seed=$$2; warmup=$$3; shift 3; \
+		out=$$($(PYTHON) -m repro.cli figure $$name --values "$$@" \
+			--seed $$seed --warmup $$warmup --scale 0.06 --measure 400 \
+			--workers 2 --out benchmarks/results/$$name.csv) || exit 1; \
+		echo "$$out"; case "$$out" in *"claim FAIL"*) failed=1;; esac; \
+	done; test $$failed -eq 0
 
 # Not part of `check` (~18 min): which code lines of src/repro does any
 # command, check leg, bench pass, example or benchmarks/ script reach?

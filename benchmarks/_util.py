@@ -4,16 +4,17 @@ Two profiles, selected with the ``REPRO_BENCH_PROFILE`` environment
 variable:
 
 * ``quick`` (default) — small scaled worlds and short runs; every
-  figure regenerates in a couple of minutes and the paper's *shapes*
+  table regenerates in a couple of minutes and the paper's *shapes*
   (orderings, trends) are already visible;
 * ``full``  — larger worlds and deeper warm-up, closer to the paper's
   steady state; use for the numbers quoted in EXPERIMENTS.md.
 
-Every figure benchmark prints its panels as ASCII tables (run pytest
-with ``-s`` to see them live) and writes them under
-``benchmarks/results/`` regardless — as ``<slug>.txt`` for humans and,
-when a payload is supplied, as ``<slug>.json`` for machines (series
-values plus per-point simulation wall-clock times).
+Every benchmark prints its table (run pytest with ``-s`` to see it
+live) and writes it under ``benchmarks/results/`` regardless — as
+``<slug>.txt`` for humans and, when a payload is supplied, as
+``<slug>.json`` for machines.  Figures 10–15 are not here: ``make
+experiments`` writes them there as ``fig1*.csv`` and checks the paper's
+claims about them.
 
 ``REPRO_BENCH_WORKERS`` sets the sweep-runner process count (default:
 one per CPU); the results are identical for every worker count because
@@ -36,7 +37,6 @@ class BenchProfile:
     area_scale: float
     warmup_queries: int
     measure_queries: int
-    wq_warmup_queries: int  # window caches need longer to saturate
 
 
 PROFILES = {
@@ -45,14 +45,12 @@ PROFILES = {
         area_scale=0.06,
         warmup_queries=2200,
         measure_queries=400,
-        wq_warmup_queries=3500,
     ),
     "full": BenchProfile(
         name="full",
         area_scale=0.1,
         warmup_queries=8000,
         measure_queries=1000,
-        wq_warmup_queries=16000,
     ),
 }
 
@@ -75,20 +73,6 @@ def workers() -> int:
             raise ValueError(f"REPRO_BENCH_WORKERS must be >= 1, got {count}")
         return count
     return os.cpu_count() or 1
-
-
-def series_payload(panels) -> list[dict]:
-    """JSON-able view of a list of SweepSeries panels."""
-    return [
-        {
-            "region": panel.region,
-            "x_label": panel.x_label,
-            "xs": panel.xs,
-            "series": panel.series,
-            "wall_clock_s": panel.wall_clock_s,
-        }
-        for panel in panels
-    ]
 
 
 def emit(title: str, text: str, payload: dict | None = None) -> None:

@@ -15,7 +15,10 @@ Usage::
 
 The CSV written by ``figure`` has one row per (region, x, series) —
 see :mod:`repro.experiments.export`; several figure names print (and
-export) their panels one after the other.  ``--trace PATH`` (on
+export) their panels one after the other, each figure's followed by a
+``claim PASS`` / ``claim FAIL`` line per paper claim of its
+``FIGURES`` row (printed only: the exit status ignores them, since
+smoke budgets are too small for the paper's shapes).  ``--trace PATH`` (on
 ``figure`` and ``query``) records every query's lifecycle as
 JSON-lines spans plus a metrics snapshot; ``trace-summary`` renders
 the per-phase latency breakdown.  ``check`` runs the seeded
@@ -49,6 +52,7 @@ from .obs import (
 from .experiments import (
     FIGURES,
     Simulation,
+    check_claims,
     format_series,
     run_figure,
     scaled_parameters,
@@ -424,10 +428,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
         print("--trace forces --workers 1 (serial sweep)", file=sys.stderr)
         args.workers = 1
     trace = _TraceSession(args.trace)
-    panels = [
-        panel
-        for name in args.names
-        for panel in run_figure(
+    panels = []
+    for name in args.names:
+        figure = run_figure(
             name,
             args.values,
             area_scale=args.scale,
@@ -438,10 +441,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
             **sweep_kwargs,
             **trace.sim_kwargs,
         )
-    ]
-    for panel in panels:
-        print(format_series(panel))
-        print()
+        for panel in figure:
+            print(format_series(panel))
+            print()
+        for holds, text in check_claims(name, figure):
+            print(f"claim {'PASS' if holds else 'FAIL'} {name}: {text}")
+        panels += figure
     if args.out:
         path = write_sweep_csv(panels, args.out)
         print(f"wrote {path}")

@@ -16,6 +16,7 @@ from .reporting import format_series, format_table
 from .runners import (
     CONTINUOUS_SERIES,
     FIGURES,
+    check_claims,
     run_continuous_sharing,
     run_figure,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "SweepSeries",
     "WQ_SERIES",
     "assemble_series",
+    "check_claims",
     "format_series",
     "format_table",
     "run_continuous_sharing",

@@ -1,25 +1,26 @@
 """Figure runners: the parameter sweeps behind Figures 10–15.
 
 :data:`FIGURES` has one row per figure — the swept parameter, the
-values the paper plots, the query kind and the axis label — and
-:func:`run_figure` runs a row over the three Table 3 regions,
-returning per region the series the paper plots (percentage of
-queries resolved by each path).
+values the paper plots, the query kind, the axis label and the paper's
+claims about it — and :func:`run_figure` runs a row over the three
+Table 3 regions, returning per region the series the paper plots
+(percentage of queries resolved by each path).  :func:`check_claims`
+judges a run's panels against the row's claims.
 
 Scaling: the sweeps run on density-preserving scaled worlds (see
 :func:`repro.workloads.scaled_parameters`); ``area_scale`` and the
 warm-up/measurement budgets are exposed so tests run in seconds while
-the benchmarks use more substantial defaults.
+``make experiments`` uses more substantial ones.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..errors import ExperimentError
 from ..workloads import ALL_REGIONS, ParameterSet, QueryKind, scaled_parameters
-from .parallel import SweepSeries, run_sweep
+from .parallel import KNN_SERIES, WQ_SERIES, SweepSeries, run_sweep
 from .simulator import Simulation
 
 CONTINUOUS_SERIES = (
@@ -28,18 +29,77 @@ CONTINUOUS_SERIES = (
     "Mean Batch Width",
 )
 
+# A claim is the paper sentence it checks (with the simulator's slack)
+# and a predicate over the series dicts of the LA, Suburbia and
+# Riverside panels, in that order.
+Claim = tuple[str, Callable[..., bool]]
+SBNN, SBWQ, AIR = KNN_SERIES[0], WQ_SERIES[0], WQ_SERIES[1]
+
+
+def _rises(name: str, *regions: dict[str, list[float]]) -> bool:
+    return all(series[name][-1] > series[name][0] for series in regions)
+
+
+def _at_least(name: str, a: dict, b: dict, slack: float) -> bool:
+    return all(x >= y - slack for x, y in zip(a[name], b[name]))
+
+
 # name -> (swept ParameterSet field, default values, query kind, axis
-# label).  ``figc`` sweeps no field: its values are standing-query
-# counts and :func:`run_continuous_sharing` runs it.
+# label, claims).  ``figc`` sweeps no field: its values are
+# standing-query counts and :func:`run_continuous_sharing` runs it.
 _KNN, _WQ = QueryKind.KNN, QueryKind.WINDOW
-FIGURES: dict[str, tuple[str | None, tuple[float, ...], QueryKind, str]] = {
-    "fig10": ("tx_range_m", (10, 50, 100, 150, 200), _KNN, "Transmission Range (m)"),
-    "fig11": ("cache_size", (6, 12, 18, 24, 30), _KNN, "Number of Cached Items"),
-    "fig12": ("knn_k", (3, 6, 9, 12, 15), _KNN, "Number of k"),
-    "fig13": ("tx_range_m", (10, 50, 100, 150, 200), _WQ, "Transmission Range (m)"),
-    "fig14": ("cache_size", (6, 12, 18, 24, 30), _WQ, "Number of Cached Items"),
-    "fig15": ("window_percent", (1, 2, 3, 4, 5), _WQ, "Query Window Size (%)"),
-    "figc": (None, (25, 50, 100), _KNN, "Standing Queries"),
+FIGURES: dict[
+    str, tuple[str | None, tuple[float, ...], QueryKind, str, tuple[Claim, ...]]
+] = {
+    "fig10": ("tx_range_m", (10, 50, 100, 150, 200), _KNN, "Transmission Range (m)", (
+        ("SBNN rises with range in every region",
+         lambda la, su, ri: _rises(SBNN, la, su, ri)),
+        ('LA broadcast < 35 % at the longest range (paper: "less than 20 %")',
+         lambda la, su, ri: la[AIR][-1] < 35.0),
+        ("LA beats Riverside on SBNN at the longest range",
+         lambda la, su, ri: la[SBNN][-1] > ri[SBNN][-1]),
+        ("LA beats Riverside on broadcast at the longest range",
+         lambda la, su, ri: la[AIR][-1] < ri[AIR][-1]),
+        ("LA broadcast > 60 % at the shortest range",
+         lambda la, su, ri: la[AIR][0] > 60.0),
+    )),
+    "fig11": ("cache_size", (6, 12, 18, 24, 30), _KNN, "Number of Cached Items", (
+        ('SBNN rises with capacity in LA and Suburbia ("remarkable increase")',
+         lambda la, su, ri: _rises(SBNN, la, su)),
+        ("LA broadcast falls with capacity",
+         lambda la, su, ri: la[AIR][-1] < la[AIR][0]),
+        ("LA SBNN >= Riverside - 5 at every capacity",
+         lambda la, su, ri: _at_least(SBNN, la, ri, 5.0)),
+    )),
+    "fig12": ("knn_k", (3, 6, 9, 12, 15), _KNN, "Number of k", (
+        ("broadcast rises with k in every region",
+         lambda la, su, ri: _rises(AIR, la, su, ri)),
+        ("LA broadcast rises by > 8 points (paper: +28)",
+         lambda la, su, ri: la[AIR][-1] - la[AIR][0] > 8.0),
+        ('Riverside starts above LA on broadcast ("starting level was much higher")',
+         lambda la, su, ri: ri[AIR][0] > la[AIR][0]),
+    )),
+    "fig13": ("tx_range_m", (10, 50, 100, 150, 200), _WQ, "Transmission Range (m)", (
+        ('SBWQ rises with range in LA and Suburbia ("similar to the kNN case")',
+         lambda la, su, ri: _rises(SBWQ, la, su)),
+        ("LA SBWQ >= Riverside at the longest range",
+         lambda la, su, ri: la[SBWQ][-1] >= ri[SBWQ][-1]),
+        ("broadcast > 50 % at the shortest range in every region",
+         lambda *regions: all(series[AIR][0] > 50.0 for series in regions)),
+    )),
+    "fig14": ("cache_size", (6, 12, 18, 24, 30), _WQ, "Number of Cached Items", (
+        ('SBWQ rises with capacity in LA and Suburbia ("more window queries'
+         ' can be fulfilled by peers")',
+         lambda la, su, ri: _rises(SBWQ, la, su)),
+    )),
+    "fig15": ("window_percent", (1, 2, 3, 4, 5), _WQ, "Query Window Size (%)", (
+        ('LA\'s best SBWQ share > 50 % ("over 50 % ... fulfilled through our'
+         ' sharing mechanism")',
+         lambda la, su, ri: max(la[SBWQ]) > 50.0),
+        ("LA SBWQ >= Riverside - 5 at every window size",
+         lambda la, su, ri: _at_least(SBWQ, la, ri, 5.0)),
+    )),
+    "figc": (None, (25, 50, 100), _KNN, "Standing Queries", ()),
 }
 
 
@@ -54,12 +114,21 @@ def run_figure(
     """
     if name not in FIGURES:
         raise ExperimentError(f"unknown figure {name!r}")
-    vary, default, kind, x_label = FIGURES[name]
+    vary, default, kind, x_label, _ = FIGURES[name]
     values = default if values is None else values
     kwargs.setdefault("x_label", x_label)
     if vary is None:
         return run_continuous_sharing(values, **kwargs)
     return run_sweep(vary, values, kind, **kwargs)
+
+
+def check_claims(name: str, panels: Sequence[SweepSeries]) -> list[tuple[bool, str]]:
+    """``(holds, text)`` per claim of ``name``'s row, judged on ``panels``.
+
+    ``panels`` are the LA, Suburbia and Riverside panels of one run.
+    """
+    regions = [panel.series for panel in panels]
+    return [(bool(holds(*regions)), text) for text, holds in FIGURES[name][4]]
 
 
 # ----------------------------------------------------------------------

@@ -154,9 +154,8 @@ def encode_request(method: str, args: tuple) -> bytes:
         for payload in payloads:
             w.bytes_(payload.blob)
     elif opcode == OP_EXPORT_PAYLOADS:
-        gids, known = args
+        (gids,) = args
         w.i64_array(gids)
-        w.i64_array(known)
     elif opcode == OP_EXECUTE_BATCH:
         (items,) = args
         w.u32(len(items))
@@ -324,9 +323,8 @@ def handle_request(world, data: bytes) -> bytes | None:
             world.set_halo_payloads(payloads)
         elif opcode == OP_EXPORT_PAYLOADS:
             gids = r.i64_array().tolist()
-            known = r.i64_array().tolist()
             r.expect_end()
-            payloads = world.export_payloads(gids, known)
+            payloads = world.export_payloads(gids)
             w.u32(len(payloads))
             for payload in payloads:
                 w.i64(payload.peer_id)

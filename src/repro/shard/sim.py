@@ -437,12 +437,7 @@ class ShardedSimulation:
                 if payload is None or payload.generation != generation:
                     need[int(owner[gid])].add(gid)
         for src in sorted(need):
-            gids = sorted(need[src])
-            known = [
-                self._payloads[g].generation if g in self._payloads else -1
-                for g in gids
-            ]
-            for payload in workers[src].call("export_payloads", gids, known):
+            for payload in workers[src].call("export_payloads", sorted(need[src])):
                 self._payloads[payload.peer_id] = payload
                 self._gen[payload.peer_id] = payload.generation
         by_shard: dict[int, list[ShareResponse]] = defaultdict(list)

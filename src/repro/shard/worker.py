@@ -126,31 +126,28 @@ class ShardWorld(QueryWorld):
         for response in payloads:
             self.mirrors[response.peer_id] = HaloHost(response)
 
-    def export_payloads(
-        self, gids: Sequence[int], known: Sequence[int]
-    ) -> list[ShareResponse]:
-        """Share responses of owned hosts whose generation moved past ``known``.
+    def export_payloads(self, gids: Sequence[int]) -> list[ShareResponse]:
+        """Share responses of the owned hosts ``gids``.
 
-        ``known[i]`` is the caller's last seen generation for
-        ``gids[i]`` (-1 for never); unchanged hosts are skipped.  What
-        crosses the seam is exactly what the owner would answer a
-        peer with (memoised per generation inside the host); a host
-        with nothing to share exports an empty response so the caller
-        still learns its generation stamp.
+        The coordinator asks only for hosts whose mirrored response is
+        stale.  What crosses the seam is exactly what the owner would
+        answer a peer with (memoised per generation inside the host); a
+        host with nothing to share exports an empty response so the
+        caller still learns its generation stamp.
         """
         out = []
-        for gid, known_generation in zip(gids, known):
+        for gid in gids:
             host = self.hosts.get(int(gid))
             if host is None:
                 raise ExperimentError(
                     f"shard {self.shard_id} asked to export foreign host {gid}"
                 )
-            generation = host.cache.generation
-            if generation != known_generation:
-                response = host.share_response()
-                if response is None:
-                    response = ShareResponse(host.host_id, (), (), generation)
-                out.append(response)
+            response = host.share_response()
+            if response is None:
+                response = ShareResponse(
+                    host.host_id, (), (), host.cache.generation
+                )
+            out.append(response)
         return out
 
     # ------------------------------------------------------------------

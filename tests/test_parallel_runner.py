@@ -147,7 +147,7 @@ class TestSweepSeriesTiming:
 
 class TestFigures:
     def test_a_figure_is_its_row_of_the_table(self):
-        vary, values, kind, x_label = FIGURES["fig12"]
+        vary, values, kind, x_label, _ = FIGURES["fig12"]
         assert (vary, values, kind) == ("knn_k", (3, 6, 9, 12, 15), QueryKind.KNN)
         kwargs = dict(regions=ALL_REGIONS[:1], seed=4, **TINY)
         figure = run_figure("fig12", [3, 9], **kwargs)

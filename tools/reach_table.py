@@ -1,11 +1,11 @@
 """make reach
 
 Which code lines of ``src/repro`` does anything outside ``tests/`` reach?
-Runs 40 legs on a temporary copy of this tree — ten CLI legs (every
+Runs 34 legs on a temporary copy of this tree — ten CLI legs (every
 command ``make check`` runs plus ``figure --out``, ``query``, ``params``
 and a binary-mode ``load``), five ``REPRO_CHECK=1`` legs (faults and
 lockstep shards included), ``pytest bench``, the six examples and the
-eighteen ``benchmarks/bench_*.py`` — under a ``sys.setprofile`` hook
+twelve ``benchmarks/bench_*.py`` — under a ``sys.setprofile`` hook
 that notes every code object called, then prints code / unreached code
 lines per package (code lines as ``tools/loc_table.py`` counts them) and
 every function no leg called.  A function is reached when it was called

@@ -83,6 +83,9 @@ lint:
 	@echo ">> one door to Figures 10-15: the FIGURES rows carry the claims, no figure runner beside them"
 	@! grep -rIn 'run[_]figure(' benchmarks
 	@! grep -rIn 'series[_]payload' src tests benchmarks
+	@echo ">> one command reproduces the paper: no bench knobs, no profiles, no timing fixture"
+	@! grep -rIn 'REPRO[_]BENCH_\|benchmark[-]only\|benchmark[-]disable\|pytest[-]benchmark\|benchmark[.]pedantic\|def profile[(]' \
+		README.md EXPERIMENTS.md Makefile pyproject.toml benchmarks tools
 
 test:
 	@echo ">> tier-1 tests"
@@ -132,20 +135,23 @@ loc:
 	@test -n "$(BASE)" || { echo "usage: make loc BASE=<rev>"; exit 2; }
 	$(PYTHON) tools/loc_table.py $(BASE)
 
-# Not part of `check` (~4 min on 2 cores): Figures 10-15, one CSV each
-# under benchmarks/results/; fails if any claim of a FIGURES row reads
-# FAIL.  A run is "<figure> <seed> <warm-up queries> <sweep values...>".
+# Not part of `check` (~7 min on 2 cores): the paper's evaluation at one
+# budget.  Figures 10-15 and figc, one CSV each under benchmarks/results/,
+# fail if any claim of a FIGURES row reads FAIL; then the table scripts
+# under benchmarks/ (plain pytest) write one .txt each there and fail on
+# any assert.  A run is "<figure> <seed> <warm-up queries> <values...>".
 experiments:
 	@failed=0; for run in "fig10 10 2200 10 50 100 200" \
 		"fig11 11 2200 6 14 22 30" "fig12 12 2200 3 7 11 15" \
 		"fig13 13 3500 10 50 100 200" "fig14 14 3500 6 14 22 30" \
-		"fig15 15 3500 1 3 5"; do \
+		"fig15 15 3500 1 3 5" "figc 16 2200 25 50 100"; do \
 		set -- $$run; name=$$1; seed=$$2; warmup=$$3; shift 3; \
 		out=$$($(PYTHON) -m repro.cli figure $$name --values "$$@" \
 			--seed $$seed --warmup $$warmup --scale 0.06 --measure 400 \
 			--workers 2 --out benchmarks/results/$$name.csv) || exit 1; \
 		echo "$$out"; case "$$out" in *"claim FAIL"*) failed=1;; esac; \
 	done; test $$failed -eq 0
+	$(PYTHON) -m pytest -q -p no:cacheprovider benchmarks
 
 # Not part of `check` (~18 min): which code lines of src/repro does any
 # command, check leg, bench pass, example or benchmarks/ script reach?

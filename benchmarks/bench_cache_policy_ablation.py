@@ -12,7 +12,7 @@ from repro.cache import DirectionDistancePolicy, FIFOPolicy, LRUPolicy
 from repro.experiments import Simulation, format_table, scaled_parameters
 from repro.workloads import LA_CITY, QueryKind
 
-from _util import emit, profile
+from _util import AREA_SCALE, MEASURE_QUERIES, WARMUP_QUERIES, emit
 
 POLICIES = {
     "direction+distance": lambda: DirectionDistancePolicy(),
@@ -22,15 +22,14 @@ POLICIES = {
 
 
 def run():
-    p = profile()
     # Small caches make the replacement policy actually matter.
-    params = scaled_parameters(LA_CITY, area_scale=p.area_scale, cache_size=10)
+    params = scaled_parameters(LA_CITY, area_scale=AREA_SCALE, cache_size=10)
     rows = []
     shares = {}
     for name, factory in POLICIES.items():
         sim = Simulation(params, seed=4, policy_factory=factory)
         collector = sim.run_workload(
-            QueryKind.KNN, p.warmup_queries, p.measure_queries
+            QueryKind.KNN, WARMUP_QUERIES, MEASURE_QUERIES
         )
         resolved = collector.pct_verified + collector.pct_approximate
         shares[name] = resolved
@@ -50,8 +49,8 @@ def run():
     return shares, table
 
 
-def test_replacement_policy_ablation(benchmark):
-    shares, table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_replacement_policy_ablation():
+    shares, table = run()
     emit("Cache policy ablation", table)
 
     # The paper's policy must be competitive with the generic ones

@@ -12,25 +12,15 @@ fault stream — the cleanest way to see the degradation curve.  The
 expected shape: the hit ratio falls monotonically with the loss rate
 (fewer peer responses survive), while latency rises (retry backoff
 plus broadcast re-tunes).
-
-Runnable standalone as well::
-
-    python benchmarks/bench_degradation_vs_loss.py --loss-rate 0.2
-
-which sweeps up to the given maximum rate and prints/writes the same
-JSON payload.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
 
 from repro.experiments import Simulation, scaled_parameters
 from repro.faults import FaultConfig
 from repro.workloads import SYNTHETIC_SUBURBIA, QueryKind
 
-from _util import emit, profile, RESULTS_DIR
+from _util import AREA_SCALE, MEASURE_QUERIES, WARMUP_QUERIES, emit
 
 LOSS_RATES = (0.0, 0.05, 0.1, 0.2, 0.3)
 SEED = 42
@@ -39,21 +29,16 @@ RETRIES = 2
 # ~1.8 % of responses (exponential delay, mean 0.02 s) miss this
 # deadline, so the miss counter is exercised at every lossy point.
 PEER_TIMEOUT = 0.08
-# The hit ratio is a percentage over `measure_queries` samples; with
-# the quick profile's 400 queries a single query flipping resolution
+# The hit ratio is a percentage over MEASURE_QUERIES (400) samples: a
+# single query flipping resolution
 # moves it by 0.25 pp, so adjacent sweep points may wobble by a flip
 # or two even though the overall trend is cleanly downward.
 NOISE_TOL = 0.5
 
 
-def run_point(
-    loss_rate: float,
-    area_scale: float,
-    warmup_queries: int,
-    measure_queries: int,
-) -> dict:
+def run_point(loss_rate: float) -> dict:
     """One sweep point: a full simulation at the given loss rate."""
-    params = scaled_parameters(SYNTHETIC_SUBURBIA, area_scale=area_scale)
+    params = scaled_parameters(SYNTHETIC_SUBURBIA, area_scale=AREA_SCALE)
     fault_config = (
         FaultConfig(
             loss_rate=loss_rate,
@@ -66,35 +51,12 @@ def run_point(
         else None
     )
     sim = Simulation(params, seed=SEED, fault_config=fault_config)
-    collector = sim.run_workload(QueryKind.KNN, warmup_queries, measure_queries)
+    collector = sim.run_workload(QueryKind.KNN, WARMUP_QUERIES, MEASURE_QUERIES)
     return {
         "loss_rate": loss_rate,
         "mean_latency": collector.mean_latency(),
-        "requests_sent": sim.network.requests_sent,
-        "responses_received": sim.network.responses_received,
-        "peers_heard": sim.network.peers_heard,
         **collector.fault_summary(),
     }
-
-
-def run(
-    loss_rates=LOSS_RATES,
-    area_scale: float | None = None,
-    warmup_queries: int | None = None,
-    measure_queries: int | None = None,
-) -> list[dict]:
-    p = profile()
-    return [
-        run_point(
-            rate,
-            area_scale if area_scale is not None else p.area_scale,
-            warmup_queries if warmup_queries is not None else p.warmup_queries,
-            measure_queries
-            if measure_queries is not None
-            else p.measure_queries,
-        )
-        for rate in loss_rates
-    ]
 
 
 def format_rows(rows: list[dict]) -> str:
@@ -113,8 +75,10 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def check_degradation(rows: list[dict]) -> None:
-    """The shape assertions shared by pytest and standalone runs."""
+def test_degradation_vs_loss():
+    rows = [run_point(rate) for rate in LOSS_RATES]
+    emit("Degradation vs loss rate", format_rows(rows))
+
     baseline = rows[0]
     assert baseline["loss_rate"] == 0.0
     for key in ("drops", "retries", "recovery_retunes", "buckets_lost"):
@@ -135,44 +99,3 @@ def check_degradation(rows: list[dict]) -> None:
     assert ratios[-1] < ratios[0], "no measurable degradation at 30% loss"
     # Latency rises under loss: retry backoff plus recovery re-tunes.
     assert rows[-1]["mean_latency"] > baseline["mean_latency"]
-
-
-def test_degradation_vs_loss(benchmark):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "Degradation vs loss rate",
-        format_rows(rows),
-        {"rows": rows},
-    )
-    check_degradation(rows)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="sweep hit ratio / latency over wireless loss rates"
-    )
-    parser.add_argument(
-        "--loss-rate",
-        type=float,
-        default=LOSS_RATES[-1],
-        help="maximum loss rate of the sweep (default 0.3)",
-    )
-    parser.add_argument("--out", default=None, help="optional JSON output path")
-    args = parser.parse_args()
-    rates = [r for r in LOSS_RATES if r <= args.loss_rate + 1e-9]
-    if rates[-1] != args.loss_rate:
-        rates.append(args.loss_rate)
-    rows = run(loss_rates=rates)
-    print(format_rows(rows))
-    document = json.dumps({"rows": rows}, indent=2) + "\n"
-    out = args.out or (RESULTS_DIR / "degradation_vs_loss.json")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(out, "w") as fh:
-        fh.write(document)
-    print(f"wrote {out}")
-    check_degradation(rows)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,13 +18,18 @@ from repro.experiments import (
 )
 from repro.workloads import LA_CITY, RIVERSIDE_COUNTY, QueryKind
 
-from _util import emit, profile, workers
+from _util import AREA_SCALE, MEASURE_QUERIES, WARMUP_QUERIES, emit
 
 DENSITY_FRACTIONS = (0.25, 0.5, 1.0)
 HOPS = (1, 2)
+BUDGET = dict(
+    area_scale=AREA_SCALE,
+    warmup_queries=WARMUP_QUERIES,
+    measure_queries=MEASURE_QUERIES,
+)
 
 
-def _points(p):
+def _points():
     points = []
     for index, fraction in enumerate(DENSITY_FRACTIONS):
         base = LA_CITY.replace(
@@ -38,9 +43,7 @@ def _points(p):
                 kind=QueryKind.KNN,
                 overrides={},
                 seed=6,
-                area_scale=p.area_scale,
-                warmup_queries=p.warmup_queries,
-                measure_queries=p.measure_queries,
+                **BUDGET,
             )
         )
     for offset, hops in enumerate(HOPS):
@@ -51,9 +54,7 @@ def _points(p):
                 kind=QueryKind.KNN,
                 overrides={},
                 seed=7,
-                area_scale=p.area_scale,
-                warmup_queries=p.warmup_queries,
-                measure_queries=p.measure_queries,
+                **BUDGET,
                 sim_kwargs={"p2p_hops": hops},
             )
         )
@@ -61,16 +62,14 @@ def _points(p):
 
 
 def run():
-    p = profile()
-    results = run_points(_points(p), workers())
+    results = run_points(_points(), max_workers=2)
     density_results = results[: len(DENSITY_FRACTIONS)]
     hop_results = results[len(DENSITY_FRACTIONS) :]
 
     rows = []
     shares = []
-    density_records = []
     for fraction, result in zip(DENSITY_FRACTIONS, density_results):
-        params = scaled_parameters(result.point.base, area_scale=p.area_scale)
+        params = scaled_parameters(result.point.base, area_scale=AREA_SCALE)
         collector = result.collector
         resolved = collector.pct_verified + collector.pct_approximate
         shares.append(resolved)
@@ -83,35 +82,16 @@ def run():
                 round(collector.pct_broadcast, 1),
             ]
         )
-        density_records.append(
-            {
-                "fraction": fraction,
-                "mh_density": params.mh_density,
-                "mean_peer_count": collector.mean_peer_count(),
-                "peer_resolved_pct": resolved,
-                "broadcast_pct": collector.pct_broadcast,
-                "wall_clock_s": result.wall_clock_s,
-            }
-        )
 
     # Future work: two-hop sharing in the sparse Riverside regime.
     hop_rows = []
     hop_shares = {}
-    hop_records = []
     for hops, result in zip(HOPS, hop_results):
         collector = result.collector
         resolved = collector.pct_verified + collector.pct_approximate
         hop_shares[hops] = resolved
         hop_rows.append(
             [hops, round(resolved, 1), round(collector.pct_broadcast, 1)]
-        )
-        hop_records.append(
-            {
-                "hops": hops,
-                "peer_resolved_pct": resolved,
-                "broadcast_pct": collector.pct_broadcast,
-                "wall_clock_s": result.wall_clock_s,
-            }
         )
 
     table = format_table(
@@ -124,15 +104,12 @@ def run():
         hop_rows,
         title="Future work: multi-hop sharing (Riverside)",
     )
-    payload = {"density": density_records, "multihop": hop_records}
-    return shares, hop_shares, table, payload
+    return shares, hop_shares, table
 
 
-def test_density_and_multihop_scalability(benchmark):
-    shares, hop_shares, table, payload = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    emit("Density and multihop scalability", table, payload)
+def test_density_and_multihop_scalability():
+    shares, hop_shares, table = run()
+    emit("Density and multihop scalability", table)
 
     # Conclusion claim: peer-resolved share grows with host density.
     assert shares == sorted(shares)

@@ -13,11 +13,10 @@ from repro.analysis import knn_hit_ratio_for, model_inputs, simulate_knn_hit_rat
 from repro.experiments import Simulation, format_table, scaled_parameters
 from repro.workloads import ALL_REGIONS, QueryKind
 
-from _util import emit, profile
+from _util import AREA_SCALE, MEASURE_QUERIES, WARMUP_QUERIES, emit
 
 
 def run():
-    p = profile()
     rows = []
     estimates = {}
     for base in ALL_REGIONS:
@@ -25,10 +24,10 @@ def run():
         mc = simulate_knn_hit_ratio(
             model_inputs(base), np.random.default_rng(3), trials=1200
         )
-        params = scaled_parameters(base, area_scale=p.area_scale)
+        params = scaled_parameters(base, area_scale=AREA_SCALE)
         sim = Simulation(params, seed=3)
         collector = sim.run_workload(
-            QueryKind.KNN, p.warmup_queries, p.measure_queries
+            QueryKind.KNN, WARMUP_QUERIES, MEASURE_QUERIES
         )
         simulated = (
             collector.pct_verified + collector.pct_approximate
@@ -50,8 +49,8 @@ def run():
     return estimates, table
 
 
-def test_hitratio_model_vs_simulation(benchmark):
-    estimates, table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_hitratio_model_vs_simulation():
+    estimates, table = run()
     emit("Hit-ratio analysis vs simulation", table)
 
     la = estimates["Los Angeles City"]

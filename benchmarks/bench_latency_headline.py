@@ -11,21 +11,20 @@ channel accesses and mean access latency for both.
 from repro.experiments import Simulation, format_table, scaled_parameters
 from repro.workloads import LA_CITY, RIVERSIDE_COUNTY, SYNTHETIC_SUBURBIA, QueryKind
 
-from _util import emit, profile
+from _util import AREA_SCALE, MEASURE_QUERIES, WARMUP_QUERIES, emit
 
 
 def run():
-    p = profile()
     rows = []
     reductions = {}
     for base in (LA_CITY, SYNTHETIC_SUBURBIA, RIVERSIDE_COUNTY):
-        params = scaled_parameters(base, area_scale=p.area_scale)
+        params = scaled_parameters(base, area_scale=AREA_SCALE)
         shared = Simulation(params, seed=8).run_workload(
-            QueryKind.KNN, p.warmup_queries, p.measure_queries
+            QueryKind.KNN, WARMUP_QUERIES, MEASURE_QUERIES
         )
         baseline = Simulation(
             params, seed=8, enable_sharing=False, overhear=False
-        ).run_workload(QueryKind.KNN, 0, p.measure_queries)
+        ).run_workload(QueryKind.KNN, 0, MEASURE_QUERIES)
         channel_share = shared.pct_broadcast
         reduction = 100.0 - channel_share  # baseline hits the channel 100%
         reductions[base.name] = reduction
@@ -52,8 +51,8 @@ def run():
     return reductions, rows, table
 
 
-def test_headline_channel_reduction(benchmark):
-    reductions, rows, table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_headline_channel_reduction():
+    reductions, rows, table = run()
     emit("Headline latency reduction", table)
 
     # "up to 80% in a dense urban area": LA must clear a high bar.

@@ -97,10 +97,8 @@ def run():
     return measured, broadcast_lat, table
 
 
-def test_ondemand_does_not_scale(benchmark):
-    measured, broadcast_lat, table = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+def test_ondemand_does_not_scale():
+    measured, broadcast_lat, table = run()
     emit("On-demand vs broadcast scalability", table)
 
     queue = {load: latency for load, (latency, _) in measured.items()}

@@ -57,8 +57,8 @@ def run():
     return results, table
 
 
-def test_poisson_assumption_calibration(benchmark):
-    results, table = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_poisson_assumption_calibration():
+    results, table = run()
     emit("Lemma 3.2 calibration", table)
 
     uniform = results["uniform (Poisson)"]

@@ -29,7 +29,7 @@ from repro.workloads import (
     scaled_parameters,
 )
 
-from _util import emit, profile
+from _util import AREA_SCALE, MEASURE_QUERIES, WARMUP_QUERIES, emit
 
 THROUGHPUT_SHARDS = (1, 2, 4)
 # The clamping point (window_percent 3 needs area_scale >= 9e-4) is
@@ -55,15 +55,15 @@ def _shares(params, shards, warmup, measure, seed=9):
         }
 
 
-def bench_throughput(p):
-    params = _scaled(p.area_scale)
+def bench_throughput():
+    params = _scaled(AREA_SCALE)
     rows = []
     for shards in THROUGHPUT_SHARDS:
         start = time.perf_counter()
         with ShardedSimulation(
             params, seed=9, shards=shards, exchange="cycle"
         ) as sim:
-            sim.run_workload(QueryKind.KNN, 0, p.measure_queries)
+            sim.run_workload(QueryKind.KNN, 0, MEASURE_QUERIES)
             wall = time.perf_counter() - start
             rows.append(
                 {
@@ -74,17 +74,17 @@ def bench_throughput(p):
                 }
             )
     lines = [f"{params.name}: {params.mh_number} hosts,"
-             f" {p.measure_queries} knn queries"]
+             f" {MEASURE_QUERIES} knn queries"]
     for row in rows:
         lines.append(
             f"  {row['shards']} shard(s) [{row['backend']:>9s}]:"
             f" {row['hosts_per_sec']:>12,.0f} host-seconds/s"
             f" ({row['wall_s']:.2f} s wall)"
         )
-    return "\n".join(lines), {"throughput": rows}
+    return "\n".join(lines)
 
 
-def bench_edge_effects(p):
+def bench_edge_effects():
     # Warm-up must scale with the population: the workload arrival
     # rate is proportional to the host count, so a *fixed* warm-up
     # budget would leave small worlds with far warmer per-host caches
@@ -94,18 +94,18 @@ def bench_edge_effects(p):
     reference_params = _scaled(REFERENCE_SCALE)
     reference = _shares(
         reference_params, shards=4,
-        warmup=p.warmup_queries, measure=p.measure_queries,
+        warmup=WARMUP_QUERIES, measure=MEASURE_QUERIES,
     )
     rows = []
     for scale in EDGE_SCALES:
         params = _scaled(scale)
         warmup = max(
             10,
-            round(p.warmup_queries * scale / REFERENCE_SCALE),
+            round(WARMUP_QUERIES * scale / REFERENCE_SCALE),
         )
         shares = _shares(
             params, shards=1,
-            warmup=warmup, measure=p.measure_queries,
+            warmup=warmup, measure=MEASURE_QUERIES,
         )
         rows.append(
             {
@@ -137,23 +137,11 @@ def bench_edge_effects(p):
         f" {len(comparable)} scales"
         f" ({len(rows) - len(comparable)} clamped point(s) excluded)"
     )
-    return "\n".join(lines), {
-        "reference": {"area_scale": REFERENCE_SCALE, **reference},
-        "scales": rows,
-        "worst_comparable_deviation_pp": worst,
-    }
+    return "\n".join(lines)
 
 
 def test_sharded_scaling():
-    p = profile()
-    throughput_text, throughput_payload = bench_throughput(p)
-    edge_text, edge_payload = bench_edge_effects(p)
     emit(
         "sharded scaling and edge effects",
-        throughput_text + "\n\n" + edge_text,
-        {**throughput_payload, **edge_payload},
+        bench_throughput() + "\n\n" + bench_edge_effects(),
     )
-
-
-if __name__ == "__main__":
-    test_sharded_scaling()

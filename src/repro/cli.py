@@ -28,6 +28,9 @@ differential-oracle campaigns of :mod:`repro.check` (README
 until interrupted; ``load`` replays a seeded workload against it
 (``--spawn`` starts an in-process server on an ephemeral port first)
 and reports achieved QPS, latency percentiles, and shed counts.
+``params`` prints Table 3 with its derived densities.  A
+:class:`~repro.errors.ReproError` from any command is one
+``repro: error: <message>`` line on stderr and exit status 2.
 Speed is measured by ``bench/run.py`` alone (README "Measuring
 performance"); no command here times itself against a baseline.
 """
@@ -40,6 +43,7 @@ import sys
 import time
 from typing import Sequence
 
+from .errors import ReproError
 from .faults import FaultConfig
 from .obs import (
     JsonLinesExporter,
@@ -54,6 +58,7 @@ from .experiments import (
     Simulation,
     check_claims,
     format_series,
+    format_table,
     run_figure,
     scaled_parameters,
 )
@@ -736,12 +741,23 @@ def cmd_trace_summary(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    for region in ALL_REGIONS:
-        print(f"{region.name}: {region.mh_number} hosts,"
-              f" {region.poi_number} POIs,"
-              f" {region.query_rate_per_min:g} queries/min,"
-              f" E[peers@{region.tx_range_m:.0f}m] ="
-              f" {region.expected_peers:.1f}")
+    rows = [
+        [label, *(getattr(region, field) for region in ALL_REGIONS), units]
+        for label, field, units in (
+            ("POINumber", "poi_number", ""), ("MHNumber", "mh_number", ""),
+            ("CSize", "cache_size", "POIs"),
+            ("Query", "query_rate_per_min", "1/min"),
+            ("TxRange", "tx_range_m", "m"), ("kNN", "knn_k", ""),
+            ("Window", "window_percent", "%"),
+            ("Distance", "window_distance_mi", "mile"),
+            ("Texecution", "execution_hours", "hr"),
+            ("POI density", "poi_density", "/mi^2"),
+            ("MH density", "mh_density", "/mi^2"),
+            ("E[peers@200m]", "expected_peers", ""),
+        )
+    ]
+    print(format_table(["Parameter", *(r.name for r in ALL_REGIONS), "Units"],
+                       rows, title="Table 3 parameter sets"))
     return 0
 
 
@@ -756,7 +772,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": cmd_serve,
         "load": cmd_load,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

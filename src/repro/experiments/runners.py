@@ -34,6 +34,7 @@ CONTINUOUS_SERIES = (
 # Riverside panels, in that order.
 Claim = tuple[str, Callable[..., bool]]
 SBNN, SBWQ, AIR = KNN_SERIES[0], WQ_SERIES[0], WQ_SERIES[1]
+RATIO = CONTINUOUS_SERIES[1]
 
 
 def _rises(name: str, *regions: dict[str, list[float]]) -> bool:
@@ -99,7 +100,13 @@ FIGURES: dict[
         ("LA SBWQ >= Riverside - 5 at every window size",
          lambda la, su, ri: _at_least(SBWQ, la, ri, 5.0)),
     )),
-    "figc": (None, (25, 50, 100), _KNN, "Standing Queries", ()),
+    "figc": (None, (25, 50, 100), _KNN, "Standing Queries", (
+        ("broadcast-access ratio (naive / monitored) > 1 at every standing"
+         " count in every region",
+         lambda *regions: all(min(series[RATIO]) > 1.0 for series in regions)),
+        ("broadcast-access ratio rises with the standing count in every region",
+         lambda la, su, ri: _rises(RATIO, la, su, ri)),
+    )),
 }
 
 
@@ -204,7 +211,7 @@ def run_continuous_sharing(
             wall_clock.append(time.perf_counter() - point_start)
         panels.append(
             SweepSeries(
-                region=params.name,
+                region=base.name,
                 x_label=x_label,
                 xs=xs,
                 series=series,

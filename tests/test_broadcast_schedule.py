@@ -1,11 +1,14 @@
 """Tests for (1, m) broadcast-cycle timing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BroadcastError
-from repro.broadcast import BroadcastSchedule
+from repro.broadcast import BroadcastSchedule, BroadcastServer
+from repro.geometry import Point, Rect
+from repro.workloads import generate_pois
 
 
 class TestLayout:
@@ -153,3 +156,46 @@ class TestTimingProperties:
             first = sched.next_bucket_end(b, 0.0)
             second = sched.next_bucket_end(b, first)
             assert second - first == pytest.approx(sched.cycle_duration)
+
+
+class TestIndexReplicationTradeoff:
+    def test_1m_index_tradeoff(self):
+        """Figure 2 / Section 2.1 (Imielinski et al.): more index copies
+        shorten the wait for an index segment until the longer cycle
+        bites, while tuning time barely depends on m."""
+        bounds = Rect(0, 0, 20, 20)
+        rng = np.random.default_rng(0)
+        pois = generate_pois(bounds, 800, rng)
+        server = BroadcastServer(
+            pois, bounds, hilbert_order=6, bucket_capacity=4,
+            entries_per_index_packet=64,
+        )
+        queries = [
+            (Point(float(x), float(y)), float(t))
+            for x, y, t in rng.uniform(0, 20, (120, 3))
+        ]
+        latency, tuning = {}, {}
+        for m in (1, 2, 4, 8, 16):
+            schedule = BroadcastSchedule(
+                data_bucket_count=server.bucket_count,
+                index_packet_count=server.index.packet_count,
+                m=m,
+                packet_time=0.1,
+            )
+            costs = []
+            for q, t in queries:
+                values = server.grid.values_intersecting(
+                    Rect(q.x - 1, q.y - 1, q.x + 1, q.y + 1).intersection(bounds)
+                )
+                buckets = server.buckets_in_range(values[0], values[-1])
+                costs.append(
+                    schedule.retrieve(t * schedule.cycle_duration / 20, buckets)
+                )
+            latency[m] = np.mean([c.access_latency for c in costs])
+            tuning[m] = np.mean([c.tuning_packets for c in costs])
+        # Replicating the index helps latency at first ...
+        assert latency[4] < latency[1]
+        # ... but the cycle bloat eventually bites (m=16 vs the optimum).
+        assert latency[16] >= min(latency.values())
+        # Tuning time barely depends on m (probe + index read + data).
+        assert max(tuning.values()) - min(tuning.values()) < 3.0

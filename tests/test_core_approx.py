@@ -49,6 +49,11 @@ class TestCorrectnessProbability:
         mvr = RectUnion([Rect(-10, -10, 0, 10)])
         p = correctness_probability(Point(0, 0), radius, mvr, poi_density=0.3)
         assert p == pytest.approx(math.exp(-0.6), rel=1e-6)
+        # The right half of a disc of area 8 covered leaves u = 4.
+        radius = math.sqrt(8 / math.pi)
+        mvr = RectUnion([Rect(0, -10, 10, 10)])
+        p = correctness_probability(Point(0, 0), radius, mvr, poi_density=0.3)
+        assert abs(p - math.exp(-0.3 * 4.0)) < 1e-9
 
     def test_full_coverage_is_certain(self):
         mvr = RectUnion([Rect(-10, -10, 10, 10)])
@@ -78,7 +83,8 @@ class TestSurpassingRatio:
         # Table 2: distances 2 (verified anchor... the paper anchors on
         # the last verified POI o5 at 3): o4 at 5 → 1.67, o3 at 6 → 2.0.
         assert surpassing_ratio(5, 3) == pytest.approx(1.667, abs=1e-3)
-        assert surpassing_ratio(6, 3) == pytest.approx(2.0)
+        assert abs(surpassing_ratio(5, 3) - 5 / 3) < 1e-9
+        assert abs(surpassing_ratio(6, 3) - 2.0) < 1e-9
 
     def test_no_anchor_returns_none(self):
         assert surpassing_ratio(5, None) is None
@@ -92,7 +98,7 @@ class TestSurpassingRatio:
         # "he has to drive approximately two more miles":
         # 3 × (1.67 − 1) ≈ 2.
         detour = expected_detour(5, 3)
-        assert detour == pytest.approx(2.0)
+        assert abs(detour - 2.0) < 1e-9
         assert expected_detour(5, None) is None
 
 

@@ -14,6 +14,7 @@ from repro.index import brute_force_knn, brute_force_window
 from repro.model import POI
 from repro.obs import Tracer
 from repro.p2p import ShareResponse
+from repro.workloads import generate_pois
 
 WORLD = Rect(0, 0, 20, 20)
 
@@ -165,6 +166,49 @@ class TestSBNNOnAirIntegration:
         assert [e.poi.poi_id for e in filtered.results] == [
             e.poi.poi_id for e in plain.results
         ]
+
+    def test_filtering_bounds_save_channel_time(self):
+        """Section 3.3.3: the same 60 exact 10-NN queries priced blind,
+        with the heap's upper bound, and with upper + lower bounds."""
+        rng = np.random.default_rng(1)
+        pois = generate_pois(WORLD, 1500, rng)
+        client = OnAirClient.build(
+            pois, WORLD, hilbert_order=7, bucket_capacity=4
+        )
+        density = len(pois) / WORLD.area
+        costs = {"blind": [], "upper": [], "upper+lower": []}
+        for _ in range(60):
+            q = Point(float(rng.uniform(2, 18)), float(rng.uniform(2, 18)))
+            t = float(rng.uniform(0, 100))
+            # A peer whose VR guarantees some verified neighbours.
+            vr = Rect(q.x - 1.2, q.y - 1.2, q.x + 1.2, q.y + 1.2)
+            inside = tuple(p for p in pois if vr.contains_point(p.location))
+            outcome = sbnn(
+                q, [ShareResponse(0, (vr,), inside)], k=10,
+                poi_density=density, accept_approximate=False,
+            )
+            bounds = outcome.bounds
+            runs = {
+                "blind": client.knn(q, 10, t_query=t),
+                "upper": client.knn(q, 10, t_query=t, upper_bound=bounds.upper),
+                "upper+lower": client.knn(
+                    q, 10, t_query=t, upper_bound=bounds.upper,
+                    lower_bound=bounds.lower, known_pois=outcome.verified_pois,
+                ),
+            }
+            for name, result in runs.items():
+                costs[name].append(
+                    (result.cost.access_latency, result.cost.tuning_packets)
+                )
+            truth = [e.poi.poi_id for e in brute_force_knn(pois, q, 10)]
+            assert [e.poi.poi_id for e in runs["upper+lower"].results] == truth
+        latency = {name: np.mean([c[0] for c in s]) for name, s in costs.items()}
+        tuning = {name: np.mean([c[1] for c in s]) for name, s in costs.items()}
+        # The upper bound shrinks the search range (and skips the full
+        # index scan); adding the lower bound can only remove packets.
+        assert tuning["upper"] < tuning["blind"]
+        assert tuning["upper+lower"] <= tuning["upper"]
+        assert latency["upper"] <= latency["blind"] + 1e-9
 
 
 def POI_dist(pois, pid, q):

@@ -53,6 +53,15 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Los Angeles City" in out
         assert "Riverside County" in out
+        # The full Table 3, derived densities included.
+        assert out.startswith("Table 3 parameter sets\n")
+        assert "E[peers@200m] | 11.3" in out
+
+    def test_repro_error_is_one_line(self, capsys):
+        assert main(["figure", "fig10", "--workers", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: error: max_workers must be >= 1, got 0\n"
 
     def test_query_command(self, capsys):
         code = main(

@@ -1,7 +1,8 @@
-"""The paper's claims about Figures 10–15, as the FIGURES rows carry them.
+"""The paper's claims about Figures 10–15 and figc, as the FIGURES rows
+carry them.
 
 Each claim is judged on the committed ``make experiments`` run
-(``benchmarks/results/fig1*.csv``, read back into panels), must fail
+(``benchmarks/results/fig*.csv``, read back into panels), must fail
 under one targeted change to its panel, and ``repro.cli figure``
 prints one verdict per claim after the figure's panels.
 """
@@ -17,8 +18,9 @@ from repro.cli import main
 from repro.experiments import FIGURES, SweepSeries, check_claims
 
 RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-FIGS = ["fig10", "fig11", "fig12", "fig13", "fig14", "fig15"]
+FIGS = ["fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "figc"]
 SBNN, SBWQ, AIR = "Solved by SBNN", "Solved by SBWQ", "Solved by Broadcast"
+RATIO = "Broadcast Access Ratio (naive/monitored)"
 LA, SUBURBIA, RIVERSIDE = 0, 1, 2
 
 
@@ -66,13 +68,15 @@ BREAKS = [
     ("fig14", 0, SUBURBIA, SBWQ, 0, 100.0),
     ("fig15", 0, LA, SBWQ, None, 50.0),
     ("fig15", 1, RIVERSIDE, SBWQ, 0, 100.0),
+    ("figc", 0, SUBURBIA, RATIO, 1, 1.0),
+    ("figc", 1, RIVERSIDE, RATIO, -1, 3.0),
 ]
 
 
 def test_every_claim_has_a_break():
     claims = [(name, i) for name in FIGURES for i in range(len(FIGURES[name][4]))]
     assert sorted((name, i) for name, i, *_ in BREAKS) == sorted(claims)
-    assert len(claims) == 17
+    assert len(claims) == 19
 
 
 @pytest.mark.parametrize(

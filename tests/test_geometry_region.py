@@ -259,6 +259,11 @@ class TestRectUnionDisc:
         c = Circle(Point(0, 0), 2)
         assert region.disc_intersection_area(c) == pytest.approx(c.area)
         assert region.disc_uncovered_area(c) == pytest.approx(0.0)
+        # Table 2's construction: the disc's bounding square covers it.
+        for r in (5.0, 6.0):
+            disc = Circle(Point(0, 0), r)
+            square = RectUnion([Rect(-r, -r, r, r)])
+            assert abs(square.disc_intersection_area(disc) - disc.area) < 1e-9
 
     def test_disc_uncovered_half(self):
         region = RectUnion([Rect(0, -10, 10, 10)])

@@ -77,6 +77,14 @@ class TestDerivedQuantities:
     def test_expected_peers_riverside_sparse(self):
         assert RIVERSIDE_COUNTY.expected_peers < 1.5
 
+    def test_expected_peers_ordering(self):
+        # The derived peer counts drive the whole evaluation.
+        assert (
+            LA_CITY.expected_peers
+            > SYNTHETIC_SUBURBIA.expected_peers
+            > RIVERSIDE_COUNTY.expected_peers
+        )
+
     def test_window_side(self):
         # 3% of the 20-mile side = 0.6 miles.
         assert LA_CITY.window_side_mi == pytest.approx(0.6)
@@ -102,6 +110,10 @@ class TestScaling:
         assert scaled.query_rate_per_min / scaled.mh_number == pytest.approx(
             LA_CITY.query_rate_per_min / LA_CITY.mh_number, rel=0.05
         )
+        # The area every figure and table of `make experiments` runs at.
+        scaled = scaled_parameters(LA_CITY, area_scale=0.06)
+        assert abs(scaled.mh_density - LA_CITY.mh_density) / LA_CITY.mh_density < 0.05
+        assert abs(scaled.poi_density - LA_CITY.poi_density) / LA_CITY.poi_density < 0.05
 
     def test_absolute_window_geometry_preserved(self):
         scaled = scaled_parameters(LA_CITY, area_scale=0.25)

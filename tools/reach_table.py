@@ -1,11 +1,11 @@
 """make reach
 
 Which code lines of ``src/repro`` does anything outside ``tests/`` reach?
-Runs 34 legs on a temporary copy of this tree — ten CLI legs (every
+Runs 30 legs on a temporary copy of this tree — ten CLI legs (every
 command ``make check`` runs plus ``figure --out``, ``query``, ``params``
 and a binary-mode ``load``), five ``REPRO_CHECK=1`` legs (faults and
 lockstep shards included), ``pytest bench``, the six examples and the
-twelve ``benchmarks/bench_*.py`` — under a ``sys.setprofile`` hook
+eight ``benchmarks/bench_*.py`` — under a ``sys.setprofile`` hook
 that notes every code object called, then prints code / unreached code
 lines per package (code lines as ``tools/loc_table.py`` counts them) and
 every function no leg called.  A function is reached when it was called
@@ -13,11 +13,9 @@ at least once; lines outside any function are reached when their module
 was imported.  What is left is what only ``tests/`` (or nothing) calls.
 
 The hook rides in on a ``sitecustomize.py`` put first on ``PYTHONPATH``,
-so every interpreter a leg starts carries it.  Two things it has to know:
-``pytest-benchmark`` pauses profilers around the function it times unless
-``--benchmark-disable`` is given, and a forked worker (shard workers, the
-sweep pool) leaves through ``os._exit``, past ``atexit`` — there the dump
-is a ``multiprocessing.util.Finalize`` registered by a
+so every interpreter a leg starts carries it.  A forked worker (shard
+workers, the sweep pool) leaves through ``os._exit``, past ``atexit``:
+there the dump is a ``multiprocessing.util.Finalize`` registered by a
 ``register_after_fork`` callback.  Call granularity, not line granularity:
 an unreached branch inside a reached function is not reported.
 """
@@ -105,7 +103,7 @@ def legs(tmp: str) -> list[tuple[list[str], dict]]:
           "--warmup", "40", "--measure", "60"], CHECKED),
         ([*pytest, "bench"], {}),
         *(([PYTHON, path], {}) for path in sorted(glob.glob("examples/*.py"))),
-        *(([*pytest, "--benchmark-disable", path], {})
+        *(([*pytest, path], {})
           for path in sorted(glob.glob("benchmarks/bench_*.py"))),
     ]
 

@@ -86,6 +86,9 @@ lint:
 	@echo ">> one command reproduces the paper: no bench knobs, no profiles, no timing fixture"
 	@! grep -rIn 'REPRO[_]BENCH_\|benchmark[-]only\|benchmark[-]disable\|pytest[-]benchmark\|benchmark[.]pedantic\|def profile[(]' \
 		README.md EXPERIMENTS.md Makefile pyproject.toml benchmarks tools
+	@echo ">> a shard builds a host on first need, the broadcast file is built from arrays"
+	@! grep -n '[_]make_host(gid) for' src/repro/shard/worker.py
+	@! grep -n 'value[_]of_point(\|rect[_]of_value(' src/repro/broadcast/server.py
 
 test:
 	@echo ">> tier-1 tests"

@@ -4,7 +4,9 @@ Two questions the shard layer (PR 9) must answer honestly:
 
 1. **Throughput** — how many host-seconds of simulated mobility does
    each configuration serve per wall-clock second, and how does that
-   move with the shard count?
+   move with the shard count?  These are wall-clock numbers, so they
+   are printed, not written: the results file keeps the world and
+   query counts they were measured on.
 
 2. **Edge effects** — the repo runs most experiments on area-scaled
    worlds (densities preserved, absolute geometry preserved).  With
@@ -56,6 +58,8 @@ def _shares(params, shards, warmup, measure, seed=9):
 
 
 def bench_throughput():
+    """The throughput header for the results file; the timed lines go
+    to stdout only (wall-clock numbers do not reproduce run to run)."""
     params = _scaled(AREA_SCALE)
     rows = []
     for shards in THROUGHPUT_SHARDS:
@@ -73,15 +77,16 @@ def bench_throughput():
                     "hosts_per_sec": params.mh_number * sim._now / wall,
                 }
             )
-    lines = [f"{params.name}: {params.mh_number} hosts,"
-             f" {MEASURE_QUERIES} knn queries"]
+    header = (f"{params.name}: {params.mh_number} hosts,"
+              f" {MEASURE_QUERIES} knn queries")
+    print(f"\n{header} (wall clock, not written to results/)")
     for row in rows:
-        lines.append(
+        print(
             f"  {row['shards']} shard(s) [{row['backend']:>9s}]:"
             f" {row['hosts_per_sec']:>12,.0f} host-seconds/s"
             f" ({row['wall_s']:.2f} s wall)"
         )
-    return "\n".join(lines)
+    return header
 
 
 def bench_edge_effects():

@@ -39,36 +39,52 @@ class BroadcastServer:
         self.bucket_capacity = bucket_capacity
         self.pois = tuple(pois)
 
-        decorated = sorted(
-            ((self.grid.value_of_point(p.location), p.poi_id, p) for p in pois)
+        # The data file, built from arrays: every POI's cell value in
+        # one vectorised encode, the (value, poi id) order by lexsort,
+        # and each bucket's extent as the min / max over its POIs' cell
+        # rectangles — one reduceat per side.
+        n = len(self.pois)
+        ids = np.fromiter((p.poi_id for p in self.pois), np.int64, count=n)
+        xs = np.fromiter((p.location.x for p in self.pois), np.float64, count=n)
+        ys = np.fromiter((p.location.y for p in self.pois), np.float64, count=n)
+        h_all = self.grid.values_of_points(xs, ys)
+        order = np.lexsort((ids, h_all))
+        h = h_all[order]
+        self._sorted_hvalues = h.tolist()
+        sorted_pois = [self.pois[i] for i in order.tolist()]
+
+        starts = np.arange(0, n, bucket_capacity)
+        x1, y1, x2, y2 = self.grid.rects_of_values(h)
+        extents = zip(
+            np.minimum.reduceat(x1, starts).tolist(),
+            np.minimum.reduceat(y1, starts).tolist(),
+            np.maximum.reduceat(x2, starts).tolist(),
+            np.maximum.reduceat(y2, starts).tolist(),
         )
-        self._sorted_hvalues = [h for h, _, _ in decorated]
-
-        self.buckets: list[DataBucket] = []
-        for start in range(0, len(decorated), bucket_capacity):
-            chunk = decorated[start : start + bucket_capacity]
-            cell_rects = [self.grid.rect_of_value(h) for h, _, _ in chunk]
-            self.buckets.append(
-                DataBucket(
-                    bucket_id=len(self.buckets),
-                    h_min=chunk[0][0],
-                    h_max=chunk[-1][0],
-                    pois=tuple(p for _, _, p in chunk),
-                    extent=Rect.bounding(cell_rects),
-                )
+        hvalues = self._sorted_hvalues
+        self.buckets: list[DataBucket] = [
+            DataBucket(
+                bucket_id=bucket_id,
+                h_min=hvalues[start],
+                h_max=hvalues[min(start + bucket_capacity, n) - 1],
+                pois=tuple(sorted_pois[start : start + bucket_capacity]),
+                extent=Rect(*extent),
             )
-        self._bucket_h_mins = [b.h_min for b in self.buckets]
+            for bucket_id, (start, extent) in enumerate(
+                zip(starts.tolist(), extents)
+            )
+        ]
 
-        index_entries: list[IndexEntry] = []
-        i = 0
-        while i < len(decorated):
-            h = decorated[i][0]
-            j = i
-            while j < len(decorated) and decorated[j][0] == h:
-                j += 1
-            bucket_id = self.bucket_of_position(i)
-            index_entries.append(IndexEntry(h, bucket_id, j - i))
-            i = j
+        # One index entry per occupied value: its first position in the
+        # file names its bucket, the run length its POI count.
+        first = np.flatnonzero(np.r_[True, h[1:] != h[:-1]])
+        counts = np.diff(np.r_[first, n])
+        index_entries = [
+            IndexEntry(value, self.bucket_of_position(position), count)
+            for value, position, count in zip(
+                h[first].tolist(), first.tolist(), counts.tolist()
+            )
+        ]
         self.index = IndexSegment(
             entries=tuple(index_entries),
             entries_per_packet=entries_per_index_packet,
@@ -77,19 +93,12 @@ class BroadcastServer:
         # Precomputed index geometry.  The broadcast schedule is
         # immutable for the life of the server (the (1, m) data file
         # never changes mid-run), so the curve decode of every occupied
-        # value happens exactly once here, vectorised: one published
-        # cell centre per POI (each entry repeated per POI in its cell,
-        # exactly what the index publishes), as two float64 columns in
-        # Hilbert order for the radius estimate's selection.
-        h_arr = np.fromiter(
-            (e.h_value for e in index_entries), np.int64, count=len(index_entries)
-        )
-        counts = np.fromiter(
-            (e.poi_count for e in index_entries), np.int64, count=len(index_entries)
-        )
-        cx1, cy1, cx2, cy2 = self.grid.rects_of_values(h_arr)
-        self.index_center_x = np.repeat((cx1 + cx2) / 2.0, counts)
-        self.index_center_y = np.repeat((cy1 + cy2) / 2.0, counts)
+        # value happens exactly once here: one published cell centre
+        # per POI (its entry's cell, once per POI in that cell, exactly
+        # what the index publishes), as two float64 columns in Hilbert
+        # order for the radius estimate's selection.
+        self.index_center_x = (x1 + x2) / 2.0
+        self.index_center_y = (y1 + y2) / 2.0
 
     # ------------------------------------------------------------------
     @property

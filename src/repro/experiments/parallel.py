@@ -70,6 +70,37 @@ class SweepPoint:
     measure_queries: int = 600
     sim_kwargs: dict = field(default_factory=dict)
 
+    def run(self) -> "PointResult":
+        """Simulate this point; its metrics and wall-clock cost."""
+        start = time.perf_counter()
+        params = scaled_parameters(
+            self.base, area_scale=self.area_scale, **self.overrides
+        )
+        sim_kwargs = dict(self.sim_kwargs)
+        shards = sim_kwargs.pop("shards", None)
+        exchange = sim_kwargs.pop("exchange", "cycle")
+        shard_backend = sim_kwargs.pop("shard_backend", "auto")
+        if shards is not None:
+            from ..shard import ShardedSimulation
+
+            with ShardedSimulation(
+                params,
+                seed=self.seed,
+                shards=shards,
+                exchange=exchange,
+                backend=shard_backend,
+                **sim_kwargs,
+            ) as sim:
+                collector = sim.run_workload(
+                    self.kind, self.warmup_queries, self.measure_queries
+                )
+            return PointResult(self, collector, time.perf_counter() - start)
+        sim = Simulation(params, seed=self.seed, **sim_kwargs)
+        collector = sim.run_workload(
+            self.kind, self.warmup_queries, self.measure_queries
+        )
+        return PointResult(self, collector, time.perf_counter() - start)
+
 
 @dataclass(slots=True)
 class PointResult:
@@ -80,45 +111,19 @@ class PointResult:
     wall_clock_s: float
 
 
-def _execute_point(point: SweepPoint) -> PointResult:
+def _execute_point(point):
     """Run one point; module-level so it pickles into worker processes."""
-    start = time.perf_counter()
-    params = scaled_parameters(
-        point.base, area_scale=point.area_scale, **point.overrides
-    )
-    sim_kwargs = dict(point.sim_kwargs)
-    shards = sim_kwargs.pop("shards", None)
-    exchange = sim_kwargs.pop("exchange", "cycle")
-    shard_backend = sim_kwargs.pop("shard_backend", "auto")
-    if shards is not None:
-        from ..shard import ShardedSimulation
-
-        with ShardedSimulation(
-            params,
-            seed=point.seed,
-            shards=shards,
-            exchange=exchange,
-            backend=shard_backend,
-            **sim_kwargs,
-        ) as sim:
-            collector = sim.run_workload(
-                point.kind, point.warmup_queries, point.measure_queries
-            )
-        return PointResult(point, collector, time.perf_counter() - start)
-    sim = Simulation(params, seed=point.seed, **sim_kwargs)
-    collector = sim.run_workload(
-        point.kind, point.warmup_queries, point.measure_queries
-    )
-    return PointResult(point, collector, time.perf_counter() - start)
+    return point.run()
 
 
-def run_points(
-    points: Sequence[SweepPoint], max_workers: int = 1
-) -> list[PointResult]:
-    """Execute the points on ``max_workers`` processes, in grid order.
+def run_points(points: Sequence, max_workers: int = 1) -> list:
+    """Run the points on ``max_workers`` processes; results in input order.
 
-    ``1`` runs serially in-process.  Results always come back ordered
-    by ``SweepPoint.index`` regardless of completion order.
+    A point is a :class:`SweepPoint` (its result a :class:`PointResult`)
+    or any other picklable object whose ``run()`` simulates one
+    independent cell (the continuous sweep's ``ContinuousPoint``).
+    ``1`` runs serially in-process.  Results always come back in the
+    order of ``points`` regardless of completion order.
     """
     if max_workers < 1:
         raise ExperimentError(f"max_workers must be >= 1, got {max_workers}")

@@ -16,11 +16,12 @@ warm-up/measurement budgets are exposed so tests run in seconds while
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import ExperimentError
 from ..workloads import ALL_REGIONS, ParameterSet, QueryKind, scaled_parameters
-from .parallel import KNN_SERIES, WQ_SERIES, SweepSeries, run_sweep
+from .parallel import KNN_SERIES, WQ_SERIES, SweepSeries, run_points, run_sweep
 from .simulator import Simulation
 
 CONTINUOUS_SERIES = (
@@ -141,6 +142,46 @@ def check_claims(name: str, panels: Sequence[SweepSeries]) -> list[tuple[bool, s
 # ----------------------------------------------------------------------
 # Continuous workload: batched-sharing gains vs standing-query count
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ContinuousPoint:
+    """One (region, standing-query count) cell of the continuous sweep.
+
+    Its :meth:`run` is the A/B pair on two identically seeded worlds;
+    like a :class:`~repro.experiments.parallel.SweepPoint` it pickles
+    into :func:`~repro.experiments.parallel.run_points`' pool.
+    """
+
+    params: ParameterSet
+    standing: int
+    seed: int
+    ticks: int
+    tick_interval: float
+    warmup_queries: int
+    sim_kwargs: dict
+
+    def run(self) -> tuple[object, object, float]:
+        """``(monitored stats, naive stats, wall-clock seconds)``."""
+        start = time.perf_counter()
+        stats = [
+            Simulation(
+                self.params,
+                seed=self.seed,
+                accept_approximate=False,
+                overhear=False,
+                **self.sim_kwargs,
+            ).run_continuous(
+                QueryKind.KNN,
+                standing=self.standing,
+                ticks=self.ticks,
+                tick_interval=self.tick_interval,
+                naive=naive,
+                warmup_queries=self.warmup_queries,
+            ).stats
+            for naive in (False, True)
+        ]
+        return stats[0], stats[1], time.perf_counter() - start
+
+
 def run_continuous_sharing(
     values: Sequence[float] = FIGURES["figc"][1],
     regions: Sequence[ParameterSet] = ALL_REGIONS,
@@ -163,57 +204,48 @@ def run_continuous_sharing(
     and the mean batch width.
 
     ``measure_queries`` maps to the tick budget (one tick re-evaluates
-    every standing query, so 400 "measured queries" ≈ 20 ticks);
-    ``max_workers`` is accepted for CLI symmetry but the A/B pairs run
-    serially — each point is two full simulations already.
+    every standing query, so 400 "measured queries" ≈ 20 ticks).  The
+    points run on :func:`~repro.experiments.parallel.run_points`'
+    ``max_workers`` processes; each point's seed is fixed by its grid
+    position, so the series do not depend on the worker count.
     """
-    del max_workers
     values = list(values)
     ticks = max(2, measure_queries // 20)
+    points = [
+        ContinuousPoint(
+            params=scaled_parameters(base, area_scale=area_scale),
+            standing=int(standing),
+            seed=seed + 1000 * region_index + value_index,
+            ticks=ticks,
+            tick_interval=tick_interval,
+            warmup_queries=warmup_queries,
+            sim_kwargs=sim_kwargs,
+        )
+        for region_index, base in enumerate(regions)
+        for value_index, standing in enumerate(values)
+    ]
+    results = iter(run_points(points, max_workers))
     panels: list[SweepSeries] = []
-    for region_index, base in enumerate(regions):
-        params = scaled_parameters(base, area_scale=area_scale)
-        xs: list[float] = []
+    for base in regions:
         series: dict[str, list[float]] = {name: [] for name in CONTINUOUS_SERIES}
         wall_clock: list[float] = []
-        for value_index, standing in enumerate(values):
-            point_seed = seed + 1000 * region_index + value_index
-            point_start = time.perf_counter()
-            stats = {}
-            for label, naive in (("monitored", False), ("naive", True)):
-                sim = Simulation(
-                    params,
-                    seed=point_seed,
-                    accept_approximate=False,
-                    overhear=False,
-                    **sim_kwargs,
-                )
-                stats[label] = sim.run_continuous(
-                    QueryKind.KNN,
-                    standing=int(standing),
-                    ticks=ticks,
-                    tick_interval=tick_interval,
-                    naive=naive,
-                    warmup_queries=warmup_queries,
-                ).stats
-            monitored, naive = stats["monitored"], stats["naive"]
-            ratio = (
+        for _ in values:
+            monitored, naive, wall = next(results)
+            series[CONTINUOUS_SERIES[0]].append(
+                100.0 * monitored.safe_hit_rate
+            )
+            series[CONTINUOUS_SERIES[1]].append(
                 naive.tuning_packets / monitored.tuning_packets
                 if monitored.tuning_packets
                 else float("inf")
             )
-            xs.append(float(standing))
-            series[CONTINUOUS_SERIES[0]].append(
-                100.0 * monitored.safe_hit_rate
-            )
-            series[CONTINUOUS_SERIES[1]].append(ratio)
             series[CONTINUOUS_SERIES[2]].append(monitored.mean_batch_width)
-            wall_clock.append(time.perf_counter() - point_start)
+            wall_clock.append(wall)
         panels.append(
             SweepSeries(
                 region=base.name,
                 x_label=x_label,
-                xs=xs,
+                xs=[float(standing) for standing in values],
                 series=series,
                 wall_clock_s=wall_clock,
             )

@@ -82,6 +82,9 @@ class _InprocessShard:
         pending, self._pending = self._pending, None
         return pending
 
+    def ready(self) -> None:
+        pass
+
     def close(self) -> None:
         pass
 
@@ -99,6 +102,10 @@ class _ProcessShard:
     that dies, or whose pipe closes, is a :class:`ShardError` naming
     the shard, the opcode and the epoch, never a hang.  (A worker that
     is wedged but alive is still waited on.)
+
+    Construction only starts the worker; :meth:`ready` reads its
+    construction ack, so the coordinator starts every worker before
+    it waits on any.
     """
 
     def __init__(self, config: dict, ctx):
@@ -108,20 +115,20 @@ class _ProcessShard:
         self._proc = ctx.Process(
             target=shard_worker_main, args=(child, config), daemon=True
         )
-        self._pending: deque[str] = deque()
+        # The construction ack is the first pending reply.
+        self._pending: deque[str | None] = deque([None])
         try:
-            try:
-                self._proc.start()
-            finally:
-                child.close()
-            rpc.read_ack(self._receive(None))  # construction ack
+            self._proc.start()
         except BaseException:
             self.close()
             raise
+        finally:
+            child.close()
 
-    def call(self, method: str, *args):
-        self.send(method, *args)
-        return self.recv()
+    def ready(self) -> None:
+        """Wait for the construction ack (an error frame raises)."""
+        rpc.read_ack(self._receive(None))
+        self._pending.popleft()
 
     def send(self, method: str, *args) -> None:
         request = rpc.encode_request(method, args)
@@ -299,7 +306,11 @@ class ShardedSimulation:
             ) from exc
 
     def _spawn_workers(self, config: dict) -> None:
-        """Fill ``self._workers`` in place (a partial list stays closable)."""
+        """Fill ``self._workers`` in place (a partial list stays closable).
+
+        Every worker is started before any construction ack is read,
+        so the workers build their worlds side by side.
+        """
         ctx = multiprocessing.get_context()
         for shard_id in range(self.grid.n):
             shard_config = dict(config, shard_id=shard_id)
@@ -316,6 +327,8 @@ class ShardedSimulation:
                     f" {shard_id} of {self.grid.n}: {exc}"
                     " (backend='inprocess' needs no worker processes)"
                 ) from exc
+        for worker in self._workers:
+            worker.ready()
 
     def close(self) -> None:
         """Shut down worker processes (idempotent)."""
@@ -335,10 +348,18 @@ class ShardedSimulation:
             self.close()
             raise
 
+    def _fan_out(self, method: str, args: dict[int, tuple]) -> list:
+        """Send ``method`` to every shard ``args`` names, then read the
+        replies, both in shard order (the shards work side by side)."""
+        shard_ids = sorted(args)
+        for shard_id in shard_ids:
+            self._workers[shard_id].send(method, *args[shard_id])
+        return [self._workers[shard_id].recv() for shard_id in shard_ids]
+
     def _ask_all(self, method: str) -> list:
-        """One introspection call per worker, in shard order."""
+        """One introspection call per worker, replies in shard order."""
         return self._reaping(
-            lambda: [worker.call(method) for worker in self._workers]
+            self._fan_out, method, dict.fromkeys(range(len(self._workers)), ())
         )
 
     def __enter__(self) -> "ShardedSimulation":
@@ -357,7 +378,8 @@ class ShardedSimulation:
         the only RNG consumer, then the position/heading snapshot is
         broadcast — here sliced per shard (owned + halo rows) instead
         of handed to one global grid.  Hosts whose tile changed migrate
-        (cache state travels with the MobileHost object).
+        (cache state travels with the MobileHost object; see
+        :meth:`_migrate`).
         """
         self.fleet.advance_to(t)
         xs, ys = self.fleet.positions()
@@ -365,21 +387,7 @@ class ShardedSimulation:
         owner = self.grid.owner_of(xs, ys)
         workers = self._workers
         if self._owner is not None:
-            moved = np.nonzero(owner != self._owner)[0]
-            if moved.size:
-                by_src: dict[int, list[int]] = defaultdict(list)
-                for gid in moved.tolist():
-                    by_src[int(self._owner[gid])].append(gid)
-                in_flight = []
-                for src in sorted(by_src):
-                    in_flight.extend(
-                        workers[src].call("take_hosts", by_src[src])
-                    )
-                by_dst: dict[int, list] = defaultdict(list)
-                for host in in_flight:
-                    by_dst[int(owner[host.host_id])].append(host)
-                for dst in sorted(by_dst):
-                    workers[dst].call("give_hosts", by_dst[dst])
+            self._migrate(np.nonzero(owner != self._owner)[0].tolist(), owner)
         new_halos: list[set[int]] = []
         for shard_id, worker in enumerate(workers):
             if self.grid.n == 1:
@@ -410,6 +418,37 @@ class ShardedSimulation:
         self._last_refresh = t
         self._push_payloads()
 
+    def _migrate(self, moved: list[int], owner: np.ndarray) -> None:
+        """Move the hosts whose tile changed to their new owners.
+
+        Only a host with a nonzero cache generation travels (a
+        generation-0 host is a fresh one, built on demand where it
+        lands); every such host must leave its old owner, or the
+        migration was lost — a hard error, not a silently fresh cache.
+        """
+        by_src: dict[int, list[int]] = defaultdict(list)
+        for gid in moved:
+            by_src[int(self._owner[gid])].append(gid)
+        taken = self._fan_out(
+            "take_hosts", {src: (gids,) for src, gids in by_src.items()}
+        )
+        in_flight = [host for hosts in taken for host in hosts]
+        arrived = {host.host_id for host in in_flight}
+        lost = [
+            gid for gid in moved if self._gen.get(gid, 0) and gid not in arrived
+        ]
+        if lost:
+            raise ExperimentError(
+                f"lost migration: {len(lost)} host(s) with cached state"
+                f" did not leave their old shard (first {lost[:5]})"
+            )
+        by_dst: dict[int, list] = defaultdict(list)
+        for host in in_flight:
+            by_dst[int(owner[host.host_id])].append(host)
+        self._fan_out(
+            "give_hosts", {dst: (hosts,) for dst, hosts in by_dst.items()}
+        )
+
     def _note_dirty(self, dirty: Sequence[tuple[int, int]]) -> None:
         for gid, generation in dirty:
             self._gen[gid] = generation
@@ -422,7 +461,6 @@ class ShardedSimulation:
         (an absent mirror answers share requests with silence, exactly
         like an empty cache).
         """
-        workers = self._workers
         owner = self._owner
         plan: list[tuple[int, int, int]] = []  # (shard, gid, generation)
         need: dict[int, set[int]] = defaultdict(set)
@@ -436,16 +474,21 @@ class ShardedSimulation:
                 payload = self._payloads.get(gid)
                 if payload is None or payload.generation != generation:
                     need[int(owner[gid])].add(gid)
-        for src in sorted(need):
-            for payload in workers[src].call("export_payloads", sorted(need[src])):
+        exported = self._fan_out(
+            "export_payloads", {src: (sorted(gids),) for src, gids in need.items()}
+        )
+        for payloads in exported:
+            for payload in payloads:
                 self._payloads[payload.peer_id] = payload
                 self._gen[payload.peer_id] = payload.generation
         by_shard: dict[int, list[ShareResponse]] = defaultdict(list)
         for shard_id, gid, generation in plan:
             by_shard[shard_id].append(self._payloads[gid])
             self._halo_pushed[shard_id][gid] = generation
-        for shard_id in sorted(by_shard):
-            workers[shard_id].call("set_halo_payloads", by_shard[shard_id])
+        self._fan_out(
+            "set_halo_payloads",
+            {shard_id: (payloads,) for shard_id, payloads in by_shard.items()},
+        )
 
     # ------------------------------------------------------------------
     # Event dispatch
@@ -457,11 +500,12 @@ class ShardedSimulation:
         by_dst: dict[int, list[OverhearOp]] = defaultdict(list)
         for op in ops:
             by_dst[int(owner[op.target])].append(op)
-        for dst in sorted(by_dst):
-            batch = sorted(
-                by_dst[dst], key=lambda op: (op.event_index, op.target)
-            )
-            self._note_dirty(self._workers[dst].call("apply_ops", batch))
+        dirty = self._fan_out("apply_ops", {
+            dst: (sorted(batch, key=lambda op: (op.event_index, op.target)),)
+            for dst, batch in by_dst.items()
+        })
+        for stamps in dirty:
+            self._note_dirty(stamps)
 
     def _execute_lockstep(self, event, index: int) -> EventOutcome:
         shard_id = int(self._owner[event.host_id])
@@ -477,16 +521,16 @@ class ShardedSimulation:
         """Run one epoch's buffered events on all shards concurrently."""
         if not buffered:
             return []
-        workers = self._workers
         by_shard: dict[int, list[tuple[int, object]]] = defaultdict(list)
         for shard_id, index, event in buffered:
             by_shard[shard_id].append((index, event))
-        active = sorted(by_shard)
-        for shard_id in active:
-            workers[shard_id].send("execute_batch", by_shard[shard_id])
-        outcomes: list[EventOutcome] = []
-        for shard_id in active:
-            outcomes.extend(workers[shard_id].recv())
+        batches = self._fan_out(
+            "execute_batch",
+            {shard_id: (events,) for shard_id, events in by_shard.items()},
+        )
+        outcomes: list[EventOutcome] = [
+            outcome for batch in batches for outcome in batch
+        ]
         for outcome in outcomes:
             self._note_dirty(outcome.dirty)
         self._apply_remote_ops(

@@ -1,9 +1,12 @@
 """One spatial shard's world: owned hosts, halo mirrors, local radio.
 
-A :class:`ShardWorld` owns the :class:`~repro.experiments.host.
-MobileHost` objects (caches included) of every host inside its tile,
-plus read-only :class:`~repro.experiments.host.HaloHost` mirrors of
-the foreign hosts inside its halo band.  It executes query events with
+A :class:`ShardWorld` owns every host inside its tile, plus read-only
+:class:`~repro.experiments.host.HaloHost` mirrors of the foreign hosts
+inside its halo band.  An owned host is a :class:`~repro.experiments.
+host.MobileHost` (cache included) only once it first needs a cache —
+it issues a query, overhears a result or is sent an overhear op;
+until then it is absent, which means generation 0: an empty cache,
+exactly like an unsynced halo mirror.  It executes query events with
 the *same* pipeline object as the single-process simulator
 (:class:`~repro.experiments.world.QueryWorld`) — the only differences
 are mechanical:
@@ -57,29 +60,43 @@ class ShardWorld(QueryWorld):
     def __init__(self, shard_id: int, **settings):
         super().__init__(**settings)
         self.shard_id = shard_id
+        # The owned hosts built so far; the owned ids are the snapshot's.
         self.hosts: dict[int, MobileHost] = {}
         self.mirrors: dict[int, HaloHost] = {}
         self.soa: ShardFleetSoA | None = None
-        # Cache generation last reported to the coordinator, per owned
+        self._owned_ids: frozenset[int] = frozenset()
+        # Cache generation last reported to the coordinator, per built
         # host: a touched host is dirty when its cache has moved past it.
         self._reported: dict[int, int] = {}
-        self._epoch = -1
+        # Hosts are built on demand, mid-run: a factory that cannot
+        # build a policy fails here, while the worker is constructed.
+        if self.policy_factory is not None:
+            self.policy_factory()
         self._tenure()
 
     # ------------------------------------------------------------------
     # Epoch lifecycle
     # ------------------------------------------------------------------
     def take_hosts(self, gids: Sequence[int]) -> list[MobileHost]:
-        """Release hosts migrating out (their tile is now foreign)."""
+        """Release hosts migrating out (their tile is now foreign).
+
+        Only hosts whose cache generation is nonzero travel: an absent
+        or generation-0 host is indistinguishable from a fresh one, so
+        it migrates as nothing and its new owner builds it on demand.
+        """
         out = []
         for gid in gids:
-            host = self.hosts.pop(int(gid), None)
-            if host is None:
+            gid = int(gid)
+            if gid not in self._owned_ids:
                 raise ExperimentError(
                     f"shard {self.shard_id} asked to release unowned host {gid}"
                 )
-            del self._reported[host.host_id]
-            out.append(host)
+            host = self.hosts.pop(gid, None)
+            if host is None:
+                continue
+            del self._reported[gid]
+            if host.cache.generation:
+                out.append(host)
         return out
 
     def give_hosts(self, hosts: Sequence[MobileHost]) -> None:
@@ -96,30 +113,27 @@ class ShardWorld(QueryWorld):
         """Install the coordinator's refresh-epoch snapshot.
 
         ``ids`` (ascending global ids) cover owned + halo hosts;
-        migrations must have been settled (take/give) first.  On the
-        first epoch the worker creates its owned hosts' fresh caches —
-        afterwards a missing owned host means a lost migration, which
-        is a hard error, not something to paper over.
+        migrations must have been settled (take/give) first.  Owned
+        hosts not built yet stay absent; a built host the snapshot does
+        not give this shard is a hard error.  (A lost migration is the
+        coordinator's check: only it knows which hosts must arrive.)
         """
         del t
         soa = ShardFleetSoA(ids, xs, ys, hx, hy, owned_mask)
-        owned = set(soa.owned_ids.tolist())
-        if self._epoch < 0:
-            self.give_hosts([self._make_host(gid) for gid in sorted(owned)])
-        if self.hosts.keys() != owned:
-            missing = sorted(owned - self.hosts.keys())[:5]
-            extra = sorted(self.hosts.keys() - owned)[:5]
+        owned = frozenset(soa.owned_ids.tolist())
+        extra = self.hosts.keys() - owned
+        if extra:
             raise ExperimentError(
                 f"shard {self.shard_id} ownership out of sync"
-                f" (missing={missing}, extra={extra})"
+                f" (extra={sorted(extra)[:5]})"
             )
+        self._owned_ids = owned
         halo = set(soa.halo_ids.tolist())
         self.mirrors = {
             gid: mirror for gid, mirror in self.mirrors.items() if gid in halo
         }
         self.soa = soa
         self.network.update_positions(soa.xs, soa.ys, ids=soa.ids)
-        self._epoch += 1
 
     def set_halo_payloads(self, payloads: Sequence[ShareResponse]) -> None:
         """Install/refresh halo mirrors from owner-exported responses."""
@@ -132,21 +146,23 @@ class ShardWorld(QueryWorld):
         The coordinator asks only for hosts whose mirrored response is
         stale.  What crosses the seam is exactly what the owner would
         answer a peer with (memoised per generation inside the host); a
-        host with nothing to share exports an empty response so the
-        caller still learns its generation stamp.
+        host with nothing to share — an absent one included — exports an
+        empty response so the caller still learns its generation stamp.
         """
         out = []
         for gid in gids:
-            host = self.hosts.get(int(gid))
-            if host is None:
+            gid = int(gid)
+            if gid not in self._owned_ids:
                 raise ExperimentError(
                     f"shard {self.shard_id} asked to export foreign host {gid}"
                 )
-            response = host.share_response()
-            if response is None:
-                response = ShareResponse(
-                    host.host_id, (), (), host.cache.generation
-                )
+            host = self.hosts.get(gid)
+            if host is None:
+                response = ShareResponse(gid, (), (), 0)
+            else:
+                response = host.share_response()
+                if response is None:
+                    response = ShareResponse(gid, (), (), host.cache.generation)
             out.append(response)
         return out
 
@@ -155,13 +171,18 @@ class ShardWorld(QueryWorld):
     # ------------------------------------------------------------------
     def _responder(self, gid: int):
         # A peer inside the radio disc of an owned host is inside the
-        # halo band by construction; an unsynced mirror is an empty
-        # cache (nothing exported yet), which answers nothing — the
+        # halo band by construction; an absent owned host and an
+        # unsynced mirror are empty caches, which answer nothing — the
         # same as a real host that has cached nothing.
         return self.hosts.get(gid) or self.mirrors.get(gid)
 
     def _owned(self, gid: int) -> MobileHost | None:
-        return self.hosts.get(gid)
+        """The owned host ``gid``, built on first need; ``None`` if foreign."""
+        host = self.hosts.get(gid)
+        if host is None and gid in self._owned_ids:
+            host = self.hosts[gid] = self._make_host(gid)
+            self._reported[gid] = 0
+        return host
 
     def _owned_hosts(self):
         return self.hosts.values()
@@ -194,7 +215,7 @@ class ShardWorld(QueryWorld):
         next event (lockstep mode) or at the next cycle boundary.
         """
         gid = event.host_id
-        host = self.hosts.get(gid)
+        host = self._owned(gid)
         if host is None:
             raise ExperimentError(
                 f"event for host {gid} routed to shard"
@@ -235,7 +256,7 @@ class ShardWorld(QueryWorld):
         """Replay overhear ops onto owned hosts, in global event order."""
         touched: list[int] = []
         for op in ops:
-            host = self.hosts.get(op.target)
+            host = self._owned(op.target)
             if host is None:
                 raise ExperimentError(
                     f"overhear op for host {op.target} routed to shard"
@@ -248,7 +269,13 @@ class ShardWorld(QueryWorld):
         return self._stamp_dirty(touched)
 
     def owned_count(self) -> int:
-        return len(self.hosts)
+        return len(self._owned_ids)
+
+    def share_states(self) -> dict[int, tuple[int, tuple, tuple]]:
+        """Every owned host's fingerprint; an absent one is ``(0, (), ())``."""
+        built = super().share_states()
+        empty = (0, (), ())
+        return {gid: built.get(gid, empty) for gid in self.soa.owned_ids.tolist()}
 
 
 def shard_worker_main(conn, config: dict) -> None:

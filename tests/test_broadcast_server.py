@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BroadcastError
-from repro.geometry import Point, Rect, hilbert_xy_to_d
+from repro.geometry import HilbertGrid, Point, Rect, hilbert_xy_to_d
 from repro.broadcast import BroadcastServer, DataBucket, IndexSegment, IndexEntry
 from repro.model import POI
 
@@ -97,3 +99,107 @@ class TestPacketStructures:
         entries = tuple(IndexEntry(i, 0, 1) for i in range(1000))
         seg = IndexSegment(entries=entries, entries_per_packet=16)
         assert 1 <= seg.tree_probe_packets < seg.packet_count
+
+
+# ----------------------------------------------------------------------
+# The array-built data file vs the per-POI construction it replaced
+# ----------------------------------------------------------------------
+def reference_file(pois, bounds, order, capacity):
+    """The scalar construction: one curve encode and one cell rectangle
+    per POI, a Python sort, and each bucket's MBR over its cells."""
+    grid = HilbertGrid(order, bounds)
+    decorated = sorted(
+        (grid.value_of_point(p.location), p.poi_id, p) for p in pois
+    )
+    buckets = []
+    for start in range(0, len(decorated), capacity):
+        chunk = decorated[start : start + capacity]
+        extent = Rect.bounding([grid.rect_of_value(h) for h, _, _ in chunk])
+        buckets.append((
+            chunk[0][0],
+            chunk[-1][0],
+            tuple(p.poi_id for _, _, p in chunk),
+            extent.as_tuple(),
+        ))
+    return [h for h, _, _ in decorated], buckets
+
+
+@st.composite
+def databases(draw):
+    """Bounds, a POI field with edge and cell-sharing POIs, an order."""
+    x1 = draw(st.floats(-50.0, 50.0))
+    y1 = draw(st.floats(-50.0, 50.0))
+    bounds = Rect(
+        x1, y1, x1 + draw(st.floats(0.5, 40.0)), y1 + draw(st.floats(0.5, 40.0))
+    )
+    fraction = st.floats(0.0, 1.0)
+    points: list[tuple[float, float]] = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["inside", "edge", "shared"]))
+        if kind == "shared" and points:
+            # Same cell as an earlier POI: its point, or a hair beside it.
+            x, y = draw(st.sampled_from(points))
+            nudge = draw(st.sampled_from([0.0, 1e-9]))
+            x = min(bounds.x2, x + nudge)
+        elif kind == "edge":
+            # On the bounds: a corner or a point of one side.
+            x = draw(st.sampled_from([bounds.x1, bounds.x2]))
+            y = bounds.y1 + draw(fraction) * bounds.height
+            if draw(st.booleans()):
+                x, y = bounds.x1 + draw(fraction) * bounds.width, draw(
+                    st.sampled_from([bounds.y1, bounds.y2])
+                )
+        else:
+            x = bounds.x1 + draw(fraction) * bounds.width
+            y = bounds.y1 + draw(fraction) * bounds.height
+        points.append((x, y))
+    pois = [POI(i, Point(x, y)) for i, (x, y) in enumerate(points)]
+    ids = draw(st.permutations(range(len(pois))))
+    pois = [POI(i, poi.location) for i, poi in zip(ids, pois)]
+    return bounds, pois, draw(st.integers(1, 6))
+
+
+class TestArrayBuiltFile:
+    @settings(max_examples=150, deadline=None)
+    @given(databases(), st.sampled_from([1, 8, None]))
+    def test_matches_the_scalar_construction(self, database, capacity):
+        bounds, pois, order = database
+        capacity = capacity or len(pois)  # None: one bucket of all N
+        server = BroadcastServer(
+            pois, bounds, hilbert_order=order, bucket_capacity=capacity
+        )
+        hvalues, buckets = reference_file(pois, bounds, order, capacity)
+        assert server._sorted_hvalues == hvalues
+        assert all(type(h) is int for h in server._sorted_hvalues)
+        assert [
+            (b.h_min, b.h_max, tuple(p.poi_id for p in b.pois), b.extent.as_tuple())
+            for b in server.buckets
+        ] == buckets
+        assert [b.bucket_id for b in server.buckets] == list(range(len(buckets)))
+        runs = {}
+        for position, h in enumerate(hvalues):
+            runs.setdefault(h, [position // capacity, 0])[1] += 1
+        assert [
+            (e.h_value, e.bucket_id, e.poi_count) for e in server.index.entries
+        ] == [(h, bucket, count) for h, (bucket, count) in runs.items()]
+
+    def test_shared_cells_and_edges_are_exercised(self):
+        # The strategy's two special cases, pinned once by hand: POIs on
+        # every corner land in the grid's corner cells, and two POIs in
+        # one cell share an index entry.
+        bounds = Rect(0.0, 0.0, 4.0, 4.0)
+        pois = [
+            POI(3, Point(4.0, 4.0)), POI(1, Point(0.0, 0.0)),
+            POI(2, Point(0.0, 4.0)), POI(0, Point(4.0, 0.0)),
+            POI(5, Point(1.2, 1.2)), POI(4, Point(1.3, 1.1)),
+        ]
+        for capacity in (1, 8, len(pois)):
+            server = BroadcastServer(
+                pois, bounds, hilbert_order=2, bucket_capacity=capacity
+            )
+            assert (server._sorted_hvalues, [
+                (b.h_min, b.h_max, tuple(p.poi_id for p in b.pois), b.extent.as_tuple())
+                for b in server.buckets
+            ]) == reference_file(pois, bounds, 2, capacity)
+        shared = [e for e in server.index.entries if e.poi_count == 2]
+        assert len(shared) == 1

@@ -176,7 +176,9 @@ def _failing_policy_factory():
     "broken",
     [
         {"pois": []},  # ShardWorld construction raises (nothing to broadcast)
-        {"policy_factory": _failing_policy_factory},  # first epoch raises
+        # Hosts are built on first need, so the worker probes the
+        # factory while it is constructed (the id predates that).
+        {"policy_factory": _failing_policy_factory},
     ],
     ids=["construction", "first-epoch"],
 )

@@ -89,6 +89,9 @@ lint:
 	@echo ">> a shard builds a host on first need, the broadcast file is built from arrays"
 	@! grep -n '[_]make_host(gid) for' src/repro/shard/worker.py
 	@! grep -n 'value[_]of_point(\|rect[_]of_value(' src/repro/broadcast/server.py
+	@echo ">> one position snapshot and one query pipeline: no shard fleet class, no id-to-row dict, one outcome type, no tests-only opcode"
+	@! grep -rIn 'ShardFleet[S]oA\|shard[f]leet\|[_]id_to_local\|Relayed[O]utcome\|OP_OWNED[_]COUNT' src
+	@test "$$(grep -rI 'def host[_]position' src/repro | wc -l)" -eq 1
 
 test:
 	@echo ">> tier-1 tests"

@@ -744,7 +744,7 @@ class POICache:
         capacity: int,
         max_regions: int,
         generation: int,
-        regions_coalesced: bool,
+        settled: bool,
         items: Sequence[CacheItem],
         regions: Sequence[VerifiedRegion],
     ) -> "POICache":
@@ -763,7 +763,7 @@ class POICache:
         cache._regions = list(regions)
         cache._fill_slots(items)
         cache.generation = generation
-        cache._moved = SETTLED if regions_coalesced else ALL_MOVED
+        cache._moved = SETTLED if settled else ALL_MOVED
         return cache
 
     # ------------------------------------------------------------------

@@ -276,7 +276,7 @@ def write_host(w: Writer, host: MobileHost) -> None:
         capacity,
         max_regions,
         generation,
-        regions_coalesced,
+        settled,
         items,
         regions,
     ) = cache.codec_state()
@@ -294,7 +294,7 @@ def write_host(w: Writer, host: MobileHost) -> None:
     w.i64(capacity)
     w.i64(max_regions)
     w.i64(generation)
-    w.u8(1 if regions_coalesced else 0)
+    w.u8(1 if settled else 0)
     write_pois(w, [item.poi for item in items])
     w.f64_array([item.inserted_at for item in items])
     w.f64_array([item.last_used for item in items])
@@ -314,7 +314,7 @@ def read_host(r: Reader) -> MobileHost:
     capacity = r.i64()
     max_regions = r.i64()
     generation = r.i64()
-    regions_coalesced = bool(r.u8())
+    settled = bool(r.u8())
     pois = read_pois(r)
     inserted_at = r.f64_array().tolist()
     last_used = r.f64_array().tolist()
@@ -340,7 +340,7 @@ def read_host(r: Reader) -> MobileHost:
         capacity,
         max_regions,
         generation,
-        regions_coalesced,
+        settled,
         items,
         regions,
     )

@@ -114,10 +114,6 @@ class Simulation(QueryWorld):
             self.network.attach_registry(registry)
         self.hosts = [self._make_host(i) for i in range(params.mh_number)]
         self.env = Clock()
-        self._xs: np.ndarray | None = None
-        self._ys: np.ndarray | None = None
-        self._hx: np.ndarray | None = None
-        self._hy: np.ndarray | None = None
         self._last_refresh = -math.inf
         self._refresh_positions(0.0)
         self._tenure()
@@ -127,23 +123,12 @@ class Simulation(QueryWorld):
     # ------------------------------------------------------------------
     def _refresh_positions(self, t: float) -> None:
         self.fleet.advance_to(t)
-        self._xs, self._ys = self.fleet.positions()
-        self._hx, self._hy = self.fleet.headings()
-        self.network.update_positions(self._xs, self._ys)
+        self._install_snapshot(*self.fleet.positions(), *self.fleet.headings())
         self._last_refresh = t
 
     def _maybe_refresh(self, t: float) -> None:
         if refresh_due(t, self._last_refresh, POSITION_REFRESH_INTERVAL):
             self._refresh_positions(t)
-
-    def host_position(self, host_id: int) -> Point:
-        """Position of a host in the current snapshot."""
-        if not (0 <= host_id < self.params.mh_number):
-            raise ExperimentError(f"unknown host {host_id}")
-        return Point(float(self._xs[host_id]), float(self._ys[host_id]))
-
-    def host_heading(self, host_id: int) -> tuple[float, float]:
-        return (float(self._hx[host_id]), float(self._hy[host_id]))
 
     @property
     def poi_density(self) -> float:
@@ -157,9 +142,6 @@ class Simulation(QueryWorld):
     def _owned_hosts(self):
         return self.hosts
 
-    def _snapshot_rows(self, gids: np.ndarray):
-        return self._xs[gids], self._ys[gids], self._hx[gids], self._hy[gids]
-
     # ------------------------------------------------------------------
     # Query pipeline
     # ------------------------------------------------------------------
@@ -168,35 +150,23 @@ class Simulation(QueryWorld):
     ) -> tuple[list[ShareResponse], P2PFaultStats]:
         """One share exchange: the responses plus what faults did to it.
 
-        Traffic accounting: only peers that actually answer (non-empty
-        cache, message delivered, deadline met) count as responses —
-        peers merely in range are ``peers_heard`` and do not inflate
-        ``responses_received``.  Without faults nothing here draws
-        from an RNG.
+        Over an unreliable channel, with retry/backoff: per peer and
+        attempt, the request leg and the response leg can each be lost
+        (distance-dependent when configured), a churned peer never
+        answers at all, and a response sampled past the deadline is
+        discarded.  Unheard peers are retried — every retry round is
+        one more request on the air, one more round trip of latency,
+        and one backoff wait.  Only peers that actually answer count
+        as responses.  Without p2p faults this is the perfect-channel
+        exchange, which draws from no RNG.
         """
-        if not self.enable_sharing:
-            return [], P2PFaultStats()
+        if not (
+            self.enable_sharing
+            and self.faults is not None
+            and self.fault_config.p2p_enabled
+        ):
+            return super()._collect_responses(host_id, position, now)
         peer_ids = self._peer_ids(host_id, position)
-        if self.faults is None or not self.fault_config.p2p_enabled:
-            return self._gather(host_id, peer_ids), P2PFaultStats()
-        return self._collect_responses_faulty(host_id, position, now, peer_ids)
-
-    def _collect_responses_faulty(
-        self,
-        host_id: int,
-        position: Point,
-        now: float,
-        peer_ids: np.ndarray,
-    ) -> tuple[list[ShareResponse], P2PFaultStats]:
-        """The unreliable-channel share exchange with retry/backoff.
-
-        Per peer and attempt: the request leg and the response leg can
-        each be lost (distance-dependent when configured), a churned
-        peer never answers at all, and a response sampled past the
-        deadline is discarded.  Unheard peers are retried — every retry
-        round is one more request on the air, one more round trip of
-        latency, and one backoff wait.
-        """
         channel = self.faults
         cfg = self.fault_config
         request = ShareRequest(requester_id=host_id, issued_at=now)
@@ -222,10 +192,8 @@ class Simulation(QueryWorld):
                 )
             still_pending: list[int] = []
             for pid in pending:
-                distance = math.hypot(
-                    float(self._xs[pid]) - position.x,
-                    float(self._ys[pid]) - position.y,
-                )
+                peer = self.host_position(pid)
+                distance = math.hypot(peer.x - position.x, peer.y - position.y)
                 # Request and response legs fail independently; a lost
                 # request means the peer never transmits a reply.
                 if channel.link_lost(distance) or channel.link_lost(distance):
@@ -256,79 +224,10 @@ class Simulation(QueryWorld):
         )
 
     def execute_query(self, event: QueryEvent) -> HostQueryResult:
-        """Run one query event through the full pipeline.
-
-        Under tracing every query becomes one span tree rooted at
-        ``query``: the share exchange (``p2p.collect``), the core
-        decision (``core.nnv``/``core.annotate`` or ``core.sbwq``),
-        any broadcast fall-back (``broadcast.index_scan`` /
-        ``broadcast.data_scan`` / ``broadcast.recovery``), and the
-        cache updates (``cache.insert``).
-        """
+        """Run one query event through the full pipeline
+        (:meth:`~repro.experiments.world.QueryWorld._execute`)."""
         self._maybe_refresh(event.time)
-        host = self.hosts[event.host_id]
-        position = self.host_position(event.host_id)
-        heading = self.host_heading(event.host_id)
-        tracer = self.tracer
-        with tracer.span("query") as query_span:
-            with tracer.span("p2p.collect") as p2p_span:
-                responses, fault_stats = self._collect_responses(
-                    event.host_id, position, event.time
-                )
-                if p2p_span.enabled:
-                    peers_responded = sum(
-                        1 for r in responses if r.peer_id != event.host_id
-                    )
-                    # The same share-exchange latency the host charges
-                    # to the record: one round trip when any peer
-                    # answered, plus whatever faults added.
-                    sim_s = (
-                        P2P_LATENCY * self.p2p_hops
-                        if peers_responded
-                        else 0.0
-                    ) + fault_stats.extra_latency
-                    p2p_span.set(
-                        peers_responded=peers_responded,
-                        drops=fault_stats.drops,
-                        retries=fault_stats.retries,
-                        deadline_misses=fault_stats.deadline_misses,
-                        sim_s=sim_s,
-                    )
-            result = self._run_query(
-                host,
-                event,
-                position,
-                heading,
-                responses,
-                fault_stats,
-                tracer if tracer.enabled else None,
-            )
-            self._spread_overheard(
-                event.host_id, position, result.shared, event.time
-            )
-            if query_span.enabled:
-                record = result.record
-                query_span.set(
-                    time=record.time,
-                    host_id=record.host_id,
-                    kind=record.kind.value,
-                    resolution=record.resolution.value,
-                    access_latency=record.access_latency,
-                    tuning_packets=record.tuning_packets,
-                    peer_count=record.peer_count,
-                    result_size=record.result_size,
-                )
-                if record.kind is QueryKind.KNN:
-                    query_span.set(k=record.k)
-                else:
-                    query_span.set(
-                        window_area=record.window_area,
-                        covered_fraction_missing=(
-                            record.covered_fraction_missing
-                        ),
-                    )
-        self._check(result.record)
-        return result
+        return self._execute(event)[0]
 
     # ------------------------------------------------------------------
     # Workload runs

@@ -5,16 +5,17 @@ SBNN / SBWQ through the host, settle the cache, let the neighbourhood
 overhear — is the same in the single-process :class:`~repro.
 experiments.simulator.Simulation` and inside one spatial shard
 (:class:`~repro.shard.worker.ShardWorld`).  :class:`QueryWorld` holds
-that pipeline and the RNG-free settings it reads; a subclass says only
-where its hosts and its position snapshot live:
+that pipeline (:meth:`QueryWorld._execute`), the RNG-free settings it
+reads and the refresh-epoch position snapshot — rows ascending by
+global host id, the whole fleet or one shard's owned + halo hosts,
+installed by :meth:`QueryWorld._install_snapshot`.  A subclass says
+only where its hosts live:
 
 * ``_responder(gid)`` — whatever answers share requests for ``gid``
   (a host, a halo mirror, or ``None`` for a peer with nothing synced);
 * ``_owned(gid)`` — the :class:`MobileHost` if this world may mutate
   its cache, else ``None``;
-* ``_owned_hosts()`` — every such host;
-* ``_snapshot_rows(gids)`` — ``(xs, ys, hxs, hys)`` arrays for an id
-  array, read from the current refresh-epoch snapshot.
+* ``_owned_hosts()`` — every such host.
 
 Everything random is drawn by :func:`draw_world`, in one fixed order,
 so the single-process run and the sharded coordinator consume the
@@ -115,6 +116,8 @@ class QueryWorld:
         # bounded by the POI capacity itself, not by a separate knob.
         self.region_cap = max(4, params.cache_size)
         self.network = PeerNetwork(params.bounds, params.tx_range_mi)
+        # The refresh-epoch snapshot: row ``i`` is host ``network.ids[i]``.
+        self._xs = self._ys = self._hx = self._hy = np.empty(0)
         # The world's one span sink (repro.obs); a traced Simulation
         # replaces it, and every layer below is handed it per call.
         self.tracer = NO_TRACER
@@ -145,6 +148,40 @@ class QueryWorld:
         gc.collect()
         gc.freeze()
         gc.set_threshold(50_000, 50, 50)
+
+    # ------------------------------------------------------------------
+    # The refresh-epoch snapshot
+    # ------------------------------------------------------------------
+    def _install_snapshot(self, xs, ys, hx, hy, ids=None) -> None:
+        """Install one epoch's positions and headings, rows ``ids``.
+
+        ``ids`` are strictly ascending global host ids (omitted: row
+        ``i`` is host ``i``); the peer network gets the same rows and
+        validates them.
+        """
+        self.network.update_positions(xs, ys, ids)
+        self._xs, self._ys, self._hx, self._hy = xs, ys, hx, hy
+
+    def _row(self, gid: int) -> int:
+        ids = self.network.ids
+        row = int(ids.searchsorted(gid))
+        if row == ids.size or ids[row] != gid:
+            raise ExperimentError(f"unknown host {gid}")
+        return row
+
+    def host_position(self, gid: int) -> Point:
+        """Position of a host in the current snapshot."""
+        row = self._row(gid)
+        return Point(float(self._xs[row]), float(self._ys[row]))
+
+    def host_heading(self, gid: int) -> tuple[float, float]:
+        row = self._row(gid)
+        return (float(self._hx[row]), float(self._hy[row]))
+
+    def _snapshot_rows(self, gids: np.ndarray):
+        """``(xs, ys, hxs, hys)`` of the snapshot rows of ``gids``."""
+        rows = self.network.ids.searchsorted(gids)
+        return self._xs[rows], self._ys[rows], self._hx[rows], self._hy[rows]
 
     # ------------------------------------------------------------------
     # Query pipeline
@@ -178,6 +215,17 @@ class QueryWorld:
                 received += 1
         self.network.record_responses(received)
         return responses
+
+    def _collect_responses(
+        self, host_id: int, position: Point, now: float
+    ) -> tuple[list[ShareResponse], P2PFaultStats]:
+        """The share exchange step: the responses plus what faults did
+        to it (nothing, over this perfect channel)."""
+        del now
+        if not self.enable_sharing:
+            return [], P2PFaultStats()
+        peer_ids = self._peer_ids(host_id, position)
+        return self._gather(host_id, peer_ids), P2PFaultStats()
 
     def _run_query(
         self,
@@ -259,6 +307,86 @@ class QueryWorld:
             host.cache.insert_result(shared, now, Point(x, y), (hx, hy), tracer)
             adopted.append(pid)
         return adopted, foreign
+
+    def _execute(self, event: QueryEvent):
+        """Run one query event: ``(result, adopted, foreign)``.
+
+        ``adopted`` / ``foreign`` are :meth:`_spread_overheard`'s.
+        Under tracing every query becomes one span tree rooted at
+        ``query``: the share exchange (``p2p.collect``), the core
+        decision (``core.nnv``/``core.annotate`` or ``core.sbwq``),
+        any broadcast fall-back (``broadcast.index_scan`` /
+        ``broadcast.data_scan`` / ``broadcast.recovery``), and the
+        cache updates (``cache.insert``).
+        """
+        gid = event.host_id
+        host = self._owned(gid)
+        if host is None:
+            raise ExperimentError(
+                f"event for host {gid} routed to a world that does not own it"
+            )
+        position = self.host_position(gid)
+        heading = self.host_heading(gid)
+        tracer = self.tracer
+        with tracer.span("query") as query_span:
+            with tracer.span("p2p.collect") as p2p_span:
+                responses, fault_stats = self._collect_responses(
+                    gid, position, event.time
+                )
+                if p2p_span.enabled:
+                    peers_responded = sum(
+                        1 for r in responses if r.peer_id != gid
+                    )
+                    # The same share-exchange latency the host charges
+                    # to the record: one round trip when any peer
+                    # answered, plus whatever faults added.
+                    sim_s = (
+                        P2P_LATENCY * self.p2p_hops
+                        if peers_responded
+                        else 0.0
+                    ) + fault_stats.extra_latency
+                    p2p_span.set(
+                        peers_responded=peers_responded,
+                        drops=fault_stats.drops,
+                        retries=fault_stats.retries,
+                        deadline_misses=fault_stats.deadline_misses,
+                        sim_s=sim_s,
+                    )
+            result = self._run_query(
+                host,
+                event,
+                position,
+                heading,
+                responses,
+                fault_stats,
+                tracer if tracer.enabled else None,
+            )
+            adopted, foreign = self._spread_overheard(
+                gid, position, result.shared, event.time
+            )
+            if query_span.enabled:
+                record = result.record
+                query_span.set(
+                    time=record.time,
+                    host_id=record.host_id,
+                    kind=record.kind.value,
+                    resolution=record.resolution.value,
+                    access_latency=record.access_latency,
+                    tuning_packets=record.tuning_packets,
+                    peer_count=record.peer_count,
+                    result_size=record.result_size,
+                )
+                if record.kind is QueryKind.KNN:
+                    query_span.set(k=record.k)
+                else:
+                    query_span.set(
+                        window_area=record.window_area,
+                        covered_fraction_missing=(
+                            record.covered_fraction_missing
+                        ),
+                    )
+        self._check(result.record)
+        return result, adopted, foreign
 
     def _check(self, record: QueryRecord) -> None:
         if invariants.check_enabled():

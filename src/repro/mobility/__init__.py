@@ -3,11 +3,9 @@ road-network-constrained trajectories."""
 
 from .fleet import WaypointFleet
 from .roadnet import GridRoadNetwork, RoadTrajectory
-from .shardfleet import ShardFleetSoA
 
 __all__ = [
     "GridRoadNetwork",
     "RoadTrajectory",
-    "ShardFleetSoA",
     "WaypointFleet",
 ]

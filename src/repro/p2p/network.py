@@ -39,18 +39,14 @@ class PeerNetwork:
         # the observability registry is the single sink for traffic
         # accounting too.  None (the default) costs one comparison.
         self._counters = None
-        # Identity mapping for shard-local populations: ``None`` means
-        # positional (row i of the arrays IS host i, the single-process
-        # case); otherwise ``_ids[i]`` is the global id of local row i
-        # and every public method speaks global ids.  The rows must
-        # arrive sorted by ascending global id — combined with
-        # identical world ``bounds``/``cell_size`` this makes the
-        # shard-local grid's neighbour *order* (cell-scan order,
-        # ascending id within a cell) match the full-population grid
-        # restricted to the local subset, which the sharded simulator's
+        # Row ``i`` of the snapshot is host ``ids[i]``: the whole fleet
+        # (``arange``) single-process, a shard's owned + halo hosts in a
+        # shard.  Ascending ids plus identical world ``bounds`` /
+        # ``cell_size`` make a subset's neighbour *order* (cell-scan
+        # order, ascending id within a cell) match the full-population
+        # grid restricted to the subset, which the sharded simulator's
         # determinism contract depends on.
-        self._ids: np.ndarray | None = None
-        self._id_to_local: dict[int, int] | None = None
+        self.ids = np.empty(0, dtype=np.int64)
 
     def attach_registry(self, registry) -> None:
         """Mirror the traffic counters into a repro.obs registry."""
@@ -68,24 +64,18 @@ class PeerNetwork:
     ) -> None:
         """Refresh the connectivity snapshot from the mobility fleet.
 
-        ``ids`` switches the network into shard-local mode: the rows of
-        ``xs``/``ys`` describe an arbitrary subset of the fleet (owned
-        plus halo hosts) and ``ids[i]`` names row ``i``'s global host
-        id.  Ids must be strictly ascending (see ``__init__``).
+        ``ids[i]`` names row ``i``'s global host id (strictly
+        ascending, see ``__init__``); omitted, row ``i`` is host ``i``.
         """
         if ids is None:
-            self._ids = None
-            self._id_to_local = None
+            ids = np.arange(xs.shape[0], dtype=np.int64)
         else:
             ids = np.asarray(ids, dtype=np.int64)
-            if ids.shape != xs.shape:
+            if ids.shape != xs.shape or ids.shape != ys.shape:
                 raise ProtocolError("ids must parallel the position arrays")
-            if ids.size > 1 and not bool(np.all(np.diff(ids) > 0)):
-                raise ProtocolError("local host ids must be strictly ascending")
-            self._ids = ids
-            self._id_to_local = {
-                int(gid): local for local, gid in enumerate(ids.tolist())
-            }
+            if ids.size > 1 and not bool(np.all(ids[1:] > ids[:-1])):
+                raise ProtocolError("host ids must be strictly ascending")
+        self.ids = ids
         self._grid.rebuild(xs, ys)
 
     def peers_of(
@@ -99,9 +89,7 @@ class PeerNetwork:
         """
         if self._grid.size == 0:
             raise ProtocolError("network queried before update_positions()")
-        neighbours = self._grid.query_disc(position, self.tx_range)
-        if self._ids is not None:
-            neighbours = self._ids[neighbours]
+        neighbours = self.ids[self._grid.query_disc(position, self.tx_range)]
         neighbours = neighbours[neighbours != host_id]
         if count_traffic:
             self.requests_sent += 1
@@ -158,17 +146,14 @@ class PeerNetwork:
         if hops == 1:
             return first
         xs, ys = self._grid.positions()
-        # The BFS runs in *local row* space (identical to global ids in
-        # the positional, single-process case) and maps back at the
-        # end; frontier order — hence the relay traffic-charging order
-        # — follows discovery order either way.
-        if self._ids is None:
-            origin = host_id
-            frontier = [int(i) for i in first]
-        else:
-            id_to_local = self._id_to_local
-            origin = id_to_local.get(host_id, -1)
-            frontier = [id_to_local[int(g)] for g in first]
+        # The BFS runs in row space and maps back to ids at the end;
+        # frontier order — hence the relay traffic-charging order —
+        # follows discovery order.
+        ids = self.ids
+        origin = int(ids.searchsorted(host_id))
+        if origin == ids.size or ids[origin] != host_id:
+            origin = -1
+        frontier = ids.searchsorted(first).tolist()
         visited: set[int] = {origin, *frontier}
         for _ in range(hops - 1):
             next_frontier: list[int] = []
@@ -191,8 +176,4 @@ class PeerNetwork:
                 break
             frontier = next_frontier
         visited.discard(origin)
-        if self._ids is None:
-            return np.array(sorted(visited), dtype=np.int64)
-        return np.array(
-            sorted(int(self._ids[node]) for node in visited), dtype=np.int64
-        )
+        return ids[np.array(sorted(visited), dtype=np.int64)]

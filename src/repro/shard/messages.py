@@ -24,9 +24,9 @@ class OverhearOp:
 
     ``event_index`` orders ops globally (the single-process simulator
     applies overhear inserts at event time); ``position`` / ``heading``
-    are the *target's* snapshot state, read from the origin shard's SoA
-    — bit-identical to the owner's, both being slices of the same
-    coordinator refresh.
+    are the *target's* snapshot state, read from the origin shard's
+    epoch snapshot — bit-identical to the owner's, both being slices of
+    the same coordinator refresh.
     """
 
     event_index: int
@@ -39,7 +39,12 @@ class OverhearOp:
 
 @dataclass(frozen=True, slots=True)
 class EventOutcome:
-    """What one executed event sends back to the coordinator."""
+    """What one executed event sends back to the coordinator.
+
+    Read back from a process worker, ``remote_ops`` are
+    :class:`~repro.shard.rpc.EncodedOverhearOp` handles: the
+    coordinator routes them without decoding.
+    """
 
     event_index: int
     record: QueryRecord

@@ -20,14 +20,14 @@ shard, decoded once by each consumer shard — instead of being pickled
 up and re-pickled down.
 
 Every worker method has an opcode — the introspection calls
-(``traffic_totals``, ``owned_count``, ``share_states``) included — so
+(``traffic_totals``, ``share_states``) included — so
 nothing on the pipe is ever unpickled and the worker never resolves a
 method name read off the wire.
 
-This module deliberately imports only :mod:`repro.codec.core` — the
-type registry loads lazily inside ``encode``/``decode`` — so the shard
-package and the codec package can depend on each other's leaves
-without a cycle.
+This module deliberately imports only :mod:`repro.codec.core` and the
+leaf :mod:`repro.shard.messages` — the type registry loads lazily
+inside ``encode``/``decode`` — so the shard package and the codec
+package can depend on each other's leaves without a cycle.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from itertools import islice
 
 from ..codec.core import Reader, Writer, decode, encode
 from ..errors import ExperimentError
+from .messages import EventOutcome
 
 OP_SHUTDOWN = 0
 OP_BEGIN_EPOCH = 2
@@ -46,7 +47,6 @@ OP_EXPORT_PAYLOADS = 6
 OP_EXECUTE_BATCH = 7
 OP_APPLY_OPS = 8
 OP_TRAFFIC_TOTALS = 9
-OP_OWNED_COUNT = 10
 OP_SHARE_STATES = 11
 
 STATUS_OK = 0
@@ -61,7 +61,6 @@ _OPCODES = {
     "execute_batch": OP_EXECUTE_BATCH,
     "apply_ops": OP_APPLY_OPS,
     "traffic_totals": OP_TRAFFIC_TOTALS,
-    "owned_count": OP_OWNED_COUNT,
     "share_states": OP_SHARE_STATES,
 }
 
@@ -97,18 +96,6 @@ class EncodedOverhearOp:
         self.event_index = event_index
         self.target = target
         self.blob = blob
-
-
-class RelayedOutcome:
-    """A worker outcome: decoded record, relayed (un-decoded) ops."""
-
-    __slots__ = ("event_index", "record", "remote_ops", "dirty")
-
-    def __init__(self, event_index, record, remote_ops, dirty):
-        self.event_index = event_index
-        self.record = record
-        self.remote_ops = remote_ops
-        self.dirty = dirty
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +191,6 @@ def decode_response(method: str, data: bytes):
         result = _read_dirty(r)
     elif opcode == OP_TRAFFIC_TOTALS:
         result = (r.i64(), r.i64(), r.i64())
-    elif opcode == OP_OWNED_COUNT:
-        result = r.i64()
     elif opcode == OP_SHARE_STATES:
         result = _read_share_states(r)
     else:  # begin_epoch / give_hosts / set_halo_payloads return nothing
@@ -232,7 +217,8 @@ def _read_share_states(r: Reader) -> dict[int, tuple[int, tuple, tuple]]:
     }
 
 
-def _read_outcome(r: Reader) -> RelayedOutcome:
+def _read_outcome(r: Reader) -> EventOutcome:
+    """A worker outcome: decoded record, relayed (un-decoded) ops."""
     event_index = r.i64()
     record = decode(r.bytes_())
     dirty = _read_dirty(r)
@@ -240,7 +226,7 @@ def _read_outcome(r: Reader) -> RelayedOutcome:
         EncodedOverhearOp(r.i64(), r.i64(), r.bytes_())
         for _ in range(r.u32())
     )
-    return RelayedOutcome(event_index, record, remote_ops, dirty)
+    return EventOutcome(event_index, record, remote_ops, dirty)
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +340,6 @@ def handle_request(world, data: bytes) -> bytes | None:
             r.expect_end()
             for total in world.traffic_totals():
                 w.i64(total)
-        elif opcode == OP_OWNED_COUNT:
-            r.expect_end()
-            w.i64(world.owned_count())
         elif opcode == OP_SHARE_STATES:
             r.expect_end()
             _write_share_states(w, world.share_states())

@@ -19,7 +19,8 @@ Two halo-exchange cadences:
   replayed on their owner shards and dirty share payloads re-mirrored
   before the next event.  Bit-identical to the single-process
   simulator (records, traffic tallies, final cache states) — the
-  differential suite pins this.  Runs in-process.
+  differential suite pins this.  Runs in-process; an explicit
+  ``backend="process"`` is an :class:`~repro.errors.ExperimentError`.
 * ``exchange="cycle"`` — scalable: events are batched per position-
   refresh epoch and executed by all shards concurrently; cross-shard
   cache effects (overheard adoptions, halo payload refreshes) land at
@@ -282,8 +283,14 @@ class ShardedSimulation:
             # Lockstep exchange round-trips the coordinator after every
             # event; process workers would serialise the whole object
             # graph per event for no parallel gain.  Event mode exists
-            # for exactness (differential referee), so it stays
-            # in-process.
+            # for exactness (differential referee), so it runs
+            # in-process, and asking for process workers is an error.
+            if backend == "process":
+                raise ExperimentError(
+                    "exchange='event' runs in-process: lockstep has no"
+                    " process backend (use exchange='cycle', or"
+                    " backend='auto' / 'inprocess')"
+                )
             return "inprocess"
         if backend == "auto":
             return "process" if self.shards > 1 else "inprocess"
@@ -624,4 +631,4 @@ class ShardedSimulation:
 
     def owned_counts(self) -> list[int]:
         """Hosts per shard (diagnostics for balance checks)."""
-        return self._ask_all("owned_count")
+        return np.bincount(self._owner, minlength=self.grid.n).tolist()

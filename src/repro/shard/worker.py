@@ -11,9 +11,9 @@ the *same* pipeline object as the single-process simulator
 (:class:`~repro.experiments.world.QueryWorld`) — the only differences
 are mechanical:
 
-* peer discovery runs on a shard-local :class:`~repro.p2p.PeerNetwork`
-  in id-mapped mode over the owned + halo rows (identical world bounds
-  and cell size, rows sorted by global id, so neighbour sets AND their
+* the epoch snapshot, and so the :class:`~repro.p2p.PeerNetwork`,
+  holds only the owned + halo rows (identical world bounds and cell
+  size, rows sorted by global id, so neighbour sets AND their
   enumeration order match the full-fleet grid restricted to the local
   subset);
 * share responses of halo peers are the owner's exported
@@ -40,7 +40,6 @@ import numpy as np
 from ..errors import ExperimentError
 from ..geometry import Point
 from ..p2p import ShareResponse
-from ..mobility import ShardFleetSoA
 from ..workloads import QueryEvent
 from ..experiments.host import HaloHost, MobileHost
 from ..experiments.world import QueryWorld
@@ -63,7 +62,6 @@ class ShardWorld(QueryWorld):
         # The owned hosts built so far; the owned ids are the snapshot's.
         self.hosts: dict[int, MobileHost] = {}
         self.mirrors: dict[int, HaloHost] = {}
-        self.soa: ShardFleetSoA | None = None
         self._owned_ids: frozenset[int] = frozenset()
         # Cache generation last reported to the coordinator, per built
         # host: a touched host is dirty when its cache has moved past it.
@@ -119,8 +117,11 @@ class ShardWorld(QueryWorld):
         coordinator's check: only it knows which hosts must arrive.)
         """
         del t
-        soa = ShardFleetSoA(ids, xs, ys, hx, hy, owned_mask)
-        owned = frozenset(soa.owned_ids.tolist())
+        owned_mask = np.asarray(owned_mask, dtype=bool)
+        if not all(np.shape(a) == np.shape(ids) for a in (hx, hy, owned_mask)):
+            raise ExperimentError("epoch snapshot arrays must be parallel 1-D")
+        self._install_snapshot(xs, ys, hx, hy, ids)
+        owned = frozenset(self.network.ids[owned_mask].tolist())
         extra = self.hosts.keys() - owned
         if extra:
             raise ExperimentError(
@@ -128,12 +129,10 @@ class ShardWorld(QueryWorld):
                 f" (extra={sorted(extra)[:5]})"
             )
         self._owned_ids = owned
-        halo = set(soa.halo_ids.tolist())
+        halo = set(self.network.ids[~owned_mask].tolist())
         self.mirrors = {
             gid: mirror for gid, mirror in self.mirrors.items() if gid in halo
         }
-        self.soa = soa
-        self.network.update_positions(soa.xs, soa.ys, ids=soa.ids)
 
     def set_halo_payloads(self, payloads: Sequence[ShareResponse]) -> None:
         """Install/refresh halo mirrors from owner-exported responses."""
@@ -187,12 +186,6 @@ class ShardWorld(QueryWorld):
     def _owned_hosts(self):
         return self.hosts.values()
 
-    def _snapshot_rows(self, gids: np.ndarray):
-        soa = self.soa
-        # Snapshot rows are sorted by ascending global id.
-        rows = np.searchsorted(soa.ids, gids)
-        return soa.xs[rows], soa.ys[rows], soa.hx[rows], soa.hy[rows]
-
     def _stamp_dirty(
         self, touched: Sequence[int]
     ) -> tuple[tuple[int, int], ...]:
@@ -214,26 +207,8 @@ class ShardWorld(QueryWorld):
         :class:`OverhearOp` each, replayed by their owner before the
         next event (lockstep mode) or at the next cycle boundary.
         """
-        gid = event.host_id
-        host = self._owned(gid)
-        if host is None:
-            raise ExperimentError(
-                f"event for host {gid} routed to shard"
-                f" {self.shard_id}, which does not own it"
-            )
-        position = self.soa.position_of(gid)
-        responses = (
-            self._gather(gid, self._peer_ids(gid, position))
-            if self.enable_sharing
-            else []
-        )
-        result = self._run_query(
-            host, event, position, self.soa.heading_of(gid), responses
-        )
-        shared = result.shared
-        now = event.time
-        adopted, foreign = self._spread_overheard(gid, position, shared, now)
-        self._check(result.record)
+        result, adopted, foreign = self._execute(event)
+        shared, now = result.shared, event.time
         return EventOutcome(
             event_index=event_index,
             record=result.record,
@@ -241,7 +216,7 @@ class ShardWorld(QueryWorld):
                 OverhearOp(event_index, pid, now, xy, heading, shared)
                 for pid, xy, heading in foreign
             ),
-            dirty=self._stamp_dirty([gid, *adopted]),
+            dirty=self._stamp_dirty([event.host_id, *adopted]),
         )
 
     def execute_batch(
@@ -268,14 +243,11 @@ class ShardWorld(QueryWorld):
             touched.append(op.target)
         return self._stamp_dirty(touched)
 
-    def owned_count(self) -> int:
-        return len(self._owned_ids)
-
     def share_states(self) -> dict[int, tuple[int, tuple, tuple]]:
         """Every owned host's fingerprint; an absent one is ``(0, (), ())``."""
         built = super().share_states()
         empty = (0, (), ())
-        return {gid: built.get(gid, empty) for gid in self.soa.owned_ids.tolist()}
+        return {gid: built.get(gid, empty) for gid in sorted(self._owned_ids)}
 
 
 def shard_worker_main(conn, config: dict) -> None:

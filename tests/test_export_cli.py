@@ -63,6 +63,15 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == "repro: error: max_workers must be >= 1, got 0\n"
 
+    def test_lockstep_process_backend_is_one_error_line(self, capsys):
+        argv = ["figure", "fig10", "--shards", "4", "--exchange", "event",
+                "--shard-backend", "process"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: exchange='event'")
+        assert captured.err.count("\n") == 1
+
     def test_query_command(self, capsys):
         code = main(
             [

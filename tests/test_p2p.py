@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.geometry import Point, Rect
@@ -97,3 +99,56 @@ class TestPeerNetwork:
             d = np.hypot(pts[:, 0] - center.x, pts[:, 1] - center.y)
             expected = set(np.nonzero(d <= 7.5)[0].tolist()) - {host}
             assert got == expected
+
+
+class TestSnapshotIds:
+    """Row ``i`` of a network's snapshot is host ``ids[i]``."""
+
+    def test_unsorted_ids_rejected(self):
+        net = PeerNetwork(BOUNDS, 5.0)
+        xs = np.zeros(3)
+        for ids in ([5, 2, 9], [1, 1, 2]):
+            with pytest.raises(ProtocolError, match="ascending"):
+                net.update_positions(xs, xs, ids=np.array(ids))
+
+    def test_ids_not_parallel_to_positions_rejected(self):
+        net = PeerNetwork(BOUNDS, 5.0)
+        xs = np.zeros(3)
+        for ids in ([1, 2], [1, 2, 3, 4], [[1, 2, 3]]):
+            with pytest.raises(ProtocolError, match="parallel"):
+                net.update_positions(xs, xs, ids=np.array(ids))
+        with pytest.raises(ProtocolError, match="parallel"):
+            net.update_positions(xs, np.zeros(4), ids=np.arange(3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 120),
+        keep=st.floats(0.0, 1.0),
+        hops=st.sampled_from([1, 2]),
+    )
+    def test_subset_answers_are_the_full_answers_restricted(
+        self, seed, n, keep, hops
+    ):
+        # A shard's network holds an ascending-id subset: every host
+        # within hops * tx of the querier (its halo) plus any others.
+        # Its neighbours are then the full network's restricted to the
+        # subset, in the same order.
+        tx = 9.0
+        rng = np.random.default_rng(seed)
+        xs, ys = rng.uniform(0, 100, (2, n))
+        querier = int(rng.integers(n))
+        origin = Point(xs[querier], ys[querier])
+        near = np.hypot(xs - origin.x, ys - origin.y) <= hops * tx
+        subset = np.nonzero(near | (rng.random(n) < keep))[0]
+        full = PeerNetwork(BOUNDS, tx)
+        full.update_positions(xs, ys)
+        sub = PeerNetwork(BOUNDS, tx)
+        sub.update_positions(xs[subset], ys[subset], ids=subset)
+        kept = set(subset.tolist())
+        reference = [
+            gid
+            for gid in full.peers_within_hops(querier, origin, hops).tolist()
+            if gid in kept
+        ]
+        assert sub.peers_within_hops(querier, origin, hops).tolist() == reference

@@ -43,6 +43,10 @@ def worlds(sim):
     return [worker.world for worker in sim._workers]
 
 
+def halo_ids(world):
+    return [gid for gid in world.network.ids.tolist() if gid not in world._owned_ids]
+
+
 def test_a_fresh_world_builds_no_host():
     with inprocess_sim() as sim:
         assert all(world.hosts == {} for world in worlds(sim))
@@ -53,7 +57,7 @@ def test_never_touched_hosts_are_listed_empty_and_stay_unbuilt():
     with inprocess_sim() as sim:
         sim.run_workload(QueryKind.KNN, 0, 40)
         for world in worlds(sim):
-            owned = world.soa.owned_ids.tolist()
+            owned = sorted(world._owned_ids)
             built = dict(world.hosts)
             states = world.share_states()
             assert list(states) == owned
@@ -74,7 +78,7 @@ def test_owned_count_export_and_responder_answer_for_absent_hosts():
         counts = sim.owned_counts()
         assert sum(counts) == params.mh_number
         for world, count in zip(worlds(sim), counts):
-            owned = world.soa.owned_ids.tolist()
+            owned = sorted(world._owned_ids)
             assert count == len(owned)
             gid = owned[0]
             assert world._responder(gid) is None
@@ -82,7 +86,7 @@ def test_owned_count_export_and_responder_answer_for_absent_hosts():
             assert (response.peer_id, response.generation) == (gid, 0)
             assert (response.regions, response.pois) == ((), ())
             assert isinstance(response, ShareResponse)
-            foreign = world.soa.halo_ids.tolist()[0]
+            foreign = halo_ids(world)[0]
             with pytest.raises(ExperimentError, match="foreign host"):
                 world.export_payloads([foreign])
             assert world.hosts == {}
@@ -91,7 +95,7 @@ def test_owned_count_export_and_responder_answer_for_absent_hosts():
 def test_a_generation_zero_host_migrates_as_nothing():
     with inprocess_sim() as sim:
         world = worlds(sim)[0]
-        owned = world.soa.owned_ids.tolist()
+        owned = sorted(world._owned_ids)
         built, untouched = owned[0], owned[1]
         host = world._owned(built)
         assert host.cache.generation == 0
@@ -99,7 +103,7 @@ def test_a_generation_zero_host_migrates_as_nothing():
         assert world.take_hosts([built, untouched]) == []
         assert world.hosts == {} and world._reported == {}
         with pytest.raises(ExperimentError, match="unowned host"):
-            world.take_hosts([world.soa.halo_ids.tolist()[0]])
+            world.take_hosts([halo_ids(world)[0]])
 
 
 def test_only_hosts_with_cached_state_migrate(monkeypatch):

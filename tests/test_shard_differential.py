@@ -302,6 +302,48 @@ def test_custom_policy_needs_an_inprocess_backend():
 
 
 def test_one_pipeline_under_both_worlds():
-    # Structural guard: the query pipeline cannot quietly fork again.
-    for name in ("_peer_ids", "_gather", "_run_query", "_spread_overheard"):
+    # Structural guard: the query pipeline and the snapshot reads
+    # cannot quietly fork again.
+    for name in (
+        "_peer_ids", "_gather", "_run_query", "_spread_overheard",
+        "_execute", "host_position", "host_heading", "_snapshot_rows",
+    ):
         assert getattr(Simulation, name) is getattr(ShardWorld, name), name
+
+
+def test_lockstep_shard_snapshots_are_slices_of_the_fleet_snapshot():
+    params = tenth_scale_params()
+    base = Simulation(params, seed=5)
+    with ShardedSimulation(
+        params, seed=5, shards=4, exchange="event"
+    ) as sharded:
+        for _ in range(3):  # 3 x 40 queries crosses refresh epochs
+            base.run_workload(QueryKind.KNN, 0, 40)
+            sharded.run_workload(QueryKind.KNN, 0, 40)
+            assert sharded._last_refresh == base._last_refresh
+            covered = set()
+            for worker in sharded._workers:
+                world = worker.world
+                for gid in world.network.ids.tolist():
+                    assert world.host_position(gid) == base.host_position(gid)
+                    assert world.host_heading(gid) == base.host_heading(gid)
+                covered |= world._owned_ids
+                foreign = next(
+                    gid for gid in range(params.mh_number)
+                    if gid not in set(world.network.ids.tolist())
+                )
+                with pytest.raises(ExperimentError, match="unknown host"):
+                    world.host_position(foreign)
+                with pytest.raises(ExperimentError, match="unknown host"):
+                    world.host_heading(-1)
+            assert covered == set(range(params.mh_number))
+
+
+def test_lockstep_refuses_the_process_backend():
+    # Lockstep runs in-process; an explicit request for process workers
+    # is refused, never quietly run in-process.  "auto" resolves.
+    params = tenth_scale_params()
+    with pytest.raises(ExperimentError, match="no process backend"):
+        ShardedSimulation(params, exchange="event", backend="process")
+    with ShardedSimulation(params, shards=2, exchange="event") as sim:
+        assert sim.backend == "inprocess"

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
 from repro.geometry import Rect
-from repro.mobility import ShardFleetSoA
 from repro.shard import ShardedSimulation, ShardGrid
 from repro.shard.grid import near_square_factoring
 from repro.workloads import (
@@ -95,17 +94,6 @@ class TestShardGrid:
         assert (grid.owner_of(xs, xs) == 0).all()
 
 
-class TestShardFleetSoA:
-    def test_rejects_unsorted_ids(self):
-        from repro.errors import MobilityError
-
-        ids = np.array([3, 1, 2], dtype=np.int64)
-        zeros = np.zeros(3)
-        with pytest.raises(MobilityError):
-            ShardFleetSoA(ids, zeros, zeros, zeros, zeros,
-                          np.ones(3, dtype=bool))
-
-
 class TestMigration:
     """Hosts drifting across shard boundaries over many refresh epochs."""
 
@@ -120,6 +108,9 @@ class TestMigration:
             first_owner = sim._owner.copy()
             collector = sim.run_workload(QueryKind.KNN, 0, measure)
             counts = sim.owned_counts()
+            assert counts == [
+                len(worker.world._owned_ids) for worker in sim._workers
+            ]
             states = sim.share_states()
             last_owner = sim._owner.copy()
             return params, collector, counts, states, first_owner, last_owner

@@ -92,6 +92,9 @@ lint:
 	@echo ">> one position snapshot and one query pipeline: no shard fleet class, no id-to-row dict, one outcome type, no tests-only opcode"
 	@! grep -rIn 'ShardFleet[S]oA\|shard[f]leet\|[_]id_to_local\|Relayed[O]utcome\|OP_OWNED[_]COUNT' src
 	@test "$$(grep -rI 'def host[_]position' src/repro | wc -l)" -eq 1
+	@echo ">> a process holds only what it runs: numpy is the one runtime dependency, a shard's ownership is its snapshot mask"
+	@! grep -rIn 'import network[x]\|from network[x]' src/repro
+	@! grep -rIn '[_]owned_ids' src
 
 test:
 	@echo ">> tier-1 tests"

@@ -30,7 +30,7 @@ the last settle, so the next settle re-checks only those regions.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -361,8 +361,9 @@ class POICache:
         capacity`` doomed POIs in eviction order; a step's victims are
         the first doomed POIs present at that step (one evicted earlier
         and offered again comes back and is evicted again, cutting
-        regions again), and a POI first offered after the overflow
-        becomes a table entry only if it survives.  Rank-only policies
+        regions again).  The overflowing step is ranked before it is
+        admitted, so a POI first offered from it on becomes a table
+        entry only if it survives.  Rank-only policies
         (LRU, FIFO) rank per step: their order moves with the clocks
         the visit writes.
 
@@ -410,15 +411,21 @@ class POICache:
             if counts is not None:
                 moved = self._moved_count()
             if rest is None:
-                added = self._admit(pois, now)
                 size = len(self._items)
-                if size > capacity and select is not None and step < last:
+                if (
+                    size + len(pois) > capacity
+                    and select is not None
+                    and step < last
+                    and size + self._new_at(shared, step) > capacity
+                ):
                     rest = self._rank_rest(
                         shared, step, now, host_position, heading, select
                     )
+            if rest is None:
+                added = self._admit(pois, now)
             else:
                 added = rest.admit(step)
-                size += added
+            size += added
             changed = self._place_region(region, now, host_position)
             evicted = size - capacity
             if evicted > 0:
@@ -443,6 +450,20 @@ class POICache:
                 counts["regions_shrunk"] += self._moved_count()
                 counts["size"] += size
 
+    def _new_at(self, shared: SharedResult, step: int) -> int:
+        """How many POIs step ``step`` would add to the table.
+
+        Before a visit's first overflow nothing has been evicted, so a
+        POI an earlier step offered is held: the step's new POIs are
+        its first offers the table does not hold.
+        """
+        items = self._items
+        ids, _, steps, _ = shared.offers()
+        return sum(
+            ids[k] not in items
+            for k in range(bisect_left(steps, step), bisect_right(steps, step))
+        )
+
     def _rank_rest(
         self,
         shared: SharedResult,
@@ -454,21 +475,24 @@ class POICache:
     ) -> "_RankedRest":
         """Rank the rest of a visit once, from its first overflowing step.
 
-        ``step`` is admitted, the table holds more than the capacity
-        and steps follow.  The pool is the table plus the POIs first
-        offered after ``step`` that it does not hold; one
+        ``step`` is not admitted yet, admitting it would overflow the
+        table and steps follow.  The pool is the table plus the POIs
+        first offered at or after ``step`` that it does not hold — the
+        order the table and its mirror would list them in — and one
         ``select_victims`` call names its ``total - capacity`` doomed
-        POIs in eviction order.  The table and its mirror are final on return: the
-        table's survivors in their order, then the later survivors in
-        first-offer order — an item is built for a later survivor only
-        — and a table POI first offered after ``step`` has its clock at
-        ``now``.  What the remaining steps replay is returned.
+        POIs in eviction order.  The table and its mirror are final on
+        return: the table's survivors in their order, then the later
+        survivors in first-offer order.  A doomed POI the table does not
+        hold never becomes an item or a mirror entry, so neither ever
+        holds more than the capacity; a table POI first offered at or
+        after ``step`` has its clock at ``now``.  What the steps from
+        ``step`` on replay is returned.
         """
         items = self._items
         later: list[int] = []
         revisits: dict[int, list[int]] = {}
         ids, pois, steps, again = shared.offers()
-        for k in range(bisect_right(steps, step), len(ids)):
+        for k in range(bisect_left(steps, step), len(ids)):
             poi_id = ids[k]
             item = items.get(poi_id)
             if item is None:
@@ -541,7 +565,7 @@ class POICache:
         """One step's POIs into the table and the mirror, as offered.
 
         Returns how many were new.  Every step of a visit comes through
-        here until one overflows the table (see :meth:`_rank_rest`).
+        here until one would overflow the table (see :meth:`_rank_rest`).
         """
         items = self._items
         append_x = self._slot_xs.append

@@ -4,15 +4,18 @@ The paper maps its random-waypoint trajectories onto an underlying
 road network of Southern California.  We substitute a perturbed grid
 network (a reasonable stand-in for urban street grids): nodes sit on a
 jittered lattice, edges connect lattice neighbours, and a host travels
-along shortest paths between randomly chosen nodes.
+along shortest paths between randomly chosen nodes.  The graph is an
+adjacency dict searched by a binary-heap Dijkstra: a lattice needs
+nothing more, and the package needs nothing beyond numpy.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from itertools import count
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..errors import MobilityError
@@ -38,7 +41,9 @@ class GridRoadNetwork:
         self.bounds = bounds
         cols = int(bounds.width / spacing) + 1
         rows = int(bounds.height / spacing) + 1
-        self.graph = nx.Graph()
+        # ``nodes`` is lattice-column-major (``i`` outer), the order
+        # ``random_node`` indexes; ``adjacency[a][b]`` is the length of
+        # the street between lattice neighbours ``a`` and ``b``.
         self._positions: dict[tuple[int, int], Point] = {}
         for i in range(cols):
             for j in range(rows):
@@ -51,7 +56,10 @@ class GridRoadNetwork:
                 x = min(max(x, bounds.x1), bounds.x2)
                 y = min(max(y, bounds.y1), bounds.y2)
                 self._positions[(i, j)] = Point(x, y)
-                self.graph.add_node((i, j))
+        self.nodes = list(self._positions)
+        self.adjacency: dict[tuple[int, int], dict[tuple[int, int], float]] = {
+            node: {} for node in self.nodes
+        }
         for i in range(cols):
             for j in range(rows):
                 for ni, nj in ((i + 1, j), (i, j + 1)):
@@ -59,12 +67,12 @@ class GridRoadNetwork:
                         length = self._positions[(i, j)].distance_to(
                             self._positions[(ni, nj)]
                         )
-                        self.graph.add_edge((i, j), (ni, nj), weight=length)
-        self._node_list = list(self.graph.nodes)
+                        self.adjacency[(i, j)][(ni, nj)] = length
+                        self.adjacency[(ni, nj)][(i, j)] = length
 
     @property
     def node_count(self) -> int:
-        return len(self._node_list)
+        return len(self.nodes)
 
     def position_of(self, node: tuple[int, int]) -> Point:
         if node not in self._positions:
@@ -72,21 +80,47 @@ class GridRoadNetwork:
         return self._positions[node]
 
     def random_node(self, rng: np.random.Generator) -> tuple[int, int]:
-        return self._node_list[int(rng.integers(len(self._node_list)))]
+        return self.nodes[int(rng.integers(len(self.nodes)))]
 
     def nearest_node(self, p: Point) -> tuple[int, int]:
         """The road node closest to an arbitrary point (linear scan)."""
         return min(
-            self._node_list,
+            self.nodes,
             key=lambda node: self._positions[node].distance_to(p),
         )
 
     def shortest_path(
         self, a: tuple[int, int], b: tuple[int, int]
     ) -> list[Point]:
-        """The polyline of the weighted shortest path from ``a`` to ``b``."""
-        nodes = nx.shortest_path(self.graph, a, b, weight="weight")
-        return [self._positions[n] for n in nodes]
+        """The polyline of the weighted shortest path from ``a`` to ``b``.
+
+        Dijkstra with lazy deletion: a node's stale heap entries (a
+        longer distance than its best) are skipped when popped, and the
+        search stops when ``b`` is settled.
+        """
+        for node in (a, b):
+            if node not in self.adjacency:
+                raise MobilityError(f"unknown road node {node}")
+        best = {a: 0.0}
+        previous: dict[tuple[int, int], tuple[int, int]] = {}
+        pushed = count()
+        heap = [(0.0, next(pushed), a)]
+        while heap:
+            dist, _, node = heapq.heappop(heap)
+            if node == b:
+                break
+            if dist > best[node]:
+                continue
+            for neighbour, length in self.adjacency[node].items():
+                through = dist + length
+                if through < best.get(neighbour, math.inf):
+                    best[neighbour] = through
+                    previous[neighbour] = node
+                    heapq.heappush(heap, (through, next(pushed), neighbour))
+        path = [b]
+        while path[-1] != a:
+            path.append(previous[path[-1]])
+        return [self._positions[n] for n in reversed(path)]
 
     def path_length(self, polyline: Sequence[Point]) -> float:
         return sum(

@@ -62,7 +62,9 @@ class ShardWorld(QueryWorld):
         # The owned hosts built so far; the owned ids are the snapshot's.
         self.hosts: dict[int, MobileHost] = {}
         self.mirrors: dict[int, HaloHost] = {}
-        self._owned_ids: frozenset[int] = frozenset()
+        # Which snapshot rows (``network.ids``) this shard owns; the
+        # rest are its halo.
+        self._owned_mask = np.zeros(0, dtype=bool)
         # Cache generation last reported to the coordinator, per built
         # host: a touched host is dirty when its cache has moved past it.
         self._reported: dict[int, int] = {}
@@ -82,13 +84,10 @@ class ShardWorld(QueryWorld):
         or generation-0 host is indistinguishable from a fresh one, so
         it migrates as nothing and its new owner builds it on demand.
         """
+        self._require_owned(gids, "release unowned")
         out = []
         for gid in gids:
             gid = int(gid)
-            if gid not in self._owned_ids:
-                raise ExperimentError(
-                    f"shard {self.shard_id} asked to release unowned host {gid}"
-                )
             host = self.hosts.pop(gid, None)
             if host is None:
                 continue
@@ -121,18 +120,44 @@ class ShardWorld(QueryWorld):
         if not all(np.shape(a) == np.shape(ids) for a in (hx, hy, owned_mask)):
             raise ExperimentError("epoch snapshot arrays must be parallel 1-D")
         self._install_snapshot(xs, ys, hx, hy, ids)
-        owned = frozenset(self.network.ids[owned_mask].tolist())
-        extra = self.hosts.keys() - owned
-        if extra:
+        self._owned_mask = owned_mask
+        built = np.fromiter(self.hosts, np.int64, len(self.hosts))
+        _, owned = self._ownership(built)
+        if not owned.all():
             raise ExperimentError(
                 f"shard {self.shard_id} ownership out of sync"
-                f" (extra={sorted(extra)[:5]})"
+                f" (extra={sorted(built[~owned].tolist())[:5]})"
             )
-        self._owned_ids = owned
-        halo = set(self.network.ids[~owned_mask].tolist())
+        mirrored = np.fromiter(self.mirrors, np.int64, len(self.mirrors))
+        known, owned = self._ownership(mirrored)
         self.mirrors = {
-            gid: mirror for gid, mirror in self.mirrors.items() if gid in halo
+            gid: self.mirrors[gid] for gid in mirrored[known & ~owned].tolist()
         }
+
+    def _ownership(self, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per gid of ``gids``: in the snapshot, and owned by this shard."""
+        ids = self.network.ids
+        if not ids.size:
+            none = np.zeros(gids.shape, dtype=bool)
+            return none, none
+        rows = np.minimum(ids.searchsorted(gids), ids.size - 1)
+        known = ids[rows] == gids
+        return known, known & self._owned_mask[rows]
+
+    def _owns(self, gid: int) -> bool:
+        """Whether the snapshot gives ``gid`` to this shard."""
+        ids = self.network.ids
+        row = ids.searchsorted(gid)
+        return row < ids.size and ids[row] == gid and self._owned_mask[row]
+
+    def _require_owned(self, gids: Sequence[int], asked: str) -> None:
+        gids = np.asarray(gids, dtype=np.int64)
+        _, owned = self._ownership(gids)
+        if not owned.all():
+            raise ExperimentError(
+                f"shard {self.shard_id} asked to {asked} host"
+                f" {int(gids[~owned][0])}"
+            )
 
     def set_halo_payloads(self, payloads: Sequence[ShareResponse]) -> None:
         """Install/refresh halo mirrors from owner-exported responses."""
@@ -148,13 +173,10 @@ class ShardWorld(QueryWorld):
         host with nothing to share — an absent one included — exports an
         empty response so the caller still learns its generation stamp.
         """
+        self._require_owned(gids, "export foreign")
         out = []
         for gid in gids:
             gid = int(gid)
-            if gid not in self._owned_ids:
-                raise ExperimentError(
-                    f"shard {self.shard_id} asked to export foreign host {gid}"
-                )
             host = self.hosts.get(gid)
             if host is None:
                 response = ShareResponse(gid, (), (), 0)
@@ -178,7 +200,7 @@ class ShardWorld(QueryWorld):
     def _owned(self, gid: int) -> MobileHost | None:
         """The owned host ``gid``, built on first need; ``None`` if foreign."""
         host = self.hosts.get(gid)
-        if host is None and gid in self._owned_ids:
+        if host is None and self._owns(gid):
             host = self.hosts[gid] = self._make_host(gid)
             self._reported[gid] = 0
         return host
@@ -247,7 +269,8 @@ class ShardWorld(QueryWorld):
         """Every owned host's fingerprint; an absent one is ``(0, (), ())``."""
         built = super().share_states()
         empty = (0, (), ())
-        return {gid: built.get(gid, empty) for gid in sorted(self._owned_ids)}
+        owned = self.network.ids[self._owned_mask].tolist()
+        return {gid: built.get(gid, empty) for gid in owned}
 
 
 def shard_worker_main(conn, config: dict) -> None:

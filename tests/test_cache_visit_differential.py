@@ -20,6 +20,7 @@ that sum the reference's steps.
 
 import copy
 import math
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,7 +98,13 @@ headings = st.sampled_from(
 
 
 @st.composite
-def visits(draw, shape):
+def visits(draw, shape, overflow=False):
+    """One case for :func:`check_visit`.
+
+    With ``overflow`` the visit's first overflowing step is drawn at
+    the first, a middle or the last of 3-8 steps, and the draw is
+    ``(case, that step)``.
+    """
     capacity, max_regions, side, size, extent = SHAPES[shape]
     spots = draw(
         st.lists(
@@ -141,22 +148,65 @@ def visits(draw, shape):
          draw(headings))
         for t in range(draw(st.integers(0, 6)))
     ]
-    # Half the visits are a single pair: the dense world's shape.
-    visit = [
-        pair()
-        for _ in range(draw(st.one_of(st.just(1), st.integers(1, 12))))
-    ]
-    # Earlier pairs offered again: what a step evicted comes back.
-    for _ in range(draw(st.integers(0, 3))):
+    if overflow:
+        visit, first = overflowing_visit(
+            draw, pair, universe,
+            warmed(capacity, max_regions, warmup, "as built"),
+        )
+    else:
+        # Half the visits are a single pair: the dense world's shape.
+        visit = [
+            pair()
+            for _ in range(draw(st.one_of(st.just(1), st.integers(1, 12))))
+        ]
+    # Earlier pairs offered again: what a step evicted comes back (after
+    # a drawn overflow, and never behind a last-step one).
+    after = first + 1 if overflow else 0
+    for _ in range(draw(st.integers(0, 3 if after < len(visit) else 0))):
         visit.insert(
-            draw(st.integers(0, len(visit))),
+            draw(st.integers(after, len(visit))),
             visit[draw(st.integers(0, len(visit) - 1))],
         )
     unsettled = draw(st.sampled_from(["as built", "decoded", "all moved"]))
-    return (
+    case = (
         capacity, max_regions, warmup, visit, float(len(warmup) + 1),
         place(), draw(headings), unsettled,
     )
+    return (case, first) if overflow else case
+
+
+def overflowing_visit(draw, pair, universe, cache):
+    """3-8 pairs whose first overflow of ``cache`` is a drawn step.
+
+    The pairs before it offer only what the table can still take, the
+    pair at it offers more new POIs than that, the pairs after it are
+    free.
+    """
+    steps = draw(st.integers(3, 8))
+    first = draw(
+        st.sampled_from([0, draw(st.integers(1, steps - 2)), steps - 1])
+    )
+    held = {poi.poi_id for poi in cache.pois}
+    visit = []
+    for step in range(steps):
+        region, inside = pair()
+        if step < first:
+            kept = []
+            for poi in inside:
+                if poi.poi_id in held or len(held) < cache.capacity:
+                    held.add(poi.poi_id)
+                    kept.append(poi)
+            inside = kept
+        elif step == first:
+            new = {poi.poi_id for poi in inside} - held
+            more = [
+                poi for poi in universe
+                if poi.poi_id not in held and poi.poi_id not in new
+            ]
+            short = cache.capacity + 1 - len(held) - len(new)
+            inside = inside + more[: max(short, 0)]
+        visit.append((region, inside))
+    return visit, first
 
 
 def warmed(capacity, max_regions, warmup, unsettled):
@@ -192,6 +242,77 @@ def check_visit(case):
     }
 
 
+class PeakTable(dict):
+    """A cache's POI table that remembers its largest size."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+class PeakColumn(array):
+    """A mirror column that remembers its largest length."""
+
+    peak = 0
+
+    def append(self, value):
+        super().append(value)
+        self.peak = max(self.peak, len(self))
+
+
+def tracked(cache):
+    """``cache`` with its table and mirror columns measuring their peak.
+
+    The mirror's columns are the cache's ``array`` attributes.
+    """
+    cache._items = PeakTable(cache._items)
+    cache._items.peak = len(cache)
+    for name, value in list(vars(cache).items()):
+        if isinstance(value, array):
+            column = PeakColumn(value.typecode, value)
+            column.peak = len(column)
+            setattr(cache, name, column)
+    return cache
+
+
+def peaks(cache):
+    """Most table entries and most mirror slots the cache has held."""
+    columns = [v for v in vars(cache).values() if isinstance(v, PeakColumn)]
+    assert len(columns) == 3  # xs, ys, ids
+    return cache._items.peak, max(column.peak for column in columns)
+
+
+def check_first_overflow(drawn):
+    case, first = drawn
+    capacity, max_regions, warmup, visit, now, position, heading, unsettled = case
+    reference = warmed(capacity, max_regions, warmup, unsettled)
+    steps = region_by_region(
+        copy.deepcopy(reference), visit, now, position, heading
+    )
+    assert [step["pois_evicted"] > 0 for step in steps].index(True) == first
+    stock = tracked(reference)
+    called = []
+    for name in ("_rank_rest", "_evict"):
+        real = getattr(stock, name)
+
+        def spy(*args, _real=real, _name=name):
+            called.append(_name)
+            return _real(*args)
+
+        setattr(stock, name, spy)
+    stock.insert_result(visit, now, position, heading)
+    if first == len(visit) - 1:
+        # The last step ranks nothing beyond itself: it is admitted,
+        # then evicted.
+        assert called == ["_evict"]
+    else:
+        assert called == ["_rank_rest"]
+        assert peaks(stock) <= (capacity, capacity)
+    check_visit(case)
+
+
 class TestOneVisitIsTheRegionByRegionLoop:
     @given(visits("world"))
     @settings(max_examples=150, deadline=None)
@@ -202,6 +323,41 @@ class TestOneVisitIsTheRegionByRegionLoop:
     @settings(max_examples=250, deadline=None)
     def test_at_four(self, case):
         check_visit(case)
+
+    @given(visits("world", overflow=True))
+    @settings(max_examples=60, deadline=None)
+    def test_first_overflow_anywhere_at_the_worlds_capacity(self, drawn):
+        check_first_overflow(drawn)
+
+    @given(visits("four", overflow=True))
+    @settings(max_examples=120, deadline=None)
+    def test_first_overflow_anywhere_at_four(self, drawn):
+        check_first_overflow(drawn)
+
+    def test_a_doomed_poi_is_never_built(self):
+        # The first step alone overflows an empty cache; it is ranked
+        # before it is admitted, so neither the table nor its mirror
+        # ever holds more than the capacity.
+        universe = [
+            POI(i, Point(float(i % 9), float(i // 9))) for i in range(81)
+        ]
+
+        def pair(x1, y1, x2, y2):
+            region = Rect(x1, y1, x2, y2)
+            return region, [
+                p for p in universe if region.contains_point(p.location)
+            ]
+
+        shared = SharedResult(
+            [pair(0, 0, 8, 8), pair(2, 2, 4, 4), pair(6, 0, 8, 3)]
+        )
+        for heading in ((0.0, 0.0), (1.0, 0.0), (0.0, -1.0)):
+            cache = tracked(POICache(8, max_regions=8))
+            reference = POICache(8, max_regions=8)
+            cache.insert_result(shared, 1.0, Point(3.5, 3.0), heading)
+            region_by_region(reference, shared, 1.0, Point(3.5, 3.0), heading)
+            assert observable(cache) == observable(reference)
+            assert peaks(cache) == (8, 8)
 
     def test_a_shared_result_is_read_by_every_visit_alike(self):
         # One SharedResult adopted by many caches builds its columns

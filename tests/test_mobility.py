@@ -111,13 +111,16 @@ class TestRoadNetwork:
 
     def test_nodes_inside_bounds(self):
         net = self.make_net(seed=1)
-        for node in net.graph.nodes:
+        assert net.nodes == [(i, j) for i in range(11) for j in range(11)]
+        for node in net.nodes:
             assert BOUNDS.contains_point(net.position_of(node))
 
     def test_unknown_node_raises(self):
         net = self.make_net()
         with pytest.raises(MobilityError):
             net.position_of((99, 99))
+        with pytest.raises(MobilityError, match="unknown road node"):
+            net.shortest_path((0, 0), (99, 99))
 
     def test_shortest_path_endpoints(self):
         net = self.make_net(seed=2)
@@ -127,6 +130,37 @@ class TestRoadNetwork:
         assert net.path_length(path) >= net.position_of((0, 0)).distance_to(
             net.position_of((10, 10))
         )
+
+    @pytest.mark.parametrize(
+        "seed, spacing, jitter",
+        [(0, 10.0, 0.2), (1, 12.5, 0.45), (2, 25.0, 0.0), (3, 7.0, 0.0),
+         (4, 20.0, 0.1)],
+    )
+    def test_shortest_paths_match_the_networkx_oracle(
+        self, seed, spacing, jitter
+    ):
+        import networkx as nx
+
+        # jitter=0 is a plain lattice: many equally short paths tie.
+        net = GridRoadNetwork(
+            BOUNDS, spacing, np.random.default_rng(seed), jitter=jitter
+        )
+        graph = nx_graph(net)
+        node_at = {net.position_of(node): node for node in net.nodes}
+        rng = np.random.default_rng(100 + seed)
+        pairs = [(net.nodes[0], net.nodes[-1])] + [
+            (net.random_node(rng), net.random_node(rng)) for _ in range(25)
+        ]
+        for a, b in pairs:
+            path = net.shortest_path(a, b)
+            nodes = [node_at[p] for p in path]
+            assert nodes[0] == a and nodes[-1] == b
+            for u, v in zip(nodes, nodes[1:]):
+                assert v in net.adjacency[u]
+            assert net.path_length(path) == pytest.approx(
+                nx.shortest_path_length(graph, a, b, weight="weight"),
+                rel=1e-12,
+            )
 
     def test_nearest_node(self):
         net = self.make_net(seed=3)
@@ -190,7 +224,21 @@ class TestRoadTrajectory:
         assert bbox.expanded(1e-6).contains_point(p)
 
 
+def nx_graph(net):
+    """The road network as a networkx graph: the test oracle."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(net.nodes)
+    graph.add_weighted_edges_from(
+        (a, b, length)
+        for a, streets in net.adjacency.items()
+        for b, length in streets.items()
+    )
+    return graph
+
+
 def nx_connected(net):
     import networkx as nx
 
-    return nx.is_connected(net.graph)
+    return nx.is_connected(nx_graph(net))

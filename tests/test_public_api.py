@@ -3,6 +3,9 @@ package metadata is coherent."""
 
 import importlib
 import inspect
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +27,57 @@ PACKAGES = [
     "repro.p2p",
     "repro.workloads",
 ]
+
+
+# The dev extra's test oracles and property engine: a numpy-only
+# install has none of them.
+DEV_ONLY = ("networkx", "scipy", "hypothesis")
+
+NUMPY_ONLY_PROBE = """
+import importlib, sys, sysconfig
+
+for name in {blocked!r}:
+    sys.modules[name] = None  # any import of it raises ImportError
+before = set(sys.modules)
+for name in {modules!r}:
+    importlib.import_module(name)
+
+import numpy as np
+from repro.geometry import Rect
+from repro.mobility import GridRoadNetwork, RoadTrajectory
+
+network = GridRoadNetwork(Rect(0, 0, 20, 20), 2.0, np.random.default_rng(5))
+trip = RoadTrajectory(network, np.random.default_rng(6))
+for step in range(100):
+    trip.position_at(step * 60.0)
+    trip.heading_at(step * 60.0)
+# What the imports and the drive loaded from installed packages.
+site = tuple({{sysconfig.get_path("purelib"), sysconfig.get_path("platlib")}})
+print(sorted({{
+    name.partition(".")[0] for name, module in sys.modules.items()
+    if name not in before
+    and (getattr(module, "__file__", None) or "").startswith(site)
+}}))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    modules = PACKAGES + [
+        "repro.cli", "repro.shard", "repro.serve", "repro.check",
+        "repro.codec",
+    ]
+    done = subprocess.run(
+        [
+            sys.executable, "-c",
+            NUMPY_ONLY_PROBE.format(blocked=DEV_ONLY, modules=modules),
+        ],
+        env={"PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['numpy']"
 
 
 @pytest.mark.parametrize("name", PACKAGES)

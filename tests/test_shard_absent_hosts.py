@@ -43,8 +43,13 @@ def worlds(sim):
     return [worker.world for worker in sim._workers]
 
 
+def owned_ids(world):
+    """The snapshot ids the world's owned mask gives it, ascending."""
+    return world.network.ids[world._owned_mask].tolist()
+
+
 def halo_ids(world):
-    return [gid for gid in world.network.ids.tolist() if gid not in world._owned_ids]
+    return world.network.ids[~world._owned_mask].tolist()
 
 
 def test_a_fresh_world_builds_no_host():
@@ -57,10 +62,10 @@ def test_never_touched_hosts_are_listed_empty_and_stay_unbuilt():
     with inprocess_sim() as sim:
         sim.run_workload(QueryKind.KNN, 0, 40)
         for world in worlds(sim):
-            owned = sorted(world._owned_ids)
+            owned = owned_ids(world)
             built = dict(world.hosts)
             states = world.share_states()
-            assert list(states) == owned
+            assert list(states) == owned == sorted(set(owned))
             absent = [gid for gid in owned if gid not in built]
             assert absent, "a 40-query run touches only a few hosts"
             assert all(states[gid] == EMPTY for gid in absent)
@@ -78,7 +83,7 @@ def test_owned_count_export_and_responder_answer_for_absent_hosts():
         counts = sim.owned_counts()
         assert sum(counts) == params.mh_number
         for world, count in zip(worlds(sim), counts):
-            owned = sorted(world._owned_ids)
+            owned = owned_ids(world)
             assert count == len(owned)
             gid = owned[0]
             assert world._responder(gid) is None
@@ -95,7 +100,7 @@ def test_owned_count_export_and_responder_answer_for_absent_hosts():
 def test_a_generation_zero_host_migrates_as_nothing():
     with inprocess_sim() as sim:
         world = worlds(sim)[0]
-        owned = sorted(world._owned_ids)
+        owned = owned_ids(world)
         built, untouched = owned[0], owned[1]
         host = world._owned(built)
         assert host.cache.generation == 0
@@ -139,3 +144,25 @@ def test_a_dropped_host_with_cached_state_is_a_hard_error(monkeypatch):
         with pytest.raises(ExperimentError, match="lost migration"):
             sim.run_workload(QueryKind.KNN, 0, 120)
     assert dropped and dropped[0].cache.generation > 0
+
+
+def test_ids_outside_the_snapshot_and_halo_ids_are_not_owned():
+    params = tenth_scale_params()
+    with inprocess_sim() as sim:
+        sim.run_workload(QueryKind.KNN, 0, 40)
+        for world in worlds(sim):
+            listed = set(world.network.ids.tolist())
+            outside = [
+                gid for gid in range(-1, params.mh_number + 1)
+                if gid not in listed
+            ]
+            assert outside, "a quarter tile plus its halo is not the fleet"
+            built = dict(world.hosts)
+            for gid in (outside[0], outside[-1], halo_ids(world)[0]):
+                assert world._owned(gid) is None
+                with pytest.raises(ExperimentError, match="foreign host"):
+                    world.export_payloads([owned_ids(world)[0], gid])
+                with pytest.raises(ExperimentError, match="unowned host"):
+                    world.take_hosts([gid])
+            assert world.hosts == built
+

@@ -327,7 +327,7 @@ def test_lockstep_shard_snapshots_are_slices_of_the_fleet_snapshot():
                 for gid in world.network.ids.tolist():
                     assert world.host_position(gid) == base.host_position(gid)
                     assert world.host_heading(gid) == base.host_heading(gid)
-                covered |= world._owned_ids
+                covered |= set(world.network.ids[world._owned_mask].tolist())
                 foreign = next(
                     gid for gid in range(params.mh_number)
                     if gid not in set(world.network.ids.tolist())

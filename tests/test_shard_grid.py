@@ -109,7 +109,7 @@ class TestMigration:
             collector = sim.run_workload(QueryKind.KNN, 0, measure)
             counts = sim.owned_counts()
             assert counts == [
-                len(worker.world._owned_ids) for worker in sim._workers
+                int(worker.world._owned_mask.sum()) for worker in sim._workers
             ]
             states = sim.share_states()
             last_owner = sim._owner.copy()

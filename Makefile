@@ -95,6 +95,10 @@ lint:
 	@echo ">> a process holds only what it runs: numpy is the one runtime dependency, a shard's ownership is its snapshot mask"
 	@! grep -rIn 'import network[x]\|from network[x]' src/repro
 	@! grep -rIn '[_]owned_ids' src
+	@echo ">> a query looks its neighbourhood up once: no passive-lookup knob, one ring for the share request and the overhearers"
+	@! grep -rIn 'count[_]traffic' src tests benchmarks examples
+	@test "$$(grep -rI 'peers[_]of(' src/repro/experiments | wc -l)" -eq 1
+	@test "$$(grep -I 'network[.]peers[_]of(' src/repro/experiments/world.py | wc -l)" -eq 1
 
 test:
 	@echo ">> tier-1 tests"

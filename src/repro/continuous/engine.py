@@ -255,7 +255,10 @@ class ContinuousMonitor:
         heading = sim.host_heading(query.host_id)
         k = query.template.k
         responses, fault_stats = sim._collect_responses(
-            query.host_id, position, t
+            query.host_id,
+            position,
+            sim.network.peers_of(query.host_id, position),
+            t,
         )
         knobs = dict(
             p2p_latency=P2P_LATENCY * sim.p2p_hops,

@@ -19,7 +19,10 @@ Two performance layers sit under the algorithm:
   is from its boundary; both are read off one coverage grid, and no
   slab structure is built.  Both answers are asked once per query:
   they travel on the :class:`PeerRead` NNV returns, which the host's
-  gossip and broadcast steps read instead of the union.
+  gossip and broadcast steps read instead of the union;
+* overheard results make neighbours hold the same POIs — a dense
+  query receives ~7 copies of each — so the containment read asks
+  about one copy per distinct ``(id, x, y)``, not every copy.
 """
 
 from __future__ import annotations
@@ -150,26 +153,59 @@ def pois_at(
     return found
 
 
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal adjacent ``values`` starts."""
+    heads = np.empty(values.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+def _distinct_copies(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first copy of each distinct ``(id, x, y)``.
+
+    Containment depends on a copy's coordinates only, so these copies
+    answer for every other.  Overheard results make neighbours hold
+    the same POIs: most ids arrive several times at one place, and the
+    first copy of each id is the whole answer — one stable sort by id.
+    Only when some id arrives at two places (a stale copy) are equal
+    triples brought together, lowest index first, by a lexsort.
+    """
+    order = ids.argsort(kind="stable")
+    heads = _run_heads(ids[order])
+    sx, sy = xs[order], ys[order]
+    if ((sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1]))[~heads[1:]].any():
+        order = np.lexsort((ys, xs, ids))
+        heads = (
+            _run_heads(ids[order]) | _run_heads(xs[order]) | _run_heads(ys[order])
+        )
+    copies = order[heads]
+    copies.sort()
+    return copies
+
+
 @dataclass(slots=True)
 class PeerRead:
     """One query's read of its peers' replies (Algorithm 1, lines 4-6).
 
     ``ids`` / ``xs`` / ``ys`` concatenate the columns of the responses
-    that carry POIs (``pieces``), every copy of every id included;
-    ``inside`` is the MVR containment mask over all of them, read once.
-    ``boundary_distance`` is Lemma 3.1's ``d*``, the query point's
-    distance to the MVR boundary: ``-inf`` when the point is outside
-    the MVR, and also when NNV had no candidate to verify (no reader
-    asks then — a peer-resolved query has candidates).  Built by
-    :func:`nnv`, it rides on the :class:`~repro.core.SBNNOutcome` to
-    every later reader of the same query, and dies with the query.
+    that carry POIs (``pieces``), every copy of every id included.
+    The MVR is asked about one copy per distinct ``(id, x, y)``
+    (:func:`_distinct_copies`), once: ``candidates`` holds, ascending,
+    the flat indices of those inside it.  ``boundary_distance`` is
+    Lemma 3.1's ``d*``, the query point's distance to the MVR
+    boundary: ``-inf`` when the point is outside the MVR, and also
+    when NNV had no candidate to verify (no reader asks then — a
+    peer-resolved query has candidates).  Built by :func:`nnv`, it
+    rides on the :class:`~repro.core.SBNNOutcome` to every later
+    reader of the same query, and dies with the query.
     """
 
     pieces: list[ShareResponse]
     ids: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
-    inside: np.ndarray
+    candidates: np.ndarray
     mvr: SlabUnion
     boundary_distance: float = -np.inf
 
@@ -177,31 +213,36 @@ class PeerRead:
     def gather(
         cls, responses: Sequence[ShareResponse], mvr: SlabUnion
     ) -> "PeerRead":
-        """Concatenate the responses' columns and mask them to ``mvr``."""
+        """Concatenate the responses' columns and ask ``mvr`` which
+        distinct copies it contains."""
         pieces = [r for r in responses if r.pois]
         if not pieces:
             nothing = np.empty(0)
-            return cls(pieces, nothing, nothing, nothing, nothing.astype(bool), mvr)
+            return cls(
+                pieces, nothing, nothing, nothing, np.empty(0, np.int64), mvr
+            )
         ids, xs, ys = _columns(pieces)
-        return cls(pieces, ids, xs, ys, mvr.contains_points(xs, ys), mvr)
+        copies = _distinct_copies(ids, xs, ys)
+        inside = mvr.contains_points(xs[copies], ys[copies])
+        return cls(pieces, ids, xs, ys, copies[inside], mvr)
 
     def first(self, within: Rect | None = None) -> np.ndarray:
         """Ascending flat indices of the first copy per id inside the
         MVR (and the closed rectangle ``within``): the same indices as
-        :func:`first_contained`, stale copies included, because the
-        mask covers every copy."""
-        mask = self.inside
+        :func:`first_contained`, stale copies included — an id's first
+        contained copy is the first of its ``(id, x, y)``, so it is
+        among the candidates."""
+        kept = self.candidates
         if within is not None:
-            xs = self.xs
-            ys = self.ys
-            mask = (
-                mask
-                & (within.x1 <= xs)
+            xs = self.xs[kept]
+            ys = self.ys[kept]
+            kept = kept[
+                (within.x1 <= xs)
                 & (xs <= within.x2)
                 & (within.y1 <= ys)
                 & (ys <= within.y2)
-            )
-        return _first_copies(self.ids, mask.nonzero()[0])
+            ]
+        return _first_copies(self.ids, kept)
 
     def pois_within(self, within: Rect) -> list[POI]:
         """Peer POIs inside both ``within`` and the MVR (hence complete).
@@ -228,18 +269,19 @@ def nnv(
     """Algorithm 1 (NNV): build the heap ``H`` from peer data.
 
     Returns the heap and the :class:`PeerRead` — the MVR, the peer
-    POIs' columns with their MVR mask, and ``d*`` — which callers reuse
-    for the approximate-answer probabilities, the gossiped disc and the
-    cached peer POIs.  When the query point is outside the MVR, Lemma
-    3.1 cannot apply and every candidate enters unverified.  Pass an
-    already merged ``mvr`` (see :meth:`MVRMemo.merged`) to skip the
-    merge.
+    POIs' columns with their contained distinct copies, and ``d*`` —
+    which callers reuse for the approximate-answer probabilities, the
+    gossiped disc and the cached peer POIs.  When the query point is
+    outside the MVR, Lemma 3.1 cannot apply and every candidate enters
+    unverified.  Pass an already merged ``mvr`` (see
+    :meth:`MVRMemo.merged`) to skip the merge.
 
     The candidate pipeline is one batch computation: concatenate the
-    per-response coordinate arrays, mask to the MVR, deduplicate ids by
-    first contained occurrence (:meth:`PeerRead.first`), one
-    ``np.hypot`` over the survivors, one lexsort — only the top ``k``
-    POI objects are ever touched in Python.
+    per-response coordinate arrays, ask the MVR about each distinct
+    copy once, deduplicate ids by first contained occurrence
+    (:meth:`PeerRead.first`), one ``np.hypot`` over the survivors, one
+    lexsort — only the top ``k`` POI objects are ever touched in
+    Python.
     """
     if mvr is None:
         mvr = merge_verified_regions(responses)

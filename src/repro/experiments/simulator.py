@@ -146,7 +146,7 @@ class Simulation(QueryWorld):
     # Query pipeline
     # ------------------------------------------------------------------
     def _collect_responses(
-        self, host_id: int, position: Point, now: float
+        self, host_id: int, position: Point, ring: np.ndarray, now: float
     ) -> tuple[list[ShareResponse], P2PFaultStats]:
         """One share exchange: the responses plus what faults did to it.
 
@@ -165,8 +165,8 @@ class Simulation(QueryWorld):
             and self.faults is not None
             and self.fault_config.p2p_enabled
         ):
-            return super()._collect_responses(host_id, position, now)
-        peer_ids = self._peer_ids(host_id, position)
+            return super()._collect_responses(host_id, position, ring, now)
+        peer_ids = self._peer_ids(host_id, ring)
         channel = self.faults
         cfg = self.fault_config
         request = ShareRequest(requester_id=host_id, issued_at=now)

@@ -186,11 +186,10 @@ class QueryWorld:
     # ------------------------------------------------------------------
     # Query pipeline
     # ------------------------------------------------------------------
-    def _peer_ids(self, host_id: int, position: Point) -> np.ndarray:
-        """Who hears the share request (charged as p2p traffic)."""
-        if self.p2p_hops == 1:
-            return self.network.peers_of(host_id, position)
-        return self.network.peers_within_hops(host_id, position, self.p2p_hops)
+    def _peer_ids(self, host_id: int, ring: np.ndarray) -> np.ndarray:
+        """Who hears the share request (charged as p2p traffic): the
+        querier's one-hop ``ring``, flooded ``p2p_hops`` deep."""
+        return self.network.peers_within_hops(host_id, ring, self.p2p_hops)
 
     def _gather(self, host_id: int, peer_ids: np.ndarray) -> list[ShareResponse]:
         """One share exchange over a perfect channel.
@@ -217,14 +216,15 @@ class QueryWorld:
         return responses
 
     def _collect_responses(
-        self, host_id: int, position: Point, now: float
+        self, host_id: int, position: Point, ring: np.ndarray, now: float
     ) -> tuple[list[ShareResponse], P2PFaultStats]:
-        """The share exchange step: the responses plus what faults did
+        """The share exchange step from ``position``, whose one-hop
+        neighbourhood is ``ring``: the responses plus what faults did
         to it (nothing, over this perfect channel)."""
-        del now
+        del position, now
         if not self.enable_sharing:
             return [], P2PFaultStats()
-        peer_ids = self._peer_ids(host_id, position)
+        peer_ids = self._peer_ids(host_id, ring)
         return self._gather(host_id, peer_ids), P2PFaultStats()
 
     def _run_query(
@@ -268,8 +268,7 @@ class QueryWorld:
 
     def _spread_overheard(
         self,
-        querier: int,
-        position: Point,
+        ring: np.ndarray,
         shared: Sequence[SharedRegion],
         now: float,
     ) -> tuple[list[int], list[tuple[int, tuple[float, float], tuple[float, float]]]]:
@@ -280,24 +279,22 @@ class QueryWorld:
         certified result and adopt the regions into their own caches,
         subject to their own capacity and replacement policy.
 
-        Owned neighbours adopt here, in ``peers_of`` order; returns
-        their ids plus ``(gid, (x, y), heading)`` for every neighbour
-        this world does not own, for the caller to route to its owner
-        (caches are disjoint, so splitting owned from foreign cannot
-        reorder anything observable).
+        ``ring`` is the querier's one-hop neighbourhood, the one its
+        share request went to.  Owned neighbours adopt here, in ring
+        order; returns their ids plus ``(gid, (x, y), heading)`` for
+        every neighbour this world does not own, for the caller to
+        route to its owner (caches are disjoint, so splitting owned
+        from foreign cannot reorder anything observable).
         """
         adopted: list[int] = []
         foreign: list = []
         if not (self.overhear and shared):
             return adopted, foreign
-        # Overhearing is passive: no share request goes on the air, so
-        # the neighbourhood lookup must not count as p2p traffic.
-        peer_ids = self.network.peers_of(querier, position, count_traffic=False)
         # One gather against the snapshot for the whole neighbourhood;
         # every peer adopts the same shared result in one call (which
         # never mutates it, and builds its adoption columns once for
         # all of them).
-        columns = (peer_ids, *self._snapshot_rows(peer_ids))
+        columns = (ring, *self._snapshot_rows(ring))
         tracer = self.tracer if self.tracer.enabled else None
         for pid, x, y, hx, hy in zip(*(c.tolist() for c in columns)):
             host = self._owned(pid)
@@ -330,8 +327,11 @@ class QueryWorld:
         tracer = self.tracer
         with tracer.span("query") as query_span:
             with tracer.span("p2p.collect") as p2p_span:
+                # The one neighbourhood lookup: the share request goes
+                # to this ring and the same ring overhears the result.
+                ring = self.network.peers_of(gid, position)
                 responses, fault_stats = self._collect_responses(
-                    gid, position, event.time
+                    gid, position, ring, event.time
                 )
                 if p2p_span.enabled:
                     peers_responded = sum(
@@ -362,7 +362,7 @@ class QueryWorld:
                 tracer if tracer.enabled else None,
             )
             adopted, foreign = self._spread_overheard(
-                gid, position, result.shared, event.time
+                ring, result.shared, event.time
             )
             if query_span.enabled:
                 record = result.record

@@ -220,15 +220,9 @@ def window_slabs(
 # extraction with no per-slab Python work.
 
 
-def _grid_blocks(rects: Sequence[Rect]):
-    """``(xs, ys, blocks)``: the cuts of both axes, and a generator of
-    ``(lo, cover)`` — the covered cells of x-slabs ``lo`` onwards.
-
-    Blocks of whole x-slabs bound the transient memory by
-    ``GRID_BLOCK_CELLS``; the typical MVR (a few hundred cuts per
-    axis) is one block.  Clamping a rectangle's rows to the block makes
-    one that lies outside cancel itself in the difference array.
-    """
+def _grid_cuts(rects: Sequence[Rect]):
+    """``(xs, ys, (ix1, iy1, ix2, iy2))``: the sorted distinct cuts of
+    both axes, and each rectangle's edges as indices into them."""
     n = len(rects)
     xs, ix = np.unique(
         np.array(
@@ -242,56 +236,70 @@ def _grid_blocks(rects: Sequence[Rect]):
         ),
         return_inverse=True,
     )
-    ix1, iy1, ix2, iy2 = ix[:n], iy[:n], ix[n:], iy[n:]
-    n_x, n_y = max(len(xs) - 1, 0), max(len(ys) - 1, 0)
-
-    def blocks():
-        width = n_y + 1
-        rows = max(1, GRID_BLOCK_CELLS // width)
-        for lo in range(0, n_x, rows):
-            m = min(rows, n_x - lo)
-            a = np.clip(ix1 - lo, 0, m) * width
-            b = np.clip(ix2 - lo, 0, m) * width
-            size = (m + 1) * width
-            diff = np.bincount(
-                np.concatenate((a + iy1, b + iy2)), minlength=size
-            )
-            diff -= np.bincount(
-                np.concatenate((a + iy2, b + iy1)), minlength=size
-            )
-            diff = diff.reshape(m + 1, width)
-            np.cumsum(diff, axis=0, out=diff)
-            np.cumsum(diff, axis=1, out=diff)
-            yield lo, diff[:m, :n_y] > 0
-
-    return xs, ys, blocks()
+    return xs, ys, (ix[:n], iy[:n], ix[n:], iy[n:])
 
 
-def coverage_grid(
-    rects: Sequence[Rect],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(xs, ys, cover)``: cell ``cover[i, j]`` is ``xs[i]..xs[i+1]`` x
-    ``ys[j]..ys[j+1]`` and is True when some rectangle covers it.
+def _grid_blocks(cuts):
+    """``(lo, cover)`` per block: the covered cells of x-slabs ``lo``
+    onwards, over ``cuts = _grid_cuts(rects)``.
 
-    Degenerate rectangles must already be dropped by the caller.
+    Blocks of whole x-slabs bound the transient memory by
+    ``GRID_BLOCK_CELLS``; the typical MVR (a few hundred cuts per
+    axis) is one block.  Clamping a rectangle's rows to the block makes
+    one that lies outside cancel itself in the difference array.
     """
-    xs, ys, blocks = _grid_blocks(rects)
-    covers = [cover for _, cover in blocks]
-    if not covers:
-        return xs, ys, np.zeros((0, 0), dtype=bool)
-    return xs, ys, np.concatenate(covers)
+    xs, ys, (ix1, iy1, ix2, iy2) = cuts
+    n_x, n_y = max(len(xs) - 1, 0), max(len(ys) - 1, 0)
+    width = n_y + 1
+    rows = max(1, GRID_BLOCK_CELLS // width)
+    for lo in range(0, n_x, rows):
+        m = min(rows, n_x - lo)
+        a = np.clip(ix1 - lo, 0, m) * width
+        b = np.clip(ix2 - lo, 0, m) * width
+        size = (m + 1) * width
+        diff = np.bincount(np.concatenate((a + iy1, b + iy2)), minlength=size)
+        diff -= np.bincount(np.concatenate((a + iy2, b + iy1)), minlength=size)
+        diff = diff.reshape(m + 1, width)
+        np.cumsum(diff, axis=0, out=diff)
+        np.cumsum(diff, axis=1, out=diff)
+        yield lo, diff[:m, :n_y] > 0
 
 
 def padded_coverage_grid(
     rects: Sequence[Rect],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`coverage_grid` with one ring of False cells around the
-    cover matrix: cell ``(i, j)`` is ``padded[i + 1, j + 1]``, and
-    every ``searchsorted`` result over the cuts indexes ``padded``."""
-    xs, ys, cover = coverage_grid(rects)
-    padded = np.zeros((cover.shape[0] + 2, cover.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = cover
-    return xs, ys, padded
+    """``(xs, ys, padded)``: the union as a cell matrix in one ring of
+    False cells.  Cell ``(i, j)``, ``xs[i]..xs[i+1]`` x
+    ``ys[j]..ys[j+1]``, is ``padded[i + 1, j + 1]`` and is True when
+    some rectangle covers it; every ``searchsorted`` result over the
+    cuts indexes ``padded``.  Degenerate rectangles must already be
+    dropped by the caller.
+
+    The difference array is laid out over the padded matrix itself:
+    every rectangle closes by the last row and column, so the ring
+    falls out of the two prefix sums and nothing is copied.  Its
+    counts are int32; a grid over ``GRID_BLOCK_CELLS`` cells is filled
+    block by block instead.
+    """
+    cuts = _grid_cuts(rects)
+    xs, ys, (ix1, iy1, ix2, iy2) = cuts
+    rows, cols = max(len(xs), 1) + 1, max(len(ys), 1) + 1
+    size = rows * cols
+    if size > GRID_BLOCK_CELLS:
+        padded = np.zeros((rows, cols), dtype=bool)
+        for lo, cover in _grid_blocks(cuts):
+            padded[lo + 1 : lo + 1 + len(cover), 1:-1] = cover
+        return xs, ys, padded
+    a = (ix1 + 1) * cols + 1
+    b = (ix2 + 1) * cols + 1
+    diff = np.bincount(
+        np.concatenate((a + iy1, b + iy2)), minlength=size
+    ).astype(np.int32)
+    diff -= np.bincount(np.concatenate((a + iy2, b + iy1)), minlength=size)
+    diff = diff.reshape(rows, cols)
+    np.cumsum(diff, axis=0, out=diff)
+    np.cumsum(diff, axis=1, out=diff)
+    return xs, ys, diff > 0
 
 
 def _row_blocks(cover: np.ndarray):
@@ -327,7 +335,7 @@ def grid_slabs(
     its float objects with its members, as the sweep's does, instead
     of holding two fresh ones per interval.
     """
-    _, _, blocks = _grid_blocks(rects)
+    blocks = _grid_blocks(_grid_cuts(rects))
     xs = x_cuts(rects)
     ys = sorted({y for r in rects for y in (r.y1, r.y2)})
     slabs: list[tuple[Interval, ...]] = []
@@ -362,7 +370,9 @@ def grid_boundary_coord_arrays(
     block-by-block build.
     """
     if padded_grid is None:
-        xs, ys, blocks = _grid_blocks(rects)
+        cuts = _grid_cuts(rects)
+        xs, ys, _ = cuts
+        blocks = _grid_blocks(cuts)
     else:
         xs, ys, padded = padded_grid
         blocks = _row_blocks(padded[1:-1, 1:-1])

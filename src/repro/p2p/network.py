@@ -78,26 +78,26 @@ class PeerNetwork:
         self.ids = ids
         self._grid.rebuild(xs, ys)
 
-    def peers_of(
-        self, host_id: int, position: Point, count_traffic: bool = True
-    ) -> np.ndarray:
+    def peers_of(self, host_id: int, position: Point) -> np.ndarray:
         """Host ids within range of ``position``, excluding the asker.
 
-        ``count_traffic=False`` is for passive neighbourhood lookups
-        (e.g. who overhears a transmission) that put no share request
-        on the air and must not inflate the traffic accounting.
+        A lookup, not a transmission: it charges no traffic.  A query
+        looks its one-hop ring up once; the share request it puts on
+        the air is charged by :meth:`peers_within_hops`, and the
+        overhearing neighbourhood is the same ring.
         """
         if self._grid.size == 0:
             raise ProtocolError("network queried before update_positions()")
         neighbours = self.ids[self._grid.query_disc(position, self.tx_range)]
-        neighbours = neighbours[neighbours != host_id]
-        if count_traffic:
-            self.requests_sent += 1
-            self.peers_heard += int(neighbours.size)
-            if self._counters is not None:
-                self._counters[0].inc()
-                self._counters[1].inc(int(neighbours.size))
-        return neighbours
+        return neighbours[neighbours != host_id]
+
+    def _broadcast(self, heard: int) -> None:
+        """Charge one request on the air, heard by ``heard`` peers."""
+        self.requests_sent += 1
+        self.peers_heard += heard
+        if self._counters is not None:
+            self._counters[0].inc()
+            self._counters[1].inc(heard)
 
     def record_requests(self, count: int) -> None:
         """Charge ``count`` extra share requests (e.g. retry rounds)."""
@@ -116,17 +116,19 @@ class PeerNetwork:
             self._counters[2].inc(count)
 
     def peers_within_hops(
-        self, host_id: int, position: Point, hops: int
+        self, host_id: int, ring: np.ndarray, hops: int
     ) -> np.ndarray:
-        """Hosts reachable through at most ``hops`` relays.
+        """Hosts a share request from ``host_id`` reaches through at most
+        ``hops`` relays; ``ring`` is the querier's one-hop neighbourhood
+        (:meth:`peers_of`), and the flood starts from it.
 
-        The paper's system is single-hop (``hops=1``); the multi-hop
-        variant is its stated future-work direction — each additional
-        hop floods the share request one radio range further.  Every
-        relaying node re-broadcasts the request once, so each relay is
-        charged to ``requests_sent`` and its audience to
-        ``peers_heard`` — only the hop-1 broadcast was counted before,
-        under-reporting the flood's real cost on the air.
+        The querier's broadcast is one request on the air, heard by the
+        ring.  The paper's system is single-hop (``hops=1``: the ring
+        itself); the multi-hop variant is its stated future-work
+        direction — each additional hop floods the share request one
+        radio range further.  Every relaying node re-broadcasts the
+        request once, so each relay is charged to ``requests_sent`` and
+        its audience to ``peers_heard``.
 
         Duplicate audit (PR 9): a node sitting in the overlap of two
         relays' discs is *discovered* twice but can never be counted
@@ -142,9 +144,9 @@ class PeerNetwork:
         """
         if hops < 1:
             raise ProtocolError(f"hops must be >= 1, got {hops}")
-        first = self.peers_of(host_id, position)
+        self._broadcast(int(ring.size))
         if hops == 1:
-            return first
+            return ring
         xs, ys = self._grid.positions()
         # The BFS runs in row space and maps back to ids at the end;
         # frontier order — hence the relay traffic-charging order —
@@ -153,20 +155,16 @@ class PeerNetwork:
         origin = int(ids.searchsorted(host_id))
         if origin == ids.size or ids[origin] != host_id:
             origin = -1
-        frontier = ids.searchsorted(first).tolist()
+        frontier = ids.searchsorted(ring).tolist()
         visited: set[int] = {origin, *frontier}
         for _ in range(hops - 1):
             next_frontier: list[int] = []
             for node in frontier:
                 node_pos = Point(float(xs[node]), float(ys[node]))
                 neighbours = self._grid.query_disc(node_pos, self.tx_range)
-                self.requests_sent += 1
                 # The relay itself is inside its own disc; everyone
                 # else within range hears the rebroadcast.
-                self.peers_heard += int(neighbours.size) - 1
-                if self._counters is not None:
-                    self._counters[0].inc()
-                    self._counters[1].inc(max(0, int(neighbours.size) - 1))
+                self._broadcast(int(neighbours.size) - 1)
                 for neighbour in neighbours:
                     neighbour = int(neighbour)
                     if neighbour not in visited:

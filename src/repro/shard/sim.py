@@ -32,8 +32,9 @@ Two halo-exchange cadences:
 Backends: ``"process"`` runs each shard in its own worker process
 (persistent pipe RPC; a worker that cannot be started is an
 :class:`~repro.errors.ExperimentError`, never a silent change of
-backend, and one that dies mid-run is a
-:class:`~repro.errors.ShardError` after every worker has been reaped);
+backend, and one that dies, or stays silent past a bounded wait,
+mid-run is a :class:`~repro.errors.ShardError` after every worker has
+been reaped);
 ``"inprocess"`` keeps every shard in the calling process and is the
 lockstep referee.
 """
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import time
 from collections import defaultdict, deque
 from typing import Sequence
 
@@ -64,6 +66,14 @@ from .worker import EventOutcome, OverhearOp, ShardWorld, shard_worker_main
 # How often a coordinator waiting on a worker's reply checks that the
 # worker still lives (a reply that arrives ends the wait at once).
 WORKER_POLL_S = 0.05
+# How long it waits for one reply at most.  The slowest reply, a
+# full-LA epoch batch or a shard's construction, takes seconds; a
+# worker silent for this long is stopped or wedged, and the run is a
+# ShardError rather than a hang.
+WORKER_REPLY_TIMEOUT_S = 300.0
+# How long a terminated worker gets to exit before it is killed (a
+# stopped process never acts on SIGTERM).
+WORKER_TERMINATE_S = 1.0
 
 
 class _InprocessShard:
@@ -99,10 +109,11 @@ class _ProcessShard:
     The pending-method queue pairs each deferred ``recv`` with the
     request whose response schema it must parse.
 
-    A reply is awaited with ``poll`` while the worker lives: a worker
-    that dies, or whose pipe closes, is a :class:`ShardError` naming
-    the shard, the opcode and the epoch, never a hang.  (A worker that
-    is wedged but alive is still waited on.)
+    A reply is awaited with ``poll`` while the worker lives, for at
+    most ``WORKER_REPLY_TIMEOUT_S``: a worker that dies, whose pipe
+    closes, or that stays silent that long (stopped or wedged) is a
+    :class:`ShardError` naming the shard, the opcode and the epoch,
+    never a hang.
 
     Construction only starts the worker; :meth:`ready` reads its
     construction ack, so the coordinator starts every worker before
@@ -144,17 +155,21 @@ class _ProcessShard:
         self._pending.append(method)
 
     def recv(self):
-        method = self._pending.popleft()
-        return rpc.decode_response(
-            method, self._receive(rpc.opcode_of(method))
-        )
+        # The request stays pending until its reply arrives: a worker
+        # that never answers is mid-request, which close() terminates.
+        method = self._pending[0]
+        reply = self._receive(rpc.opcode_of(method))
+        self._pending.popleft()
+        return rpc.decode_response(method, reply)
 
     def _receive(self, opcode: int | None) -> bytes:
-        """The next reply, waited for only while the worker lives."""
+        """The next reply, waited for while the worker lives, and for
+        at most ``WORKER_REPLY_TIMEOUT_S``."""
         conn = self._conn
+        deadline = time.monotonic() + WORKER_REPLY_TIMEOUT_S
         try:
             while not conn.poll(WORKER_POLL_S):
-                if not self._proc.is_alive():
+                if not self._proc.is_alive() or time.monotonic() > deadline:
                     raise ShardError(self.shard_id, opcode, self._epoch)
             return conn.recv_bytes()
         except (EOFError, OSError) as exc:
@@ -162,7 +177,8 @@ class _ProcessShard:
 
     def close(self) -> None:
         """Stop the worker: asked to when idle, terminated when it is
-        mid-request (a reply nobody will read) or gone; always joined."""
+        mid-request (a reply nobody will read) or gone, killed when it
+        outlives the terminate (stopped); always joined."""
         proc = self._proc
         try:
             if proc.is_alive() and not self._pending:
@@ -173,6 +189,9 @@ class _ProcessShard:
         finally:
             if proc.is_alive():
                 proc.terminate()
+                proc.join(timeout=WORKER_TERMINATE_S)
+            if proc.is_alive():
+                proc.kill()
             if proc.pid is not None:
                 proc.join(timeout=5.0)
             self._conn.close()

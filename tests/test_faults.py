@@ -322,12 +322,13 @@ class TestRetryBackoff:
 
     def collect(self, sim, host_id=0):
         position = sim.host_position(host_id)
-        return sim._collect_responses(host_id, position, now=100.0)
+        ring = sim.network.peers_of(host_id, position)
+        return sim._collect_responses(host_id, position, ring, now=100.0)
 
     def find_host_with_peers(self, sim, minimum=1):
         for host_id in range(sim.params.mh_number):
             position = sim.host_position(host_id)
-            peers = sim.network.peers_of(host_id, position, count_traffic=False)
+            peers = sim.network.peers_of(host_id, position)
             if peers.size >= minimum:
                 return host_id, [int(p) for p in peers]
         pytest.skip("no host with enough peers in this world")
@@ -390,7 +391,9 @@ class TestTrafficAccounting:
     def test_empty_caches_produce_no_responses(self):
         sim = make_sim(seed=9)
         position = sim.host_position(0)
-        sim._collect_responses(0, position, 0.0)
+        sim._collect_responses(
+            0, position, sim.network.peers_of(0, position), 0.0
+        )
         # Cold world: nobody has anything cached, nothing goes on air.
         assert sim.network.requests_sent == 1
         assert sim.network.responses_received == 0
@@ -404,7 +407,7 @@ class TestTrafficAccounting:
         xs = np.array([p[0] for p in chain])
         ys = np.array([p[1] for p in chain])
         net.update_positions(xs, ys)
-        net.peers_within_hops(0, Point(0, 0), hops=3)
+        net.peers_within_hops(0, net.peers_of(0, Point(0, 0)), hops=3)
         # Initial broadcast + relays by hosts 1 (hop 2) and 2 (hop 3).
         assert net.requests_sent == 1 + 1 + 1
         assert net.responses_received == 0
@@ -417,7 +420,7 @@ class TestTrafficAccounting:
         xs = np.array([0.0, 5.0, 9.0])
         ys = np.array([0.0, 0.0, 0.0])
         net.update_positions(xs, ys)
-        net.peers_within_hops(0, Point(0, 0), hops=1)
+        net.peers_within_hops(0, net.peers_of(0, Point(0, 0)), hops=1)
         assert net.requests_sent == 1
 
 

@@ -24,9 +24,9 @@ from repro.geometry import region
 from repro.geometry.region import (
     GRID_MIN_RECTS,
     boundary_min_distance,
-    coverage_grid,
     grid_boundary_coord_arrays,
     grid_slabs,
+    padded_coverage_grid,
     rects_contain_points,
     slabs_boundary_coord_arrays,
     slabs_covers_rect,
@@ -72,25 +72,31 @@ class TestKernelMatchesSweep:
         # equal the sweep's (the same relation `repro.cli check` fuzzes).
         assert grid_vs_sweep(rects) == []
 
-    @given(rect_sets)
-    @settings(max_examples=60, deadline=None)
-    def test_cover_matrix_is_the_union(self, rects):
+    @given(rect_sets, st.sampled_from([None, 64]))
+    @settings(max_examples=100, deadline=None)
+    def test_cover_matrix_is_the_union(self, rects, block):
+        # Built over the padded index space directly, or — a grid over
+        # GRID_BLOCK_CELLS (64 forces it, in several blocks) — from the
+        # block route.
         rects = members(rects)
-        xs, ys, cover = coverage_grid(rects)
-        assert cover.shape == (max(len(xs) - 1, 0), max(len(ys) - 1, 0))
-        expected = np.zeros(cover.shape, dtype=bool)
+        cells = block or region.GRID_BLOCK_CELLS
+        with mock.patch.object(region, "GRID_BLOCK_CELLS", cells):
+            xs, ys, padded = padded_coverage_grid(rects)
+        assert padded.dtype == bool
+        assert padded.shape == (max(len(xs), 1) + 1, max(len(ys), 1) + 1)
+        expected = np.zeros(padded.shape, dtype=bool)
         for r in rects:
             # A rectangle covers the cells whose cuts it spans (cell
             # centres would round onto a cut between adjacent floats).
-            expected |= np.outer(
+            expected[1:-1, 1:-1] |= np.outer(
                 (xs[:-1] >= r.x1) & (xs[1:] <= r.x2),
                 (ys[:-1] >= r.y1) & (ys[1:] <= r.y2),
             )
-        assert np.array_equal(cover, expected)
+        assert np.array_equal(padded, expected)
 
     def test_empty_set(self):
         assert grid_slabs([]) == sweep_slabs([]) == ([], [])
-        assert coverage_grid([])[2].shape == (0, 0)
+        assert not padded_coverage_grid([])[2].any()
         assert all(a.size == 0 for a in grid_boundary_coord_arrays([]))
 
     @pytest.mark.parametrize(
@@ -484,7 +490,7 @@ class TestOneGridPerLazyUnion:
         pxs, pys = sharp_points(rects, extra)
         union = SlabUnion.from_rects(rects)
         with mock.patch.object(
-            region, "_grid_blocks", wraps=region._grid_blocks
+            region, "_grid_cuts", wraps=region._grid_cuts
         ) as builds:
             mask = union.contains_points(pxs, pys)
             inside = [
@@ -568,7 +574,7 @@ class TestOneGridPerLazyUnion:
         assert "slabs" in built._memo and "slabs" in small._memo
         unions = (built, small, RectUnion(rects))
         with mock.patch.object(
-            region, "_grid_blocks",
+            region, "_grid_cuts",
             side_effect=AssertionError("built a grid for a broadcast union"),
         ):
             for union in unions:

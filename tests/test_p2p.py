@@ -63,8 +63,8 @@ class TestPeerNetwork:
 
     def test_traffic_accounting(self):
         net = self.make([(0, 0), (1, 0), (2, 0)], tx_range=10)
-        net.peers_of(0, Point(0, 0))
-        net.peers_of(1, Point(1, 0))
+        for host, position in ((0, Point(0, 0)), (1, Point(1, 0))):
+            net.peers_within_hops(host, net.peers_of(host, position), 1)
         assert net.requests_sent == 2
         # Peers merely in range only *heard* the request; nobody has
         # responded yet — responses are recorded by the harness once
@@ -84,10 +84,14 @@ class TestPeerNetwork:
             net.record_requests(-1)
 
     def test_passive_lookup_counts_nothing(self):
+        # A neighbourhood lookup puts nothing on the air; only the
+        # share request sent to the ring it returns is charged.
         net = self.make([(0, 0), (1, 0), (2, 0)], tx_range=10)
-        net.peers_of(0, Point(0, 0), count_traffic=False)
+        ring = net.peers_of(0, Point(0, 0))
         assert net.requests_sent == 0
         assert net.peers_heard == 0
+        assert net.peers_within_hops(0, ring, 1) is ring
+        assert (net.requests_sent, net.peers_heard) == (1, 2)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -148,7 +152,80 @@ class TestSnapshotIds:
         kept = set(subset.tolist())
         reference = [
             gid
-            for gid in full.peers_within_hops(querier, origin, hops).tolist()
+            for gid in full.peers_within_hops(
+                querier, full.peers_of(querier, origin), hops
+            ).tolist()
             if gid in kept
         ]
-        assert sub.peers_within_hops(querier, origin, hops).tolist() == reference
+        got = sub.peers_within_hops(querier, sub.peers_of(querier, origin), hops)
+        assert got.tolist() == reference
+
+
+class TestOneNeighbourhoodLookup:
+    """A query looks its one-hop ring up once: the share request goes to
+    that ring, a multi-hop flood starts from it, and the same ring
+    overhears the result — with the traffic tallies unchanged."""
+
+    # traffic_totals() after 60 warm-up queries and one more, as charged
+    # when the overhearing neighbourhood was still looked up again.
+    PINNED = {
+        (1, False): (61, 660, 38),
+        (1, True): (178, 660, 29),
+        (2, False): (721, 8731, 130),
+        (2, True): (843, 8731, 109),
+    }
+
+    @pytest.mark.parametrize("faults", [False, True])
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_one_query_one_ring(self, hops, faults, monkeypatch):
+        from repro.experiments import Simulation, scaled_parameters
+        from repro.faults import FaultConfig
+        from repro.workloads import LA_CITY, QueryEvent, QueryKind
+
+        config = (
+            FaultConfig(loss_rate=0.3, churn_rate=0.1, retries=2)
+            if faults
+            else None
+        )
+        sim = Simulation(
+            scaled_parameters(LA_CITY, area_scale=0.05),
+            seed=11,
+            p2p_hops=hops,
+            fault_config=config,
+        )
+        sim.run_workload(QueryKind.KNN, 0, 60)
+        event = QueryEvent(
+            time=sim.env.now + 1.0, host_id=7, kind=QueryKind.KNN, k=5
+        )
+        sim._maybe_refresh(event.time)
+        network = sim.network
+        discs, floods, overheard = [], [], []
+        query_disc = network._grid.query_disc
+        flood = network.peers_within_hops
+        spread = sim._spread_overheard
+
+        def disc_spy(position, radius):
+            discs.append(position)
+            return query_disc(position, radius)
+
+        def flood_spy(host_id, ring, hops):
+            floods.append(ring)
+            return flood(host_id, ring, hops)
+
+        def spread_spy(ring, shared, now):
+            overheard.append(ring)
+            return spread(ring, shared, now)
+
+        monkeypatch.setattr(network._grid, "query_disc", disc_spy)
+        monkeypatch.setattr(network, "peers_within_hops", flood_spy)
+        monkeypatch.setattr(sim, "_spread_overheard", spread_spy)
+        sim.execute_query(event)
+
+        [ring] = floods
+        assert overheard == [ring] and overheard[0] is ring
+        assert discs[0] == sim.host_position(7)
+        # Hop 2 relays are the ring's hosts, in ring order; nothing
+        # else looks a neighbourhood up.
+        relays = [sim.host_position(gid) for gid in ring.tolist()]
+        assert discs[1:] == (relays if hops == 2 else [])
+        assert sim.traffic_totals() == self.PINNED[hops, faults]

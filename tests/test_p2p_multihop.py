@@ -10,6 +10,11 @@ from repro.p2p import PeerNetwork
 BOUNDS = Rect(0, 0, 100, 100)
 
 
+def flood(net, host_id, position, hops):
+    """The share request's reach from ``host_id`` at ``position``."""
+    return net.peers_within_hops(host_id, net.peers_of(host_id, position), hops)
+
+
 def make(positions, tx_range=10.0):
     net = PeerNetwork(BOUNDS, tx_range)
     xs = np.array([p[0] for p in positions], dtype=float)
@@ -22,34 +27,34 @@ class TestMultiHop:
     def test_hop_validation(self):
         net = make([(0, 0), (5, 0)])
         with pytest.raises(ProtocolError):
-            net.peers_within_hops(0, Point(0, 0), 0)
+            flood(net, 0, Point(0, 0), 0)
 
     def test_one_hop_equals_peers_of(self):
         net = make([(0, 0), (5, 0), (9, 0), (25, 0)])
         direct = set(net.peers_of(0, Point(0, 0)).tolist())
-        one_hop = set(net.peers_within_hops(0, Point(0, 0), 1).tolist())
+        one_hop = set(flood(net, 0, Point(0, 0), 1).tolist())
         assert direct == one_hop
 
     def test_chain_reachability(self):
         # A chain spaced at 8 with range 10: each extra hop adds one.
         chain = [(i * 8.0, 0.0) for i in range(6)]
         net = make(chain, tx_range=10.0)
-        reach1 = set(net.peers_within_hops(0, Point(0, 0), 1).tolist())
-        reach2 = set(net.peers_within_hops(0, Point(0, 0), 2).tolist())
-        reach5 = set(net.peers_within_hops(0, Point(0, 0), 5).tolist())
+        reach1 = set(flood(net, 0, Point(0, 0), 1).tolist())
+        reach2 = set(flood(net, 0, Point(0, 0), 2).tolist())
+        reach5 = set(flood(net, 0, Point(0, 0), 5).tolist())
         assert reach1 == {1}
         assert reach2 == {1, 2}
         assert reach5 == {1, 2, 3, 4, 5}
 
     def test_disconnected_component_unreachable(self):
         net = make([(0, 0), (5, 0), (60, 60)], tx_range=10.0)
-        reach = set(net.peers_within_hops(0, Point(0, 0), 10).tolist())
+        reach = set(flood(net, 0, Point(0, 0), 10).tolist())
         assert reach == {1}
 
     def test_querier_never_included(self):
         net = make([(0, 0), (5, 0), (10, 0)], tx_range=10.0)
         for hops in (1, 2, 3):
-            assert 0 not in net.peers_within_hops(0, Point(0, 0), hops)
+            assert 0 not in flood(net, 0, Point(0, 0), hops)
 
     def test_multi_hop_superset_of_single(self):
         rng = np.random.default_rng(0)
@@ -57,8 +62,8 @@ class TestMultiHop:
         net = make(pts, tx_range=6.0)
         for host in (0, 17, 42):
             p = Point(*pts[host])
-            one = set(net.peers_within_hops(host, p, 1).tolist())
-            two = set(net.peers_within_hops(host, p, 2).tolist())
+            one = set(flood(net, host, p, 1).tolist())
+            two = set(flood(net, host, p, 2).tolist())
             assert one <= two
 
 
@@ -106,7 +111,7 @@ class TestFrontierDeduplication:
         pts = [tuple(p) for p in rng.uniform(40, 60, (40, 2))]
         net = make(pts, tx_range=50.0)
         for hops in (1, 2, 3):
-            reach = net.peers_within_hops(0, Point(*pts[0]), hops)
+            reach = flood(net, 0, Point(*pts[0]), hops)
             assert len(reach) == len(set(reach.tolist()))
 
     def test_result_unique_across_cell_straddling_frontiers(self):
@@ -116,7 +121,7 @@ class TestFrontierDeduplication:
         pts = [(9.9, 9.9), (10.1, 9.9), (9.9, 10.1), (10.1, 10.1),
                (19.9, 10.0), (20.1, 10.0), (30.0, 10.0)]
         net = make(pts, tx_range=10.5)
-        reach = net.peers_within_hops(0, Point(*pts[0]), 3)
+        reach = flood(net, 0, Point(*pts[0]), 3)
         assert len(reach) == len(set(reach.tolist()))
         assert set(reach.tolist()) == {1, 2, 3, 4, 5, 6}
 
@@ -127,7 +132,7 @@ class TestFrontierDeduplication:
         net = make(pts, tx_range=10.0)
         net.requests_sent = 0
         net.peers_heard = 0
-        reach = net.peers_within_hops(0, Point(0, 0), 2)
+        reach = flood(net, 0, Point(0, 0), 2)
         assert set(reach.tolist()) == {1, 2, 3}
         # One probe from the querier + one from each first-hop relay.
         assert net.requests_sent == 3
@@ -181,8 +186,8 @@ class TestIdMappedSubset:
         for gid in (0, 17, 42):
             p = Point(*pts[gid])
             assert (
-                mapped.peers_within_hops(gid, p, 2).tolist()
-                == full.peers_within_hops(gid, p, 2).tolist()
+                flood(mapped, gid, p, 2).tolist()
+                == flood(full, gid, p, 2).tolist()
             )
 
     def test_unsorted_ids_rejected(self):

@@ -8,6 +8,8 @@ masks), to a relative 1e-12 for the boundary distances (same formula,
 array evaluation order).
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,33 @@ def stale_responses_strategy(draw):
     return responses
 
 
+@st.composite
+def overheard_responses_strategy(draw):
+    """Peers that overheard the same results: their responses share POI
+    objects, in their own orders and repeats, beside stale copies (an
+    id that also sits elsewhere)."""
+    pool = [
+        POI(poi_id, Point(x, y))
+        for poi_id, x, y in draw(
+            st.lists(
+                st.tuples(st.integers(0, 8), grid_coord, grid_coord),
+                min_size=1,
+                max_size=10,
+            )
+        )
+    ]
+    responses = []
+    for peer in range(draw(st.integers(1, 8))):
+        rects = tuple(draw(st.lists(grid_rect(), max_size=3)))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+        responses.append(
+            ShareResponse(
+                peer, rects, tuple(pool[i] for i in picks), generation=peer
+            )
+        )
+    return responses
+
+
 class TestPeerReadReuse:
     """A query's one peer read answers "first copy per id inside rect ∩
     MVR" exactly as a fresh `first_contained` over the same responses:
@@ -233,6 +262,38 @@ class TestPeerReadReuse:
         if within is not None:
             assert read.pois_within(within) == got
         assert [id(p) for p in got] == [id(p) for p in expected]
+
+    @given(
+        overheard_responses_strategy(),
+        st.lists(grid_rect(), max_size=4),
+        st.sampled_from(["slab", "rect"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_copies_read_once_answer_every_window(
+        self, responses, windows, kind
+    ):
+        rects = [rect for response in responses for rect in response.regions]
+        mvr = SlabUnion.from_rects(rects) if kind == "slab" else RectUnion(rects)
+        read = PeerRead.gather(responses, mvr)
+        for within in [None, *windows]:
+            _, _, _, _, sel = first_contained(responses, mvr, within)
+            assert read.first(within).tolist() == sel.tolist()
+
+    @given(overheard_responses_strategy())
+    @settings(max_examples=100, deadline=None)
+    def test_gather_asks_once_per_distinct_copy(self, responses):
+        asked = []
+        real = SlabUnion.contains_points
+
+        def spy(union, pxs, pys):
+            asked.extend(zip(pxs.tolist(), pys.tolist()))
+            return real(union, pxs, pys)
+
+        rects = [rect for response in responses for rect in response.regions]
+        with patch.object(SlabUnion, "contains_points", spy):
+            PeerRead.gather(responses, SlabUnion.from_rects(rects))
+        copies = [p for r in responses for p in r.pois]
+        assert len(asked) <= len({(p.poi_id, p.x, p.y) for p in copies})
 
     def test_stale_copy_inside_only_on_the_edge(self):
         # Id 5's first copy is outside the MVR, its second on the MVR's

@@ -16,13 +16,18 @@ run (halo cache mirrors are one refresh epoch stale).
 
 import multiprocessing
 import os
+import pathlib
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
 
 import pytest
+
+import repro
 
 from repro.cache import DirectionDistancePolicy, LRUPolicy
 from repro.errors import ExperimentError, ShardError
@@ -244,6 +249,64 @@ def test_a_killed_worker_is_a_typed_error_not_a_hang():
     )
     assert multiprocessing.active_children() == []
     sim.close()  # idempotent after the reaping
+
+
+# Run in a child interpreter under a timeout: a coordinator that waits
+# on a stopped worker forever must fail this test, not stall the suite.
+_STALLED_WORKER_RUN = """
+import multiprocessing, os, signal, threading, time, warnings
+import repro.shard.sim as shard_sim
+from repro.errors import ShardError
+from repro.shard import ShardedSimulation
+from repro.workloads import RIVERSIDE_COUNTY, QueryKind, scaled_parameters
+
+shard_sim.WORKER_REPLY_TIMEOUT_S = 1.0
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    params = scaled_parameters(RIVERSIDE_COUNTY, 0.1)
+sim = ShardedSimulation(
+    params, seed=0, shards=2, exchange="cycle", backend="process"
+)
+victim = sim._workers[1]._proc.pid
+stopper = threading.Timer(0.5, os.kill, (victim, signal.SIGSTOP))
+started = time.monotonic()
+stopper.start()
+try:
+    sim.run_workload(QueryKind.KNN, 0, 10**6)
+except ShardError as error:
+    print("error", error.shard_id, error.opcode is not None, error.epoch >= 0)
+print("elapsed", time.monotonic() - started)
+print("children", len(multiprocessing.active_children()))
+"""
+
+
+def test_a_stopped_worker_is_a_typed_error_and_is_reaped():
+    # SIGSTOP one worker mid-run: it lives but never replies.  The
+    # bounded reply wait (1 s here) turns that into a ShardError, and
+    # close() kills the worker that a terminate cannot end.
+    child = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_WORKER_RUN],
+        env=dict(
+            os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])
+        ),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # The stopped worker is in the child's session: SIGKILL ends
+        # it too, stopped or not.
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the coordinator waited on a stopped worker")
+    assert child.returncode == 0, err
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert lines["error"] == "1 True True"
+    assert float(lines["elapsed"]) < 15.0
+    assert lines["children"] == "0"
 
 
 def test_shard_error_survives_pickling():

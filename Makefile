@@ -99,6 +99,10 @@ lint:
 	@! grep -rIn 'count[_]traffic' src tests benchmarks examples
 	@test "$$(grep -rI 'peers[_]of(' src/repro/experiments | wc -l)" -eq 1
 	@test "$$(grep -I 'network[.]peers[_]of(' src/repro/experiments/world.py | wc -l)" -eq 1
+	@echo ">> a cached POI is one table entry: no per-POI record, no share memo on a host, the clocks stay in their policies"
+	@! grep -rIn 'Cache[I]tem\|[_]share_memo\|[_]share_generation' src/repro
+	@! grep -rIn 'last[_]used\|inserted[_]at' src/repro \
+		| grep -v '^src/repro/cache/policy[.]py:\|^src/repro/codec/types[.]py:'
 
 test:
 	@echo ">> tier-1 tests"

@@ -1,11 +1,10 @@
 """Cooperative caching: per-host POI stores with verified regions."""
 
-from .entry import CacheItem, SharedResult, VerifiedRegion
+from .entry import SharedResult, VerifiedRegion
 from .policy import DirectionDistancePolicy, FIFOPolicy, LRUPolicy, ReplacementPolicy
 from .store import EVICTION_MARGIN, POICache, shrink_rect_to_exclude
 
 __all__ = [
-    "CacheItem",
     "DirectionDistancePolicy",
     "EVICTION_MARGIN",
     "FIFOPolicy",

@@ -57,44 +57,6 @@ class VerifiedRegion:
         return hash((self.rect, self.created_at))
 
 
-class CacheItem:
-    """A cached POI plus bookkeeping for the replacement policies.
-
-    A hand-written slots class like :class:`VerifiedRegion`: one is
-    built per cached POI (tens of thousands per simulated run) and the
-    generated dataclass ``__init__`` — dispatched through a
-    ``<string>`` frame — was visible in profiles.  Keyword
-    construction, equality, and ``repr`` keep the old
-    ``dataclass(slots=True)`` contract; ``last_used`` stays mutable
-    (the LRU clock writes it on every touch).
-    """
-
-    __slots__ = ("poi", "inserted_at", "last_used")
-
-    def __init__(
-        self, poi: POI, inserted_at: float, last_used: float
-    ) -> None:
-        self.poi = poi
-        self.inserted_at = inserted_at
-        self.last_used = last_used
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheItem(poi={self.poi!r},"
-            f" inserted_at={self.inserted_at!r},"
-            f" last_used={self.last_used!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is CacheItem:
-            return (
-                self.poi == other.poi
-                and self.inserted_at == other.inserted_at
-                and self.last_used == other.last_used
-            )
-        return NotImplemented
-
-
 class SharedResult(tuple):
     """One query's shared result: its certified ``(region, pois)`` pairs.
 

@@ -4,36 +4,44 @@ The paper's policy (after Ren & Dunham [13]) ranks eviction victims by
 the distance between the host and the data object, penalising objects
 that lie *behind* the host's direction of travel — a motorist will not
 come back for them.  LRU and FIFO are included as ablation baselines.
+
+The paper's policy ranks by the POI alone, so one stateless instance
+(:data:`DIRECTION_DISTANCE`) serves every cache.  The two baselines
+rank by a clock — last use, first admission — that each keeps for the
+one cache it serves (a ``policy_factory`` builds one per host): the
+cache tells a clocked policy which POIs it admits or uses
+(:meth:`use`) and which it evicts (:meth:`forget`), and the clock lists
+exactly the cached POIs, in the cache's own order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from ..geometry import NEAR_ABS, NEAR_REL, Point
-from .entry import CacheItem
+from ..model import POI
 
 
 class ReplacementPolicy(Protocol):
-    """Ranks cached items most-evictable-first."""
+    """Ranks cached POIs most-evictable-first."""
 
     def rank_victims(
         self,
-        items: Sequence[CacheItem],
+        pois: Sequence[POI],
         host_position: Point,
         heading: tuple[float, float],
-    ) -> list[CacheItem]:
-        """Return the items ordered so the first should be evicted first."""
+    ) -> list[POI]:
+        """Return the POIs ordered so the first should be evicted first."""
         ...
 
 
 class DirectionDistancePolicy:
     """Evict far-away objects, especially those behind the host.
 
-    The score of an item is its distance from the host, multiplied by
+    The score of a POI is its distance from the host, multiplied by
     ``(1 + behind_penalty)`` when the object lies in the half-plane
     opposite the travel direction.  Largest score is evicted first;
     equal scores break ties toward the larger ``poi_id`` so rankings
@@ -55,38 +63,24 @@ class DirectionDistancePolicy:
 
     def rank_victims(
         self,
-        items: Sequence[CacheItem],
+        pois: Sequence[POI],
         host_position: Point,
         heading: tuple[float, float],
-    ) -> list[CacheItem]:
-        items = list(items)
-        n = len(items)
-        if n <= 1:
-            return items
-        scores, ids = self.score_batch(items, host_position, heading)
+    ) -> list[POI]:
+        pois = list(pois)
+        if len(pois) <= 1:
+            return pois
+        # POI.x/.y are properties over .location; chase the Point once.
+        locations = [poi.location for poi in pois]
+        xs = np.array([p.x for p in locations], np.float64)
+        ys = np.array([p.y for p in locations], np.float64)
+        ids = np.array([poi.poi_id for poi in pois], np.int64)
+        scores = self.score_arrays(xs, ys, host_position, heading)
         # Descending (score, poi_id): reverse-sorting the key tuples is
         # an ascending lexsort on the negated columns (poi_ids are
         # unique, so the order is total and stability is moot).
         order = np.lexsort((np.negative(ids), np.negative(scores)))
-        return [items[i] for i in order]
-
-    def score_batch(
-        self,
-        items: Sequence[CacheItem],
-        host_position: Point,
-        heading: tuple[float, float],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised eviction scores over a structure-of-arrays view.
-
-        Returns ``(scores, poi_ids)``; larger score means evict first.
-        See :meth:`score_arrays` for the float contract.
-        """
-        # POI.x/.y are properties over .location; chase the Point once.
-        locations = [item.poi.location for item in items]
-        xs = np.array([p.x for p in locations], np.float64)
-        ys = np.array([p.y for p in locations], np.float64)
-        ids = np.array([item.poi.poi_id for item in items], np.int64)
-        return self.score_arrays(xs, ys, host_position, heading), ids
+        return [pois[i] for i in order]
 
     def score_arrays(
         self,
@@ -177,25 +171,65 @@ class DirectionDistancePolicy:
         return order[:excess]
 
 
-class LRUPolicy:
-    """Evict the least recently used item first (ablation baseline)."""
+# The one instance every cache without a policy of its own shares.
+DIRECTION_DISTANCE = DirectionDistancePolicy()
+
+
+class _ClockPolicy:
+    """A rank-only policy ordered by a clock it keeps for one cache.
+
+    ``clock`` maps each cached POI's id to its time, in the cache's
+    item order; :meth:`rank_victims` sorts by it, stably, so equal
+    times keep that order.
+    """
+
+    __slots__ = ("clock",)
+
+    def __init__(self, clock: dict[int, float] | None = None) -> None:
+        self.clock: dict[int, float] = {} if clock is None else clock
 
     def rank_victims(
         self,
-        items: Sequence[CacheItem],
+        pois: Sequence[POI],
         host_position: Point,
         heading: tuple[float, float],
-    ) -> list[CacheItem]:
-        return sorted(items, key=lambda item: item.last_used)
+    ) -> list[POI]:
+        clock = self.clock
+        return sorted(pois, key=lambda poi: clock[poi.poi_id])
+
+    def forget(self, poi_ids: Iterable[int]) -> None:
+        """The cache evicted these POIs."""
+        clock = self.clock
+        for poi_id in poi_ids:
+            del clock[poi_id]
 
 
-class FIFOPolicy:
-    """Evict the oldest-inserted item first (ablation baseline)."""
+class LRUPolicy(_ClockPolicy):
+    """Evict the least recently used POI first (ablation baseline).
 
-    def rank_victims(
-        self,
-        items: Sequence[CacheItem],
-        host_position: Point,
-        heading: tuple[float, float],
-    ) -> list[CacheItem]:
-        return sorted(items, key=lambda item: item.inserted_at)
+    The clock is each POI's last use: its admission, every later offer
+    of it, and every answer it gives the host's own query.
+    """
+
+    __slots__ = ()
+
+    def use(self, poi_ids: Iterable[int], now: float) -> None:
+        """The cache admitted or used these POIs at ``now``."""
+        clock = self.clock
+        for poi_id in poi_ids:
+            clock[poi_id] = now
+
+
+class FIFOPolicy(_ClockPolicy):
+    """Evict the oldest-admitted POI first (ablation baseline).
+
+    The clock is each POI's admission time; a use leaves it alone.
+    """
+
+    __slots__ = ()
+
+    def use(self, poi_ids: Iterable[int], now: float) -> None:
+        """The cache admitted or used these POIs at ``now``."""
+        stamp = self.clock.setdefault
+        for poi_id in poi_ids:
+            stamp(poi_id, now)

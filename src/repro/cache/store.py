@@ -9,6 +9,12 @@ Shrinking cuts the region along the side that loses the least area and
 pushes the cut a hair (``EVICTION_MARGIN``) past the victim so the
 victim ends up strictly outside the closed region.
 
+The POI table ``_items`` maps each cached POI's id to the POI object
+it was offered (in one process, the station's own, shared by every
+cache holding it): a cached POI costs one dict entry and no record of
+its own.  What a replacement policy needs beyond the POI, it keeps
+itself (see :mod:`repro.cache.policy`).
+
 The verified area has one representation, the rectangle list
 ``_regions`` — what ``share()`` sends and what every reader (the
 merged MVR of a query, the continuous safe regions) builds its union
@@ -39,8 +45,8 @@ from ..check import invariants
 from ..errors import CacheError
 from ..geometry import Point, Rect
 from ..model import POI
-from .entry import CacheItem, SharedResult, VerifiedRegion
-from .policy import DirectionDistancePolicy, ReplacementPolicy
+from .entry import SharedResult, VerifiedRegion
+from .policy import DIRECTION_DISTANCE, ReplacementPolicy
 
 import numpy as np
 
@@ -223,8 +229,8 @@ class POICache:
             raise CacheError(f"max_regions must be >= 1, got {max_regions}")
         self.capacity = capacity
         self.max_regions = max_regions
-        self.policy = policy if policy is not None else DirectionDistancePolicy()
-        self._items: dict[int, CacheItem] = {}
+        self.policy = policy if policy is not None else DIRECTION_DISTANCE
+        self._items: dict[int, POI] = {}
         self._regions: list[VerifiedRegion] = []
         self._slot_xs = array("d")
         self._slot_ys = array("d")
@@ -233,6 +239,10 @@ class POICache:
         # verified regions change, so share responses can be memoised
         # on (host, generation) and stay sound.
         self.generation = 0
+        # The share response the owning host built for this generation
+        # (``None`` until asked): dropped at every bump, so a stale one
+        # is never kept.
+        self.response = None
         # What moved since the region list was last settled (area-sorted,
         # no region inside an earlier one): ``SETTLED`` while no
         # eviction has shrunk or dropped a region — the precondition for
@@ -251,13 +261,6 @@ class POICache:
     # evicted one three deletes in place, and a ranking reads numpy
     # copies.
     # ------------------------------------------------------------------
-    def _fill_slots(self, items: Sequence[CacheItem]) -> None:
-        """Build the mirror from ``items``, in their order (decode)."""
-        locations = [item.poi.location for item in items]
-        self._slot_xs = array("d", [p.x for p in locations])
-        self._slot_ys = array("d", [p.y for p in locations])
-        self._slot_ids = array("q", [item.poi.poi_id for item in items])
-
     def _slot_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The mirror as numpy ``(xs, ys, ids)`` arrays, for a ranking."""
         return (
@@ -286,7 +289,7 @@ class POICache:
         vxs: list[float] = []
         vys: list[float] = []
         for poi_id in poi_ids:
-            location = items.pop(poi_id).poi.location
+            location = items.pop(poi_id).location
             vxs.append(location.x)
             vys.append(location.y)
         self._delete_slots(map(self._slot_ids.index, poi_ids))
@@ -319,7 +322,7 @@ class POICache:
     @property
     def pois(self) -> list[POI]:
         """The cached POIs (insertion order), as a fresh list."""
-        return [item.poi for item in self._items.values()]
+        return list(self._items.values())
 
     @property
     def regions(self) -> list[VerifiedRegion]:
@@ -365,14 +368,18 @@ class POICache:
         admitted, so a POI first offered from it on becomes a table
         entry only if it survives.  Rank-only policies
         (LRU, FIFO) rank per step: their order moves with the clocks
-        the visit writes.
+        the visit writes — the policy's own, told each step's offered
+        POIs (:meth:`~repro.cache.policy.LRUPolicy.use`) and victims
+        (``forget``).  The paper's policy keeps no clock and hears of
+        no POI.
 
         What stays per step: region placement, ``_repair_regions`` with
         that step's victims in eviction order, and one generation bump
         if the step added a POI, moved a region or evicted — the
         generation moves at most once per *step*, as inserting the
-        pairs one call each would move it (the share-response memo and
-        the halo sync key on it).  Under an enabled ``tracer`` (a
+        pairs one call each would move it (the halo sync keys on it),
+        and the bump drops the share response built for the old
+        generation.  Under an enabled ``tracer`` (a
         :class:`repro.obs.Tracer`) the visit is one ``cache.insert``
         span below the active query span, its attributes summed over
         the steps; ``regions_moved`` / ``regions_shrunk`` add up the
@@ -405,6 +412,7 @@ class POICache:
         """The steps of one visit; ``counts`` collects the span sums."""
         capacity = self.capacity
         select = getattr(self.policy, "select_victims", None)
+        use = getattr(self.policy, "use", None)
         last = len(shared) - 1
         rest: _RankedRest | None = None
         for step, (region, pois) in enumerate(shared):
@@ -419,10 +427,12 @@ class POICache:
                     and size + self._new_at(shared, step) > capacity
                 ):
                     rest = self._rank_rest(
-                        shared, step, now, host_position, heading, select
+                        shared, step, host_position, heading, select
                     )
             if rest is None:
-                added = self._admit(pois, now)
+                added = self._admit(pois)
+                if use is not None:
+                    use([poi.poi_id for poi in pois], now)
             else:
                 added = rest.admit(step)
             size += added
@@ -439,6 +449,7 @@ class POICache:
                 evicted = 0
             if added or changed or evicted:
                 self.generation += 1
+                self.response = None
             if invariants.ENABLED:
                 invariants.check_cache(self)
             if counts is not None:
@@ -468,7 +479,6 @@ class POICache:
         self,
         shared: SharedResult,
         step: int,
-        now: float,
         host_position: Point,
         heading: tuple[float, float],
         select,
@@ -483,10 +493,9 @@ class POICache:
         POIs in eviction order.  The table and its mirror are final on
         return: the table's survivors in their order, then the later
         survivors in first-offer order.  A doomed POI the table does not
-        hold never becomes an item or a mirror entry, so neither ever
-        holds more than the capacity; a table POI first offered at or
-        after ``step`` has its clock at ``now``.  What the steps from
-        ``step`` on replay is returned.
+        hold never becomes a table or a mirror entry, so neither ever
+        holds more than the capacity.  What the steps from ``step`` on
+        replay is returned.
         """
         items = self._items
         later: list[int] = []
@@ -494,12 +503,10 @@ class POICache:
         ids, pois, steps, again = shared.offers()
         for k in range(bisect_left(steps, step), len(ids)):
             poi_id = ids[k]
-            item = items.get(poi_id)
-            if item is None:
-                later.append(k)
-            else:
-                item.last_used = now
+            if poi_id in items:
                 revisits.setdefault(steps[k], []).append(poi_id)
+            else:
+                later.append(k)
         xs, ys, slot_ids = self._slot_arrays()
         n = slot_ids.size
         if later:
@@ -536,24 +543,17 @@ class POICache:
                 enters[steps[later[slot - n]]].append(r)
                 later_doomed[slot - n] = True
         self._delete_slots(table_slots)
-        # A later survivor comes in at its first offer: an item and a
+        # A later survivor comes in at its first offer: a table and a
         # mirror entry behind the table's.
         added_at = rest.added_at
         append_x = self._slot_xs.append
         append_y = self._slot_ys.append
         append_id = self._slot_ids.append
-        new_item = CacheItem.__new__
         for k, is_doomed in zip(later, later_doomed):
             if is_doomed:
                 continue
             poi = pois[k]
-            # Inline CacheItem(poi, now, now): one C allocation instead
-            # of a Python-frame __init__ per cached POI.
-            item = new_item(CacheItem)
-            item.poi = poi
-            item.inserted_at = now
-            item.last_used = now
-            items[ids[k]] = item
+            items[ids[k]] = poi
             location = poi.location
             append_x(location.x)
             append_y(location.y)
@@ -561,7 +561,7 @@ class POICache:
             added_at[steps[k]] += 1
         return rest
 
-    def _admit(self, pois: Sequence[POI], now: float) -> int:
+    def _admit(self, pois: Sequence[POI]) -> int:
         """One step's POIs into the table and the mirror, as offered.
 
         Returns how many were new.  Every step of a visit comes through
@@ -572,17 +572,10 @@ class POICache:
         append_y = self._slot_ys.append
         append_id = self._slot_ids.append
         added = 0
-        new_item = CacheItem.__new__
         for poi in pois:
             poi_id = poi.poi_id
-            if poi_id in items:
-                items[poi_id].last_used = now
-            else:
-                item = new_item(CacheItem)
-                item.poi = poi
-                item.inserted_at = now
-                item.last_used = now
-                items[poi_id] = item
+            if poi_id not in items:
+                items[poi_id] = poi
                 location = poi.location
                 append_x(location.x)
                 append_y(location.y)
@@ -599,12 +592,19 @@ class POICache:
         ranking of the rest behind it evicts here: a rank-only policy's
         every step, and the overflowing last step of a visit.
         """
-        select = getattr(self.policy, "select_victims", None)
+        policy = self.policy
+        select = getattr(policy, "select_victims", None)
         if select is None:
-            victims = self.policy.rank_victims(
-                list(self._items.values()), host_position, heading
-            )[:count]
-            return self._drop([item.poi.poi_id for item in victims])
+            victims = [
+                poi.poi_id
+                for poi in policy.rank_victims(
+                    list(self._items.values()), host_position, heading
+                )[:count]
+            ]
+            forget = getattr(policy, "forget", None)
+            if forget is not None:
+                forget(victims)
+            return self._drop(victims)
         xs, ys, ids = self._slot_arrays()
         sel = select(xs, ys, ids, count, host_position, heading)
         items = self._items
@@ -701,11 +701,12 @@ class POICache:
             del regions[worst]
 
     def touch(self, poi_ids: Iterable[int], now: float) -> None:
-        """Record use of cached POIs (LRU bookkeeping)."""
-        for poi_id in poi_ids:
-            item = self._items.get(poi_id)
-            if item is not None:
-                item.last_used = now
+        """Tell a clocked policy the host's query used these POIs (the
+        cached ones among them); the paper's policy hears nothing."""
+        use = getattr(self.policy, "use", None)
+        if use is not None:
+            items = self._items
+            use([poi_id for poi_id in poi_ids if poi_id in items], now)
 
     def share(self) -> tuple[list[Rect], list[POI]]:
         """What this host sends a requesting peer: VR rects + POIs.
@@ -727,13 +728,13 @@ class POICache:
 
         Immutable, and built per call: the stamp moves exactly when
         the POI set or the regions change, so a caller that wants one
-        snapshot per generation keeps it beside the stamp (the host's
-        share response does).
+        snapshot per generation keeps what it builds from it in
+        ``response``, which the next bump clears.
         """
         return (
             self.generation,
             tuple([vr.rect for vr in self._regions]),
-            tuple([item.poi for item in self._items.values()]),
+            tuple(self._items.values()),
         )
 
     # ------------------------------------------------------------------
@@ -743,14 +744,16 @@ class POICache:
         """The cache's replayable state as flat structures.
 
         Everything the host-migration codec ships: configuration
-        scalars, the POI table in dict insertion order (load-bearing:
+        scalars, the cached POIs in table order (load-bearing:
         ``pois``/``share`` iterate it) and the verified regions in their
         area-descending list order.  The coordinate mirror is not
         shipped — it follows the table's order, so the decoder rebuilds
-        it from the POIs.  The policy is excluded — it is encoded
-        separately by the codec.  Of the moved-region marker only
-        "settled or not" crosses; an unsettled cache decodes as
-        ``ALL_MOVED``, whose full re-check settles to the same list.
+        it from the POIs — nor is the share response, rebuilt when
+        first asked for.  The policy (and a clocked policy's clock) is
+        excluded — it is encoded separately by the codec.  Of the
+        moved-region marker only "settled or not" crosses; an unsettled
+        cache decodes as ``ALL_MOVED``, whose full re-check settles to
+        the same list.
         """
         return (
             self.capacity,
@@ -769,23 +772,20 @@ class POICache:
         max_regions: int,
         generation: int,
         settled: bool,
-        items: Sequence[CacheItem],
+        pois: Sequence[POI],
         regions: Sequence[VerifiedRegion],
     ) -> "POICache":
         """Rebuild a cache from :meth:`codec_state` components."""
-        if capacity < 1:
-            raise CacheError(f"cache capacity must be >= 1, got {capacity}")
-        if max_regions < 1:
-            raise CacheError(f"max_regions must be >= 1, got {max_regions}")
-        cache = cls.__new__(cls)
-        cache.capacity = capacity
-        cache.max_regions = max_regions
-        cache.policy = policy
-        cache._items = {item.poi.poi_id: item for item in items}
-        if len(cache._items) != len(items):
+        cache = cls(capacity, policy, max_regions)
+        cache._items = {poi.poi_id: poi for poi in pois}
+        if len(cache._items) != len(pois):
             raise CacheError("duplicate POI ids in codec cache state")
         cache._regions = list(regions)
-        cache._fill_slots(items)
+        # The mirror, rebuilt in the table's order.
+        locations = [poi.location for poi in pois]
+        cache._slot_xs = array("d", [p.x for p in locations])
+        cache._slot_ys = array("d", [p.y for p in locations])
+        cache._slot_ids = array("q", list(cache._items))
         cache.generation = generation
         cache._moved = SETTLED if settled else ALL_MOVED
         return cache

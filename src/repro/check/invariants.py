@@ -238,11 +238,13 @@ def check_search_radius(
 def check_cache(cache) -> None:
     """Capacity, table-order, region-cap and region-list contracts.
 
-    The coordinate mirror lists the cached POIs in the table's own
-    order.  No region is degenerate, and while the list is settled (no
-    eviction moved a region since the last settle) the areas are
-    non-increasing with no region inside an earlier one — what the
-    fused insert and the partial settle both start from.  O(R²).
+    The coordinate mirror, and a clocked policy's clock, list the
+    cached POIs in the table's own order; a kept share response is of
+    the current generation.  No region is degenerate, and while the
+    list is settled (no eviction moved a region since the last
+    settle) the areas are non-increasing with no region inside an
+    earlier one — what the fused insert and the partial settle both
+    start from.  O(R²).
     """
     from ..cache.store import SETTLED
 
@@ -254,6 +256,12 @@ def check_cache(cache) -> None:
         raise InvariantViolation(
             "cache coordinate mirror is out of the item order"
         )
+    clock = getattr(cache.policy, "clock", None)
+    if clock is not None and list(clock) != list(cache._items):
+        raise InvariantViolation("policy clock is out of the item order")
+    response = cache.response
+    if response is not None and response.generation != cache.generation:
+        raise InvariantViolation("cache keeps a stale share response")
     regions = cache.regions
     if len(regions) > cache.max_regions:
         raise InvariantViolation(

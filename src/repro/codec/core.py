@@ -37,15 +37,15 @@ HEADER_SIZE = 3
 # 0x20-0x2f: serving-layer wire messages (see repro.serve.protocol).
 # 0x00 carried a pickled object, 0x01 the persistent SlabUnion, 0x05
 # an EventOutcome (the process backend relays outcomes in its own RPC
-# layout), 0x07 the host record with its coordinate mirror and
-# 0x20-0x22 the wire's value tree and struct QUERY/ANSWER layouts; all
-# retired, and reserved so an old frame is refused as an unknown tag
-# rather than misread.
+# layout), 0x07 the host record with its coordinate mirror, 0x08 the
+# host record with two clocks per cached POI and 0x20-0x22 the wire's
+# value tree and struct QUERY/ANSWER layouts; all retired, and reserved
+# so an old frame is refused as an unknown tag rather than misread.
 TAG_SHARE_PAYLOAD = 0x02
 TAG_OVERHEAR_OP = 0x03
 TAG_QUERY_RECORD = 0x04
 TAG_QUERY_EVENT = 0x06
-TAG_HOST = 0x08
+TAG_HOST = 0x09
 TAG_RECORD_BATCH = 0x13
 TAG_WIRE_JSON = 0x23
 

@@ -12,8 +12,9 @@ One registration per versioned type tag (see :mod:`repro.codec.core`):
 * ``MobileHost`` — the host-migration record: the full
   :meth:`POICache.codec_state` (no coordinate mirror: the decoder
   rebuilds it from the POIs) plus one tag byte for the eviction
-  policy (the stock policies only; anything else has no wire form
-  and raises :class:`~repro.errors.CodecError` on encode).
+  policy and, for LRU / FIFO, its clock as one float per cached POI
+  (the stock policies only; anything else has no wire form and
+  raises :class:`~repro.errors.CodecError` on encode).
 
 Nothing here pickles: every decoder is strict over flat buffers.
 
@@ -27,8 +28,13 @@ from __future__ import annotations
 
 import struct
 
-from ..cache.entry import CacheItem, SharedResult, VerifiedRegion
-from ..cache.policy import DirectionDistancePolicy, FIFOPolicy, LRUPolicy
+from ..cache.entry import SharedResult, VerifiedRegion
+from ..cache.policy import (
+    DIRECTION_DISTANCE,
+    DirectionDistancePolicy,
+    FIFOPolicy,
+    LRUPolicy,
+)
 from ..cache.store import POICache
 from ..core import Resolution
 from ..errors import CodecError
@@ -264,7 +270,8 @@ def read_record_batch(r: Reader) -> tuple[QueryRecord, ...]:
 # MobileHost migration records
 # ----------------------------------------------------------------------
 _POLICY_DIRECTION = 1
-# The stateless stock policies are one tag byte each.
+# The clocked stock policies: one tag byte each, and the clock after
+# the POIs, one time per POI (LRU's its last use, FIFO's its admission).
 _POLICY_TAG = {LRUPolicy: 2, FIFOPolicy: 3}
 _TAG_POLICY = {tag: cls for cls, tag in _POLICY_TAG.items()}
 
@@ -277,15 +284,17 @@ def write_host(w: Writer, host: MobileHost) -> None:
         max_regions,
         generation,
         settled,
-        items,
+        pois,
         regions,
     ) = cache.codec_state()
     policy = cache.policy
+    clock = None
     if type(policy) is DirectionDistancePolicy:
         w.u8(_POLICY_DIRECTION)
         w.f64(policy.behind_penalty)
     elif type(policy) in _POLICY_TAG:
         w.u8(_POLICY_TAG[type(policy)])
+        clock = policy.clock
     else:
         raise CodecError(
             f"replacement policy {type(policy).__name__} has no wire form"
@@ -295,9 +304,9 @@ def write_host(w: Writer, host: MobileHost) -> None:
     w.i64(max_regions)
     w.i64(generation)
     w.u8(1 if settled else 0)
-    write_pois(w, [item.poi for item in items])
-    w.f64_array([item.inserted_at for item in items])
-    w.f64_array([item.last_used for item in items])
+    write_pois(w, pois)
+    if clock is not None:
+        w.f64_array([clock[poi.poi_id] for poi in pois])
     write_rects(w, [vr.rect for vr in regions])
     w.f64_array([vr.created_at for vr in regions])
 
@@ -306,28 +315,26 @@ def read_host(r: Reader) -> MobileHost:
     host_id = r.i64()
     policy_tag = r.u8()
     if policy_tag == _POLICY_DIRECTION:
-        policy = DirectionDistancePolicy(r.f64())
-    elif policy_tag in _TAG_POLICY:
-        policy = _TAG_POLICY[policy_tag]()
-    else:
+        penalty = r.f64()
+        policy = (
+            DIRECTION_DISTANCE
+            if penalty == DIRECTION_DISTANCE.behind_penalty
+            else DirectionDistancePolicy(penalty)
+        )
+    elif policy_tag not in _TAG_POLICY:
         raise CodecError(f"unknown policy tag {policy_tag}")
     capacity = r.i64()
     max_regions = r.i64()
     generation = r.i64()
     settled = bool(r.u8())
     pois = read_pois(r)
-    inserted_at = r.f64_array().tolist()
-    last_used = r.f64_array().tolist()
-    if len(inserted_at) != len(pois) or len(last_used) != len(pois):
-        raise CodecError("cache item clock buffers disagree with POI count")
-    items = []
-    new_item = CacheItem.__new__
-    for poi, t_in, t_used in zip(pois, inserted_at, last_used):
-        item = new_item(CacheItem)
-        item.poi = poi
-        item.inserted_at = t_in
-        item.last_used = t_used
-        items.append(item)
+    if policy_tag in _TAG_POLICY:
+        times = r.f64_array().tolist()
+        if len(times) != len(pois):
+            raise CodecError("policy clock buffer disagrees with POI count")
+        policy = _TAG_POLICY[policy_tag](
+            dict(zip([poi.poi_id for poi in pois], times))
+        )
     region_rects = read_rects(r)
     created_at = r.f64_array().tolist()
     if len(created_at) != len(region_rects):
@@ -341,15 +348,10 @@ def read_host(r: Reader) -> MobileHost:
         max_regions,
         generation,
         settled,
-        items,
+        pois,
         regions,
     )
-    host = MobileHost.__new__(MobileHost)
-    host.host_id = host_id
-    host.cache = cache
-    host._share_generation = None
-    host._share_memo = None
-    return host
+    return MobileHost(host_id, cache)
 
 
 # ----------------------------------------------------------------------

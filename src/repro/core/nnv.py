@@ -161,27 +161,32 @@ def _run_heads(values: np.ndarray) -> np.ndarray:
     return heads
 
 
-def _distinct_copies(ids: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first copy of each distinct ``(id, x, y)``.
+def _distinct_copies(
+    ids: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Ascending indices of the first copy of each distinct ``(id, x, y)``,
+    and whether some id arrives at two places (a stale copy).
 
     Containment depends on a copy's coordinates only, so these copies
     answer for every other.  Overheard results make neighbours hold
     the same POIs: most ids arrive several times at one place, and the
-    first copy of each id is the whole answer — one stable sort by id.
-    Only when some id arrives at two places (a stale copy) are equal
-    triples brought together, lowest index first, by a lexsort.
+    first copy of each id is the whole answer — one stable sort by id,
+    with no id among the copies twice.  Only when some id arrives at
+    two places are equal triples brought together, lowest index first,
+    by a lexsort.
     """
     order = ids.argsort(kind="stable")
     heads = _run_heads(ids[order])
     sx, sy = xs[order], ys[order]
-    if ((sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1]))[~heads[1:]].any():
+    stale = bool(((sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1]))[~heads[1:]].any())
+    if stale:
         order = np.lexsort((ys, xs, ids))
         heads = (
             _run_heads(ids[order]) | _run_heads(xs[order]) | _run_heads(ys[order])
         )
     copies = order[heads]
     copies.sort()
-    return copies
+    return copies, stale
 
 
 @dataclass(slots=True)
@@ -196,7 +201,9 @@ class PeerRead:
     Lemma 3.1's ``d*``, the query point's distance to the MVR
     boundary: ``-inf`` when the point is outside the MVR, and also
     when NNV had no candidate to verify (no reader asks then — a
-    peer-resolved query has candidates).  Built by :func:`nnv`, it
+    peer-resolved query has candidates).  ``stale`` records that some
+    id arrived at two places; without one the candidates' ids are
+    distinct.  Built by :func:`nnv`, it
     rides on the :class:`~repro.core.SBNNOutcome` to every later
     reader of the same query, and dies with the query.
     """
@@ -208,6 +215,7 @@ class PeerRead:
     candidates: np.ndarray
     mvr: SlabUnion
     boundary_distance: float = -np.inf
+    stale: bool = False
 
     @classmethod
     def gather(
@@ -222,16 +230,17 @@ class PeerRead:
                 pieces, nothing, nothing, nothing, np.empty(0, np.int64), mvr
             )
         ids, xs, ys = _columns(pieces)
-        copies = _distinct_copies(ids, xs, ys)
+        copies, stale = _distinct_copies(ids, xs, ys)
         inside = mvr.contains_points(xs[copies], ys[copies])
-        return cls(pieces, ids, xs, ys, copies[inside], mvr)
+        return cls(pieces, ids, xs, ys, copies[inside], mvr, stale=stale)
 
     def first(self, within: Rect | None = None) -> np.ndarray:
         """Ascending flat indices of the first copy per id inside the
         MVR (and the closed rectangle ``within``): the same indices as
         :func:`first_contained`, stale copies included — an id's first
         contained copy is the first of its ``(id, x, y)``, so it is
-        among the candidates."""
+        among the candidates.  Without a stale copy the candidates
+        hold each id once, and are already the answer."""
         kept = self.candidates
         if within is not None:
             xs = self.xs[kept]
@@ -242,7 +251,7 @@ class PeerRead:
                 & (within.y1 <= ys)
                 & (ys <= within.y2)
             ]
-        return _first_copies(self.ids, kept)
+        return _first_copies(self.ids, kept) if self.stale else kept
 
     def pois_within(self, within: Rect) -> list[POI]:
         """Peer POIs inside both ``within`` and the MVR (hence complete).

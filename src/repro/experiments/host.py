@@ -122,13 +122,11 @@ class HaloHost:
 class MobileHost:
     """One vehicle: an id plus its cooperative cache."""
 
+    __slots__ = ("host_id", "cache")
+
     def __init__(self, host_id: int, cache: POICache):
         self.host_id = host_id
         self.cache = cache
-        # Memoised share response (rebuilt only when the cache content
-        # generation moves).
-        self._share_generation: int | None = None
-        self._share_memo: ShareResponse | None = None
 
     # ------------------------------------------------------------------
     def share_response(
@@ -139,27 +137,26 @@ class MobileHost:
         A host only answers requests for the category it caches (this
         deployment is single-category).  The response is immutable and
         stamped with the cache's content generation, so it is built
-        once per generation and handed out as-is until the cache next
-        changes; its POI columns are copied from the cache's mirror.
+        once per generation and kept in ``cache.response``, which the
+        cache clears when its generation next moves; its POI columns
+        are copied from the cache's mirror.
         """
         if request is not None and request.category != DEFAULT_CATEGORY:
             return None
         cache = self.cache
-        if cache.generation != self._share_generation:
+        response = cache.response
+        if response is None:
             generation, regions, pois = cache.frozen_snapshot()
-            self._share_memo = (
-                None
-                if not regions and not pois
-                else ShareResponse(
-                    self.host_id,
-                    regions,
-                    pois,
-                    generation,
-                    _poi_arrays=cache.poi_columns(),
-                )
+            if not regions and not pois:
+                return None
+            response = cache.response = ShareResponse(
+                self.host_id,
+                regions,
+                pois,
+                generation,
+                _poi_arrays=cache.poi_columns(),
             )
-            self._share_generation = generation
-        return self._share_memo
+        return response
 
     # -- the two query pipelines, each written once ---------------------
     # A pipeline is a generator: peers first (Algorithms 2-3); if they

@@ -43,6 +43,9 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import select
+import struct
 import time
 from collections import defaultdict, deque
 from typing import Sequence
@@ -110,10 +113,10 @@ class _ProcessShard:
     request whose response schema it must parse.
 
     A reply is awaited with ``poll`` while the worker lives, for at
-    most ``WORKER_REPLY_TIMEOUT_S``: a worker that dies, whose pipe
-    closes, or that stays silent that long (stopped or wedged) is a
-    :class:`ShardError` naming the shard, the opcode and the epoch,
-    never a hang.
+    most ``WORKER_REPLY_TIMEOUT_S``, and so is room in the pipe for a
+    request: a worker that dies, whose pipe closes, or that stays
+    silent that long (stopped or wedged) is a :class:`ShardError`
+    naming the shard, the opcode and the epoch, never a hang.
 
     Construction only starts the worker; :meth:`ready` reads its
     construction ack, so the coordinator starts every worker before
@@ -146,13 +149,41 @@ class _ProcessShard:
         request = rpc.encode_request(method, args)
         if method == "begin_epoch":
             self._epoch += 1
-        try:
-            self._conn.send_bytes(request)
-        except OSError as exc:
-            raise ShardError(
-                self.shard_id, rpc.opcode_of(method), self._epoch
-            ) from exc
+        # Pending from its first byte: a request cut short leaves the
+        # worker mid-request, which close() terminates.
         self._pending.append(method)
+        self._write(request, rpc.opcode_of(method))
+
+    def _write(self, data: bytes, opcode: int) -> None:
+        """``send_bytes(data)``, waited on while the worker lives, and
+        for at most ``WORKER_REPLY_TIMEOUT_S``.
+
+        A request larger than the pipe's buffer (a full-LA epoch
+        snapshot is ~2 MB) goes out as the worker reads it, so one the
+        worker never reads would block a plain ``send_bytes`` forever.
+        The same frame — the length prefix ``recv_bytes`` reads, then
+        the payload — is written to the descriptor in non-blocking
+        mode instead, waiting for room between writes.
+        """
+        deadline = time.monotonic() + WORKER_REPLY_TIMEOUT_S
+        frame = memoryview(struct.pack("!i", len(data)) + data)
+        try:
+            fd = self._conn.fileno()
+            room = select.poll()
+            room.register(fd, select.POLLOUT)
+            os.set_blocking(fd, False)
+            try:
+                while frame:
+                    try:
+                        frame = frame[os.write(fd, frame):]
+                    except BlockingIOError:
+                        if not self._proc.is_alive() or time.monotonic() > deadline:
+                            raise ShardError(self.shard_id, opcode, self._epoch)
+                        room.poll(WORKER_POLL_S * 1000)
+            finally:
+                os.set_blocking(fd, True)
+        except OSError as exc:
+            raise ShardError(self.shard_id, opcode, self._epoch) from exc
 
     def recv(self):
         # The request stays pending until its reply arrives: a worker

@@ -13,7 +13,6 @@ from repro.cache import (
     POICache,
     shrink_rect_to_exclude,
 )
-from repro.cache.entry import CacheItem
 from repro.check import safe_region_contract
 from repro.errors import CacheError
 from repro.geometry import Point, Rect
@@ -223,12 +222,16 @@ class TestPolicies:
     def make_items(self):
         host = Point(0, 0)
         items = [
-            CacheItem(POI(0, Point(10, 0)), inserted_at=0, last_used=9),  # ahead far
-            CacheItem(POI(1, Point(-10, 0)), inserted_at=1, last_used=1),  # behind far
-            CacheItem(POI(2, Point(1, 0)), inserted_at=2, last_used=5),  # ahead near
-            CacheItem(POI(3, Point(-1, 0)), inserted_at=3, last_used=7),  # behind near
+            POI(0, Point(10, 0)),  # ahead far
+            POI(1, Point(-10, 0)),  # behind far
+            POI(2, Point(1, 0)),  # ahead near
+            POI(3, Point(-1, 0)),  # behind near
         ]
         return host, items
+
+    # Each POI's admission and last use, as a clocked policy keeps them.
+    INSERTED_AT = {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
+    LAST_USED = {0: 9.0, 1: 1.0, 2: 5.0, 3: 7.0}
 
     def test_direction_distance_prefers_behind_and_far(self):
         host, items = self.make_items()
@@ -236,12 +239,12 @@ class TestPolicies:
         ranked = policy.rank_victims(items, host, (1.0, 0.0))
         # Behind-far (id 1) scores 20, ahead-far (id 0) scores 10,
         # behind-near (id 3) scores 2, ahead-near (id 2) scores 1.
-        assert [i.poi.poi_id for i in ranked] == [1, 0, 3, 2]
+        assert [p.poi_id for p in ranked] == [1, 0, 3, 2]
 
     def test_direction_distance_without_heading_is_pure_distance(self):
         host, items = self.make_items()
         ranked = DirectionDistancePolicy().rank_victims(items, host, (0.0, 0.0))
-        assert {ranked[0].poi.poi_id, ranked[1].poi.poi_id} == {0, 1}
+        assert {ranked[0].poi_id, ranked[1].poi_id} == {0, 1}
 
     def test_degenerate_heading_ties_break_by_poi_id(self):
         """Regression: with heading (0, 0) every dot product is zero,
@@ -254,33 +257,30 @@ class TestPolicies:
         # reverse sort on distance alone would keep this insertion
         # order (3, 9, 5, 7) instead of ranking by id.
         items = [
-            CacheItem(POI(3, Point(5, 0)), inserted_at=0, last_used=0),
-            CacheItem(POI(9, Point(0, -5)), inserted_at=1, last_used=1),
-            CacheItem(POI(5, Point(0, 5)), inserted_at=2, last_used=2),
-            CacheItem(POI(7, Point(-5, 0)), inserted_at=3, last_used=3),
+            POI(3, Point(5, 0)),
+            POI(9, Point(0, -5)),
+            POI(5, Point(0, 5)),
+            POI(7, Point(-5, 0)),
         ]
         ranked = DirectionDistancePolicy().rank_victims(items, host, (0.0, 0.0))
-        assert [i.poi.poi_id for i in ranked] == [9, 7, 5, 3]
+        assert [p.poi_id for p in ranked] == [9, 7, 5, 3]
         # The ranking is a pure function of (distance, poi_id): any
         # insertion order yields the same victims.
         ranked_shuffled = DirectionDistancePolicy().rank_victims(
             list(reversed(items)), host, (0.0, 0.0)
         )
-        assert [i.poi.poi_id for i in ranked_shuffled] == [9, 7, 5, 3]
+        assert [p.poi_id for p in ranked_shuffled] == [9, 7, 5, 3]
 
     def test_moving_host_ties_break_by_poi_id(self):
         host = Point(0, 0)
         # Two equidistant POIs, both ahead: id decides.
-        items = [
-            CacheItem(POI(2, Point(3, 4)), inserted_at=0, last_used=0),
-            CacheItem(POI(8, Point(4, 3)), inserted_at=1, last_used=1),
-        ]
+        items = [POI(2, Point(3, 4)), POI(8, Point(4, 3))]
         ranked = DirectionDistancePolicy().rank_victims(items, host, (1.0, 1.0))
-        assert [i.poi.poi_id for i in ranked] == [8, 2]
+        assert [p.poi_id for p in ranked] == [8, 2]
         ranked_rev = DirectionDistancePolicy().rank_victims(
             list(reversed(items)), host, (1.0, 1.0)
         )
-        assert [i.poi.poi_id for i in ranked_rev] == [8, 2]
+        assert [p.poi_id for p in ranked_rev] == [8, 2]
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
@@ -288,13 +288,15 @@ class TestPolicies:
 
     def test_lru_ranks_by_last_used(self):
         host, items = self.make_items()
-        ranked = LRUPolicy().rank_victims(items, host, (0, 0))
-        assert [i.poi.poi_id for i in ranked] == [1, 2, 3, 0]
+        ranked = LRUPolicy(dict(self.LAST_USED)).rank_victims(items, host, (0, 0))
+        assert [p.poi_id for p in ranked] == [1, 2, 3, 0]
 
     def test_fifo_ranks_by_insertion(self):
         host, items = self.make_items()
-        ranked = FIFOPolicy().rank_victims(items, host, (0, 0))
-        assert [i.poi.poi_id for i in ranked] == [0, 1, 2, 3]
+        ranked = FIFOPolicy(dict(self.INSERTED_AT)).rank_victims(
+            items, host, (0, 0)
+        )
+        assert [p.poi_id for p in ranked] == [0, 1, 2, 3]
 
     def test_touch_updates_lru(self):
         cache = POICache(capacity=2, policy=LRUPolicy())

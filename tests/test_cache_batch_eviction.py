@@ -132,8 +132,8 @@ class TestBatchedEvictionEquivalence:
             victims = reference.policy.rank_victims(
                 list(reference._items.values()), position, heading
             )[:excess]
-            for item in victims:
-                evict_one(reference, item.poi)
+            for poi in victims:
+                evict_one(reference, poi)
 
         assert list(batched._items) == list(reference._items)
         assert batched.regions == reference.regions

@@ -17,18 +17,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import CacheItem, DirectionDistancePolicy
+from repro.cache import DirectionDistancePolicy
 from repro.geometry import Point
 from repro.model import POI
 
 
 def ranked_ids(policy, xs, ys, ids, excess, host, heading):
-    items = [
-        CacheItem(POI(i, Point(x, y)), 0.0, 0.0) for x, y, i in zip(xs, ys, ids)
-    ]
+    pois = [POI(i, Point(x, y)) for x, y, i in zip(xs, ys, ids)]
     return [
-        item.poi.poi_id
-        for item in policy.rank_victims(items, host, heading)[:excess]
+        poi.poi_id for poi in policy.rank_victims(pois, host, heading)[:excess]
     ]
 
 

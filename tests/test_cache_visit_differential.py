@@ -7,7 +7,7 @@ steps.  The behaviour it must reproduce lives here as
 offered, its region placed, the cache evicted down to capacity by the
 policy's own ``rank_victims`` ranking, the regions repaired, and the
 generation bumped when the step changed anything.  The properties pin
-the two bit for bit — item order and clocks, the region list with its
+the two bit for bit — the table's order, the region list with its
 floats, the moved-region marker, the share payload and the generation
 value — on lattice worlds where equal distances (ties broken by id)
 are common, at the worlds' capacity 50 / ``max_regions=50`` and at
@@ -39,7 +39,7 @@ def region_by_region(cache, shared, now, position, heading):
     steps = []
     for region, pois in shared:
         moved = cache._moved_count()
-        added = cache._admit(pois, now)
+        added = cache._admit(pois)
         changed = cache._place_region(region, now, position)
         excess = len(cache) - cache.capacity
         evicted = max(excess, 0)
@@ -47,7 +47,7 @@ def region_by_region(cache, shared, now, position, heading):
             victims = cache.policy.rank_victims(
                 list(cache._items.values()), position, heading
             )[:excess]
-            vxs, vys = cache._drop([item.poi.poi_id for item in victims])
+            vxs, vys = cache._drop([poi.poi_id for poi in victims])
             cache._repair_regions(vxs, vys)
         if added or changed or evicted:
             cache.generation += 1
@@ -71,8 +71,7 @@ def observable(cache):
     return (
         cache.generation,
         [
-            (poi_id, item.poi.x, item.poi.y, item.inserted_at, item.last_used)
-            for poi_id, item in cache._items.items()
+            (poi_id, poi.x, poi.y) for poi_id, poi in cache._items.items()
         ],
         [(vr.rect.as_tuple(), vr.created_at) for vr in cache._regions],
         "settled" if moved is SETTLED else "all" if moved is ALL_MOVED

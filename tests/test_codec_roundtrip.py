@@ -199,17 +199,16 @@ def test_host_roundtrip_is_bit_identical():
     assert clone.host_id == host.host_id
     assert clone.cache.pois == host.cache.pois
     # header | host id | policy tag + penalty | capacity, max_regions,
-    # generation | coalesced flag | POI buffers + category flag | two
-    # item clocks | rects + region clock: nothing else (no slot
-    # columns — the decoder rebuilds the coordinate mirror from the
-    # POIs —, no incremental byte, no mirror flag, no slab-union
-    # section).
+    # generation | coalesced flag | POI buffers + category flag |
+    # rects + region clock: nothing else (no slot columns — the
+    # decoder rebuilds the coordinate mirror from the POIs —, no
+    # clock for the paper's policy, no incremental byte, no mirror
+    # flag, no slab-union section).
     n_pois, n_regions = len(host.cache), len(host.cache.regions)
     assert n_pois == 8 and n_regions
     assert len(original) == (
         HEADER_SIZE + 8 + (1 + 8) + 3 * 8 + 1
         + 3 * (4 + 8 * n_pois) + 1
-        + 2 * (4 + 8 * n_pois)
         + (4 + 32 * n_regions) + (4 + 8 * n_regions)
     )
     assert clone.cache.mirror_ids() == list(clone.cache._items)
@@ -228,6 +227,141 @@ def test_stock_policy_hosts_cross_without_pickle(policy_cls, monkeypatch):
     clone = decode(original)
     assert type(clone.cache.policy) is policy_cls
     assert encode(clone) == original
+
+
+# ----------------------------------------------------------------------
+# Host records under each stock policy, clocks included
+# ----------------------------------------------------------------------
+POLICIES = {
+    "direction": lambda: None,
+    "lru": LRUPolicy,
+    "fifo": FIFOPolicy,
+}
+
+
+@st.composite
+def churned_hosts(draw):
+    """A host whose cache went through a drawn insert/touch stream.
+
+    Lattice POIs drawn from a small universe repeat across inserts, so
+    the stream re-offers held POIs (an LRU clock moves, a FIFO one
+    does not), evicts, and re-admits what it evicted.
+    """
+    name = draw(st.sampled_from(sorted(POLICIES)))
+    capacity = draw(st.integers(1, 6))
+    cache = POICache(capacity, POLICIES[name](), max_regions=3)
+    now = 0.0
+    for _ in range(draw(st.integers(0, 8))):
+        now += draw(st.sampled_from([0.0, 0.5, 1.0]))
+        ids = draw(st.lists(st.integers(0, 12), max_size=5, unique=True))
+        pois = [POI(i, Point(float(i % 4), float(i // 4))) for i in ids]
+        x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        region = Rect(float(x), float(y), float(x) + 1.5, float(y) + 1.5)
+        cache.insert_result([(region, pois)], now, Point(1.0, 1.0), (1.0, 0.0))
+        if draw(st.booleans()):
+            cache.touch(draw(st.lists(st.integers(0, 12), max_size=3)), now)
+    return name, MobileHost(draw(small_int), cache)
+
+
+@settings(max_examples=80, deadline=None)
+@given(churned_hosts())
+def test_host_roundtrip_carries_the_policy_clock(drawn):
+    name, host = drawn
+    original = encode(host)
+    assert_both_roundtrips(host)
+    clone = decode(original)
+    policy = clone.cache.policy
+    assert type(policy) is type(host.cache.policy)
+    assert clone.cache.pois == host.cache.pois
+    assert clone.cache.regions == host.cache.regions
+    if name == "direction":
+        # The paper's policy keeps no clock: one shared instance.
+        assert policy is host.cache.policy
+    else:
+        assert policy is not host.cache.policy
+        assert policy.clock == host.cache.policy.clock
+        assert list(policy.clock) == list(clone.cache._items)
+
+
+def _clocked_host(policy_cls):
+    host = warm_host(policy_cls())
+    assert len(host.cache) == 8
+    return host
+
+
+@pytest.mark.parametrize("policy_cls", [LRUPolicy, FIFOPolicy])
+def test_clocked_host_record_layout(policy_cls):
+    host = _clocked_host(policy_cls)
+    n_pois, n_regions = len(host.cache), len(host.cache.regions)
+    # As the paper's policy's record, without the penalty and with
+    # one clock buffer (one time per cached POI) after the POIs.
+    assert len(encode(host)) == (
+        HEADER_SIZE + 8 + 1 + 3 * 8 + 1
+        + 3 * (4 + 8 * n_pois) + 1
+        + (4 + 8 * n_pois)
+        + (4 + 32 * n_regions) + (4 + 8 * n_regions)
+    )
+
+
+def _clock_offset(host):
+    """Where the clock buffer's length field sits in the host's frame."""
+    return HEADER_SIZE + 8 + 1 + 3 * 8 + 1 + 3 * (4 + 8 * len(host.cache)) + 1
+
+
+@pytest.mark.parametrize("policy_cls", [LRUPolicy, FIFOPolicy])
+def test_clocked_host_truncations_rejected(policy_cls):
+    frame = encode(_clocked_host(policy_cls))
+    for cut in range(len(frame)):
+        with pytest.raises(CodecError):
+            decode(frame[:cut])
+
+
+@pytest.mark.parametrize("policy_cls", [LRUPolicy, FIFOPolicy])
+@pytest.mark.parametrize("length", [0, 7, 9])
+def test_clock_buffer_of_the_wrong_length_rejected(policy_cls, length):
+    host = _clocked_host(policy_cls)
+    frame = bytearray(encode(host))
+    at = _clock_offset(host)
+    assert int.from_bytes(frame[at:at + 4], "little") == 8
+    clock = frame[at + 4:at + 4 + 8 * 8]
+    body = (length).to_bytes(4, "little") + (clock * 2)[: 8 * length]
+    forged = frame[:at] + body + frame[at + 4 + 8 * 8:]
+    with pytest.raises(CodecError):
+        decode(bytes(forged))
+
+
+def test_direction_record_retagged_as_clocked_rejected():
+    # The paper's policy's record has no clock buffer: read as an LRU
+    # record its penalty and the rest misalign, and the frame is
+    # refused rather than decoded into a host.
+    frame = bytearray(encode(warm_host()))
+    tag_at = HEADER_SIZE + 8
+    assert frame[tag_at] == 1
+    frame[tag_at] = 2
+    with pytest.raises(CodecError):
+        decode(bytes(frame))
+
+
+@pytest.mark.parametrize("tag", [0, 4, 255])
+def test_unknown_policy_tag_rejected(tag):
+    frame = bytearray(encode(warm_host()))
+    frame[HEADER_SIZE + 8] = tag
+    with pytest.raises(CodecError, match="unknown policy tag"):
+        decode(bytes(frame))
+
+
+def test_duplicate_cached_poi_rejected():
+    # Two table entries for one id cannot come from a cache.
+    host = MobileHost(1, POICache(4, LRUPolicy()))
+    poi = POI(3, Point(0.5, 0.5))
+    host.cache.insert_result(
+        [(Rect(0, 0, 1, 1), [poi, POI(4, Point(0.7, 0.7))])], 0.0, Point(0, 0)
+    )
+    frame = bytearray(encode(host))
+    ids_at = HEADER_SIZE + 8 + 1 + 3 * 8 + 1 + 4
+    frame[ids_at + 8:ids_at + 16] = frame[ids_at:ids_at + 8]
+    with pytest.raises(CodecError, match="duplicate"):
+        decode(bytes(frame))
 
 
 def test_hosts_without_a_wire_form_are_refused():
@@ -337,14 +471,17 @@ def test_retired_event_outcome_tag_is_rejected():
 
 
 def test_retired_host_record_tag_is_rejected():
-    # Tag 0x07 carried the host record with its three slot columns; a
-    # frame written by an older build is refused, never misread as
-    # today's layout.
+    # Tag 0x07 carried the host record with its three slot columns,
+    # 0x08 the one with two clocks per cached POI; a frame written by
+    # an older build is refused, never misread as today's layout.
     current = encode(SAMPLE_OBJECTS[0])
-    assert current[2] == 0x08
-    stale = bytes((MAGIC, VERSION, 0x07)) + current[HEADER_SIZE:]
-    with pytest.raises(CodecError, match="unknown codec type tag 0x07"):
-        decode(stale)
+    assert current[2] == 0x09
+    for tag in (0x07, 0x08):
+        stale = bytes((MAGIC, VERSION, tag)) + current[HEADER_SIZE:]
+        with pytest.raises(
+            CodecError, match=f"unknown codec type tag 0x{tag:02x}"
+        ):
+            decode(stale)
 
 
 def test_short_header_rejected():

@@ -13,7 +13,8 @@ from repro.experiments.world import P2P_LATENCY
 from repro.faults import ChannelModel, FaultConfig
 from repro.geometry import Point, Rect
 from repro.model import POI
-from repro.p2p import ShareRequest
+from repro.codec import encode
+from repro.p2p import ShareRequest, ShareResponse
 from repro.workloads import SYNTHETIC_SUBURBIA, QueryKind
 
 
@@ -469,6 +470,34 @@ class TestGenerationBump:
         first = host.share_response()
         host.cache.insert_result([(Rect(0, 0, 0, 0), [poi])], 1.0, Point(0, 0))
         assert host.share_response() is first
+
+    def test_generation_bump_drops_the_response(self):
+        host = MobileHost(3, POICache(capacity=2))
+        a, b, c = (POI(i, Point(0.2 * i + 0.1, 0.5)) for i in range(3))
+        host.cache.insert_result([(Rect(0, 0, 1, 1), [a, b])], 0.0, Point(0, 0))
+        first = host.share_response()
+        assert host.cache.response is first
+        # An evicting visit bumps the generation: the old response is
+        # not kept, and the next request builds this generation's.
+        host.cache.insert_result([(Rect(2, 0, 3, 1), [c])], 1.0, Point(0, 0))
+        assert host.cache.generation == first.generation + 1
+        assert host.cache.response is None
+        rebuilt = host.share_response()
+        assert host.cache.response is rebuilt
+        assert host.share_response() is rebuilt
+        # The response as a per-generation memo would build it: the
+        # cache's snapshot, with columns equal to its POIs.
+        generation, regions, pois = host.cache.frozen_snapshot()
+        expected = ShareResponse(3, regions, pois, generation)
+        assert rebuilt == expected
+        assert encode(rebuilt) == encode(expected)
+        for got, want in zip(rebuilt.poi_arrays(), expected.poi_arrays()):
+            assert got.tolist() == want.tolist()
+
+    def test_an_empty_cache_answers_nothing_and_keeps_nothing(self):
+        host = MobileHost(0, POICache(capacity=2))
+        assert host.share_response() is None
+        assert host.cache.response is None
 
 
 # ----------------------------------------------------------------------

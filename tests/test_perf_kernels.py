@@ -238,6 +238,35 @@ def overheard_responses_strategy(draw):
     return responses
 
 
+@st.composite
+def one_place_responses_strategy(draw):
+    """Peers that overheard the same results and nothing stale: every
+    copy of an id is at one place."""
+    pool = [
+        POI(poi_id, Point(x, y))
+        for poi_id, x, y in draw(
+            st.lists(
+                st.tuples(st.integers(0, 8), grid_coord, grid_coord),
+                min_size=1,
+                max_size=10,
+                unique_by=lambda t: t[0],
+            )
+        )
+    ]
+    responses = []
+    for peer in range(draw(st.integers(1, 8))):
+        rects = tuple(draw(st.lists(grid_rect(), max_size=3)))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+        copies = tuple(
+            # A copy is its own object, as a decoded halo response's is.
+            POI(pool[i].poi_id, pool[i].location) if draw(st.booleans())
+            else pool[i]
+            for i in picks
+        )
+        responses.append(ShareResponse(peer, rects, copies, generation=peer))
+    return responses
+
+
 class TestPeerReadReuse:
     """A query's one peer read answers "first copy per id inside rect ∩
     MVR" exactly as a fresh `first_contained` over the same responses:
@@ -295,6 +324,47 @@ class TestPeerReadReuse:
         copies = [p for r in responses for p in r.pois]
         assert len(asked) <= len({(p.poi_id, p.x, p.y) for p in copies})
 
+    @given(
+        one_place_responses_strategy(),
+        st.lists(grid_rect(), max_size=4),
+        st.sampled_from(["slab", "rect"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_no_stale_copy_reads_without_a_dedup(self, responses, windows, kind):
+        rects = [rect for response in responses for rect in response.regions]
+        mvr = SlabUnion.from_rects(rects) if kind == "slab" else RectUnion(rects)
+        read = PeerRead.gather(responses, mvr)
+        assert not read.stale
+        with patch(
+            "repro.core.nnv._first_copies",
+            side_effect=AssertionError("deduplicated a stale-free read"),
+        ):
+            answers = [read.first(within) for within in [None, *windows]]
+        for within, got in zip([None, *windows], answers):
+            pieces, _, _, _, sel = first_contained(responses, mvr, within)
+            assert got.tolist() == sel.tolist()
+            assert [id(p) for p in pois_at(read.pieces, got)] == [
+                id(p) for p in pois_at(pieces, sel)
+            ]
+
+    @given(
+        stale_responses_strategy(),
+        st.lists(grid_rect(), max_size=4),
+        st.sampled_from(["slab", "rect"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stale_copy_reads_through_the_dedup(self, responses, windows, kind):
+        rects = [rect for response in responses for rect in response.regions]
+        mvr = SlabUnion.from_rects(rects) if kind == "slab" else RectUnion(rects)
+        read = PeerRead.gather(responses, mvr)
+        places = {}
+        for poi in (p for r in responses for p in r.pois):
+            places.setdefault(poi.poi_id, set()).add((poi.x, poi.y))
+        assert read.stale == any(len(at) > 1 for at in places.values())
+        for within in [None, *windows]:
+            _, _, _, _, sel = first_contained(responses, mvr, within)
+            assert read.first(within).tolist() == sel.tolist()
+
     def test_stale_copy_inside_only_on_the_edge(self):
         # Id 5's first copy is outside the MVR, its second on the MVR's
         # edge and the window's corner, its third well inside both.
@@ -306,6 +376,7 @@ class TestPeerReadReuse:
             ShareResponse(1, (Rect(0, 0, 4, 4),), tuple(copies)),
         ]
         read = PeerRead.gather(responses, mvr)
+        assert read.stale
         assert read.pois_within(Rect(4, 4, 6, 6))[0] is copies[1]
         assert read.pois_within(Rect(1, 1, 3, 3))[0] is copies[2]
         assert read.pois_within(Rect(-2, 1, -0.5, 3)) == []
@@ -376,6 +447,7 @@ class TestMVRMemo:
 
         from repro.experiments import Simulation, scaled_parameters
         from repro.experiments import host as host_module
+        from repro.experiments.host import MobileHost
         from repro.geometry import SlabUnion
         from repro.workloads import LA_CITY, QueryKind
 
@@ -387,9 +459,15 @@ class TestMVRMemo:
         assert any(query.safe is not None for query in monitor.queries)
         assert len(monitor.queries) == 30
         assert type(host_module.MVR) is MVRMemo
-        held = {"host_id", "cache", "_share_generation", "_share_memo"}
+        # A host is its id and its cache; the one share response it
+        # keeps sits on the cache, of the cache's generation.
+        assert MobileHost.__slots__ == ("host_id", "cache")
         for host in sim.hosts:
-            assert set(vars(host)) == held
+            assert not hasattr(host, "__dict__")
+            response = host.cache.response
+            assert response is None or (
+                response.generation == host.cache.generation
+            )
             seen, stack = set(), [host]
             while stack:
                 obj = stack.pop()

@@ -309,6 +309,65 @@ def test_a_stopped_worker_is_a_typed_error_and_is_reaped():
     assert lines["children"] == "0"
 
 
+# A worker stopped between epochs never reads the next request: one
+# larger than the pipe's buffer (as a full-LA epoch snapshot is) must
+# not block the coordinator's send past the bounded wait either.
+_STOPPED_READER_RUN = """
+import multiprocessing, os, signal, time, warnings
+import numpy as np
+import repro.shard.sim as shard_sim
+from repro.errors import ShardError
+from repro.shard import ShardedSimulation
+from repro.workloads import RIVERSIDE_COUNTY, QueryKind, scaled_parameters
+
+shard_sim.WORKER_REPLY_TIMEOUT_S = 1.0
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    params = scaled_parameters(RIVERSIDE_COUNTY, 0.1)
+sim = ShardedSimulation(
+    params, seed=0, shards=2, exchange="cycle", backend="process"
+)
+sim.run_workload(QueryKind.KNN, 0, 5)
+victim = sim._workers[1]
+os.kill(victim._proc.pid, signal.SIGSTOP)
+started = time.monotonic()
+try:
+    victim.send("take_hosts", np.arange(2_000_000, dtype=np.int64))
+except ShardError as error:
+    print("error", error.shard_id, error.opcode is not None, error.epoch >= 0)
+print("elapsed", time.monotonic() - started)
+sim.close()
+print("children", len(multiprocessing.active_children()))
+"""
+
+
+def test_a_send_to_a_stopped_worker_is_a_typed_error():
+    # 16 MB to a SIGSTOPped worker: the send waits for room in the
+    # pipe for at most the bound (1 s here), then is a ShardError, and
+    # close() kills the stopped worker.
+    child = subprocess.Popen(
+        [sys.executable, "-c", _STOPPED_READER_RUN],
+        env=dict(
+            os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1])
+        ),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("the coordinator's send waited on a stopped worker")
+    assert child.returncode == 0, err
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert lines["error"] == "1 True True"
+    assert float(lines["elapsed"]) < 15.0
+    assert lines["children"] == "0"
+
+
 def test_shard_error_survives_pickling():
     error = pickle.loads(pickle.dumps(ShardError(3, 7, 2)))
     assert (error.shard_id, error.opcode, error.epoch) == (3, 7, 2)

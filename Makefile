@@ -103,6 +103,11 @@ lint:
 	@! grep -rIn 'Cache[I]tem\|[_]share_memo\|[_]share_generation' src/repro
 	@! grep -rIn 'last[_]used\|inserted[_]at' src/repro \
 		| grep -v '^src/repro/cache/policy[.]py:\|^src/repro/codec/types[.]py:'
+	@echo ">> the broadcast file is static: a plan reads a value span, one place builds a block's pair, once per server"
+	@! grep -rIn '[_]pois_per_region\|values[_]intersecting' src/repro
+	@! grep -n 'flatten()\|[.]sort()' src/repro/geometry/hilbert.py
+	@test "$$(grep -rI 'block[_]rect(' src/repro | grep -v '^src/repro/geometry/hilbert.py:' | wc -l)" -eq 1
+	@test "$$(grep -rI '[_]blocks\[' src/repro | wc -l)" -eq 1
 
 test:
 	@echo ">> tier-1 tests"

@@ -106,12 +106,10 @@ def batch_scan(
             **plan_attributes,
         )
     with tracer.span("broadcast.data_scan") as data_span:
-        downloads: dict[int, tuple[POI, ...]] = {}
-        for member in members:
-            pois: list[POI] = []
-            for bucket_id in member.bucket_ids:
-                pois.extend(server.pois_in_bucket(bucket_id))
-            downloads[member.member_id] = tuple(pois)
+        downloads = {
+            member.member_id: server.download(member.bucket_ids)
+            for member in members
+        }
         data_span.set(
             buckets=cost.buckets_downloaded,
             tuning_packets=cost.tuning_packets,

@@ -30,7 +30,7 @@ from ..index import brute_force_knn
 from ..model import POI, QueryResultEntry
 from .batch import BatchMember, batch_scan
 from .schedule import BroadcastSchedule, RetrievalCost
-from .server import BroadcastServer
+from .server import Block, BroadcastServer
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,8 +41,9 @@ class KnnPlan:
     last candidate Hilbert value (Figure 4: "the related packets span
     a long segment in the index sequence"), minus any buckets the
     lower-bound filter proves redundant.  ``bonus_regions`` are the
-    aligned square blocks fully contained in the downloaded segment —
-    regions the client may cache as verified beyond the search MBR.
+    server's ``(region, POIs)`` pairs of the aligned square blocks
+    fully contained in the downloaded segment — regions the client may
+    cache as verified beyond the search MBR.
 
     ``k_clamped`` flags a request for more neighbours than the
     database holds: the retrieval will return every POI there is, and
@@ -56,7 +57,7 @@ class KnnPlan:
     bucket_ids: tuple[int, ...]
     skipped_buckets: tuple[int, ...]
     index_read_packets: int
-    bonus_regions: tuple[Rect, ...] = ()
+    bonus_regions: tuple[Block, ...] = ()
     k_clamped: bool = False
 
 
@@ -127,14 +128,8 @@ def plan_knn(
     if search_mbr is None:
         # Query far outside the service area: fall back to everything.
         search_mbr = server.bounds
-    candidate_values = server.grid.values_intersecting(search_mbr)
-    bonus: tuple[Rect, ...] = ()
-    if candidate_values:
-        lo, hi = candidate_values[0], candidate_values[-1]
-        bucket_ids = server.buckets_in_range(lo, hi)
-        bonus = tuple(server.grid.aligned_blocks(lo, hi, min_cells=4))
-    else:
-        bucket_ids = []
+    span = server.grid.value_span(search_mbr)
+    bucket_ids = server.buckets_in_range(*span) if span is not None else []
     skipped: list[int] = []
     if lower_bound is not None and lower_bound > 0:
         known_circle = Circle(query, lower_bound)
@@ -145,10 +140,13 @@ def plan_knn(
             else:
                 kept.append(bucket_id)
         bucket_ids = kept
-        if skipped:
-            # A skipped bucket leaves holes in the segment; the block
-            # regions are no longer certain to be fully downloaded.
-            bonus = ()
+    bonus: tuple[Block, ...] = ()
+    if span is not None and not skipped:
+        # A skipped bucket leaves holes in the segment; the block
+        # regions are no longer certain to be fully downloaded.
+        bonus = server.blocks(
+            server.grid.aligned_blocks(*span, min_cells=4), bucket_ids
+        )
     return KnnPlan(
         radius=radius,
         search_mbr=search_mbr,

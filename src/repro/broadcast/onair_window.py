@@ -20,54 +20,55 @@ from ..index import brute_force_window
 from ..model import POI
 from .batch import BatchMember, batch_scan
 from .schedule import BroadcastSchedule, RetrievalCost
-from .server import BroadcastServer
+from .server import Block, BroadcastServer
 
 
 @dataclass(frozen=True, slots=True)
 class OnAirWindowResult:
     """Answer plus channel cost of one on-air window query.
 
-    ``bonus_regions`` are aligned square blocks wholly inside the
-    downloaded broadcast segments — extra verified territory the
-    client may cache beyond the query windows themselves ("the MH will
-    store as many received POIs as its cache capacity allows").
+    ``bonus_regions`` are the ``(region, POIs)`` pairs of the aligned
+    square blocks wholly inside the downloaded broadcast segments —
+    extra verified territory the client may cache beyond the query
+    windows themselves ("the MH will store as many received POIs as
+    its cache capacity allows").
     """
 
     pois: tuple[POI, ...]
     cost: RetrievalCost
     bucket_ids: tuple[int, ...]
     downloaded: tuple[POI, ...]
-    bonus_regions: tuple[Rect, ...] = ()
+    bonus_regions: tuple[Block, ...] = ()
 
 
 def plan_window(
     server: BroadcastServer, windows: Sequence[Rect]
-) -> tuple[tuple[int, ...], tuple[Rect, ...]]:
+) -> tuple[tuple[int, ...], tuple[Block, ...]]:
     """Segment plan for the (possibly reduced) windows.
 
     Each window fragment maps to the Hilbert-curve run between its
     first point ``a`` and last point ``b`` (Figure 8); the client must
     listen to every bucket of each run.  Returns the union of the
-    buckets plus the aligned block regions certified by the download.
+    buckets plus the server's ``(region, POIs)`` pair of each aligned
+    block the download certifies.
     """
     if not windows:
         raise BroadcastError("window plan needs at least one window")
     buckets: set[int] = set()
-    blocks: list[Rect] = []
+    runs: list[tuple[int, int]] = []
     for window in windows:
-        values = server.grid.values_intersecting(window)
-        if not values:
+        span = server.grid.value_span(window)
+        if span is None:
             continue
-        lo, hi = values[0], values[-1]
-        buckets.update(server.buckets_in_range(lo, hi))
-        blocks.extend(server.grid.aligned_blocks(lo, hi, min_cells=4))
-    return tuple(sorted(buckets)), tuple(blocks)
+        buckets.update(server.buckets_in_range(*span))
+        runs.extend(server.grid.aligned_blocks(*span, min_cells=4))
+    return tuple(sorted(buckets)), server.blocks(runs, buckets)
 
 
 def answer_window(
     windows: Sequence[Rect],
     bucket_ids: tuple[int, ...],
-    bonus_regions: tuple[Rect, ...],
+    bonus_regions: tuple[Block, ...],
     downloaded: tuple[POI, ...],
     cost: RetrievalCost,
 ) -> OnAirWindowResult:

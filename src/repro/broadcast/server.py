@@ -3,13 +3,17 @@
 The server owns the ground-truth POI database and serialises it for
 the wireless channel: POIs are sorted by the Hilbert value of their
 cell and packed into fixed-capacity buckets; the index segment lists
-every occupied Hilbert value with its bucket.
+every occupied Hilbert value with its bucket.  The file never changes
+for the life of the server, so everything that depends on it alone is
+built once per server: the file as one tuple in broadcast order, and
+each aligned block's ``(region, POIs)`` pair on its first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Sequence
+from itertools import chain
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -17,6 +21,10 @@ from ..errors import BroadcastError
 from ..geometry import HilbertGrid, Rect
 from ..model import POI
 from .packets import DataBucket, IndexEntry, IndexSegment
+
+
+# An aligned block's certified region and the file's POIs inside it.
+Block = tuple[Rect, tuple[POI, ...]]
 
 
 class BroadcastServer:
@@ -51,7 +59,9 @@ class BroadcastServer:
         order = np.lexsort((ids, h_all))
         h = h_all[order]
         self._sorted_hvalues = h.tolist()
-        sorted_pois = [self.pois[i] for i in order.tolist()]
+        self.file = tuple([self.pois[i] for i in order.tolist()])
+        self._file_x, self._file_y = xs[order], ys[order]
+        self._blocks: dict[tuple[int, int], tuple[Block, tuple]] = {}
 
         starts = np.arange(0, n, bucket_capacity)
         x1, y1, x2, y2 = self.grid.rects_of_values(h)
@@ -67,7 +77,7 @@ class BroadcastServer:
                 bucket_id=bucket_id,
                 h_min=hvalues[start],
                 h_max=hvalues[min(start + bucket_capacity, n) - 1],
-                pois=tuple(sorted_pois[start : start + bucket_capacity]),
+                pois=self.file[start : start + bucket_capacity],
                 extent=Rect(*extent),
             )
             for bucket_id, (start, extent) in enumerate(
@@ -126,7 +136,57 @@ class BroadcastServer:
         last = self.bucket_of_position(stop - 1)
         return list(range(first, last + 1))
 
-    def pois_in_bucket(self, bucket_id: int) -> tuple[POI, ...]:
-        if not (0 <= bucket_id < len(self.buckets)):
-            raise BroadcastError(f"unknown bucket id {bucket_id}")
-        return self.buckets[bucket_id].pois
+    def download(self, bucket_ids: Sequence[int]) -> tuple[POI, ...]:
+        """The POIs of ``bucket_ids`` in that order: one slice of the
+        file per contiguous run of bucket ids."""
+        runs: list[list[int]] = []
+        for bucket_id in bucket_ids:
+            if runs and runs[-1][1] == bucket_id:
+                runs[-1][1] += 1
+            else:
+                runs.append([bucket_id, bucket_id + 1])
+        cap = self.bucket_capacity
+        return tuple(
+            chain.from_iterable(self.file[a * cap : z * cap] for a, z in runs)
+        )
+
+    def blocks(
+        self, runs: Iterable[tuple[int, int]], downloaded: Container[int]
+    ) -> tuple[Block, ...]:
+        """The pair each aligned run ``(start, size)`` certifies when the
+        buckets in ``downloaded`` are taken off the air.
+
+        A plan that certifies a run downloads every POI of the run; a
+        POI on the block's edge from outside the run is in the download
+        only when ``downloaded`` took its bucket.  The pair is the
+        memo's own object whenever no such POI is missing.
+        """
+        pairs = []
+        for run in runs:
+            pair, edge = self._blocks.get(run) or self._block(*run)
+            missing = [poi_id for poi_id, b in edge if b not in downloaded]
+            if missing:
+                rect, pois = pair
+                pair = (rect, tuple([p for p in pois if p.poi_id not in missing]))
+            pairs.append(pair)
+        return tuple(pairs)
+
+    def _block(self, start: int, size: int) -> tuple[Block, tuple]:
+        """Memo a run's pair: the block's closed rectangle and the
+        file's POIs inside it in file order, plus ``(poi id, bucket)``
+        for each of those POIs whose value lies outside the run."""
+        rect = self.grid.block_rect(start, size)
+        xs, ys = self._file_x, self._file_y
+        inside = np.flatnonzero(
+            (rect.x1 <= xs) & (xs <= rect.x2) & (rect.y1 <= ys) & (ys <= rect.y2)
+        ).tolist()
+        edge = tuple(
+            (self.file[i].poi_id, self.bucket_of_position(i))
+            for i in inside
+            if not start <= self._sorted_hvalues[i] < start + size
+        )
+        entry = self._blocks[start, size] = (
+            (rect, tuple([self.file[i] for i in inside])),
+            edge,
+        )
+        return entry

@@ -291,8 +291,9 @@ def check_cache(cache) -> None:
 def check_same_pois(
     found: "Sequence[POI]", expected: "Sequence[POI]", what: str
 ) -> None:
-    """POIs answered from a query's one peer read against a fresh
-    ``first_contained``: the same objects, in the same order."""
+    """POIs a reused read handed on (a query's one peer read, a
+    server's block memo) against a fresh gather: the same objects, in
+    the same order."""
     if len(found) != len(expected) or any(
         a is not b for a, b in zip(found, expected)
     ):
@@ -300,6 +301,19 @@ def check_same_pois(
             f"{what}: the reused read kept ids"
             f" {[p.poi_id for p in found]}, a fresh gather"
             f" {[p.poi_id for p in expected]}"
+        )
+
+
+def check_served_blocks(
+    blocks: "Sequence[tuple[Rect, Sequence[POI]]]", downloaded: "Sequence[POI]"
+) -> None:
+    """Each aligned block's pair a server handed out against a fresh
+    closed-rectangle filter of the download it certifies."""
+    for rect, pois in blocks:
+        check_same_pois(
+            pois,
+            [p for p in downloaded if rect.contains_point(p.location)],
+            f"block {rect!r}",
         )
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..broadcast import OnAirClient, OnAirWindowResult, RetrievalCost
 from ..cache import POICache, SharedResult
 from ..check import invariants
@@ -66,35 +64,6 @@ class HostQueryResult:
     answers: tuple[POI, ...]
     heap_entries: tuple[HeapEntry, ...] = ()
     shared: tuple[SharedRegion, ...] = ()
-
-
-def _pois_per_region(
-    regions: Sequence[Rect], downloaded: Sequence[POI]
-) -> list[SharedRegion]:
-    """Filter the downloaded POIs into each bonus region.
-
-    The per-region test is a closed-rectangle mask over coordinate
-    arrays built once for the whole batch; ``nonzero`` preserves the
-    download order, so each tuple matches the sequential filter.
-    """
-    if not regions:
-        return []
-    if not downloaded:
-        return [(region, ()) for region in regions]
-    xs = np.array([p.location.x for p in downloaded], np.float64)
-    ys = np.array([p.location.y for p in downloaded], np.float64)
-    out: list[SharedRegion] = []
-    for region in regions:
-        mask = (
-            (region.x1 <= xs)
-            & (xs <= region.x2)
-            & (region.y1 <= ys)
-            & (ys <= region.y2)
-        )
-        out.append(
-            (region, tuple([downloaded[i] for i in np.nonzero(mask)[0].tolist()]))
-        )
-    return out
 
 
 class HaloHost:
@@ -412,7 +381,7 @@ class MobileHost:
     def _adopt(
         self,
         certified: SharedRegion,
-        bonus_regions: Sequence[Rect],
+        bonus_regions: Sequence[SharedRegion],
         downloaded: Sequence[POI],
         now: float,
         position: Point,
@@ -422,13 +391,14 @@ class MobileHost:
         """Cache what a query certified; returns it for the neighbours.
 
         Everything a segment download certifies beyond the query itself
-        (the aligned blocks of ``bonus_regions``) is cacheable too —
-        "store as many received POIs as the cache capacity allows".
-        The whole result enters the cache in one call.
+        (the server's aligned-block pairs in ``bonus_regions``) is
+        cacheable too — "store as many received POIs as the cache
+        capacity allows".  The whole result enters the cache in one
+        call.
         """
-        shared = SharedResult(
-            (certified, *_pois_per_region(bonus_regions, downloaded))
-        )
+        if invariants.check_enabled():
+            invariants.check_served_blocks(bonus_regions, downloaded)
+        shared = SharedResult((certified, *bonus_regions))
         self.cache.insert_result(shared, now, position, heading, tracer)
         return shared
 

@@ -132,7 +132,7 @@ class HilbertGrid:
     each cell has a curve index in ``[0, 4^order)``.
 
     The curve over a grid never changes, so the window reads
-    (:meth:`values_intersecting`, :meth:`aligned_blocks`) go through
+    (:meth:`value_span`, :meth:`block_rect`) go through
     two tables built on first use: ``table[cy, cx]`` is the value of
     cell ``(cx, cy)`` and ``inverse[d]`` is the flat index
     ``cy * side + cx`` of the cell with value ``d`` — ``8 * 4^order``
@@ -230,51 +230,50 @@ class HilbertGrid:
 
     def aligned_blocks(
         self, lo: int, hi: int, min_cells: int = 1
-    ) -> list[Rect]:
-        """Square extents of the maximal 4^m-aligned runs inside ``[lo, hi]``.
+    ) -> list[tuple[int, int]]:
+        """The maximal 4^m-aligned runs inside ``[lo, hi]``, as ``(start, size)``.
 
         A run of Hilbert values aligned at a multiple of ``4^m`` and of
         length ``4^m`` occupies exactly one ``2^m x 2^m`` square of
-        cells, so each returned rectangle is a region whose cells all
-        lie inside the value range — the sound cacheable regions of a
-        contiguous broadcast-segment download.  Runs smaller than
-        ``min_cells`` are dropped.
+        cells (:meth:`block_rect`), a region whose cells all lie inside
+        the value range — the sound cacheable regions of a contiguous
+        broadcast-segment download.  Runs smaller than ``min_cells``
+        are dropped.
         """
         if not (0 <= lo <= hi < self.cell_count):
             raise GeometryError(f"invalid Hilbert range [{lo}, {hi}]")
-        blocks: list[Rect] = []
-        inverse = self._curve_tables()[1]
+        runs: list[tuple[int, int]] = []
         cur = lo
         while cur <= hi:
             size = 1
             while cur % (size * 4) == 0 and cur + size * 4 - 1 <= hi:
                 size *= 4
             if size >= min_cells:
-                side = int(round(size**0.5))
-                cy, cx = divmod(int(inverse[cur]), self.side)
-                bx = (cx // side) * side
-                by = (cy // side) * side
-                low = self.cell_rect(bx, by)
-                high = self.cell_rect(bx + side - 1, by + side - 1)
-                blocks.append(low.union_mbr(high))
+                runs.append((cur, size))
             cur += size
-        return blocks
+        return runs
 
-    def values_intersecting(self, window: Rect) -> list[int]:
-        """Hilbert values of all cells intersecting ``window``, sorted.
+    def block_rect(self, start: int, size: int) -> Rect:
+        """The square extent of the aligned run ``(start, size)``."""
+        side = int(round(size**0.5))
+        cy, cx = divmod(int(self._curve_tables()[1][start]), self.side)
+        bx = (cx // side) * side
+        by = (cy // side) * side
+        low = self.cell_rect(bx, by)
+        high = self.cell_rect(bx + side - 1, by + side - 1)
+        return low.union_mbr(high)
 
-        This is the candidate set of the on-air window algorithm: the
-        first and last values bound the broadcast segment that must be
-        listened to.
+    def value_span(self, window: Rect) -> tuple[int, int] | None:
+        """The least and greatest Hilbert value of the cells ``window``
+        touches (``None`` outside the bounds).
+
+        They bound the broadcast segment the on-air window algorithm
+        must listen to.
         """
         clipped = window.intersection(self.bounds)
         if clipped is None:
-            return []
+            return None
         cx1, cy1 = self.cell_of_point(Point(clipped.x1, clipped.y1))
         cx2, cy2 = self.cell_of_point(Point(clipped.x2, clipped.y2))
-        table = self._curve_tables()[0]
-        # flatten() copies; ravel() of a full-width slice is a view,
-        # and sorting that in place would scramble the table.
-        values = table[cy1 : cy2 + 1, cx1 : cx2 + 1].flatten()
-        values.sort()
-        return values.tolist()
+        cells = self._curve_tables()[0][cy1 : cy2 + 1, cx1 : cx2 + 1]
+        return int(cells.min()), int(cells.max())

@@ -299,7 +299,7 @@ class TestOnAirWindow:
         downloaded = {
             p.poi_id
             for b in buckets
-            for p in client.server.pois_in_bucket(b)
+            for p in client.server.buckets[b].pois
         }
         for poi in brute_force_window(pois, w):
             assert poi.poi_id in downloaded
@@ -315,7 +315,7 @@ class TestOnAirWindow:
         client, pois = make_world(400, seed=18, bucket_capacity=4)
         result = client.window([Rect(2, 2, 8, 8)])
         downloaded = {p.poi_id for p in result.downloaded}
-        for region in result.bonus_regions:
+        for region, _ in result.bonus_regions:
             for poi in pois:
                 if region.contains_point(poi.location):
                     assert poi.poi_id in downloaded

@@ -184,10 +184,10 @@ class TestIndexReplicationTradeoff:
             )
             costs = []
             for q, t in queries:
-                values = server.grid.values_intersecting(
+                lo, hi = server.grid.value_span(
                     Rect(q.x - 1, q.y - 1, q.x + 1, q.y + 1).intersection(bounds)
                 )
-                buckets = server.buckets_in_range(values[0], values[-1])
+                buckets = server.buckets_in_range(lo, hi)
                 costs.append(
                     schedule.retrieve(t * schedule.cycle_duration / 20, buckets)
                 )

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from repro.errors import BroadcastError
 from repro.geometry import HilbertGrid, Point, Rect, hilbert_xy_to_d
-from repro.broadcast import BroadcastServer, DataBucket, IndexSegment, IndexEntry
+from repro.broadcast import (
+    BatchMember,
+    BroadcastSchedule,
+    BroadcastServer,
+    DataBucket,
+    IndexEntry,
+    IndexSegment,
+    batch_scan,
+)
 from repro.model import POI
 
 BOUNDS = Rect(0, 0, 20, 20)
@@ -69,8 +77,13 @@ class TestConstruction:
 class TestBucketLookup:
     def test_unknown_bucket_raises(self):
         server, _ = make_server(10)
+        schedule = BroadcastSchedule(
+            data_bucket_count=server.bucket_count,
+            index_packet_count=server.index.packet_count,
+        )
+        member = BatchMember(0, (0, 9999), server.index.tree_probe_packets)
         with pytest.raises(BroadcastError):
-            server.pois_in_bucket(9999)
+            batch_scan(server, schedule, [member], 0.0)
 
 
 class TestPacketStructures:

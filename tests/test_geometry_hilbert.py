@@ -94,20 +94,20 @@ class TestHilbertGrid:
 
     def test_values_intersecting_window(self):
         grid = self.make_grid()
-        values = grid.values_intersecting(Rect(0, 0, 2, 2))
+        lo, hi = grid.value_span(Rect(0, 0, 2, 2))
         # Window covers cells (0..2, 0..2) because touching counts.
-        assert values == sorted(values)
-        cells = {hilbert_d_to_xy(3, v) for v in values}
-        assert (0, 0) in cells and (1, 1) in cells
+        values = [
+            hilbert_xy_to_d(3, cx, cy) for cx in range(3) for cy in range(3)
+        ]
+        assert (lo, hi) == (min(values), max(values))
 
     def test_values_intersecting_whole_bounds(self):
         grid = self.make_grid(2)
-        values = grid.values_intersecting(Rect(0, 0, 8, 8))
-        assert values == list(range(16))
+        assert grid.value_span(Rect(0, 0, 8, 8)) == (0, 15)
 
     def test_values_intersecting_outside(self):
         grid = self.make_grid()
-        assert grid.values_intersecting(Rect(100, 100, 101, 101)) == []
+        assert grid.value_span(Rect(100, 100, 101, 101)) is None
 
     def test_cell_diagonal(self):
         grid = self.make_grid(3)
@@ -149,17 +149,18 @@ class TestHilbertGrid:
 
 
 def encode_window(grid, window):
-    """values_intersecting by encoding every touched cell, per call."""
+    """value_span by encoding every touched cell, per call."""
     clipped = window.intersection(grid.bounds)
     if clipped is None:
-        return []
+        return None
     cx1, cy1 = grid.cell_of_point(Point(clipped.x1, clipped.y1))
     cx2, cy2 = grid.cell_of_point(Point(clipped.x2, clipped.y2))
-    return sorted(
+    values = [
         hilbert_xy_to_d(grid.order, cx, cy)
         for cx in range(cx1, cx2 + 1)
         for cy in range(cy1, cy2 + 1)
-    )
+    ]
+    return min(values), max(values)
 
 
 def scalar_blocks(grid, lo, hi, min_cells):
@@ -198,22 +199,19 @@ class TestCurveTables:
             x1, x2 = sorted((data.draw(x), data.draw(x)))
             y1, y2 = sorted((data.draw(y), data.draw(y)))
             window = Rect(x1, y1, x2, y2)
-            assert grid.values_intersecting(window) == encode_window(
-                grid, window
-            )
+            assert grid.value_span(window) == encode_window(grid, window)
 
     @pytest.mark.parametrize("order", [1, 3, 8])
     def test_full_width_window_leaves_the_table_alone(self, order):
-        # A slice of whole rows ravels to a *view* of the table; an
-        # in-place sort of it would scramble the rows for good.
+        # A slice of whole rows is a *view* of the table: the span read
+        # must leave the table as it found it.
         grid = HilbertGrid(order, self.BOUNDS)
         band = Rect(-3.0, 6.0, 29.0, 14.0)
-        first = grid.values_intersecting(band)
+        first = grid.value_span(band)
         table = grid._curve_tables()[0].copy()
-        assert grid.values_intersecting(band) == first == encode_window(grid, band)
+        assert grid.value_span(band) == first == encode_window(grid, band)
         assert (grid._curve_tables()[0] == table).all()
-        whole = grid.values_intersecting(self.BOUNDS)
-        assert whole == list(range(grid.cell_count))
+        assert grid.value_span(self.BOUNDS) == (0, grid.cell_count - 1)
         assert (grid._curve_tables()[0] == table).all()
 
     def test_the_curve_is_encoded_once_per_grid(self, monkeypatch):
@@ -229,8 +227,9 @@ class TestCurveTables:
         monkeypatch.setattr(module, "hilbert_xy_to_d_batch", counting)
         grid = HilbertGrid(5, self.BOUNDS)
         for i in range(20):
-            grid.values_intersecting(Rect(i, 3.0, i + 4.0, 9.0))
-            grid.aligned_blocks(i, 40 * i + 3, min_cells=4)
+            grid.value_span(Rect(i, 3.0, i + 4.0, 9.0))
+            for run in grid.aligned_blocks(i, 40 * i + 3, min_cells=4):
+                grid.block_rect(*run)
         # one batch encode, of all 32 x 32 cells
         assert encoded == [1024]
 
@@ -240,6 +239,6 @@ class TestCurveTables:
         grid = HilbertGrid(order, self.BOUNDS)
         lo = data.draw(st.integers(0, grid.cell_count - 1))
         hi = data.draw(st.integers(lo, min(grid.cell_count - 1, lo + 600)))
-        assert grid.aligned_blocks(lo, hi, min_cells) == scalar_blocks(
-            grid, lo, hi, min_cells
-        )
+        assert [
+            grid.block_rect(*run) for run in grid.aligned_blocks(lo, hi, min_cells)
+        ] == scalar_blocks(grid, lo, hi, min_cells)

@@ -13,6 +13,12 @@ def make_grid(order=4):
     return HilbertGrid(order, Rect(0, 0, 16, 16))
 
 
+def block_rects(grid, lo, hi, min_cells=1):
+    """The square extent of each aligned run of ``[lo, hi]``."""
+    runs = grid.aligned_blocks(lo, hi, min_cells)
+    return [grid.block_rect(*run) for run in runs]
+
+
 class TestAlignedBlocks:
     def test_invalid_range_raises(self):
         grid = make_grid()
@@ -25,21 +31,21 @@ class TestAlignedBlocks:
 
     def test_full_range_is_one_block(self):
         grid = make_grid(order=3)
-        blocks = grid.aligned_blocks(0, 63)
+        blocks = block_rects(grid, 0, 63)
         assert len(blocks) == 1
         assert blocks[0] == grid.bounds
 
     def test_single_cell(self):
         grid = make_grid()
-        blocks = grid.aligned_blocks(7, 7)
+        blocks = block_rects(grid, 7, 7)
         assert len(blocks) == 1
         cx, cy = hilbert_d_to_xy(4, 7)
         assert blocks[0] == grid.cell_rect(cx, cy)
 
     def test_min_cells_filter(self):
         grid = make_grid()
-        all_blocks = grid.aligned_blocks(1, 30, min_cells=1)
-        big_blocks = grid.aligned_blocks(1, 30, min_cells=4)
+        all_blocks = block_rects(grid, 1, 30, min_cells=1)
+        big_blocks = block_rects(grid, 1, 30, min_cells=4)
         assert len(big_blocks) <= len(all_blocks)
 
     @given(st.integers(1, 5), st.data())
@@ -49,7 +55,7 @@ class TestAlignedBlocks:
         lo = data.draw(st.integers(0, cells - 1))
         hi = data.draw(st.integers(lo, cells - 1))
         grid = HilbertGrid(order, Rect(0, 0, 1 << order, 1 << order))
-        blocks = grid.aligned_blocks(lo, hi, min_cells=1)
+        blocks = block_rects(grid, lo, hi, min_cells=1)
 
         # Soundness: every cell inside a block has value in [lo, hi];
         # completeness: every value in [lo, hi] lies in some block.
@@ -73,7 +79,7 @@ class TestAlignedBlocks:
         lo = data.draw(st.integers(0, cells - 1))
         hi = data.draw(st.integers(lo, cells - 1))
         grid = HilbertGrid(order, Rect(0, 0, 1 << order, 1 << order))
-        for block in grid.aligned_blocks(lo, hi, min_cells=1):
+        for block in block_rects(grid, lo, hi, min_cells=1):
             assert block.width == pytest.approx(block.height)
 
     @given(st.integers(2, 6), st.data())
@@ -85,7 +91,7 @@ class TestAlignedBlocks:
         lo = data.draw(st.integers(0, cells - 1))
         hi = data.draw(st.integers(lo, cells - 1))
         grid = HilbertGrid(order, Rect(0, 0, 1 << order, 1 << order))
-        blocks = grid.aligned_blocks(lo, hi, min_cells=1)
+        blocks = block_rects(grid, lo, hi, min_cells=1)
         length = hi - lo + 1
         bound = 6 * max(1, length.bit_length())
         assert len(blocks) <= bound
